@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-smoke bench-report bench-full perf-gate examples check clean distclean results
+.PHONY: install test test-report bench bench-smoke bench-report bench-full bench-e2e perf-gate examples check clean distclean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -23,54 +23,16 @@ bench-report:
 bench-smoke:
 	$(PYTHON) -m repro spec --file examples/specs/smoke.json --jobs 2
 
-# Perf-regression gate: re-measure the hot-path benchmarks at full size
-# (small --quick sizes are biased low and would trip the gate) and
-# compare host-normalised rates against the committed BENCH_sim.json;
-# exits non-zero on a >25% regression in events/sec or packets/sec, or
-# on any change in the fixed-seed simulated outcomes.  The executor,
-# store and pipeline payloads are then re-measured and gated on their
-# correctness contracts (byte-identical results; warm hit rate exactly
-# 1.0; no record payload on the parent pipe).  Each gate appends a
-# per-commit trend line to benchmarks/results/bench_history.jsonl.
-HISTORY = benchmarks/results/bench_history.jsonl
+# Perf-regression gate: re-measure every kind of scripts/bench_diff.py's
+# gate table into a temp directory and gate it against the committed
+# BENCH_*.json.  HISTORY=benchmarks/results/bench_history.jsonl appends
+# a per-commit trend line per kind; nothing else in the tree is written.
 perf-gate:
-	PYTHONPATH=src $(PYTHON) benchmarks/sim_hotpath.py --repeat 3 \
-		--out /tmp/BENCH_sim.candidate.json
-	$(PYTHON) scripts/bench_diff.py BENCH_sim.json \
-		/tmp/BENCH_sim.candidate.json --history $(HISTORY)
-	cp BENCH_executor.json /tmp/BENCH_executor.baseline.json
-	cp BENCH_store.json /tmp/BENCH_store.baseline.json
-	PYTHONPATH=src $(PYTHON) benchmarks/executor_scaling.py --jobs 2
-	$(PYTHON) scripts/bench_diff.py /tmp/BENCH_executor.baseline.json \
-		BENCH_executor.json --history $(HISTORY)
-	PYTHONPATH=src $(PYTHON) benchmarks/store_hit_rate.py --runs 2
-	$(PYTHON) scripts/bench_diff.py /tmp/BENCH_store.baseline.json \
-		BENCH_store.json --history $(HISTORY)
-	cp BENCH_pipeline.json /tmp/BENCH_pipeline.baseline.json
-	PYTHONPATH=src $(PYTHON) benchmarks/executor_pipeline.py --cells 2000
-	$(PYTHON) scripts/bench_diff.py /tmp/BENCH_pipeline.baseline.json \
-		BENCH_pipeline.json --history $(HISTORY)
-	cp BENCH_fabric.json /tmp/BENCH_fabric.baseline.json
-	PYTHONPATH=src $(PYTHON) benchmarks/fabric_sweep.py --cells 2000
-	$(PYTHON) scripts/bench_diff.py /tmp/BENCH_fabric.baseline.json \
-		BENCH_fabric.json --history $(HISTORY)
-	PYTHONPATH=src $(PYTHON) benchmarks/sim_manyflow.py \
-		--out /tmp/BENCH_manyflow.candidate.json
-	$(PYTHON) scripts/bench_diff.py BENCH_manyflow.json \
-		/tmp/BENCH_manyflow.candidate.json --history $(HISTORY)
-	PYTHONPATH=src $(PYTHON) benchmarks/model_fit.py \
-		--out /tmp/BENCH_models.candidate.json
-	$(PYTHON) scripts/bench_diff.py BENCH_models.json \
-		/tmp/BENCH_models.candidate.json --history $(HISTORY)
-	cp BENCH_chaos.json /tmp/BENCH_chaos.baseline.json
-	PYTHONPATH=src $(PYTHON) scripts/chaos_sweep.py --cells 600
-	$(PYTHON) scripts/bench_diff.py /tmp/BENCH_chaos.baseline.json \
-		BENCH_chaos.json --history $(HISTORY)
-	git checkout -- BENCH_executor.json 2>/dev/null || true
-	git checkout -- BENCH_store.json 2>/dev/null || true
-	git checkout -- BENCH_pipeline.json 2>/dev/null || true
-	git checkout -- BENCH_fabric.json 2>/dev/null || true
-	git checkout -- BENCH_chaos.json 2>/dev/null || true
+	$(PYTHON) scripts/bench_diff.py gate $(if $(HISTORY),--history $(HISTORY))
+
+# The end-to-end benchmark BENCHMARK.json declares (six workloads).
+bench-e2e:
+	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e run
 
 # Paper-scale: >=10 rounds per cell and full workload grids.
 bench-full:
@@ -82,12 +44,12 @@ examples:
 results:
 	@ls -1 benchmarks/results/
 
-# What CI runs: the tier-1 suite plus the store round-trip smoke (runs a
-# tiny spec grid twice and asserts the second pass is 100% cache hits
-# with byte-identical metrics; exits non-zero otherwise).
+# What CI runs: the tier-1 suite plus the store round-trip smoke (the
+# store_hit_rate gate: a tiny spec grid run twice must be 100% cache
+# hits with byte-identical metrics the second time).
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	PYTHONPATH=src $(PYTHON) benchmarks/store_hit_rate.py --runs 1
+	$(PYTHON) scripts/bench_diff.py gate store_hit_rate
 
 # clean removes caches and scratch output only; benchmarks/results/ is
 # git-tracked (committed benchmark summaries) and must survive a clean.
@@ -96,7 +58,6 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
 
 # distclean additionally drops regenerable local state: the committed-
-# results directory (restorable with git checkout), local result stores
-# and the machine-readable benchmark outputs.
+# results directory (restorable with git checkout) and local result stores.
 distclean: clean
-	rm -rf benchmarks/results .repro-store.sqlite BENCH_executor.json BENCH_store.json BENCH_pipeline.json BENCH_fabric.json BENCH_chaos.json
+	rm -rf benchmarks/results .repro-store.sqlite

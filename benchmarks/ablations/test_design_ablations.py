@@ -13,6 +13,7 @@ from repro.core.runner import (
     run_page_load,
 )
 from repro.core.stats import mean
+from repro.core.executor import ProtocolSpec
 from repro.http import page, single_object_page
 from repro.netem import emulated, fairness_bottleneck, reordering_scenario
 from repro.quic import quic_config
@@ -31,8 +32,10 @@ def test_ablation_hybrid_slow_start(benchmark):
         on_cfg = quic_config(34)
         off_cfg = quic_config(34)
         off_cfg.cc.hybrid_slow_start = False
-        on = measure_plts(scenario, web_page, "quic", runs=4, quic_cfg=on_cfg)
-        off = measure_plts(scenario, web_page, "quic", runs=4, quic_cfg=off_cfg)
+        on = measure_plts(scenario, web_page, ProtocolSpec.quic(on_cfg),
+                          runs=4)
+        off = measure_plts(scenario, web_page, ProtocolSpec.quic(off_cfg),
+                           runs=4)
         return mean(on), mean(off)
 
     with_hss, without_hss = run_once(benchmark, run)
@@ -56,8 +59,8 @@ def test_ablation_pacing(benchmark):
             if not pacing:
                 cfg.cc.pacing_gain_slow_start = None
                 cfg.cc.pacing_gain_ca = None
-            out = run_bulk_transfer(scenario, 150_000, "quic", seed=3,
-                                    quic_cfg=cfg)
+            out = run_bulk_transfer(scenario, 150_000,
+                                    ProtocolSpec.quic(cfg), seed=3)
             results[pacing] = out
         return results
 
@@ -150,8 +153,8 @@ def test_ablation_tcp_dsack(benchmark):
         out = {}
         for dsack in (True, False):
             cfg = tcp_config(dsack=dsack)
-            out[dsack] = run_bulk_transfer(scenario, 5_000_000, "tcp",
-                                           seed=1, tcp_cfg=cfg)
+            out[dsack] = run_bulk_transfer(scenario, 5_000_000,
+                                           ProtocolSpec.tcp(cfg), seed=1)
         return out
 
     out = run_once(benchmark, run)
@@ -177,8 +180,8 @@ def test_ablation_prr(benchmark):
             cfg = quic_config(34)
             cfg.cc.prr = prr
             results[prr] = mean(measure_plts(
-                scenario, single_object_page(2_000_000), "quic", runs=4,
-                quic_cfg=cfg))
+                scenario, single_object_page(2_000_000),
+                ProtocolSpec.quic(cfg), runs=4))
         return results
 
     results = run_once(benchmark, run)
@@ -195,10 +198,12 @@ def test_ablation_chromium52_bug(benchmark):
     def run():
         scenario = emulated(100.0)
         web_page = single_object_page(10 * 1024 * 1024)
-        fixed = run_page_load(scenario, web_page, "quic", seed=1,
-                              quic_cfg=quic_config(34, calibrated=True)).plt
-        buggy = run_page_load(scenario, web_page, "quic", seed=1,
-                              quic_cfg=quic_config(34, calibrated=False)).plt
+        fixed = run_page_load(
+            scenario, web_page,
+            ProtocolSpec.quic(quic_config(34, calibrated=True)), seed=1).plt
+        buggy = run_page_load(
+            scenario, web_page,
+            ProtocolSpec.quic(quic_config(34, calibrated=False)), seed=1).plt
         return fixed, buggy
 
     fixed, buggy = run_once(benchmark, run)
@@ -220,8 +225,8 @@ def test_ablation_fec(benchmark):
                 cfg = quic_config(34)
                 cfg.fec_enabled = fec
                 result = run_bulk_transfer(
-                    emulated(20.0, loss_pct=loss), 2_000_000, "quic",
-                    seed=3, quic_cfg=cfg)
+                    emulated(20.0, loss_pct=loss), 2_000_000,
+                    ProtocolSpec.quic(cfg), seed=3)
                 out[(loss, fec)] = result.elapsed
         return out
 

@@ -8,6 +8,7 @@
 """
 
 from repro.core.stats import mean
+from repro.core.executor import ProtocolSpec
 from repro.http import single_object_page
 from repro.netem import (
     Simulator,
@@ -34,8 +35,8 @@ def test_extension_bbr_vs_cubic(benchmark):
                 cfg = quic_config(34)
                 cfg.use_bbr = use_bbr
                 result = run_bulk_transfer(
-                    emulated(50.0, loss_pct=loss), 10 * 1024 * 1024, "quic",
-                    seed=1, quic_cfg=cfg)
+                    emulated(50.0, loss_pct=loss), 10 * 1024 * 1024,
+                    ProtocolSpec.quic(cfg), seed=1)
                 out[(loss, "bbr" if use_bbr else "cubic")] = result
         return out
 

@@ -16,20 +16,19 @@ Records are verified identical between the two stores, the parent-pipe
 events are verified payload-free and size-bounded, and the parent's
 peak RSS is recorded — the pipelined parent never holds a record.
 
-Writes ``benchmarks/results/executor_pipeline.txt``, a machine-readable
-``BENCH_pipeline.json`` at the repo root, and merges a ``pipeline``
-summary block into ``BENCH_executor.json`` when that file exists.
+Writes ``benchmarks/results/executor_pipeline.txt`` and a
+machine-readable ``BENCH_pipeline.json`` at the repo root — or, with
+``--out PATH``, the payload at PATH and the summary beside it (``.txt``).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/executor_pipeline.py \\
-        [--cells 10000] [--jobs 4]
+        [--cells 10000] [--jobs 4] [--out BENCH_pipeline.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pickle
 import resource
@@ -38,6 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.core.bench import write_payload, write_summary
 from repro.core.executor import (
     EVENT_WIRE_BOUND,
     ProtocolSpec,
@@ -52,8 +52,7 @@ from repro.netem import emulated
 from repro.store import RunCache, ShardStore
 
 RESULTS = Path(__file__).parent / "results" / "executor_pipeline.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_pipeline.json"
-EXECUTOR_JSON = Path(__file__).parent.parent / "BENCH_executor.json"
+DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_pipeline.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -122,6 +121,9 @@ def main() -> int:
     parser.add_argument("--jobs", type=int, default=4,
                         help="pool worker count (default 4; the pool is "
                              "forced even on a single-core host)")
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
+                        help=f"payload path (default {DEFAULT_OUT}); the "
+                             "summary goes beside a non-default path")
     args = parser.parse_args()
 
     requests = build_requests(args.cells)
@@ -177,11 +179,9 @@ def main() -> int:
         "sees only payload-free RunEvents — so parent IPC and memory are",
         "O(1) per cell regardless of record size.",
     ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-
-    payload = {
+    write_summary(lines, RESULTS if args.out == DEFAULT_OUT
+                  else args.out.with_suffix(".txt"))
+    write_payload({
         "benchmark": "pipeline",
         "cells": args.cells,
         "jobs": args.jobs,
@@ -197,22 +197,7 @@ def main() -> int:
         "parent_rss_before_kb": rss_before,
         "parent_rss_peak_kb": rss_peak,
         "results_identical": identical,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
-
-    if EXECUTOR_JSON.exists():
-        executor_payload = json.loads(EXECUTOR_JSON.read_text())
-        executor_payload["pipeline"] = {
-            key: payload[key]
-            for key in ("cells", "jobs", "pipelined_speedup",
-                        "events_per_sec", "max_event_bytes",
-                        "results_identical")
-        }
-        EXECUTOR_JSON.write_text(
-            json.dumps(executor_payload, indent=2) + "\n")
-        print(f"pipeline block merged into {EXECUTOR_JSON}")
-
+    }, args.out)
     ok = identical and max_event_bytes <= EVENT_WIRE_BOUND
     return 0 if ok else 1
 

@@ -4,21 +4,23 @@ Runs the same ExperimentSpec grid with ``jobs=1`` and ``jobs=N``,
 verifies the results are byte-identical, and records the wall-clock
 comparison in ``benchmarks/results/executor_scaling.txt`` plus a
 machine-readable ``BENCH_executor.json`` at the repo root (so the perf
-trajectory is trackable across PRs).
+trajectory is trackable across PRs).  With ``--out PATH`` both land at
+PATH (``.json`` payload, ``.txt`` summary beside it) instead.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/executor_scaling.py [--jobs 4]
+    PYTHONPATH=src python benchmarks/executor_scaling.py [--jobs 4] \\
+        [--out BENCH_executor.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import time
 from pathlib import Path
 
+from repro.core.bench import write_payload, write_summary
 from repro.core.executor import resolve_jobs, usable_cpu_count
 from repro.core.experiment import (
     ExperimentSpec,
@@ -28,7 +30,7 @@ from repro.core.experiment import (
 )
 
 RESULTS = Path(__file__).parent / "results" / "executor_scaling.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_executor.json"
+DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_executor.json"
 
 
 def scaling_spec() -> ExperimentSpec:
@@ -52,6 +54,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=4,
                         help="parallel worker count (default 4)")
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
+                        help=f"payload path (default {DEFAULT_OUT}); the "
+                             "summary goes beside a non-default path")
     args = parser.parse_args()
     jobs = resolve_jobs(args.jobs)
 
@@ -96,10 +101,9 @@ def main() -> int:
             "so the expected speedup here is ~1.0x.  On an N-core host",
             "the independent simulations scale to ~min(N, jobs)x.",
         ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-    BENCH_JSON.write_text(json.dumps({
+    write_summary(lines, RESULTS if args.out == DEFAULT_OUT
+                  else args.out.with_suffix(".txt"))
+    write_payload({
         "benchmark": "executor_scaling",
         "runs_total": cells,
         "cpu_count": os.cpu_count(),
@@ -109,8 +113,7 @@ def main() -> int:
         "parallel_seconds": round(parallel_s, 4),
         "speedup": round(speedup, 4),
         "results_identical": identical,
-    }, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    }, args.out)
     return 0 if identical else 1
 
 

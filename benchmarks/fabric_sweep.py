@@ -20,24 +20,25 @@ kind ``fabric``):
   server executes nothing (100 % remote hits).
 
 Writes ``benchmarks/results/fabric_sweep.txt`` and a machine-readable
-``BENCH_fabric.json`` at the repo root.
+``BENCH_fabric.json`` at the repo root — or, with ``--out PATH``, the
+payload at PATH and the summary beside it (``.txt``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/fabric_sweep.py \\
-        [--cells 10000] [--workers 4] [--sync-every 256]
+    PYTHONPATH=src python benchmarks/fabric_sweep.py [--cells 10000] \\
+        [--workers 4] [--sync-every 256] [--out BENCH_fabric.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import tempfile
 import time
 from pathlib import Path
 
+from repro.core.bench import write_payload, write_summary
 from repro.core.executor import (
     ProtocolSpec,
     RunRecord,
@@ -53,7 +54,7 @@ from repro.netem import emulated
 from repro.store import RunCache, ShardStore, fingerprint_for, run_key
 
 RESULTS = Path(__file__).parent / "results" / "fabric_sweep.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_fabric.json"
+DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_fabric.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -108,6 +109,9 @@ def main() -> int:
     parser.add_argument("--sync-every", type=int, default=256,
                         help="worker upload batch, in completed runs "
                              "(default 256)")
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
+                        help=f"payload path (default {DEFAULT_OUT}); the "
+                             "summary goes beside a non-default path")
     args = parser.parse_args()
 
     requests = build_requests(args.cells)
@@ -178,11 +182,9 @@ def main() -> int:
         "time, and the contracts — identical reports, an empty resume",
         "probe, a 100% warm pass — are what the gate holds.",
     ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-
-    payload = {
+    write_summary(lines, RESULTS if args.out == DEFAULT_OUT
+                  else args.out.with_suffix(".txt"))
+    write_payload({
         "benchmark": "fabric",
         "cells": args.cells,
         "workers": args.workers,
@@ -197,10 +199,7 @@ def main() -> int:
         "warm_hit_rate": round(warm_hit_rate, 6),
         "resume_missing": resume_missing,
         "results_identical": identical,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
-
+    }, args.out)
     ok = identical and resume_missing == 0 and warm_hit_rate == 1.0
     return 0 if ok else 1
 

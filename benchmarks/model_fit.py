@@ -128,8 +128,7 @@ def main() -> int:
         ok = False
     if not ok:
         return 1
-    write_payload(payload, str(args.out))
-    print(f"written to {args.out}")
+    write_payload(payload, args.out)
     return 0
 
 

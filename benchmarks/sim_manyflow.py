@@ -70,8 +70,7 @@ def main() -> int:
     if not payload["results_identical"]:
         print("ERROR: batched and per-packet outcomes diverged")
         return 1
-    write_payload(payload, str(args.out))
-    print(f"written to {args.out}")
+    write_payload(payload, args.out)
     return 0
 
 

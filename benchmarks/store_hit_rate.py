@@ -9,22 +9,24 @@ byte-identical ``ExperimentResult.to_json()``), so the exit code doubles
 as the ``make check`` store smoke.
 
 Writes ``benchmarks/results/store_hit_rate.txt`` and a machine-readable
-``BENCH_store.json`` at the repo root.
+``BENCH_store.json`` at the repo root — or, with ``--out PATH``, the
+payload at PATH and the summary beside it (``.txt``).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/store_hit_rate.py [--runs 2] [--jobs 1]
+    PYTHONPATH=src python benchmarks/store_hit_rate.py [--runs 2] [--jobs 1] \\
+        [--out BENCH_store.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import tempfile
 import time
 from pathlib import Path
 
+from repro.core.bench import write_payload, write_summary
 from repro.core.experiment import (
     ExperimentSpec,
     ScenarioSpec,
@@ -36,7 +38,7 @@ from repro.core.executor import run_requests
 from repro.store import ResultStore, RunCache
 
 RESULTS = Path(__file__).parent / "results" / "store_hit_rate.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_store.json"
+DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_store.json"
 
 
 def bench_spec(runs: int) -> ExperimentSpec:
@@ -55,6 +57,9 @@ def main() -> int:
                         help="seeded rounds per cell (default 2)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes (default 1)")
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
+                        help=f"payload path (default {DEFAULT_OUT}); the "
+                             "summary goes beside a non-default path")
     args = parser.parse_args()
 
     spec = bench_spec(args.runs)
@@ -128,10 +133,9 @@ def main() -> int:
         "so a warm sweep re-executes nothing and an interrupted sweep",
         "resumes from exactly the cells it was missing.",
     ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-    BENCH_JSON.write_text(json.dumps({
+    write_summary(lines, RESULTS if args.out == DEFAULT_OUT
+                  else args.out.with_suffix(".txt"))
+    write_payload({
         "benchmark": "store_hit_rate",
         "runs_total": total,
         "cpu_count": os.cpu_count(),
@@ -144,8 +148,7 @@ def main() -> int:
         "resumed_hits": resumed_stats[0],
         "resumed_misses": resumed_stats[1],
         "results_identical": identical and resumed_identical,
-    }, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    }, args.out)
     if not ok:
         print("STORE SMOKE FAILED: warm pass was not 100% cache hits with "
               "byte-identical results")

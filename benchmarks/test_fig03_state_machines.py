@@ -7,6 +7,7 @@ reduction); BBR shows Startup/Drain/ProbeBW/ProbeRTT.
 """
 
 from repro.core import infer
+from repro.core.executor import ProtocolSpec
 from repro.core.runner import run_page_load
 from repro.devices import MOTOG
 from repro.http import page, single_object_page
@@ -94,7 +95,7 @@ def _collect_bbr_traces():
     cfg.use_bbr = True
     for seed in range(3):
         out = run_page_load(emulated(20.0), single_object_page(5 * 1024 * 1024),
-                            "quic", seed=seed, trace=True, quic_cfg=cfg)
+                            ProtocolSpec.quic(cfg), seed=seed, trace=True)
         traces.append(out.server_trace)
     return traces
 

@@ -7,6 +7,7 @@ restores QUIC; TCP's DSACK adaptation keeps it robust throughout.
 """
 
 from repro.core.rootcause import loss_report
+from repro.core.executor import ProtocolSpec
 from repro.core.runner import run_bulk_transfer
 from repro.netem import reordering_scenario
 from repro.quic import quic_config
@@ -23,19 +24,19 @@ def _sweep():
     for threshold in THRESHOLDS:
         cfg = quic_config(34)
         cfg.nack_threshold = threshold
-        result = run_bulk_transfer(scenario, SIZE, "quic", seed=1,
-                                   quic_cfg=cfg)
+        result = run_bulk_transfer(scenario, SIZE, ProtocolSpec.quic(cfg),
+                                   seed=1)
         rows.append((f"QUIC nack={threshold}", result))
     cfg = quic_config(34)
     cfg.adaptive_nack_threshold = True
     rows.append(("QUIC adaptive",
-                 run_bulk_transfer(scenario, SIZE, "quic", seed=1,
-                                   quic_cfg=cfg)))
+                 run_bulk_transfer(scenario, SIZE, ProtocolSpec.quic(cfg),
+                                   seed=1)))
     cfg = quic_config(34)
     cfg.time_based_loss = True
     rows.append(("QUIC time-based",
-                 run_bulk_transfer(scenario, SIZE, "quic", seed=1,
-                                   quic_cfg=cfg)))
+                 run_bulk_transfer(scenario, SIZE, ProtocolSpec.quic(cfg),
+                                   seed=1)))
     rows.append(("TCP (DSACK)",
                  run_bulk_transfer(scenario, SIZE, "tcp", seed=1)))
     return rows

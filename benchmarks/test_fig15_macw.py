@@ -8,6 +8,7 @@ transfers over high-bandwidth paths (the window was the binding cap).
 from repro.core.heatmap import Heatmap
 from repro.core.runner import measure_plts
 from repro.core.comparison import Comparison
+from repro.core.executor import ProtocolSpec
 from repro.core.stats import mean
 from repro.http import single_object_page
 from repro.netem import emulated
@@ -37,14 +38,14 @@ def _grid():
         scenario = emulated(rate, extra_delay_ms=50)
         for kb in SIZES_KB:
             page = single_object_page(kb * 1024)
-            big = measure_plts(scenario, page, "quic", runs=runs,
-                               quic_cfg=cfg_2000)
-            small = measure_plts(scenario, page, "quic", runs=runs,
-                                 quic_cfg=cfg_430)
+            big = measure_plts(scenario, page, ProtocolSpec.quic(cfg_2000),
+                               runs=runs)
+            small = measure_plts(scenario, page, ProtocolSpec.quic(cfg_430),
+                                 runs=runs)
             heatmap.put(f"{rate:g}Mbps", f"1x{kb}KB",
                         Comparison(f"{rate}/{kb}", big, small))
-            v34 = measure_plts(scenario, page, "quic", runs=3,
-                               quic_cfg=quic_config(34))
+            v34 = measure_plts(scenario, page,
+                               ProtocolSpec.quic(quic_config(34)), runs=3)
             v34_delta.append(abs(mean(small) - mean(v34)) / mean(v34))
     return heatmap, v34_delta
 

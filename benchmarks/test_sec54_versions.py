@@ -6,6 +6,7 @@ default MACW.
 """
 
 from repro.core.stats import mean, sample_std
+from repro.core.executor import ProtocolSpec
 from repro.core.runner import measure_plts
 from repro.http import single_object_page
 from repro.netem import emulated
@@ -23,11 +24,11 @@ def _version_sweep():
     results = {}
     for version in VERSIONS:
         cfg = quic_config(version, macw_packets=430)
-        results[version] = measure_plts(SCENARIO, PAGE, "quic", runs=runs,
-                                        quic_cfg=cfg)
+        results[version] = measure_plts(SCENARIO, PAGE,
+                                        ProtocolSpec.quic(cfg), runs=runs)
     cfg37 = quic_config(37)  # default MACW 2000
-    results[37] = measure_plts(SCENARIO, PAGE, "quic", runs=runs,
-                               quic_cfg=cfg37)
+    results[37] = measure_plts(SCENARIO, PAGE, ProtocolSpec.quic(cfg37),
+                               runs=runs)
     return results
 
 
@@ -63,8 +64,8 @@ def test_sec54_state_machine_stability(benchmark):
                 (emulated(50.0, loss_pct=1.0), single_object_page(1024 * 1024)),
             ):
                 cfg = quic_config(version, macw_packets=430)
-                out = run_page_load(scenario, workload, "quic", seed=1,
-                                    trace=True, quic_cfg=cfg)
+                out = run_page_load(scenario, workload,
+                                    ProtocolSpec.quic(cfg), seed=1, trace=True)
                 traces.append(out.server_trace)
             models[version] = infer(traces)
         return models

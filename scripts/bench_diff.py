@@ -1,629 +1,399 @@
 #!/usr/bin/env python
-"""Perf-regression gate: compare two benchmark payloads.
+"""Perf-regression gate: one table, one interpreter, one entry point.
 
 Usage::
 
     python scripts/bench_diff.py BASELINE.json CANDIDATE.json \
         [--threshold 0.25] [--history benchmarks/results/bench_history.jsonl]
+    python scripts/bench_diff.py gate [KIND ...] [--threshold] [--history]
 
-Understands the three machine-readable payload shapes the repo commits:
+``gate`` measures each KIND (default: all) into a fresh temp directory
+and compares it with the committed payload; it never writes a tracked
+file.  A kind is one row of :data:`GATES`.  Contracts hold on the
+candidate (every kind but sim_hotpath also needs ``results_identical is
+True``); *id* = fixed-seed block identical on the same workload; rates,
+divided by ``calibration_ops_per_sec``, fail past ``--threshold``; the
+rest is informational (docs/PERFORMANCE.md has the full table):
 
-* ``BENCH_sim.json`` (``benchmark: sim_hotpath``) — the candidate fails
-  the gate if ``events_per_sec`` or ``packets_per_sec`` regresses by
-  more than ``--threshold`` (default 25 %), or if any fixed-seed
-  simulated outcome (``plt_quic``, ``plt_tcp``, ``events_quic``,
-  ``events_tcp``, ``packets_delivered``) changes on an identical
-  workload.  When both payloads carry ``calibration_ops_per_sec`` the
-  gated rates are normalised by it first, making the comparison
-  meaningful across hosts.  ``plt_wall_seconds`` is informational.
-* ``BENCH_executor.json`` (``executor_scaling``) — the payload shape is
-  gated (every required key present) plus the correctness contract:
-  ``results_identical`` must be true.  ``speedup`` is informational
-  (it measures the host's core count more than the code).
-* ``BENCH_store.json`` (``store_hit_rate``) — shape-gated, plus
-  ``results_identical`` true and ``warm_hit_rate`` exactly 1.0 (a warm
-  sweep re-executing anything is a cache-correctness bug).  The
-  cold/warm speedup is informational.
-* ``BENCH_pipeline.json`` (``pipeline``) — the streaming-executor gate:
-  shape-gated, ``results_identical`` must be true (the pipelined sweep
-  produced the same store as the round-trip path), and
-  ``max_event_bytes`` must stay within ``event_bound_bytes`` (a record
-  payload crossing the parent pipe is the exact regression the
-  streaming API exists to prevent).  Throughput and parent RSS are
-  informational trends.
-* ``BENCH_manyflow.json`` (``manyflow``) — the thousand-flow fast
-  path: shape-gated, ``results_identical`` must be true (batched link
-  delivery produced the same simulated outcome as per-packet
-  scheduling), ``speedup_vs_per_packet`` must stay >= 3.0 (the
-  fast-path acceptance floor), the host-normalised ``events_per_sec``
-  is gated on ``--threshold`` like the sim rates, and on an identical
-  workload the fixed-seed ``outcome`` block must match exactly.
-* ``BENCH_models.json`` (``models``) — the analytical-oracle gate:
-  shape-gated, ``results_identical`` must be true (two passes over the
-  oracle grid produced bit-identical simulated metrics), every gated
-  cell must sit within the tolerance band (``within_tolerance ==
-  gated_cells``), and ``max_abs_log_error`` must stay under
-  ``ln(1 + tolerance)`` — a CC kernel whose behaviour drifts from its
-  closed-form model (Mathis/AIMD, RFC 8312 Cubic, BDP-bound BBR) fails
-  here even if fixed-seed goldens were re-baselined.  On an identical
-  workload the per-cell ``fit`` block must match exactly.
-* ``BENCH_chaos.json`` (``chaos``) — the fault-injection gate:
-  shape-gated, ``results_identical`` must be true (a seeded fault
-  schedule — 5xx replies, torn shard writes, a worker SIGKILL, a
-  stalled request — must leave the final store byte-identical to the
-  fault-free run), ``fsck_clean`` must be true (``fsck --repair``
-  leaves zero residual corruption), ``fsck_detect_rate`` must be
-  exactly 1.0 (every separately injected silent corruption is caught),
-  ``plan_deterministic`` must be true (same seed, same schedule) and
-  every scheduled fault must actually fire (``faults_fired ==
-  faults_scheduled`` — a fault that never lands gates nothing).  The
-  chaos/baseline wall-clock ratio is informational.
-* ``BENCH_fabric.json`` (``fabric``) — the distributed-sweep gate:
-  shape-gated, ``results_identical`` must be true (the served store
-  renders the same report as the single-process baseline),
-  ``resume_missing`` must be 0 (a completed sweep leaves no holes for
-  a resume to find) and ``warm_hit_rate`` must be exactly 1.0 (a warm
-  fabric pass re-executing cells is a remote-cache bug).  Fabric
-  overhead and throughput are informational trends.
+================ =================== ====================================
+kind             committed payload   contracts · gated rates
+================ =================== ====================================
+sim_hotpath      BENCH_sim.json      id: PLT pair, event/packet counts ·
+                                     events_per_sec, packets_per_sec
+executor_scaling BENCH_executor.json -
+store_hit_rate   BENCH_store.json    warm_hit_rate == 1.0
+pipeline         BENCH_pipeline.json max_event_bytes <= event_bound_bytes
+fabric           BENCH_fabric.json   resume_missing 0; warm_hit_rate 1.0
+manyflow         BENCH_manyflow.json speedup_vs_per_packet >= 3.0;
+                                     id: outcome · events_per_sec
+models           BENCH_models.json   all gated_cells within_tolerance; id:
+                                     fit; max_abs_log_error <= ln(1 + tol)
+chaos            BENCH_chaos.json    fsck_clean; fsck_detect_rate 1.0; all
+                                     faults fired; plan_deterministic
+================ =================== ====================================
 
-Exit codes: 0 = gate passes; 1 = regression, behaviour change, or
-contract violation; 2 = malformed payload (missing required keys) or a
-baseline/candidate benchmark-kind mismatch.
-
-``--history PATH`` appends one JSON line per invocation (commit, kind,
-outcome, headline metrics) so per-commit trends are visible, not just
-one-step diffs; the committed ledger lives at
-``benchmarks/results/bench_history.jsonl``.
+Exit codes: 0 = gate passes; 1 = regression, behaviour change, contract
+violation or failed measurement; 2 = malformed payload (missing required
+keys), kind mismatch or unknown kind.  ``--history PATH`` appends one
+JSON line per comparison (commit, kind, outcome, headline metrics).
 """
-
-from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Optional
 
-GATED_RATES = ("events_per_sec", "packets_per_sec")
-BEHAVIOUR_KEYS = ("plt_quic", "plt_tcp", "events_quic", "events_tcp",
-                  "packets_delivered")
+REPO = Path(__file__).resolve().parent.parent
 
-#: Keys every payload of a kind must carry (the "shape" gate).
-REQUIRED_KEYS = {
-    "sim_hotpath": ("current",),
-    "executor_scaling": ("runs_total", "jobs", "serial_seconds",
-                         "parallel_seconds", "speedup", "results_identical"),
-    "store_hit_rate": ("runs_total", "cold_seconds", "warm_seconds",
-                       "warm_speedup", "warm_hit_rate", "results_identical"),
-    "pipeline": ("cells", "jobs", "roundtrip_seconds", "pipelined_seconds",
-                 "pipelined_speedup", "events_per_sec", "max_event_bytes",
-                 "event_bound_bytes", "parent_rss_peak_kb",
-                 "results_identical"),
-    "fabric": ("cells", "workers", "single_seconds", "fabric_seconds",
-               "fabric_overhead", "cells_per_sec", "warm_hit_rate",
-               "resume_missing", "results_identical"),
-    "manyflow": ("flows", "batched_seconds", "per_packet_seconds",
-                 "speedup_vs_per_packet", "events_per_sec",
-                 "results_identical", "outcome"),
-    "models": ("tolerance", "cells", "gated_cells", "within_tolerance",
-               "max_abs_log_error", "results_identical", "fit"),
-    "chaos": ("cells", "workers", "seed", "baseline_seconds",
-              "chaos_seconds", "faults_scheduled", "faults_fired",
-              "quarantined", "residual_issues", "corruptions_injected",
-              "corruptions_detected", "fsck_detect_rate",
-              "results_identical", "fsck_clean", "plan_deterministic"),
+
+def _numbers(*values: Any) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values)
+
+
+#: Contract operators: op -> (holds(value, rhs), how an [ok] line shows it).
+#: "all of" refuses an empty count: zero of zero proves nothing.
+OPS = {
+    "is": (lambda v, r: v is r, lambda v, r: f"{v}"),
+    "==": (lambda v, r: v == r, lambda v, r: f"{v}"),
+    "all of": (lambda v, r: bool(r) and v == r, lambda v, r: f"{v}/{r}"),
+    "<=": (lambda v, r: _numbers(v, r) and v <= r,
+           lambda v, r: f"{v} <= {r}"),
+    ">=": (lambda v, r: _numbers(v, r) and v >= r,
+           lambda v, r: f"{v:.2f}x (floor {r:g}x)"),
+    "<= ln1p": (lambda v, r: _numbers(v, r) and r > 0 and v <= math.log1p(r),
+                lambda v, r: f"{v:.4f} (ceiling {math.log1p(r):.4f})"),
 }
 
-#: What lands in the history line per payload kind.
-HISTORY_METRICS = {
-    "sim_hotpath": ("events_per_sec", "packets_per_sec", "plt_wall_seconds"),
-    "executor_scaling": ("speedup", "serial_seconds", "parallel_seconds"),
-    "store_hit_rate": ("warm_speedup", "warm_hit_rate", "cold_seconds",
-                       "warm_seconds"),
-    "pipeline": ("pipelined_speedup", "events_per_sec",
-                 "parent_rss_peak_kb", "pipelined_seconds",
-                 "roundtrip_seconds"),
-    "fabric": ("fabric_overhead", "cells_per_sec", "warm_hit_rate",
-               "fabric_seconds", "single_seconds"),
-    "manyflow": ("speedup_vs_per_packet", "events_per_sec",
-                 "batched_seconds", "per_packet_seconds"),
-    "models": ("max_abs_log_error", "mean_abs_log_error",
-               "within_tolerance", "gated_cells"),
-    "chaos": ("chaos_seconds", "baseline_seconds", "faults_fired",
-              "quarantined", "fsck_detect_rate"),
+#: The gate table — the one place a payload kind is declared.  Columns:
+#:   payload    committed baseline at the repo root
+#:   measure    argv that re-measures it (``--out TEMP`` is appended)
+#:   under      key the numbers nest under (absent: top level)
+#:   required   keys both payloads must carry (the shape gate, exit 2)
+#:   contracts  (field, op, rhs, what a violation means) on the candidate;
+#:              a string rhs names another of its fields
+#:   rates      host-normalised rates gated on --threshold
+#:   identity   fixed-seed fields that must not change while every ``same``
+#:              path (dotted, from the root; default: ``workload``) matches
+#:   info       (field, template over b, c, ratio=c/b, inverse=b/c[, label])
+#:   history    what lands in a --history line
+GATES: Dict[str, Dict[str, Any]] = {
+    "sim_hotpath": {
+        "payload": "BENCH_sim.json",
+        "measure": ["-m", "repro", "bench", "--repeat", "3"],
+        "under": "current",
+        "required": ("events_per_sec", "packets_per_sec"),
+        "rates": ("events_per_sec", "packets_per_sec"),
+        "identity": ("plt_quic", "plt_tcp", "events_quic", "events_tcp",
+                     "packets_delivered"),
+        # events/packets sizes change the microbenchmarks, not the PLT pair
+        "same": ("workload.plt_scenario", "workload.plt_page"),
+        "info": (("plt_wall_seconds", "{inverse:.3f}x of baseline"),),
+        "history": ("events_per_sec", "packets_per_sec", "plt_wall_seconds"),
+    },
+    "executor_scaling": {
+        "payload": "BENCH_executor.json",
+        "measure": ["benchmarks/executor_scaling.py", "--jobs", "2"],
+        "required": ("runs_total", "jobs", "serial_seconds",
+                     "parallel_seconds", "speedup", "results_identical"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "parallel results are not byte-identical to serial"),),
+        # speedup measures the host's core count more than the code
+        "info": (("speedup", "{c:.2f}x vs baseline {b:.2f}x"),),
+        "history": ("speedup", "serial_seconds", "parallel_seconds"),
+    },
+    "store_hit_rate": {
+        "payload": "BENCH_store.json",
+        "measure": ["benchmarks/store_hit_rate.py", "--runs", "2"],
+        "required": ("runs_total", "cold_seconds", "warm_seconds",
+                     "warm_speedup", "warm_hit_rate", "results_identical"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "warm/resumed results are not byte-identical to the cold pass"),
+            ("warm_hit_rate", "==", 1.0, "a warm sweep re-executed cells")),
+        "info": (("warm_speedup", "{c:.1f}x vs baseline {b:.1f}x"),),
+        "history": ("warm_speedup", "warm_hit_rate", "cold_seconds",
+                    "warm_seconds"),
+    },
+    "pipeline": {
+        "payload": "BENCH_pipeline.json",
+        "measure": ["benchmarks/executor_pipeline.py", "--cells", "2000"],
+        "required": ("cells", "jobs", "roundtrip_seconds",
+                     "pipelined_seconds", "pipelined_speedup",
+                     "events_per_sec", "max_event_bytes",
+                     "event_bound_bytes", "parent_rss_peak_kb",
+                     "results_identical"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "the pipelined and round-trip sweeps left different stores"),
+            ("max_event_bytes", "<=", "event_bound_bytes",
+             "a record payload crossed the parent pipe in the event stream")),
+        "info": (("pipelined_speedup", "{c:.2f}x vs baseline {b:.2f}x"),
+                 ("events_per_sec", "{ratio:.3f}x of baseline")),
+        "history": ("pipelined_speedup", "events_per_sec",
+                    "parent_rss_peak_kb", "pipelined_seconds",
+                    "roundtrip_seconds"),
+    },
+    "fabric": {
+        "payload": "BENCH_fabric.json",
+        "measure": ["benchmarks/fabric_sweep.py", "--cells", "2000"],
+        "required": ("cells", "workers", "single_seconds", "fabric_seconds",
+                     "fabric_overhead", "cells_per_sec", "warm_hit_rate",
+                     "resume_missing", "results_identical"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "the served store's report differs from the single-process one"),
+            ("resume_missing", "==", 0,
+             "the server cannot answer for every key: records were lost"),
+            ("warm_hit_rate", "==", 1.0,
+             "a warm fabric sweep re-executed cells")),
+        # localhost HTTP overhead is the host's business, not a gate
+        "info": (("fabric_overhead", "{c:.2f}x vs baseline {b:.2f}x"),
+                 ("cells_per_sec", "{ratio:.3f}x of baseline")),
+        "history": ("fabric_overhead", "cells_per_sec", "warm_hit_rate",
+                    "fabric_seconds", "single_seconds"),
+    },
+    "manyflow": {
+        "payload": "BENCH_manyflow.json",
+        "measure": ["benchmarks/sim_manyflow.py"],
+        "required": ("flows", "batched_seconds", "per_packet_seconds",
+                     "speedup_vs_per_packet", "events_per_sec",
+                     "results_identical", "outcome"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "batched and per-packet scheduling simulated different outcomes"),
+            ("speedup_vs_per_packet", ">=", 3.0,
+             "the fast path fell below its acceptance floor")),
+        "rates": ("events_per_sec",),
+        "identity": ("outcome",),
+        "history": ("speedup_vs_per_packet", "events_per_sec",
+                    "batched_seconds", "per_packet_seconds"),
+    },
+    "models": {
+        "payload": "BENCH_models.json",
+        "measure": ["benchmarks/model_fit.py"],
+        "required": ("tolerance", "cells", "gated_cells", "within_tolerance",
+                     "max_abs_log_error", "results_identical", "fit"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "two oracle-grid passes produced different simulated metrics"),
+            ("within_tolerance", "all of", "gated_cells",
+             "a CC kernel is not within tolerance of its closed-form model"),
+            ("max_abs_log_error", "<= ln1p", "tolerance",
+             "max |ln(obs/model)| passed its ceiling ln(1 + tolerance)")),
+        "identity": ("fit",),
+        "same": ("workload", "tolerance"),
+        "info": (("max_abs_log_error", "{c:.4f} vs baseline {b:.4f}",
+                  "fit error trend"),),
+        "history": ("max_abs_log_error", "mean_abs_log_error",
+                    "within_tolerance", "gated_cells"),
+    },
+    "chaos": {
+        "payload": "BENCH_chaos.json",
+        "measure": ["scripts/chaos_sweep.py", "--cells", "600"],
+        "required": ("cells", "workers", "seed", "baseline_seconds",
+                     "chaos_seconds", "faults_scheduled", "faults_fired",
+                     "quarantined", "residual_issues", "corruptions_injected",
+                     "corruptions_detected", "fsck_detect_rate",
+                     "results_identical", "fsck_clean", "plan_deterministic"),
+        "contracts": (
+            ("results_identical", "is", True,
+             "the faulted sweep did not converge to the fault-free store"),
+            ("fsck_clean", "is", True,
+             "fsck found residual corruption after --repair"),
+            ("fsck_detect_rate", "==", 1.0,
+             "fsck missed injected corruptions; the checksum layer leaks"),
+            ("plan_deterministic", "is", True,
+             "one seed built two fault schedules; runs are not replayable"),
+            ("faults_fired", "all of", "faults_scheduled",
+             "an unfired fault gates nothing")),
+        "info": (("chaos_seconds", "{c:.2f}s vs baseline run's {b:.2f}s"),),
+        "history": ("chaos_seconds", "baseline_seconds", "faults_fired",
+                    "quarantined", "fsck_detect_rate"),
+    },
 }
 
 
-def load_payload(path: str) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    with open(path) as handle:
-        payload = json.load(handle)
-    return payload.get("current", payload), payload
+def _dig(payload: Any, path: str) -> Any:
+    for part in path.split("."):
+        payload = payload.get(part) if isinstance(payload, dict) else None
+    return payload
 
 
-def payload_kind(payload: Dict[str, Any]) -> str:
-    """The payload's declared benchmark; legacy payloads are sim-shaped."""
-    return payload.get("benchmark", "sim_hotpath")
-
-
-def check_shape(kind: str, payload: Dict[str, Any], current: Dict[str, Any],
-                which: str) -> List[str]:
-    source = current if kind == "sim_hotpath" else payload
-    if kind == "sim_hotpath":
-        # The sim payload nests its numbers under "current"; the shape
-        # requirement is that the gated rates exist there.
-        missing = [key for key in GATED_RATES if key not in current]
-    else:
-        missing = [key for key in REQUIRED_KEYS[kind] if key not in source]
-    return [f"{which} payload missing required {kind} key(s): "
-            f"{', '.join(missing)}"] if missing else []
-
-
-# ----------------------------------------------------------------------
-# per-kind gates: each returns the list of gate failures
-# ----------------------------------------------------------------------
-def gate_sim(base: Dict[str, Any], cand: Dict[str, Any],
-             base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-             threshold: float) -> List[str]:
-    base_cal = base_payload.get("calibration_ops_per_sec")
-    cand_cal = cand_payload.get("calibration_ops_per_sec")
-    normalised = bool(base_cal and cand_cal)
-    if normalised:
-        print(f"host calibration: baseline {base_cal:,.0f} ops/s, "
-              f"candidate {cand_cal:,.0f} ops/s (rates normalised)")
-    else:
-        print("host calibration missing from one payload; "
-              "comparing raw rates")
-
-    failures: List[str] = []
-    for metric in GATED_RATES:
-        b, c = base.get(metric), cand.get(metric)
-        if not b or not c:
-            print(f"{metric}: missing from a payload, skipped")
-            continue
-        if normalised:
-            b, c = b / base_cal, c / cand_cal
-        ratio = c / b
-        status = "ok"
-        if ratio < 1.0 - threshold:
-            status = "REGRESSION"
-            failures.append(
-                f"{metric} regressed {100 * (1 - ratio):.1f}% "
-                f"(limit {100 * threshold:.0f}%)")
-        print(f"{metric}: {ratio:.3f}x of baseline [{status}]")
-
-    b, c = base.get("plt_wall_seconds"), cand.get("plt_wall_seconds")
-    if b and c:
-        print(f"plt_wall_seconds: {b / c:.3f}x of baseline "
-              "[informational]")
-
-    if _same_workload(base_payload, cand_payload):
-        for key in BEHAVIOUR_KEYS:
-            if key in base and key in cand and base[key] != cand[key]:
-                failures.append(
-                    f"behaviour change: {key} {base[key]!r} -> {cand[key]!r}")
-                print(f"{key}: {base[key]!r} -> {cand[key]!r} "
-                      "[BEHAVIOUR CHANGE]")
-    return failures
-
-
-def gate_executor(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-                  threshold: float) -> List[str]:
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "executor contract: parallel results are not byte-identical "
-            "to serial (results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-    b, c = base_payload.get("speedup"), cand_payload.get("speedup")
-    if b and c:
-        print(f"speedup: {c:.2f}x vs baseline {b:.2f}x [informational]")
-    return failures
-
-
-def gate_store(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-               threshold: float) -> List[str]:
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "store contract: warm/resumed results are not byte-identical "
-            "to the cold pass (results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-    hit_rate = cand_payload.get("warm_hit_rate")
-    if hit_rate != 1.0:
-        failures.append(
-            f"store contract: warm pass hit rate is {hit_rate!r}, "
-            "expected 1.0 (a warm sweep re-executed cells)")
-        print(f"warm_hit_rate: {hit_rate!r} [CONTRACT FAIL]")
-    else:
-        print("warm_hit_rate: 1.0 [ok]")
-    b, c = base_payload.get("warm_speedup"), cand_payload.get("warm_speedup")
-    if b and c:
-        print(f"warm_speedup: {c:.1f}x vs baseline {b:.1f}x [informational]")
-    return failures
-
-
-def gate_pipeline(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-                  threshold: float) -> List[str]:
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "pipeline contract: the pipelined sweep did not produce the "
-            "same store as the round-trip path (results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-    bound = cand_payload.get("event_bound_bytes")
-    largest = cand_payload.get("max_event_bytes")
-    if largest > bound:
-        failures.append(
-            f"pipeline contract: a {largest}-byte event crossed the parent "
-            f"pipe (bound {bound} bytes) — a record payload leaked into "
-            "the event stream")
-        print(f"max_event_bytes: {largest} > {bound} [CONTRACT FAIL]")
-    else:
-        print(f"max_event_bytes: {largest} <= {bound} [ok]")
-    b = base_payload.get("pipelined_speedup")
-    c = cand_payload.get("pipelined_speedup")
-    if b and c:
-        print(f"pipelined_speedup: {c:.2f}x vs baseline {b:.2f}x "
-              "[informational]")
-    b = base_payload.get("events_per_sec")
-    c = cand_payload.get("events_per_sec")
-    if b and c:
-        print(f"events_per_sec: {c / b:.3f}x of baseline [informational]")
-    return failures
-
-
-def gate_fabric(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-                threshold: float) -> List[str]:
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "fabric contract: the served store does not render the same "
-            "report as the single-process baseline (results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-    missing = cand_payload.get("resume_missing")
-    if missing != 0:
-        failures.append(
-            f"fabric contract: a completed sweep left {missing!r} key(s) "
-            "unanswered by the server — records were lost in transit")
-        print(f"resume_missing: {missing!r} [CONTRACT FAIL]")
-    else:
-        print("resume_missing: 0 [ok]")
-    hit_rate = cand_payload.get("warm_hit_rate")
-    if hit_rate != 1.0:
-        failures.append(
-            f"fabric contract: warm pass hit rate is {hit_rate!r}, "
-            "expected 1.0 (a warm fabric sweep re-executed cells)")
-        print(f"warm_hit_rate: {hit_rate!r} [CONTRACT FAIL]")
-    else:
-        print("warm_hit_rate: 1.0 [ok]")
-    b = base_payload.get("fabric_overhead")
-    c = cand_payload.get("fabric_overhead")
-    if b and c:
-        print(f"fabric_overhead: {c:.2f}x vs baseline {b:.2f}x "
-              "[informational]")
-    b = base_payload.get("cells_per_sec")
-    c = cand_payload.get("cells_per_sec")
-    if b and c:
-        print(f"cells_per_sec: {c / b:.3f}x of baseline [informational]")
-    return failures
-
-
-def gate_chaos(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-               threshold: float) -> List[str]:
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "chaos contract: the fault-injected sweep did not converge "
-            "to the fault-free store (results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-    if cand_payload.get("fsck_clean") is not True:
-        failures.append(
-            "chaos contract: fsck found residual corruption after "
-            f"--repair ({cand_payload.get('residual_issues')!r} issue(s))")
-        print(f"fsck_clean: {cand_payload.get('fsck_clean')!r} "
-              "[CONTRACT FAIL]")
-    else:
-        print("fsck_clean: True [ok]")
-    rate = cand_payload.get("fsck_detect_rate")
-    if rate != 1.0:
-        failures.append(
-            f"chaos contract: fsck detected only {rate!r} of the "
-            "injected corruptions; the checksum layer is leaking")
-        print(f"fsck_detect_rate: {rate!r} [CONTRACT FAIL]")
-    else:
-        print("fsck_detect_rate: 1.0 [ok]")
-    if cand_payload.get("plan_deterministic") is not True:
-        failures.append(
-            "chaos contract: the same seed built two different fault "
-            "schedules; chaos runs are no longer replayable")
-        print("plan_deterministic: "
-              f"{cand_payload.get('plan_deterministic')!r} [CONTRACT FAIL]")
-    else:
-        print("plan_deterministic: True [ok]")
-    fired = cand_payload.get("faults_fired")
-    scheduled = cand_payload.get("faults_scheduled")
-    if fired != scheduled:
-        failures.append(
-            f"chaos contract: only {fired!r} of {scheduled!r} scheduled "
-            "fault(s) fired — an unfired fault gates nothing")
-        print(f"faults_fired: {fired!r}/{scheduled!r} [CONTRACT FAIL]")
-    else:
-        print(f"faults_fired: {fired}/{scheduled} [ok]")
-    b = base_payload.get("baseline_seconds")
-    c = cand_payload.get("chaos_seconds")
-    bb = base_payload.get("chaos_seconds")
-    if b and c and bb:
-        print(f"chaos_seconds: {c:.2f}s vs baseline run's {bb:.2f}s "
-              "[informational]")
-    return failures
-
-
-def gate_models(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-                threshold: float) -> List[str]:
-    import math
-
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "models contract: two oracle-grid passes produced different "
-            "simulated metrics (results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-
-    gated = cand_payload.get("gated_cells")
-    within = cand_payload.get("within_tolerance")
-    if not gated or within != gated:
-        failures.append(
-            f"models contract: {within!r} of {gated!r} gated cell(s) "
-            "within tolerance — a CC kernel diverged from its "
-            "closed-form model")
-        print(f"within_tolerance: {within!r}/{gated!r} [CONTRACT FAIL]")
-    else:
-        print(f"within_tolerance: {within}/{gated} [ok]")
-
-    tolerance = cand_payload.get("tolerance")
-    ceiling = math.log(1.0 + tolerance) if tolerance else None
-    worst = cand_payload.get("max_abs_log_error")
-    if ceiling is None or not isinstance(worst, (int, float)) \
-            or worst > ceiling:
-        failures.append(
-            f"models contract: max |ln(obs/model)| is {worst!r}, the "
-            f"ceiling is ln(1 + tolerance) = "
-            f"{ceiling if ceiling is None else round(ceiling, 4)!r}")
-        print(f"max_abs_log_error: {worst!r} [CONTRACT FAIL]")
-    else:
-        print(f"max_abs_log_error: {worst:.4f} (ceiling {ceiling:.4f}) "
-              "[ok]")
-
-    if _same_manyflow_workload(base_payload, cand_payload) \
-            and base_payload.get("tolerance") == tolerance:
-        bf = base_payload.get("fit")
-        cf = cand_payload.get("fit")
-        if bf != cf:
-            failures.append(
-                "behaviour change: the fixed-seed model-fit table differs "
-                "on an identical oracle workload")
-            print("fit: differs on identical workload [BEHAVIOUR CHANGE]")
-        else:
-            print("fit: identical on identical workload [ok]")
-    b = base_payload.get("max_abs_log_error")
-    if b and isinstance(worst, (int, float)):
-        print(f"fit error trend: {worst:.4f} vs baseline {b:.4f} "
-              "[informational]")
-    return failures
-
-
-#: The fast-path acceptance floor: batched delivery must beat
-#: per-packet scheduling by at least this factor at the gated cell.
-MANYFLOW_MIN_SPEEDUP = 3.0
-
-
-def _same_manyflow_workload(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
-    wa, wb = a.get("workload"), b.get("workload")
-    return bool(wa) and wa == wb
-
-
-def gate_manyflow(base_payload: Dict[str, Any], cand_payload: Dict[str, Any],
-                  threshold: float) -> List[str]:
-    failures: List[str] = []
-    if cand_payload.get("results_identical") is not True:
-        failures.append(
-            "manyflow contract: batched delivery and per-packet "
-            "scheduling produced different simulated outcomes "
-            f"(results_identical is "
-            f"{cand_payload.get('results_identical')!r})")
-        print("results_identical: "
-              f"{cand_payload.get('results_identical')!r} [CONTRACT FAIL]")
-    else:
-        print("results_identical: True [ok]")
-
-    speedup = cand_payload.get("speedup_vs_per_packet")
-    if not isinstance(speedup, (int, float)) \
-            or speedup < MANYFLOW_MIN_SPEEDUP:
-        failures.append(
-            f"manyflow contract: speedup_vs_per_packet is {speedup!r}, "
-            f"the fast path must stay >= {MANYFLOW_MIN_SPEEDUP:g}x")
-        print(f"speedup_vs_per_packet: {speedup!r} [CONTRACT FAIL]")
-    else:
-        print(f"speedup_vs_per_packet: {speedup:.2f}x "
-              f"(floor {MANYFLOW_MIN_SPEEDUP:g}x) [ok]")
-
-    base_cal = base_payload.get("calibration_ops_per_sec")
-    cand_cal = cand_payload.get("calibration_ops_per_sec")
-    b = base_payload.get("events_per_sec")
-    c = cand_payload.get("events_per_sec")
-    if b and c:
-        if base_cal and cand_cal:
-            ratio = (c / cand_cal) / (b / base_cal)
-            note = "host-normalised"
-        else:
-            ratio = c / b
-            note = "raw"
-        if ratio < 1.0 - threshold:
-            failures.append(
-                f"events_per_sec regressed {100 * (1 - ratio):.1f}% "
-                f"({note}; limit {100 * threshold:.0f}%)")
-            print(f"events_per_sec: {ratio:.3f}x of baseline ({note}) "
-                  "[REGRESSION]")
-        else:
-            print(f"events_per_sec: {ratio:.3f}x of baseline ({note}) [ok]")
-
-    if _same_manyflow_workload(base_payload, cand_payload):
-        bo = base_payload.get("outcome")
-        co = cand_payload.get("outcome")
-        if bo != co:
-            changed = sorted(
-                k for k in set(bo or {}) | set(co or {})
-                if (bo or {}).get(k) != (co or {}).get(k))
-            failures.append(
-                "behaviour change: fixed-seed manyflow outcome differs "
-                f"on an identical workload ({', '.join(changed)})")
-            print(f"outcome: differs in {', '.join(changed)} "
-                  "[BEHAVIOUR CHANGE]")
-        else:
-            print("outcome: identical on identical workload [ok]")
-    return failures
-
-
-# ----------------------------------------------------------------------
-# history
-# ----------------------------------------------------------------------
-def _commit_id() -> Optional[str]:
-    commit = os.environ.get("GIT_COMMIT") or os.environ.get("GITHUB_SHA")
-    if commit:
-        return commit[:12]
-    try:
-        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                             capture_output=True, text=True, timeout=5)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    return out.stdout.strip() or None if out.returncode == 0 else None
+def _change(b: Any, c: Any) -> str:
+    if isinstance(b, dict) and isinstance(c, dict):
+        return "differs in " + ", ".join(
+            sorted(k for k in {*b, *c} if b.get(k) != c.get(k)))
+    return "differs" if isinstance(c, list) else f"{b!r} -> {c!r}"
 
 
 def append_history(path: str, kind: str, ok: bool,
-                   current: Dict[str, Any], payload: Dict[str, Any]) -> None:
-    source = current if kind == "sim_hotpath" else payload
-    metrics = {key: source[key] for key in HISTORY_METRICS[kind]
-               if key in source}
+                   numbers: Dict[str, Any]) -> None:
+    commit = os.environ.get("GIT_COMMIT") or os.environ.get("GITHUB_SHA")
+    if not commit:
+        try:
+            commit = subprocess.run(
+                ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
+                text=True, timeout=5).stdout.strip()
+        except (OSError, subprocess.TimeoutExpired):
+            pass
     line = {
         "ts": round(time.time(), 3),
-        "commit": _commit_id(),
+        "commit": commit[:12] if commit else None,
         "benchmark": kind,
         "ok": ok,
-        "metrics": metrics,
+        "metrics": {key: numbers[key] for key in GATES[kind]["history"]
+                    if key in numbers},
     }
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a") as handle:
         handle.write(json.dumps(line, sort_keys=True) + "\n")
     print(f"history line appended to {path}")
 
 
-# ----------------------------------------------------------------------
+def compare(baseline: str, candidate: str, threshold: float,
+            history: Optional[str]) -> int:
+    """Gate ``candidate`` against ``baseline``: interpret their kind's
+    :data:`GATES` row over the two payload files."""
+    base, cand = (json.loads(Path(path).read_text())
+                  for path in (baseline, candidate))
+    # legacy payloads without a declared kind are sim-shaped
+    kind, cand_kind = (p.get("benchmark", "sim_hotpath") for p in (base, cand))
+    if kind != cand_kind:
+        print(f"FAIL: baseline is a {kind!r} payload but candidate "
+              f"is {cand_kind!r}; compare like with like")
+        return 2
+    if kind not in GATES:
+        print(f"FAIL: unknown benchmark kind {kind!r} "
+              f"(expected one of {', '.join(GATES)})")
+        return 2
+    row = GATES[kind]
+    b_num, c_num = (p.get(row.get("under"), p) for p in (base, cand))
+    failures = []
+    for which, numbers in (("baseline", b_num), ("candidate", c_num)):
+        missing = [key for key in row["required"] if key not in numbers]
+        if missing:
+            failures.append(f"{which} payload missing required {kind} "
+                            f"key(s): {', '.join(missing)}")
+    if failures:
+        print("FAIL:\n" + "\n".join(f"  - {line}" for line in failures))
+        return 2
+
+    print(f"benchmark: {kind}")
+    for field, op, rhs, why in row.get("contracts", ()):
+        value = c_num.get(field)
+        bound = c_num.get(rhs) if isinstance(rhs, str) else rhs
+        holds, show = OPS[op]
+        if holds(value, bound):
+            print(f"{field}: {show(value, bound)} [ok]")
+            continue
+        against = f" = {bound!r}" if isinstance(rhs, str) else ""
+        failures.append(f"{kind} contract `{field} {op} {rhs}{against}` "
+                        f"broken by {value!r}: {why}")
+        print(f"{field}: {value!r} [CONTRACT FAIL]")
+
+    rates = row.get("rates", ())
+    b_cal, c_cal = (p.get("calibration_ops_per_sec") for p in (base, cand))
+    note = "host-normalised" if b_cal and c_cal else "raw"
+    shared = len(rates) > 1  # one calibration line; a lone rate carries it
+    if shared:
+        print(f"host calibration: baseline {b_cal!r} ops/s, candidate "
+              f"{c_cal!r} ops/s (rates {note})")
+    for metric in rates:
+        b, c = b_num.get(metric), c_num.get(metric)
+        if not b or not c:
+            print(f"{metric}: missing from a payload, skipped")
+            continue
+        ratio = c / b if note == "raw" else (c / c_cal) / (b / b_cal)
+        regressed = ratio < 1.0 - threshold
+        if regressed:
+            failures.append(f"{metric} regressed {100 * (1 - ratio):.1f}% "
+                            f"({note}; limit {100 * threshold:.0f}%)")
+        print(f"{metric}: {ratio:.3f}x of baseline"
+              + ("" if shared else f" ({note})")
+              + (" [REGRESSION]" if regressed else " [ok]"))
+
+    # Fixed-seed outcomes are only comparable on identical workloads.
+    if base.get("workload") and all(
+            _dig(base, path) == _dig(cand, path)
+            for path in row.get("same", ("workload",))):
+        for field in row.get("identity", ()):
+            if field not in b_num or field not in c_num:
+                continue
+            b, c = b_num[field], c_num[field]
+            if b != c:
+                failures.append(f"behaviour change: fixed-seed {field} "
+                                f"{_change(b, c)} on an identical workload")
+                print(f"{field}: {_change(b, c)} [BEHAVIOUR CHANGE]")
+            elif isinstance(c, (dict, list)):  # scalars speak only on change
+                print(f"{field}: identical on identical workload [ok]")
+
+    for field, template, *label in row.get("info", ()):
+        b, c = b_num.get(field), c_num.get(field)
+        if _numbers(b, c) and b and c:
+            trend = template.format(b=b, c=c, ratio=c / b, inverse=b / c)
+            print(f"{label[0] if label else field}: {trend} [informational]")
+
+    if history:
+        append_history(history, kind, not failures, c_num)
+    if failures:
+        print("\nFAIL:\n" + "\n".join(f"  - {line}" for line in failures))
+        return 1
+    print(f"\nOK: {kind} payload shape, contracts and gated rates hold")
+    return 0
+
+
+def run_gates(kinds: List[str], threshold: float,
+              history: Optional[str]) -> int:
+    """Gate a fresh temp-dir measurement of each kind against its payload."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    worst = 0
+    for kind in kinds or GATES:
+        row = GATES[kind]
+        with tempfile.TemporaryDirectory(prefix=f"gate-{kind}-") as tmp:
+            out = Path(tmp) / row["payload"]
+            argv = [sys.executable, *row["measure"], "--out", str(out)]
+            print(f"\n== {kind}: {' '.join(argv[1:])}", flush=True)
+            code = subprocess.run(argv, cwd=REPO, env=env).returncode
+            if code != 0 or not out.exists():
+                print(f"FAIL: the {kind} measurement exited {code}")
+                code = 1
+            else:
+                code = compare(REPO / row["payload"], out, threshold, history)
+            worst = max(worst, code)
+    return worst
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", help="committed BENCH_*.json")
-    parser.add_argument("candidate", help="freshly measured BENCH_*.json")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.usage = ("%(prog)s (BASELINE.json CANDIDATE.json | gate [KIND ...])"
+                    " [--threshold F] [--history JSONL]")
+    parser.add_argument("what", nargs="+",
+                        help="two payloads to compare, or `gate` plus any of "
+                             f"{', '.join(GATES)} (default: all)")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="max tolerated fractional slowdown in the "
                              "gated rates (default 0.25 = 25%%)")
     parser.add_argument("--history", default=None, metavar="JSONL",
-                        help="append a per-commit history line here "
-                             "(e.g. benchmarks/results/bench_history.jsonl)")
+                        help="append a per-commit history line to this ledger")
     args = parser.parse_args(argv)
-
-    base, base_payload = load_payload(args.baseline)
-    cand, cand_payload = load_payload(args.candidate)
-
-    base_kind = payload_kind(base_payload)
-    cand_kind = payload_kind(cand_payload)
-    if base_kind != cand_kind:
-        print(f"FAIL: baseline is a {base_kind!r} payload but candidate "
-              f"is {cand_kind!r}; compare like with like")
-        return 2
-    if base_kind not in REQUIRED_KEYS:
-        print(f"FAIL: unknown benchmark kind {base_kind!r} "
-              f"(expected one of {', '.join(sorted(REQUIRED_KEYS))})")
-        return 2
-    shape_errors = (check_shape(base_kind, base_payload, base, "baseline")
-                    + check_shape(cand_kind, cand_payload, cand, "candidate"))
-    if shape_errors:
-        print("FAIL:")
-        for line in shape_errors:
-            print(f"  - {line}")
-        return 2
-
-    print(f"benchmark: {base_kind}")
-    if base_kind == "sim_hotpath":
-        failures = gate_sim(base, cand, base_payload, cand_payload,
-                            args.threshold)
-    elif base_kind == "executor_scaling":
-        failures = gate_executor(base_payload, cand_payload, args.threshold)
-    elif base_kind == "pipeline":
-        failures = gate_pipeline(base_payload, cand_payload, args.threshold)
-    elif base_kind == "fabric":
-        failures = gate_fabric(base_payload, cand_payload, args.threshold)
-    elif base_kind == "manyflow":
-        failures = gate_manyflow(base_payload, cand_payload, args.threshold)
-    elif base_kind == "models":
-        failures = gate_models(base_payload, cand_payload, args.threshold)
-    elif base_kind == "chaos":
-        failures = gate_chaos(base_payload, cand_payload, args.threshold)
-    else:
-        failures = gate_store(base_payload, cand_payload, args.threshold)
-
-    ok = not failures
-    if args.history:
-        append_history(args.history, cand_kind, ok, cand, cand_payload)
-
-    if failures:
-        print("\nFAIL:")
-        for line in failures:
-            print(f"  - {line}")
-        return 1
-    if base_kind == "sim_hotpath":
-        print("\nOK: no regression beyond "
-              f"{100 * args.threshold:.0f}% in {', '.join(GATED_RATES)}")
-    else:
-        print(f"\nOK: {base_kind} payload shape and contract hold")
-    return 0
-
-
-def _same_workload(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
-    """Fixed-seed outcomes are only comparable on identical workloads."""
-    wa, wb = a.get("workload"), b.get("workload")
-    if not wa or not wb:
-        return False
-    # events/packets sizes change the microbenchmarks but not the PLT
-    # pair; the PLT scenario/page strings are what must match.
-    return (wa.get("plt_scenario") == wb.get("plt_scenario")
-            and wa.get("plt_page") == wb.get("plt_page"))
+    if args.what[0] == "gate":
+        unknown = [kind for kind in args.what[1:] if kind not in GATES]
+        if unknown:
+            parser.error(f"unknown benchmark kind(s): {', '.join(unknown)}")
+        return run_gates(args.what[1:], args.threshold, args.history)
+    if len(args.what) != 2:
+        parser.error("expected BASELINE.json CANDIDATE.json or gate [KIND ...]")
+    return compare(*args.what, args.threshold, args.history)
 
 
 if __name__ == "__main__":

@@ -19,12 +19,13 @@ all scheduled from one seed.  Three contracts are verified and gated
   identical fault schedule twice (the replayability contract).
 
 Writes ``benchmarks/results/chaos_sweep.txt`` and a machine-readable
-``BENCH_chaos.json`` at the repo root.
+``BENCH_chaos.json`` at the repo root — or, with ``--out PATH``, the
+payload at PATH and the summary beside it (``.txt``).
 
 Usage::
 
     PYTHONPATH=src python scripts/chaos_sweep.py \\
-        [--cells 600] [--workers 3] [--seed 42]
+        [--cells 600] [--workers 3] [--seed 42] [--out BENCH_chaos.json]
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import time
 import warnings
 from pathlib import Path
 
+from repro.core.bench import write_payload, write_summary
 from repro.core.executor import (
     ProtocolSpec,
     RunRecord,
@@ -54,7 +56,7 @@ from repro.store import ShardStore, fsck
 
 RESULTS = Path(__file__).parent.parent / "benchmarks" / "results" / \
     "chaos_sweep.txt"
-BENCH_JSON = Path(__file__).parent.parent / "BENCH_chaos.json"
+DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_chaos.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -161,6 +163,9 @@ def main() -> int:
     parser.add_argument("--corruptions", type=int, default=8,
                         help="rows corrupted for the fsck detection check "
                              "(default 8)")
+    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
+                        help=f"payload path (default {DEFAULT_OUT}); the "
+                             "summary goes beside a non-default path")
     args = parser.parse_args()
 
     requests = build_requests(args.cells)
@@ -252,11 +257,9 @@ def main() -> int:
         "retry re-uploads, fsck --repair quarantines the debris, and the",
         "store converges to the byte-identical fault-free state.",
     ]
-    RESULTS.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS.write_text("\n".join(lines) + "\n")
-    print(f"written to {RESULTS}")
-
-    payload = {
+    write_summary(lines, RESULTS if args.out == DEFAULT_OUT
+                  else args.out.with_suffix(".txt"))
+    write_payload({
         "benchmark": "chaos",
         "cells": args.cells,
         "workers": args.workers,
@@ -276,9 +279,7 @@ def main() -> int:
         "results_identical": results_identical,
         "fsck_clean": fsck_clean,
         "plan_deterministic": plan_deterministic,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"written to {BENCH_JSON}")
+    }, args.out)
     return 0 if ok else 1
 
 

@@ -587,7 +587,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"speedup {metric}: {factor:.2f}x")
     if args.out:
         write_payload(payload, args.out)
-        print(f"written to {args.out}")
     return 0
 
 

@@ -22,8 +22,7 @@ commits.  This module is that measurement layer:
   events/sec but much less on events-per-calibration-op).
 
 :func:`run_benchmarks` bundles the above into the ``BENCH_sim.json``
-payload; the ``repro bench`` CLI subcommand and
-``benchmarks/sim_hotpath.py`` are thin wrappers around it.
+payload; the ``repro bench`` CLI subcommand is a thin wrapper around it.
 
 Determinism note: every benchmark here is a fixed-seed simulation, so
 the *simulated* outcome (delivered packet counts, PLT values,
@@ -38,7 +37,8 @@ import json
 import platform
 import sys
 import time
-from typing import Any, Callable, Dict, Optional
+from pathlib import Path
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..http.objects import page
 from ..netem.link import Link, mbps
@@ -404,7 +404,15 @@ def profile_manyflow(top: int = 25, out: Any = None,
     profile_run(engine.run, top=top, out=out)
 
 
-def write_payload(payload: Dict[str, Any], path: str) -> None:
+def write_payload(payload: Dict[str, Any], path: Any) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+    print(f"written to {path}")
+
+
+def write_summary(lines: Sequence[str], path: Any) -> None:
+    """A payload's human-readable twin (``benchmarks/results/*.txt``)."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text("\n".join(lines) + "\n")
+    print(f"written to {path}")

@@ -42,7 +42,6 @@ import signal
 import sys
 import threading
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -82,10 +81,9 @@ PROTOCOL_NAMES = ("quic", "tcp")
 class ProtocolSpec:
     """A protocol plus its configuration, as one picklable value.
 
-    Replaces the stringly ``protocol="quic"`` + ``quic_cfg=``/``tcp_cfg=``
-    keyword sprawl: the name selects the stack, ``config`` carries its
-    tunables (``None`` means the paper's defaults, resolved lazily so the
-    pickle stays small).
+    The name selects the stack, ``config`` carries its tunables
+    (``None`` means the paper's defaults, resolved lazily so the pickle
+    stays small).
     """
 
     name: str
@@ -240,7 +238,6 @@ class RunRecord:
 #: A run function: maps a request to a record (may raise).  Injectable so
 #: tests can exercise timeout/retry handling without real simulations.
 RunFn = Callable[[RunRequest], RunRecord]
-ProgressFn = Callable[[RunRecord], None]
 
 # ----------------------------------------------------------------------
 # the event stream
@@ -476,7 +473,8 @@ def _guarded_run(run_fn: RunFn, request: RunRequest,
 
 def _run_with_retries(run_fn: RunFn, request: RunRequest,
                       wall_timeout: Optional[float], retries: int,
-                      on_retry: Optional[ProgressFn] = None) -> RunRecord:
+                      on_retry: Optional[Callable[[RunRecord], None]] = None
+                      ) -> RunRecord:
     """Attempt a run up to ``1 + retries`` times.
 
     Only ``"error"`` failures are retried: timeouts and simulated-time
@@ -751,7 +749,6 @@ def _stream_pooled(run: RunFn, misses: List[TaggedRequest], n_jobs: int,
     # (keep_records mode, or an in-memory store workers cannot reopen).
     attach = keep_records or (cache is not None and writeback is None)
     done: set = set()
-    completed = True
     try:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             pending = {
@@ -781,11 +778,10 @@ def _stream_pooled(run: RunFn, misses: List[TaggedRequest], n_jobs: int,
     except GeneratorExit:
         raise
     except Exception:  # pragma: no cover - pool setup failure
-        completed = False  # graceful fallback: run everything serially
+        pass  # graceful fallback: run everything serially
     # Anything a lost chunk or failed pool left behind finishes serially.
     # Those requests get a second miss-start — announcing the rerun —
     # but still exactly one terminal event.
-    del completed
     for tagged in misses:
         if tagged[0] in done:
             continue
@@ -828,7 +824,6 @@ def run_requests(
     jobs: Optional[int] = 1,
     wall_timeout: Optional[float] = None,
     retries: int = 1,
-    progress: Optional[ProgressFn] = None,
     chunk_size: Optional[int] = None,
     run_fn: Optional[RunFn] = None,
     store: Optional[Any] = None,
@@ -840,28 +835,15 @@ def run_requests(
     event stream into the classic list (so the whole batch is held in
     memory — prefer :func:`iter_runs` for large sweeps).  All knobs are
     forwarded unchanged; see :func:`iter_runs` for their semantics.
-
-    .. deprecated:: the ``progress`` callback.  Iterate
-       :func:`iter_runs` and consume its typed events instead — they
-       carry strictly more information (hits, retries, per-attempt
-       failures) at a fraction of the parent-pipe cost.
     """
-    if progress is not None:
-        warnings.warn(
-            "run_requests(progress=...) is deprecated; iterate "
-            "iter_runs(...) and consume its typed RunEvents instead",
-            DeprecationWarning, stacklevel=2)
     requests = list(requests)
     results: List[Optional[RunRecord]] = [None] * len(requests)
     for event in iter_runs(requests, jobs=jobs, wall_timeout=wall_timeout,
                            retries=retries, chunk_size=chunk_size,
                            run_fn=run_fn, store=store, keep_records=True,
                            force_pool=force_pool):
-        if not event.terminal:
-            continue
-        results[event.index] = event.record
-        if progress is not None:
-            progress(event.record)
+        if event.terminal:
+            results[event.index] = event.record
     return results  # type: ignore[return-value]  # one terminal per request
 
 

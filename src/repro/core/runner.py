@@ -13,15 +13,13 @@ fan their independent seeded rounds out over
 execution.  They also accept ``store=`` — a :mod:`repro.store` results
 store (or a path to one) that serves previously computed runs as cache
 hits and persists new ones as they complete.  A protocol is named by a
-:class:`~repro.core.executor.ProtocolSpec`; the old ``protocol="quic"``
-string plus ``quic_cfg=``/``tcp_cfg=`` keyword form still works but
-raises :class:`DeprecationWarning`.
+:class:`~repro.core.executor.ProtocolSpec` (a bare ``"quic"``/``"tcp"``
+means the paper's defaults).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,28 +47,6 @@ DEFAULT_TIMEOUT = 900.0
 
 #: What a protocol argument may look like across the public drivers.
 ProtocolLike = Union[str, ProtocolSpec]
-
-
-def _coerce_protocol(caller: str, protocol: ProtocolLike,
-                     quic_cfg: Optional[QuicConfig] = None,
-                     tcp_cfg: Optional[TcpConfig] = None) -> ProtocolSpec:
-    """Accept a ProtocolSpec or the deprecated string + cfg-kwarg form."""
-    if quic_cfg is not None or tcp_cfg is not None:
-        if isinstance(protocol, ProtocolSpec):
-            raise TypeError(
-                f"{caller}: pass the configuration inside the ProtocolSpec, "
-                f"not via quic_cfg=/tcp_cfg=")
-        warnings.warn(
-            f"{caller}(..., quic_cfg=/tcp_cfg=) is deprecated; pass "
-            f"protocol=ProtocolSpec(name, config) instead",
-            DeprecationWarning, stacklevel=3)
-    if isinstance(protocol, ProtocolSpec):
-        return protocol
-    if protocol == "quic":
-        return ProtocolSpec("quic", quic_cfg)
-    if protocol == "tcp":
-        return ProtocolSpec("tcp", tcp_cfg)
-    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 #: RunRequest fields settable through the batch drivers' ``**kwargs``.
@@ -127,25 +103,17 @@ class RunOutput:
         return self.result.plt
 
 
-def _make_connections(sim: Simulator, path: Path, protocol: str,
+def _make_connections(sim: Simulator, path: Path, spec: ProtocolSpec,
                       handler: Callable[[Any], Optional[int]],
-                      *, quic_cfg: QuicConfig, tcp_cfg: TcpConfig,
-                      device: DeviceProfile, seed: int,
-                      server_trace: Trace, client_trace: Trace,
-                      flow_id: Optional[str] = None) -> Tuple[Any, Any]:
-    if protocol == "quic":
-        return open_quic_pair(
-            sim, path.client, path.server, quic_cfg, device=device,
-            request_handler=handler, server_trace=server_trace,
-            client_trace=client_trace, seed=seed, flow_id=flow_id,
-        )
-    if protocol == "tcp":
-        return open_tcp_pair(
-            sim, path.client, path.server, tcp_cfg, device=device,
-            request_handler=handler, server_trace=server_trace,
-            client_trace=client_trace, seed=seed, flow_id=flow_id,
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
+                      *, device: DeviceProfile, seed: int,
+                      server_trace: Trace, client_trace: Trace
+                      ) -> Tuple[Any, Any]:
+    open_pair = open_quic_pair if spec.name == "quic" else open_tcp_pair
+    return open_pair(
+        sim, path.client, path.server, spec.resolved_config(), device=device,
+        request_handler=handler, server_trace=server_trace,
+        client_trace=client_trace, seed=seed,
+    )
 
 
 def run_page_load(
@@ -154,8 +122,6 @@ def run_page_load(
     protocol: ProtocolLike,
     *,
     seed: int = 0,
-    quic_cfg: Optional[QuicConfig] = None,
-    tcp_cfg: Optional[TcpConfig] = None,
     device: DeviceProfile = DESKTOP,
     trace: bool = False,
     cwnd_interval: float = 0.0,
@@ -165,19 +131,12 @@ def run_page_load(
     """Load ``page`` once over ``protocol`` in ``scenario``; return metrics.
 
     ``protocol`` is a :class:`ProtocolSpec` (or a bare ``"quic"``/
-    ``"tcp"`` for the defaults; the ``quic_cfg=``/``tcp_cfg=`` keyword
-    form is deprecated).  With ``proxied`` a split-connection proxy sits
-    midway (Fig. 16); the proxy terminates the same protocol on both
-    legs.
+    ``"tcp"`` for the defaults).  With ``proxied`` a split-connection
+    proxy sits midway (Fig. 16); the proxy terminates the same protocol
+    on both legs.
     """
-    spec = _coerce_protocol("run_page_load", protocol, quic_cfg, tcp_cfg)
+    spec = ProtocolSpec.of(protocol)
     protocol = spec.name
-    if spec.name == "quic":
-        quic_cfg = spec.resolved_config()
-        tcp_cfg = tcp_cfg if tcp_cfg is not None else tcp_config()
-    else:
-        tcp_cfg = spec.resolved_config()
-        quic_cfg = quic_cfg if quic_cfg is not None else quic_config(34)
     sim = Simulator()
     server_trace = Trace(label=f"{protocol}-server", enabled=trace,
                          cwnd_min_interval=cwnd_interval)
@@ -188,17 +147,19 @@ def run_page_load(
         from ..proxy import install_proxy  # local import avoids a cycle
 
         path = build_proxy_path(sim, scenario, seed=seed)
+        cfg = spec.resolved_config()
         client, server, proxy_conns = install_proxy(
             sim, path, protocol, handler,
-            quic_cfg=quic_cfg, tcp_cfg=tcp_cfg, device=device, seed=seed,
+            quic_cfg=cfg if protocol == "quic" else None,
+            tcp_cfg=cfg if protocol == "tcp" else None,
+            device=device, seed=seed,
             server_trace=server_trace, client_trace=client_trace,
         )
     else:
         path = build_path(sim, scenario, seed=seed)
         client, server = _make_connections(
-            sim, path, protocol, handler, quic_cfg=quic_cfg, tcp_cfg=tcp_cfg,
-            device=device, seed=seed, server_trace=server_trace,
-            client_trace=client_trace,
+            sim, path, spec, handler, device=device, seed=seed,
+            server_trace=server_trace, client_trace=client_trace,
         )
     loader = PageLoader(sim, client, page, protocol)
     loader.start()
@@ -221,8 +182,6 @@ def measure_plts(
     seed_base: int = 0,
     jobs: Optional[int] = 1,
     store: Optional[Any] = None,
-    quic_cfg: Optional[QuicConfig] = None,
-    tcp_cfg: Optional[TcpConfig] = None,
     **kwargs: Any,
 ) -> List[float]:
     """PLT samples over ``runs`` seeded rounds (paper: >= 10 per scenario).
@@ -232,7 +191,7 @@ def measure_plts(
     already-computed rounds from a results store and persists new ones
     (see :mod:`repro.store`).
     """
-    spec = _coerce_protocol("measure_plts", protocol, quic_cfg, tcp_cfg)
+    spec = ProtocolSpec.of(protocol)
     fields = _request_fields("measure_plts", kwargs)
     requests = _seeded_requests(scenario, page, spec, runs, seed_base, fields)
     plts: List[Optional[float]] = [None] * len(requests)
@@ -275,36 +234,13 @@ def compare_page_load(
     store: Optional[Any] = None,
     quic: Optional[Union[QuicConfig, ProtocolSpec]] = None,
     tcp: Optional[Union[TcpConfig, ProtocolSpec]] = None,
-    quic_kwargs: Optional[Dict[str, Any]] = None,
-    tcp_kwargs: Optional[Dict[str, Any]] = None,
     **common: Any,
 ) -> Comparison:
     """The paper's core unit: back-to-back QUIC and TCP rounds, compared.
 
     ``quic``/``tcp`` override either side's configuration (a config or a
-    full :class:`ProtocolSpec`).  The per-side ``quic_kwargs``/
-    ``tcp_kwargs`` dicts are deprecated and force the serial path.
+    full :class:`ProtocolSpec`).
     """
-    if quic_kwargs is not None or tcp_kwargs is not None:
-        warnings.warn(
-            "compare_page_load(..., quic_kwargs=/tcp_kwargs=) is deprecated; "
-            "pass quic=/tcp= ProtocolSpecs (plus shared RunRequest fields)",
-            DeprecationWarning, stacklevel=2)
-        quic_kw = dict(common, **(quic_kwargs or {}))
-        tcp_kw = dict(common, **(tcp_kwargs or {}))
-        quic_plts = [
-            run_page_load(scenario, page, "quic", seed=seed_base + i,
-                          **quic_kw).plt
-            for i in range(runs)
-        ]
-        tcp_plts = [
-            run_page_load(scenario, page, "tcp", seed=seed_base + i,
-                          **tcp_kw).plt
-            for i in range(runs)
-        ]
-        return Comparison(
-            label or f"{scenario.name} / {page.name}", quic_plts, tcp_plts
-        )
     quic_spec = _side_spec("quic", quic)
     tcp_spec = _side_spec("tcp", tcp)
     fields = _request_fields("compare_page_load", common)
@@ -515,8 +451,6 @@ def run_bulk_transfer(
     protocol: ProtocolLike,
     *,
     seed: int = 0,
-    quic_cfg: Optional[QuicConfig] = None,
-    tcp_cfg: Optional[TcpConfig] = None,
     variable_bw: Optional[Tuple[float, float, float]] = None,
     cwnd_interval: float = 0.01,
     timeout: float = DEFAULT_TIMEOUT,
@@ -526,14 +460,8 @@ def run_bulk_transfer(
     ``variable_bw=(low_mbps, high_mbps, period)`` re-draws the bottleneck
     rate during the transfer (Fig. 11).
     """
-    spec = _coerce_protocol("run_bulk_transfer", protocol, quic_cfg, tcp_cfg)
+    spec = ProtocolSpec.of(protocol)
     protocol = spec.name
-    if spec.name == "quic":
-        quic_cfg = spec.resolved_config()
-        tcp_cfg = tcp_cfg if tcp_cfg is not None else tcp_config()
-    else:
-        tcp_cfg = spec.resolved_config()
-        quic_cfg = quic_cfg if quic_cfg is not None else quic_config(34)
     sim = Simulator()
     path = build_path(sim, scenario, seed=seed)
     if variable_bw is not None:
@@ -549,9 +477,8 @@ def run_bulk_transfer(
     page = single_object_page(size_bytes)
     handler = page_request_handler(page)
     client, server = _make_connections(
-        sim, path, protocol, handler, quic_cfg=quic_cfg, tcp_cfg=tcp_cfg,
-        device=DESKTOP, seed=seed, server_trace=server_trace,
-        client_trace=Trace(enabled=False),
+        sim, path, spec, handler, device=DESKTOP, seed=seed,
+        server_trace=server_trace, client_trace=Trace(enabled=False),
     )
     loader = PageLoader(sim, client, page, protocol)
     loader.start()

@@ -21,7 +21,12 @@ from repro.core.experiment import (
     WorkloadSpec,
     run_experiment,
 )
-from repro.core.runner import measure_plts
+from repro.core.runner import (
+    compare_page_load,
+    measure_plts,
+    run_bulk_transfer,
+    run_page_load,
+)
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.netem.profiles import CELLULAR_PROFILES, Scenario
@@ -243,13 +248,11 @@ class TestKnobs:
         assert seen == [0, 1, 2]
         assert all(r.ok for r in records)
 
-    def test_progress_callback_sees_every_record(self):
-        seen = []
-        with pytest.warns(DeprecationWarning, match="iter_runs"):
-            run_requests([req(seed=s) for s in range(5)], jobs=2,
-                         chunk_size=2, run_fn=_instant_run,
-                         progress=seen.append)
-        assert sorted(r.request.seed for r in seen) == list(range(5))
+    def test_progress_kwarg_is_a_type_error(self):
+        # removed: iterate iter_runs(...) and consume its events instead
+        with pytest.raises(TypeError, match="progress"):
+            run_requests([req()], run_fn=_instant_run,
+                         progress=lambda record: None)
 
     def test_empty_request_list(self):
         assert run_requests([], jobs=4) == []
@@ -260,11 +263,18 @@ class TestKnobs:
 
 
 class TestDeprecationShims:
-    def test_quic_cfg_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            plts = measure_plts(SCN, PAGE, "quic", runs=1,
-                                quic_cfg=quic_config(34))
-        assert len(plts) == 1
+    def test_quic_cfg_kwarg_is_a_type_error(self):
+        for call in (
+                lambda: measure_plts(SCN, PAGE, "quic", runs=1,
+                                     quic_cfg=quic_config(34)),
+                lambda: run_page_load(SCN, PAGE, "quic",
+                                      quic_cfg=quic_config(34)),
+                lambda: run_bulk_transfer(SCN, 10_000, "tcp",
+                                          tcp_cfg=tcp_config()),
+                lambda: compare_page_load(SCN, PAGE, runs=1,
+                                          quic_kwargs={"seed": 1})):
+            with pytest.raises(TypeError):
+                call()
 
     def test_protocolspec_plus_cfg_kwarg_is_an_error(self):
         with pytest.raises(TypeError):

@@ -271,11 +271,6 @@ class TestRunRequestsCompatibility:
                                run_fn=_instant_run)
         assert [r.request.seed for r in records] == list(range(5))
 
-    def test_progress_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="iter_runs"):
-            run_requests([req()], run_fn=_instant_run,
-                         progress=lambda record: None)
-
     def test_no_warning_without_progress(self, recwarn):
         run_requests([req()], run_fn=_instant_run)
         assert not [w for w in recwarn
@@ -284,20 +279,19 @@ class TestRunRequestsCompatibility:
     @pytest.mark.parametrize("force_pool", [False, True])
     def test_progress_path_reconciles_retry_events(self, tmp_path,
                                                    monkeypatch, force_pool):
-        """Regression guard: the deprecated progress= path must account
-        retries identically to the event stream — per failed attempt,
-        on both the serial and the pool code path."""
+        """Regression guard: the record-materialising wrapper
+        (``keep_records=True``) must account retries identically to the
+        event stream — per failed attempt, on both the serial and the
+        pool code path.  (Named for the ``progress=`` callback it first
+        guarded; that keyword is gone, the accounting contract is not.)"""
         monkeypatch.setenv("REPRO_TEST_EVENT_MARKER",
                            str(tmp_path / f"marker-{force_pool}"))
         cache = RunCache(tmp_path / "store.sqlite")
-        seen = []
-        with pytest.warns(DeprecationWarning):
-            records = run_requests([req(seed=s) for s in range(3)],
-                                   run_fn=_flaky_once_run, retries=2,
-                                   jobs=2 if force_pool else 1,
-                                   force_pool=force_pool, store=cache,
-                                   progress=seen.append)
-        assert len(seen) == len(records) == 3
+        records = run_requests([req(seed=s) for s in range(3)],
+                               run_fn=_flaky_once_run, retries=2,
+                               jobs=2 if force_pool else 1,
+                               force_pool=force_pool, store=cache)
+        assert len(records) == 3
         assert all(r.complete and r.attempts == 2 for r in records)
         # counter == sum of failed attempts == what retry events report
         assert cache.retries == sum(r.attempts - 1 for r in records) == 3

@@ -9,6 +9,7 @@ same machinery.
 
 import pytest
 
+from repro.core.executor import ProtocolSpec
 from repro.core.runner import (
     compare_page_load,
     compare_quic_variants,
@@ -94,8 +95,8 @@ class TestReorderingFinding:
         for threshold in (3, 50):
             cfg = quic_config(34)
             cfg.nack_threshold = threshold
-            result = run_bulk_transfer(scn, 10 * 1024 * 1024, "quic",
-                                       seed=1, quic_cfg=cfg)
+            result = run_bulk_transfer(scn, 10 * 1024 * 1024,
+                                       ProtocolSpec.quic(cfg), seed=1)
             elapsed[threshold] = result.elapsed
         assert elapsed[50] < elapsed[3] / 2
 
@@ -165,8 +166,8 @@ class TestCalibrationFinding:
         results = {}
         for macw in (107, 430, 2000):
             cfg = quic_config(37, macw_packets=macw)
-            results[macw] = run_bulk_transfer(scn, size, "quic", seed=1,
-                                              quic_cfg=cfg).elapsed
+            results[macw] = run_bulk_transfer(
+                scn, size, ProtocolSpec.quic(cfg), seed=1).elapsed
         assert results[107] > results[430]
         assert results[430] >= results[2000] * 0.95
 
@@ -175,8 +176,8 @@ class TestCalibrationFinding:
         scn = emulated(10.0)
         plts = {}
         for version in (25, 30, 34):
-            out = run_page_load(scn, single_object_page(1024 * 1024), "quic",
-                                seed=1, quic_cfg=quic_config(version))
+            out = run_page_load(scn, single_object_page(1024 * 1024),
+                                ProtocolSpec.quic(version=version), seed=1)
             plts[version] = out.plt
         values = list(plts.values())
         assert max(values) - min(values) < 0.01 * max(values)
@@ -185,10 +186,11 @@ class TestCalibrationFinding:
         """Fig. 15: QUIC 37 at MACW 430 matches QUIC 34."""
         scn = emulated(100.0)
         web_page = single_object_page(10 * 1024 * 1024)
-        v34 = run_page_load(scn, web_page, "quic", seed=1,
-                            quic_cfg=quic_config(34)).plt
-        v37_clamped = run_page_load(scn, web_page, "quic", seed=1,
-                                    quic_cfg=quic_config(37, macw_packets=430)).plt
+        v34 = run_page_load(scn, web_page, ProtocolSpec.quic(version=34),
+                            seed=1).plt
+        v37_clamped = run_page_load(
+            scn, web_page,
+            ProtocolSpec.quic(quic_config(37, macw_packets=430)), seed=1).plt
         assert v37_clamped == pytest.approx(v34, rel=0.08)
 
 

@@ -22,6 +22,7 @@ from repro.core.executor import (
     RunFailure,
     RunRecord,
     RunRequest,
+    iter_runs,
     run_requests,
 )
 from repro.core.experiment import (
@@ -930,10 +931,9 @@ class TestCacheAwareExecution:
     def test_progress_fires_for_hits_and_misses(self, make_store):
         cache = RunCache(make_store())
         run_requests([req(seed=0)], store=cache)
-        seen = []
-        with pytest.warns(DeprecationWarning, match="iter_runs"):
-            run_requests([req(seed=s) for s in range(2)], store=cache,
-                         progress=seen.append)
+        seen = [event.record for event in iter_runs(
+            [req(seed=s) for s in range(2)], store=cache, keep_records=True)
+            if event.terminal]
         assert sorted(r.request.seed for r in seen) == [0, 1]
         assert {r.request.seed: r.cached for r in seen} == {0: True, 1: False}
 
