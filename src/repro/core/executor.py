@@ -675,6 +675,21 @@ def _iter_runs(requests: List[RunRequest], n_jobs: int,
         from ..store.cache import RunCache  # lazy: store imports this module
 
         cache = RunCache.of(store)
+    try:
+        yield from _stream_runs(run, requests, n_jobs, wall_timeout, retries,
+                                chunk_size, cache, keep_records, force_pool)
+    finally:
+        # Completed, failed or closed half-way: the store's persistent
+        # counters catch up with the session's either way.
+        if cache is not None:
+            cache.end_sweep()
+
+
+def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
+                 wall_timeout: Optional[float], retries: int,
+                 chunk_size: Optional[int], cache: Optional[Any],
+                 keep_records: bool, force_pool: bool) -> Iterator[RunEvent]:
+    """Lookup phase, then the misses — serially or through the pool."""
     misses: List[TaggedRequest] = []
     for index, request in enumerate(requests):
         if cache is None:
@@ -687,6 +702,8 @@ def _iter_runs(requests: List[RunRequest], n_jobs: int,
             yield _terminal_event("hit", index, request, key, hit,
                                   stored=True,
                                   attach=hit if keep_records else None)
+    if cache is not None:
+        cache.flush()
     if not misses:
         return
     # Cache-aware scheduling: execute the heaviest misses first (object

@@ -36,12 +36,12 @@ double-counted.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import shutil
 import tempfile
 import time
 import traceback
 from dataclasses import replace
+from multiprocessing import connection as mp_connection
 from pathlib import Path
 from typing import (
     Any,
@@ -122,8 +122,8 @@ def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
         since_sync = 0
         for event in iter_runs(requests, jobs=1, wall_timeout=wall_timeout,
                                retries=retries, run_fn=run_fn, store=local):
-            events.put(("event", worker_id,
-                        replace(event, index=indices[event.index])))
+            events.send(("event", worker_id,
+                         replace(event, index=indices[event.index])))
             if event.terminal:
                 since_sync += 1
                 if since_sync >= sync_every:
@@ -140,9 +140,12 @@ def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
                 if attempt == _FLUSH_ATTEMPTS - 1:
                     raise
                 time.sleep(0.5 * (2 ** attempt))
-        events.put(("done", worker_id, len(assignment)))
+        events.send(("done", worker_id, len(assignment)))
     except BaseException:  # noqa: BLE001 - report, then die
-        events.put(("failed", worker_id, traceback.format_exc()))
+        try:
+            events.send(("failed", worker_id, traceback.format_exc()))
+        except OSError:
+            pass  # the coordinator is gone: nobody left to tell
     finally:
         if local is not None:
             local.close()
@@ -249,21 +252,34 @@ def iter_fabric_runs(
     ctx = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else None)
-    events: Any = ctx.Queue()
     if max_restarts is None:
         max_restarts = 2 * workers
+    # One event pipe per worker *process*, never a shared queue: a queue's
+    # writers serialise on one cross-process lock, and a worker SIGKILLed
+    # while it holds that lock would mute every other worker (and every
+    # respawn) for good.  A killed worker can only tear its own pipe,
+    # which then reads as end-of-file.
+    readers: Dict[int, Any] = {}
 
     def _spawn(worker_id: int) -> Any:
         remaining = [(index, request)
                      for index, request in assignments[worker_id]
                      if index not in terminal_seen]
+        reader, writer = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,
             args=(worker_id, remaining, url,
                   str(base / f"worker-{worker_id}"), sync_every, retries,
-                  wall_timeout, run_fn, events),
+                  wall_timeout, run_fn, writer),
             name=f"repro-fabric-worker-{worker_id}", daemon=True)
         process.start()
+        # The worker now holds the only write end, so its death is an
+        # end-of-file here (and no later fork inherits this end).
+        writer.close()
+        stale = readers.pop(worker_id, None)
+        if stale is not None:
+            stale.close()  # a hung worker's pipe; the respawn replays it
+        readers[worker_id] = reader
         last_progress[worker_id] = time.monotonic()
         if on_worker_start is not None:
             on_worker_start(worker_id, process.pid)
@@ -276,12 +292,19 @@ def iter_fabric_runs(
     alive = {worker_id: _spawn(worker_id) for worker_id in range(workers)}
     try:
         while alive:
-            try:
-                message = events.get(timeout=0.1)
-            except queue_mod.Empty:
-                message = None
-            if message is not None:
-                kind, worker_id = message[0], message[1]
+            ready = mp_connection.wait(list(readers.values()), timeout=0.1)
+            for worker_id, reader in list(readers.items()):
+                if reader not in ready:
+                    continue
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    # Exited, or killed mid-message: everything it sent
+                    # whole has been read; the liveness check takes over.
+                    del readers[worker_id]
+                    reader.close()
+                    continue
+                kind = message[0]
                 last_progress[worker_id] = time.monotonic()
                 if kind == "event":
                     event = message[2]
@@ -301,7 +324,8 @@ def iter_fabric_runs(
                 elif kind == "failed":
                     raise FabricWorkerError(
                         f"fabric worker {worker_id} failed:\n{message[2]}")
-                continue  # drain queued events before liveness checks
+            if ready:
+                continue  # drain the pipes before liveness checks
             for worker_id, process in list(alive.items()):
                 if process.is_alive():
                     hung = (progress_timeout is not None
@@ -336,7 +360,8 @@ def iter_fabric_runs(
             process.terminate()
         for process in alive.values():
             process.join(timeout=5.0)
-        events.close()
+        for reader in readers.values():
+            reader.close()
 
     leftover = [(index, request) for worker_assignment in assignments
                 for index, request in worker_assignment

@@ -11,6 +11,7 @@ isolation prior work lacked, per Table 1 footnote 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Tuple
 
 KB = 1024
@@ -35,8 +36,11 @@ class WebPage:
     name: str
     objects: Tuple[WebObject, ...]
 
-    @property
+    @cached_property
     def total_bytes(self) -> int:
+        # Summed once per page object (the instance is frozen, and a
+        # sweep asks every page thousands of times: the executor's miss
+        # ordering, then every record's metrics).
         return sum(o.size_bytes for o in self.objects)
 
     @property

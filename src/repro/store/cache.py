@@ -19,12 +19,22 @@ what may be written back:
 Cache hits are returned with ``record.cached = True`` and counted in
 :attr:`RunCache.hits`; both the per-session counters and the store's
 persistent lifetime counters feed ``repro store stats``.
+
+The session counters are exact at every instant.  The *persistent*
+ones are coalesced: bumps accumulate in memory and land as one
+``bump_counter(name, delta)`` per counter every
+:data:`COUNTER_FLUSH_EVERY` bumps, at the end of a sweep's lookup phase
+and — via :meth:`RunCache.end_sweep`, which the executor calls in a
+``finally`` — when a sweep completes or its event stream is closed.
+:meth:`RunCache.lookup` and :meth:`RunCache.describe_session` flush
+themselves.  A killed process can therefore lose a few unflushed
+*statistics*, never a record.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..core.executor import RunRecord, RunRequest
 from .backend import StoreBackend, resolve_store
@@ -32,6 +42,9 @@ from .keys import fingerprint_for, run_key
 
 #: What the executor's ``store=`` argument accepts.
 StoreLike = Union["RunCache", StoreBackend, str, Path]
+
+#: Pending counter bumps that force a flush to the store.
+COUNTER_FLUSH_EVERY = 256
 
 
 class RunCache:
@@ -53,6 +66,13 @@ class RunCache:
         #: event the executor emitted), so event streams and counters
         #: reconcile exactly.
         self.retries = 0
+        #: Counter deltas not yet landed in the store (see :meth:`flush`).
+        self._unflushed: Dict[str, int] = {}
+        #: ``id(request) -> (request, key, fingerprint)`` of every miss
+        #: :meth:`lookup_with_key` reported and nobody offered yet, so
+        #: the write-back of that very request object need not hash it
+        #: again.  The strong reference keeps the id from being reused.
+        self._missed: Dict[int, Tuple[RunRequest, str, str]] = {}
 
     @classmethod
     def of(cls, store: Optional[StoreLike]) -> Optional["RunCache"]:
@@ -84,16 +104,24 @@ class RunCache:
         record = self.store.get(key)
         if record is None:
             self.misses += 1
-            self.store.bump_counter("misses")
+            self._missed[id(request)] = (request, key, fingerprint)
+            self._bump("misses")
             return key, fingerprint, None
         self.hits += 1
-        self.store.bump_counter("hits")
+        self._bump("hits")
         record.cached = True
         return key, fingerprint, record
 
     def lookup(self, request: RunRequest) -> Optional[RunRecord]:
-        """A fresh hit for ``request``, or None (counted either way)."""
-        return self.lookup_with_key(request)[2]
+        """A fresh hit for ``request``, or None (counted either way).
+
+        The one-shot form: the persistent counters are flushed before
+        it returns and no key is held for a later :meth:`offer`.
+        """
+        hit = self.lookup_with_key(request)[2]
+        self._missed.pop(id(request), None)
+        self.flush()
+        return hit
 
     @staticmethod
     def cacheable(record: RunRecord) -> bool:
@@ -105,23 +133,55 @@ class RunCache:
         """Write a freshly computed record back, if the policy allows."""
         if not self.cacheable(record):
             return False
-        self.store.put(self.key_for(record.request), record,
-                       fingerprint=self.fingerprint_of(record.request))
+        key, fingerprint = self._address(record.request)
+        self.store.put(key, record, fingerprint=fingerprint)
         self.writes += 1
-        self.store.bump_counter("writes")
+        self._bump("writes")
         return True
 
-    def offer_many(self, records) -> int:
+    def offer_many(self, records: Iterable[RunRecord]) -> int:
         """Batch :meth:`offer`: one backend write for a whole chunk."""
-        batch = [(self.key_for(record.request), record,
-                  self.fingerprint_of(record.request))
-                 for record in records if self.cacheable(record)]
+        batch = []
+        for record in records:
+            if self.cacheable(record):
+                key, fingerprint = self._address(record.request)
+                batch.append((key, record, fingerprint))
         if not batch:
             return 0
         self.store.put_many(batch)
         self.writes += len(batch)
-        self.store.bump_counter("writes", len(batch))
+        self._bump("writes", len(batch))
         return len(batch)
+
+    def _address(self, request: RunRequest) -> Tuple[str, str]:
+        """``(key, fingerprint)`` for a write-back: the pair the lookup
+        of this very object computed, else hashed afresh (a record whose
+        ``request`` is a copy, or one that was never looked up)."""
+        missed = self._missed.pop(id(request), None)
+        if missed is not None:
+            return missed[1], missed[2]
+        fingerprint = self.fingerprint_of(request)
+        return run_key(request, fingerprint=fingerprint), fingerprint
+
+    # ------------------------------------------------------------------
+    def _bump(self, name: str, delta: int = 1) -> None:
+        self._unflushed[name] = self._unflushed.get(name, 0) + delta
+        if sum(self._unflushed.values()) >= COUNTER_FLUSH_EVERY:
+            self.flush()
+
+    def flush(self) -> None:
+        """Land the pending counter deltas: one store bump per counter
+        (a delta whose bump raised stays pending for the next flush)."""
+        for name in list(self._unflushed):
+            self.store.bump_counter(name, self._unflushed[name])
+            del self._unflushed[name]
+
+    def end_sweep(self) -> None:
+        """A sweep over this cache finished or was abandoned: flush the
+        counters and drop the keys of misses nobody offered (pool
+        workers write theirs directly)."""
+        self._missed.clear()
+        self.flush()
 
     # ------------------------------------------------------------------
     @property
@@ -130,6 +190,7 @@ class RunCache:
         return self.hits, self.misses, self.writes
 
     def describe_session(self) -> str:
+        self.flush()
         total = self.hits + self.misses
         rate = (100.0 * self.hits / total) if total else 0.0
         return (f"cache: {self.hits}/{total} hits ({rate:.0f}%), "

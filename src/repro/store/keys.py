@@ -34,8 +34,20 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..devices import DEVICE_PROFILES, DeviceProfile
 from ..http.objects import WebObject, WebPage
@@ -58,40 +70,195 @@ KEY_SCHEMA_VERSION = 3
 # ----------------------------------------------------------------------
 # canonicalisation
 # ----------------------------------------------------------------------
+_SCALAR_TYPES = frozenset({bool, int, str, float})
+#: Dataclass -> its field names, resolved once per class rather than
+#: through ``dataclasses.fields`` on every node of every request.
+_FIELD_NAMES: Dict[type, Optional[Tuple[str, ...]]] = {}
+
+
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """The field names of dataclass ``cls``; None for anything else."""
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = _FIELD_NAMES[cls] = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls) else None)
+        return names
+
+
+def _not_plain_data(obj: Any) -> TypeError:
+    return TypeError(
+        f"cannot canonicalise {type(obj).__name__!r}; run keys only cover "
+        f"plain data (dataclasses, numbers, strings, sequences, mappings)")
+
+
 def canonical(obj: Any) -> Any:
     """Reduce ``obj`` to a canonical JSON-serialisable structure.
 
     Dataclasses become type-tagged dicts of their fields (so a
     ``QuicConfig`` and a ``TcpConfig`` that happened to share field
     values could never collide); tuples become lists; dict keys are
-    emitted sorted by :func:`canonical_json` at dump time.
+    emitted sorted by :func:`canonical_json` at dump time.  This is the
+    *specification* of the canonical form; :func:`canonical_json`
+    produces the same bytes in a single walk.
     """
-    if obj is None or isinstance(obj, (bool, int, str)):
+    # Floats stay floats: repr() is the shortest round-trip form —
+    # stable across platforms and processes for CPython floats.
+    if obj is None or isinstance(obj, (bool, int, str, float)):
         return obj
-    if isinstance(obj, float):
-        # repr() is the shortest round-trip form — stable across
-        # platforms and processes for CPython floats.
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        payload = {
-            f.name: canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+    names = _field_names(obj.__class__)
+    if names is not None:
+        payload = {name: canonical(getattr(obj, name)) for name in names}
         payload["__type__"] = type(obj).__name__
         return payload
     if isinstance(obj, (list, tuple)):
         return [canonical(item) for item in obj]
     if isinstance(obj, Mapping):
         return {str(key): canonical(value) for key, value in obj.items()}
-    raise TypeError(
-        f"cannot canonicalise {type(obj).__name__!r}; run keys only cover "
-        f"plain data (dataclasses, numbers, strings, sequences, mappings)")
+    raise _not_plain_data(obj)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode_float(value: float) -> str:
+    # What json.dumps emits for a float, its allow_nan spellings included.
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _encode_sequence(items: Iterable[Any]) -> str:
+    return "[" + ",".join([_encode(item) for item in items]) + "]"
+
+
+def _encode_mapping(mapping: Mapping[Any, Any]) -> str:
+    items = {str(key): value for key, value in mapping.items()}
+    return "{" + ",".join([_quote(key) + ":" + _encode(items[key])
+                           for key in sorted(items)]) + "}"
+
+
+def _dataclass_encoder(cls: type, names: Tuple[str, ...]
+                       ) -> Callable[[Any], str]:
+    """An encoder emitting ``cls`` instances with pre-sorted, pre-quoted
+    keys (the ``__type__`` tag is a constant of the class)."""
+    parts: List[Tuple[str, str]] = []
+    pending = "{"
+    for position, key in enumerate(sorted({*names, "__type__"})):
+        pending += "," if position else ""
+        if key == "__type__":
+            pending += '"__type__":' + _quote(cls.__name__)
+        else:
+            parts.append((pending + _quote(key) + ":", key))
+            pending = ""
+    tail = pending + "}"
+
+    def encode(obj: Any) -> str:
+        return "".join([prefix + _encode(getattr(obj, name))
+                        for prefix, name in parts]) + tail
+
+    return encode
+
+
+#: Classes whose instances are *deeply immutable* by construction —
+#: frozen dataclasses of scalars and tuples of such — and shared by
+#: many requests of a sweep (every seed of a cell carries the same page,
+#: scenario and device objects).  Their JSON fragment is memoised per
+#: object.  Nothing reachable through a mutable dataclass (QuicConfig,
+#: TcpConfig, CubicConfig — hence ProtocolSpec and RunRequest) is ever
+#: memoised: a mutated config must never yield a stale key.
+_MEMOISED_CLASSES = (WebPage, Scenario, DeviceProfile, ManyflowConfig)
+#: ``id(obj) -> (obj, fragment)``.  The strong reference keeps the id
+#: from being recycled (an id found here *is* that object); the bound
+#: keeps a long-lived process that keys ever-new pages from growing (a
+#: full memo is simply dropped).
+_FRAGMENT_MEMO: Dict[int, Tuple[Any, str]] = {}
+_FRAGMENT_MEMO_BOUND = 256
+
+
+def _deeply_immutable(obj: Any) -> bool:
+    """Whether ``obj`` is scalars / tuples / frozen dataclasses all the
+    way down (a frozen dataclass built around a list is not)."""
+    cls = obj.__class__
+    if obj is None or cls in _SCALAR_TYPES:
+        return True
+    if cls is tuple:
+        return all(_deeply_immutable(item) for item in obj)
+    names = _field_names(cls)
+    if names is None or not cls.__dataclass_params__.frozen:
+        return False
+    return all(_deeply_immutable(getattr(obj, name)) for name in names)
+
+
+def _memoised(encode: Callable[[Any], str]) -> Callable[[Any], str]:
+    def encode_once(obj: Any) -> str:
+        cached = _FRAGMENT_MEMO.get(id(obj))
+        if cached is not None:
+            return cached[1]
+        fragment = encode(obj)
+        if _deeply_immutable(obj):
+            if len(_FRAGMENT_MEMO) >= _FRAGMENT_MEMO_BOUND:
+                _FRAGMENT_MEMO.clear()
+            _FRAGMENT_MEMO[id(obj)] = (obj, fragment)
+        return fragment
+
+    return encode_once
+
+
+#: Exact type -> encoder; dataclasses and scalar/sequence/mapping
+#: subclasses are resolved on first sight (:func:`_resolve_encoder`).
+_ENCODERS: Dict[type, Callable[[Any], str]] = {
+    type(None): lambda _obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    str: _quote,
+    float: _encode_float,
+    list: _encode_sequence,
+    tuple: _encode_sequence,
+    dict: _encode_mapping,
+}
+
+
+def _resolve_encoder(obj: Any) -> Callable[[Any], str]:
+    """The encoder for ``type(obj)``, in :func:`canonical`'s order."""
+    cls = obj.__class__
+    if isinstance(obj, int):
+        encoder = _ENCODERS[int]
+    elif isinstance(obj, str):
+        encoder = _ENCODERS[str]
+    elif isinstance(obj, float):
+        encoder = _ENCODERS[float]
+    elif (names := _field_names(cls)) is not None:
+        encoder = _dataclass_encoder(cls, names)
+        if cls in _MEMOISED_CLASSES:
+            encoder = _memoised(encoder)
+    elif isinstance(obj, (list, tuple)):
+        encoder = _encode_sequence
+    elif isinstance(obj, Mapping):
+        encoder = _encode_mapping
+    else:
+        raise _not_plain_data(obj)
+    _ENCODERS[cls] = encoder
+    return encoder
+
+
+def _encode(obj: Any) -> str:
+    encoder = _ENCODERS.get(obj.__class__)
+    if encoder is None:
+        encoder = _resolve_encoder(obj)
+    return encoder(obj)
 
 
 def canonical_json(obj: Any) -> str:
-    """The one true serialisation: sorted keys, no whitespace."""
-    return json.dumps(canonical(obj), sort_keys=True,
-                      separators=(",", ":"))
+    """The one true serialisation: sorted keys, no whitespace.
+
+    Byte-for-byte ``json.dumps(canonical(obj), sort_keys=True,
+    separators=(",", ":"))``, produced in one walk of ``obj``.
+    """
+    return _encode(obj)
 
 
 # ----------------------------------------------------------------------
@@ -118,11 +285,20 @@ SUBSYSTEMS: Dict[str, Tuple[str, ...]] = {
 #: (core), the emulated network (netem), a transport stack (transport),
 #: and the page model / HTTP layers (http).
 _BASE_SUBSYSTEMS: Tuple[str, ...] = ("core", "http", "netem", "transport")
+_PROXIED_SUBSYSTEMS: Tuple[str, ...] = tuple(
+    sorted(_BASE_SUBSYSTEMS + ("proxy",)))
 
 _FINGERPRINT_CACHE: Dict[str, str] = {}
 _SUBSYSTEM_CACHE: Dict[str, Dict[str, str]] = {}
+#: ``(package dir, sorted subsystem names) -> (fingerprints, composite)``.
+#: An entry is only served while ``fingerprints`` *is* the dict
+#: ``_SUBSYSTEM_CACHE`` holds for that directory, so dropping or
+#: replacing a subsystem-cache entry invalidates its composites too.
+_COMPOSITE_CACHE: Dict[Tuple[str, Tuple[str, ...]],
+                       Tuple[Dict[str, str], str]] = {}
 
 
+@lru_cache(maxsize=None)
 def _default_package_dir() -> Path:
     return Path(__file__).resolve().parent.parent
 
@@ -202,20 +378,26 @@ def request_subsystems(request: RunRequest) -> Tuple[str, ...]:
     :class:`RunRequest` (the QoE driver has its own loop), so video
     edits leave every run key unchanged.
     """
-    subsystems: Set[str] = set(_BASE_SUBSYSTEMS)
-    if request.proxied:
-        subsystems.add("proxy")
-    return tuple(sorted(subsystems))
+    return _PROXIED_SUBSYSTEMS if request.proxied else _BASE_SUBSYSTEMS
 
 
 def composite_fingerprint(subsystems: Iterable[str],
                           package_dir: Optional[Path] = None) -> str:
-    """One hash over the named subsystems' fingerprints."""
+    """One hash over the named subsystems' fingerprints (memoised per
+    package directory and subsystem set: constant for a process)."""
+    if package_dir is None:
+        package_dir = _default_package_dir()
     fingerprints = subsystem_fingerprints(package_dir)
+    cache_key = (str(package_dir), tuple(sorted(set(subsystems))))
+    cached = _COMPOSITE_CACHE.get(cache_key)
+    if cached is not None and cached[0] is fingerprints:
+        return cached[1]
     payload = json.dumps(
-        {name: fingerprints.get(name, "") for name in sorted(set(subsystems))},
+        {name: fingerprints.get(name, "") for name in cache_key[1]},
         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    composite = hashlib.sha256(payload.encode()).hexdigest()
+    _COMPOSITE_CACHE[cache_key] = (fingerprints, composite)
+    return composite
 
 
 def fingerprint_for(request: RunRequest,
@@ -256,12 +438,12 @@ def run_key(request: RunRequest, *, fingerprint: Optional[str] = None) -> str:
     request (:func:`fingerprint_for`); tests (and cross-machine stores
     that pin a release) may pass their own.
     """
-    payload = canonical_json({
-        "schema": KEY_SCHEMA_VERSION,
-        "code": (fingerprint if fingerprint is not None
-                 else fingerprint_for(request)),
-        "request": canonical(request),
-    })
+    if fingerprint is None:
+        fingerprint = fingerprint_for(request)
+    # canonical_json({"code": .., "request": .., "schema": ..}), with the
+    # envelope's three sorted keys spelled out.
+    payload = (f'{{"code":{_encode(fingerprint)},"request":{_encode(request)}'
+               f',"schema":{KEY_SCHEMA_VERSION}}}')
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -272,10 +454,10 @@ def _config_to_dict(config: Any) -> Optional[Dict[str, Any]]:
     if config is None:
         return None
     out = {}
-    for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        out[f.name] = _config_to_dict(value) if dataclasses.is_dataclass(
-            value) else value
+    for name in _field_names(config.__class__):
+        value = getattr(config, name)
+        out[name] = (_config_to_dict(value)
+                     if _field_names(value.__class__) is not None else value)
     return out
 
 

@@ -255,6 +255,12 @@ class TestExecutorOverRemote:
 # ----------------------------------------------------------------------
 # the coordinator
 # ----------------------------------------------------------------------
+#: Watchdog for the kill/resume tests: a forked worker can inherit a lock
+#: the StoreServer thread held at fork time and wedge before its first
+#: event; the coordinator then respawns it instead of hanging the suite.
+_WEDGED_WORKER_TIMEOUT = 10.0
+
+
 class TestCoordinator:
     def _grid(self, n=40):
         return [req(seed=s, protocol=ProtocolSpec.of(p))
@@ -305,7 +311,8 @@ class TestCoordinator:
         stream = iter_fabric_runs(requests, server.url, workers=2,
                                   sync_every=4, run_fn=_slow_run,
                                   workdir=str(tmp_path / "wd"),
-                                  on_worker_start=on_start)
+                                  on_worker_start=on_start,
+                                  progress_timeout=_WEDGED_WORKER_TIMEOUT)
         seen = []
         for event in stream:
             if event.terminal:
@@ -329,7 +336,8 @@ class TestCoordinator:
         requests = self._grid(40)
         expected = self._control_report(tmp_path, requests)
         stream = iter_fabric_runs(requests, server.url, workers=2,
-                                  sync_every=2, run_fn=_slow_run)
+                                  sync_every=2, run_fn=_slow_run,
+                                  progress_timeout=_WEDGED_WORKER_TIMEOUT)
         landed = 0
         for event in stream:
             if event.terminal:
@@ -338,7 +346,8 @@ class TestCoordinator:
                 break
         stream.close()
         summary = run_fabric_sweep(requests, server.url, workers=2,
-                                   run_fn=_instant_run)
+                                   run_fn=_instant_run,
+                                   progress_timeout=_WEDGED_WORKER_TIMEOUT)
         assert summary["hits"] >= 1  # the pre-kill uploads were kept
         assert summary["requests"] == len(requests)
         fabric = build_store_report(server.store).replace(

@@ -31,6 +31,11 @@ from repro.core.experiment import (
     WorkloadSpec,
     run_experiment,
 )
+from repro.core.manyflow import (
+    ManyflowConfig,
+    manyflow_requests,
+    manyflow_scenario,
+)
 from repro.devices import NEXUS6, DeviceProfile
 from repro.http import page, single_object_page
 from repro.netem import emulated
@@ -44,6 +49,8 @@ from repro.store import (
     StoreBackend,
     StoreNotFoundError,
     achievable_fingerprints,
+    canonical,
+    canonical_json,
     code_fingerprint,
     composite_fingerprint,
     fingerprint_for,
@@ -60,6 +67,7 @@ from repro.store import (
     store_kind_at,
     subsystem_fingerprints,
 )
+from repro.store import keys as store_keys
 from repro.tcp import tcp_config
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -99,7 +107,102 @@ def make_store(request, tmp_path):
 # ----------------------------------------------------------------------
 # keys
 # ----------------------------------------------------------------------
+def _manyflow_req(cc, aqm):
+    config = ManyflowConfig(flows=50, duration=20.0, cc=cc, aqm=aqm)
+    return manyflow_requests(config, manyflow_scenario(), seeds=[1])[0]
+
+
+#: ``run_key(request, fingerprint="pinned")`` as computed by the commit
+#: *before* the single-walk serialiser and the fragment memo landed
+#: (KEY_SCHEMA_VERSION 3).  Any drift of the canonical form silently
+#: orphans every existing store, so it has to fail here instead.  To
+#: change the form on purpose: bump KEY_SCHEMA_VERSION and re-pin.
+GOLDEN_KEYS = {
+    "quic-default": (
+        lambda: req(),
+        "d38e1922b74f40bffe8d4ab82ceb87a7fb4f53586ddfba18aa149a1ded3faf2c"),
+    "quic-v34-explicit": (
+        lambda: req(seed=3, protocol=ProtocolSpec.quic(version=34)),
+        "90239120f3f15325530098253b84171746e0cf34721f60145de2768f36bc6292"),
+    "quic-v34-nack50": (
+        lambda: req(protocol=ProtocolSpec(
+            "quic", quic_config(34).with_(nack_threshold=50))),
+        "6a1691d72dabc2209f0093f81b20dccbe85d39969b249f19ee6c2eb6171dfa85"),
+    "tcp-default": (
+        lambda: req(protocol=ProtocolSpec.tcp()),
+        "8185438e4325c000b0ffc134d0d7530f2d5776a4a3ddcc79bf87165a504bf1a1"),
+    "tcp-dupthresh10": (
+        lambda: req(protocol=ProtocolSpec("tcp", tcp_config(dupthresh=10))),
+        "1afffcb598fce1474bb9b1a774e48a9e855c05124ee64ed840cbc243d21aeeeb"),
+    "proxied": (
+        lambda: req(proxied=True),
+        "5dcffcf871950934a6697020e803393a5a5b05553e232f86997a392f86d89622"),
+    "traced": (
+        lambda: req(trace=True, cwnd_interval=0.05),
+        "9ef6bbc988bf292c6a0d4ed0b98e75a519449139e1e37b6296cc806ae18b773a"),
+    "page-100x10KB-lossy": (
+        lambda: req(seed=7, scenario=emulated(50.0, loss_pct=1.0),
+                    page=page(100, 10 * 1024)),
+        "9ed2baee81a97ebb49244a378a41c45df7685b04957defc5110e3eae2fb87068"),
+    "nexus6": (
+        lambda: req(device=NEXUS6),
+        "9c69211c317cb5c60abe1fc505b51fce8f5f3e91a1e08cf39e7c5b931787f09c"),
+    "custom-device": (
+        lambda: req(device=DeviceProfile("bench-phone", 1e-5, 2e-4, 3e-6,
+                                         0.01, noise=0.0)),
+        "27d70be61a5772aef9048212b47ee1f08b9b713f727d55e3efea6d5ee7ce391e"),
+    "int-rate-scenario": (
+        lambda: req(scenario=emulated(10.0).with_(rate_mbps=10)),
+        "f587289600aaf10f513db37e78cc316c58ac9440215c0a59dd86fe0fc25dc38a"),
+    "manyflow-reno": (
+        lambda: _manyflow_req("reno", "droptail"),
+        "9405d9a4c92280e442f78a1ab1feb297e6a316ae433373ae6fc8c09f8a618c7a"),
+    "manyflow-cubic": (
+        lambda: _manyflow_req("cubic", "codel"),
+        "9e403957607ff0396a4b9384fa12bc879f199c93a44185752164c69c9f933f23"),
+    "manyflow-bbr": (
+        lambda: _manyflow_req("bbr", "fq_codel"),
+        "cc354bcead4e8859b3335eec19aa22c5c22c253bec81b4977700045a9761c2c5"),
+}
+
+
+def _reference_json(obj):
+    """The canonical serialisation, spelled the slow two-pass way."""
+    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
 class TestRunKey:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+    def test_golden_keys(self, name):
+        build, expected = GOLDEN_KEYS[name]
+        assert run_key(build(), fingerprint="pinned") == expected
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_KEYS))
+    def test_single_walk_matches_two_pass_reference(self, name):
+        request = GOLDEN_KEYS[name][0]()
+        assert canonical_json(request) == _reference_json(request)
+        assert canonical_json(request) == _reference_json(request)  # memo hit
+
+    def test_single_walk_matches_reference_on_plain_data(self):
+        odd = {"b": [1, 2.5, float("inf"), float("-inf"), None, True,
+                     "\u00e9\"\\\n"],
+               3: {"z": (), "a": {}}, "a": -0.0, "big": 10 ** 30,
+               "e": 1e-7, "E": 1e22}
+        assert canonical_json(odd) == _reference_json(odd)
+        assert canonical_json(float("nan")) == "NaN"
+        with pytest.raises(TypeError, match="cannot canonicalise"):
+            canonical_json({"x": object()})
+        with pytest.raises(TypeError, match="cannot canonicalise"):
+            canonical(object())
+
+    def test_repeated_and_equal_fresh_requests_agree(self):
+        request = req(seed=9, page=page(100, 10_000))
+        first = run_key(request, fingerprint="pinned")
+        assert run_key(request, fingerprint="pinned") == first
+        fresh = RunRequest(scenario=emulated(10.0), page=page(100, 10_000),
+                           protocol=ProtocolSpec.quic(), seed=9)
+        assert run_key(fresh, fingerprint="pinned") == first
+
     def test_key_shape(self):
         key = run_key(req())
         assert len(key) == 64
@@ -167,6 +270,84 @@ class TestRunKey:
         tree2.mkdir()
         (tree2 / "a.py").write_text("x = 2\n")
         assert code_fingerprint(tree2) != first
+
+
+class TestRunKeyMemo:
+    """The fragment memo may never serve a stale key."""
+
+    @pytest.mark.parametrize("build, mutate", [
+        (lambda: ProtocolSpec.quic(version=34),
+         lambda config: setattr(config, "nack_threshold", 50)),
+        (lambda: ProtocolSpec("tcp", tcp_config()),
+         lambda config: setattr(config, "dupthresh", 10)),
+        (lambda: ProtocolSpec.quic(version=34),
+         lambda config: setattr(config.cc, "beta", 0.5)),
+        (lambda: ProtocolSpec("tcp", tcp_config()),
+         lambda config: setattr(config.cc, "max_cwnd_packets", 77)),
+    ], ids=["quic-field", "tcp-field", "quic-nested-cc", "tcp-nested-cc"])
+    def test_mutated_config_is_rehashed(self, build, mutate):
+        request = req(protocol=build())
+        before = run_key(request, fingerprint="pinned")
+        assert run_key(request, fingerprint="pinned") == before
+        mutate(request.protocol.config)
+        after = run_key(request, fingerprint="pinned")
+        assert after != before
+        # ...and it is the key an equal, freshly built request gets.
+        fresh_protocol = build()
+        mutate(fresh_protocol.config)
+        assert after == run_key(req(protocol=fresh_protocol),
+                                fingerprint="pinned")
+
+    def test_int_and_float_rates_keep_distinct_keys(self):
+        # Equal (and equal-hashing) scenarios whose canonical JSON
+        # differs: the memo is by identity, never by equality.
+        as_int = emulated(10.0).with_(rate_mbps=10)
+        as_float = emulated(10.0).with_(rate_mbps=10.0)
+        assert as_int == as_float
+        int_key = run_key(req(scenario=as_int), fingerprint="pinned")
+        float_key = run_key(req(scenario=as_float), fingerprint="pinned")
+        assert int_key != float_key
+        assert int_key == GOLDEN_KEYS["int-rate-scenario"][1]
+        assert float_key == GOLDEN_KEYS["quic-default"][1]
+
+    def test_memo_is_bounded(self):
+        bound = store_keys._FRAGMENT_MEMO_BOUND
+        pages = [single_object_page(1_000 + n) for n in range(bound + 50)]
+        for index, workload in enumerate(pages):
+            run_key(req(page=workload), fingerprint="pinned")
+            assert len(store_keys._FRAGMENT_MEMO) <= bound
+        # Dropped entries are simply re-walked: same key as a cold equal.
+        assert (run_key(req(page=pages[0]), fingerprint="pinned")
+                == run_key(req(page=single_object_page(1_000)),
+                           fingerprint="pinned"))
+
+    def test_frozen_shell_around_a_list_is_not_memoised(self):
+        from repro.http.objects import WebObject, WebPage
+
+        objects = [WebObject(0, 1_000)]
+        leaky = WebPage("leaky", objects)  # type: ignore[arg-type]
+        before = run_key(req(page=leaky), fingerprint="pinned")
+        objects.append(WebObject(1, 2_000))
+        after = run_key(req(page=leaky), fingerprint="pinned")
+        assert after != before
+        assert after == run_key(
+            req(page=WebPage("leaky", tuple(objects))), fingerprint="pinned")
+
+    def test_fake_package_still_tracked_after_default_dir_memoised(
+            self, tmp_path):
+        default = fingerprint_for(req())  # memoises the default dir
+        assert fingerprint_for(req()) == default
+        pkg = _fake_package(tmp_path)
+        edited = _edited_copy(pkg, "netem/mod.py", "rate = 2\n")
+        assert fingerprint_for(req(), pkg) != default
+        assert fingerprint_for(req(), pkg) != fingerprint_for(req(), edited)
+        assert fingerprint_for(req()) == default
+        # Dropping a directory's subsystem fingerprints drops the
+        # composites derived from them too.
+        (pkg / "netem" / "mod.py").write_text("rate = 3\n")
+        stale = fingerprint_for(req(), pkg)
+        store_keys._SUBSYSTEM_CACHE.pop(str(pkg))
+        assert fingerprint_for(req(), pkg) != stale
 
 
 # ----------------------------------------------------------------------
@@ -971,6 +1152,130 @@ class TestCacheAwareExecution:
                 == fingerprint_for(req(proxied=True)))
         assert cache.fingerprint_of(req()) != cache.fingerprint_of(
             req(proxied=True))
+
+
+def _instant(request):
+    return RunRecord(request=request, plt=1.0 + request.seed, complete=True,
+                     metrics={"plt": 1.0 + request.seed})
+
+
+class TestCacheAccounting:
+    """Each request is hashed once; persistent counters land coalesced
+    and equal the session's after any completed or closed sweep."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+
+        def counting(request, **kwargs):
+            calls.append(request)
+            return run_key(request, **kwargs)
+
+        monkeypatch.setattr("repro.store.cache.run_key", counting)
+        return calls
+
+    def test_serial_cold_sweep_hashes_each_request_once(self, make_store,
+                                                        hashed):
+        cache = RunCache(make_store())
+        requests = [req(seed=s) for s in range(12)]
+        events = list(iter_runs(requests, run_fn=_instant, store=cache))
+        assert len(hashed) == 12  # lookup only; offer reuses the key
+        assert cache.session_stats == (0, 12, 12)
+        assert cache._missed == {}
+        # Each record sits under the address its event announced.
+        for event in events:
+            if event.terminal:
+                assert cache.store.get(event.key).request.seed == event.seed
+
+    def test_copied_request_is_rehashed_to_the_right_key(self, make_store,
+                                                         hashed):
+        cache = RunCache(make_store(), fingerprint="pinned")
+
+        def copying(request):
+            return _instant(request.with_())  # an equal, distinct object
+
+        requests = [req(seed=s) for s in range(5)]
+        list(iter_runs(requests, run_fn=copying, store=cache))
+        assert len(hashed) == 10  # the fallback: lookup + offer
+        assert sorted(cache.store.keys()) == sorted(
+            run_key(request, fingerprint="pinned") for request in requests)
+        assert cache._missed == {}  # unconsumed entries go with the sweep
+
+    def test_offer_without_lookup_still_hashes(self, make_store):
+        cache = RunCache(make_store(), fingerprint="pinned")
+        assert cache.offer(_instant(req(seed=4)))
+        assert run_key(req(seed=4), fingerprint="pinned") in cache.store
+        cache.flush()
+        assert cache.store.counters() == {"writes": 1}
+
+    def test_counters_exact_after_completed_sweep(self, make_store):
+        cache = RunCache(make_store())
+        list(iter_runs([req(seed=s) for s in range(6)], run_fn=_instant,
+                       store=cache))
+        assert cache.store.counters() == {"misses": 6, "writes": 6}
+        list(iter_runs([req(seed=s) for s in range(9)], run_fn=_instant,
+                       store=cache))
+        assert cache.session_stats == (6, 9, 9)
+        assert cache.store.counters() == {"hits": 6, "misses": 9,
+                                          "writes": 9}
+
+    def test_counters_exact_after_closing_half_way(self, make_store):
+        cache = RunCache(make_store())
+        list(iter_runs([req(seed=s) for s in range(3)], run_fn=_instant,
+                       store=cache))
+        stream = iter_runs([req(seed=s) for s in range(10)], run_fn=_instant,
+                           store=cache)
+        terminals = 0
+        for event in stream:
+            terminals += event.terminal
+            if terminals == 6:  # 3 hits + 3 executed misses
+                break
+        stream.close()
+        hits, misses, writes = cache.session_stats
+        assert (hits, misses, writes) == (3, 10, 6)
+        assert cache.store.counters() == {"hits": hits, "misses": misses,
+                                          "writes": writes}
+        assert cache._missed == {}
+
+    def test_one_shot_lookup_and_describe_flush_themselves(self, make_store):
+        cache = RunCache(make_store())
+        assert cache.lookup(req()) is None
+        assert cache.store.counters() == {"misses": 1}
+        assert cache._missed == {}
+        cache.offer(_instant(req()))
+        assert "1 new results stored" in cache.describe_session()
+        assert cache.store.counters() == {"misses": 1, "writes": 1}
+        assert cache.lookup(req()).cached
+        assert cache.store.counters() == {"hits": 1, "misses": 1,
+                                          "writes": 1}
+
+    def test_counter_ledger_lines_are_coalesced(self, tmp_path):
+        from repro.store.cache import COUNTER_FLUSH_EVERY
+
+        cells = 2 * COUNTER_FLUSH_EVERY + 88
+        store = ShardStore(tmp_path / "shards")
+        cache = RunCache(store, fingerprint="pinned")
+        list(iter_runs([req(seed=s) for s in range(cells)], run_fn=_instant,
+                       store=cache))
+        assert store.counters() == {"misses": cells, "writes": cells}
+        lines = [json.loads(line)["name"] for line in
+                 (tmp_path / "shards" / "counters.jsonl").read_text()
+                 .splitlines()]
+        ceiling = -(-cells // COUNTER_FLUSH_EVERY) + 3
+        assert 0 < lines.count("misses") <= ceiling
+        assert 0 < lines.count("writes") <= ceiling
+
+    def test_failed_bump_stays_pending(self, make_store):
+        cache = RunCache(make_store())
+        cache.lookup_with_key(req())
+        real = cache.store.bump_counter
+        cache.store.bump_counter = lambda *a, **k: (_ for _ in ()).throw(
+            OSError("disk full"))
+        with pytest.raises(OSError):
+            cache.flush()
+        cache.store.bump_counter = real
+        cache.flush()
+        assert cache.store.counters() == {"misses": 1}
 
 
 # ----------------------------------------------------------------------
