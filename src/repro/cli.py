@@ -855,7 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-workload", choices=("plt", "manyflow"),
                    default="plt",
                    help="what --profile runs: the canonical PLT pair or "
-                        "a 300-flow manyflow engine (default: plt)")
+                        "a 300-flow manyflow engine, one cell per CC "
+                        "kernel (default: plt)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("versions", help="Sec. 5.4: version configurations")

@@ -396,12 +396,19 @@ def profile_plt(top: int = 25, out: Any = None) -> None:
 
 def profile_manyflow(top: int = 25, out: Any = None,
                      flows: int = 300) -> None:
-    """cProfile a mid-size manyflow run (the fan-out hot path)."""
+    """cProfile a mid-size manyflow run (the fan-out hot path), one cell
+    per CC kernel: per-ACK cost is the kernel's, so a reno-only profile
+    says nothing about cubic or bbr."""
+    from ..transport.cc.kernels import KERNEL_NAMES
     from .manyflow import ManyflowConfig, ManyflowEngine, manyflow_scenario
 
-    config = ManyflowConfig(flows=flows, duration=120.0)
-    engine = ManyflowEngine(manyflow_scenario(), config, seed=CANONICAL_SEED)
-    profile_run(engine.run, top=top, out=out)
+    out = out or sys.stdout
+    for cc in KERNEL_NAMES:
+        config = ManyflowConfig(flows=flows, duration=120.0, cc=cc)
+        engine = ManyflowEngine(manyflow_scenario(), config,
+                                seed=CANONICAL_SEED)
+        print(f"== manyflow cc={cc} ({flows} flows) ==", file=out)
+        profile_run(engine.run, top=top, out=out)
 
 
 def write_payload(payload: Dict[str, Any], path: Any) -> None:

@@ -238,7 +238,9 @@ class CubicKernel:
 class BBRKernel:
     """Simplified BBR v1: bandwidth filter, four-mode machine, BDP cwnd.
 
-    Owns the windowed-max delivery-rate filter and the
+    Owns the windowed-max delivery-rate filter — a monotonic deque
+    (the Kathleen Nichols min/max filter of Linux BBR: O(1) amortised
+    per ACK, the max is the front) — and the
     Startup/Drain/ProbeBW/ProbeRTT progression previously inlined in the
     ``BBR`` controller class.  Loss handling is BBR's shallow reaction —
     ``on_loss`` caps cwnd at in-flight (packet conservation); the
@@ -269,7 +271,8 @@ class BBRKernel:
         self.mode = BBR_STARTUP
         self.pacing_gain = BBR_STARTUP_GAIN
         self.cwnd_gain = BBR_STARTUP_GAIN
-        #: (time, units/sec) max filter over a sliding window.
+        #: (time, units/sec) samples of the sliding window that no newer
+        #: sample dominates; the front is the windowed max.
         self.bw_samples: Deque[Tuple[float, float]] = deque()
         self.full_bw = 0.0
         self.full_bw_rounds = 0
@@ -282,7 +285,8 @@ class BBRKernel:
 
     # ------------------------------------------------------------------
     def bandwidth(self) -> float:
-        return max((bw for _, bw in self.bw_samples), default=0.0)
+        samples = self.bw_samples
+        return samples[0][1] if samples else 0.0
 
     def on_ack(self, acked: float, now: float = 0.0, srtt: float = 0.0,
                min_rtt: float = 0.0) -> None:
@@ -315,10 +319,19 @@ class BBRKernel:
 
     # ------------------------------------------------------------------
     def _push_bw_sample(self, now: float, rate: float, srtt: float) -> None:
+        # A sample that a newer one matches or beats can never be the
+        # windowed max again: drop it, so rates strictly decrease front
+        # to back and the front is the max.  Sample times strictly
+        # increase, so the front also expires no later than anything
+        # behind it — ``bandwidth()`` is float-for-float the max over
+        # the plain time window, however ``window`` grows or shrinks.
         window = BBR_BW_WINDOW_ROUNDS * max(srtt, 1e-3)
-        self.bw_samples.append((now, rate))
-        while self.bw_samples and now - self.bw_samples[0][0] > window:
-            self.bw_samples.popleft()
+        samples = self.bw_samples
+        while samples and samples[-1][1] <= rate:
+            samples.pop()
+        samples.append((now, rate))
+        while now - samples[0][0] > window:  # stops at the new sample
+            samples.popleft()
 
     def _update_mode(self, now: float, srtt: float, min_rtt: float) -> None:
         mode = self.mode

@@ -87,7 +87,7 @@ class FlowTable:
     """
 
     __slots__ = (
-        "capacity", "mss", "cc", "params_by_proto",
+        "capacity", "mss", "cc", "_is_bbr", "params_by_proto",
         # float columns
         "arrival", "cwnd", "ssthresh", "srtt", "rttvar", "min_rtt",
         "last_progress", "finish",
@@ -112,6 +112,7 @@ class FlowTable:
         self.capacity = capacity
         self.mss = mss
         self.cc = cc
+        self._is_bbr = cc == "bbr"  # per-table constant, read per ACK
         self.params_by_proto: Tuple[FlowParams, FlowParams] = (
             QUIC_PARAMS, TCP_PARAMS)
         zd = [0.0] * capacity
@@ -206,10 +207,11 @@ class FlowTable:
         mrtt = self.min_rtt[flow]
         if mrtt == 0.0 or sample < mrtt:
             self.min_rtt[flow] = sample
-        kernel = self.kernel[flow]
-        if kernel is not None and kernel.name == "bbr":
+        if self._is_bbr:
             # BBR tracks min-RTT freshness (the ProbeRTT trigger).
-            kernel.on_rtt_sample(now, sample, self.min_rtt[flow])
+            kernel = self.kernel[flow]
+            if kernel is not None:
+                kernel.on_rtt_sample(now, sample, self.min_rtt[flow])
         srtt = self.srtt[flow]
         if srtt == 0.0:
             self.srtt[flow] = sample

@@ -1,8 +1,15 @@
 """Tests for the simplified BBR controller (Fig. 3b support)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.executor import ProtocolSpec
 from repro.core.instrumentation import Trace
+from repro.core.runner import run_page_load
+from repro.http.objects import page
+from repro.netem.profiles import Scenario
+from repro.quic.config import quic_config
 from repro.transport.cc.bbr import BBR, DRAIN_GAIN, STARTUP_GAIN
 from repro.transport.cc.interface import BBRState
 from repro.transport.rtt import RttEstimator
@@ -103,3 +110,20 @@ class TestTracing:
         assert seq[0] == BBRState.STARTUP.value
         assert BBRState.DRAIN.value in seq
         assert BBRState.PROBE_BW.value in seq
+
+
+class TestKnownDeviations:
+    @pytest.mark.xfail(strict=True, reason=(
+        "QUIC-BBR on the classic stack does not converge below ~50 Mbps: "
+        "a 10 MB load at 36 ms RTT takes 210.7 s at 5 Mbps and 55.4 s at "
+        "10 Mbps (serialisation 16.8 / 8.4 s; Cubic 17.8 / 8.9 s), 7.1 s "
+        "at 20 Mbps, and only matches Cubic at 50 Mbps (1.89 vs 1.85 s). "
+        "On record in EXPERIMENTS.md 'Known deviations'; fixing it moves "
+        "pinned outcomes, so it is its own change."))
+    def test_bulk_load_within_2x_of_serialisation_at_10mbps(self):
+        size = 10 * 1024 * 1024
+        out = run_page_load(
+            Scenario(name="s", rate_mbps=10.0, rtt=0.036), page(1, size),
+            ProtocolSpec.quic(replace(quic_config(34), use_bbr=True)),
+            seed=1)
+        assert out.result.plt <= 2 * (size * 8 / 10e6)

@@ -6,10 +6,16 @@ outcomes byte-for-byte (fixed-seed goldens captured on the last commit
 before the kernel extraction, with ``batch_quantum=0``), and (2) each
 adapter class delegates its window arithmetic to its kernel — an
 identically-parameterised standalone kernel stepped with the mirror
-call sequence tracks the adapter's cwnd exactly.
+call sequence tracks the adapter's cwnd exactly.  BBR's windowed-max
+bandwidth filter is pinned separately: against the linear filter it
+replaced (same floats after every push), by an operation count (constant
+work per ACK) and by fixed-seed BBR manyflow goldens.
 """
 
 from __future__ import annotations
+
+import random
+from collections import deque
 
 import pytest
 
@@ -20,6 +26,7 @@ from repro.core.manyflow import (
 )
 from repro.transport.cc import BBR, CubicCC, CubicConfig
 from repro.transport.cc.kernels import (
+    BBR_BW_WINDOW_ROUNDS,
     BBRKernel,
     CubicKernel,
     KERNEL_NAMES,
@@ -107,6 +114,67 @@ PRE_REFACTOR_LOSSY = {
     "sim_time": 120.0,
 }
 
+# ----------------------------------------------------------------------
+# BBR goldens captured on the last commit with the linear bandwidth
+# filter: ManyflowConfig(flows=50, duration=30.0, cc="bbr", aqm=...),
+# seed 0, default batch quantum and manyflow_scenario().  The full
+# metrics dict per AQM is the shared part plus what the AQM moves.
+# ----------------------------------------------------------------------
+_BBR_GOLDEN_SHARED = {
+    "flows": 50.0,
+    "flows_completed": 50.0,
+    "plt_p10": 0.04133276351455791,
+    "quic_share": 0.41528605032388793,
+    "bytes_acked": 10361918.0,
+    "packets_delivered": 7701.0,
+    "acks_processed": 7701.0,
+    "tx_completions": 7701.0,
+    "logical_events": 23103.0,
+    "loss_drops": 0.0,
+    "sim_time": 30.0,
+}
+BBR_GOLDEN = {
+    "droptail": {
+        **_BBR_GOLDEN_SHARED,
+        "plt_p50": 0.11039982792677555,
+        "plt_p90": 0.17523251239696863,
+        "plt_p99": 0.45718083090461004,
+        "plt_quic_p50": 0.08462166408557577,
+        "plt_tcp_p50": 0.12864314883224376,
+        "jain_index": 0.4460118153170447,
+        "rate_p50": 588577.4215739697,
+        "heap_events": 1357.0,
+        "queue_drops": 235.0,
+        "codel_drops": 0.0,
+    },
+    "codel": {
+        **_BBR_GOLDEN_SHARED,
+        "plt_p50": 0.11039982792677555,
+        "plt_p90": 0.17523251239696863,
+        "plt_p99": 0.4793029589046279,
+        "plt_quic_p50": 0.08462166408557577,
+        "plt_tcp_p50": 0.12864314883224376,
+        "jain_index": 0.45096587419337386,
+        "rate_p50": 588577.4215739697,
+        "heap_events": 1357.0,
+        "queue_drops": 237.0,
+        "codel_drops": 3.0,
+    },
+    "fq_codel": {
+        **_BBR_GOLDEN_SHARED,
+        "plt_p50": 0.09702380938710631,
+        "plt_p90": 0.16698706203386746,
+        "plt_p99": 0.48307157357704256,
+        "plt_quic_p50": 0.08836486303976215,
+        "plt_tcp_p50": 0.11964459454367427,
+        "jain_index": 0.46674821563837715,
+        "rate_p50": 598103.6442638848,
+        "heap_events": 1270.0,
+        "queue_drops": 106.0,
+        "codel_drops": 4.0,
+    },
+}
+
 
 def run_metrics(config, scenario=None, seed=0, batch_quantum=0.0):
     engine = ManyflowEngine(scenario or manyflow_scenario(), config,
@@ -127,6 +195,14 @@ class TestPreRefactorGoldens:
         config = ManyflowConfig(flows=40, duration=120.0)
         scenario = manyflow_scenario(rate_mbps=20.0, loss_rate=0.01)
         assert run_metrics(config, scenario, seed=3) == PRE_REFACTOR_LOSSY
+
+
+class TestBbrManyflowGoldens:
+    @pytest.mark.parametrize("aqm", sorted(BBR_GOLDEN))
+    def test_golden_byte_identical(self, aqm):
+        config = ManyflowConfig(flows=50, duration=30.0, cc="bbr", aqm=aqm)
+        engine = ManyflowEngine(manyflow_scenario(), config, seed=0)
+        assert engine.run() == BBR_GOLDEN[aqm]
 
 
 class TestManyflowCcAxis:
@@ -265,6 +341,9 @@ class TestKernelAdapterEquivalence:
         assert cc.ssthresh == mirror.ssthresh
 
     def test_bbr(self):
+        """Compares ``BBRKernel`` with *itself* through the adapter, so
+        it pins the delegation only: a wrong bandwidth filter passes
+        here.  ``TestBbrBandwidthFilter`` is what checks the filter."""
         rtt = RttEstimator()
         cc = BBR(rtt, mss=1350)
         mirror = BBRKernel(mss=1350)
@@ -310,3 +389,97 @@ class TestKernelAdapterEquivalence:
                 mirror.on_timeout(now)
                 assert table.cwnd[0] == mirror.cwnd
         assert table.ssthresh[0] == mirror.ssthresh
+
+
+class CountingFloat(float):
+    """A float that counts the ordering comparisons it takes part in and
+    survives the ``acked / interval`` that makes a delivery-rate sample."""
+
+    comparisons = 0
+
+    def _counted(compare):
+        def method(self, other):
+            CountingFloat.comparisons += 1
+            return compare(float(self), other)
+        return method
+
+    __lt__ = _counted(float.__lt__)
+    __le__ = _counted(float.__le__)
+    __gt__ = _counted(float.__gt__)
+    __ge__ = _counted(float.__ge__)
+    del _counted
+
+    def __truediv__(self, other):
+        return CountingFloat(float(self) / other)
+
+
+class TestBbrBandwidthFilter:
+    """The monotonic-deque windowed max against the linear filter it
+    replaced: the same floats, at constant work per ACK."""
+
+    @staticmethod
+    def _schedule(pushes=20_000, seed=18):
+        """Seeded ``(now, rate, srtt)`` pushes, strictly increasing in
+        time, in runs of 20-800 pushes of one shape — rates random from a
+        small set (repeats are common), all equal, strictly decreasing
+        (nothing is ever dominated) or strictly increasing — with srtt
+        jumping 10x up or down (or to 0, the 1e-3 floor) between runs
+        and one idle gap longer than any window."""
+        rng = random.Random(seed)
+        now, rate, srtt = 0.0, 1000.0, 0.004
+        left, shape = 0, "random"
+        for push in range(pushes):
+            if left == 0:
+                left = rng.randint(20, 800)
+                shape = rng.choice(
+                    ("random", "equal", "decreasing", "increasing"))
+                srtt = rng.choice((0.0, 0.004, 0.04))
+            left -= 1
+            now += rng.uniform(1e-4, 2e-3)
+            if push == pushes // 2:
+                now += 5.0  # idle: every older sample expires at once
+            if shape == "random":
+                rate = float(rng.randint(1, 12)) * 125.0
+            elif shape == "decreasing":
+                rate = rate * 0.999
+            elif shape == "increasing":
+                rate = rate * 1.001
+            yield now, rate, srtt
+
+    def test_matches_linear_reference_after_every_push(self):
+        kernel = BBRKernel(mss=1.0)
+        assert kernel.bandwidth() == 0.0
+        reference = deque()  # the parent commit's filter, verbatim
+        longest = evictions = 0
+        for now, rate, srtt in self._schedule():
+            kernel._push_bw_sample(now, rate, srtt)
+            window = BBR_BW_WINDOW_ROUNDS * max(srtt, 1e-3)
+            reference.append((now, rate))
+            while reference and now - reference[0][0] > window:
+                reference.popleft()
+                evictions += 1
+            assert kernel.bandwidth() == max(bw for _, bw in reference), now
+            assert len(kernel.bw_samples) <= len(reference)
+            longest = max(longest, len(reference))
+        # The schedule really filled and emptied windows.
+        assert longest >= 300 and evictions >= 15_000
+
+    def test_constant_comparisons_per_ack(self):
+        """No wall clock: count the comparisons rate samples take part
+        in.  A 1 s window fed one ACK per ms holds 1 000 samples, and a
+        strictly decreasing rate means none is ever dominated — the
+        linear filter compared ~1 000 rates per ACK here (833 on
+        average over the run); this one compares one."""
+        kernel = BBRKernel(mss=1.0)
+        acks = 3_000
+        CountingFloat.comparisons = 0
+        for ack in range(acks):
+            # One spike mid-run evicts the whole deque at once: the
+            # bound is amortised, not per call.
+            acked = 5_000.0 if ack == 2_000 else 2_000.0 - 0.1 * ack
+            kernel.on_ack(CountingFloat(acked), now=1e-3 * ack, srtt=0.1,
+                          min_rtt=0.1)
+            if ack == 1_999:
+                assert len(kernel.bw_samples) >= 500
+        assert isinstance(kernel.bandwidth(), CountingFloat)
+        assert 0 < CountingFloat.comparisons <= 4 * acks

@@ -127,6 +127,23 @@ class TestManyflowCommand:
         assert args.profile == 5
         assert args.profile_workload == "manyflow"
 
+    def test_profile_manyflow_covers_every_kernel(self, capsys,
+                                                  monkeypatch):
+        from functools import partial
+
+        from repro.core import bench
+        from repro.transport.cc import KERNEL_NAMES
+
+        monkeypatch.setattr(bench, "profile_manyflow",
+                            partial(bench.profile_manyflow, flows=20))
+        assert main(["bench", "--profile", "3",
+                     "--profile-workload", "manyflow"]) == 0
+        out = capsys.readouterr().out
+        for cc in KERNEL_NAMES:
+            heading = f"== manyflow cc={cc} (20 flows) =="
+            assert out.count(heading) == 1
+            assert "Ordered by: cumulative time" in out.split(heading)[1]
+
     def test_small_run_and_cache_replay(self, capsys, tmp_path):
         argv = ["manyflow", "--flows", "20", "--duration", "120",
                 "--cache", str(tmp_path / "store")]

@@ -21,11 +21,15 @@ Exact ``==`` on floats is deliberate: bit-identity is the guarantee.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.bench import bench_plt
+from repro.core.executor import ProtocolSpec
 from repro.core.runner import run_page_load
 from repro.devices import MOTOG
 from repro.http.objects import page
-from repro.netem.profiles import emulated
+from repro.netem.profiles import Scenario, emulated
+from repro.quic.config import quic_config
 
 
 def _link_counts(stats):
@@ -77,6 +81,24 @@ class TestGoldenTcp:
             272, 27314, 0, 4, 268, 26946, 0)
         assert _link_counts(out.path.bottleneck_down.stats) == (
             374, 517688, 84, 3, 371, 514792, 0)
+
+
+class TestGoldenQuicBbr:
+    """QUIC with BBR: 50 Mbps, 36 ms RTT, clean; 1 x 10 MB; seed 1.
+
+    The classic stack's drive of the shared ``BBRKernel``: its bandwidth
+    filter is read once per packet sent (pacing) and once per ACK.
+    Captured on the last commit with the linear windowed-max filter.
+    """
+
+    def test_exact_metrics(self):
+        out = run_page_load(
+            Scenario(name="s", rate_mbps=50.0, rtt=0.036),
+            page(1, 10 * 1024 * 1024),
+            ProtocolSpec.quic(replace(quic_config(34), use_bbr=True)),
+            seed=1)
+        assert out.result.plt == 1.885478055352652
+        assert out.sim.events_processed == 47354
 
 
 class TestCanonicalBenchCell:
