@@ -44,12 +44,10 @@ examples:
 results:
 	@ls -1 benchmarks/results/
 
-# What CI runs: the tier-1 suite plus the store round-trip smoke (the
-# store_hit_rate gate: a tiny spec grid run twice must be 100% cache
-# hits with byte-identical metrics the second time).
+# What CI runs: the tier-1 suite plus the end-to-end benchmark's own tests.
 check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
-	$(PYTHON) scripts/bench_diff.py gate store_hit_rate
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests -q
 
 # clean removes caches and scratch output only; benchmarks/results/ is
 # git-tracked (committed benchmark summaries) and must survive a clean.

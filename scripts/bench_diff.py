@@ -20,10 +20,6 @@ kind             committed payload   contracts · gated rates
 ================ =================== ====================================
 sim_hotpath      BENCH_sim.json      id: PLT pair, event/packet counts ·
                                      events_per_sec, packets_per_sec
-executor_scaling BENCH_executor.json -
-store_hit_rate   BENCH_store.json    warm_hit_rate == 1.0
-pipeline         BENCH_pipeline.json max_event_bytes <= event_bound_bytes
-fabric           BENCH_fabric.json   resume_missing 0; warm_hit_rate 1.0
 manyflow         BENCH_manyflow.json speedup_vs_per_packet >= 3.0;
                                      id: outcome · events_per_sec
 models           BENCH_models.json   all gated_cells within_tolerance; id:
@@ -63,8 +59,6 @@ OPS = {
     "is": (lambda v, r: v is r, lambda v, r: f"{v}"),
     "==": (lambda v, r: v == r, lambda v, r: f"{v}"),
     "all of": (lambda v, r: bool(r) and v == r, lambda v, r: f"{v}/{r}"),
-    "<=": (lambda v, r: _numbers(v, r) and v <= r,
-           lambda v, r: f"{v} <= {r}"),
     ">=": (lambda v, r: _numbers(v, r) and v >= r,
            lambda v, r: f"{v:.2f}x (floor {r:g}x)"),
     "<= ln1p": (lambda v, r: _numbers(v, r) and r > 0 and v <= math.log1p(r),
@@ -81,7 +75,7 @@ OPS = {
 #:   rates      host-normalised rates gated on --threshold
 #:   identity   fixed-seed fields that must not change while every ``same``
 #:              path (dotted, from the root; default: ``workload``) matches
-#:   info       (field, template over b, c, ratio=c/b, inverse=b/c[, label])
+#:   info       (field, template over b, c, inverse=b/c[, label])
 #:   history    what lands in a --history line
 GATES: Dict[str, Dict[str, Any]] = {
     "sim_hotpath": {
@@ -96,69 +90,6 @@ GATES: Dict[str, Dict[str, Any]] = {
         "same": ("workload.plt_scenario", "workload.plt_page"),
         "info": (("plt_wall_seconds", "{inverse:.3f}x of baseline"),),
         "history": ("events_per_sec", "packets_per_sec", "plt_wall_seconds"),
-    },
-    "executor_scaling": {
-        "payload": "BENCH_executor.json",
-        "measure": ["benchmarks/executor_scaling.py", "--jobs", "2"],
-        "required": ("runs_total", "jobs", "serial_seconds",
-                     "parallel_seconds", "speedup", "results_identical"),
-        "contracts": (
-            ("results_identical", "is", True,
-             "parallel results are not byte-identical to serial"),),
-        # speedup measures the host's core count more than the code
-        "info": (("speedup", "{c:.2f}x vs baseline {b:.2f}x"),),
-        "history": ("speedup", "serial_seconds", "parallel_seconds"),
-    },
-    "store_hit_rate": {
-        "payload": "BENCH_store.json",
-        "measure": ["benchmarks/store_hit_rate.py", "--runs", "2"],
-        "required": ("runs_total", "cold_seconds", "warm_seconds",
-                     "warm_speedup", "warm_hit_rate", "results_identical"),
-        "contracts": (
-            ("results_identical", "is", True,
-             "warm/resumed results are not byte-identical to the cold pass"),
-            ("warm_hit_rate", "==", 1.0, "a warm sweep re-executed cells")),
-        "info": (("warm_speedup", "{c:.1f}x vs baseline {b:.1f}x"),),
-        "history": ("warm_speedup", "warm_hit_rate", "cold_seconds",
-                    "warm_seconds"),
-    },
-    "pipeline": {
-        "payload": "BENCH_pipeline.json",
-        "measure": ["benchmarks/executor_pipeline.py", "--cells", "2000"],
-        "required": ("cells", "jobs", "roundtrip_seconds",
-                     "pipelined_seconds", "pipelined_speedup",
-                     "events_per_sec", "max_event_bytes",
-                     "event_bound_bytes", "parent_rss_peak_kb",
-                     "results_identical"),
-        "contracts": (
-            ("results_identical", "is", True,
-             "the pipelined and round-trip sweeps left different stores"),
-            ("max_event_bytes", "<=", "event_bound_bytes",
-             "a record payload crossed the parent pipe in the event stream")),
-        "info": (("pipelined_speedup", "{c:.2f}x vs baseline {b:.2f}x"),
-                 ("events_per_sec", "{ratio:.3f}x of baseline")),
-        "history": ("pipelined_speedup", "events_per_sec",
-                    "parent_rss_peak_kb", "pipelined_seconds",
-                    "roundtrip_seconds"),
-    },
-    "fabric": {
-        "payload": "BENCH_fabric.json",
-        "measure": ["benchmarks/fabric_sweep.py", "--cells", "2000"],
-        "required": ("cells", "workers", "single_seconds", "fabric_seconds",
-                     "fabric_overhead", "cells_per_sec", "warm_hit_rate",
-                     "resume_missing", "results_identical"),
-        "contracts": (
-            ("results_identical", "is", True,
-             "the served store's report differs from the single-process one"),
-            ("resume_missing", "==", 0,
-             "the server cannot answer for every key: records were lost"),
-            ("warm_hit_rate", "==", 1.0,
-             "a warm fabric sweep re-executed cells")),
-        # localhost HTTP overhead is the host's business, not a gate
-        "info": (("fabric_overhead", "{c:.2f}x vs baseline {b:.2f}x"),
-                 ("cells_per_sec", "{ratio:.3f}x of baseline")),
-        "history": ("fabric_overhead", "cells_per_sec", "warm_hit_rate",
-                    "fabric_seconds", "single_seconds"),
     },
     "manyflow": {
         "payload": "BENCH_manyflow.json",
@@ -264,8 +195,7 @@ def compare(baseline: str, candidate: str, threshold: float,
     :data:`GATES` row over the two payload files."""
     base, cand = (json.loads(Path(path).read_text())
                   for path in (baseline, candidate))
-    # legacy payloads without a declared kind are sim-shaped
-    kind, cand_kind = (p.get("benchmark", "sim_hotpath") for p in (base, cand))
+    kind, cand_kind = (p.get("benchmark") for p in (base, cand))
     if kind != cand_kind:
         print(f"FAIL: baseline is a {kind!r} payload but candidate "
               f"is {cand_kind!r}; compare like with like")
@@ -338,7 +268,7 @@ def compare(baseline: str, candidate: str, threshold: float,
     for field, template, *label in row.get("info", ()):
         b, c = b_num.get(field), c_num.get(field)
         if _numbers(b, c) and b and c:
-            trend = template.format(b=b, c=c, ratio=c / b, inverse=b / c)
+            trend = template.format(b=b, c=c, inverse=b / c)
             print(f"{label[0] if label else field}: {trend} [informational]")
 
     if history:

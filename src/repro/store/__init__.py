@@ -38,7 +38,6 @@ from .backend import (
     BACKENDS,
     DEFAULT_STORE_PATH,
     STORE_ENV_VAR,
-    ResultStore,
     SqliteStore,
     StoreBackend,
     StoreNotFoundError,
@@ -76,7 +75,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_STORE_PATH",
     "STORE_ENV_VAR",
-    "ResultStore",
     "SqliteStore",
     "ShardStore",
     "StoreBackend",

@@ -340,11 +340,6 @@ class SqliteStore(StoreBackend):
         self._db.close()
 
 
-#: Backwards-compatible name: `ResultStore` was the sqlite store before
-#: the backend split.
-ResultStore = SqliteStore
-
-
 def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
                backend: Optional[str] = None) -> StoreBackend:
     """Open a results store, selecting the backend by convention.

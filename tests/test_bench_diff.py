@@ -103,238 +103,6 @@ class TestBenchDiff:
         assert "BEHAVIOUR CHANGE" in proc.stdout
 
 
-def executor_payload(**overrides):
-    base = {
-        "benchmark": "executor_scaling",
-        "runs_total": 24,
-        "jobs": 4,
-        "serial_seconds": 2.0,
-        "parallel_seconds": 0.7,
-        "speedup": 2.9,
-        "results_identical": True,
-    }
-    base.update(overrides)
-    return base
-
-
-def store_payload(**overrides):
-    base = {
-        "benchmark": "store_hit_rate",
-        "runs_total": 24,
-        "cold_seconds": 2.0,
-        "warm_seconds": 0.05,
-        "warm_speedup": 40.0,
-        "warm_hit_rate": 1.0,
-        "results_identical": True,
-    }
-    base.update(overrides)
-    return base
-
-
-def pipeline_payload(**overrides):
-    base = {
-        "benchmark": "pipeline",
-        "cells": 10_000,
-        "jobs": 4,
-        "roundtrip_seconds": 15.0,
-        "pipelined_seconds": 5.0,
-        "pipelined_speedup": 3.0,
-        "events_total": 20_000,
-        "events_per_sec": 4_000.0,
-        "max_event_bytes": 360,
-        "event_bound_bytes": 1024,
-        "parent_rss_peak_kb": 40_000,
-        "results_identical": True,
-    }
-    base.update(overrides)
-    return base
-
-
-def fabric_payload(**overrides):
-    base = {
-        "benchmark": "fabric",
-        "cells": 10_000,
-        "workers": 4,
-        "sync_every": 256,
-        "single_seconds": 4.0,
-        "fabric_seconds": 10.0,
-        "fabric_overhead": 2.5,
-        "cells_per_sec": 1_000.0,
-        "warm_seconds": 2.0,
-        "warm_hit_rate": 1.0,
-        "resume_missing": 0,
-        "results_identical": True,
-    }
-    base.update(overrides)
-    return base
-
-
-class TestMultiPayloadGate:
-    """Exit-code contract for the executor/store payload kinds:
-    0 = shape + contract hold, 1 = contract violation, 2 = malformed
-    payload or benchmark-kind mismatch."""
-
-    def test_executor_payload_passes(self, tmp_path):
-        proc = diff(tmp_path, executor_payload(), executor_payload())
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "executor_scaling" in proc.stdout
-
-    def test_store_payload_passes(self, tmp_path):
-        proc = diff(tmp_path, store_payload(), store_payload())
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "store_hit_rate" in proc.stdout
-
-    def test_executor_results_not_identical_fails(self, tmp_path):
-        proc = diff(tmp_path, executor_payload(),
-                    executor_payload(results_identical=False))
-        assert proc.returncode == 1
-        assert "CONTRACT FAIL" in proc.stdout
-
-    def test_executor_speedup_is_informational(self, tmp_path):
-        # A slower parallel run is the host's business, not a gate.
-        proc = diff(tmp_path, executor_payload(),
-                    executor_payload(speedup=1.1, parallel_seconds=1.8))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_store_cold_hit_rate_fails(self, tmp_path):
-        proc = diff(tmp_path, store_payload(),
-                    store_payload(warm_hit_rate=0.9))
-        assert proc.returncode == 1
-        assert "warm_hit_rate" in proc.stdout
-
-    def test_store_results_not_identical_fails(self, tmp_path):
-        proc = diff(tmp_path, store_payload(),
-                    store_payload(results_identical=False))
-        assert proc.returncode == 1
-
-    def test_pipeline_payload_passes(self, tmp_path):
-        proc = diff(tmp_path, pipeline_payload(), pipeline_payload())
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "pipeline" in proc.stdout
-
-    def test_pipeline_results_not_identical_fails(self, tmp_path):
-        proc = diff(tmp_path, pipeline_payload(),
-                    pipeline_payload(results_identical=False))
-        assert proc.returncode == 1
-        assert "CONTRACT FAIL" in proc.stdout
-
-    def test_pipeline_event_bound_breach_fails(self, tmp_path):
-        # A record payload leaking into the parent pipe is the exact
-        # regression the streaming API exists to prevent.
-        proc = diff(tmp_path, pipeline_payload(),
-                    pipeline_payload(max_event_bytes=9_000))
-        assert proc.returncode == 1
-        assert "parent pipe" in proc.stdout
-
-    def test_pipeline_speedup_is_informational(self, tmp_path):
-        proc = diff(tmp_path, pipeline_payload(),
-                    pipeline_payload(pipelined_speedup=1.1,
-                                     pipelined_seconds=13.0))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "informational" in proc.stdout
-
-    def test_pipeline_missing_key_is_malformed(self, tmp_path):
-        broken = pipeline_payload()
-        del broken["max_event_bytes"]
-        proc = diff(tmp_path, pipeline_payload(), broken)
-        assert proc.returncode == 2
-        assert "missing required" in proc.stdout
-
-    def test_fabric_payload_passes(self, tmp_path):
-        proc = diff(tmp_path, fabric_payload(), fabric_payload())
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "fabric" in proc.stdout
-
-    def test_fabric_results_not_identical_fails(self, tmp_path):
-        proc = diff(tmp_path, fabric_payload(),
-                    fabric_payload(results_identical=False))
-        assert proc.returncode == 1
-        assert "CONTRACT FAIL" in proc.stdout
-
-    def test_fabric_lost_records_fail(self, tmp_path):
-        # A non-empty post-sweep /missing probe means uploads were lost.
-        proc = diff(tmp_path, fabric_payload(),
-                    fabric_payload(resume_missing=3))
-        assert proc.returncode == 1
-        assert "resume_missing" in proc.stdout
-
-    def test_fabric_cold_warm_pass_fails(self, tmp_path):
-        proc = diff(tmp_path, fabric_payload(),
-                    fabric_payload(warm_hit_rate=0.98))
-        assert proc.returncode == 1
-        assert "warm_hit_rate" in proc.stdout
-
-    def test_fabric_overhead_is_informational(self, tmp_path):
-        # Localhost HTTP overhead is the host's business, not a gate.
-        proc = diff(tmp_path, fabric_payload(),
-                    fabric_payload(fabric_overhead=4.0,
-                                   fabric_seconds=16.0,
-                                   cells_per_sec=625.0))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "informational" in proc.stdout
-
-    def test_fabric_missing_key_is_malformed(self, tmp_path):
-        broken = fabric_payload()
-        del broken["resume_missing"]
-        proc = diff(tmp_path, fabric_payload(), broken)
-        assert proc.returncode == 2
-        assert "missing required" in proc.stdout
-
-    def test_missing_required_key_is_malformed(self, tmp_path):
-        broken = executor_payload()
-        del broken["results_identical"]
-        proc = diff(tmp_path, executor_payload(), broken)
-        assert proc.returncode == 2
-        assert "missing required" in proc.stdout
-
-    def test_kind_mismatch_is_an_error(self, tmp_path):
-        proc = diff(tmp_path, payload(), store_payload())
-        assert proc.returncode == 2
-        assert "like with like" in proc.stdout
-
-    def test_unknown_kind_is_an_error(self, tmp_path):
-        odd = {"benchmark": "frobnication", "x": 1}
-        proc = diff(tmp_path, odd, odd)
-        assert proc.returncode == 2
-
-    def test_legacy_payload_without_kind_is_sim(self, tmp_path):
-        old = payload()
-        del old["benchmark"]
-        proc = diff(tmp_path, old, old)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-class TestHistory:
-    def test_history_line_appended_and_parseable(self, tmp_path):
-        ledger = tmp_path / "hist.jsonl"
-        proc = diff(tmp_path, store_payload(), store_payload(),
-                    "--history", str(ledger))
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        lines = ledger.read_text().splitlines()
-        assert len(lines) == 1
-        entry = json.loads(lines[0])
-        assert entry["benchmark"] == "store_hit_rate"
-        assert entry["ok"] is True
-        assert entry["metrics"]["warm_hit_rate"] == 1.0
-        assert "ts" in entry
-
-    def test_failures_are_recorded_too(self, tmp_path):
-        ledger = tmp_path / "hist.jsonl"
-        diff(tmp_path, store_payload(), store_payload(),
-             "--history", str(ledger))
-        proc = diff(tmp_path, store_payload(),
-                    store_payload(warm_hit_rate=0.5),
-                    "--history", str(ledger))
-        assert proc.returncode == 1
-        lines = [json.loads(line)
-                 for line in ledger.read_text().splitlines()]
-        assert [entry["ok"] for entry in lines] == [True, False]
-
-    def test_no_history_flag_writes_nothing(self, tmp_path):
-        diff(tmp_path, payload(), payload())
-        assert not list(tmp_path.glob("*.jsonl"))
-
-
 def manyflow_payload(**overrides):
     base = {
         "benchmark": "manyflow",
@@ -594,6 +362,72 @@ class TestModelsGate:
 
 
 # ----------------------------------------------------------------------
+# whatever the kind: shape errors exit 2, --history appends one line
+# ----------------------------------------------------------------------
+class TestMultiPayloadGate:
+    """Exit code 2 = malformed payload, kind mismatch, or a kind the
+    gate table does not declare."""
+
+    def test_missing_required_key_is_malformed(self, tmp_path):
+        # sim_hotpath is the one kind whose numbers nest (`under`)
+        broken = payload()
+        del broken["current"]["packets_per_sec"]
+        proc = diff(tmp_path, payload(), broken)
+        assert proc.returncode == 2
+        assert "missing required" in proc.stdout
+
+    def test_kind_mismatch_is_an_error(self, tmp_path):
+        proc = diff(tmp_path, payload(), chaos_payload())
+        assert proc.returncode == 2
+        assert "like with like" in proc.stdout
+
+    def test_unknown_kind_is_an_error(self, tmp_path):
+        odd = {"benchmark": "frobnication", "x": 1}
+        proc = diff(tmp_path, odd, odd)
+        assert proc.returncode == 2
+
+    def test_legacy_payload_without_kind_is_sim(self, tmp_path):
+        # no guessing: a payload that does not declare its kind is an
+        # unknown kind, however sim-shaped the rest of it is
+        old = payload()
+        del old["benchmark"]
+        proc = diff(tmp_path, old, old)
+        assert proc.returncode == 2
+        assert "unknown benchmark kind" in proc.stdout
+
+
+class TestHistory:
+    def test_history_line_appended_and_parseable(self, tmp_path):
+        ledger = tmp_path / "hist.jsonl"
+        proc = diff(tmp_path, chaos_payload(), chaos_payload(),
+                    "--history", str(ledger))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = ledger.read_text().splitlines()
+        assert len(lines) == 1
+        entry = json.loads(lines[0])
+        assert entry["benchmark"] == "chaos"
+        assert entry["ok"] is True
+        assert entry["metrics"]["fsck_detect_rate"] == 1.0
+        assert "ts" in entry
+
+    def test_failures_are_recorded_too(self, tmp_path):
+        ledger = tmp_path / "hist.jsonl"
+        diff(tmp_path, chaos_payload(), chaos_payload(),
+             "--history", str(ledger))
+        proc = diff(tmp_path, chaos_payload(),
+                    chaos_payload(fsck_detect_rate=0.5),
+                    "--history", str(ledger))
+        assert proc.returncode == 1
+        lines = [json.loads(line)
+                 for line in ledger.read_text().splitlines()]
+        assert [entry["ok"] for entry in lines] == [True, False]
+
+    def test_no_history_flag_writes_nothing(self, tmp_path):
+        diff(tmp_path, payload(), payload())
+        assert not list(tmp_path.glob("*.jsonl"))
+
+
+# ----------------------------------------------------------------------
 # the committed payloads and the `gate` entry point
 # ----------------------------------------------------------------------
 COMMITTED = sorted(REPO.glob("BENCH_*.json"))
@@ -613,7 +447,7 @@ class TestCommittedPayloads:
             [sys.executable, str(SCRIPT), str(committed), str(committed)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        # a ninth benchmark cannot land ungated: the committed kinds and
+        # a fifth benchmark cannot land ungated: the committed kinds and
         # the table's rows are the same set, file for file
         kinds = {path.name: json.loads(path.read_text())["benchmark"]
                  for path in COMMITTED}
@@ -623,13 +457,15 @@ class TestCommittedPayloads:
 
 class TestGateEntryPoint:
     def test_gate_measures_into_temp_and_never_writes_tracked(self, tmp_path):
-        committed = REPO / "BENCH_store.json"
+        # models: single process and contract-only, so tier-1 imports
+        # neither a timing gate nor forked workers under injected faults
+        committed = REPO / "BENCH_models.json"
         before = committed.read_bytes()
         proc = subprocess.run(
-            [sys.executable, str(SCRIPT), "gate", "store_hit_rate"],
+            [sys.executable, str(SCRIPT), "gate", "models"],
             cwd=tmp_path, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "warm_hit_rate: 1.0 [ok]" in proc.stdout
+        assert "within_tolerance: 10/10 [ok]" in proc.stdout
         assert committed.read_bytes() == before
         assert not list(tmp_path.iterdir())
 

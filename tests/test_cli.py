@@ -84,7 +84,7 @@ class TestCommands:
         assert "SlowStart" in capsys.readouterr().out
 
     def test_video(self, capsys):
-        assert main(["video", "--quality", "medium", "--rate", "50",
+        assert main(["video", "--quality", "tiny", "--rate", "50",
                      "--loss", "0", "--runs", "2"]) == 0
         out = capsys.readouterr().out
         assert "quic" in out and "tcp" in out

@@ -11,6 +11,8 @@ import pickle
 
 import pytest
 
+import repro.core.executor as executor_module
+from repro.core.aggregate import store_aggregator
 from repro.core.executor import (
     EVENT_KINDS,
     EVENT_WIRE_BOUND,
@@ -154,9 +156,20 @@ class TestRetryAccounting:
 
 
 class TestWorkerDirectWriteBack:
-    def test_four_process_pool_writes_store_directly(self, tmp_path):
+    def test_four_process_pool_writes_store_directly(self, tmp_path,
+                                                     monkeypatch):
         """jobs=4 pool: records land in the store from the workers; the
         parent pipe carries only payload-free, size-bounded events."""
+        # the parent's relay strips records before yielding, so look at
+        # the chunks as they come off the pipe, not only at the stream
+        crossed = []
+        relay = executor_module._relay_chunk
+
+        def spy(chunk, *rest):
+            crossed.extend(chunk)
+            return relay(chunk, *rest)
+
+        monkeypatch.setattr(executor_module, "_relay_chunk", spy)
         cache = RunCache(ShardStore(tmp_path / "shards"))
         requests = [req(seed=s) for s in range(40)]
         events = list(iter_runs(requests, jobs=4, chunk_size=2,
@@ -164,9 +177,10 @@ class TestWorkerDirectWriteBack:
                                 force_pool=True))
         terminal = [e for e in events if e.terminal]
         assert sorted(e.index for e in terminal) == list(range(40))
+        assert sorted(e.index for e in crossed) == list(range(40))
         # no payloads crossed the parent pipe...
-        assert all(e.record is None for e in events)
-        for event in events:
+        assert all(e.record is None for e in events + crossed)
+        for event in events + crossed:
             assert len(pickle.dumps(event)) <= EVENT_WIRE_BOUND
         # ...yet every record is in the store, written by the workers.
         assert all(e.stored for e in terminal)
@@ -195,11 +209,18 @@ class TestWorkerDirectWriteBack:
     def test_pool_and_serial_stores_are_identical(self, tmp_path):
         serial = RunCache(ShardStore(tmp_path / "serial"))
         pooled = RunCache(ShardStore(tmp_path / "pooled"))
+        # keep_records: records ride the pipe and the parent writes them
+        roundtrip = RunCache(ShardStore(tmp_path / "roundtrip"))
         requests = [req(seed=s) for s in range(10)]
         list(iter_runs(requests, run_fn=_instant_run, store=serial))
         list(iter_runs(requests, jobs=4, chunk_size=3, run_fn=_instant_run,
                        store=pooled, force_pool=True))
-        assert set(serial.store.keys()) == set(pooled.store.keys())
+        run_requests(requests, jobs=4, chunk_size=3, run_fn=_instant_run,
+                     store=roundtrip, force_pool=True)
+        for cache in (pooled, roundtrip):
+            assert set(cache.store.keys()) == set(serial.store.keys())
+            assert (store_aggregator(cache.store).render()
+                    == store_aggregator(serial.store).render())
 
 
 class TestMidSweepReportParity:

@@ -282,6 +282,9 @@ class TestCoordinator:
         assert sorted(e.index for e in terminal) == list(
             range(len(requests)))
         assert len(terminal) == len(requests)
+        # no row lost in transit: the server answers for every key
+        keys = [run_key(r, fingerprint=fingerprint_for(r)) for r in requests]
+        assert RemoteStore(server.url).missing(keys) == []
         fabric = build_store_report(server.store).replace(
             str(server.store.path), "STORE")
         assert fabric == expected

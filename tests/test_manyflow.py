@@ -19,7 +19,7 @@ from repro.core.manyflow import (
     manyflow_scenario,
 )
 from repro.core.report import build_store_report
-from repro.store import ResultStore, request_from_dict, request_to_dict
+from repro.store import ShardStore, request_from_dict, request_to_dict
 
 
 def small_config(**overrides):
@@ -111,7 +111,7 @@ class TestExecutorIntegration:
     def test_requests_and_store_round_trip(self, tmp_path):
         cfg = small_config()
         requests = manyflow_requests(cfg, seeds=(0, 1))
-        store = ResultStore(tmp_path / "store")
+        store = ShardStore(tmp_path / "store")
         records = run_requests(requests, store=store)
         assert len(records) == 2
         assert all(r.complete for r in records)
@@ -122,7 +122,7 @@ class TestExecutorIntegration:
         assert [r.plt for r in again] == [r.plt for r in records]
 
     def test_store_report_renders_fairness_table(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ShardStore(tmp_path / "store")
         run_requests(manyflow_requests(small_config()), store=store)
         report = build_store_report(store)
         assert "Fairness (Jain index" in report

@@ -33,7 +33,7 @@ from repro.core.models import (
     render_model_fit_table,
 )
 from repro.core.report import build_store_report
-from repro.store import ResultStore
+from repro.store import ShardStore, SqliteStore
 from repro.transport.cc import kernels
 from repro.transport.flowtable import QUIC_PARAMS, TCP_PARAMS
 
@@ -209,7 +209,7 @@ class TestMisTunedKernelIsFlagged:
 class TestValidateCli:
     def test_from_store_passes_and_tightens(self, tmp_path, capsys):
         store_path = tmp_path / "store.sqlite"
-        store = ResultStore(store_path)
+        store = SqliteStore(store_path)
         oracle_grid_records(store=store)
         store.close()
         assert cli_main(["validate", "--from-store",
@@ -229,7 +229,7 @@ class TestValidateCli:
 
 class TestReportSections:
     def test_model_fit_section(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ShardStore(tmp_path / "store")
         oracle_grid_records(store=store)
         report = build_store_report(store)
         assert "## Model fit (analytical CC oracles)" in report
@@ -240,7 +240,7 @@ class TestReportSections:
         from repro.http import single_object_page
         from repro.netem import emulated
 
-        store = ResultStore(tmp_path / "store")
+        store = ShardStore(tmp_path / "store")
         request = RunRequest(scenario=emulated(10.0),
                              page=single_object_page(200 * 1024),
                              protocol=ProtocolSpec.quic(), trace=True)
@@ -251,6 +251,6 @@ class TestReportSections:
         assert "SlowStart" in report or "CongestionAvoidance" in report
 
     def test_untraced_store_has_no_dwell_section(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+        store = ShardStore(tmp_path / "store")
         oracle_grid_records(store=store)
         assert "Inferred CC states" not in build_store_report(store)

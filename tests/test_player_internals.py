@@ -53,7 +53,7 @@ class TestAccountingIdentities:
         sim = Simulator()
         player = make_player(sim, emulated(rate), quality="hd720")
         player.start()
-        horizon = 30.0
+        horizon = 10.0
         sim.run(until=horizon)
         metrics = player.finalize()
         used = metrics.played_seconds + metrics.stalled_seconds
@@ -65,7 +65,7 @@ class TestAccountingIdentities:
         sim = Simulator()
         player = make_player(sim, emulated(20.0))
         player.start()
-        sim.run(until=20.0)
+        sim.run(until=8.0)
         metrics = player.finalize()
         expected = (player._downloaded_segments
                     * player.video.segment_duration / 3600 * 100)

@@ -13,6 +13,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -42,7 +43,6 @@ from repro.netem import emulated
 from repro.netem.profiles import CELLULAR_PROFILES
 from repro.quic import quic_config
 from repro.store import (
-    ResultStore,
     RunCache,
     ShardStore,
     SqliteStore,
@@ -641,8 +641,16 @@ class TestShardLayout:
         shard = tmp_path / "shards" / "a.jsonl"
         with open(shard, "a") as handle:
             handle.write('{"key": "ab22", "created": 1.0, "rec')  # torn
-        assert store.keys() == ["aa11"]
+        with pytest.warns(RuntimeWarning, match="torn line"):
+            assert store.keys() == ["aa11"]
         assert store.get("aa11").plt == 1.0
+        # warned once per shard: an append drops the parse cache, and the
+        # re-parse that meets the same debris again stays silent
+        store.put("ac33", RunRecord(request=req(), plt=2.0, complete=True))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert store.keys() == ["aa11", "ac33"]
+        assert store.torn_lines == {"a": 1}
 
     def test_refuses_foreign_directory(self, tmp_path):
         target = tmp_path / "notastore"
@@ -843,10 +851,10 @@ class TestOpenStore:
         assert store.path == str(tmp_path / "env-store")
 
     def test_resultstore_alias_and_open(self, tmp_path):
-        # Backwards compatibility: ResultStore is the sqlite backend and
-        # its .open() coerces like open_store().
-        assert ResultStore is SqliteStore
-        assert isinstance(ResultStore.open(tmp_path / "x.sqlite"),
+        # The pre-split name is gone; .open() coerces like open_store().
+        with pytest.raises(ImportError):
+            from repro.store import ResultStore  # noqa: F401
+        assert isinstance(SqliteStore.open(tmp_path / "x.sqlite"),
                           SqliteStore)
         assert isinstance(StoreBackend.open(tmp_path / "y-dir"), ShardStore)
 

@@ -49,9 +49,16 @@ def run_player(scenario, quality, seconds=30.0, protocol="quic", **player_kw):
     return player.finalize()
 
 
+@pytest.fixture(scope="module")
+def fast_link_medium():
+    """One fast-link session for every test that only reads its metrics;
+    5 s at 100 Mbps buffers eleven minutes of "medium" ahead."""
+    return run_player(emulated(100.0), "medium", seconds=5.0)
+
+
 class TestPlayer:
-    def test_fast_link_low_quality_never_rebuffers(self):
-        metrics = run_player(emulated(100.0), "medium")
+    def test_fast_link_low_quality_never_rebuffers(self, fast_link_medium):
+        metrics = fast_link_medium
         assert metrics.rebuffer_count == 0
         assert metrics.time_to_start is not None
         assert metrics.time_to_start < 1.0
@@ -78,22 +85,24 @@ class TestPlayer:
         assert metrics.video_loaded_pct > 25.0
 
     def test_higher_quality_loads_smaller_fraction(self):
-        low = run_player(emulated(50.0), "medium", seconds=30.0)
-        high = run_player(emulated(50.0), "hd2160", seconds=30.0)
+        low = run_player(emulated(50.0), "medium", seconds=5.0)
+        high = run_player(emulated(50.0), "hd2160", seconds=5.0)
         assert high.video_loaded_pct < low.video_loaded_pct
 
     def test_time_to_start_grows_with_quality(self):
-        low = run_player(emulated(20.0), "tiny")
-        high = run_player(emulated(20.0), "hd2160")
+        # 6 s covers the slower start: one 4K segment is 3.5 s at 20 Mbps
+        low = run_player(emulated(20.0), "tiny", seconds=6.0)
+        high = run_player(emulated(20.0), "hd2160", seconds=6.0)
         assert high.time_to_start > low.time_to_start
 
     def test_tcp_player_works(self):
-        metrics = run_player(emulated(100.0), "hd720", protocol="tcp")
+        # a 60 s preload cap: 30 s of playback never needs more
+        metrics = run_player(emulated(100.0), "hd720", protocol="tcp",
+                             max_buffer_ahead=60.0)
         assert metrics.played_seconds > 20.0
 
-    def test_metrics_row_renders(self):
-        metrics = run_player(emulated(100.0), "medium")
-        text = metrics.row()
+    def test_metrics_row_renders(self, fast_link_medium):
+        text = fast_link_medium.row()
         assert "medium" in text and "rebuffers" in text
 
 
@@ -106,7 +115,7 @@ class TestQoEHarness:
 
     def test_aggregate_over_runs(self):
         agg = measure_video_qoe("medium", "quic", runs=3,
-                                scenario=emulated(50.0), test_seconds=15.0)
+                                scenario=emulated(50.0), test_seconds=5.0)
         assert len(agg.runs) == 3
         m, sd = agg.stat("video_loaded_pct")
         assert m > 0
