@@ -4,15 +4,14 @@
 ``benchmarks/results/*.txt`` summaries, or directly from a results
 store (any :class:`~repro.store.backend.StoreBackend`) holding cached
 :class:`~repro.core.executor.RunRecord` rows.  Both paths meet here:
-this module turns a stream of records — or of the executor's
-:class:`~repro.core.executor.RunEvent`\\ s — into deterministic
+this module turns a stream of records into deterministic
 per-cell aggregates (scenario x page x protocol) and renders them as
 the one table text both ``repro report --from-store`` and the
 results-file path embed — so a warm cache reports identically to a
 completed benchmark run without re-executing anything.
 
 The aggregation is *incremental*: a :class:`StreamAggregator` holds one
-:class:`CellAccumulator` per cell, each updated per record/event and
+:class:`CellAccumulator` per cell, each updated per record and
 ``merge``-able across workers, so nothing ever materialises the full
 record list.  An accumulator keeps only the cell's PLT floats and a
 run counter — the memory ceiling of a 10⁶-cell sweep's report is a few
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .executor import RunEvent, RunRecord
+from .executor import RunRecord
 from .models import ModelFitAccumulator, render_model_fit_table
 
 #: A cell identity: (scenario name, page name, protocol name).
@@ -58,8 +57,8 @@ class CellAccumulator:
 
     Holds only a run counter and the successful PLT floats — bounded
     memory regardless of how many records flow through.  Feed it
-    records or terminal :class:`RunEvent`\\ s; ``merge`` folds in a
-    peer accumulator (another worker's, or a later resume's).
+    records; ``merge`` folds in a peer accumulator (another worker's,
+    or a later resume's).
     """
 
     scenario: str
@@ -80,14 +79,6 @@ class CellAccumulator:
         self.runs += 1
         if record.ok and record.plt is not None:
             self.plts.append(record.plt)
-
-    def add_event(self, event: RunEvent) -> None:
-        """Fold in one executor event (non-terminal kinds are ignored)."""
-        if not event.terminal:
-            return
-        self.runs += 1
-        if event.ok and event.plt is not None:
-            self.plts.append(event.plt)
 
     def merge(self, other: "CellAccumulator") -> None:
         if other.key != self.key:
@@ -254,7 +245,7 @@ def render_fairness_table(cells: List[FairnessAccumulator]) -> str:
 
 
 class StreamAggregator:
-    """Per-cell accumulators fed one record/event at a time.
+    """Per-cell accumulators fed one record at a time.
 
     The streaming counterpart of :func:`aggregate_cells`: identical
     output for identical inputs, but nothing is materialised and two
@@ -264,8 +255,7 @@ class StreamAggregator:
     :class:`FairnessAccumulator`\\ s, a shared
     :class:`~repro.core.models.ModelFitAccumulator` (the analytical
     oracle comparison behind ``repro validate``), and — when traced —
-    per-cell :class:`DwellAccumulator`\\ s; events cannot (they carry
-    no metrics), so those artefacts are record-path features.
+    per-cell :class:`DwellAccumulator`\\ s.
     """
 
     def __init__(self) -> None:
@@ -311,12 +301,6 @@ class StreamAggregator:
                     scenario=request.scenario.name,
                     protocol=request.protocol.name)
             dwell.add_record(record)
-
-    def add_event(self, event: RunEvent) -> None:
-        if not event.terminal:
-            return
-        self._cell(event.scenario, event.page,
-                   event.protocol).add_event(event)
 
     def merge(self, other: "StreamAggregator") -> None:
         for key, cell in other.cells.items():

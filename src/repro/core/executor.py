@@ -862,8 +862,3 @@ def run_requests(
         if event.terminal:
             results[event.index] = event.record
     return results  # type: ignore[return-value]  # one terminal per request
-
-
-def failed_records(records: Sequence[RunRecord]) -> List[RunRecord]:
-    """The subset of ``records`` that produced no sample."""
-    return [record for record in records if not record.ok]

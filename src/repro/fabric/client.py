@@ -12,13 +12,14 @@ spelling::
     store = open_store("http://lab-server:8737")
     run_experiment(spec, jobs=4, store=store)
 
-Beyond the contract, two batched calls exist for the fabric's sake:
+Two of the contract's batched calls, and one more, carry the fabric:
 
 * :meth:`RemoteStore.missing` — one ``POST /missing`` round-trip maps a
   whole sweep's key list to the subset the server lacks;
 * :meth:`RemoteStore.upload_rows` / :meth:`RemoteStore.fetch` — bulk
-  JSONL transfer in the store-sync dialect, preserving per-row
-  ``created`` stamps (a plain ``put_many`` restamps).
+  JSONL transfer in the store-sync dialect (:mod:`repro.store.rows`),
+  preserving per-row ``created`` stamps (a plain ``put_many``
+  restamps).
 
 Failure handling is deliberately loud and actionable:
 
@@ -66,6 +67,7 @@ from ..store.keys import (
     record_from_dict,
     record_to_dict,
 )
+from ..store.rows import Row, decode_row, decode_rows, encode_row, labelled
 
 #: Rows per bulk request (uploads and fetches are chunked to this).
 BATCH_SIZE = 500
@@ -81,21 +83,6 @@ class FabricConnectionError(FabricError):
 
 class SchemaMismatchError(FabricError):
     """Client and server disagree on ``KEY_SCHEMA_VERSION``."""
-
-
-_Row = Tuple[str, Optional[float], str, Dict[str, Any]]
-
-
-def _parse_rows(text: str) -> List[_Row]:
-    rows: List[_Row] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        raw = json.loads(line)
-        rows.append((raw["key"], raw.get("created"),
-                     raw.get("fingerprint", ""), raw["record"]))
-    return rows
 
 
 def _chunked(items: List[Any], size: int) -> Iterator[List[Any]]:
@@ -219,12 +206,8 @@ class RemoteStore(StoreBackend):
             self._spill = ShardStore(self.spill_path)
         return self._spill
 
-    def _spill_writes(self, rows: List[_Row]) -> None:
-        store = self._spill_store()
-        for key, created, fingerprint, record in rows:
-            store.put(key, record_from_dict(record), fingerprint=fingerprint,
-                      created=created)
-        self.spilled_rows += len(rows)
+    def _spill_writes(self, rows: List[Row]) -> None:
+        self.spilled_rows += self._spill_store().upload_rows(rows)
 
     def _note_write_failure(self) -> None:
         self._write_failures += 1
@@ -283,17 +266,16 @@ class RemoteStore(StoreBackend):
                                   {"keys": chunk})["missing"])
         return out
 
-    def fetch(self, keys: Iterable[str]) -> List[_Row]:
+    def fetch(self, keys: Iterable[str]) -> List[Row]:
         """Bulk download: full rows for the present subset of ``keys``."""
         self._ensure_schema()
-        rows: List[_Row] = []
+        rows: List[Row] = []
         for chunk in _chunked(list(keys), BATCH_SIZE):
             body = json.dumps({"keys": chunk}).encode()
-            rows.extend(_parse_rows(
-                self._request("POST", "/fetch", body).decode()))
+            rows.extend(decode_rows(self._request("POST", "/fetch", body)))
         return rows
 
-    def upload_rows(self, rows: Iterable[_Row]) -> int:
+    def upload_rows(self, rows: Iterable[Row]) -> int:
         """Bulk upload rows in the sync dialect, preserving ``created``.
 
         Content-addressed rows make replays harmless, so transport
@@ -317,16 +299,12 @@ class RemoteStore(StoreBackend):
             return uploaded
         return self._upload_now(rows)
 
-    def _upload_now(self, rows: List[_Row]) -> int:
+    def _upload_now(self, rows: List[Row]) -> int:
         """The raw bulk-upload path (no breaker)."""
         self._ensure_schema()
         uploaded = 0
         for chunk in _chunked(rows, BATCH_SIZE):
-            body = "".join(
-                json.dumps({"key": key, "created": created,
-                            "fingerprint": fingerprint, "record": record},
-                           sort_keys=True) + "\n"
-                for key, created, fingerprint, record in chunk).encode()
+            body = "".join(encode_row(*row) for row in chunk).encode()
             reply = json.loads(self._request("POST", "/records",
                                              body).decode())
             uploaded += int(reply.get("imported", len(chunk)))
@@ -336,37 +314,21 @@ class RemoteStore(StoreBackend):
     def get(self, key: str) -> Optional[RunRecord]:
         self._ensure_schema()
         try:
-            raw = json.loads(self._request("GET", f"/records/{key}").decode())
+            body = self._request("GET", f"/records/{key}")
         except urllib.error.HTTPError as exc:
             if exc.code == 404:
                 return None
             raise
-        return record_from_dict(raw["record"])
+        return record_from_dict(decode_row(body)[0][3])
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:
-        if self._breaker_enabled():
-            # Route through the breaker-guarded bulk path so single-row
-            # writes degrade (spill + resync) exactly like batches.
-            self.upload_rows(
-                [(key, created, fingerprint, record_to_dict(record))])
-            return
-        self._ensure_schema()
-        body = json.dumps({
-            "created": created, "fingerprint": fingerprint,
-            "record": record_to_dict(record),
-        }).encode()
-        self._request("PUT", f"/records/{key}", body)
-
-    def put_many(self, entries: List[Tuple[str, RunRecord, str]], *,
-                 created: Optional[float] = None) -> int:
-        return self.upload_rows(
-            [(key, created, fingerprint, record_to_dict(record))
-             for key, record, fingerprint in entries])
+        # The bulk path even for one row, so single-row writes degrade
+        # (breaker: spill + resync) exactly like batches.
+        self.upload_rows([(key, created, fingerprint, record_to_dict(record))])
 
     def __contains__(self, key: str) -> bool:
-        self._ensure_schema()
-        return not self._json("POST", "/missing", {"keys": [key]})["missing"]
+        return not self.missing([key])
 
     def __len__(self) -> int:
         self._ensure_schema()
@@ -377,16 +339,11 @@ class RemoteStore(StoreBackend):
         return list(self._json("GET", "/keys")["keys"])
 
     def rows(self) -> Iterator[Tuple[str, float, str, str]]:
-        for key, created, fingerprint, record in self.items():
-            try:
-                label = record_from_dict(record).request.label
-            except Exception:  # noqa: BLE001 - keep listings best-effort
-                label = ""
-            yield key, created, fingerprint, label
+        return labelled(self.items())
 
-    def items(self) -> Iterator[Tuple[str, float, str, Dict[str, Any]]]:
+    def items(self) -> Iterator[Row]:
         self._ensure_schema()
-        yield from _parse_rows(self._request("GET", "/records").decode())
+        yield from decode_rows(self._request("GET", "/records"))
 
     def delete(self, key: str) -> bool:
         self._ensure_schema()

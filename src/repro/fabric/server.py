@@ -12,7 +12,7 @@ dependencies — speaking the content-addressed key protocol:
 ``GET  /records``           every row, streamed as JSONL (bulk download)
 ``GET  /records/<key>``     one row, or 404
 ``PUT  /records/<key>``     insert/replace one row
-``POST /records``           bulk upload: JSONL body -> ``put_many``
+``POST /records``           bulk upload: JSONL body -> ``upload_rows``
 ``POST /missing``           ``{"keys": [...]}`` -> the subset the server
                             *lacks* (the one-round-trip miss-list probe)
 ``POST /fetch``             ``{"keys": [...]}`` -> the present subset's
@@ -25,7 +25,10 @@ dependencies — speaking the content-addressed key protocol:
 Rows travel in the store's portable JSONL dialect — ``{"key":,
 "created":, "fingerprint":, "record":}`` — exactly what
 ``export_jsonl``/``import_jsonl`` read and write, so the wire format is
-the sync format.  Every handler runs under one server-wide lock: the
+the sync format (:mod:`repro.store.rows` owns it).  An uploaded row is
+outside input: it is decoded once — a body or record that does not
+decode is a 400 — and then written as the dict it arrived as.
+Every handler runs under one server-wide lock: the
 handler threads serialise on the backing store (which is what a sqlite
 backing needs, and what keeps a shard compaction from interleaving a
 bulk download), while the sharded backend's own per-shard flocks keep
@@ -44,11 +47,12 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..store.backend import StoreBackend, open_store
 from ..store.keys import KEY_SCHEMA_VERSION
+from ..store.rows import decode_row, decode_rows, encode_row, validated
 
 #: Version of the fabric wire protocol itself (paths + payload shapes).
 PROTOCOL_VERSION = 1
@@ -57,27 +61,6 @@ DEFAULT_PORT = 8737
 
 _JSON = "application/json"
 _JSONL = "application/x-ndjson"
-
-
-def _row_line(key: str, created: float, fingerprint: str,
-              record: Dict[str, Any]) -> bytes:
-    return (json.dumps({"key": key, "created": created,
-                        "fingerprint": fingerprint, "record": record},
-                       sort_keys=True) + "\n").encode()
-
-
-def _parse_rows(body: bytes) -> List[Tuple[str, Optional[float], str,
-                                           Dict[str, Any]]]:
-    """Decode a JSONL (or JSON-array) body of rows in the sync dialect."""
-    text = body.decode()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        raws = json.loads(text)
-    else:
-        raws = [json.loads(line) for line in text.splitlines()
-                if line.strip()]
-    return [(raw["key"], raw.get("created"), raw.get("fingerprint", ""),
-             raw["record"]) for raw in raws]
 
 
 class StoreRequestHandler(BaseHTTPRequestHandler):
@@ -200,8 +183,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 elif collection == "counters" and key is None:
                     self._json(200, {"counters": self.store.counters()})
                 elif collection == "records" and key is None:
-                    lines = [_row_line(*row) for row in self.store.items()]
-                    self._reply(200, b"".join(lines), _JSONL)
+                    lines = [encode_row(*row) for row in self.store.items()]
+                    self._reply(200, "".join(lines).encode(), _JSONL)
                 elif collection == "records":
                     # row() keeps the created/fingerprint envelope the
                     # sync dialect carries; get() alone would lose it.
@@ -209,7 +192,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                     if row is None:
                         self._error(404, f"no record for key {key!r}")
                     else:
-                        self._reply(200, _row_line(*row), _JSON)
+                        self._reply(200, encode_row(*row).encode(), _JSON)
                 else:
                     self._error(404, f"unknown path {self.path!r}")
         except BrokenPipeError:  # pragma: no cover - client went away
@@ -230,24 +213,19 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             if collection == "missing" and key is None:
                 keys = json.loads(body.decode())["keys"]
                 with self.lock:
-                    missing = [k for k in keys if k not in self.store]
+                    missing = self.store.missing(keys)
                 self._json(200, {"missing": missing})
             elif collection == "fetch" and key is None:
                 wanted = set(json.loads(body.decode())["keys"])
                 with self.lock:
-                    lines = [_row_line(*row) for row in self.store.items()
+                    lines = [encode_row(*row) for row in self.store.items()
                              if row[0] in wanted]
-                self._reply(200, b"".join(lines), _JSONL)
+                self._reply(200, "".join(lines).encode(), _JSONL)
             elif collection == "records" and key is None:
-                rows = _parse_rows(body)
-                from ..store.keys import record_from_dict
-
+                rows = list(validated(decode_rows(body)))
                 with self.lock:
-                    for row_key, created, fingerprint, record in rows:
-                        self.store.put(row_key, record_from_dict(record),
-                                       fingerprint=fingerprint,
-                                       created=created)
-                self._json(200, {"imported": len(rows)})
+                    imported = self.store.upload_rows(rows)
+                self._json(200, {"imported": imported})
             elif collection == "gc" and key is None:
                 spec = json.loads(body.decode())
                 with self.lock:
@@ -280,14 +258,9 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path!r}")
             return
         try:
-            raw = json.loads(self._body().decode())
-            from ..store.keys import record_from_dict
-
-            record = record_from_dict(raw["record"])
+            rows = list(validated([decode_row(self._body(), key=key)[0]]))
             with self.lock:
-                self.store.put(key, record,
-                               fingerprint=raw.get("fingerprint", ""),
-                               created=raw.get("created"))
+                self.store.upload_rows(rows)
             self._json(200, {"ok": True})
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"malformed record body: {exc}")

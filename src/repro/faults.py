@@ -45,6 +45,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from .core.executor import RunRecord
 from .store.backend import StoreBackend
 from .store.keys import record_to_dict
+from .store.rows import Row, encode_row
 from .store.shards import ShardStore
 
 #: Fault kinds each surface understands.
@@ -203,7 +204,9 @@ class FaultyStore(StoreBackend):
     ``OSError`` — the on-disk state a crash mid-append leaves behind,
     with the failure surfaced so idempotent retry re-uploads the row.
     On non-shard backends a torn write degrades to ``os_error``
-    (sqlite's transaction can't half-land a row).
+    (sqlite's transaction can't half-land a row).  ``upload_rows`` is
+    inherited on purpose: the default feeds every uploaded row through
+    the instrumented :meth:`put`, so ``op="put"`` counts see them all.
     """
 
     kind = "faulty"
@@ -231,10 +234,9 @@ class FaultyStore(StoreBackend):
         inner = self.inner
         if not isinstance(inner, ShardStore):
             return  # transactional backend: a crash leaves nothing
-        from .store.shards import _line
-
         shard = inner.shard_of(key)
-        full = _line(key, time.time(), fingerprint, record_to_dict(record))
+        full = encode_row(key, time.time(), fingerprint,
+                          record_to_dict(record), check=True)
         with inner._locked(shard):
             with open(inner._data_path(shard), "a") as handle:
                 handle.write(full[:max(1, len(full) // 2)])
@@ -268,12 +270,11 @@ class FaultyStore(StoreBackend):
         self._trip("contains")
         return key in self.inner
 
-    def items(self) -> Iterator[Tuple[str, float, str, Dict[str, Any]]]:
+    def items(self) -> Iterator[Row]:
         self._trip("items")
         return self.inner.items()
 
-    def row(self, key: str) -> Optional[Tuple[str, float, str,
-                                              Dict[str, Any]]]:
+    def row(self, key: str) -> Optional[Row]:
         self._trip("row")
         return self.inner.row(key)
 

@@ -3,12 +3,17 @@
 Every run in this framework is a pure function of its
 :class:`~repro.core.executor.RunRequest` plus the source code it
 exercises, so results are perfectly cacheable.  This package provides
-the three layers:
+the layers:
 
 * :mod:`repro.store.keys` — canonical serialisation, per-subsystem code
   fingerprints, and the :func:`run_key` content address;
-* :mod:`repro.store.backend` — the :class:`StoreBackend` protocol, the
-  sqlite :class:`SqliteStore`, the :func:`open_store` factory and
+* :mod:`repro.store.rows` — the row every other layer moves,
+  ``(key, created, fingerprint, record-dict)``: its one JSONL codec and
+  validity rule (shard ledgers, exports, the fabric wire), the counters
+  ledger and the atomic file replace;
+* :mod:`repro.store.backend` — the :class:`StoreBackend` protocol (rows
+  in through ``upload_rows``, out through ``items``), the sqlite
+  :class:`SqliteStore`, the :func:`open_store` factory and
   :func:`merge_into` cross-store sync;
 * :mod:`repro.store.shards` — the sharded JSONL :class:`ShardStore`
   (concurrent multi-process writers, no single writer lock);

@@ -23,21 +23,24 @@ works identically against all of them.
 A store is deliberately dumb: it never computes keys, never decides
 what is cacheable, and never invalidates.  Key semantics live in
 :mod:`repro.store.keys`; the caching *policy* lives in
-:mod:`repro.store.cache`.
+:mod:`repro.store.cache`; how a row is spelled in a file or on the
+wire, and what makes one valid, lives in :mod:`repro.store.rows`.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 import json
 import os
 import sqlite3
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.executor import RunRecord
 from .keys import record_from_dict, record_to_dict, row_check
+from .rows import Row, encode_row, label_of, read_jsonl, validated
 
 #: Environment variable naming the default store location.
 STORE_ENV_VAR = "REPRO_STORE"
@@ -45,6 +48,9 @@ STORE_ENV_VAR = "REPRO_STORE"
 DEFAULT_STORE_PATH = ".repro-store.sqlite"
 #: ``backend=`` values :func:`open_store` understands.
 BACKENDS = ("sqlite", "shards", "http")
+
+#: Rows per probe + upload round of :func:`merge_into`.
+_SYNC_BATCH = 500
 
 #: First bytes of every sqlite database file (format sniffing).
 _SQLITE_MAGIC = b"SQLite format 3\x00"
@@ -60,14 +66,40 @@ def is_store_url(path: Union[str, Path]) -> bool:
     return str(path).startswith(("http://", "https://"))
 
 
+def _kind_at(path: Union[str, Path]) -> Tuple[str, bool]:
+    """The path convention, stated once: ``(kind the path holds or would
+    get, whether a store exists there)``.  What exists wins over its
+    name; a URL "exists" without being probed."""
+    if is_store_url(path):
+        return "http", True
+    if str(path) == ":memory:":
+        return "sqlite", False
+    target = Path(path)
+    if target.is_dir():
+        return "shards", True
+    if target.is_file():
+        return "sqlite", True
+    return ("sqlite" if target.suffix in (".sqlite", ".db") else "shards"), False
+
+
+def _known_backend(backend: Optional[str], *also: str) -> Optional[str]:
+    """``backend`` back if it names one (or is None), else a ValueError."""
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(
+            f"unknown store backend {backend!r} (expected one of "
+            f"{', '.join(also + BACKENDS)})")
+    return backend
+
+
 class StoreBackend(abc.ABC):
     """The contract every results-store backend fulfils.
 
     Keys are opaque strings (in practice 64-hex run keys); values are
     :class:`RunRecord` rows tagged with a creation time and the code
     fingerprint that produced them.  ``export_jsonl``/``import_jsonl``
-    are implemented once here on top of :meth:`items`/:meth:`put`, so
-    every backend speaks the same portable JSONL dialect.
+    are implemented once here on top of :meth:`items` /
+    :meth:`upload_rows`, so every backend speaks the same portable
+    JSONL dialect (:mod:`repro.store.rows`).
     """
 
     #: Human-readable backend name ("sqlite" / "shards").
@@ -89,16 +121,36 @@ class StoreBackend(abc.ABC):
                  created: Optional[float] = None) -> int:
         """Insert or replace many ``(key, record, fingerprint)`` rows.
 
-        The default loops :meth:`put`; backends override it with a
-        batched implementation (one transaction, or one locked append
-        per shard) — this is the write path pool workers use for
-        worker-direct write-back, where per-row locking would dominate.
+        This is the write path pool workers use for worker-direct
+        write-back, where per-row locking would dominate: the records
+        reach :meth:`upload_rows` — batched in the shipped backends (one
+        transaction, or one locked append per shard) — as a generator,
+        so no more than one record dict is alive at a time.
+        """
+        return self.upload_rows(
+            (key, created, fingerprint, record_to_dict(record))
+            for key, record, fingerprint in entries)
+
+    def upload_rows(self, rows: Iterable[Row]) -> int:
+        """Insert or replace rows given as dicts; returns how many.
+
+        The write currency: whoever already holds a row dict (an HTTP
+        upload, an import, a sync, a spill) writes it as it is,
+        ``created`` stamps preserved (None = stamp now).  The default
+        rebuilds each record and loops :meth:`put`, which keeps every
+        row visible to a wrapper that instruments ``put``; the shipped
+        backends override it natively.
         """
         count = 0
-        for key, record, fingerprint in entries:
-            self.put(key, record, fingerprint=fingerprint, created=created)
+        for key, created, fingerprint, record in rows:
+            self.put(key, record_from_dict(record), fingerprint=fingerprint,
+                     created=created)
             count += 1
         return count
+
+    def missing(self, keys: Iterable[str]) -> List[str]:
+        """The subset of ``keys`` this store lacks, in the order given."""
+        return [key for key in keys if key not in self]
 
     @abc.abstractmethod
     def __contains__(self, key: str) -> bool: ...
@@ -115,11 +167,10 @@ class StoreBackend(abc.ABC):
         """(key, created, fingerprint, label) for every row, oldest first."""
 
     @abc.abstractmethod
-    def items(self) -> Iterator[Tuple[str, float, str, Dict[str, Any]]]:
+    def items(self) -> Iterator[Row]:
         """(key, created, fingerprint, record-dict), oldest row first."""
 
-    def row(self, key: str) -> Optional[Tuple[str, float, str,
-                                              Dict[str, Any]]]:
+    def row(self, key: str) -> Optional[Row]:
         """One full row — ``(key, created, fingerprint, record-dict)``.
 
         Unlike :meth:`get` this keeps the sync-dialect envelope, which
@@ -162,22 +213,14 @@ class StoreBackend(abc.ABC):
         """Write every row as one JSON line; returns the row count."""
         count = 0
         with open(path, "w") as handle:
-            for key, created, fingerprint, record in self.items():
-                handle.write(json.dumps({
-                    "key": key, "created": created,
-                    "fingerprint": fingerprint, "record": record,
-                }, sort_keys=True) + "\n")
+            for row in self.items():
+                handle.write(encode_row(*row))
                 count += 1
         return count
 
     def import_jsonl(self, path: Union[str, Path]) -> int:
         """Merge a JSONL export into this store; returns rows imported."""
-        count = 0
-        for key, created, fingerprint, record in _iter_jsonl(path):
-            self.put(key, record_from_dict(record),
-                     fingerprint=fingerprint, created=created)
-            count += 1
-        return count
+        return self.upload_rows(validated(read_jsonl(path)))
 
     # -- plumbing ----------------------------------------------------------
     @classmethod
@@ -246,29 +289,20 @@ class SqliteStore(StoreBackend):
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:
-        record_dict = record_to_dict(record)
-        self._db.execute(
-            "INSERT OR REPLACE INTO runs (key, created, fingerprint, label, "
-            "record, checksum) VALUES (?, ?, ?, ?, ?, ?)",
-            (key, time.time() if created is None else created, fingerprint,
-             record.request.label, json.dumps(record_dict),
-             row_check(key, record_dict)),
-        )
-        self._db.commit()
+        self.upload_rows([(key, created, fingerprint, record_to_dict(record))])
 
-    def put_many(self, entries: List[Tuple[str, RunRecord, str]], *,
-                 created: Optional[float] = None) -> int:
-        stamp = time.time() if created is None else created
-        rows = []
-        for key, record, fingerprint in entries:
-            record_dict = record_to_dict(record)
-            rows.append((key, stamp, fingerprint, record.request.label,
-                         json.dumps(record_dict), row_check(key, record_dict)))
+    def upload_rows(self, rows: Iterable[Row]) -> int:
+        """One ``executemany`` and one commit for the whole batch."""
+        stamp = time.time()
+        encoded = [
+            (key, stamp if created is None else created, fingerprint,
+             label_of(record), json.dumps(record), row_check(key, record))
+            for key, created, fingerprint, record in rows]
         self._db.executemany(
             "INSERT OR REPLACE INTO runs (key, created, fingerprint, label, "
-            "record, checksum) VALUES (?, ?, ?, ?, ?, ?)", rows)
+            "record, checksum) VALUES (?, ?, ?, ?, ?, ?)", encoded)
         self._db.commit()
-        return len(rows)
+        return len(encoded)
 
     def __contains__(self, key: str) -> bool:
         row = self._db.execute(
@@ -287,14 +321,13 @@ class SqliteStore(StoreBackend):
             "SELECT key, created, fingerprint, label FROM runs "
             "ORDER BY created, key")
 
-    def items(self) -> Iterator[Tuple[str, float, str, Dict[str, Any]]]:
+    def items(self) -> Iterator[Row]:
         for key, created, fingerprint, record in self._db.execute(
                 "SELECT key, created, fingerprint, record FROM runs "
                 "ORDER BY created, key"):
             yield key, created, fingerprint, json.loads(record)
 
-    def row(self, key: str) -> Optional[Tuple[str, float, str,
-                                              Dict[str, Any]]]:
+    def row(self, key: str) -> Optional[Row]:
         raw = self._db.execute(
             "SELECT key, created, fingerprint, record FROM runs "
             "WHERE key = ?", (key,)).fetchone()
@@ -361,10 +394,7 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
     from .shards import ShardStore  # local: shards imports this module
 
     path = default_store_path() if store is None else str(store)
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"unknown store backend {backend!r} (expected one of "
-            f"{', '.join(BACKENDS)})")
+    _known_backend(backend)
     if is_store_url(path) or backend == "http":
         if not is_store_url(path):
             raise ValueError(
@@ -376,18 +406,8 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
         from ..fabric.client import RemoteStore  # local: fabric imports this
 
         return RemoteStore(path)
-    if backend is not None:
-        return SqliteStore(path) if backend == "sqlite" else ShardStore(path)
-    if path == ":memory:":
-        return SqliteStore(path)
-    target = Path(path)
-    if target.is_dir():
-        return ShardStore(target)
-    if target.is_file():
-        return SqliteStore(target)
-    if target.suffix in (".sqlite", ".db"):
-        return SqliteStore(target)
-    return ShardStore(target)
+    kind = backend or _kind_at(path)[0]
+    return SqliteStore(path) if kind == "sqlite" else ShardStore(path)
 
 
 # ----------------------------------------------------------------------
@@ -417,16 +437,8 @@ def store_kind_at(path: Union[str, Path]) -> Optional[str]:
     (reported without probing it).  ``:memory:`` and missing paths
     report None (nothing exists there yet).
     """
-    if is_store_url(path):
-        return "http"
-    if str(path) == ":memory:":
-        return None
-    target = Path(path)
-    if target.is_dir():
-        return "shards"
-    if target.is_file():
-        return "sqlite"
-    return None
+    kind, exists = _kind_at(path)
+    return kind if exists else None
 
 
 def resolve_store(store: Union[StoreBackend, str, Path, None] = None, *,
@@ -448,11 +460,7 @@ def resolve_store(store: Union[StoreBackend, str, Path, None] = None, *,
     the read-only paths (reports, ``repro store ls``) want a friendly
     "nothing here yet", not a fresh empty directory.
     """
-    forced = None if backend in (None, "auto") else backend
-    if forced is not None and forced not in BACKENDS:
-        raise ValueError(
-            f"unknown store backend {backend!r} (expected one of "
-            f"auto, {', '.join(BACKENDS)})")
+    forced = None if backend == "auto" else _known_backend(backend, "auto")
     if isinstance(store, StoreBackend):
         return open_store(store, backend=forced)  # kind-mismatch check
     path = resolve_store_path(store)
@@ -472,45 +480,24 @@ def resolve_store(store: Union[StoreBackend, str, Path, None] = None, *,
 # ----------------------------------------------------------------------
 # cross-store sync
 # ----------------------------------------------------------------------
-def _iter_jsonl(path: Union[str, Path]
-                ) -> Iterator[Tuple[str, Optional[float], str,
-                                    Dict[str, Any]]]:
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            yield (raw["key"], raw.get("created"),
-                   raw.get("fingerprint", ""), raw["record"])
-
-
-def iter_source(source: Union[StoreBackend, str, Path]
-                ) -> Iterator[Tuple[str, Optional[float], str,
-                                    Dict[str, Any]]]:
+def iter_source(source: Union[StoreBackend, str, Path]) -> Iterator[Row]:
     """Rows of any syncable source: a backend, a store path, a fabric
     server URL, or a JSONL export (sqlite files are sniffed by their
     magic bytes)."""
     if isinstance(source, StoreBackend):
         yield from source.items()
         return
-    if is_store_url(source):
-        yield from open_store(source).items()
-        return
-    path = Path(source)
-    if path.is_dir():
-        with open_store(path) as src:
-            yield from src.items()
-        return
-    if not path.exists():
-        raise FileNotFoundError(f"no store or export at {path}")
-    with open(path, "rb") as handle:
-        magic = handle.read(len(_SQLITE_MAGIC))
-    if magic == _SQLITE_MAGIC:
-        with SqliteStore(path) as src:
-            yield from src.items()
-        return
-    yield from _iter_jsonl(path)
+    kind, exists = _kind_at(source)
+    if not exists:
+        raise FileNotFoundError(f"no store or export at {source}")
+    if kind == "sqlite":  # any file: sqlite by its magic bytes, else an export
+        with open(source, "rb") as handle:
+            magic = handle.read(len(_SQLITE_MAGIC))
+        if magic != _SQLITE_MAGIC:
+            yield from read_jsonl(source)
+            return
+    with open_store(source, backend=kind) as src:
+        yield from src.items()
 
 
 def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]
@@ -521,39 +508,21 @@ def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]
     pull a peer's store (sqlite file, shard directory, fabric server
     URL, or JSONL export) and only the rows you were missing land.
 
-    A remote destination gets the batched fast path: chunks of rows are
-    probed with one ``/missing`` call each and uploaded in bulk, so a
-    sync costs O(rows / batch) round trips instead of two per row.
+    Rows move in batches: one :meth:`~StoreBackend.missing` probe and
+    one :meth:`~StoreBackend.upload_rows` each, so a sync into a remote
+    destination costs O(rows / batch) round trips instead of two per
+    row.  Every row is proven decodable once (:func:`~repro.store.rows.
+    validated`) and then written as the dict it arrived as.
     """
-    probe = getattr(dst, "missing", None)
-    upload = getattr(dst, "upload_rows", None)
-    if probe is not None and upload is not None:
-        imported = skipped = 0
-        batch: List[Tuple[str, Optional[float], str, Dict[str, Any]]] = []
-
-        def _flush() -> Tuple[int, int]:
-            absent = set(probe(row[0] for row in batch))
-            fresh = [row for row in batch if row[0] in absent]
-            if fresh:
-                upload(fresh)
-            return len(fresh), len(batch) - len(fresh)
-
-        for row in iter_source(source):
-            batch.append(row)
-            if len(batch) >= 500:
-                done, skip = _flush()
-                imported, skipped = imported + done, skipped + skip
-                batch = []
-        if batch:
-            done, skip = _flush()
-            imported, skipped = imported + done, skipped + skip
-        return imported, skipped
-    imported = skipped = 0
-    for key, created, fingerprint, record in iter_source(source):
-        if key in dst:
-            skipped += 1
-            continue
-        dst.put(key, record_from_dict(record), fingerprint=fingerprint,
-                created=created)
-        imported += 1
-    return imported, skipped
+    imported = seen = 0
+    rows = validated(iter_source(source))
+    while True:
+        batch = list(itertools.islice(rows, _SYNC_BATCH))
+        if not batch:
+            return imported, seen - imported
+        absent = set(dst.missing(row[0] for row in batch))
+        fresh = [row for row in batch if row[0] in absent]
+        if fresh:
+            dst.upload_rows(fresh)
+        imported += len(fresh)
+        seen += len(batch)

@@ -88,9 +88,6 @@ class RunCache:
             return self.fingerprint
         return fingerprint_for(request)
 
-    def key_for(self, request: RunRequest) -> str:
-        return run_key(request, fingerprint=self.fingerprint_of(request))
-
     def lookup_with_key(self, request: RunRequest
                         ) -> Tuple[str, str, Optional[RunRecord]]:
         """``(key, fingerprint, hit-or-None)`` for one store probe.

@@ -19,6 +19,8 @@ verifies three invariants per row:
 3. **ledger hygiene** (shards only) — torn lines in data shards and the
    counters ledger are counted; ``--repair`` drops the debris (data
    lines go to the quarantine sidecar, counter totals are re-written).
+   "Torn" is :func:`~repro.store.rows.scan_ledger`'s verdict, the one
+   ``ShardStore`` reads by: a repaired store is clean to both.
 
 ``--repair`` moves corrupt rows to a quarantine sidecar —
 ``quarantine.jsonl`` inside a shard directory, ``<file>.quarantine.jsonl``
@@ -42,6 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .backend import SqliteStore, StoreBackend
 from .keys import record_from_dict, request_from_dict, row_check, run_key
+from .rows import scan_ledger, sum_counters
 from .shards import ShardStore
 
 #: Sidecar name inside a shard directory (excluded from data shards).
@@ -113,13 +116,6 @@ class FsckReport:
                          f"{self.quarantine_path}")
         return head + " — " + ", ".join(parts) if parts else head
 
-    def to_dict(self) -> Dict[str, Any]:
-        out = dataclasses.asdict(self)
-        out["corruptions"] = self.corruptions
-        out["issues"] = self.issues
-        out["clean"] = self.clean
-        return out
-
 
 def _check_row(key: str, fingerprint: str, record: Dict[str, Any],
                stored_check: Optional[str], location: str,
@@ -160,38 +156,25 @@ def _scan_shard_text(text: str, shard: str, report: FsckReport
     """Split one shard ledger into (kept lines, (bad line, reason))."""
     good: List[str] = []
     bad: List[Tuple[str, str]] = []
-    live: Dict[str, None] = {}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            raw = json.loads(stripped)
-            key = raw["key"]
-            record = raw["record"]
-            fingerprint = raw.get("fingerprint", "")
-            if not isinstance(record, dict):
-                raise TypeError("record is not an object")
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    live = set()
+    for line, row, check, reason in scan_ledger(text):
+        if row is None:
             report.torn_lines += 1
-            bad.append((stripped, f"torn: {type(exc).__name__}"))
-            continue
-        if _check_row(key, fingerprint, record, raw.get("check"), shard,
-                      report):
-            good.append(stripped)
-            live[key] = None
+            bad.append((line, f"torn: {reason}"))
+        elif _check_row(row[0], row[2], row[3], check, shard, report):
+            good.append(line + "\n")
+            live.add(row[0])
         else:
-            bad.append((stripped, "checksum"))
+            bad.append((line, "checksum"))
     report.rows += len(live)
     return good, bad
 
 
-def _quarantine(path: Path, shard: str, bad: List[Tuple[str, str]]) -> None:
+def _quarantine(path: Path, entries: List[Dict[str, str]]) -> None:
+    """Set rows aside in the sidecar, durably, before the store drops them."""
     with open(path, "a") as handle:
-        for line, reason in bad:
-            handle.write(json.dumps(
-                {"shard": shard, "reason": reason, "line": line},
-                sort_keys=True) + "\n")
+        handle.writelines(json.dumps(entry, sort_keys=True) + "\n"
+                          for entry in entries)
         handle.flush()
         os.fsync(handle.fileno())
 
@@ -208,46 +191,19 @@ def _fsck_shards(store: ShardStore, *, repair: bool) -> FsckReport:
                 continue
             good, bad = _scan_shard_text(text, shard, report)
             if repair and bad:
-                _quarantine(sidecar, shard, bad)
+                _quarantine(sidecar, [
+                    {"shard": shard, "reason": reason, "line": line}
+                    for line, reason in bad])
                 report.quarantined += len(bad)
-                tmp = path.with_suffix(".jsonl.tmp")
-                with open(tmp, "w") as handle:
-                    for line in good:
-                        handle.write(line + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                if good:
-                    os.replace(tmp, path)
-                else:
-                    tmp.unlink()
-                    path.unlink()
-        if repair and bad:
-            store._cache.pop(shard, None)
-            store.torn_lines.pop(shard, None)
+                store._replace(shard, good)
     # counters ledger hygiene
     counters_path = Path(store.path) / "counters.jsonl"
     if counters_path.exists():
         with store._locked("counters"):
-            totals: Dict[str, int] = {}
-            for line in counters_path.read_text().splitlines():
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    raw = json.loads(stripped)
-                    totals[raw["name"]] = (totals.get(raw["name"], 0)
-                                           + raw["delta"])
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    report.counter_torn += 1
-            if repair and report.counter_torn:
-                tmp = counters_path.with_suffix(".jsonl.tmp")
-                with open(tmp, "w") as handle:
-                    for name in sorted(totals):
-                        handle.write(json.dumps(
-                            {"name": name, "delta": totals[name]},
-                            sort_keys=True) + "\n")
-                os.replace(tmp, counters_path)
-                report.counter_torn = 0  # reconciled
+            report.counter_torn = sum_counters(counters_path.read_text())[2]
+        if repair and report.counter_torn:
+            store._compact_counters()  # re-reads under the lock it takes
+            report.counter_torn = 0  # reconciled
     if repair:
         report.repaired = True
         if report.quarantined:
@@ -286,11 +242,9 @@ def _fsck_sqlite(store: SqliteStore, *, repair: bool) -> FsckReport:
         report.repaired = True
         if bad_rows:
             sidecar = Path(str(store.path) + ".quarantine.jsonl")
-            with open(sidecar, "a") as handle:
-                for key, record_json, reason in bad_rows:
-                    handle.write(json.dumps(
-                        {"key": key, "reason": reason, "record": record_json},
-                        sort_keys=True) + "\n")
+            _quarantine(sidecar, [
+                {"key": key, "reason": reason, "record": record_json}
+                for key, record_json, reason in bad_rows])
             store._db.executemany("DELETE FROM runs WHERE key = ?",
                                   [(key,) for key, _r, _why in bad_rows])
             store._db.commit()

@@ -23,8 +23,8 @@ Durability/concurrency contract:
   row_check`) verified by ``repro store fsck``, which quarantines
   corrupt rows to a ``quarantine.jsonl`` sidecar;
 * counters are their own append-only ``counters.jsonl`` ledger of
-  ``{"name": …, "delta": …}`` lines, summed on read and compacted
-  opportunistically;
+  name + delta lines (:func:`~repro.store.rows.counter_line`), summed
+  on read and compacted opportunistically;
 * data shards compact themselves: when a shard's append ledger carries
   more than ``compact_ratio`` dead lines (overwrites of existing keys —
   the steady state of a long-lived fabric server that keeps absorbing
@@ -44,7 +44,7 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 try:  # pragma: no cover - platform probe
     import fcntl
@@ -53,7 +53,16 @@ except ImportError:  # pragma: no cover - Windows
 
 from ..core.executor import RunRecord
 from .backend import StoreBackend
-from .keys import record_from_dict, record_to_dict, row_check
+from .keys import record_from_dict, record_to_dict
+from .rows import (
+    Row,
+    atomic_write,
+    counter_line,
+    encode_row,
+    labelled,
+    scan_ledger,
+    sum_counters,
+)
 
 #: Directory marker; refuses to treat arbitrary directories as stores.
 MANIFEST_NAME = "store.json"
@@ -66,8 +75,6 @@ DEFAULT_COMPACT_RATIO = 0.5
 #: Shards with fewer ledger lines than this never auto-compact (the
 #: rewrite would cost more than the dead lines do).
 DEFAULT_COMPACT_MIN_LINES = 512
-
-_Entry = Tuple[float, str, Dict[str, Any]]  # created, fingerprint, record
 
 
 class ShardStore(StoreBackend):
@@ -102,12 +109,10 @@ class ShardStore(StoreBackend):
                 raise ValueError(
                     f"{self.path} exists but is not a repro shard store")
         else:
-            tmp = manifest.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(
-                {"format": "repro-shards", "version": 1}) + "\n")
-            os.replace(tmp, manifest)
-        #: Per-shard parse cache: name -> ((mtime_ns, size), entries).
-        self._cache: Dict[str, Tuple[Tuple[int, int], Dict[str, _Entry]]] = {}
+            atomic_write(manifest, [json.dumps(
+                {"format": "repro-shards", "version": 1}) + "\n"])
+        #: Per-shard parse cache: name -> ((mtime_ns, size), live rows).
+        self._cache: Dict[str, Tuple[Tuple[int, int], Dict[str, Row]]] = {}
 
     # -- shard plumbing ----------------------------------------------------
     @staticmethod
@@ -131,40 +136,30 @@ class ShardStore(StoreBackend):
                 if fcntl is not None:
                     fcntl.flock(handle, fcntl.LOCK_UN)
 
-    @staticmethod
-    def _parse_counted(text: str) -> Tuple[Dict[str, _Entry], int, int]:
-        """Parse a shard ledger; count valid and torn lines.
+    def _parse_counted(self, shard: str) -> Tuple[Dict[str, Row], int, int]:
+        """Parse a shard's ledger as it is on disk now (nothing when the
+        file is gone); count valid and torn lines.
 
         ``lines - len(entries)`` is the shard's dead weight: overwrites
         of keys that appear again later (last-write-wins), exactly what
-        auto-compaction reclaims.  ``torn`` counts lines that failed to
-        parse at all — crashed appends or real corruption.
+        auto-compaction reclaims.  ``torn`` counts the lines
+        :func:`~repro.store.rows.scan_ledger` found invalid — crashed
+        appends or real corruption — and is noted (:meth:`_note_torn`).
         """
-        entries: Dict[str, _Entry] = {}
-        lines = 0
-        torn = 0
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                entry = (raw["created"], raw.get("fingerprint", ""),
-                         raw["record"])
-                key = raw["key"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                torn += 1  # torn line from a crashed append, or bit rot
+        try:
+            text = self._data_path(shard).read_text()
+        except FileNotFoundError:
+            return {}, 0, 0
+        entries: Dict[str, Row] = {}
+        lines = torn = 0
+        for _text, row, _check, _reason in scan_ledger(text):
+            if row is None:
+                torn += 1
                 continue
             lines += 1
-            entries[key] = entry
+            entries[row[0]] = row
+        self._note_torn(shard, torn)
         return entries, lines, torn
-
-    def _parse_lines(self, text: str, shard: Optional[str] = None
-                     ) -> Dict[str, _Entry]:
-        entries, _lines, torn = self._parse_counted(text)
-        if shard is not None:
-            self._note_torn(shard, torn)
-        return entries
 
     def _note_torn(self, shard: str, torn: int) -> None:
         """Record a parse's torn-line observation (latest parse wins)."""
@@ -184,7 +179,7 @@ class ShardStore(StoreBackend):
             return False
         return (lines - live) / lines > self.compact_ratio
 
-    def _load(self, shard: str) -> Dict[str, _Entry]:
+    def _load(self, shard: str) -> Dict[str, Row]:
         """Parse one shard, served from the mtime/size cache when clean."""
         path = self._data_path(shard)
         try:
@@ -196,23 +191,19 @@ class ShardStore(StoreBackend):
         cached = self._cache.get(shard)
         if cached is not None and cached[0] == signature:
             return cached[1]
-        entries, lines, torn = self._parse_counted(path.read_text())
-        self._note_torn(shard, torn)
+        entries, lines, _torn = self._parse_counted(shard)
         if self._should_compact(lines, len(entries)):
             return self._auto_compact(shard)
         self._cache[shard] = (signature, entries)
         return entries
 
-    def _auto_compact(self, shard: str) -> Dict[str, _Entry]:
+    def _auto_compact(self, shard: str) -> Dict[str, Row]:
         """Rewrite a dead-heavy shard in place; returns its live entries."""
         with self._locked(shard):
             # Re-read under the lock: another process may have appended
             # (or already compacted) since the triggering read.
-            path = self._data_path(shard)
-            entries = self._parse_lines(
-                path.read_text(), shard) if path.exists() else {}
+            entries = self._parse_counted(shard)[0]
             self._rewrite(shard, entries)
-        self.torn_lines.pop(shard, None)  # the rewrite dropped the debris
         self.compactions += 1
         self.bump_counter("compactions")
         try:
@@ -227,52 +218,51 @@ class ShardStore(StoreBackend):
             path.stem for path in self._dir.glob("*.jsonl")
             if path.stem not in ("counters", "quarantine"))
 
-    def _rewrite(self, shard: str, entries: Dict[str, _Entry]) -> None:
-        """Compaction: temp file + atomic rename (caller holds the lock)."""
+    def _rewrite(self, shard: str, entries: Dict[str, Row]) -> None:
+        """Compaction: the live rows, oldest first (caller holds the lock)."""
+        self._replace(shard, [
+            encode_row(*row, check=True) for row in sorted(
+                entries.values(), key=lambda row: (row[1], row[0]))])
+
+    def _replace(self, shard: str, lines: List[str]) -> None:
+        """Swap a shard's ledger for ``lines`` atomically, or remove an
+        emptied shard's file (caller holds the lock).  Whatever debris
+        the old ledger carried is gone with it."""
         path = self._data_path(shard)
         self._cache.pop(shard, None)
-        if not entries:
+        self.torn_lines.pop(shard, None)
+        if lines:
+            atomic_write(path, lines)
+        else:
             with contextlib.suppress(FileNotFoundError):
                 path.unlink()
-            return
-        tmp = path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w") as handle:
-            for key in sorted(entries, key=lambda k: (entries[k][0], k)):
-                created, fingerprint, record = entries[key]
-                handle.write(_line(key, created, fingerprint, record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
 
     # -- core map operations ----------------------------------------------
     def get(self, key: str) -> Optional[RunRecord]:
         entry = self._load(self.shard_of(key)).get(key)
         if entry is None:
             return None
-        return record_from_dict(entry[2])
+        return record_from_dict(entry[3])
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:
-        shard = self.shard_of(key)
-        stamp = time.time() if created is None else created
-        line = _line(key, stamp, fingerprint, record_to_dict(record))
-        with self._locked(shard):
-            _append_healed(self._data_path(shard), line)
-        self._cache.pop(shard, None)
+        self.upload_rows([(key, created, fingerprint, record_to_dict(record))])
 
-    def put_many(self, entries: List[Tuple[str, RunRecord, str]], *,
-                 created: Optional[float] = None) -> int:
+    def upload_rows(self, rows: Iterable[Row]) -> int:
         """Batched append: group by shard, one lock + flush per shard.
 
         This is what makes worker-direct write-back cheap — a pool
         worker lands a whole chunk of records with at most one lock
-        acquisition per touched shard instead of one per record.
+        acquisition per touched shard instead of one per record.  Rows
+        are encoded as they are drawn, so a generator of 10⁴ rows never
+        has 10⁴ record dicts alive at once.
         """
-        stamp = time.time() if created is None else created
+        stamp = time.time()
         by_shard: Dict[str, List[str]] = {}
         count = 0
-        for key, record, fingerprint in entries:
-            line = _line(key, stamp, fingerprint, record_to_dict(record))
+        for key, created, fingerprint, record in rows:
+            line = encode_row(key, stamp if created is None else created,
+                              fingerprint, record, check=True)
             by_shard.setdefault(self.shard_of(key), []).append(line)
             count += 1
         for shard in sorted(by_shard):
@@ -288,47 +278,30 @@ class ShardStore(StoreBackend):
     def __len__(self) -> int:
         return sum(len(self._load(shard)) for shard in self._shards())
 
-    def _all_entries(self) -> List[Tuple[str, _Entry]]:
-        merged: List[Tuple[str, _Entry]] = []
+    def items(self) -> Iterator[Row]:
+        merged: List[Row] = []
         for shard in self._shards():
-            merged.extend(self._load(shard).items())
-        merged.sort(key=lambda item: (item[1][0], item[0]))
-        return merged
+            merged.extend(self._load(shard).values())
+        merged.sort(key=lambda row: (row[1], row[0]))
+        yield from merged
 
     def keys(self) -> List[str]:
-        return [key for key, _entry in self._all_entries()]
+        return [row[0] for row in self.items()]
 
     def rows(self) -> Iterator[Tuple[str, float, str, str]]:
-        for key, (created, fingerprint, record) in self._all_entries():
-            label = record.get("request", {}).get("page", {}).get("name", "")
-            try:
-                label = record_from_dict(record).request.label
-            except Exception:  # noqa: BLE001 - keep listings best-effort
-                pass
-            yield key, created, fingerprint, label
+        return labelled(self.items())
 
-    def items(self) -> Iterator[Tuple[str, float, str, Dict[str, Any]]]:
-        for key, (created, fingerprint, record) in self._all_entries():
-            yield key, created, fingerprint, record
-
-    def row(self, key: str) -> Optional[Tuple[str, float, str,
-                                              Dict[str, Any]]]:
-        entry = self._load(self.shard_of(key)).get(key)
-        if entry is None:
-            return None
-        return key, entry[0], entry[1], entry[2]
+    def row(self, key: str) -> Optional[Row]:
+        return self._load(self.shard_of(key)).get(key)
 
     def delete(self, key: str) -> bool:
         shard = self.shard_of(key)
         with self._locked(shard):
-            path = self._data_path(shard)
-            entries = self._parse_lines(
-                path.read_text(), shard) if path.exists() else {}
+            entries = self._parse_counted(shard)[0]
             if key not in entries:
                 return False
             del entries[key]
             self._rewrite(shard, entries)
-        self.torn_lines.pop(shard, None)
         return True
 
     # -- maintenance -------------------------------------------------------
@@ -338,11 +311,9 @@ class ShardStore(StoreBackend):
         dropped = 0
         for shard in self._shards():
             with self._locked(shard):
-                path = self._data_path(shard)
-                entries = self._parse_lines(
-                    path.read_text(), shard) if path.exists() else {}
-                doomed = [key for key, entry in entries.items()
-                          if entry[0] < horizon]
+                entries = self._parse_counted(shard)[0]
+                doomed = [key for key, row in entries.items()
+                          if row[1] < horizon]
                 dropped += len(doomed)
                 if dry_run or not doomed:
                     continue
@@ -353,7 +324,7 @@ class ShardStore(StoreBackend):
 
     def fingerprints(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for _key, (_created, fingerprint, _record) in self._all_entries():
+        for _key, _created, fingerprint, _record in self.items():
             counts[fingerprint] = counts.get(fingerprint, 0) + 1
         return counts
 
@@ -361,49 +332,26 @@ class ShardStore(StoreBackend):
     def bump_counter(self, name: str, delta: int = 1) -> None:
         path = self._dir / "counters.jsonl"
         with self._locked("counters"):
-            _append_healed(path, json.dumps({"name": name, "delta": delta},
-                                            sort_keys=True) + "\n")
+            _append_healed(path, counter_line(name, delta))
 
     def counters(self) -> Dict[str, int]:
         path = self._dir / "counters.jsonl"
         if not path.exists():
             return {}
-        totals: Dict[str, int] = {}
-        lines = 0
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            totals[raw["name"]] = totals.get(raw["name"], 0) + raw["delta"]
-            lines += 1
+        totals, lines, _torn = sum_counters(path.read_text())
         if lines > _COUNTER_COMPACT_LINES:
             self._compact_counters()
         return totals
 
     def _compact_counters(self) -> None:
+        """Rewrite the ledger as one total per counter (torn lines go)."""
         path = self._dir / "counters.jsonl"
-        tmp = path.with_suffix(".jsonl.tmp")
         with self._locked("counters"):
             # Re-read under the lock: a bump may have landed since the
             # caller's unlocked read, and compaction must not lose it.
-            totals: Dict[str, int] = {}
-            for line in path.read_text().splitlines():
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                totals[raw["name"]] = (totals.get(raw["name"], 0)
-                                       + raw["delta"])
-            with open(tmp, "w") as handle:
-                for name in sorted(totals):
-                    handle.write(json.dumps(
-                        {"name": name, "delta": totals[name]},
-                        sort_keys=True) + "\n")
-            os.replace(tmp, path)
+            totals = sum_counters(path.read_text())[0]
+            atomic_write(path, [counter_line(name, totals[name])
+                                for name in sorted(totals)])
 
     def stats(self) -> Dict[str, Any]:
         """Shard-level health: sizes, dead weight, torn-line counts.
@@ -411,17 +359,9 @@ class ShardStore(StoreBackend):
         Parses every shard (so :attr:`torn_lines` reflects the whole
         directory), which is what ``repro store stats`` wants anyway.
         """
-        live = 0
-        lines = 0
-        torn_total = 0
+        live = lines = torn_total = 0
         for shard in self._shards():
-            path = self._data_path(shard)
-            try:
-                text = path.read_text()
-            except FileNotFoundError:
-                continue
-            entries, shard_lines, torn = self._parse_counted(text)
-            self._note_torn(shard, torn)
+            entries, shard_lines, torn = self._parse_counted(shard)
             live += len(entries)
             lines += shard_lines
             torn_total += torn
@@ -436,14 +376,6 @@ class ShardStore(StoreBackend):
 
     def close(self) -> None:
         self._cache.clear()
-
-
-def _line(key: str, created: float, fingerprint: str,
-          record: Dict[str, Any]) -> str:
-    return json.dumps({"key": key, "created": created,
-                       "fingerprint": fingerprint, "record": record,
-                       "check": row_check(key, record)},
-                      sort_keys=True) + "\n"
 
 
 def _append_healed(path: Path, text: str) -> None:

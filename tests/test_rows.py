@@ -1,0 +1,505 @@
+"""Rows are the store's currency: one verdict, one spelling, every reader.
+
+The store's JSONL row used to be re-implemented by every module that
+touched it, and the copies had drifted: a line ``ShardStore`` served as
+a live row was a torn line to ``fsck`` and the other way round, so a
+repaired store and its checker never converged.  This suite pins the
+single definition (``repro.store.rows``) from the outside:
+
+* **one validity table** — six hand-written lines, each pushed through
+  ``ShardStore``, ``fsck`` / ``fsck --repair``, ``import_jsonl`` and the
+  server's ``POST /records`` / ``PUT /records/<key>``, one verdict per
+  line per reader, ending in convergence after ``--repair``;
+* **byte goldens** — the four line forms (shard, export, wire response,
+  upload body) as literals captured on the commit *before* the codec
+  was unified;
+* **one label derivation**, the frozen ``StoreBackend`` surface the
+  benchmark harness subclasses, and rows written as the bytes they
+  arrived with.
+"""
+
+import inspect
+import json
+import sys
+import time
+import urllib.error
+import urllib.request
+import warnings
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+from repro.core.executor import RunRecord
+from repro.core.report import build_store_report
+from repro.fabric import RemoteStore, StoreServer
+from repro.faults import FaultyStore
+from repro.store import (
+    ShardStore,
+    SqliteStore,
+    StoreBackend,
+    fingerprint_for,
+    fsck,
+    merge_into,
+    record_to_dict,
+    row_check,
+    run_key,
+)
+
+from . import test_store as fixtures
+from .test_store import req
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _record(request, plt=1.0):
+    return RunRecord(request=request, plt=plt, complete=True,
+                     metrics={"plt": plt})
+
+
+def _genuine(seed):
+    """``(key, fingerprint, record-dict)`` under the real content address."""
+    request = req(seed=seed)
+    fingerprint = fingerprint_for(request)
+    return (run_key(request, fingerprint=fingerprint), fingerprint,
+            record_to_dict(_record(request, plt=seed / 8.0)))
+
+
+def _json_line(**fields):
+    return json.dumps(fields, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# one validity table, every reader
+# ----------------------------------------------------------------------
+KEY, FINGERPRINT, RECORD = _genuine(7)
+
+#: name -> (line, key it claims, then one verdict per reader):
+#:   shard  — "live" / "torn" / "blank" to ``ShardStore``;
+#:   fsck   — "torn" / "checksum" / "legacy" / "blank";
+#:   import — "accepted" / "rejected" / "blank" to ``import_jsonl``;
+#:   wire   — the status of ``POST /records`` and ``PUT /records/<key>``.
+TABLE = {
+    "record-not-object": (
+        _json_line(key=KEY, created=1.0, fingerprint=FINGERPRINT, record=7,
+                   check="0" * 16),
+        KEY, "torn", "torn", "rejected", 400),
+    "no-created": (
+        _json_line(key=KEY, fingerprint=FINGERPRINT, record=RECORD,
+                   check=row_check(KEY, RECORD)),
+        KEY, "torn", "torn", "accepted", 200),
+    "truncated-json": (
+        '{"key": "' + KEY + '", "created": 1.0, "rec',
+        KEY, "torn", "torn", "rejected", 400),
+    "wrong-check": (
+        _json_line(key=KEY, created=1.0, fingerprint=FINGERPRINT,
+                   record=RECORD, check="0" * 16),
+        KEY, "live", "checksum", "accepted", 200),
+    "legacy-no-check": (
+        _json_line(key=KEY, created=1.0, fingerprint=FINGERPRINT,
+                   record=RECORD),
+        KEY, "live", "legacy", "accepted", 200),
+    "blank": ("   ", KEY, "blank", "blank", "blank", 200),
+}
+CASES = sorted(TABLE)
+
+
+def _seeded(path, extra_line=None):
+    """A shard directory holding two good rows (plus one raw line)."""
+    store = ShardStore(path)
+    for seed in (1, 2):
+        key, fingerprint, _ = _genuine(seed)
+        store.put(key, _record(req(seed=seed), plt=seed / 8.0),
+                  fingerprint=fingerprint, created=float(seed))
+    if extra_line is not None:
+        with open(store._data_path(store.shard_of(KEY)), "a") as handle:
+            handle.write(extra_line + "\n")
+    store.close()
+    return ShardStore(path)  # a fresh reader: nothing cached, nothing warned
+
+
+class TestOneVerdictPerLine:
+    @pytest.mark.parametrize("case", CASES)
+    def test_shard_store(self, case, tmp_path):
+        line, key, verdict, *_ = TABLE[case]
+        store = _seeded(tmp_path / "s", line)
+        if verdict == "torn":
+            with pytest.warns(RuntimeWarning, match="torn line"):
+                assert len(store) == 2
+            assert key not in store
+            assert store.get(key) is None  # written off: never raises
+            assert store.row(key) is None
+            assert sum(store.torn_lines.values()) == 1
+            with warnings.catch_warnings():  # warned once per shard
+                warnings.simplefilter("error")
+                store._cache.clear()
+                assert len(store) == 2
+                assert store.stats()["torn_lines"] == 1
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert len(store) == (3 if verdict == "live" else 2)
+                assert (key in store) == (verdict == "live")
+                if verdict == "live":
+                    assert store.get(key).request == req(seed=7)
+                assert store.stats()["torn_lines"] == 0
+            assert store.torn_lines == {}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_fsck_and_convergence_after_repair(self, case, tmp_path):
+        line, key, _shard, verdict, *_ = TABLE[case]
+        kept = verdict in ("legacy", "blank")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            store = _seeded(tmp_path / "s", line)
+            report = fsck(store)
+            assert report.torn_lines == (1 if verdict == "torn" else 0)
+            assert [issue.key for issue in report.checksum_failures] == (
+                [key] if verdict == "checksum" else [])
+            assert report.unchecked == (1 if verdict == "legacy" else 0)
+            assert report.rows == (3 if verdict == "legacy" else 2)
+            assert report.clean == kept
+            repaired = fsck(store, repair=True)
+            assert repaired.quarantined == (0 if kept else 1)
+        # Convergence: the store and its checker agree the debris is gone.
+        fresh = ShardStore(tmp_path / "s")
+        assert fresh.stats()["torn_lines"] == 0
+        assert fresh.torn_lines == {}
+        after = fsck(fresh)
+        assert after.clean and after.rows == (3 if verdict == "legacy" else 2)
+        control = _seeded(tmp_path / "control", line if kept else None)
+        assert (build_store_report(fresh).replace(fresh.path, "STORE")
+                == build_store_report(control).replace(control.path, "STORE"))
+
+    @pytest.mark.parametrize("backend", ["shards", "sqlite"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_import_jsonl(self, case, backend, tmp_path):
+        line, key, _shard, _fsck, verdict, _wire = TABLE[case]
+        good_key, good_fingerprint, good_record = _genuine(1)
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text(_json_line(key=good_key, created=1.0,
+                                   fingerprint=good_fingerprint,
+                                   record=good_record) + "\n" + line + "\n")
+        dst = (ShardStore(tmp_path / "dst") if backend == "shards"
+               else SqliteStore(tmp_path / "dst.sqlite"))
+        if verdict == "rejected":
+            with pytest.raises(ValueError):
+                dst.import_jsonl(dump)
+            assert key not in dst
+            return
+        before = time.time()
+        assert dst.import_jsonl(dump) == (2 if verdict == "accepted" else 1)
+        assert (key in dst) == (verdict == "accepted")
+        if case == "no-created":  # the writer stamps what the line lacks
+            assert dst.row(key)[1] >= before
+        assert fsck(dst).clean  # whatever came in was re-checksummed
+
+    @pytest.mark.parametrize("verb", ["POST", "PUT"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_wire_upload(self, case, verb, tmp_path):
+        line, key, *_, status = TABLE[case]
+        if verb == "PUT" and case == "blank":
+            status = 400  # one row, not a batch: an empty body is no row
+        with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
+            url = server.url + ("/records" if verb == "POST"
+                                else f"/records/{key}")
+            request = urllib.request.Request(
+                url, data=(line + "\n").encode(), method=verb)
+            if status == 400:
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(request)
+                assert err.value.code == 400
+                assert "malformed" in json.loads(err.value.read())["error"]
+                assert len(server.store) == 0
+            else:
+                reply = json.loads(urllib.request.urlopen(request).read())
+                landed = 0 if case == "blank" else 1
+                assert reply == ({"imported": landed} if verb == "POST"
+                                 else {"ok": True})
+                assert len(server.store) == landed
+                assert fsck(server.store).clean
+
+    def test_undecodable_record_is_a_400_not_a_write(self, tmp_path):
+        # Outside input is still decoded once before it may land.
+        broken = dict(RECORD, request={"nonsense": True})
+        line = _json_line(key=KEY, created=1.0, fingerprint=FINGERPRINT,
+                          record=broken)
+        with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
+            request = urllib.request.Request(
+                server.url + "/records", data=line.encode(), method="POST")
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(request)
+            assert err.value.code == 400
+            assert len(server.store) == 0
+        dump = tmp_path / "dump.jsonl"
+        dump.write_text(line + "\n")
+        with pytest.raises(ValueError, match="does not decode"):
+            ShardStore(tmp_path / "dst").import_jsonl(dump)
+        with pytest.raises(ValueError, match="does not decode"):
+            merge_into(SqliteStore(":memory:"), dump)
+
+    def test_torn_counter_line_means_the_same_to_both(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
+        store.bump_counter("hits", 3)
+        ledger = tmp_path / "s" / "counters.jsonl"
+        # Valid JSON, but not a counter line: the store used to raise
+        # KeyError on it where fsck counted it torn.
+        ledger.write_text(ledger.read_text() + '{"unrelated": 1}\n')
+        assert store.counters() == {"hits": 3}
+        assert fsck(store).counter_torn == 1
+        assert fsck(store, repair=True).counter_torn == 0
+        assert store.counters() == {"hits": 3} and fsck(store).clean
+
+
+# ----------------------------------------------------------------------
+# byte goldens (captured on the commit before the one codec)
+# ----------------------------------------------------------------------
+GOLDEN_KEY = "370377f91861dca0f1f4fcafe3b3c97109d095eaac7b2117b7fd38188e3783b7"
+GOLDEN_SHARD_LINE = (
+    '{"check": "1eba8f0a62749649", "created": 1234.5, "fingerprin'
+    't": "pinned", "key": "370377f91861dca0f1f4fcafe3b3c97109d095'
+    'eaac7b2117b7fd38188e3783b7", "record": {"attempts": 1, "comp'
+    'lete": true, "failure": null, "metrics": {"bytes": 20000.0, '
+    '"plt": 1.25}, "plt": 1.25, "request": {"cwnd_interval": 0.0,'
+    ' "device": {"crypto_setup_cost": 0.001, "name": "desktop", "'
+    'noise": 0.002, "quic_consume_cost": 0.0, "quic_packet_cost":'
+    ' 0.0, "tcp_packet_cost": 0.0}, "manyflow": null, "page": {"n'
+    'ame": "1x19.5312KB", "objects": [[0, 20000]]}, "protocol": {'
+    '"config": null, "name": "quic"}, "proxied": false, "scenario'
+    '": {"extra_delay": 0.0, "jitter": 0.0, "loss_rate": 0.0, "na'
+    'me": "10Mbps+0ms+0%loss", "queue_bytes": null, "rate_mbps": '
+    '10.0, "reorder_extra": 0.0, "reorder_prob": 0.0, "rtt": 0.03'
+    '6, "rtt_run_variation": 0.02}, "seed": 3, "timeout": 900.0, '
+    '"trace": false}, "wall_time": 0.5}}\n'
+)
+GOLDEN_EXPORT_LINE = (
+    '{"created": 1234.5, "fingerprint": "pinned", "key": "370377f'
+    '91861dca0f1f4fcafe3b3c97109d095eaac7b2117b7fd38188e3783b7", '
+    '"record": {"attempts": 1, "complete": true, "failure": null,'
+    ' "metrics": {"bytes": 20000.0, "plt": 1.25}, "plt": 1.25, "r'
+    'equest": {"cwnd_interval": 0.0, "device": {"crypto_setup_cos'
+    't": 0.001, "name": "desktop", "noise": 0.002, "quic_consume_'
+    'cost": 0.0, "quic_packet_cost": 0.0, "tcp_packet_cost": 0.0}'
+    ', "manyflow": null, "page": {"name": "1x19.5312KB", "objects'
+    '": [[0, 20000]]}, "protocol": {"config": null, "name": "quic'
+    '"}, "proxied": false, "scenario": {"extra_delay": 0.0, "jitt'
+    'er": 0.0, "loss_rate": 0.0, "name": "10Mbps+0ms+0%loss", "qu'
+    'eue_bytes": null, "rate_mbps": 10.0, "reorder_extra": 0.0, "'
+    'reorder_prob": 0.0, "rtt": 0.036, "rtt_run_variation": 0.02}'
+    ', "seed": 3, "timeout": 900.0, "trace": false}, "wall_time":'
+    ' 0.5}}\n'
+)
+
+
+def _golden_record():
+    return RunRecord(request=req(seed=3), plt=1.25, complete=True,
+                     metrics={"plt": 1.25, "bytes": 20000.0}, wall_time=0.5,
+                     attempts=1)
+
+
+class TestByteGoldens:
+    """A fixed ``(key, created, fingerprint, record)`` spells the same
+    bytes it always did, in all four line forms."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
+        assert run_key(req(seed=3), fingerprint="pinned") == GOLDEN_KEY
+        store.put(GOLDEN_KEY, _golden_record(), fingerprint="pinned",
+                  created=1234.5)
+        return store
+
+    def test_shard_line(self, store):
+        shard = store._data_path(store.shard_of(GOLDEN_KEY))
+        assert shard.read_text() == GOLDEN_SHARD_LINE
+
+    def test_put_many_and_upload_rows_write_the_same_line(self, tmp_path):
+        for name, write in (
+                ("many", lambda s: s.put_many(
+                    [(GOLDEN_KEY, _golden_record(), "pinned")],
+                    created=1234.5)),
+                ("rows", lambda s: s.upload_rows(
+                    [(GOLDEN_KEY, 1234.5, "pinned",
+                      record_to_dict(_golden_record()))]))):
+            store = ShardStore(tmp_path / name)
+            assert write(store) == 1
+            shard = store._data_path(store.shard_of(GOLDEN_KEY))
+            assert shard.read_text() == GOLDEN_SHARD_LINE
+
+    def test_a_golden_ledger_reads_back_and_verifies(self, tmp_path):
+        store = ShardStore(tmp_path / "old")
+        store._data_path(store.shard_of(GOLDEN_KEY)).write_text(
+            GOLDEN_SHARD_LINE)
+        assert store.get(GOLDEN_KEY).plt == 1.25
+        assert store.row(GOLDEN_KEY)[:3] == (GOLDEN_KEY, 1234.5, "pinned")
+        report = fsck(store)
+        assert report.clean and report.verified == report.rows == 1
+
+    def test_export_line(self, store, tmp_path):
+        assert store.export_jsonl(tmp_path / "dump.jsonl") == 1
+        assert (tmp_path / "dump.jsonl").read_text() == GOLDEN_EXPORT_LINE
+
+    def test_wire_response_and_upload_body_lines(self, store):
+        wire = GOLDEN_EXPORT_LINE.encode()
+        with StoreServer(store, port=0) as server:
+            fetch = urllib.request.Request(
+                server.url + "/fetch", method="POST",
+                data=json.dumps({"keys": [GOLDEN_KEY]}).encode())
+            for target in (server.url + "/records",
+                           server.url + "/records/" + GOLDEN_KEY, fetch):
+                assert urllib.request.urlopen(target).read() == wire
+            remote = RemoteStore(server.url)
+            sent = []
+            real = remote._request
+
+            def spy(method, path, body=None, **kwargs):
+                sent.append((method, path, body))
+                return real(method, path, body, **kwargs)
+
+            remote._request = spy
+            row = (GOLDEN_KEY, 1234.5, "pinned",
+                   record_to_dict(_golden_record()))
+            assert remote.upload_rows([row]) == 1
+            assert sent[-1] == ("POST", "/records", wire)
+            # A single put travels as the very same one-line upload.
+            remote.put(GOLDEN_KEY, _golden_record(), fingerprint="pinned",
+                       created=1234.5)
+            assert sent[-1] == ("POST", "/records", wire)
+
+
+# ----------------------------------------------------------------------
+# one label derivation
+# ----------------------------------------------------------------------
+def _request_fixtures():
+    """Every request fixture of tests/test_store.py."""
+    requests = [build() for build, _key in fixtures.GOLDEN_KEYS.values()]
+    requests += [fixtures._manyflow_req(cc, aqm) for cc, aqm in (
+        ("reno", "droptail"), ("cubic", "codel"), ("bbr", "fq_codel"))]
+    requests += [req(), fixtures.fresh_req(seed=2), req(seed=9, proxied=True)]
+    return requests
+
+
+class TestLabels:
+    def test_label_of_equals_request_label(self):
+        from repro.store.rows import label_of
+
+        for request in _request_fixtures():
+            assert (label_of(record_to_dict(_record(request)))
+                    == request.label)
+        assert label_of({"request": {"page": {"name": "orphan"}}}) == ""
+
+    def test_store_ls_is_unchanged_on_all_three_backends(self, tmp_path,
+                                                         capsys):
+        unique = {run_key(request, fingerprint="pinned"): request
+                  for request in _request_fixtures()}
+        expected = []
+        for index, (key, request) in enumerate(unique.items()):
+            created = 1_000_000.0 + index
+            for store in (ShardStore(tmp_path / "shards"),
+                          SqliteStore(tmp_path / "s.sqlite")):
+                store.put(key, _record(request), fingerprint="pinned",
+                          created=created)
+                store.close()
+            stamp = time.strftime("%Y-%m-%d %H:%M:%S",
+                                  time.localtime(created))
+            expected.append(f"{key[:16]}  {stamp}  {request.label}")
+        with StoreServer(ShardStore(tmp_path / "shards"), port=0) as server:
+            for location in (tmp_path / "shards", tmp_path / "s.sqlite",
+                             server.url):
+                assert main(["store", "--store", str(location), "ls"]) == 0
+                listed = capsys.readouterr().out.splitlines()
+                assert listed[:-1] == expected, location
+                assert listed[-1].startswith(f"{len(unique)} stored run(s)")
+
+
+# ----------------------------------------------------------------------
+# the frozen surface, and rows as the write currency
+# ----------------------------------------------------------------------
+#: What ``benchmarks/e2e/tracing.TracedStore`` implements.  The harness
+#: is byte-frozen in product PRs, so one more abstract method here breaks
+#: every benchmark run — fail in tier-1, in seconds, instead.
+PINNED_ABSTRACT = {
+    "__contains__", "__len__", "bump_counter", "close", "counters", "delete",
+    "fingerprints", "gc", "get", "items", "keys", "put", "rows"}
+
+
+class TestFrozenSurface:
+    def test_abstract_surface_is_the_pinned_thirteen(self):
+        assert set(StoreBackend.__abstractmethods__) == PINNED_ABSTRACT
+
+    def test_wrappers_still_instantiate(self):
+        if str(ROOT) not in sys.path:
+            sys.path.insert(0, str(ROOT))
+        from benchmarks.e2e.tracing import TracedStore
+
+        for wrapper in (TracedStore, FaultyStore):
+            assert not inspect.isabstract(wrapper), wrapper
+            # ...and inherit the row-level defaults rather than shadow
+            # them: an uploaded row must pass through their own put().
+            assert wrapper.upload_rows is StoreBackend.upload_rows
+            assert wrapper.missing is StoreBackend.missing
+
+    def test_default_upload_rows_feeds_each_row_through_put(self, tmp_path):
+        from repro.faults import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec("store", "os_error", op="put", after=2)])
+        store = FaultyStore(ShardStore(tmp_path / "s"), plan)
+        rows = [(_genuine(seed)[0], float(seed), _genuine(seed)[1],
+                 _genuine(seed)[2]) for seed in range(4)]
+        with pytest.raises(OSError, match="injected"):
+            store.upload_rows(rows)  # the third put trips the plan
+        assert len(store) == 2
+        assert store.missing(row[0] for row in rows) == [
+            row[0] for row in rows[2:]]
+
+
+class TestRowsAreTheWriteCurrency:
+    def test_sync_keeps_the_source_record_bytes(self, tmp_path):
+        # A legacy-shaped record (no "manyflow" field, as rows written
+        # before it existed) used to come out of a sync re-encoded.
+        src = ShardStore(tmp_path / "src")
+        legacy = json.loads(json.dumps(RECORD))
+        del legacy["request"]["manyflow"]
+        src.upload_rows([(KEY, 5.0, FINGERPRINT, legacy)]
+                        + [(_genuine(seed)[0], float(seed),
+                            _genuine(seed)[1], _genuine(seed)[2])
+                           for seed in (1, 2)])
+        dst = ShardStore(tmp_path / "dst")
+        assert merge_into(dst, tmp_path / "src") == (3, 0)
+        assert merge_into(dst, tmp_path / "src") == (0, 3)
+
+        def record_bytes(store):
+            return {json.loads(line)["key"]: line[line.index('"record"'):]
+                    for shard in store._shards() for line in
+                    store._data_path(shard).read_text().splitlines()}
+
+        assert record_bytes(dst) == record_bytes(src)
+        assert "manyflow" not in dst.row(KEY)[3]["request"]
+        assert fsck(dst).verified == 3
+
+    def test_put_many_encodes_row_by_row(self, tmp_path, monkeypatch):
+        # store_replay pre-fills 9 600 rows through put_many: the record
+        # dicts must be drawn one at a time, never held as a batch.
+        from repro.store import shards
+
+        converted = []
+        alive_at_encode = []
+
+        def counting_to_dict(record):
+            converted.append(record)
+            return record_to_dict(record)
+
+        def spying_encode(*row, **kwargs):
+            alive_at_encode.append(len(converted))
+            return real_encode(*row, **kwargs)
+
+        real_encode = shards.encode_row
+        monkeypatch.setattr("repro.store.backend.record_to_dict",
+                            counting_to_dict)
+        monkeypatch.setattr(shards, "encode_row", spying_encode)
+        store = ShardStore(tmp_path / "s")
+        entries = [(_genuine(seed)[0], _record(req(seed=seed)),
+                    _genuine(seed)[1]) for seed in range(6)]
+        assert store.put_many(entries) == 6
+        assert alive_at_encode == [1, 2, 3, 4, 5, 6]
+        assert len(store) == 6
