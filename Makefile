@@ -19,9 +19,9 @@ bench:
 bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# Fast end-to-end check: a tiny spec grid on 2 workers.
+# Fast end-to-end check: the shipped smoke spec on 2 workers.
 bench-smoke:
-	$(PYTHON) -m repro spec --file examples/specs/smoke.json --jobs 2
+	PYTHONPATH=src $(PYTHON) -m repro spec --file examples/specs/smoke.json --jobs 2
 
 # Perf-regression gate: re-measure every kind of scripts/bench_diff.py's
 # gate table into a temp directory and gate it against the committed
@@ -44,8 +44,9 @@ examples:
 results:
 	@ls -1 benchmarks/results/
 
-# What CI runs: the tier-1 suite plus the end-to-end benchmark's own tests.
-check:
+# What CI runs: the tier-1 suite, the end-to-end benchmark's own tests
+# and the real `repro spec --jobs 2` path over the shipped smoke spec.
+check: bench-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests -q
 

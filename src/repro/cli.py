@@ -67,14 +67,30 @@ def _workload(args: argparse.Namespace):
     return single_object_page(args.size_kb * 1024)
 
 
+def _open_store(location, *, backend=None, must_exist=False):
+    """Open the results store a command names.
+
+    Resolution goes through :func:`repro.store.resolve_store` — the
+    same precedence (explicit path > ``$REPRO_STORE`` > default; a bare
+    flag's ``""`` means unset) every other entry point uses, with a
+    clean error when ``--backend`` conflicts with an existing store.
+    With ``must_exist`` a missing store raises ``StoreNotFoundError``;
+    each command words its own hint.
+    """
+    from .store import resolve_store
+
+    try:
+        return resolve_store(location or None, backend=backend,
+                             must_exist=must_exist)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
 def _cache(args: argparse.Namespace):
     """Build the RunCache behind ``--cache [PATH]`` / ``--store-url``.
 
-    Resolution goes through :func:`repro.store.resolve_store` — the
-    same precedence (explicit path > ``$REPRO_STORE`` > default) every
-    other entry point uses, with a clean error when ``--backend``
-    conflicts with an existing store.  ``--store-url`` is the fabric
-    spelling: the same cache, served by a ``repro serve`` process.
+    ``--store-url`` is the fabric spelling: the same cache, served by a
+    ``repro serve`` process.
     """
     location = getattr(args, "cache", None)
     store_url = getattr(args, "store_url", None)
@@ -86,15 +102,16 @@ def _cache(args: argparse.Namespace):
         location = store_url
     if location is None:
         return None
-    from .store import RunCache, resolve_store
+    from .store import RunCache
 
-    try:
-        # "" (bare --cache) means the default path.
-        store = resolve_store(location or None,
-                              backend=getattr(args, "backend", None))
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    return RunCache(store)
+    return RunCache(_open_store(location,
+                                backend=getattr(args, "backend", None)))
+
+
+def _print_session(cache) -> None:
+    """The hit/miss footer of a ``--cache`` run."""
+    if cache is not None:
+        print(cache.describe_session())
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +125,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cell = compare_page_load(scenario, workload, runs=args.runs,
                              device=device, jobs=args.jobs, store=cache)
     print(cell.describe())
-    if cache is not None:
-        print(cache.describe_session())
+    _print_session(cache)
     return 0
 
 
@@ -119,13 +135,15 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
                  for rate in _floats(args.rates)]
     pages = [single_object_page(kb * 1024) for kb in _ints(args.sizes_kb)]
     cache = _cache(args)
-    heatmap = build_plt_heatmap(
-        "QUIC vs TCP page load time", scenarios, pages, runs=args.runs,
-        device=DEVICE_PROFILES[args.device], jobs=args.jobs, store=cache,
-    )
+    try:
+        heatmap = build_plt_heatmap(
+            "QUIC vs TCP page load time", scenarios, pages, runs=args.runs,
+            device=DEVICE_PROFILES[args.device], jobs=args.jobs, store=cache,
+        )
+    except ValueError as exc:  # e.g. --rates 10,10: two rows, one label
+        raise SystemExit(f"error: {exc}")
     print(heatmap.render())
-    if cache is not None:
-        print(cache.describe_session())
+    _print_session(cache)
     return 0
 
 
@@ -198,14 +216,19 @@ def cmd_spec(args: argparse.Namespace) -> int:
           f"{len(spec.workloads)} workloads x {spec.runs} runs"
           + (f" on {args.jobs or 'all'} workers" if args.jobs != 1 else ""))
     cache = _cache(args)
-    result = run_experiment(
-        spec, seed_base=args.seed, jobs=args.jobs, store=cache,
-        progress=lambda key, plts: print(f"  done {'/'.join(key)}"),
-    )
+    try:
+        result = run_experiment(
+            spec, seed_base=args.seed, jobs=args.jobs, store=cache,
+            progress=lambda key, plts: print(f"  done {'/'.join(key)}"),
+        )
+    except ValueError as exc:  # two spec entries under one cell label
+        raise SystemExit(f"error: {exc}")
     print()
-    print(result.heatmap().render())
-    if cache is not None:
-        print(cache.describe_session())
+    heatmap = result.heatmap()
+    # A single-protocol spec has no QUIC-vs-TCP cell to draw.
+    print(heatmap.render() if heatmap.cells
+          else "\n".join(result.summary_rows()))
+    _print_session(cache)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(result.to_json())
@@ -223,10 +246,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     if args.from_store is not None:
-        from .store import StoreNotFoundError, resolve_store
+        from .store import StoreNotFoundError
 
         try:
-            found = resolve_store(args.from_store or None, must_exist=True)
+            found = _open_store(args.from_store, must_exist=True)
         except StoreNotFoundError as exc:
             print(f"{exc} — run a sweep with --cache first")
             return 0
@@ -280,8 +303,6 @@ def cmd_store(args: argparse.Namespace) -> int:
         achievable_fingerprints,
         merge_into,
         record_to_dict,
-        resolve_store,
-        resolve_store_path,
         subsystem_fingerprints,
     )
 
@@ -290,15 +311,12 @@ def cmd_store(args: argparse.Namespace) -> int:
     read_only = args.store_command in ("ls", "show", "stats", "gc", "export",
                                        "fsck")
     try:
-        opened = resolve_store(args.store, backend=args.backend,
-                               must_exist=read_only)
-    except StoreNotFoundError:
-        print(f"no results store at {resolve_store_path(args.store)} — "
-              f"nothing to {args.store_command}; run a sweep with --cache "
-              "to create one")
+        opened = _open_store(args.store, backend=args.backend,
+                             must_exist=read_only)
+    except StoreNotFoundError as exc:
+        print(f"{exc} — nothing to {args.store_command}; run a sweep with "
+              "--cache to create one")
         return 0
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
 
     with opened as store:
         if args.store_command == "ls":
@@ -403,16 +421,13 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from .fabric import StoreServer
-    from .store import KEY_SCHEMA_VERSION, is_store_url, resolve_store
+    from .store import KEY_SCHEMA_VERSION, is_store_url
 
     if is_store_url(args.store or ""):
         raise SystemExit(
             "error: repro serve exposes a *local* store over HTTP; point "
             "--store at a file or directory, not another server's URL")
-    try:
-        store = resolve_store(args.store or None, backend=args.backend)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    store = _open_store(args.store, backend=args.backend)
     try:
         server = StoreServer(store, host=args.host, port=args.port,
                              verbose=args.verbose)
@@ -494,8 +509,7 @@ def cmd_manyflow(args: argparse.Namespace) -> int:
               f"quic_share={m['quic_share']:.3f} "
               f"plt_p50={m['plt_p50']:.3f}s "
               f"p99={m['plt_p99']:.3f}s{flag}")
-    if cache is not None:
-        print(cache.describe_session())
+    _print_session(cache)
     return 0
 
 
@@ -508,10 +522,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if args.from_store is not None:
         from .core.aggregate import iter_records
-        from .store import StoreNotFoundError, resolve_store
+        from .store import StoreNotFoundError
 
         try:
-            found = resolve_store(args.from_store or None, must_exist=True)
+            found = _open_store(args.from_store, must_exist=True)
         except StoreNotFoundError as exc:
             print(f"{exc} — run `repro validate` without --from-store "
                   "(or a manyflow sweep with --cache) first")
@@ -532,8 +546,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"  {request.manyflow.label} seed {request.seed} on "
                   f"{request.scenario.name}: {record.failure}")
         fit = fit_records(records)
-        if cache is not None:
-            print(cache.describe_session())
+        _print_session(cache)
     cells = fit.cells()
     if not cells:
         print("no model-fit cells: the store holds no completed "

@@ -14,7 +14,7 @@ from .calibration import (
     uncalibrated_vs_calibrated,
 )
 from .aggregate import CellAccumulator, StreamAggregator
-from .comparison import Comparison, SamplePair
+from .comparison import Comparison
 from .diffing import ModelDiff, diff_models, version_stability_report
 from .executor import (
     EVENT_WIRE_BOUND,
@@ -23,6 +23,7 @@ from .executor import (
     RunFailure,
     RunRecord,
     RunRequest,
+    collect,
     execute_request,
     iter_runs,
     run_requests,
@@ -36,7 +37,7 @@ from .experiment import (
     experiment_requests,
     run_experiment,
 )
-from .heatmap import GridAccumulator, Heatmap
+from .heatmap import Heatmap
 from .instrumentation import Trace, TraceRecord
 from .monitors import FlowThroughputMonitor
 from .report import build_report, collect_sections, missing_experiments
@@ -89,7 +90,6 @@ __all__ = [
     "CellAccumulator",
     "StreamAggregator",
     "Comparison",
-    "SamplePair",
     "ModelDiff",
     "diff_models",
     "version_stability_report",
@@ -99,6 +99,7 @@ __all__ = [
     "RunFailure",
     "RunRecord",
     "RunRequest",
+    "collect",
     "execute_request",
     "iter_runs",
     "run_requests",
@@ -109,7 +110,6 @@ __all__ = [
     "WorkloadSpec",
     "experiment_requests",
     "run_experiment",
-    "GridAccumulator",
     "Heatmap",
     "Trace",
     "TraceRecord",

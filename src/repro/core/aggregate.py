@@ -1,31 +1,26 @@
-"""Incremental record aggregation shared by the report paths.
+"""Incremental record aggregation behind ``repro report --from-store``.
 
-``REPORT.md`` can be collated from two places: the committed
-``benchmarks/results/*.txt`` summaries, or directly from a results
-store (any :class:`~repro.store.backend.StoreBackend`) holding cached
-:class:`~repro.core.executor.RunRecord` rows.  Both paths meet here:
-this module turns a stream of records into deterministic
-per-cell aggregates (scenario x page x protocol) and renders them as
-the one table text both ``repro report --from-store`` and the
-results-file path embed — so a warm cache reports identically to a
-completed benchmark run without re-executing anything.
+A results store (any :class:`~repro.store.backend.StoreBackend`) holds
+cached :class:`~repro.core.executor.RunRecord` rows; this module turns
+a stream of them into deterministic per-cell aggregates (scenario x
+page x protocol) and renders the tables the store report embeds — so a
+warm cache is reportable without re-executing anything.
 
 The aggregation is *incremental*: a :class:`StreamAggregator` holds one
-:class:`CellAccumulator` per cell, each updated per record and
-``merge``-able across workers, so nothing ever materialises the full
-record list.  An accumulator keeps only the cell's PLT floats and a
-run counter — the memory ceiling of a 10⁶-cell sweep's report is a few
-floats per cell, not 10⁶ pickled records.  Because a partially-fed
-aggregator is already renderable, ``repro report --from-store --live``
-can collate a store *while* a sweep is appending to it.
+:class:`CellAccumulator` per cell, each updated per record, so nothing
+ever materialises the full record list.  An accumulator keeps only the
+cell's PLT floats and a run counter — the memory ceiling of a 10⁶-cell
+sweep's report is a few floats per cell, not 10⁶ pickled records.
+Because a partially-fed aggregator is already renderable, ``repro
+report --from-store --live`` can collate a store *while* a sweep is
+appending to it.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .executor import RunRecord
 from .models import ModelFitAccumulator, render_model_fit_table
@@ -56,9 +51,7 @@ class CellAccumulator:
     """Incremental aggregation state for one cell.
 
     Holds only a run counter and the successful PLT floats — bounded
-    memory regardless of how many records flow through.  Feed it
-    records; ``merge`` folds in a peer accumulator (another worker's,
-    or a later resume's).
+    memory regardless of how many records flow through.
     """
 
     scenario: str
@@ -68,10 +61,6 @@ class CellAccumulator:
     plts: List[float] = field(default_factory=list)
 
     @property
-    def key(self) -> CellKey:
-        return (self.scenario, self.page, self.protocol)
-
-    @property
     def ok(self) -> int:
         return len(self.plts)
 
@@ -79,13 +68,6 @@ class CellAccumulator:
         self.runs += 1
         if record.ok and record.plt is not None:
             self.plts.append(record.plt)
-
-    def merge(self, other: "CellAccumulator") -> None:
-        if other.key != self.key:
-            raise ValueError(
-                f"cannot merge cell {other.key} into cell {self.key}")
-        self.runs += other.runs
-        self.plts.extend(other.plts)
 
     def aggregate(self) -> CellAggregate:
         plts = sorted(self.plts)
@@ -135,17 +117,6 @@ class FairnessAccumulator:
         if metrics.get("plt_tcp_p50"):
             self.plt_tcp.append(metrics["plt_tcp_p50"])
 
-    def merge(self, other: "FairnessAccumulator") -> None:
-        if other.key != self.key:
-            raise ValueError(
-                f"cannot merge fairness cell {other.key} into {self.key}")
-        self.runs += other.runs
-        self.completed += other.completed
-        self.jains.extend(other.jains)
-        self.quic_shares.extend(other.quic_shares)
-        self.plt_quic.extend(other.plt_quic)
-        self.plt_tcp.extend(other.plt_tcp)
-
 
 @dataclass
 class DwellAccumulator:
@@ -175,14 +146,6 @@ class DwellAccumulator:
             if name.startswith("dwell:"):
                 state = name[len("dwell:"):]
                 self.fractions[state] = self.fractions.get(state, 0.0) + value
-
-    def merge(self, other: "DwellAccumulator") -> None:
-        if other.key != self.key:
-            raise ValueError(
-                f"cannot merge dwell cell {other.key} into {self.key}")
-        self.runs += other.runs
-        for state, value in other.fractions.items():
-            self.fractions[state] = self.fractions.get(state, 0.0) + value
 
     def mean_fractions(self) -> List[Tuple[str, float]]:
         """(state, mean dwell fraction), largest dwell first."""
@@ -247,11 +210,9 @@ def render_fairness_table(cells: List[FairnessAccumulator]) -> str:
 class StreamAggregator:
     """Per-cell accumulators fed one record at a time.
 
-    The streaming counterpart of :func:`aggregate_cells`: identical
-    output for identical inputs, but nothing is materialised and two
-    aggregators (e.g. from two workers, or a live view plus a resumed
-    sweep) ``merge`` associatively.  Records carrying fairness metrics
-    (the manyflow family) additionally feed per-cell
+    Nothing is materialised, and the output depends only on the set of
+    records fed.  Records carrying fairness metrics (the manyflow
+    family) additionally feed per-cell
     :class:`FairnessAccumulator`\\ s, a shared
     :class:`~repro.core.models.ModelFitAccumulator` (the analytical
     oracle comparison behind ``repro validate``), and — when traced —
@@ -302,23 +263,6 @@ class StreamAggregator:
                     protocol=request.protocol.name)
             dwell.add_record(record)
 
-    def merge(self, other: "StreamAggregator") -> None:
-        for key, cell in other.cells.items():
-            self._cell(*key).merge(cell)
-        for key, cell in other.fairness.items():
-            mine = self.fairness.get(key)
-            if mine is None:
-                self.fairness[key] = cell
-            else:
-                mine.merge(cell)
-        self.model_fit.merge(other.model_fit)
-        for key, cell in other.dwell.items():
-            mine_dwell = self.dwell.get(key)
-            if mine_dwell is None:
-                self.dwell[key] = cell
-            else:
-                mine_dwell.merge(cell)
-
     def aggregates(self) -> List[CellAggregate]:
         return [self.cells[key].aggregate() for key in sorted(self.cells)]
 
@@ -347,51 +291,27 @@ class StreamAggregator:
         return render_dwell_table(list(self.dwell.values()))
 
 
-def iter_records(store: Any, *,
-                 fingerprints: Optional[Iterable[str]] = None
-                 ) -> Iterator[RunRecord]:
+def iter_records(store: Any) -> Iterator[RunRecord]:
     """Every decodable record in ``store``, streamed oldest first.
 
-    ``fingerprints`` restricts the stream to rows stamped with one of
-    the given code fingerprints (e.g. only results the current code
-    could still produce).  Undecodable rows are skipped, not fatal — a
-    report over a shared store should survive one bad row.
+    Undecodable rows are skipped, not fatal — a report over a shared
+    store should survive one bad row.
     """
     from ..store.keys import record_from_dict  # avoid a package cycle
 
-    wanted = None if fingerprints is None else set(fingerprints)
-    for _key, _created, fingerprint, raw in store.items():
-        if wanted is not None and fingerprint not in wanted:
-            continue
+    for _key, _created, _fingerprint, raw in store.items():
         try:
             yield record_from_dict(raw)
         except Exception:  # noqa: BLE001 - tolerate foreign/stale rows
             continue
 
 
-def select_records(store: object, *,
-                   fingerprints: Optional[Iterable[str]] = None
-                   ) -> List[RunRecord]:
-    """List form of :func:`iter_records` (kept for small stores/tests)."""
-    return list(iter_records(store, fingerprints=fingerprints))
-
-
-def store_aggregator(store: Any, *,
-                     fingerprints: Optional[Iterable[str]] = None
-                     ) -> StreamAggregator:
+def store_aggregator(store: Any) -> StreamAggregator:
     """Aggregate a whole store without materialising its records."""
     aggregator = StreamAggregator()
-    for record in iter_records(store, fingerprints=fingerprints):
+    for record in iter_records(store):
         aggregator.add_record(record)
     return aggregator
-
-
-def aggregate_cells(records: Iterable[RunRecord]) -> List[CellAggregate]:
-    """Group records into cells and summarise each, sorted by cell key."""
-    aggregator = StreamAggregator()
-    for record in records:
-        aggregator.add_record(record)
-    return aggregator.aggregates()
 
 
 def _ratio_rows(cells: List[CellAggregate]) -> List[Tuple[str, str, float]]:
@@ -435,28 +355,3 @@ def render_cell_table(cells: List[CellAggregate]) -> str:
             lines.append(f"  {scenario:<{width_scn}}  {page:<{width_page}}  "
                          f"{ratio:.3f}")
     return "\n".join(lines)
-
-
-def store_result_text(store: object) -> str:
-    """The aggregation body for one store — the shared table text.
-
-    This exact text is what ``repro report --from-store`` embeds and
-    what :func:`write_store_results` drops into a results directory, so
-    the two report paths produce identical tables for identical records.
-    """
-    return store_aggregator(store).render()
-
-
-def write_store_results(store: object, results_dir: Union[str, Path], *,
-                        stem: str = "store_summary") -> Path:
-    """Write the store's aggregation into a results dir as ``<stem>.txt``.
-
-    The file feeds the classic ``benchmarks/results`` report path
-    (appearing under *Ablations & extensions*) with a body byte-identical
-    to the ``--from-store`` section for the same records.
-    """
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / f"{stem}.txt"
-    path.write_text(store_result_text(store) + "\n")
-    return path

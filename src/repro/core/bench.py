@@ -16,10 +16,9 @@ commits.  This module is that measurement layer:
   number a sweep cell costs; speeding it up is the point of the whole
   exercise.
 * :func:`calibrate` — a tiny pure-Python spin loop measured on the same
-  host.  Benchmark JSONs carry this so that
-  ``scripts/bench_diff.py`` can compare *host-normalised* rates across
-  machines (a laptop and a CI runner disagree wildly on absolute
-  events/sec but much less on events-per-calibration-op).
+  host.  Benchmark JSONs carry this so a reader can tell how fast the
+  measuring host was (a laptop and a CI runner disagree wildly on
+  absolute events/sec but much less on events-per-calibration-op).
 
 :func:`run_benchmarks` bundles the above into the ``BENCH_sim.json``
 payload; the ``repro bench`` CLI subcommand is a thin wrapper around it.

@@ -5,17 +5,12 @@ run round, as the paper runs TCP and QUIC back-to-back in each round) and
 answers the three questions every heatmap cell needs: the percent
 difference, its direction, and whether it is statistically significant
 under Welch's t-test at p < 0.01.
-
-A :class:`SamplePair` is its streaming front-end: samples arrive tagged
-with their run round — in whatever order the parallel executor
-completes them — and surface in round order, so a comparison built
-from an event stream is identical to one built serially.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from .stats import ALPHA, TTestResult, mean, percent_difference, sample_std, welch_t_test
 
@@ -84,58 +79,3 @@ class Comparison:
             f"(sd {sample_std(self.tcp):.3f}) -> {self.pct_diff:+.1f}% "
             f"(p={t.p_value:.4f}, {self.winner})"
         )
-
-
-@dataclass
-class SamplePair:
-    """Out-of-order-tolerant accumulator for one cell's two sample sets.
-
-    The streaming executor finishes runs in completion order; each
-    sample lands here with its round index and the sides are read back
-    in round order, so the derived :class:`Comparison` is bit-identical
-    to a serial run's.  Two pairs for the same cell ``merge`` (e.g.
-    across workers, or a killed sweep's partial grid plus its resume).
-    """
-
-    treatment_name: str = "QUIC"
-    baseline_name: str = "TCP"
-    treatment_by_round: Dict[int, float] = field(default_factory=dict)
-    baseline_by_round: Dict[int, float] = field(default_factory=dict)
-
-    def add(self, side: str, round_index: int, value: float) -> None:
-        """Record one sample: ``side`` is "treatment" or "baseline"."""
-        if side == "treatment":
-            self.treatment_by_round[round_index] = value
-        elif side == "baseline":
-            self.baseline_by_round[round_index] = value
-        else:
-            raise ValueError(
-                f"side must be 'treatment' or 'baseline', not {side!r}")
-
-    def merge(self, other: "SamplePair") -> None:
-        self.treatment_by_round.update(other.treatment_by_round)
-        self.baseline_by_round.update(other.baseline_by_round)
-
-    @property
-    def counts(self) -> Tuple[int, int]:
-        """(treatment samples, baseline samples) accumulated so far."""
-        return len(self.treatment_by_round), len(self.baseline_by_round)
-
-    def complete(self, runs: int) -> bool:
-        """Whether both sides hold all ``runs`` rounds."""
-        return (len(self.treatment_by_round) >= runs
-                and len(self.baseline_by_round) >= runs)
-
-    def treatment_samples(self) -> List[float]:
-        return [value for _round, value
-                in sorted(self.treatment_by_round.items())]
-
-    def baseline_samples(self) -> List[float]:
-        return [value for _round, value
-                in sorted(self.baseline_by_round.items())]
-
-    def comparison(self, label: str, *, metric: str = "plt") -> Comparison:
-        return Comparison(
-            label, self.treatment_samples(), self.baseline_samples(),
-            metric=metric, treatment_name=self.treatment_name,
-            baseline_name=self.baseline_name)

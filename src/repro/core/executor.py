@@ -25,9 +25,12 @@ stats, never a record payload — cross the pipe back to the parent.  A
 O(cells) pickled records, and its memory stays bounded by whatever the
 caller accumulates.
 
-:func:`run_requests` remains as a thin compatibility wrapper that
-materialises the stream into the classic request-ordered
-``List[RunRecord]``.  Each run re-seeds from its request alone, so a
+:func:`collect` is the one fold over that stream: it takes the sweep
+as ``(cell key, requests)`` pairs and slots every result back under
+its cell in request order.  Every batch driver — ``measure_plts``, the
+comparisons, the heatmap, ``run_experiment`` and :func:`run_requests`
+(the classic request-ordered ``List[RunRecord]``) — is a request
+builder around it.  Each run re-seeds from its request alone, so a
 parallel execution is bit-identical to a serial one.  ``jobs=1`` is a
 true in-process serial mode — the escape hatch for Windows, coverage
 tooling, and debugging — and the engine degrades to it automatically if
@@ -835,6 +838,58 @@ def _relay_chunk(events: List[RunEvent], cache: Optional[Any],
         yield event
 
 
+def collect(
+    cells: Sequence[Tuple[Any, Sequence[RunRequest]]],
+    *,
+    value: Callable[[RunEvent], Any] = RunEvent.require,
+    on_cell: Optional[Callable[[Any, List[Any]], None]] = None,
+    **iter_runs_kwargs: Any,
+) -> Dict[Any, List[Any]]:
+    """The sweep fold: run every cell's requests, slot the results back.
+
+    ``cells`` is a list of ``(key, requests)`` pairs — the shape
+    :func:`repro.core.experiment.experiment_requests` returns.  All
+    requests run as one :func:`iter_runs` batch (``iter_runs_kwargs``
+    are forwarded unchanged) and each terminal event's ``value(event)``
+    — by default the measured PLT, raising on a failed run — lands at
+    ``result[key][position]``.  Keys come back in the order given and
+    values in request order, whatever order runs complete in, so a
+    pooled sweep's result is identical to a serial one's.
+    ``on_cell(key, values)`` fires once per cell, when its last run
+    lands (completion order under parallelism).
+
+    Two cells under one key would silently share samples, so a
+    duplicate key raises ``ValueError`` before anything executes.
+    """
+    result: Dict[Any, List[Any]] = {}
+    flat: List[RunRequest] = []
+    slots: List[Tuple[Any, int]] = []
+    duplicates: List[Any] = []
+    for key, requests in cells:
+        if key in result:
+            duplicates.append(key)
+            continue
+        before = len(flat)
+        flat.extend(requests)
+        result[key] = [None] * (len(flat) - before)
+        slots.extend((key, position) for position in range(len(result[key])))
+    if duplicates:
+        raise ValueError(
+            f"duplicate sweep cell(s) {', '.join(map(repr, duplicates))}: "
+            f"cells that share a key would share samples — give each "
+            f"scenario and workload a distinct label")
+    remaining = {key: len(values) for key, values in result.items()}
+    for event in iter_runs(flat, **iter_runs_kwargs):
+        if not event.terminal:
+            continue
+        key, position = slots[event.index]
+        result[key][position] = value(event)
+        remaining[key] -= 1
+        if on_cell is not None and remaining[key] == 0:
+            on_cell(key, result[key])
+    return result
+
+
 def run_requests(
     requests: Sequence[RunRequest],
     *,
@@ -848,17 +903,12 @@ def run_requests(
 ) -> List[RunRecord]:
     """Execute ``requests`` and return records in *request order*.
 
-    Compatibility wrapper over :func:`iter_runs`: it materialises the
-    event stream into the classic list (so the whole batch is held in
-    memory — prefer :func:`iter_runs` for large sweeps).  All knobs are
-    forwarded unchanged; see :func:`iter_runs` for their semantics.
+    :func:`collect` over one cell, keeping the full records (so the
+    whole batch is held in memory — prefer :func:`iter_runs` for large
+    sweeps).  All knobs are forwarded unchanged; see :func:`iter_runs`
+    for their semantics.
     """
-    requests = list(requests)
-    results: List[Optional[RunRecord]] = [None] * len(requests)
-    for event in iter_runs(requests, jobs=jobs, wall_timeout=wall_timeout,
-                           retries=retries, chunk_size=chunk_size,
-                           run_fn=run_fn, store=store, keep_records=True,
-                           force_pool=force_pool):
-        if event.terminal:
-            results[event.index] = event.record
-    return results  # type: ignore[return-value]  # one terminal per request
+    return collect([(None, requests)], value=lambda event: event.record,
+                   jobs=jobs, wall_timeout=wall_timeout, retries=retries,
+                   chunk_size=chunk_size, run_fn=run_fn, store=store,
+                   keep_records=True, force_pool=force_pool)[None]

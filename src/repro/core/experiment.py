@@ -37,7 +37,7 @@ from ..http.objects import WebPage, page
 from ..netem.profiles import Scenario, emulated
 from ..quic.config import quic_config
 from .comparison import Comparison
-from .executor import ProtocolSpec, RunRequest, iter_runs
+from .executor import ProtocolSpec, RunRequest, collect
 from .heatmap import Heatmap
 from .stats import mean, sample_std
 
@@ -93,7 +93,13 @@ class ScenarioSpec:
 
     @property
     def label(self) -> str:
-        return self.build().name
+        """The scenario's name, plus any jitter — which the name omits.
+
+        Scenarios that differ only in jitter (the Fig. 10 sweep) must
+        not share a sweep cell.
+        """
+        name = self.build().name
+        return f"{name}+{self.jitter_ms:g}ms jitter" if self.jitter_ms else name
 
 
 @dataclass
@@ -176,16 +182,10 @@ class ExperimentResult:
         return Comparison(f"{scenario_label} / {workload_label}", quic, tcp)
 
     def heatmap(self, title: Optional[str] = None) -> Heatmap:
-        hm = Heatmap(
+        return Heatmap.from_samples(
             title or self.spec.name,
-            row_labels=[s.label for s in self.spec.scenarios],
-            col_labels=[w.label for w in self.spec.workloads],
-        )
-        for scenario in self.spec.scenarios:
-            for workload in self.spec.workloads:
-                hm.put(scenario.label, workload.label,
-                       self.comparison(scenario.label, workload.label))
-        return hm
+            [s.label for s in self.spec.scenarios],
+            [w.label for w in self.spec.workloads], self.samples)
 
     def summary_rows(self) -> List[str]:
         rows = []
@@ -259,26 +259,6 @@ def run_experiment(spec: ExperimentSpec, *, seed_base: int = 0,
     finish, so re-running a killed sweep executes only the missing
     cells, and re-running a finished one executes nothing at all.
     """
-    result = ExperimentResult(spec=spec)
-    cells = experiment_requests(spec, seed_base=seed_base)
-    # Pre-insert every cell in grid order: samples arrive in completion
-    # order, but dict insertion order — and therefore to_json() — must
-    # not depend on scheduling.
-    flat: List[RunRequest] = []
-    slots: List[Tuple[Tuple[str, str, str], int]] = []
-    remaining: Dict[Tuple[str, str, str], int] = {}
-    for key, requests in cells:
-        result.samples[key] = [None] * len(requests)  # type: ignore[list-item]
-        remaining[key] = len(requests)
-        for position, request in enumerate(requests):
-            flat.append(request)
-            slots.append((key, position))
-    for event in iter_runs(flat, jobs=jobs, store=store):
-        if not event.terminal:
-            continue
-        key, position = slots[event.index]
-        result.samples[key][position] = event.require()
-        remaining[key] -= 1
-        if remaining[key] == 0 and progress is not None:
-            progress(key, result.samples[key])
-    return result
+    return ExperimentResult(spec=spec, samples=collect(
+        experiment_requests(spec, seed_base=seed_base), on_cell=progress,
+        jobs=jobs, store=store))

@@ -10,9 +10,9 @@ dot for statistically insignificant ("white") cells.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .comparison import Comparison, SamplePair
+from .comparison import Comparison
 
 
 @dataclass
@@ -26,6 +26,26 @@ class Heatmap:
     #: What the two sides are called in the rendering.
     treatment: str = "QUIC"
     baseline: str = "TCP"
+
+    @classmethod
+    def from_samples(cls, title: str, row_labels: Sequence[str],
+                     col_labels: Sequence[str],
+                     samples: Mapping[Tuple[str, str, str], List[float]]
+                     ) -> "Heatmap":
+        """The grid over ``(row, col, "quic" | "tcp") -> samples``.
+
+        A cell missing either side (a single-protocol sweep) is left
+        out and renders as ``-``.
+        """
+        heatmap = cls(title, list(row_labels), list(col_labels))
+        for row in heatmap.row_labels:
+            for col in heatmap.col_labels:
+                quic = samples.get((row, col, "quic"))
+                tcp = samples.get((row, col, "tcp"))
+                if quic and tcp:
+                    heatmap.put(row, col,
+                                Comparison(f"{row} / {col}", quic, tcp))
+        return heatmap
 
     def put(self, row: str, col: str, comparison: Comparison) -> None:
         if row not in self.row_labels or col not in self.col_labels:
@@ -73,50 +93,3 @@ class Heatmap:
         if not cells:
             return 0.0
         return sum(c.pct_diff for c in cells) / len(cells)
-
-
-@dataclass
-class GridAccumulator:
-    """Streaming builder for a :class:`Heatmap`.
-
-    Feed one sample per completed run — in whatever order the executor
-    streams them — and :meth:`build` at any point.  Cells missing a
-    side are simply left out of the built heatmap (they render as
-    ``-``), so a partial grid mid-sweep builds cleanly; a finished
-    sweep fills every cell.  Accumulators ``merge`` across workers.
-    """
-
-    title: str
-    row_labels: List[str]
-    col_labels: List[str]
-    treatment: str = "QUIC"
-    baseline: str = "TCP"
-    pairs: Dict[Tuple[str, str], SamplePair] = field(default_factory=dict)
-
-    def pair(self, row: str, col: str) -> SamplePair:
-        if row not in self.row_labels or col not in self.col_labels:
-            raise KeyError(f"cell ({row!r}, {col!r}) outside the grid")
-        key = (row, col)
-        found = self.pairs.get(key)
-        if found is None:
-            found = self.pairs[key] = SamplePair(
-                treatment_name=self.treatment, baseline_name=self.baseline)
-        return found
-
-    def add(self, row: str, col: str, side: str, round_index: int,
-            value: float) -> None:
-        self.pair(row, col).add(side, round_index, value)
-
-    def merge(self, other: "GridAccumulator") -> None:
-        for (row, col), pair in other.pairs.items():
-            self.pair(row, col).merge(pair)
-
-    def build(self) -> Heatmap:
-        heatmap = Heatmap(self.title, row_labels=list(self.row_labels),
-                          col_labels=list(self.col_labels),
-                          treatment=self.treatment, baseline=self.baseline)
-        for (row, col), pair in self.pairs.items():
-            treatment_count, baseline_count = pair.counts
-            if treatment_count and baseline_count:
-                heatmap.put(row, col, pair.comparison(f"{row} / {col}"))
-        return heatmap

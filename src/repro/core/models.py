@@ -218,8 +218,7 @@ class FitCell:
 class ModelFitAccumulator:
     """Streaming accumulator: manyflow records → model-fit cells.
 
-    Mergeable (for :class:`~repro.core.aggregate.StreamAggregator`) and
-    order-independent: cells key on ``(cc, proto, link, rtt, loss)`` and
+    Order-independent: cells key on ``(cc, proto, link, rtt, loss)`` and
     average the ``rate_p50`` observable across seeds.  Mixed-protocol
     runs (``0 < tcp_share < 1``) are skipped — their median flow has no
     single analytical model.
@@ -248,12 +247,6 @@ class ModelFitAccumulator:
         entry = self._sums.setdefault(key, [0.0, 0.0])
         entry[0] += observed
         entry[1] += 1.0
-
-    def merge(self, other: "ModelFitAccumulator") -> None:
-        for key, (obs_sum, count) in other._sums.items():
-            entry = self._sums.setdefault(key, [0.0, 0.0])
-            entry[0] += obs_sum
-            entry[1] += count
 
     def __bool__(self) -> bool:
         return bool(self._sums)

@@ -11,9 +11,7 @@ sources feed it:
   :mod:`repro.core.aggregate` — so a warm cache is reportable without
   re-running a single benchmark.
 
-Both paths share the record-aggregation module, so for an identical
-result set they embed identical tables.  Exposed as
-``python -m repro report``.
+Exposed as ``python -m repro report``.
 """
 
 from __future__ import annotations
@@ -22,11 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .aggregate import (
-    render_cell_table,
-    store_aggregator,
-    write_store_results,
-)
+from .aggregate import render_cell_table, store_aggregator
 
 #: Experiment index: result-file stem -> (paper artefact, one-line claim).
 EXPERIMENT_INDEX: Dict[str, Tuple[str, str]] = {
@@ -137,11 +131,9 @@ def build_store_report(store: object,
                        live: bool = False) -> str:
     """Render the Markdown report straight from a results store.
 
-    The table body comes from the same incremental aggregation
-    (:func:`~repro.core.aggregate.store_aggregator`) that
-    :func:`~repro.core.aggregate.write_store_results` feeds the
-    results-file path, so the two paths stay byte-identical for the
-    same records — and the store is streamed, never materialised.
+    The table body comes from the incremental aggregation
+    (:func:`~repro.core.aggregate.store_aggregator`): the store is
+    streamed, never materialised.
 
     ``live`` renders a store a sweep is *still appending to*: the grid
     is expected to be partial, so instead of presenting it as final the
@@ -238,5 +230,4 @@ __all__ = [
     "collect_sections",
     "extra_results",
     "missing_experiments",
-    "write_store_results",
 ]

@@ -35,9 +35,9 @@ from ..quic.config import QuicConfig, quic_config
 from ..quic.connection import open_quic_pair
 from ..tcp.config import TcpConfig, tcp_config
 from ..tcp.connection import open_tcp_pair
-from .comparison import Comparison, SamplePair
-from .executor import ProtocolSpec, RunRecord, RunRequest, iter_runs
-from .heatmap import GridAccumulator, Heatmap
+from .comparison import Comparison
+from .executor import ProtocolSpec, RunRequest, collect
+from .heatmap import Heatmap
 from .instrumentation import Trace
 from .monitors import FlowThroughputMonitor
 
@@ -194,33 +194,21 @@ def measure_plts(
     spec = ProtocolSpec.of(protocol)
     fields = _request_fields("measure_plts", kwargs)
     requests = _seeded_requests(scenario, page, spec, runs, seed_base, fields)
-    plts: List[Optional[float]] = [None] * len(requests)
-    for event in iter_runs(requests, jobs=jobs, store=store):
-        if event.terminal:
-            plts[event.index] = event.require()
-    return plts  # type: ignore[return-value]  # one terminal per request
+    return collect([(None, requests)], jobs=jobs, store=store)[None]
 
 
-def _streamed_pair(requests: List[RunRequest], runs: int, *,
-                   jobs: Optional[int], store: Optional[Any],
-                   treatment_name: str = "QUIC",
-                   baseline_name: str = "TCP") -> SamplePair:
-    """Stream a treatment-half/baseline-half batch into a SamplePair.
-
-    ``requests`` holds the treatment side's ``runs`` rounds followed by
-    the baseline side's; events slot back by index, so completion order
-    (and cache-aware reordering) never changes the sample order.
-    """
-    pair = SamplePair(treatment_name=treatment_name,
-                      baseline_name=baseline_name)
-    for event in iter_runs(requests, jobs=jobs, store=store):
-        if not event.terminal:
-            continue
-        if event.index < runs:
-            pair.add("treatment", event.index, event.require())
-        else:
-            pair.add("baseline", event.index - runs, event.require())
-    return pair
+def _compare(scenario: Scenario, page: WebPage, treatment: ProtocolSpec,
+             baseline: ProtocolSpec, runs: int, fields: Dict[str, Any], *,
+             label: Optional[str], seed_base: int, jobs: Optional[int],
+             store: Optional[Any], **names: str) -> Comparison:
+    """One cell: ``runs`` back-to-back seeded rounds per side, compared."""
+    samples = collect(
+        [(side, _seeded_requests(scenario, page, spec, runs, seed_base,
+                                 fields))
+         for side, spec in (("treatment", treatment), ("baseline", baseline))],
+        jobs=jobs, store=store)
+    return Comparison(label or f"{scenario.name} / {page.name}",
+                      samples["treatment"], samples["baseline"], **names)
 
 
 def compare_page_load(
@@ -241,15 +229,10 @@ def compare_page_load(
     ``quic``/``tcp`` override either side's configuration (a config or a
     full :class:`ProtocolSpec`).
     """
-    quic_spec = _side_spec("quic", quic)
-    tcp_spec = _side_spec("tcp", tcp)
-    fields = _request_fields("compare_page_load", common)
-    requests = (
-        _seeded_requests(scenario, page, quic_spec, runs, seed_base, fields)
-        + _seeded_requests(scenario, page, tcp_spec, runs, seed_base, fields)
-    )
-    pair = _streamed_pair(requests, runs, jobs=jobs, store=store)
-    return pair.comparison(label or f"{scenario.name} / {page.name}")
+    return _compare(
+        scenario, page, _side_spec("quic", quic), _side_spec("tcp", tcp),
+        runs, _request_fields("compare_page_load", common), label=label,
+        seed_base=seed_base, jobs=jobs, store=store)
 
 
 def compare_quic_variants(
@@ -268,17 +251,12 @@ def compare_quic_variants(
     **common: Any,
 ) -> Comparison:
     """Compare two QUIC configurations (e.g. 0-RTT on/off for Fig. 7)."""
-    fields = _request_fields("compare_quic_variants", common)
-    treatment = ProtocolSpec("quic", treatment_cfg)
-    baseline = ProtocolSpec("quic", baseline_cfg)
-    requests = (
-        _seeded_requests(scenario, page, treatment, runs, seed_base, fields)
-        + _seeded_requests(scenario, page, baseline, runs, seed_base, fields)
-    )
-    pair = _streamed_pair(requests, runs, jobs=jobs, store=store,
-                          treatment_name=treatment_name,
-                          baseline_name=baseline_name)
-    return pair.comparison(label or f"{scenario.name} / {page.name}")
+    return _compare(
+        scenario, page, ProtocolSpec("quic", treatment_cfg),
+        ProtocolSpec("quic", baseline_cfg), runs,
+        _request_fields("compare_quic_variants", common), label=label,
+        seed_base=seed_base, jobs=jobs, store=store,
+        treatment_name=treatment_name, baseline_name=baseline_name)
 
 
 def build_plt_heatmap(
@@ -287,7 +265,6 @@ def build_plt_heatmap(
     pages: Sequence[WebPage],
     runs: int = DEFAULT_RUNS,
     *,
-    compare: Optional[Callable[[Scenario, WebPage], Comparison]] = None,
     jobs: Optional[int] = 1,
     store: Optional[Any] = None,
     seed_base: int = 0,
@@ -297,51 +274,21 @@ def build_plt_heatmap(
 ) -> Heatmap:
     """Build a Fig. 6/8-style heatmap: scenarios as rows, pages as columns.
 
-    Without a custom ``compare`` callback the whole grid — every
-    (scenario x page x protocol x round) — is fanned out over the
-    executor in one batch, so ``jobs`` parallelises across cells, not
-    just within them.  The samples stream into a
-    :class:`~repro.core.heatmap.GridAccumulator` as events complete,
-    so the grid's memory cost is its samples, never the record batch.
+    The whole grid — every (scenario x page x protocol x round) — is
+    fanned out over the executor in one batch, so ``jobs`` parallelises
+    across cells, not just within them.  Two scenarios (or pages) that
+    share a name would share a row, so they raise ``ValueError`` before
+    anything runs.
     """
-    if compare is not None:
-        heatmap = Heatmap(
-            title,
-            row_labels=[s.name for s in scenarios],
-            col_labels=[p.name for p in pages],
-        )
-        for scenario in scenarios:
-            for page in pages:
-                heatmap.put(scenario.name, page.name, compare(scenario, page))
-        return heatmap
-    quic_spec = _side_spec("quic", quic)
-    tcp_spec = _side_spec("tcp", tcp)
+    sides = (_side_spec("quic", quic), _side_spec("tcp", tcp))
     fields = _request_fields("build_plt_heatmap", kwargs)
-    cells: List[Tuple[Scenario, WebPage]] = [
-        (scenario, page) for scenario in scenarios for page in pages
-    ]
-    requests: List[RunRequest] = []
-    for scenario, page in cells:
-        requests.extend(
-            _seeded_requests(scenario, page, quic_spec, runs, seed_base,
-                             fields))
-        requests.extend(
-            _seeded_requests(scenario, page, tcp_spec, runs, seed_base,
-                             fields))
-    grid = GridAccumulator(
-        title,
-        row_labels=[s.name for s in scenarios],
-        col_labels=[p.name for p in pages],
-    )
-    for event in iter_runs(requests, jobs=jobs, store=store):
-        if not event.terminal:
-            continue
-        cell_index, offset = divmod(event.index, 2 * runs)
-        scenario, page = cells[cell_index]
-        side = "treatment" if offset < runs else "baseline"
-        grid.add(scenario.name, page.name, side, offset % runs,
-                 event.require())
-    return grid.build()
+    samples = collect(
+        [((scenario.name, page.name, spec.name),
+          _seeded_requests(scenario, page, spec, runs, seed_base, fields))
+         for scenario in scenarios for page in pages for spec in sides],
+        jobs=jobs, store=store)
+    return Heatmap.from_samples(title, [s.name for s in scenarios],
+                                [p.name for p in pages], samples)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 ``scripts/bench_diff.py`` is run as a subprocess — exactly how CI runs
 it — against synthetic payloads, so the tests pin the exit-code
-contract: 0 when the candidate holds the line, non-zero when a gated
-rate regresses past the threshold or a fixed-seed outcome changes.
+contract: 0 when the candidate holds the line, non-zero when a
+contract breaks or a fixed-seed outcome changes.  Wall-clock rates are
+informational only (they flapped on a shared host): the end-to-end
+benchmark carries the timing.
 """
 
 import importlib.util
@@ -58,20 +60,18 @@ class TestBenchDiff:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "OK" in proc.stdout
 
-    def test_small_slowdown_within_threshold_passes(self, tmp_path):
-        proc = diff(tmp_path, payload(), payload(events_per_sec=850_000.0))
+    def test_rate_drop_is_informational(self, tmp_path):
+        # 40 % and 50 % slower, on any host: reported, never gated.
+        proc = diff(tmp_path, payload(),
+                    payload(events_per_sec=600_000.0,
+                            packets_per_sec=100_000.0,
+                            calibration=15_000_000.0))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_injected_regression_fails(self, tmp_path):
-        proc = diff(tmp_path, payload(), payload(events_per_sec=500_000.0))
-        assert proc.returncode != 0
-        assert "REGRESSION" in proc.stdout
-        assert "events_per_sec" in proc.stdout
-
-    def test_packets_regression_fails(self, tmp_path):
-        proc = diff(tmp_path, payload(), payload(packets_per_sec=100_000.0))
-        assert proc.returncode != 0
-        assert "packets_per_sec" in proc.stdout
+        for rate in ("events_per_sec", "packets_per_sec"):
+            line, = [text for text in proc.stdout.splitlines()
+                     if text.startswith(rate)]
+            assert line.endswith("[informational]")
+        assert "REGRESSION" not in proc.stdout
 
     def test_plt_wall_is_informational_only(self, tmp_path):
         # A 3x wall-clock slowdown on the PLT pair alone must NOT fail:
@@ -80,20 +80,11 @@ class TestBenchDiff:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "informational" in proc.stdout
 
-    def test_threshold_flag_tightens_the_gate(self, tmp_path):
-        proc = diff(tmp_path, payload(), payload(events_per_sec=850_000.0),
-                    "--threshold", "0.10")
-        assert proc.returncode != 0
-
-    def test_calibration_normalises_across_hosts(self, tmp_path):
-        # Candidate host is 2x slower overall; raw events/sec halves but
-        # the normalised rate is unchanged, so the gate passes.
-        slow_host = payload(events_per_sec=500_000.0,
-                            packets_per_sec=100_000.0,
-                            calibration=15_000_000.0)
-        proc = diff(tmp_path, payload(), slow_host)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "normalised" in proc.stdout
+    def test_threshold_flag_is_a_usage_error(self, tmp_path):
+        # no gated rate is left for a threshold to apply to
+        proc = diff(tmp_path, payload(), payload(), "--threshold", "0.10")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --threshold" in proc.stderr
 
     def test_behaviour_change_fails(self, tmp_path):
         # Same speed, different simulated outcome: the "optimisation"
@@ -149,19 +140,12 @@ class TestManyflowGate:
         assert proc.returncode == 1
         assert "speedup_vs_per_packet" in proc.stdout
 
-    def test_rate_regression_fails(self, tmp_path):
+    def test_rate_drop_is_informational(self, tmp_path):
         proc = diff(tmp_path, manyflow_payload(),
                     manyflow_payload(events_per_sec=300_000.0))
-        assert proc.returncode == 1
-        assert "events_per_sec" in proc.stdout
-
-    def test_rate_is_host_normalised(self, tmp_path):
-        # Half the rate on a half-speed host is not a regression.
-        proc = diff(tmp_path, manyflow_payload(),
-                    manyflow_payload(events_per_sec=250_000.0,
-                                     calibration_ops_per_sec=15_000_000.0))
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "host-normalised" in proc.stdout
+        assert "events_per_sec: 300,000/s vs baseline 500,000/s " \
+               "[informational]" in proc.stdout
 
     def test_outcome_change_fails_on_same_workload(self, tmp_path):
         changed = manyflow_payload()

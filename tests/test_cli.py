@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import executor
+
+SMOKE_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "smoke.json"
 
 
 class TestParser:
@@ -92,8 +99,6 @@ class TestCommands:
 
 class TestSpecCommand:
     def test_spec_runs_file(self, tmp_path, capsys):
-        import json
-
         spec = {
             "name": "cli-spec",
             "scenarios": [{"rate_mbps": 10.0}],
@@ -111,6 +116,40 @@ class TestSpecCommand:
 
         restored = ExperimentResult.from_json(out_file.read_text())
         assert len(restored.samples) == 2
+
+    def test_single_protocol_spec_prints_summary_rows(self, tmp_path, capsys):
+        spec_file = tmp_path / "quic-only.json"
+        spec_file.write_text(json.dumps({
+            "name": "quic-only", "protocols": ["quic"], "runs": 2,
+            "scenarios": [{"rate_mbps": 10.0}],
+            "workloads": [{"objects": 1, "size_kb": 20}]}))
+        assert main(["spec", "--file", str(spec_file)]) == 0
+        out = capsys.readouterr().out
+        assert "n=2" in out and "quic" in out  # summary_rows(), no heatmap
+        assert "positive =" not in out
+
+    def test_shipped_smoke_spec_is_pinned(self, tmp_path, capsys):
+        # `make bench-smoke`: golden captured before the sweep-fold
+        # rewire, pinned like tests/test_determinism.py pins its cells
+        written = []
+        for extra in ([], ["--jobs", "2"]):
+            out_file = tmp_path / f"smoke{len(written)}.json"
+            assert main(["spec", "--file", str(SMOKE_SPEC),
+                         "--out", str(out_file)] + extra) == 0
+            written.append(out_file.read_bytes())
+        assert written[0] == written[1]
+        assert hashlib.sha256(written[0]).hexdigest() == (
+            "20e7d9c20910a0821f5a9d543d122bd4bea9866afc592439a4be6974340c6ef1")
+
+
+class TestDuplicateCells:
+    def test_heatmap_with_a_repeated_rate_is_a_clean_error(self, monkeypatch):
+        executed = []
+        monkeypatch.setattr(executor, "execute_request", executed.append)
+        with pytest.raises(SystemExit, match="^error: duplicate sweep cell"):
+            main(["heatmap", "--rates", "10,10", "--sizes-kb", "10",
+                  "--runs", "2"])
+        assert executed == []
 
 
 class TestManyflowCommand:

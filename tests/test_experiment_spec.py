@@ -4,13 +4,21 @@ import json
 
 import pytest
 
+from pathlib import Path
+
+from repro.core import executor
 from repro.core.experiment import (
     ExperimentResult,
     ExperimentSpec,
     ScenarioSpec,
     WorkloadSpec,
+    experiment_requests,
     run_experiment,
 )
+from repro.netem import emulated
+
+SHIPPED_SPECS = sorted(
+    (Path(__file__).parent.parent / "examples" / "specs").glob("*.json"))
 
 
 def tiny_spec(**overrides):
@@ -156,3 +164,65 @@ class TestExecution:
         rows = result.summary_rows()
         assert len(rows) == 2
         assert any("quic" in row for row in rows)
+
+
+class TestCellLabels:
+    """Cells that share a label would silently share samples."""
+
+    def test_jitter_only_scenarios_get_their_own_cells(self):
+        # the Fig. 10 sweep: same rate, jitter on and off
+        spec = tiny_spec(scenarios=[ScenarioSpec(rate_mbps=10.0),
+                                    ScenarioSpec(rate_mbps=10.0,
+                                                 jitter_ms=10.0)])
+        plain, jittered = (s.label for s in spec.scenarios)
+        assert plain == "10Mbps+0ms+0%loss"
+        assert jittered == "10Mbps+0ms+0%loss+10ms jitter"
+        result = run_experiment(spec)
+        assert len(result.samples) == 2 * 1 * 2
+        assert all(len(values) == spec.runs
+                   for values in result.samples.values())
+        key = (plain, "1x50KB", "quic")
+        assert result.samples[key] != \
+            result.samples[(jittered,) + key[1:]]
+        assert result.heatmap().row_labels == [plain, jittered]
+
+    def test_label_change_leaves_the_requests_alone(self):
+        # run keys hash the request, and the e2e grid is built through
+        # experiment_requests: only the cell key may carry the jitter
+        spec = tiny_spec(scenarios=[ScenarioSpec(rate_mbps=10.0,
+                                                 jitter_ms=10.0)])
+        for (label, _workload, _protocol), requests in \
+                experiment_requests(spec):
+            assert label.endswith("+10ms jitter")
+            assert all(request.scenario == emulated(10.0, jitter_ms=10.0)
+                       for request in requests)
+
+    def test_colliding_labels_refused_before_any_run(self, monkeypatch):
+        executed = []
+        monkeypatch.setattr(executor, "execute_request", executed.append)
+        spec = tiny_spec(scenarios=[ScenarioSpec(rate_mbps=10.0),
+                                    ScenarioSpec(rate_mbps=10.0)])
+        with pytest.raises(ValueError, match="duplicate sweep cell"):
+            run_experiment(spec)
+        assert executed == []
+
+
+class TestSingleProtocolSpec:
+    def test_heatmap_leaves_one_sided_cells_empty(self):
+        result = run_experiment(tiny_spec(protocols=("quic",)))
+        assert list(result.samples) == [("10Mbps+0ms+0%loss", "1x50KB",
+                                        "quic")]
+        heatmap = result.heatmap()  # used to die with KeyError (.., 'tcp')
+        assert heatmap.cells == {}
+        assert heatmap.render().splitlines()[-1].split() == \
+            ["10Mbps+0ms+0%loss", "-"]
+
+
+class TestShippedSpecs:
+    @pytest.mark.parametrize("path", SHIPPED_SPECS, ids=lambda p: p.name)
+    def test_parses(self, path):
+        spec = ExperimentSpec.from_json(path.read_text())
+        assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+    def test_smoke_is_shipped(self):
+        assert "smoke.json" in {path.name for path in SHIPPED_SPECS}

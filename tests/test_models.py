@@ -170,14 +170,12 @@ class TestFitAccumulator:
             fit.add_record(incomplete)
         assert not fit
 
-    def test_merge_averages_across_seeds(self):
+    def test_averages_across_seeds(self):
         records = oracle_grid_records()
-        left, right = ModelFitAccumulator(), ModelFitAccumulator()
-        for record in records:
-            left.add_record(record)
-            right.add_record(record)
-        left.merge(right)
-        merged = {(c.cc, c.proto): c for c in left.cells()}
+        twice = ModelFitAccumulator()
+        for record in records + records:
+            twice.add_record(record)
+        merged = {(c.cc, c.proto): c for c in twice.cells()}
         single = {(c.cc, c.proto): c
                   for c in fit_records(records).cells()}
         for key, cell in merged.items():

