@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-smoke bench-report bench-full bench-e2e perf-gate examples check clean distclean results
+.PHONY: install test test-report bench bench-smoke bench-report bench-full bench-e2e pairs perf-gate examples check clean distclean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -33,6 +33,12 @@ perf-gate:
 # The end-to-end benchmark BENCHMARK.json declares (six workloads).
 bench-e2e:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e run
+
+# The evidence a perf PR owes: alternating parent/change pairs of one e2e
+# workload, each side in a scratch copy of its files, medians / quartiles /
+# wins as a Markdown table.  make pairs PARENT=HEAD~1 W=grid_serial [N=10]
+pairs:
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(W) $(if $(N),-n $(N)) $(if $(SEEDS),--seeds $(SEEDS))
 
 # Paper-scale: >=10 rounds per cell and full workload grids.
 bench-full:

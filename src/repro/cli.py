@@ -863,8 +863,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the payload here (default: print only)")
     p.add_argument("--profile", type=int, default=None, metavar="N",
                    help="cProfile instead of benchmarking: print a "
-                        "subsystem-partition summary and the top N "
-                        "cumulative rows")
+                        "subsystem-partition summary, the events-by-"
+                        "handler census and the top N cumulative rows")
     p.add_argument("--profile-workload", choices=("plt", "manyflow"),
                    default="plt",
                    help="what --profile runs: the canonical PLT pair or "

@@ -373,8 +373,39 @@ def _print_subsystem_partition(stats: Any, out: Any) -> None:
     print("", file=out)
 
 
+def _print_events_by_handler(stats: Any, out: Any) -> None:
+    """The event census: what the run loop called, how often.
+
+    Every simulator event is one call from ``Simulator._loop`` into a
+    handler, so the loop's callees in the profile *are* the census —
+    which handler the events go to is what a flat function-level table
+    hides (docs/PERFORMANCE.md, "Events per packet").
+    """
+    handlers: Dict[str, int] = {}
+    for (filename, _line, func), row in stats.stats.items():
+        if filename == "~":
+            continue  # heappush / heappop and other builtins
+        for (caller_file, _l, caller), counts in row[4].items():
+            if caller == "_loop" and caller_file.endswith("netem/sim.py"):
+                where = filename.replace("\\", "/").split("/repro/", 1)[-1]
+                label = f"{where}:{func}"
+                handlers[label] = handlers.get(label, 0) + counts[0]
+    total = sum(handlers.values())
+    if not total:
+        return
+    print("Events by handler (callees of the run loop):", file=out)
+    for label in sorted(handlers, key=handlers.get, reverse=True):
+        print(f"  {label:<44} {handlers[label]:>10,}  "
+              f"{100.0 * handlers[label] / total:>5.1f}%", file=out)
+    delivered = handlers.get("netem/link.py:_deliver")
+    per_packet = (f"; {total / delivered:.2f} per delivered packet "
+                  f"(link deliveries)" if delivered else "")
+    print(f"  {'total':<44} {total:>10,} events{per_packet}\n", file=out)
+
+
 def profile_run(workload: Any, top: int = 25, out: Any = None) -> None:
-    """cProfile ``workload()``: subsystem partition summary + top-N rows."""
+    """cProfile ``workload()``: subsystem partition summary, the events-by-
+    handler census, then the top-N rows."""
     import cProfile
     import pstats
 
@@ -385,6 +416,7 @@ def profile_run(workload: Any, top: int = 25, out: Any = None) -> None:
     profiler.disable()
     stats = pstats.Stats(profiler, stream=out)
     _print_subsystem_partition(stats, out)
+    _print_events_by_handler(stats, out)
     stats.sort_stats("cumulative").print_stats(top)
 
 

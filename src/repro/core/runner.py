@@ -162,8 +162,7 @@ def run_page_load(
             server_trace=server_trace, client_trace=client_trace,
         )
     loader = PageLoader(sim, client, page, protocol)
-    loader.start()
-    sim.run_until(lambda: loader.done, timeout=timeout)
+    loader.run(timeout)
     server_trace.close(sim.now)
     client_trace.close(sim.now)
     return RunOutput(
@@ -428,8 +427,7 @@ def run_bulk_transfer(
         server_trace=server_trace, client_trace=Trace(enabled=False),
     )
     loader = PageLoader(sim, client, page, protocol)
-    loader.start()
-    sim.run_until(lambda: loader.done, timeout=timeout)
+    loader.run(timeout)
     server_trace.close(sim.now)
     if not loader.done:
         raise RuntimeError(f"{protocol} bulk transfer did not finish in {timeout}s")

@@ -78,9 +78,9 @@ class PageLoader:
             for o in page.objects
         }
         self._outstanding = len(page.objects)
-        #: Plain attribute, not a property: the run loop polls this after
-        #: every event via ``run_until``'s predicate.
         self.done = False
+        #: Set by :meth:`run`: the last completion ends the run loop.
+        self._stop_when_done = False
         self.result = PageLoadResult(
             page=page, protocol=protocol, started_at=sim.now,
             finished_at=None, timings=list(self._timings.values()),
@@ -93,6 +93,15 @@ class PageLoader:
         if getattr(self.connection, "handshake_ready_time", None) is not None:
             # QUIC 0-RTT: requests may be issued immediately.
             self._issue_requests()
+
+    def run(self, timeout: float) -> PageLoadResult:
+        """Start the load and run the simulator until it finishes (the last
+        completion calls :meth:`Simulator.stop`) or ``timeout`` elapses."""
+        self._stop_when_done = True
+        self.start()
+        if not self.done:
+            self.sim.run(until=self.sim.now + timeout)
+        return self.result
 
     def _on_ready(self, now: float) -> None:
         self.result.handshake_ready_at = now
@@ -118,12 +127,11 @@ class PageLoader:
         if self._outstanding == 0:
             self.result.finished_at = now
             self.done = True
+            if self._stop_when_done:
+                self.sim.stop()
 
 
 def load_page(sim: Simulator, connection: Any, page: WebPage, protocol: str,
               timeout: float = 600.0) -> PageLoadResult:
     """Convenience wrapper: run the load to completion on the simulator."""
-    loader = PageLoader(sim, connection, page, protocol)
-    loader.start()
-    sim.run_until(lambda: loader.done, timeout=timeout)
-    return loader.result
+    return PageLoader(sim, connection, page, protocol).run(timeout)

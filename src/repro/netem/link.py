@@ -24,6 +24,15 @@ paper's router used (Sec. 3.2 of the paper):
   cellular networks in Table 5.
 * **Variable bandwidth** — :class:`BandwidthSchedule` re-draws the rate on
   a fixed period within a range (Fig. 11's 50–150 Mbps fluctuation).
+
+Event model: a packet's fate is decided when its transmission *starts*.
+``_transmit_next`` dequeues it, fixes the instant it leaves the wire
+(``_free_at = now + size * 8 / rate``), draws loss / jitter / reordering
+(the link's draws are FIFO either way) and posts the delivery at
+``(now + tx) + latency`` — the same two additions, in the same order, as
+launching at the end of serialisation, so delivery times are
+bit-identical.  A completion event (``_drain``) exists only while a
+successor waits, so an uncongested hop costs one event per packet.
 """
 
 from __future__ import annotations
@@ -112,7 +121,8 @@ class Link:
     __slots__ = (
         "sim", "rate_bps", "delay", "jitter", "loss_rate", "queue_bytes",
         "reorder_prob", "reorder_extra", "name", "stats", "_receiver",
-        "_queue", "_busy", "_force_drops", "_enqueue_seq",
+        "_queue", "_free_at", "_drain_pending", "_wire", "_force_drops",
+        "_enqueue_seq",
         "_last_delivered_seq", "on_deliver", "on_send",
         "_rng", "_rand_batch", "_rand_idx",
     )
@@ -159,7 +169,12 @@ class Link:
 
             self._queue = DropTail(queue_bytes)
         self._queue.on_drop = self._count_drop
-        self._busy = False
+        #: When the packet now serialising leaves the wire (the line is
+        #: free from then on), and whether a ``_drain`` is posted for it.
+        self._free_at = 0.0
+        self._drain_pending = False
+        #: The packet now serialising, while ``drop_next`` may still take it.
+        self._wire: Optional[Packet] = None
         #: Deterministic drop injection for experiments/tests: the next
         #: ``n`` packets offered to the wire are discarded.
         self._force_drops = 0
@@ -223,46 +238,76 @@ class Link:
             # Infinite-rate link: skip the queue entirely.
             stats.enqueued_packets += 1
             stats.enqueued_bytes += packet.size_bytes
-            self._launch(packet)
+            self._launch(packet, now)
             return
         if not self._queue.enqueue(now, packet):
             return
         stats.enqueued_packets += 1
         stats.enqueued_bytes += packet.size_bytes
-        if not self._busy:
+        if self._drain_pending:
+            return
+        if now >= self._free_at:
             self._transmit_next()
+        else:
+            # First successor behind a packet still on the wire.
+            self._drain_pending = True
+            self.sim.post_at(self._free_at, self._drain)
 
     def _count_drop(self, packet: Packet) -> None:
         self.stats.dropped_packets += 1
         self.stats.dropped_bytes += packet.size_bytes
 
     def _transmit_next(self) -> None:
-        packet = self._queue.dequeue(self.sim._now)
+        """Start serialising the next queued packet (the line is free)."""
+        now = self.sim._now
+        packet = self._queue.dequeue(now)
         if packet is None:
-            self._busy = False
             return
-        self._busy = True
-        tx_time = packet.size_bytes * 8.0 / self.rate_bps
-        self.sim.post(tx_time, self._transmission_done, packet)
+        done = now + packet.size_bytes * 8.0 / self.rate_bps
+        self._free_at = done
+        self._launch(packet, done)
+        if self._queue.backlog_bytes > 0:
+            self._drain_pending = True
+            self.sim.post_at(done, self._drain)
 
-    def _transmission_done(self, packet: Packet) -> None:
-        self._launch(packet)
+    def _drain(self) -> None:
+        self._drain_pending = False
         self._transmit_next()
 
     def drop_next(self, n: int = 1) -> None:
-        """Deterministically drop the next ``n`` packets (tail-loss tests)."""
+        """Deterministically drop the next ``n`` packets to leave the wire
+        (tail-loss tests).  A packet still serialising is the first of
+        them; the random draws it made when it started stay consumed."""
         if n < 0:
             raise ValueError("n must be non-negative")
+        packet = self._wire
+        if n > 0 and packet is not None and self.sim._now < self._free_at:
+            # Its delivery is already posted: void it (``_deliver`` skips
+            # a negative stamp) and count it when it leaves the wire.
+            self._wire = None
+            packet.link_seq = -1
+            self.sim.post_at(self._free_at, self._count_lost)
+            n -= 1
         self._force_drops += n
 
-    def _launch(self, packet: Packet) -> None:
-        """Apply loss / delay / jitter / reordering and schedule delivery."""
+    def _count_lost(self) -> None:
+        self.stats.lost_packets += 1
+
+    def _launch(self, packet: Packet, at: float) -> None:
+        """Apply loss / delay / jitter / reordering to a packet that leaves
+        the wire at ``at`` (now, or the end of its serialisation) and
+        schedule its delivery; a loss is counted at ``at``."""
         if self._force_drops > 0:
             self._force_drops -= 1
-            self.stats.lost_packets += 1
-            return
-        if self.loss_rate > 0.0 and self._draw() < self.loss_rate:
-            self.stats.lost_packets += 1
+            lost = True
+        else:
+            lost = self.loss_rate > 0.0 and self._draw() < self.loss_rate
+        if lost:
+            self._wire = None
+            if at > self.sim._now:
+                self.sim.post_at(at, self._count_lost)
+            else:
+                self.stats.lost_packets += 1
             return
         latency = self.delay
         jitter = self.jitter
@@ -277,17 +322,20 @@ class Link:
         seq = self._enqueue_seq + 1
         self._enqueue_seq = seq
         packet.link_seq = seq
-        self.sim.post(latency, self._deliver, packet)
+        self._wire = packet
+        self.sim.post_at(at + latency, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
         stats = self.stats
-        stats.delivered_packets += 1
-        stats.delivered_bytes += packet.size_bytes
         seq = packet.link_seq
         if seq < self._last_delivered_seq:
+            if seq < 0:
+                return  # taken off the wire by drop_next(), counted there
             stats.reordered_packets += 1
         else:
             self._last_delivered_seq = seq
+        stats.delivered_packets += 1
+        stats.delivered_bytes += packet.size_bytes
         if self.on_deliver is not None:
             self.on_deliver(self.sim._now, packet)
         self._receiver(packet)
@@ -301,7 +349,8 @@ class Link:
             raise ValueError("rate_bps must be positive or None")
         was_infinite = self.rate_bps is None
         self.rate_bps = rate_bps
-        if (was_infinite and rate_bps is not None and not self._busy
+        if (was_infinite and rate_bps is not None and not self._drain_pending
+                and self.sim._now >= self._free_at
                 and self._queue.backlog_bytes > 0):
             self._transmit_next()
 

@@ -13,7 +13,7 @@ Design notes
 * Events scheduled for the same instant fire in FIFO order (a
   monotonically increasing sequence number breaks ties), which keeps runs
   fully deterministic for a given seed.
-* Two scheduling flavours share one heap and one sequence space:
+* Three scheduling flavours share one heap and one sequence space:
 
   - :meth:`Simulator.post` / :meth:`Simulator.post_at` push a bare
     ``(time, seq, callback, args)`` tuple — no allocation beyond the
@@ -26,7 +26,12 @@ Design notes
     — the ``None`` in the callback slot marks the entry as cancellable.
     Transport retransmission timers rely on this.
 
-  Both flavours draw from the same sequence counter, so FIFO ordering at
+  - :meth:`Simulator.timer` returns a re-armable :class:`Timer` for the
+    callbacks that are pushed out far more often than they fire
+    (retransmission and delayed-ACK timers): re-arming updates fields
+    instead of allocating an :class:`Event` and pushing a heap entry.
+
+  All flavours draw from the same sequence counter, so FIFO ordering at
   equal times holds across flavours and a call-site can be switched
   between them without perturbing the event order (only the per-event
   cost changes).
@@ -91,7 +96,71 @@ class Event:
         return f"<Event t={self.time:.6f} {name} {state}>"
 
 
-#: One heap entry: ``(time, seq, callback_or_None, args_or_Event)``.
+class Timer:
+    """A re-armable one-shot timer (retransmission, delayed ACK).
+
+    ``timer.arm(delay, *args)`` is ``event.cancel()`` followed by
+    ``sim.schedule(delay, callback, *args)`` — it draws exactly one
+    sequence number, so the timer fires at the same ``(time, seq)``
+    position among all other events, and :meth:`Simulator.pending_events`
+    and :attr:`Simulator.events_processed` read the same — without the
+    :class:`Event` allocation and, usually, without the heap push.
+
+    The timer keeps at most one live *carrier* entry in the heap.
+    Pushing the deadline out only updates ``time``/``seq``; when the
+    carrier surfaces early the run loop re-posts it at the true
+    ``(time, seq)``.  Arming *earlier* than the carrier pushes a new
+    carrier and the old entry is skipped, uncounted, when it surfaces —
+    like a cancelled :class:`Event`.
+    """
+
+    __slots__ = ("callback", "args", "armed", "time", "seq", "_sim",
+                 "_carrier", "_carrier_time")
+
+    def __init__(self, sim: "Simulator", callback: Callable[..., Any]):
+        self._sim = sim
+        self.callback = callback
+        self.args: tuple = ()
+        #: True from :meth:`arm` until the timer fires or is cancelled.
+        self.armed = False
+        self.time = 0.0
+        self.seq = -1
+        #: Sequence number and time of the live heap entry, if any.
+        self._carrier = -1
+        self._carrier_time = _INF
+
+    def arm(self, delay: float, *args: Any) -> None:
+        """(Re)start the timer: fire ``callback(*args)`` ``delay`` from now."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        sim = self._sim
+        when = sim._now + delay
+        seq = sim._seq
+        sim._seq = seq + 1
+        if not self.armed:
+            self.armed = True
+            sim._pending += 1
+        self.time = when
+        self.seq = seq
+        self.args = args
+        if when < self._carrier_time:
+            self._carrier = seq
+            self._carrier_time = when
+            heappush(sim._queue, (when, seq, None, self))
+
+    def cancel(self) -> None:
+        """Stop the timer.  A no-op when it is not armed (or already fired)."""
+        if self.armed:
+            self.armed = False
+            self._sim._pending -= 1
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = f"armed t={self.time:.6f}" if self.armed else "idle"
+        name = getattr(self.callback, "__qualname__", repr(self.callback))
+        return f"<Timer {name} {state}>"
+
+
+#: One heap entry: ``(time, seq, callback_or_None, args_or_Event_or_Timer)``.
 Entry = Tuple[float, int, Optional[Callable[..., Any]], Any]
 
 
@@ -103,6 +172,7 @@ class Simulator:
         sim = Simulator()
         sim.schedule(0.010, handler, arg1, arg2)   # 10 ms, cancellable
         sim.post(0.010, handler, arg1, arg2)       # 10 ms, fire-and-forget
+        rto = sim.timer(on_timeout); rto.arm(0.2)  # re-armable
         sim.run()                                   # until queue drains
 
     The simulator is intentionally minimal: no processes, no channels.
@@ -115,6 +185,7 @@ class Simulator:
         self._seq = 0
         self._now = 0.0
         self._running = False
+        self._stopped = False
         self._event_count = 0
         #: Queued events that will actually fire (cancelled ones excluded).
         self._pending = 0
@@ -184,6 +255,10 @@ class Simulator:
         self._pending += 1
         heappush(self._queue, (when, seq, callback, args))
 
+    def timer(self, callback: Callable[..., Any]) -> Timer:
+        """A re-armable :class:`Timer` for ``callback`` (created idle)."""
+        return Timer(self, callback)
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -194,64 +269,51 @@ class Simulator:
         ----------
         until:
             If given, stop once the next event would fire strictly after
-            this time; the clock is then advanced to ``until``.
+            this time; the clock is then advanced to ``until`` (unless a
+            callback called :meth:`stop`).
         max_events:
             Safety valve for tests: raise :class:`SimulationError` if more
             than this many events fire.
         """
-        if self._running:
-            raise SimulationError("simulator is not reentrant")
-        self._running = True
-        queue = self._queue
-        pop = heappop
-        until_t = _INF if until is None else until
-        limit = _INF if max_events is None else max_events
-        fired = 0
-        # The loop below maintains ``_event_count`` in the local ``fired``
-        # and flushes it on exit — nothing observes the counter mid-run.
-        try:
-            while queue:
-                entry = queue[0]
-                when = entry[0]
-                if when > until_t:
-                    break
-                pop(queue)
-                callback = entry[2]
-                if callback is None:
-                    event = entry[3]
-                    if event.cancelled:
-                        continue  # counter already adjusted by cancel()
-                    event._fired = True
-                    callback = event.callback
-                    args = event.args
-                else:
-                    args = entry[3]
-                self._pending -= 1
-                self._now = when
-                fired += 1
-                if fired > limit:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                callback(*args)
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._event_count += fired
-            self._running = False
+        ended_early = self._loop(_INF if until is None else until, max_events)
+        if until is not None and not ended_early and self._now < until:
+            self._now = until
 
     def run_until(self, predicate: Callable[[], bool], timeout: float,
                   max_events: Optional[int] = None) -> bool:
         """Run until ``predicate()`` becomes true or ``timeout`` is reached.
 
         Returns ``True`` if the predicate was satisfied.  The predicate is
-        checked after every event, so it sees a consistent world.
+        checked after every event, so it sees a consistent world.  A
+        callback that knows when the run is over calls :meth:`stop`
+        instead, which costs nothing per event.
         """
         if predicate():
             return True
         deadline = self._now + timeout
+        if not self._loop(deadline, max_events, predicate) and self._now < deadline:
+            self._now = deadline
+        return predicate()
+
+    def stop(self) -> None:
+        """Make the running :meth:`run` / :meth:`run_until` return once the
+        current callback does; queued events stay queued and the clock
+        stays at the current event.  A no-op when nothing is running."""
+        self._stopped = True
+
+    def _loop(self, deadline: float, max_events: Optional[int],
+              predicate: Optional[Callable[[], bool]] = None) -> bool:
+        """The event loop; True if :meth:`stop` or ``predicate`` ended it."""
+        if self._running:
+            raise SimulationError("simulator is not reentrant")
+        self._running = True
+        self._stopped = False
         queue = self._queue
         pop = heappop
         limit = _INF if max_events is None else max_events
         fired = 0
+        # The loop below maintains ``_event_count`` in the local ``fired``
+        # and flushes it on exit — nothing observes the counter mid-run.
         try:
             while queue:
                 entry = queue[0]
@@ -262,9 +324,26 @@ class Simulator:
                 callback = entry[2]
                 if callback is None:
                     event = entry[3]
-                    if event.cancelled:
-                        continue
-                    event._fired = True
+                    if event.__class__ is Timer:
+                        seq = entry[1]
+                        if seq != event._carrier:
+                            continue  # superseded by an earlier carrier
+                        if not event.armed:
+                            event._carrier_time = _INF
+                            continue  # counter already adjusted by cancel()
+                        if seq != event.seq:
+                            # Deadline was pushed out: carry it to the
+                            # (time, seq) the last arm() drew.
+                            event._carrier = event.seq
+                            event._carrier_time = event.time
+                            heappush(queue, (event.time, event.seq, None, event))
+                            continue
+                        event.armed = False
+                        event._carrier_time = _INF
+                    else:
+                        if event.cancelled:
+                            continue  # counter already adjusted by cancel()
+                        event._fired = True
                     callback = event.callback
                     args = event.args
                 else:
@@ -275,13 +354,12 @@ class Simulator:
                 if fired > limit:
                     raise SimulationError(f"exceeded max_events={max_events}")
                 callback(*args)
-                if predicate():
+                if self._stopped or (predicate is not None and predicate()):
                     return True
+            return False
         finally:
             self._event_count += fired
-        if self._now < deadline:
-            self._now = deadline
-        return predicate()
+            self._running = False
 
     def pending_events(self) -> int:
         """Number of queued events that will fire (O(1); cancelled excluded)."""

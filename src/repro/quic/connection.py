@@ -29,7 +29,7 @@ from ..core.instrumentation import Trace
 from ..devices import DESKTOP, DeviceProfile, PacketProcessor
 from ..netem.node import Node
 from ..netem.packet import Packet
-from ..netem.sim import Event, Simulator
+from ..netem.sim import Simulator
 from ..transport.base import TransportEndpoint, fresh_conn_id
 from ..transport.cc.bbr import BBR
 from ..transport.cc.cubic import CubicCC
@@ -135,8 +135,8 @@ class QuicConnection(TransportEndpoint):
         self._peer_acked = RangeSet()
         self._ack_floor = 1
         self._recovery_marker: Optional[int] = None
-        self._retx_timer: Optional[Event] = None
-        self._loss_recheck_event: Optional[Event] = None
+        self._retx_timer = sim.timer(self._retx_timer_fired)
+        self._loss_recheck_timer = sim.timer(self._loss_recheck)
         self._tlp_count = 0
         self._rto_count = 0
         self._sent_any_data = False
@@ -147,7 +147,7 @@ class QuicConnection(TransportEndpoint):
         self._largest_received = 0
         self._largest_received_at = 0.0
         self._ack_pending = 0
-        self._ack_timer: Optional[Event] = None
+        self._ack_timer = sim.timer(self._ack_timer_fired)
         self._reorder_seen = False
         self._conn_bytes_consumed = 0
         self._conn_granted = config.conn_flow_window
@@ -342,7 +342,7 @@ class QuicConnection(TransportEndpoint):
             # the loop, so this deadline equals the last per-packet one.
             self._set_retx_timer()
         # A pure-ACK obligation may remain even when cc is blocked.
-        if self._ack_pending and self._ack_timer is None:
+        if self._ack_pending and not self._ack_timer.armed:
             self._arm_ack_timer()
 
     def _has_stream_data(self) -> bool:
@@ -543,16 +543,13 @@ class QuicConnection(TransportEndpoint):
     def _maybe_send_ack(self, now: float) -> None:
         if self._ack_pending >= self.config.ack_every_n or self._reorder_seen:
             self._send_ack_now()
-        elif self._ack_timer is None:
+        elif not self._ack_timer.armed:
             self._arm_ack_timer()
 
     def _arm_ack_timer(self) -> None:
-        self._ack_timer = self.sim.schedule(
-            self.config.ack_delay_timer, self._ack_timer_fired
-        )
+        self._ack_timer.arm(self.config.ack_delay_timer)
 
     def _ack_timer_fired(self) -> None:
-        self._ack_timer = None
         if self._ack_pending:
             self._send_ack_now()
 
@@ -578,14 +575,12 @@ class QuicConnection(TransportEndpoint):
     def _make_ack_frame(self) -> Optional[AckFrame]:
         if not self._received_nums:
             return None
-        ranges = self._received_nums.ranges()[-self.config.max_ack_blocks:]
+        ranges = self._received_nums.tail(self.config.max_ack_blocks)
         blocks = tuple((lo, hi - 1) for lo, hi in reversed(ranges))
         ack_delay = self.sim.now - self._largest_received_at
         self._ack_pending = 0
         self._reorder_seen = False
-        if self._ack_timer is not None:
-            self._ack_timer.cancel()
-            self._ack_timer = None
+        self._ack_timer.cancel()
         return AckFrame(self._largest_received, ack_delay, blocks)
 
     # ------------------------------------------------------------------
@@ -598,10 +593,14 @@ class QuicConnection(TransportEndpoint):
         newly_acked: List[int] = []
         acked_bytes = 0
         largest_newly: Optional[SentPacketRecord] = None
-        # Only numbers not already covered by earlier ACKs are new; the
-        # gap computation keeps per-ACK work proportional to new numbers.
+        # Only numbers not already covered by earlier ACKs are new: a
+        # frame repeats up to max_ack_blocks old blocks, so skip those with
+        # one bisect each and keep per-ACK work proportional to new numbers.
+        peer_acked = self._peer_acked
         for lo, hi in ack.blocks:
-            for gap_lo, gap_hi in self._peer_acked.gaps(lo, hi + 1):
+            if peer_acked.covers(lo, hi + 1):
+                continue
+            for gap_lo, gap_hi in peer_acked.gaps(lo, hi + 1):
                 for pkt_num in range(gap_lo, gap_hi):
                     record = self.sent.pop(pkt_num, None)
                     if record is None:
@@ -617,7 +616,7 @@ class QuicConnection(TransportEndpoint):
                     if largest_newly is None or pkt_num > largest_newly.pkt_num:
                         largest_newly = record
                     self._on_frames_acked(record)
-            self._peer_acked.add(lo, hi + 1)
+            peer_acked.add(lo, hi + 1)
         if ack.largest_acked > self._largest_acked:
             self._largest_acked = ack.largest_acked
         if not newly_acked:
@@ -659,16 +658,11 @@ class QuicConnection(TransportEndpoint):
     def _schedule_loss_recheck(self) -> None:
         """Time-based loss detection: re-run when a deferral matures."""
         eligible = self.loss_detector.next_eligible_time
-        if eligible is None:
+        if eligible is None or self._loss_recheck_timer.armed:
             return
-        if (self._loss_recheck_event is not None
-                and self._loss_recheck_event.pending):
-            return
-        delay = max(eligible - self.sim.now, 0.0)
-        self._loss_recheck_event = self.sim.schedule(delay, self._loss_recheck)
+        self._loss_recheck_timer.arm(max(eligible - self.sim.now, 0.0))
 
     def _loss_recheck(self) -> None:
-        self._loss_recheck_event = None
         if self.closed:
             return
         now = self.sim.now
@@ -748,10 +742,8 @@ class QuicConnection(TransportEndpoint):
     # retransmission timers: TLP then RTO (paper Sec. 2.1)
     # ------------------------------------------------------------------
     def _set_retx_timer(self) -> None:
-        if self._retx_timer is not None:
-            self._retx_timer.cancel()
-            self._retx_timer = None
         if self.bytes_in_flight <= 0 or self.closed:
+            self._retx_timer.cancel()
             return
         srtt = self.rtt.smoothed_rtt()
         if self.config.tlp_enabled and self._tlp_count < self.config.max_tail_loss_probes:
@@ -761,10 +753,9 @@ class QuicConnection(TransportEndpoint):
             delay = self.rtt.retransmission_timeout(self.config.min_rto)
             delay *= 2 ** min(self._rto_count, 6)
             kind = "rto"
-        self._retx_timer = self.sim.schedule(delay, self._retx_timer_fired, kind)
+        self._retx_timer.arm(delay, kind)
 
     def _retx_timer_fired(self, kind: str) -> None:
-        self._retx_timer = None
         if self.bytes_in_flight <= 0 or self.closed:
             return
         now = self.sim.now
@@ -1017,9 +1008,8 @@ class QuicConnection(TransportEndpoint):
             self._peer_acked.add(packet.pkt_num, packet.pkt_num + 1)
             self._emit_packet(packet)
         for timer in (self._retx_timer, self._ack_timer,
-                      self._loss_recheck_event):
-            if timer is not None:
-                timer.cancel()
+                      self._loss_recheck_timer):
+            timer.cancel()
         self.trace.close(self.sim.now)
         super().close()
 

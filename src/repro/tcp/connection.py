@@ -27,6 +27,7 @@ Cubic — the paper's central methodological point.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -34,11 +35,11 @@ from ..core.instrumentation import Trace
 from ..devices import DESKTOP, DeviceProfile, PacketProcessor
 from ..netem.node import Node
 from ..netem.packet import Packet
-from ..netem.sim import Event, Simulator
+from ..netem.sim import Simulator
 from ..transport.base import TransportEndpoint, fresh_conn_id
 from ..transport.cc.cubic import CubicCC
 from ..transport.rtt import RttEstimator
-from ..transport.util import RangeSet
+from ..transport.util import INF, RangeSet
 from .config import TcpConfig
 from .segment import Piece, SegmentRecord, TcpSegment
 
@@ -133,7 +134,7 @@ class TcpConnection(TransportEndpoint):
         # --- handshake -----------------------------------------------------
         self._ready = role == "server"
         self._handshake_stage = "idle"
-        self._handshake_timer: Optional[Event] = None
+        self._handshake_timer = sim.timer(self._handshake_retry)
         self._handshake_retries = 0
         self.on_ready: Optional[Callable[[float], None]] = None
         self.ready_time: Optional[float] = None
@@ -152,7 +153,7 @@ class TcpConnection(TransportEndpoint):
         self._peer_rwnd = config.receive_buffer
         self._send_scheduled = False
         self._recovery_until: Optional[int] = None
-        self._retx_timer: Optional[Event] = None
+        self._retx_timer = sim.timer(self._retx_timer_fired)
         self._rto_backoff = 0
         self._tlp_count = 0
         self._sent_any_data = False
@@ -173,7 +174,7 @@ class TcpConnection(TransportEndpoint):
         self._in_messages: Dict[int, _InMessage] = {}
         self._app_processed = 0
         self._ack_pending = 0
-        self._ack_timer: Optional[Event] = None
+        self._ack_timer = sim.timer(self._ack_timer_fired)
         self._pending_dsack: Optional[Tuple[int, int]] = None
         #: Sequence numbers of the most recent data arrivals (SACK source).
         self._recent_arrivals: Deque[int] = deque(maxlen=8)
@@ -328,10 +329,7 @@ class TcpConnection(TransportEndpoint):
         self.emit(seg, seg.wire_bytes)
 
     def _arm_handshake_timer(self) -> None:
-        if self._handshake_timer is not None:
-            self._handshake_timer.cancel()
-        delay = HANDSHAKE_RTO * (2 ** self._handshake_retries)
-        self._handshake_timer = self.sim.schedule(delay, self._handshake_retry)
+        self._handshake_timer.arm(HANDSHAKE_RTO * (2 ** self._handshake_retries))
 
     def _handshake_retry(self) -> None:
         if self._ready or self._handshake_stage == "idle":
@@ -380,9 +378,7 @@ class TcpConnection(TransportEndpoint):
         self._ready = True
         self._handshake_stage = "done"
         self.ready_time = now
-        if self._handshake_timer is not None:
-            self._handshake_timer.cancel()
-            self._handshake_timer = None
+        self._handshake_timer.cancel()
         if self.on_ready is not None:
             self.on_ready(now)
         self._wake_sender()
@@ -515,10 +511,8 @@ class TcpConnection(TransportEndpoint):
     # retransmission timer (RTO; optional TLP ablation)
     # ==================================================================
     def _set_retx_timer(self) -> None:
-        if self._retx_timer is not None:
-            self._retx_timer.cancel()
-            self._retx_timer = None
         if self.bytes_in_flight <= 0 or self.closed:
+            self._retx_timer.cancel()
             return
         srtt = self.rtt.smoothed_rtt()
         if self.config.tlp_enabled and self._tlp_count < self.config.max_tail_loss_probes:
@@ -528,10 +522,9 @@ class TcpConnection(TransportEndpoint):
             delay = self.rtt.retransmission_timeout(self.config.min_rto)
             delay *= 2 ** min(self._rto_backoff, 6)
             kind = "rto"
-        self._retx_timer = self.sim.schedule(delay, self._retx_timer_fired, kind)
+        self._retx_timer.arm(delay, kind)
 
     def _retx_timer_fired(self, kind: str) -> None:
-        self._retx_timer = None
         if self.bytes_in_flight <= 0 or self.closed:
             return
         now = self.sim.now
@@ -610,13 +603,10 @@ class TcpConnection(TransportEndpoint):
             self._ack_pending += 1
             if self._ack_pending >= self.config.ack_every_n:
                 self._send_ack_now(now)
-            elif self._ack_timer is None:
-                self._ack_timer = self.sim.schedule(
-                    self.config.delayed_ack_timeout, self._ack_timer_fired
-                )
+            elif not self._ack_timer.armed:
+                self._ack_timer.arm(self.config.delayed_ack_timeout)
 
     def _ack_timer_fired(self) -> None:
-        self._ack_timer = None
         if self._ack_pending:
             self._send_ack_now(self.sim.now)
 
@@ -629,9 +619,7 @@ class TcpConnection(TransportEndpoint):
 
     def _send_ack_now(self, now: float) -> None:
         self._ack_pending = 0
-        if self._ack_timer is not None:
-            self._ack_timer.cancel()
-            self._ack_timer = None
+        self._ack_timer.cancel()
         # SACK blocks (RFC 2018): the ranges containing the most recently
         # received segments, most recent first.  Blocks can only exist
         # when coverage extends beyond the in-order frontier, so the
@@ -805,15 +793,15 @@ class TcpConnection(TransportEndpoint):
 
     def _post_ack(self, now: float) -> None:
         if self._snd_una >= self._snd_nxt and not self._retx_queue:
-            if self._retx_timer is not None:
-                self._retx_timer.cancel()
-                self._retx_timer = None
+            self._retx_timer.cancel()
         else:
             self._set_retx_timer()
         self._wake_sender()
 
     def _apply_sack(self, lo: int, hi: int) -> int:
         """Mark [lo, hi) SACKed; return bytes newly removed from flight."""
+        if self._sacked.covers(lo, hi):
+            return 0  # a repeated block: nothing new, _highest_sacked >= hi
         freed = 0
         for gap_lo, gap_hi in self._sacked.gaps(lo, hi):
             walk = gap_lo
@@ -842,10 +830,8 @@ class TcpConnection(TransportEndpoint):
             lo, hi = ranges[i]
             suffix[i] = suffix[i + 1] + (hi - lo)
 
-        import bisect
-
         def sacked_above(seq: int) -> int:
-            i = bisect.bisect_right(ranges, (seq, float("inf")))
+            i = bisect_right(ranges, (seq, INF))
             total = suffix[i]
             if i > 0 and ranges[i - 1][1] > seq:
                 total += ranges[i - 1][1] - seq
@@ -908,14 +894,6 @@ class TcpConnection(TransportEndpoint):
             for seq in sorted(self._lost_depths)[:512]:
                 del self._lost_depths[seq]
 
-    def _bytes_sacked_above(self, seq: int) -> int:
-        total = 0
-        for lo, hi in self._sacked.ranges():
-            if hi <= seq:
-                continue
-            total += hi - max(lo, seq)
-        return total
-
     def _on_dsack(self, now: float, dsack: Tuple[int, int]) -> bool:
         """A duplicate arrival: our retransmission was spurious (RR-TCP)."""
         self.stats.spurious_retransmits += 1
@@ -938,8 +916,7 @@ class TcpConnection(TransportEndpoint):
             seg = TcpSegment(self.conn_id, "ctrl", ctrl="rst", ctrl_size=40)
             self.emit(seg, seg.wire_bytes)
         for timer in (self._retx_timer, self._ack_timer, self._handshake_timer):
-            if timer is not None:
-                timer.cancel()
+            timer.cancel()
         self.trace.close(self.sim.now)
         super().close()
 

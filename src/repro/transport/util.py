@@ -17,6 +17,10 @@ from typing import Iterable, Iterator, List, Optional, Tuple
 
 Range = Tuple[int, int]
 
+#: Sorts after every ``hi`` in ``(lo, hi)``: ``bisect_right(ranges,
+#: (value, INF)) - 1`` is the last range starting at or before ``value``.
+INF = float("inf")
+
 
 class RangeSet:
     """A set of non-overlapping half-open integer ranges ``[lo, hi)``.
@@ -92,12 +96,12 @@ class RangeSet:
 
     def contains(self, value: int) -> bool:
         """True if ``value`` lies inside a covered range."""
-        i = bisect.bisect_right(self._ranges, (value, float("inf"))) - 1
+        i = bisect.bisect_right(self._ranges, (value, INF)) - 1
         return i >= 0 and self._ranges[i][0] <= value < self._ranges[i][1]
 
     def containing(self, value: int) -> Optional[Range]:
         """The covered range holding ``value``, or None."""
-        i = bisect.bisect_right(self._ranges, (value, float("inf"))) - 1
+        i = bisect.bisect_right(self._ranges, (value, INF)) - 1
         if i >= 0 and self._ranges[i][0] <= value < self._ranges[i][1]:
             return self._ranges[i]
         return None
@@ -106,7 +110,7 @@ class RangeSet:
         """True if the whole ``[lo, hi)`` range is covered."""
         if hi <= lo:
             return True
-        i = bisect.bisect_right(self._ranges, (lo, float("inf"))) - 1
+        i = bisect.bisect_right(self._ranges, (lo, INF)) - 1
         return i >= 0 and self._ranges[i][0] <= lo and self._ranges[i][1] >= hi
 
     def overlaps(self, lo: int, hi: int) -> bool:
@@ -125,7 +129,7 @@ class RangeSet:
         This is TCP's ``rcv_nxt`` computation: the in-order delivery
         frontier given out-of-order arrivals.
         """
-        i = bisect.bisect_right(self._ranges, (origin, float("inf"))) - 1
+        i = bisect.bisect_right(self._ranges, (origin, INF)) - 1
         if i >= 0 and self._ranges[i][0] <= origin < self._ranges[i][1]:
             return self._ranges[i][1]
         if i + 1 < len(self._ranges) and self._ranges[i + 1][0] == origin:
@@ -133,26 +137,35 @@ class RangeSet:
         return origin
 
     def gaps(self, lo: int, hi: int) -> List[Range]:
-        """Uncovered sub-ranges of ``[lo, hi)``."""
+        """Uncovered sub-ranges of ``[lo, hi)`` (O(log n + gaps found))."""
         out: List[Range] = []
+        if hi <= lo:
+            return out
+        ranges = self._ranges
+        # Start at the range holding ``lo`` if there is one, else the next.
+        first = bisect.bisect_right(ranges, (lo, INF)) - 1
+        if first < 0 or ranges[first][1] <= lo:
+            first += 1
         cursor = lo
-        for r_lo, r_hi in self._ranges:
-            if r_hi <= lo:
-                continue
+        for i in range(first, len(ranges)):
+            r_lo, r_hi = ranges[i]
             if r_lo >= hi:
                 break
             if r_lo > cursor:
-                out.append((cursor, min(r_lo, hi)))
-            cursor = max(cursor, r_hi)
+                out.append((cursor, r_lo))
+            cursor = r_hi
             if cursor >= hi:
-                break
-        if cursor < hi:
-            out.append((cursor, hi))
+                return out
+        out.append((cursor, hi))
         return out
 
     def ranges(self) -> List[Range]:
         """A copy of the covered ranges, ascending."""
         return list(self._ranges)
+
+    def tail(self, n: int) -> List[Range]:
+        """The last ``n`` covered ranges, ascending (a copy of just those)."""
+        return self._ranges[-n:]
 
     def max_covered(self) -> Optional[int]:
         """Highest covered value + 1 (i.e. the end of the last range)."""

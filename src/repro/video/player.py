@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..netem.sim import Event, Simulator
+from ..netem.sim import Simulator
 from .catalog import Video
 
 
@@ -84,7 +84,7 @@ class VideoPlayer:
         self._stall_started_at: Optional[float] = None
         self._stalled_seconds = 0.0
         self._rebuffer_count = 0
-        self._underrun_event: Optional[Event] = None
+        self._underrun_timer = sim.timer(self._on_underrun)
         self._start_time = 0.0
         self._finished = False
 
@@ -143,12 +143,7 @@ class VideoPlayer:
         self._reschedule_underrun(now)
 
     def _reschedule_underrun(self, now: float) -> None:
-        if self._underrun_event is not None:
-            self._underrun_event.cancel()
-        remaining = self._current_buffer(now)
-        self._underrun_event = self.sim.schedule(
-            max(remaining, 0.0), self._on_underrun
-        )
+        self._underrun_timer.arm(max(self._current_buffer(now), 0.0))
 
     def _current_buffer(self, now: float) -> float:
         """Seconds of media buffered ahead of the playhead right now."""
@@ -158,7 +153,6 @@ class VideoPlayer:
         return self._buffered_seconds - consumed
 
     def _on_underrun(self) -> None:
-        self._underrun_event = None
         now = self.sim.now
         if not self._playing:
             return
@@ -179,9 +173,7 @@ class VideoPlayer:
     def finalize(self) -> QoEMetrics:
         """Stop the session and compute Table 6's metrics."""
         now = self.sim.now
-        if self._underrun_event is not None:
-            self._underrun_event.cancel()
-            self._underrun_event = None
+        self._underrun_timer.cancel()
         if self._playing and self._play_resumed_at is not None:
             consumed = min(now - self._play_resumed_at, self._buffered_seconds)
             self._played_seconds += consumed

@@ -10,11 +10,31 @@ from repro.devices import DESKTOP, DeviceProfile
 from repro.netem import Scenario, Simulator, build_path, emulated
 from repro.quic import QuicConfig, open_quic_pair, quic_config
 from repro.tcp import TcpConfig, open_tcp_pair, tcp_config
+from repro.transport.util import RangeSet
 
 
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+class CountingRangeSet(RangeSet):
+    """A ``RangeSet`` that counts its ``gaps`` and ``add`` calls, to pin
+    that ACK processing does work in proportion to what is new."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def gaps(self, lo, hi):
+        self.calls += 1
+        return super().gaps(lo, hi)
+
+    def add(self, lo, hi):
+        self.calls += 1
+        return super().add(lo, hi)
 
 
 def make_quic_pair(

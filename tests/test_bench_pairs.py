@@ -1,0 +1,98 @@
+"""Contract of ``scripts/bench_pairs.py``: the table, the alternation and
+the exit codes, through an injected runner — no git, no benchmark run."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+
+#: Stands in for ``benchmarks/e2e/run.py``: reads its side from the name
+#: of the tree it was started in, logs the call, prints a result line.
+FAKE_RUNNER = '''
+import json, os, sys
+side = os.path.basename(os.getcwd())
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open(os.environ["PAIRS_LOG"], "a") as log:
+    log.write(json.dumps([side, args]) + "\\n")
+wall = {"parent": 10.0, "change": 8.0}[side] + int(args["--seed"]) / 10
+mode = os.environ.get("PAIRS_MODE", "ok")
+if mode == "silent" and side == "change":
+    sys.exit(3)
+print("host: chatter before the result line")
+print("grid_serial: 480 cells x 1 repetition(s), digest %016x" % int(args["--seed"]))
+print(json.dumps({
+    "correct": not (mode == "incorrect" and side == "change"),
+    "attempted": 480, "failed": 2 if mode == "failed" and side == "parent" else 0,
+    "metrics": {"setup_s": {"value": 0.25, "unit": "s"},
+                "wall_s": {"value": wall, "unit": "s"},
+                "cells_per_s": {"value": 480 / wall, "unit": "1/s"},
+                "cpu_s": {"value": wall - 0.1, "unit": "s"},
+                "peak_rss_mb": {"value": 35.0, "unit": "MiB"}}}))
+'''
+
+
+@pytest.fixture
+def pairs(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runner = tmp_path / "fake_runner.py"
+    runner.write_text(FAKE_RUNNER)
+    trees = {side: tmp_path / side for side in module.SIDES}
+    for tree in trees.values():
+        tree.mkdir()
+    log = tmp_path / "calls.jsonl"
+    monkeypatch.setenv("PAIRS_LOG", str(log))
+
+    def run(*argv):
+        code = module.main(["--parent", "unused", "--workload", "grid_serial",
+                            *argv], command=[sys.executable, str(runner)],
+                           trees=trees)
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        return code, calls
+
+    return run
+
+
+def test_table_alternation_and_clean_exit(pairs, capsys):
+    code, calls = pairs("-n", "4", "--seeds", "5,6")
+    assert code == 0
+    # Each side from its own tree, the first side alternating, one seed a pair.
+    assert [side for side, _ in calls] == [
+        "parent", "change", "change", "parent",
+        "parent", "change", "change", "parent"]
+    assert [args["--seed"] for _, args in calls] == list("55665566")
+    assert all(args == {"--workload": "grid_serial", "--seed": args["--seed"],
+                        "--seconds": "10", "--trace": "0"}
+               for _, args in calls)
+    out = capsys.readouterr().out
+    table = [line for line in out.splitlines() if line.startswith("|")]
+    assert table[0] == ("| metric | parent | change | change vs parent "
+                        "| parent spread | better |")
+    assert [row.split("|")[1].strip() for row in table[2:]] == [
+        "`setup_s`", "`wall_s`", "`cells_per_s`", "`cpu_s`", "`peak_rss_mb`"]
+    wall = table[3]
+    assert wall == ("| `wall_s` | 10.55 [10.5 – 10.6] | 8.55 [8.5 – 8.6] | "
+                    "-19.0% | 0.9% | 4/4 |")
+    assert table[4].endswith("| 4/4 |")   # cells_per_s: higher is better
+    assert table[2].endswith("| 0/4 |")   # setup_s tied: a tie is no win
+    assert ("outcome_digest equal in 4/4 pairs: `0000000000000005`, "
+            "`0000000000000006`") in out
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("incorrect", 1), ("failed", 1), ("silent", 2)])
+def test_exit_code_names_a_bad_run(pairs, capsys, monkeypatch, mode, expected):
+    monkeypatch.setenv("PAIRS_MODE", mode)
+    code, _calls = pairs("-n", "2")
+    assert code == expected
+    captured = capsys.readouterr()
+    if expected == 1:
+        assert "| `wall_s` |" in captured.out  # the table is still printed
+        assert "FAILED pair 1" in captured.err
+    else:
+        assert "printed no result line" in captured.err

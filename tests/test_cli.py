@@ -183,6 +183,18 @@ class TestManyflowCommand:
             assert out.count(heading) == 1
             assert "Ordered by: cumulative time" in out.split(heading)[1]
 
+    def test_profile_prints_the_event_census(self, capsys):
+        """Every event is one call out of the run loop, so the handler
+        counts sum to the canonical pair's pinned ``events_processed``."""
+        assert main(["bench", "--profile", "1"]) == 0
+        census = capsys.readouterr().out.split(
+            "Events by handler (callees of the run loop):\n")[1].split("\n\n")[0]
+        rows = dict(line.split()[:2] for line in census.splitlines())
+        counts = {k: int(v.replace(",", "")) for k, v in rows.items()}
+        assert counts.pop("total") == sum(counts.values()) == 3666 + 5092
+        assert counts["netem/link.py:_deliver"] > counts["netem/link.py:_drain"]
+        assert "per delivered packet" in census
+
     def test_small_run_and_cache_replay(self, capsys, tmp_path):
         argv = ["manyflow", "--flows", "20", "--duration", "120",
                 "--cache", str(tmp_path / "store")]

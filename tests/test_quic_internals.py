@@ -7,7 +7,7 @@ from repro.netem import Simulator, emulated
 from repro.quic import quic_config
 from repro.quic.frames import AckFrame, MaxDataFrame, StreamFrame
 
-from .conftest import MEDIUM, make_quic_pair, quic_download
+from .conftest import MEDIUM, CountingRangeSet, make_quic_pair, quic_download
 
 
 class TestAckGeneration:
@@ -47,6 +47,25 @@ class TestAckGeneration:
         ack = client._make_ack_frame()
         assert len(ack.blocks) == 4
         assert ack.largest_acked == 39
+
+
+class TestAckProcessing:
+    def test_work_is_proportional_to_new_blocks_not_repeated_ones(self, sim):
+        """A frame repeats up to 32 blocks the sender has mostly seen: 500
+        frames of 31 old blocks + 1 new one cost one gaps() and one add()
+        each, not 32 of both."""
+        _, _client, server = make_quic_pair(sim, MEDIUM)
+        server._peer_acked = acked = CountingRangeSet()
+        numbers = list(range(1, 2 * (31 + 500), 2))  # isolated: never merge
+        server._on_ack_frame(0.0, AckFrame(
+            numbers[30], 0.0, tuple((n, n) for n in reversed(numbers[:31]))))
+        acked.calls = 0
+        for newest in range(31, 31 + 500):
+            blocks = tuple((n, n) for n in reversed(numbers[newest - 31:newest + 1]))
+            assert len(blocks) == 32
+            server._on_ack_frame(0.0, AckFrame(numbers[newest], 0.0, blocks))
+        assert acked.calls <= 2 * 500
+        assert acked.ranges() == [(n, n + 1) for n in numbers]
 
 
 class TestFlowControlGrants:

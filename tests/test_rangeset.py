@@ -172,18 +172,21 @@ def test_contiguous_from_matches_naive(ranges, origin):
     assert RangeSet(ranges).contiguous_from(origin) == expected
 
 
-@settings(max_examples=200, deadline=None)
-@given(ranges_strategy, st.integers(0, 150), st.integers(0, 110))
-def test_gaps_partition_matches_naive(ranges, lo, span):
-    hi = lo + span
-    rs = RangeSet(ranges)
+@settings(max_examples=400, deadline=None)
+@given(ranges_strategy, st.integers(0, 300), st.integers(0, 300))
+def test_gaps_partition_matches_naive(ranges, lo, hi):
+    """``lo`` / ``hi`` inside, between and beyond the ranges, and
+    ``hi <= lo``: exactly the maximal uncovered runs, ascending."""
     covered = naive(ranges)
-    gap_points = set()
-    for g_lo, g_hi in rs.gaps(lo, hi):
-        assert lo <= g_lo < g_hi <= hi
-        gap_points.update(range(g_lo, g_hi))
-    expected = {p for p in range(lo, hi) if p not in covered}
-    assert gap_points == expected
+    expected = []
+    for point in range(lo, hi):
+        if point in covered:
+            continue
+        if expected and expected[-1][1] == point:
+            expected[-1] = (expected[-1][0], point + 1)
+        else:
+            expected.append((point, point + 1))
+    assert RangeSet(ranges).gaps(lo, hi) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulator core."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netem.sim import Event, SimulationError, Simulator
 
@@ -135,6 +137,42 @@ class TestRun:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_run_inside_run_until_callback_is_rejected_too(self, sim):
+        sim.schedule(0.1, sim.run)
+        with pytest.raises(SimulationError):
+            sim.run_until(lambda: False, timeout=1.0)
+
+    def test_stop_ends_the_run_at_the_current_event(self, sim):
+        fired = []
+
+        def second():
+            fired.append("b")
+            sim.stop()
+            fired.append("b-finished")
+
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(2.0, second)
+        sim.schedule(3.0, fired.append, "c")
+        sim.run(until=10.0)
+        assert fired == ["a", "b", "b-finished"]
+        assert sim.now == 2.0  # not advanced to ``until``
+        assert sim.pending_events() == 1
+        sim.run()
+        assert fired[-1] == "c"
+
+    def test_stop_ends_run_until_with_the_predicate_false(self, sim):
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: None)
+        assert not sim.run_until(lambda: False, timeout=10.0)
+        assert sim.now == 1.0
+
+    def test_stop_while_idle_does_not_affect_the_next_run(self, sim):
+        fired = []
+        sim.stop()
+        sim.schedule(1.0, fired.append, "a")
+        sim.run()
+        assert fired == ["a"]
+
 
 class TestEvent:
     def test_event_ordering_dunder(self):
@@ -148,3 +186,148 @@ class TestEvent:
         assert event.pending
         event.cancel()
         assert not event.pending
+
+
+class _RefTimer:
+    """The reference: what every call site spelled before ``Timer`` —
+    ``cancel()`` the old :class:`Event`, ``schedule()`` a new one."""
+
+    def __init__(self, sim, callback):
+        self.sim = sim
+        self.callback = callback
+        self.event = None
+
+    @property
+    def armed(self):
+        return self.event is not None
+
+    def arm(self, delay, *args):
+        self.cancel()
+        self.event = self.sim.schedule(delay, self._fire, *args)
+
+    def cancel(self):
+        if self.event is not None:
+            self.event.cancel()
+            self.event = None
+
+    def _fire(self, *args):
+        self.event = None
+        self.callback(*args)
+
+
+N_TIMERS = 3
+#: (slot, kind, which timer, delay, re-arm delay from the callback).
+#: Ops land on whole-unit slots and delays are whole units, so deadlines,
+#: plain posts and the ops themselves keep tying at the same instant —
+#: where only the sequence number each arm() drew decides the order.
+_ops = st.lists(
+    st.tuples(st.integers(0, 8),
+              st.sampled_from(["arm", "arm", "arm", "cancel", "post"]),
+              st.integers(0, N_TIMERS - 1),
+              st.integers(0, 5),
+              st.one_of(st.none(), st.integers(0, 3))),
+    max_size=60)
+
+
+def _drive(ops, make_timer):
+    """Run one op program; return everything an observer could see."""
+    sim = Simulator()
+    log = []
+
+    def seen(*what):
+        log.append((sim.now, sim.pending_events(),
+                    tuple(t.armed for t in timers)) + what)
+
+    def fired(which, tag, rearm):
+        seen("timer", which, tag)
+        if rearm is not None:  # arm from inside the timer's own callback
+            timers[which].arm(float(rearm), which, ("again", tag), None)
+
+    timers = [make_timer(sim, fired) for _ in range(N_TIMERS)]
+
+    def do(index, kind, which, delay, rearm):
+        if kind == "arm":
+            timers[which].arm(float(delay), which, index, rearm)
+        elif kind == "cancel":
+            timers[which].cancel()
+        else:
+            sim.post(float(delay), seen, "post", index)
+        seen("op", index)
+
+    for index, (slot, kind, which, delay, rearm) in enumerate(ops):
+        sim.post_at(float(slot), do, index, kind, which, delay, rearm)
+    sim.run(max_events=10_000)
+    return log, sim.events_processed, sim.pending_events(), sim.now
+
+
+class TestTimer:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_ops)
+    def test_matches_cancel_plus_schedule_exactly(self, ops):
+        """Same firing log (time, which, args), same ``pending_events()``
+        and ``armed`` after every event, same final ``events_processed``:
+        arm / re-arm later / re-arm earlier / cancel / same-instant ties."""
+        assert (_drive(ops, lambda sim, cb: sim.timer(cb))
+                == _drive(ops, _RefTimer))
+
+    def test_fires_once_with_the_last_args(self, sim):
+        fired = []
+        timer = sim.timer(lambda *args: fired.append((sim.now, args)))
+        assert not timer.armed
+        timer.arm(1.0, "first")
+        timer.arm(3.0, "later")
+        timer.arm(2.0, "earlier")
+        assert timer.armed and sim.pending_events() == 1
+        sim.run()
+        assert fired == [(2.0, ("earlier",))]
+        assert not timer.armed and sim.events_processed == 1
+
+    def test_cancel_after_fire_is_a_noop(self, sim):
+        timer = sim.timer(lambda: None)
+        timer.arm(1.0)
+        sim.schedule(2.0, lambda: None)
+        sim.run(until=1.5)
+        timer.cancel()
+        timer.cancel()
+        assert sim.pending_events() == 1
+        sim.run()
+        assert sim.events_processed == 2 and sim.pending_events() == 0
+
+    def test_arm_inside_own_callback_makes_it_periodic(self, sim):
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) < 5:
+                timer.arm(0.5)
+
+        timer = sim.timer(tick)
+        timer.arm(0.5)
+        sim.run()
+        assert ticks == [0.5, 1.0, 1.5, 2.0, 2.5]
+        assert sim.events_processed == 5
+
+    def test_negative_delay_rejected(self, sim):
+        with pytest.raises(SimulationError):
+            sim.timer(lambda: None).arm(-0.1)
+
+    def test_ten_thousand_rearms_keep_the_heap_small(self, sim):
+        """The retransmission-timer pattern: pushed out on every packet,
+        never firing.  One carrier entry, not one heap entry per arm."""
+        fired = []
+        timer = sim.timer(lambda: fired.append(sim.now))
+        deepest = 0
+
+        def packet(remaining):
+            nonlocal deepest
+            timer.arm(1.0)
+            if remaining:
+                sim.post(0.001, packet, remaining - 1)
+            deepest = max(deepest, len(sim._queue))
+
+        packet(10_000)
+        sim.run()
+        assert deepest <= 2
+        assert fired == [pytest.approx(11.0)]
+        # 10 000 packet events + the one firing: carrier hops are free.
+        assert sim.events_processed == 10_001

@@ -7,7 +7,7 @@ from repro.netem import Simulator, emulated
 from repro.tcp import tcp_config
 from repro.tcp.segment import TcpSegment
 
-from .conftest import MEDIUM, make_tcp_pair, tcp_download
+from .conftest import MEDIUM, CountingRangeSet, make_tcp_pair, tcp_download
 
 
 class TestReceiveWindow:
@@ -96,14 +96,23 @@ class TestSackScoreboard:
         # Applying the same SACK again frees nothing.
         assert server._apply_sack(record.seq, record.end) == 0
 
-    def test_bytes_sacked_above(self, sim):
+    def test_repeated_sack_blocks_cost_no_scoreboard_work(self, sim):
+        """Every ACK during recovery repeats the blocks of the last one:
+        500 ACKs of 3 old blocks + 1 new one cost one gaps() and one add()
+        each, not 4 of both."""
         _, _client, server = make_tcp_pair(sim, MEDIUM)
-        server._sacked.add(5_000, 8_000)
-        server._sacked.add(10_000, 11_000)
-        assert server._bytes_sacked_above(0) == 4_000
-        assert server._bytes_sacked_above(6_000) == 3_000
-        assert server._bytes_sacked_above(9_000) == 1_000
-        assert server._bytes_sacked_above(20_000) == 0
+        server._sacked = sacked = CountingRangeSet()
+        blocks = [(1000 * i, 1000 * i + 500) for i in range(1, 3 + 500 + 1)]
+        for block in blocks[:3]:
+            server._apply_sack(*block)
+        sacked.calls = 0
+        for newest in range(3, 3 + 500):
+            server._on_ack_info(0.0, TcpSegment(
+                server.conn_id, "ack", cum_ack=0, rwnd=100_000,
+                sack_blocks=tuple(reversed(blocks[newest - 3:newest + 1]))))
+        assert sacked.calls <= 2 * 500
+        assert sacked.ranges() == blocks
+        assert server._highest_sacked == blocks[-1][1]
 
 
 class TestMessageFraming:
