@@ -34,9 +34,11 @@ perf-gate:
 bench-e2e:
 	PYTHONPATH=src $(PYTHON) -m benchmarks.e2e run
 
-# The evidence a perf PR owes: alternating parent/change pairs of one e2e
-# workload, each side in a scratch copy of its files, medians / quartiles /
-# wins as a Markdown table.  make pairs PARENT=HEAD~1 W=grid_serial [N=10]
+# The evidence a perf PR owes: alternating parent/change pairs of e2e
+# workloads (W is one name or a comma-separated list: the claim and its
+# must-not-move rows), each side in one scratch copy of its files, medians /
+# quartiles / wins as one Markdown table per workload.
+# make pairs PARENT=HEAD~1 W=store_replay,store_fill,fabric_synth [N=10]
 pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(W) $(if $(N),-n $(N)) $(if $(SEEDS),--seeds $(SEEDS))
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Alternating parent/change pairs of one end-to-end workload.
+"""Alternating parent/change pairs of end-to-end workloads.
 
 Usage::
 
-    python scripts/bench_pairs.py --parent REV --workload W [-n 10]
-        [--seeds 0,1,2]
+    python scripts/bench_pairs.py --parent REV --workload W[,W2,...]
+        [-n 10] [--seeds 0,1,2]
 
 The evidence a perf PR owes (ROADMAP ground rules, docs/PERFORMANCE.md):
 each side gets its own copy of its files in a scratch directory that is
@@ -18,10 +18,16 @@ end-to-end metrics, each side's median and quartiles, the parent's
 quartile spread and the pairs the change won, as a Markdown table, and
 in how many pairs both sides printed the same ``outcome_digest``.
 
+``--workload`` takes a comma-separated list — a claim and its "must not
+move" rows in one command: the two scratch copies are made once and
+shared, the workloads run one after another (all ``n`` pairs of one,
+then the next), and each gets its own table in the same form.
+
 This script calls the harness; it does not edit it, and it writes no
 tracked file.  Exit codes: 0 = every run printed ``"correct": true`` with
 no failed operation; 1 = some run did not (the table is still printed);
-2 = a run produced no result line at all.
+2 = a run produced no result line at all (that workload has no table;
+the others still run) — the worst over the workloads.
 """
 
 import argparse
@@ -162,7 +168,7 @@ def main(argv: Sequence[str] = None, *, command: Sequence[str] = COMMAND,
     git nor a real benchmark run."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, metavar="REV")
-    parser.add_argument("--workload", required=True, metavar="W")
+    parser.add_argument("--workload", required=True, metavar="W[,W...]")
     parser.add_argument("-n", type=int, default=10, dest="pairs")
     parser.add_argument("--seeds", default=None,
                         help="comma-separated; default 0..n-1")
@@ -176,18 +182,23 @@ def main(argv: Sequence[str] = None, *, command: Sequence[str] = COMMAND,
                 tree.mkdir()
             export_rev(args.parent, trees["parent"])
             export_checkout(trees["change"])
-        try:
-            results = run_pairs(trees, args.workload, seeds, args.pairs,
-                                command)
-        except NoResult as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    print()
-    print(render(args.workload, results))
-    bad = failures(results)
-    for line in bad:
-        print(f"FAILED {line}", file=sys.stderr)
-    return 1 if bad else 0
+        worst = 0
+        for workload in filter(None, args.workload.split(",")):
+            try:
+                results = run_pairs(trees, workload, seeds, args.pairs,
+                                    command)
+            except NoResult as error:
+                print(f"error: {error}", file=sys.stderr)
+                worst = 2
+                continue
+            print()
+            print(render(workload, results))
+            print()
+            bad = failures(results)
+            for line in bad:
+                print(f"FAILED {line} ({workload})", file=sys.stderr)
+            worst = max(worst, 1 if bad else 0)
+    return worst
 
 
 if __name__ == "__main__":

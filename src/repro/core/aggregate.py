@@ -6,11 +6,14 @@ a stream of them into deterministic per-cell aggregates (scenario x
 page x protocol) and renders the tables the store report embeds — so a
 warm cache is reportable without re-executing anything.
 
-The aggregation is *incremental*: a :class:`StreamAggregator` holds one
-:class:`CellAccumulator` per cell, each updated per record, so nothing
-ever materialises the full record list.  An accumulator keeps only the
-cell's PLT floats and a run counter — the memory ceiling of a 10⁶-cell
-sweep's report is a few floats per cell, not 10⁶ pickled records.
+The aggregation is *incremental* and folds the stored *row dicts*: a
+:class:`StreamAggregator` holds one :class:`CellAccumulator` per cell,
+each updated per row from the handful of fields the tables read, so
+nothing ever materialises the full record list and only manyflow rows
+(whose tables need the typed config) are rebuilt into records.  An
+accumulator keeps only the cell's PLT floats and a run counter — the
+memory ceiling of a 10⁶-cell sweep's report is a few floats per cell,
+not 10⁶ pickled records.
 Because a partially-fed aggregator is already renderable, ``repro
 report --from-store --live`` can collate a store *while* a sweep is
 appending to it.
@@ -20,13 +23,18 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .executor import RunRecord
 from .models import ModelFitAccumulator, render_model_fit_table
 
 #: A cell identity: (scenario name, page name, protocol name).
 CellKey = Tuple[str, str, str]
+
+#: What reading a mis-shaped row dict raises (a missing field, a list
+#: where an object belongs, an unknown config field) — the only errors
+#: a store reader may answer by skipping the row.
+_MISSHAPEN = (KeyError, TypeError, ValueError, AttributeError)
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,10 @@ class CellAccumulator:
     def ok(self) -> int:
         return len(self.plts)
 
-    def add_record(self, record: RunRecord) -> None:
+    def add(self, ok: bool, plt: Optional[float]) -> None:
         self.runs += 1
-        if record.ok and record.plt is not None:
-            self.plts.append(record.plt)
+        if ok and plt is not None:
+            self.plts.append(plt)
 
     def aggregate(self) -> CellAggregate:
         plts = sorted(self.plts)
@@ -83,7 +91,7 @@ class CellAccumulator:
 class FairnessAccumulator:
     """Incremental Jain-fairness aggregation for one manyflow cell.
 
-    Fed from records whose ``metrics`` carry a ``jain_index`` (the
+    Fed the ``metrics`` of records that carry a ``jain_index`` (the
     manyflow family — see :mod:`repro.core.manyflow`); keyed by
     ``(scenario, config label)`` where the label encodes flow count and
     AQM, so the rendered table is the Tab. 4 Jain-index artefact
@@ -105,8 +113,7 @@ class FairnessAccumulator:
     def key(self) -> Tuple[str, str]:
         return (self.scenario, self.config)
 
-    def add_record(self, record: RunRecord) -> None:
-        metrics = record.metrics
+    def add(self, metrics: Mapping[str, float]) -> None:
         self.runs += 1
         self.completed += int(metrics.get("flows_completed", 0))
         self.jains.append(metrics["jain_index"])
@@ -122,7 +129,7 @@ class FairnessAccumulator:
 class DwellAccumulator:
     """Incremental state-dwell aggregation for one traced cell.
 
-    Fed from records whose ``metrics`` carry ``dwell:<state>`` keys —
+    Fed the ``metrics`` of records that carry ``dwell:<state>`` keys —
     the per-state time fractions :meth:`ServerTrace.dwell_fractions`
     exports when a request is executed with ``trace=True``.  Keyed by
     ``(scenario, protocol)``, so the rendered table is the store-backed
@@ -140,9 +147,9 @@ class DwellAccumulator:
     def key(self) -> Tuple[str, str]:
         return (self.scenario, self.protocol)
 
-    def add_record(self, record: RunRecord) -> None:
+    def add(self, metrics: Mapping[str, float]) -> None:
         self.runs += 1
-        for name, value in record.metrics.items():
+        for name, value in metrics.items():
             if name.startswith("dwell:"):
                 state = name[len("dwell:"):]
                 self.fractions[state] = self.fractions.get(state, 0.0) + value
@@ -208,15 +215,14 @@ def render_fairness_table(cells: List[FairnessAccumulator]) -> str:
 
 
 class StreamAggregator:
-    """Per-cell accumulators fed one record at a time.
+    """Per-cell accumulators fed one stored row dict at a time.
 
     Nothing is materialised, and the output depends only on the set of
-    records fed.  Records carrying fairness metrics (the manyflow
-    family) additionally feed per-cell
-    :class:`FairnessAccumulator`\\ s, a shared
-    :class:`~repro.core.models.ModelFitAccumulator` (the analytical
-    oracle comparison behind ``repro validate``), and — when traced —
-    per-cell :class:`DwellAccumulator`\\ s.
+    rows fed.  Rows carrying fairness metrics (the manyflow family)
+    additionally feed per-cell :class:`FairnessAccumulator`\\ s, a
+    shared :class:`~repro.core.models.ModelFitAccumulator` (the
+    analytical oracle comparison behind ``repro validate``), and — when
+    traced — per-cell :class:`DwellAccumulator`\\ s.
     """
 
     def __init__(self) -> None:
@@ -224,6 +230,9 @@ class StreamAggregator:
         self.fairness: Dict[Tuple[str, str], FairnessAccumulator] = {}
         self.model_fit = ModelFitAccumulator()
         self.dwell: Dict[Tuple[str, str], DwellAccumulator] = {}
+        #: Rows :meth:`add_row` refused as not decodable; no table
+        #: counts them, the store report says how many there were.
+        self.skipped = 0
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -232,36 +241,63 @@ class StreamAggregator:
     def total_runs(self) -> int:
         return sum(cell.runs for cell in self.cells.values())
 
-    def _cell(self, scenario: str, page: str, protocol: str
-              ) -> CellAccumulator:
+    def add_row(self, raw: Mapping[str, Any]) -> None:
+        """Fold one record dict (``Row[3]``) into every table it feeds.
+
+        The fields the tables use are read straight off the dict, the
+        way :func:`~repro.store.rows.label_of` reads a label; only a
+        manyflow row is rebuilt into a :class:`RunRecord`, because the
+        fairness and model-fit tables need its typed config and
+        scenario.  Everything is read before anything is mutated: a row
+        that is not decodable — not request-shaped with string names, a
+        dict ``metrics`` and a bool ``complete``, or a manyflow row
+        ``record_from_dict`` refuses — is counted in :attr:`skipped`
+        and touches no table.
+        """
+        try:
+            request = raw["request"]
+            scenario = request["scenario"]["name"]
+            page = request["page"]["name"]
+            protocol = request["protocol"]["name"]
+            plt, complete, metrics = raw["plt"], raw["complete"], raw["metrics"]
+            ok = complete and raw.get("failure") is None
+            shaped = (isinstance(scenario, str) and isinstance(page, str)
+                      and isinstance(protocol, str)
+                      and isinstance(metrics, dict)
+                      and isinstance(complete, bool))
+            record = None
+            if shaped and request.get("manyflow") is not None:
+                from ..store.keys import record_from_dict  # package cycle
+
+                record = record_from_dict(raw)
+        except _MISSHAPEN:
+            shaped = False
+        if not shaped:
+            self.skipped += 1
+            return
         key = (scenario, page, protocol)
         cell = self.cells.get(key)
         if cell is None:
             cell = self.cells[key] = CellAccumulator(*key)
-        return cell
-
-    def add_record(self, record: RunRecord) -> None:
-        request = record.request
-        self._cell(request.scenario.name, request.page.name,
-                   request.protocol.name).add_record(record)
-        config = getattr(request, "manyflow", None)
-        if config is not None and "jain_index" in record.metrics:
-            key = (request.scenario.name, config.label)
-            cell = self.fairness.get(key)
-            if cell is None:
-                cell = self.fairness[key] = FairnessAccumulator(
-                    scenario=request.scenario.name, config=config.label,
-                    aqm=config.aqm, flows=config.flows)
-            cell.add_record(record)
-        self.model_fit.add_record(record)
-        if any(name.startswith("dwell:") for name in record.metrics):
-            key = (request.scenario.name, request.protocol.name)
-            dwell = self.dwell.get(key)
+        cell.add(ok, plt)
+        if record is not None:
+            config = record.request.manyflow
+            if "jain_index" in metrics:
+                fair_key = (scenario, config.label)
+                fair = self.fairness.get(fair_key)
+                if fair is None:
+                    fair = self.fairness[fair_key] = FairnessAccumulator(
+                        scenario=scenario, config=config.label,
+                        aqm=config.aqm, flows=config.flows)
+                fair.add(metrics)
+            self.model_fit.add_record(record)
+        if any(name.startswith("dwell:") for name in metrics):
+            dwell_key = (scenario, protocol)
+            dwell = self.dwell.get(dwell_key)
             if dwell is None:
-                dwell = self.dwell[key] = DwellAccumulator(
-                    scenario=request.scenario.name,
-                    protocol=request.protocol.name)
-            dwell.add_record(record)
+                dwell = self.dwell[dwell_key] = DwellAccumulator(
+                    scenario=scenario, protocol=protocol)
+            dwell.add(metrics)
 
     def aggregates(self) -> List[CellAggregate]:
         return [self.cells[key].aggregate() for key in sorted(self.cells)]
@@ -292,25 +328,27 @@ class StreamAggregator:
 
 
 def iter_records(store: Any) -> Iterator[RunRecord]:
-    """Every decodable record in ``store``, streamed oldest first.
+    """Every decodable record in ``store``, fully rebuilt, oldest first
+    (``repro validate --from-store``; the report folds rows instead).
 
-    Undecodable rows are skipped, not fatal — a report over a shared
-    store should survive one bad row.
+    Rows ``record_from_dict`` cannot rebuild are skipped, not fatal — a
+    read over a shared store should survive one bad row.
     """
     from ..store.keys import record_from_dict  # avoid a package cycle
 
     for _key, _created, _fingerprint, raw in store.items():
         try:
             yield record_from_dict(raw)
-        except Exception:  # noqa: BLE001 - tolerate foreign/stale rows
+        except _MISSHAPEN:
             continue
 
 
 def store_aggregator(store: Any) -> StreamAggregator:
-    """Aggregate a whole store without materialising its records."""
+    """Aggregate a whole store, oldest row first, without rebuilding
+    its records (see :meth:`StreamAggregator.add_row`)."""
     aggregator = StreamAggregator()
-    for record in iter_records(store):
-        aggregator.add_record(record)
+    for _key, _created, _fingerprint, raw in store.items():
+        aggregator.add_row(raw)
     return aggregator
 
 

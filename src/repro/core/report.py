@@ -133,7 +133,8 @@ def build_store_report(store: object,
 
     The table body comes from the incremental aggregation
     (:func:`~repro.core.aggregate.store_aggregator`): the store is
-    streamed, never materialised.
+    streamed, never materialised.  Rows the aggregation could not
+    decode are never dropped silently: the report says how many.
 
     ``live`` renders a store a sweep is *still appending to*: the grid
     is expected to be partial, so instead of presenting it as final the
@@ -146,9 +147,12 @@ def build_store_report(store: object,
     total = aggregator.total_runs
     lines = [f"# {title}", ""]
     path = getattr(store, "path", "results store")
+    skipped = ([f"{aggregator.skipped} row(s) skipped: not decodable as a "
+                "run record"] if aggregator.skipped else [])
     if not cells:
         lines.append(f"*(store at `{path}` holds no decodable records — "
                      "run a sweep with `--cache` first)*")
+        lines.extend(skipped)
         if live:
             lines.append("")
             lines.append("*(live view: the sweep may not have produced "
@@ -157,6 +161,7 @@ def build_store_report(store: object,
     lines.append(f"Collated from the results store at `{path}`: "
                  f"{total} cached run(s) across {len(cells)} "
                  f"cell(s), no re-execution.")
+    lines.extend(skipped)
     if live:
         deepest = max(cell.runs for cell in cells)
         partial = [cell for cell in cells if cell.runs < deepest]

@@ -312,14 +312,8 @@ class RemoteStore(StoreBackend):
 
     # -- core map operations ----------------------------------------------
     def get(self, key: str) -> Optional[RunRecord]:
-        self._ensure_schema()
-        try:
-            body = self._request("GET", f"/records/{key}")
-        except urllib.error.HTTPError as exc:
-            if exc.code == 404:
-                return None
-            raise
-        return record_from_dict(decode_row(body)[0][3])
+        row = self.row(key)
+        return None if row is None else record_from_dict(row[3])
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:
@@ -344,6 +338,17 @@ class RemoteStore(StoreBackend):
     def items(self) -> Iterator[Row]:
         self._ensure_schema()
         yield from decode_rows(self._request("GET", "/records"))
+
+    def row(self, key: str) -> Optional[Row]:
+        """One ``GET /records/<key>`` (404 → None), never a store scan."""
+        self._ensure_schema()
+        try:
+            body = self._request("GET", f"/records/{key}")
+        except urllib.error.HTTPError as exc:
+            if exc.code == 404:
+                return None
+            raise
+        return decode_row(body)[0]
 
     def delete(self, key: str) -> bool:
         self._ensure_schema()

@@ -174,8 +174,13 @@ class StoreBackend(abc.ABC):
         """One full row — ``(key, created, fingerprint, record-dict)``.
 
         Unlike :meth:`get` this keeps the sync-dialect envelope, which
-        is what the fabric server's point lookups serve.  The default
-        scans :meth:`items`; backends override it with an indexed read.
+        is what the fabric server's point lookups serve and what
+        :meth:`RunCache.lookup_with_key
+        <repro.store.cache.RunCache.lookup_with_key>` probes with — one
+        call per request of a sweep.  The default is an O(n) scan of
+        :meth:`items`: correct, and a trap on that path, so every
+        shipped backend and wrapper overrides it with an indexed read
+        (``tests/test_rows.py`` holds them to it).
         """
         for candidate in self.items():
             if candidate[0] == key:
@@ -281,11 +286,8 @@ class SqliteStore(StoreBackend):
 
     # -- core map operations ----------------------------------------------
     def get(self, key: str) -> Optional[RunRecord]:
-        row = self._db.execute(
-            "SELECT record FROM runs WHERE key = ?", (key,)).fetchone()
-        if row is None:
-            return None
-        return record_from_dict(json.loads(row[0]))
+        row = self.row(key)
+        return None if row is None else record_from_dict(row[3])
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..core.executor import RunRecord, RunRequest
 from .backend import StoreBackend, resolve_store
-from .keys import fingerprint_for, run_key
+from .keys import fingerprint_for, record_from_dict, run_key
 
 #: What the executor's ``store=`` argument accepts.
 StoreLike = Union["RunCache", StoreBackend, str, Path]
@@ -94,16 +94,20 @@ class RunCache:
 
         The streaming executor uses this form: a miss keeps its
         precomputed key and fingerprint so the pool worker that runs it
-        can write the record back without recomputing either.
+        can write the record back without recomputing either.  A hit is
+        the stored outcome on the caller's own ``request`` object — the
+        key is its content address, so the stored request dict is not
+        rebuilt — exactly as a miss's record carries it.
         """
         fingerprint = self.fingerprint_of(request)
         key = run_key(request, fingerprint=fingerprint)
-        record = self.store.get(key)
-        if record is None:
+        row = self.store.row(key)
+        if row is None:
             self.misses += 1
             self._missed[id(request)] = (request, key, fingerprint)
             self._bump("misses")
             return key, fingerprint, None
+        record = record_from_dict(row[3], request=request)
         self.hits += 1
         self._bump("hits")
         record.cached = True

@@ -542,10 +542,20 @@ def record_to_dict(record: RunRecord) -> Dict[str, Any]:
     }
 
 
-def record_from_dict(raw: Mapping[str, Any]) -> RunRecord:
+def record_from_dict(raw: Mapping[str, Any],
+                     request: Optional[RunRequest] = None) -> RunRecord:
+    """The record a row dict spells.
+
+    ``request`` is for a caller that already holds the request the row
+    is stored under — a cache hit, whose key *is* the request's content
+    address: the record carries that very object and ``raw["request"]``
+    is not decoded (nor proven decodable) again.  The outcome half is
+    decoded the same either way.
+    """
     failure = raw.get("failure")
     return RunRecord(
-        request=request_from_dict(raw["request"]),
+        request=request_from_dict(raw["request"]) if request is None
+        else request,
         plt=raw["plt"],
         complete=raw["complete"],
         metrics=dict(raw["metrics"]),

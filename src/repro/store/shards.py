@@ -102,6 +102,9 @@ class ShardStore(StoreBackend):
         self._torn_warned: set = set()
         self._dir = Path(path)
         self._dir.mkdir(parents=True, exist_ok=True)
+        #: The directory as a string, resolved once: :meth:`_load` stats
+        #: a shard file per lookup and must not build a Path for it.
+        self._stat_prefix = os.path.join(str(self._dir), "")
         manifest = self._dir / MANIFEST_NAME
         if manifest.exists():
             meta = json.loads(manifest.read_text())
@@ -181,9 +184,8 @@ class ShardStore(StoreBackend):
 
     def _load(self, shard: str) -> Dict[str, Row]:
         """Parse one shard, served from the mtime/size cache when clean."""
-        path = self._data_path(shard)
         try:
-            stat = path.stat()
+            stat = os.stat(f"{self._stat_prefix}{shard}.jsonl")
         except FileNotFoundError:
             self._cache.pop(shard, None)
             return {}
@@ -239,10 +241,8 @@ class ShardStore(StoreBackend):
 
     # -- core map operations ----------------------------------------------
     def get(self, key: str) -> Optional[RunRecord]:
-        entry = self._load(self.shard_of(key)).get(key)
-        if entry is None:
-            return None
-        return record_from_dict(entry[3])
+        row = self.row(key)
+        return None if row is None else record_from_dict(row[3])
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:

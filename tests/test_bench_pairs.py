@@ -20,10 +20,12 @@ with open(os.environ["PAIRS_LOG"], "a") as log:
     log.write(json.dumps([side, args]) + "\\n")
 wall = {"parent": 10.0, "change": 8.0}[side] + int(args["--seed"]) / 10
 mode = os.environ.get("PAIRS_MODE", "ok")
+if args["--workload"] != os.environ.get("PAIRS_BAD_WORKLOAD", args["--workload"]):
+    mode = "ok"
 if mode == "silent" and side == "change":
     sys.exit(3)
 print("host: chatter before the result line")
-print("grid_serial: 480 cells x 1 repetition(s), digest %016x" % int(args["--seed"]))
+print("%s: 480 cells x 1 repetition(s), digest %016x" % (args["--workload"], int(args["--seed"])))
 print(json.dumps({
     "correct": not (mode == "incorrect" and side == "change"),
     "attempted": 480, "failed": 2 if mode == "failed" and side == "parent" else 0,
@@ -48,8 +50,8 @@ def pairs(tmp_path, monkeypatch):
     log = tmp_path / "calls.jsonl"
     monkeypatch.setenv("PAIRS_LOG", str(log))
 
-    def run(*argv):
-        code = module.main(["--parent", "unused", "--workload", "grid_serial",
+    def run(*argv, workload="grid_serial"):
+        code = module.main(["--parent", "unused", "--workload", workload,
                             *argv], command=[sys.executable, str(runner)],
                            trees=trees)
         calls = [json.loads(line) for line in log.read_text().splitlines()]
@@ -96,3 +98,40 @@ def test_exit_code_names_a_bad_run(pairs, capsys, monkeypatch, mode, expected):
         assert "FAILED pair 1" in captured.err
     else:
         assert "printed no result line" in captured.err
+
+
+def test_workload_list_shares_the_trees_and_prints_a_table_each(pairs, capsys):
+    code, calls = pairs("-n", "2", workload="store_replay,grid_serial")
+    assert code == 0
+    # All pairs of one workload, then the next; the same two trees throughout.
+    assert [(args["--workload"], side) for side, args in calls] == [
+        ("store_replay", "parent"), ("store_replay", "change"),
+        ("store_replay", "change"), ("store_replay", "parent"),
+        ("grid_serial", "parent"), ("grid_serial", "change"),
+        ("grid_serial", "change"), ("grid_serial", "parent")]
+    out = capsys.readouterr().out
+    headers = [line for line in out.splitlines() if "alternating pairs" in line]
+    assert [line.split(",")[0] for line in headers] == [
+        "`store_replay`", "`grid_serial`"]
+    assert out.count("| `wall_s` |") == 2
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("incorrect", 1), ("failed", 1), ("silent", 2)])
+def test_exit_code_is_the_worst_workloads(pairs, capsys, monkeypatch, mode,
+                                          expected):
+    monkeypatch.setenv("PAIRS_MODE", mode)
+    monkeypatch.setenv("PAIRS_BAD_WORKLOAD", "store_fill")
+    code, calls = pairs("-n", "2", workload="store_fill,grid_serial")
+    assert code == expected
+    captured = capsys.readouterr()
+    # The bad workload does not cost the next one its runs or its table.
+    assert [args["--workload"] for _, args in calls][-4:] == ["grid_serial"] * 4
+    assert "`grid_serial`, 2 alternating pairs" in captured.out
+    if expected == 1:
+        assert "FAILED pair 1" in captured.err
+        assert "(store_fill)" in captured.err
+        assert "(grid_serial)" not in captured.err
+    else:
+        assert "`store_fill`" not in captured.out
+        assert "--workload store_fill" in captured.err

@@ -423,21 +423,42 @@ PINNED_ABSTRACT = {
     "fingerprints", "gc", "get", "items", "keys", "put", "rows"}
 
 
+def _traced_store():
+    """The harness's wrapper class (``benchmarks`` is not on the test path)."""
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from benchmarks.e2e.tracing import TracedStore
+
+    return TracedStore
+
+
 class TestFrozenSurface:
     def test_abstract_surface_is_the_pinned_thirteen(self):
         assert set(StoreBackend.__abstractmethods__) == PINNED_ABSTRACT
 
     def test_wrappers_still_instantiate(self):
-        if str(ROOT) not in sys.path:
-            sys.path.insert(0, str(ROOT))
-        from benchmarks.e2e.tracing import TracedStore
-
-        for wrapper in (TracedStore, FaultyStore):
+        for wrapper in (_traced_store(), FaultyStore):
             assert not inspect.isabstract(wrapper), wrapper
             # ...and inherit the row-level defaults rather than shadow
             # them: an uploaded row must pass through their own put().
             assert wrapper.upload_rows is StoreBackend.upload_rows
             assert wrapper.missing is StoreBackend.missing
+
+    def test_every_backend_overrides_the_point_lookup(self):
+        # RunCache.lookup_with_key probes with row(): the inherited
+        # default is a whole-store items() scan per key (RemoteStore
+        # shipped with it: one GET /records per lookup).
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                if not inspect.isabstract(sub):
+                    yield sub
+                yield from concrete(sub)
+
+        shipped = {sub for sub in concrete(StoreBackend)
+                   if sub.__module__.startswith("repro.")}
+        assert {ShardStore, SqliteStore, RemoteStore, FaultyStore} <= shipped
+        for backend in shipped | {_traced_store()}:
+            assert backend.row is not StoreBackend.row, backend
 
     def test_default_upload_rows_feeds_each_row_through_put(self, tmp_path):
         from repro.faults import FaultPlan, FaultSpec
