@@ -241,7 +241,6 @@ class FaultyStore(StoreBackend):
             with open(inner._data_path(shard), "a") as handle:
                 handle.write(full[:max(1, len(full) // 2)])
                 handle.flush()
-        inner._cache.pop(shard, None)
 
     # -- instrumented operations -------------------------------------------
     def get(self, key: str) -> Optional[RunRecord]:

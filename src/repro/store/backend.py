@@ -125,7 +125,8 @@ class StoreBackend(abc.ABC):
         write-back, where per-row locking would dominate: the records
         reach :meth:`upload_rows` — batched in the shipped backends (one
         transaction, or one locked append per shard) — as a generator,
-        so no more than one record dict is alive at a time.
+        each converted to its row dict only as it is encoded.
+        ``ShardStore`` keeps those dicts as its parse cache's rows.
         """
         return self.upload_rows(
             (key, created, fingerprint, record_to_dict(record))
@@ -136,7 +137,9 @@ class StoreBackend(abc.ABC):
 
         The write currency: whoever already holds a row dict (an HTTP
         upload, an import, a sync, a spill) writes it as it is,
-        ``created`` stamps preserved (None = stamp now).  The default
+        ``created`` stamps preserved (None = stamp now).  The store takes
+        ownership of the dicts (``ShardStore`` keeps them as the rows its
+        reads return), so do not mutate one afterwards.  The default
         rebuilds each record and loops :meth:`put`, which keeps every
         row visible to a wrapper that instruments ``put``; the shipped
         backends override it natively.

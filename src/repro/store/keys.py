@@ -174,7 +174,7 @@ _MEMOISED_CLASSES = (WebPage, Scenario, DeviceProfile, ManyflowConfig)
 #: ``id(obj) -> (obj, fragment)``.  The strong reference keeps the id
 #: from being recycled (an id found here *is* that object); the bound
 #: keeps a long-lived process that keys ever-new pages from growing (a
-#: full memo is simply dropped).
+#: full memo is simply dropped).  :data:`_PAGE_PARTS` is kept the same way.
 _FRAGMENT_MEMO: Dict[int, Tuple[Any, str]] = {}
 _FRAGMENT_MEMO_BOUND = 256
 
@@ -193,19 +193,22 @@ def _deeply_immutable(obj: Any) -> bool:
     return all(_deeply_immutable(getattr(obj, name)) for name in names)
 
 
-def _memoised(encode: Callable[[Any], str]) -> Callable[[Any], str]:
-    def encode_once(obj: Any) -> str:
-        cached = _FRAGMENT_MEMO.get(id(obj))
+def _memoised(build: Callable[[Any], Any],
+              memo: Dict[int, Tuple[Any, Any]]) -> Callable[[Any], Any]:
+    """``build``, run once per deeply immutable object and remembered
+    in ``memo`` (keyed, held and bounded as :data:`_FRAGMENT_MEMO`)."""
+    def build_once(obj: Any) -> Any:
+        cached = memo.get(id(obj))
         if cached is not None:
             return cached[1]
-        fragment = encode(obj)
+        value = build(obj)
         if _deeply_immutable(obj):
-            if len(_FRAGMENT_MEMO) >= _FRAGMENT_MEMO_BOUND:
-                _FRAGMENT_MEMO.clear()
-            _FRAGMENT_MEMO[id(obj)] = (obj, fragment)
-        return fragment
+            if len(memo) >= _FRAGMENT_MEMO_BOUND:
+                memo.clear()
+            memo[id(obj)] = (obj, value)
+        return value
 
-    return encode_once
+    return build_once
 
 
 #: Exact type -> encoder; dataclasses and scalar/sequence/mapping
@@ -234,7 +237,7 @@ def _resolve_encoder(obj: Any) -> Callable[[Any], str]:
     elif (names := _field_names(cls)) is not None:
         encoder = _dataclass_encoder(cls, names)
         if cls in _MEMOISED_CLASSES:
-            encoder = _memoised(encoder)
+            encoder = _memoised(encoder, _FRAGMENT_MEMO)
     elif isinstance(obj, (list, tuple)):
         encoder = _encode_sequence
     elif isinstance(obj, Mapping):
@@ -418,6 +421,13 @@ def achievable_fingerprints(package_dir: Optional[Path] = None) -> Set[str]:
     }
 
 
+#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.  The shard line embeds the record in the
+#: *spaced* form, so this compact dump cannot be a slice of the line's.
+_CHECK_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                                  check_circular=False)
+
+
 def row_check(key: str, record: Mapping[str, Any]) -> str:
     """The integrity checksum of one serialized store row.
 
@@ -426,8 +436,7 @@ def row_check(key: str, record: Mapping[str, Any]) -> str:
     cost nothing per line.  Written by every backend at append time and
     verified by ``repro store fsck`` (:mod:`repro.store.fsck`).
     """
-    payload = json.dumps({"key": key, "record": record}, sort_keys=True,
-                         separators=(",", ":"))
+    payload = _CHECK_ENCODER.encode({"key": key, "record": record})
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -479,14 +488,28 @@ def _config_from_dict(cls: type, raw: Optional[Mapping[str, Any]]) -> Any:
     return cls(**kwargs)
 
 
+def _page_to_dict(page: WebPage) -> Dict[str, Any]:
+    return {"name": page.name,
+            "objects": [[o.obj_id, o.size_bytes] for o in page.objects]}
+
+
+#: ``id(page) -> (page, its request_to_dict part)``: every row of a
+#: sweep that carries one page shares one ``{"name", "objects"}`` dict
+#: (rows are read-only), instead of a list per object per row.  Protocol
+#: configs are mutable and are walked on every call.
+_PAGE_PARTS: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
+_page_part = _memoised(_page_to_dict, _PAGE_PARTS)
+
+
 def request_to_dict(request: RunRequest) -> Dict[str, Any]:
-    """A plain-JSON description of a request, rebuildable bit-identically."""
+    """A plain-JSON description of a request, rebuildable bit-identically.
+
+    The ``"page"`` part is shared between calls on the same page object:
+    treat the result as read-only.
+    """
     return {
         "scenario": request.scenario.to_spec(),
-        "page": {
-            "name": request.page.name,
-            "objects": [[o.obj_id, o.size_bytes] for o in request.page.objects],
-        },
+        "page": _page_part(request.page),
         "protocol": {
             "name": request.protocol.name,
             "config": _config_to_dict(request.protocol.config),

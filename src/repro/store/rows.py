@@ -8,13 +8,14 @@ makes one valid, and how a file of them is replaced:
 1. **the row line** — :func:`encode_row` writes it (shard ledgers carry
    the integrity ``"check"``; export files and wire bodies do not) and
    :func:`decode_row` reads it under the *one* definition of a valid
-   row: a JSON object with a ``str`` ``"key"``, a ``dict`` ``"record"``,
-   an optional ``str`` ``"fingerprint"`` / ``"check"`` and a numeric
-   ``"created"`` — required in a shard ledger, optional on import and
-   on the wire, where the writing backend stamps it.  Anything else is
-   invalid *everywhere*: :func:`scan_ledger` makes ``ShardStore`` skip
-   and count it and ``fsck --repair`` quarantine it, ``import`` raises
-   and the server answers 400;
+   row (:func:`why_invalid`): a JSON object with a ``str`` ``"key"``, a
+   ``dict`` ``"record"``, an optional ``str`` ``"fingerprint"`` /
+   ``"check"`` and a numeric ``"created"`` — required in a shard
+   ledger, optional on import and on the wire, where the writing
+   backend stamps it.  Anything else is invalid *everywhere*:
+   :func:`scan_ledger` makes ``ShardStore`` skip and count it and
+   ``fsck --repair`` quarantine it, ``import`` raises and the server
+   answers 400;
 2. **the counters ledger** — :func:`counter_line`, :func:`sum_counters`;
 3. **the atomic replace** — :func:`atomic_write`.
 """
@@ -32,6 +33,10 @@ from .keys import record_from_dict, row_check
 #: on a row still travelling to the backend that will stamp it.
 Row = Tuple[str, Optional[float], str, Dict[str, Any]]
 
+#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
+#: call (rows are trees, never cycles).
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
 
 class RowError(ValueError):
     """A line, body or record that is not a valid row (says why)."""
@@ -44,7 +49,27 @@ def encode_row(key: str, created: Optional[float], fingerprint: str,
            "record": record}
     if check:
         raw["check"] = row_check(key, record)
-    return json.dumps(raw, sort_keys=True) + "\n"
+    return _LINE_ENCODER.encode(raw) + "\n"
+
+
+def why_invalid(key: Any, created: Any, fingerprint: Any, record: Any,
+                check: Any = "", *, ledger: bool = False) -> Optional[str]:
+    """Why these fields do not make a valid row; None when they do.
+
+    The one validity rule: :func:`decode_row` raises it for a line, and
+    ``ShardStore`` folds into its parse cache only the appended rows a
+    reader of the ledger would accept.
+    """
+    if not isinstance(key, str) or not isinstance(record, dict):
+        return "no string 'key' and object 'record'"
+    if not isinstance(fingerprint, str) or not isinstance(check, str):
+        return "'fingerprint' / 'check' is not a string"
+    if created is None and ledger:
+        return "no 'created' stamp"
+    if created is not None and (isinstance(created, bool)
+                                or not isinstance(created, (int, float))):
+        return "'created' is not a number"
+    return None
 
 
 def decode_row(line: Union[str, bytes], *, ledger: bool = False,
@@ -61,19 +86,13 @@ def decode_row(line: Union[str, bytes], *, ledger: bool = False,
         raise RowError(f"not JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise RowError("not a JSON object")
-    key = raw.get("key") if key is None else key
-    created, record = raw.get("created"), raw.get("record")
-    fingerprint, check = raw.get("fingerprint", ""), raw.get("check", "")
-    if not isinstance(key, str) or not isinstance(record, dict):
-        raise RowError("no string 'key' and object 'record'")
-    if not isinstance(fingerprint, str) or not isinstance(check, str):
-        raise RowError("'fingerprint' / 'check' is not a string")
-    if created is None and ledger:
-        raise RowError("no 'created' stamp")
-    if created is not None and (isinstance(created, bool)
-                                or not isinstance(created, (int, float))):
-        raise RowError("'created' is not a number")
-    return (key, created, fingerprint, record), check
+    row = (raw.get("key") if key is None else key, raw.get("created"),
+           raw.get("fingerprint", ""), raw.get("record"))
+    check = raw.get("check", "")
+    reason = why_invalid(*row, check, ledger=ledger)
+    if reason is not None:
+        raise RowError(reason)
+    return row, check
 
 
 def decode_rows(body: Union[str, bytes]) -> List[Row]:

@@ -19,6 +19,9 @@ Durability/concurrency contract:
   skipped — but *counted* per shard (:attr:`ShardStore.torn_lines`,
   surfaced by ``repro store stats`` and warned about once per shard),
   and duplicate keys resolve last-write-wins;
+* a parsed shard is cached under its file's ``(inode, mtime, size)``
+  signature and re-parsed when that changes — except by this
+  instance's own append, which is folded into the cache instead;
 * every line carries an integrity checksum (:func:`~repro.store.keys.
   row_check`) verified by ``repro store fsck``, which quarantines
   corrupt rows to a ``quarantine.jsonl`` sidecar;
@@ -62,7 +65,15 @@ from .rows import (
     labelled,
     scan_ledger,
     sum_counters,
+    why_invalid,
 )
+
+#: A shard file as one ``stat`` saw it: ``(st_ino, st_mtime_ns,
+#: st_size)``.  Every rewrite renames a new file into place (a new
+#: inode), so a shard rewritten to the same size within one mtime tick
+#: still reads as changed — unless the filesystem hands the old inode
+#: number out again within that same tick.
+Signature = Tuple[int, int, int]
 
 #: Directory marker; refuses to treat arbitrary directories as stores.
 MANIFEST_NAME = "store.json"
@@ -114,8 +125,10 @@ class ShardStore(StoreBackend):
         else:
             atomic_write(manifest, [json.dumps(
                 {"format": "repro-shards", "version": 1}) + "\n"])
-        #: Per-shard parse cache: name -> ((mtime_ns, size), live rows).
-        self._cache: Dict[str, Tuple[Tuple[int, int], Dict[str, Row]]] = {}
+        #: Per-shard parse cache: name -> (signature, live rows, valid
+        #: ledger lines).  This instance's own appends are folded in
+        #: (:meth:`_fold`), so it never re-parses what it just wrote.
+        self._cache: Dict[str, Tuple[Signature, Dict[str, Row], int]] = {}
 
     # -- shard plumbing ----------------------------------------------------
     @staticmethod
@@ -183,21 +196,24 @@ class ShardStore(StoreBackend):
         return (lines - live) / lines > self.compact_ratio
 
     def _load(self, shard: str) -> Dict[str, Row]:
-        """Parse one shard, served from the mtime/size cache when clean."""
+        """One shard's live rows, parsed only when the file's signature
+        is not the one the cache holds them at."""
         try:
             stat = os.stat(f"{self._stat_prefix}{shard}.jsonl")
         except FileNotFoundError:
             self._cache.pop(shard, None)
+            self.torn_lines.pop(shard, None)
             return {}
-        signature = (stat.st_mtime_ns, stat.st_size)
+        signature = _signature(stat)
         cached = self._cache.get(shard)
-        if cached is not None and cached[0] == signature:
-            return cached[1]
-        entries, lines, _torn = self._parse_counted(shard)
-        if self._should_compact(lines, len(entries)):
+        if cached is None or cached[0] != signature:
+            entries, lines, _torn = self._parse_counted(shard)
+            cached = self._cache[shard] = (signature, entries, lines)
+        # Folded appends count as ledger lines too, so the read that a
+        # re-parse would have compacted on still compacts.
+        if self._should_compact(cached[2], len(cached[1])):
             return self._auto_compact(shard)
-        self._cache[shard] = (signature, entries)
-        return entries
+        return cached[1]
 
     def _auto_compact(self, shard: str) -> Dict[str, Row]:
         """Rewrite a dead-heavy shard in place; returns its live entries."""
@@ -210,10 +226,37 @@ class ShardStore(StoreBackend):
         self.bump_counter("compactions")
         try:
             stat = self._data_path(shard).stat()
-            self._cache[shard] = ((stat.st_mtime_ns, stat.st_size), entries)
+            self._cache[shard] = (_signature(stat), entries, len(entries))
         except FileNotFoundError:
             pass  # every entry was dead; _rewrite removed the file
         return entries
+
+    def _fold(self, shard: str, before: Signature, after: Signature,
+              rows: List[Row]) -> None:
+        """Bring the cache up to date with an append of ``rows`` that
+        took the shard file from signature ``before`` to ``after``.
+
+        Exact when the cache held the file as it was just before the
+        append, or the file held nothing (absent and empty are the same
+        ledger): the rows are then exactly what a re-parse would add,
+        last write wins.  Otherwise another writer got in between, and
+        the entry is dropped for the next read to re-parse — as it is
+        when a row is one a reader would count torn.
+        """
+        cached = self._cache.pop(shard, None)
+        if before[2] == 0:
+            entries: Dict[str, Row] = {}
+            lines = 0
+            self.torn_lines.pop(shard, None)
+        elif cached is not None and cached[0] == before:
+            entries, lines = cached[1], cached[2]
+        else:
+            return
+        for row in rows:
+            if why_invalid(*row, ledger=True) is not None:
+                return
+            entries[row[0]] = row
+        self._cache[shard] = (after, entries, lines + len(rows))
 
     def _shards(self) -> List[str]:
         return sorted(
@@ -253,23 +296,30 @@ class ShardStore(StoreBackend):
 
         This is what makes worker-direct write-back cheap — a pool
         worker lands a whole chunk of records with at most one lock
-        acquisition per touched shard instead of one per record.  Rows
-        are encoded as they are drawn, so a generator of 10⁴ rows never
-        has 10⁴ record dicts alive at once.
+        acquisition per touched shard instead of one per record.  Each
+        row is encoded as it is drawn, and its dict is *kept*: the rows
+        appended are folded into this instance's parse cache
+        (:meth:`_fold`), which would otherwise re-parse every line of
+        them on the next read — a second, larger copy of the same
+        dicts.  The store therefore takes ownership of the row dicts it
+        is given; do not mutate one afterwards.
         """
         stamp = time.time()
-        by_shard: Dict[str, List[str]] = {}
+        by_shard: Dict[str, Tuple[List[str], List[Row]]] = {}
         count = 0
         for key, created, fingerprint, record in rows:
-            line = encode_row(key, stamp if created is None else created,
-                              fingerprint, record, check=True)
-            by_shard.setdefault(self.shard_of(key), []).append(line)
+            created = stamp if created is None else created
+            lines, kept = by_shard.setdefault(self.shard_of(key), ([], []))
+            lines.append(encode_row(key, created, fingerprint, record,
+                                    check=True))
+            kept.append((key, created, fingerprint, record))
             count += 1
         for shard in sorted(by_shard):
+            lines, kept = by_shard[shard]
             with self._locked(shard):
-                _append_healed(self._data_path(shard),
-                               "".join(by_shard[shard]))
-            self._cache.pop(shard, None)
+                before, after = _append_healed(self._data_path(shard),
+                                               "".join(lines))
+            self._fold(shard, before, after, kept)
         return count
 
     def __contains__(self, key: str) -> bool:
@@ -378,19 +428,27 @@ class ShardStore(StoreBackend):
         self._cache.clear()
 
 
-def _append_healed(path: Path, text: str) -> None:
-    """Append ``text``, healing a torn tail first.
+def _append_healed(path: Path, text: str) -> Tuple[Signature, Signature]:
+    """Append ``text``, healing a torn tail first; returns the file's
+    :data:`Signature` just before and just after.
 
     A writer killed mid-append leaves a partial line with no trailing
     newline; appending straight after it would glue the new row onto
     the debris and destroy *both*.  Starting on a fresh line confines
     the damage to the torn fragment, which the parser skips and
-    ``fsck --repair`` quarantines.  The caller holds the shard lock.
+    ``fsck --repair`` quarantines.  The caller holds the shard lock, so
+    the two signatures bracket exactly this append.
     """
     with open(path, "a+b") as handle:
-        if handle.seek(0, os.SEEK_END) > 0:
+        before = os.fstat(handle.fileno())
+        if before.st_size > 0:
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
                 handle.write(b"\n")
         handle.write(text.encode())
         handle.flush()
+        return _signature(before), _signature(os.fstat(handle.fileno()))
+
+
+def _signature(stat: os.stat_result) -> Signature:
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size

@@ -499,8 +499,10 @@ class TestRowsAreTheWriteCurrency:
         assert fsck(dst).verified == 3
 
     def test_put_many_encodes_row_by_row(self, tmp_path, monkeypatch):
-        # store_replay pre-fills 9 600 rows through put_many: the record
-        # dicts must be drawn one at a time, never held as a batch.
+        # store_replay pre-fills 9 600 rows through put_many: each record
+        # becomes its dict only as it is encoded.  The dicts are then
+        # kept — they become the parse cache's rows, at less memory than
+        # the re-parse they replace — but never built ahead as a batch.
         from repro.store import shards
 
         converted = []

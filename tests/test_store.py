@@ -315,7 +315,9 @@ class TestRunKeyMemo:
         pages = [single_object_page(1_000 + n) for n in range(bound + 50)]
         for index, workload in enumerate(pages):
             run_key(req(page=workload), fingerprint="pinned")
+            request_to_dict(req(page=workload))
             assert len(store_keys._FRAGMENT_MEMO) <= bound
+            assert len(store_keys._PAGE_PARTS) <= bound
         # Dropped entries are simply re-walked: same key as a cold equal.
         assert (run_key(req(page=pages[0]), fingerprint="pinned")
                 == run_key(req(page=single_object_page(1_000)),
@@ -327,11 +329,27 @@ class TestRunKeyMemo:
         objects = [WebObject(0, 1_000)]
         leaky = WebPage("leaky", objects)  # type: ignore[arg-type]
         before = run_key(req(page=leaky), fingerprint="pinned")
+        part = request_to_dict(req(page=leaky))["page"]
         objects.append(WebObject(1, 2_000))
         after = run_key(req(page=leaky), fingerprint="pinned")
         assert after != before
         assert after == run_key(
             req(page=WebPage("leaky", tuple(objects))), fingerprint="pinned")
+        assert part["objects"] == [[0, 1_000]]
+        assert request_to_dict(req(page=leaky))["page"]["objects"] == [
+            [0, 1_000], [1, 2_000]]
+
+    def test_rows_of_one_page_share_its_part(self):
+        # Every seed of a cell carries the same page object, so its rows
+        # share one {"name", "objects"} dict instead of a list per object
+        # per row; the bytes written are unchanged.
+        first, second = (request_to_dict(req(seed=seed)) for seed in (1, 2))
+        assert first["page"] is second["page"]
+        assert first["page"] == {"name": PAGE.name,
+                                 "objects": [[0, 20_000]]}
+        equal_page = single_object_page(20_000)  # equal, not the same object
+        assert (request_to_dict(req(page=equal_page))["page"]
+                is not first["page"])
 
     def test_fake_package_still_tracked_after_default_dir_memoised(
             self, tmp_path):
@@ -644,9 +662,10 @@ class TestShardLayout:
         with pytest.warns(RuntimeWarning, match="torn line"):
             assert store.keys() == ["aa11"]
         assert store.get("aa11").plt == 1.0
-        # warned once per shard: an append drops the parse cache, and the
-        # re-parse that meets the same debris again stays silent
-        store.put("ac33", RunRecord(request=req(), plt=2.0, complete=True))
+        # warned once per shard: another writer's append forces a
+        # re-parse, which meets the same debris again and stays silent
+        ShardStore(tmp_path / "shards").put(
+            "ac33", RunRecord(request=req(), plt=2.0, complete=True))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert store.keys() == ["aa11", "ac33"]
