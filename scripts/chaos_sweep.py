@@ -26,6 +26,11 @@ Usage::
 
     PYTHONPATH=src python scripts/chaos_sweep.py \\
         [--cells 600] [--workers 3] [--seed 42] [--out BENCH_chaos.json]
+
+``--repeat N`` is the multi-seed soak: it runs seeds ``SEED`` …
+``SEED+N-1``, prints one contract line per seed, writes no payload, and
+exits 1 naming every seed that failed a contract (a rare wedge or race
+shows up only across many seeds).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from typing import Any, Callable, Dict
 
 from repro.core.bench import write_payload, write_summary
 from repro.core.executor import (
@@ -137,17 +143,103 @@ def inject_corruptions(store_dir: Path, count: int, seed: int) -> int:
     rng = random.Random(f"chaos-corrupt:{seed}")
     shards = sorted(p for p in store_dir.glob("*.jsonl")
                     if p.stem not in ("counters", "quarantine"))
+    rows = sum(len(p.read_text().splitlines()) for p in shards)
     injected = 0
-    for _ in range(count):
+    flipped = set()
+    while injected < min(count, rows):
         shard = shards[rng.randrange(len(shards))]
         lines = shard.read_text().splitlines()
         pick = rng.randrange(len(lines))
+        if (shard, pick) in flipped:
+            continue  # a row flipped twice is one corruption, not two
+        flipped.add((shard, pick))
         raw = json.loads(lines[pick])
         raw["record"]["plt"] = 99.0 + injected  # silent payload flip
         lines[pick] = json.dumps(raw, sort_keys=True)
         shard.write_text("\n".join(lines) + "\n")
         injected += 1
     return injected
+
+
+def run_seed(args: argparse.Namespace, seed: int,
+             say: Callable[[str], None] = print) -> Dict[str, Any]:
+    """One seeded chaos sweep against its fault-free baseline, and the
+    contracts checked on it; ``say`` receives the progress lines."""
+    requests = build_requests(args.cells)
+    plan = build_plan(seed, args.cells)
+    plan_deterministic = (
+        plan.schedule() == build_plan(seed, args.cells).schedule())
+    say(f"{args.cells} cells, {args.workers} workers, fault plan "
+        f"seed={seed} ({len(plan.specs)} scheduled faults; "
+        f"host CPUs: {os.cpu_count()}, usable: {usable_cpu_count()})")
+
+    workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
+    try:
+        baseline_s = run_sweep(requests, workdir / "baseline",
+                               workers=args.workers,
+                               sync_every=args.sync_every)
+        with ShardStore(workdir / "baseline" / "central") as store:
+            baseline_report = _report(store)
+        say(f"fault-free:  {baseline_s:6.2f} s")
+
+        with warnings.catch_warnings():
+            # torn-line warnings are the *point* here; keep output clean
+            warnings.simplefilter("ignore", RuntimeWarning)
+            chaos_s = run_sweep(requests, workdir / "chaos",
+                                workers=args.workers,
+                                sync_every=args.sync_every, plan=plan)
+            fired = plan.fired()
+            say(f"chaos:       {chaos_s:6.2f} s  ({len(fired)} fault(s) "
+                f"fired: "
+                + ", ".join(f"{f['surface']}/{f['kind']}" for f in fired)
+                + ")")
+
+            central = workdir / "chaos" / "central"
+            with ShardStore(central) as store:
+                chaos_report = _report(store)
+                repair = fsck(store, repair=True)
+                verify = fsck(store)
+                post_repair_report = _report(store)
+        results_identical = (chaos_report == baseline_report
+                             and post_repair_report == baseline_report)
+        say(f"fsck:        {repair.quarantined} row(s) quarantined, "
+            f"residual issues: {verify.issues}")
+
+        # separate detection check: silent payload flips on the baseline
+        injected = inject_corruptions(workdir / "baseline" / "central",
+                                      args.corruptions, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with ShardStore(workdir / "baseline" / "central") as store:
+                detect = fsck(store)
+        detected = len(detect.checksum_failures)
+        fsck_detect_rate = detected / injected if injected else 1.0
+        say(f"detection:   {detected}/{injected} injected corruption(s) "
+            f"found ({100 * fsck_detect_rate:.0f}%)")
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+    result = {
+        "fired": fired, "faults_scheduled": len(plan.specs),
+        "baseline_seconds": baseline_s, "chaos_seconds": chaos_s,
+        "quarantined": repair.quarantined, "residual_issues": verify.issues,
+        "corruptions_injected": injected, "corruptions_detected": detected,
+        "fsck_detect_rate": fsck_detect_rate,
+        "results_identical": results_identical, "fsck_clean": verify.clean,
+        "plan_deterministic": plan_deterministic,
+    }
+    result["ok"] = (results_identical and verify.clean
+                    and fsck_detect_rate == 1.0 and plan_deterministic
+                    and len(fired) == len(plan.specs))
+    say(contract_line(result))
+    return result
+
+
+def contract_line(result: Dict[str, Any]) -> str:
+    return (f"results identical: {result['results_identical']}, fsck clean: "
+            f"{result['fsck_clean']}, plan deterministic: "
+            f"{result['plan_deterministic']}, faults fired: "
+            f"{len(result['fired'])}/{result['faults_scheduled']}")
 
 
 def main() -> int:
@@ -160,6 +252,10 @@ def main() -> int:
                         help="worker upload batch (default 32)")
     parser.add_argument("--seed", type=int, default=42,
                         help="fault-plan seed (default 42)")
+    parser.add_argument("--repeat", type=int, default=None, metavar="N",
+                        help="soak: run seeds SEED..SEED+N-1, print one "
+                             "contract line per seed, write no payload, "
+                             "exit 1 naming every failing seed")
     parser.add_argument("--corruptions", type=int, default=8,
                         help="rows corrupted for the fsck detection check "
                              "(default 8)")
@@ -167,69 +263,28 @@ def main() -> int:
                         help=f"payload path (default {DEFAULT_OUT}); the "
                              "summary goes beside a non-default path")
     args = parser.parse_args()
+    if args.repeat is not None:
+        if args.repeat < 1:
+            parser.error("--repeat must be >= 1")
+        failing = []
+        for seed in range(args.seed, args.seed + args.repeat):
+            result = run_seed(args, seed, say=lambda line: None)
+            print(f"seed {seed}: {contract_line(result)}, corruptions "
+                  f"detected: {result['corruptions_detected']}/"
+                  f"{result['corruptions_injected']} -> "
+                  f"{'ok' if result['ok'] else 'FAIL'}", flush=True)
+            if not result["ok"]:
+                failing.append(seed)
+        if failing:
+            print(f"{len(failing)} of {args.repeat} seed(s) failed: "
+                  + ", ".join(map(str, failing)))
+            return 1
+        print(f"all {args.repeat} seed(s) clean")
+        return 0
 
-    requests = build_requests(args.cells)
-    plan = build_plan(args.seed, args.cells)
-    plan_deterministic = (
-        plan.schedule() == build_plan(args.seed, args.cells).schedule())
-    print(f"{args.cells} cells, {args.workers} workers, fault plan "
-          f"seed={args.seed} ({len(plan.specs)} scheduled faults; "
-          f"host CPUs: {os.cpu_count()}, usable: {usable_cpu_count()})")
-
-    workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
-    try:
-        baseline_s = run_sweep(requests, workdir / "baseline",
-                               workers=args.workers,
-                               sync_every=args.sync_every)
-        with ShardStore(workdir / "baseline" / "central") as store:
-            baseline_report = _report(store)
-        print(f"fault-free:  {baseline_s:6.2f} s")
-
-        with warnings.catch_warnings():
-            # torn-line warnings are the *point* here; keep output clean
-            warnings.simplefilter("ignore", RuntimeWarning)
-            chaos_s = run_sweep(requests, workdir / "chaos",
-                                workers=args.workers,
-                                sync_every=args.sync_every, plan=plan)
-            fired = plan.fired()
-            print(f"chaos:       {chaos_s:6.2f} s  ({len(fired)} fault(s) "
-                  f"fired: "
-                  + ", ".join(f"{f['surface']}/{f['kind']}" for f in fired)
-                  + ")")
-
-            central = workdir / "chaos" / "central"
-            with ShardStore(central) as store:
-                chaos_report = _report(store)
-                repair = fsck(store, repair=True)
-                verify = fsck(store)
-                post_repair_report = _report(store)
-        results_identical = (chaos_report == baseline_report
-                             and post_repair_report == baseline_report)
-        fsck_clean = verify.clean
-        print(f"fsck:        {repair.quarantined} row(s) quarantined, "
-              f"residual issues: {verify.issues}")
-
-        # separate detection check: silent payload flips on the baseline
-        injected = inject_corruptions(workdir / "baseline" / "central",
-                                      args.corruptions, args.seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with ShardStore(workdir / "baseline" / "central") as store:
-                detect = fsck(store)
-        detected = len(detect.checksum_failures)
-        fsck_detect_rate = detected / injected if injected else 1.0
-        print(f"detection:   {detected}/{injected} injected corruption(s) "
-              f"found ({100 * fsck_detect_rate:.0f}%)")
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
+    result = run_seed(args, args.seed)
+    fired = result["fired"]
     faults_fired = len(fired)
-    ok = (results_identical and fsck_clean and fsck_detect_rate == 1.0
-          and plan_deterministic and faults_fired == len(plan.specs))
-    print(f"results identical: {results_identical}, fsck clean: "
-          f"{fsck_clean}, plan deterministic: {plan_deterministic}, "
-          f"faults fired: {faults_fired}/{len(plan.specs)}")
-
     lines = [
         "Seeded chaos sweep: fault injection vs the fault-free baseline",
         "==============================================================",
@@ -238,16 +293,19 @@ def main() -> int:
         f"sync_every={args.sync_every}, fault seed {args.seed}",
         f"host CPU count: {os.cpu_count()} (usable: {usable_cpu_count()})",
         "",
-        f"  fault-free sweep          {baseline_s:8.2f} s",
-        f"  chaos sweep               {chaos_s:8.2f} s "
-        f"({faults_fired}/{len(plan.specs)} scheduled faults fired)",
+        f"  fault-free sweep          {result['baseline_seconds']:8.2f} s",
+        f"  chaos sweep               {result['chaos_seconds']:8.2f} s "
+        f"({faults_fired}/{result['faults_scheduled']} scheduled faults "
+        f"fired)",
         "",
-        f"  reports byte-identical    {results_identical}",
-        f"  rows quarantined          {repair.quarantined:8d}",
-        f"  residual fsck issues      {verify.issues:8d}",
-        f"  corruption detect rate    {100 * fsck_detect_rate:7.0f}%"
-        f"  ({detected}/{injected})",
-        f"  plan deterministic        {plan_deterministic}",
+        f"  reports byte-identical    {result['results_identical']}",
+        f"  rows quarantined          {result['quarantined']:8d}",
+        f"  residual fsck issues      {result['residual_issues']:8d}",
+        f"  corruption detect rate    "
+        f"{100 * result['fsck_detect_rate']:7.0f}%"
+        f"  ({result['corruptions_detected']}/"
+        f"{result['corruptions_injected']})",
+        f"  plan deterministic        {result['plan_deterministic']}",
         "",
         "Faults fired (schedule order):",
     ] + [f"  {f['sequence']:2d}. {f['surface']}/{f['kind']} on "
@@ -267,20 +325,20 @@ def main() -> int:
         "seed": args.seed,
         "cpu_count": os.cpu_count(),
         "usable_cpus": usable_cpu_count(),
-        "baseline_seconds": round(baseline_s, 4),
-        "chaos_seconds": round(chaos_s, 4),
-        "faults_scheduled": len(plan.specs),
+        "baseline_seconds": round(result["baseline_seconds"], 4),
+        "chaos_seconds": round(result["chaos_seconds"], 4),
+        "faults_scheduled": result["faults_scheduled"],
         "faults_fired": faults_fired,
-        "quarantined": repair.quarantined,
-        "residual_issues": verify.issues,
-        "corruptions_injected": injected,
-        "corruptions_detected": detected,
-        "fsck_detect_rate": round(fsck_detect_rate, 6),
-        "results_identical": results_identical,
-        "fsck_clean": fsck_clean,
-        "plan_deterministic": plan_deterministic,
+        "quarantined": result["quarantined"],
+        "residual_issues": result["residual_issues"],
+        "corruptions_injected": result["corruptions_injected"],
+        "corruptions_detected": result["corruptions_detected"],
+        "fsck_detect_rate": round(result["fsck_detect_rate"], 6),
+        "results_identical": result["results_identical"],
+        "fsck_clean": result["fsck_clean"],
+        "plan_deterministic": result["plan_deterministic"],
     }, args.out)
-    return 0 if ok else 1
+    return 0 if result["ok"] else 1
 
 
 if __name__ == "__main__":

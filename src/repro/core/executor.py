@@ -12,18 +12,18 @@ device, seed, trace options).  Executing one yields a :class:`RunRecord`
 carrying the metrics, wall-clock timing and — instead of an exception
 that would poison a whole batch — a structured :class:`RunFailure`.
 
-:func:`iter_runs` is the engine: a bounded process pool (``jobs``
-workers, chunked dispatch) with per-run wall-clock timeout enforcement
-and bounded retry-on-failure, surfaced to the caller as a *stream* of
-typed :class:`RunEvent`\\ s (``hit`` / ``miss-start`` / ``retry`` /
-``complete`` / ``timeout`` / ``error``).  When a results store is
-attached, pool workers write their full :class:`RunRecord`\\ s straight
-into the store (the sharded backend's per-shard locks make multi-writer
-append safe) and only the lightweight events — key, status, summary
-stats, never a record payload — cross the pipe back to the parent.  A
-10⁵-cell sweep therefore costs the parent O(cells) small events, not
-O(cells) pickled records, and its memory stays bounded by whatever the
-caller accumulates.
+:func:`iter_runs` is the engine: one per-miss path with per-run
+wall-clock timeout enforcement and bounded retry-on-failure, run
+in-process or by ``jobs`` forked workers (the fabric's worker group),
+surfaced to the caller as a *stream* of typed :class:`RunEvent`\\ s
+(``hit`` / ``miss-start`` / ``retry`` / ``complete`` / ``timeout`` /
+``error``).  When a results store is attached, each worker writes its
+full :class:`RunRecord`\\ s straight into the store (the sharded
+backend's per-shard locks make multi-writer append safe) before the
+lightweight event — key, status, summary stats, never a record payload
+— crosses the pipe back to the parent.  A 10⁵-cell sweep therefore
+costs the parent O(cells) small events, not O(cells) pickled records,
+and its memory stays bounded by whatever the caller accumulates.
 
 :func:`collect` is the one fold over that stream: it takes the sweep
 as ``(cell key, requests)`` pairs and slots every result back under
@@ -34,19 +34,22 @@ builder around it.  Each run re-seeds from its request alone, so a
 parallel execution is bit-identical to a serial one.  ``jobs=1`` is a
 true in-process serial mode — the escape hatch for Windows, coverage
 tooling, and debugging — and the engine degrades to it automatically if
-the pool cannot be used.
+the workers cannot be used.
 """
 
 from __future__ import annotations
 
 import contextlib
+import multiprocessing
 import os
 import signal
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import traceback
 from dataclasses import dataclass, field, replace
+from functools import partial
+from multiprocessing import connection as mp_connection
 from typing import (
     Any,
     Callable,
@@ -285,7 +288,7 @@ class RunEvent:
       that failure kind (terminal).
 
     ``stored`` marks terminal events whose record is in the results
-    store (a hit, a worker-direct write-back, or a parent-side offer).
+    store (a hit, or the write-back of whichever process ran it).
     ``record`` is populated only on the ``keep_records`` compatibility
     path used by :func:`run_requests`; on the streaming path it is
     always ``None``.
@@ -504,56 +507,191 @@ def _run_with_retries(run_fn: RunFn, request: RunRequest,
 TaggedRequest = Tuple[int, RunRequest, Optional[str], Optional[str]]
 
 
-def _cacheable_policy() -> Callable[[RunRecord], bool]:
-    from ..store.cache import RunCache  # lazy: store imports this module
-
-    return RunCache.cacheable
-
-
-def _run_chunk_events(run_fn: RunFn, chunk: Sequence[TaggedRequest],
-                      wall_timeout: Optional[float], retries: int,
-                      writeback: Optional[Tuple[str, str]],
-                      keep_records: bool) -> List[RunEvent]:
-    """Worker-side entry point: execute one chunk of tagged misses.
-
-    With ``writeback`` (a ``(path, kind)`` store spec) the worker
-    persists the chunk's cacheable records straight into the store —
-    one batched append per shard — and the returned events cross the
-    pipe payload-free.  With ``keep_records`` the full records ride
-    back on the terminal events instead (the compatibility path
-    :func:`run_requests` uses; the parent writes the store there).
-    """
-    events: List[RunEvent] = []
-    batch: List[Tuple[str, RunRecord, str]] = []
-    cacheable = _cacheable_policy() if writeback is not None else None
-    for index, request, key, fingerprint in chunk:
-        retried: List[RunRecord] = []
-        record = _run_with_retries(run_fn, request, wall_timeout, retries,
-                                   on_retry=retried.append)
-        for failed in retried:
-            events.append(_retry_event(index, request, key, failed))
-        stored = False
-        if cacheable is not None and key is not None and cacheable(record):
-            batch.append((key, record, fingerprint or ""))
-            stored = True
-        events.append(_terminal_event(
-            _terminal_kind(record), index, request, key, record,
-            stored=stored, attach=record if keep_records else None))
-    if batch:
-        from ..store.backend import open_store  # lazy, as above
-
-        path, kind = writeback  # type: ignore[misc]  # batch implies spec
-        store = open_store(path, backend=kind)
-        try:
-            store.put_many(batch)
-            store.bump_counter("writes", len(batch))
-        finally:
-            store.close()
-    return events
+def _stream_one(run: RunFn, tagged: TaggedRequest, cache: Optional[Any],
+                wall_timeout: Optional[float], retries: int,
+                keep_records: bool) -> Iterator[RunEvent]:
+    """Execute one miss — in-process or in a worker — and offer its
+    record to the store before its terminal event leaves."""
+    index, request, key, _fingerprint = tagged
+    yield _event("miss-start", index, request, key)
+    retried: List[RunRecord] = []
+    record = _run_with_retries(run, request, wall_timeout, retries,
+                               on_retry=retried.append)
+    for failed in retried:
+        if cache is not None:
+            cache.retries += 1
+        yield _retry_event(index, request, key, failed)
+    stored = cache.offer(record) if cache is not None else False
+    yield _terminal_event(_terminal_kind(record), index, request, key, record,
+                          stored=stored,
+                          attach=record if keep_records else None)
 
 
 # ----------------------------------------------------------------------
-# the pool
+# the worker group
+# ----------------------------------------------------------------------
+def _group_worker(body: Callable[[int, List[Any]], Iterator[RunEvent]],
+                  worker_id: int, share: List[Any], pipe: Any) -> None:
+    """One worker process: stream ``body(worker_id, share)``'s events
+    down ``pipe``."""
+    try:
+        for event in body(worker_id, share):
+            pipe.send(("event", event))
+        pipe.send(("done",))
+    except BaseException:  # noqa: BLE001 - report, then die
+        try:
+            pipe.send(("failed", traceback.format_exc()))
+        except OSError:
+            pass  # the parent is gone: nobody left to tell
+        raise
+
+
+def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
+                  shares: List[List[Any]], *, name: str, error: type,
+                  max_restarts: int,
+                  on_worker_start: Optional[Callable[[int, int], None]] = None,
+                  progress_timeout: Optional[float] = None,
+                  fault_plan: Optional[Any] = None) -> Iterator[RunEvent]:
+    """Run ``body`` over each share in a process of its own; merge events.
+
+    The one worker fan-out, shared by :func:`iter_runs`' pool and the
+    fabric coordinator.  Every item of a share is a tuple whose first
+    field is its request index; exactly one terminal event per index is
+    passed on.  A worker whose pipe ends before it reported ``done`` —
+    killed, OOM'd — is respawned with the items of its share that have
+    no terminal event yet, ``max_restarts`` times in all; past that, or
+    when a worker reports an exception, ``error`` is raised naming the
+    ``name``d worker.  ``progress_timeout`` is the hung-worker watchdog:
+    a worker silent for that long is SIGKILLed and respawned the same
+    way.  With a ``fault_plan`` every event from worker *N* is one
+    ``take("worker", str(N))`` and a scheduled ``kill`` SIGKILLs it.
+    ``on_worker_start(worker_id, pid)`` sees every (re)spawn.
+    """
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods()
+        else None)
+    ended: set = set()  # indices whose terminal event was passed on
+    finished: set = set()  # workers that reported done
+    processes: Dict[int, Any] = {}
+    # One event pipe per worker *process*, never a shared queue: a queue's
+    # writers serialise on one cross-process lock, and a worker SIGKILLed
+    # while it holds that lock would mute every other worker (and every
+    # respawn) for good.  A killed worker can only tear its own pipe,
+    # which then reads as end-of-file — which is how its death is seen.
+    readers: Dict[Any, int] = {}
+    heard: Dict[int, float] = {}
+    restarts = 0
+
+    def spawn(worker_id: int) -> None:
+        remaining = [item for item in shares[worker_id]
+                     if item[0] not in ended]
+        reader, writer = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_group_worker, args=(body, worker_id, remaining, writer),
+            name=f"repro-{name.replace(' ', '-')}-{worker_id}", daemon=True)
+        process.start()
+        # The worker now holds the only write end, so its exit is an
+        # end-of-file here (and no later fork inherits this end).
+        writer.close()
+        processes[worker_id] = process
+        readers[reader] = worker_id
+        heard[worker_id] = time.monotonic()
+        if on_worker_start is not None:
+            on_worker_start(worker_id, process.pid)
+
+    try:
+        for worker_id in range(len(shares)):
+            spawn(worker_id)
+        while readers:
+            silent = [heard[worker_id] for worker_id in processes
+                      if worker_id not in finished]
+            timeout = (None if progress_timeout is None or not silent else
+                       max(0.0, min(silent) + progress_timeout
+                           - time.monotonic()))
+            for reader in mp_connection.wait(list(readers), timeout):
+                worker_id = readers[reader]
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    # Exited, or killed mid-message: everything it sent
+                    # whole has been read.  Unless it was done, respawn.
+                    del readers[reader]
+                    reader.close()
+                    processes.pop(worker_id).join()
+                    if worker_id in finished:
+                        continue
+                    restarts += 1
+                    if restarts > max_restarts:
+                        raise error(f"{name} {worker_id} died and the "
+                                    f"restart budget ({max_restarts}) is "
+                                    f"spent")
+                    spawn(worker_id)
+                    continue
+                heard[worker_id] = time.monotonic()
+                if message[0] == "done":
+                    finished.add(worker_id)
+                    continue
+                if message[0] == "failed":
+                    raise error(f"{name} {worker_id} failed:\n{message[1]}")
+                event = message[1]
+                if fault_plan is not None:
+                    fault = fault_plan.take("worker", str(worker_id))
+                    if fault is not None and fault.spec.kind == "kill":
+                        processes[worker_id].kill()  # scheduled chaos
+                if event.terminal:
+                    if event.index in ended:
+                        continue  # a respawn replayed it
+                    ended.add(event.index)
+                yield event
+            if progress_timeout is None:
+                continue
+            now = time.monotonic()
+            for worker_id, process in processes.items():
+                if (worker_id not in finished
+                        and now - heard[worker_id] >= progress_timeout):
+                    # Alive but mute past the deadline: kill it, and its
+                    # pipe's end-of-file respawns it.
+                    process.kill()
+                    heard[worker_id] = now
+    finally:
+        for process in processes.values():
+            process.terminate()
+        for process in processes.values():
+            process.join(timeout=5.0)
+        for reader in readers:
+            reader.close()
+
+
+class _PoolLost(RuntimeError):
+    """The pool lost a worker beyond its restart budget, or one raised."""
+
+
+def _pool_worker(run: RunFn,
+                 store_spec: Optional[Tuple[str, str, Optional[str]]],
+                 wall_timeout: Optional[float], retries: int,
+                 keep_records: bool, _worker_id: int,
+                 share: List[TaggedRequest]) -> Iterator[RunEvent]:
+    """A pool worker's body: the serial path over its share of the misses,
+    writing through a :class:`~repro.store.RunCache` on the sweep's store
+    (``(path, kind, pinned fingerprint)``), reopened once."""
+    cache = None
+    if store_spec is not None:
+        from ..store.cache import RunCache  # lazy: store imports this module
+
+        path, kind, fingerprint = store_spec
+        cache = RunCache(path, backend=kind, fingerprint=fingerprint)
+    try:
+        for tagged in share:
+            yield from _stream_one(run, tagged, cache, wall_timeout, retries,
+                                   keep_records)
+    finally:
+        if cache is not None:
+            cache.end_sweep()
+            cache.store.close()
+
+
+# ----------------------------------------------------------------------
+# the engine
 # ----------------------------------------------------------------------
 def usable_cpu_count() -> int:
     """CPUs this process may actually run on.
@@ -592,7 +730,6 @@ def iter_runs(
     jobs: Optional[int] = 1,
     wall_timeout: Optional[float] = None,
     retries: int = 1,
-    chunk_size: Optional[int] = None,
     run_fn: Optional[RunFn] = None,
     store: Optional[Any] = None,
     keep_records: bool = False,
@@ -616,7 +753,10 @@ def iter_runs(
         ``MIN_PARALLEL`` run in-process — a pool that cannot win is
         never started.  Serial mode is also forced on Windows or when
         ``REPRO_EXECUTOR_SERIAL`` is set (the coverage/debug escape
-        hatch).
+        hatch).  Each worker runs its round-robin share of the misses
+        (heaviest first); one that dies is respawned with the part of
+        its share that has no terminal event yet, and whatever the
+        workers leave unfinished runs in-process.
     wall_timeout:
         Per-run wall-clock budget in seconds; an overrun yields a
         ``"timeout"`` :class:`RunFailure` instead of hanging the pool.
@@ -624,13 +764,9 @@ def iter_runs(
         How many times an ``"error"`` failure is retried (bounded;
         deterministic timeout/incomplete failures are never retried).
         Every retried attempt surfaces as a ``retry`` event.
-    chunk_size:
-        Requests dispatched per pool task; defaults to an even split
-        that gives each worker ~4 chunks (amortises IPC without
-        serialising the tail).
     run_fn:
         The per-request run function (default: the real simulator).
-        Must be picklable (module-level) when ``jobs > 1``.
+        Must be picklable (module-level) where ``fork`` is unavailable.
     store:
         A results store — a :class:`repro.store.RunCache`, any
         :class:`repro.store.StoreBackend` (sqlite file or sharded JSONL
@@ -638,37 +774,35 @@ def iter_runs(
         :func:`repro.store.resolve_store`).  Requests whose content
         address is already stored are served as ``hit`` events (no
         execution); misses execute and are written back *as they
-        complete*, so an interrupted sweep is resumable — the rerun
-        only executes the missing requests.  On the pool path the
-        workers write their records **directly** into the store (one
-        batched append per chunk) and only the payload-free events
-        reach the parent.
+        complete* — each row before its terminal event leaves — so an
+        interrupted sweep is resumable: the rerun only executes the
+        missing requests.  Pool workers reopen the store and write
+        their records **directly**; only the payload-free events reach
+        the parent.  A store workers cannot reopen by ``(path, kind)``
+        (``:memory:``, or a wrapper whose ``kind`` :func:`repro.store.
+        open_store` does not know) runs its misses in-process.
     keep_records:
-        Attach the full :class:`RunRecord` to each terminal event (and
-        route store writes back through the parent).  This is the
-        compatibility mode :func:`run_requests` uses; leave it off to
-        keep record payloads out of the parent process entirely.
+        Attach the full :class:`RunRecord` to each terminal event.  This
+        is the compatibility mode :func:`run_requests` uses; leave it
+        off to keep record payloads out of the parent process entirely.
     force_pool:
-        Start the process pool even where the auto-serial heuristics
-        (CPU-affinity clamp, ``MIN_PARALLEL``) would decline it — for
+        Start the worker processes even where the auto-serial heuristics
+        (CPU-affinity clamp, ``MIN_PARALLEL``) would decline them — for
         I/O-bound run functions and multi-writer store tests on small
         machines.  ``REPRO_EXECUTOR_SERIAL`` and Windows still force
         serial.
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     n_jobs = resolve_jobs(jobs)
     return _iter_runs(list(requests), n_jobs, wall_timeout, retries,
-                      chunk_size, run_fn, store, keep_records, force_pool)
+                      run_fn, store, keep_records, force_pool)
 
 
 def _iter_runs(requests: List[RunRequest], n_jobs: int,
                wall_timeout: Optional[float], retries: int,
-               chunk_size: Optional[int], run_fn: Optional[RunFn],
-               store: Optional[Any], keep_records: bool,
-               force_pool: bool) -> Iterator[RunEvent]:
+               run_fn: Optional[RunFn], store: Optional[Any],
+               keep_records: bool, force_pool: bool) -> Iterator[RunEvent]:
     """The generator behind :func:`iter_runs` (knobs validated there)."""
     run = run_fn if run_fn is not None else execute_request
     if not requests:
@@ -680,7 +814,7 @@ def _iter_runs(requests: List[RunRequest], n_jobs: int,
         cache = RunCache.of(store)
     try:
         yield from _stream_runs(run, requests, n_jobs, wall_timeout, retries,
-                                chunk_size, cache, keep_records, force_pool)
+                                cache, keep_records, force_pool)
     finally:
         # Completed, failed or closed half-way: the store's persistent
         # counters catch up with the session's either way.
@@ -690,9 +824,10 @@ def _iter_runs(requests: List[RunRequest], n_jobs: int,
 
 def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
                  wall_timeout: Optional[float], retries: int,
-                 chunk_size: Optional[int], cache: Optional[Any],
-                 keep_records: bool, force_pool: bool) -> Iterator[RunEvent]:
-    """Lookup phase, then the misses — serially or through the pool."""
+                 cache: Optional[Any], keep_records: bool,
+                 force_pool: bool) -> Iterator[RunEvent]:
+    """Lookup phase, then the misses — in worker processes, then
+    in-process for whatever the workers did not finish."""
     misses: List[TaggedRequest] = []
     for index, request in enumerate(requests):
         if cache is None:
@@ -719,123 +854,39 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
     if not force_pool:
         n_jobs = min(n_jobs, usable_cpu_count())
     n_jobs = min(n_jobs, len(misses))
-    use_pool = (n_jobs > 1 and not _force_serial()
-                and (force_pool or len(misses) >= MIN_PARALLEL))
-    if not use_pool:
-        for tagged in misses:
+    store_spec = None
+    if cache is not None:
+        from ..store.backend import BACKENDS  # lazy, as above
+
+        if cache.store.kind not in BACKENDS or cache.store.path == ":memory:":
+            n_jobs = 1  # workers could not reopen it: write it from here
+        store_spec = (cache.store.path, cache.store.kind, cache.fingerprint)
+    done: set = set()
+    if (n_jobs > 1 and not _force_serial()
+            and (force_pool or len(misses) >= MIN_PARALLEL)):
+        body = partial(_pool_worker, run, store_spec, wall_timeout, retries,
+                       keep_records)
+        try:
+            for event in _worker_group(
+                    body, [misses[worker::n_jobs] for worker in range(n_jobs)],
+                    name="pool worker", error=_PoolLost,
+                    max_restarts=2 * n_jobs):
+                if event.terminal:
+                    done.add(event.index)
+                    if cache is not None and event.stored:
+                        cache.writes += 1  # a worker wrote it: count it here
+                elif event.kind == "retry" and cache is not None:
+                    cache.retries += 1
+                yield event
+        except (_PoolLost, OSError):
+            pass  # the rest completes in-process below
+    # In-process: every miss, or what the workers left behind.  A miss a
+    # worker started but never finished gets a second miss-start —
+    # announcing the rerun — but still exactly one terminal event.
+    for tagged in misses:
+        if tagged[0] not in done:
             yield from _stream_one(run, tagged, cache, wall_timeout, retries,
                                    keep_records)
-        return
-    yield from _stream_pooled(run, misses, n_jobs, wall_timeout, retries,
-                              chunk_size, cache, keep_records)
-
-
-def _stream_one(run: RunFn, tagged: TaggedRequest, cache: Optional[Any],
-                wall_timeout: Optional[float], retries: int,
-                keep_records: bool) -> Iterator[RunEvent]:
-    """In-process execution of one miss, store offer included."""
-    index, request, key, _fingerprint = tagged
-    yield _event("miss-start", index, request, key)
-    retried: List[RunRecord] = []
-    record = _run_with_retries(run, request, wall_timeout, retries,
-                               on_retry=retried.append)
-    for failed in retried:
-        if cache is not None:
-            cache.retries += 1
-        yield _retry_event(index, request, key, failed)
-    stored = cache.offer(record) if cache is not None else False
-    yield _terminal_event(_terminal_kind(record), index, request, key, record,
-                          stored=stored,
-                          attach=record if keep_records else None)
-
-
-def _stream_pooled(run: RunFn, misses: List[TaggedRequest], n_jobs: int,
-                   wall_timeout: Optional[float], retries: int,
-                   chunk_size: Optional[int], cache: Optional[Any],
-                   keep_records: bool) -> Iterator[RunEvent]:
-    """Pool execution: worker-direct write-back, events to the parent."""
-    if chunk_size is None:
-        chunk_size = max(1, len(misses) // (n_jobs * 4))
-    chunks = [misses[start:start + chunk_size]
-              for start in range(0, len(misses), chunk_size)]
-    # Worker-direct write-back needs a store the workers can reopen by
-    # path; in keep_records mode the records cross the pipe anyway, so
-    # the parent writes them instead (one batched offer per chunk).
-    writeback: Optional[Tuple[str, str]] = None
-    if (cache is not None and not keep_records
-            and getattr(cache.store, "path", ":memory:") != ":memory:"):
-        writeback = (cache.store.path, cache.store.kind)
-    # Records must reach the parent when it is the one writing the store
-    # (keep_records mode, or an in-memory store workers cannot reopen).
-    attach = keep_records or (cache is not None and writeback is None)
-    done: set = set()
-    try:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            pending = {
-                pool.submit(_run_chunk_events, run, chunk, wall_timeout,
-                            retries, writeback, attach)
-                for chunk in chunks
-            }
-            try:
-                for chunk in chunks:
-                    for tagged in chunk:
-                        yield _event("miss-start", tagged[0], tagged[1],
-                                     tagged[2])
-                while pending:
-                    finished, pending = wait(pending,
-                                             return_when=FIRST_COMPLETED)
-                    for future in finished:
-                        try:
-                            events = future.result()
-                        except Exception:  # noqa: BLE001 - broken pool/pickle
-                            continue  # chunk lost; serial completion below
-                        yield from _relay_chunk(events, cache, writeback,
-                                                keep_records, done)
-            except GeneratorExit:
-                for future in pending:
-                    future.cancel()
-                raise
-    except GeneratorExit:
-        raise
-    except Exception:  # pragma: no cover - pool setup failure
-        pass  # graceful fallback: run everything serially
-    # Anything a lost chunk or failed pool left behind finishes serially.
-    # Those requests get a second miss-start — announcing the rerun —
-    # but still exactly one terminal event.
-    for tagged in misses:
-        if tagged[0] in done:
-            continue
-        yield from _stream_one(run, tagged, cache, wall_timeout, retries,
-                               keep_records)
-
-
-def _relay_chunk(events: List[RunEvent], cache: Optional[Any],
-                 writeback: Optional[Tuple[str, str]], keep_records: bool,
-                 done: set) -> Iterator[RunEvent]:
-    """Parent-side bookkeeping for one worker chunk's events."""
-    offered: set = set()
-    if cache is not None and writeback is None:
-        # The records crossed the pipe (keep_records mode or an
-        # in-memory store), so the parent persists them — one batched
-        # store write per chunk.
-        fresh = [event.record for event in events
-                 if event.terminal and event.record is not None
-                 and cache.cacheable(event.record)]
-        if fresh:
-            cache.offer_many(fresh)
-            offered = {id(record) for record in fresh}
-    for event in events:
-        if event.terminal:
-            done.add(event.index)
-            if cache is not None and writeback is not None and event.stored:
-                cache.writes += 1  # worker wrote it; count it this session
-            elif event.record is not None and id(event.record) in offered:
-                event = replace(event, stored=True)
-        elif event.kind == "retry" and cache is not None:
-            cache.retries += 1
-        if event.record is not None and not keep_records:
-            event = replace(event, record=None)
-        yield event
 
 
 def collect(
@@ -896,7 +947,6 @@ def run_requests(
     jobs: Optional[int] = 1,
     wall_timeout: Optional[float] = None,
     retries: int = 1,
-    chunk_size: Optional[int] = None,
     run_fn: Optional[RunFn] = None,
     store: Optional[Any] = None,
     force_pool: bool = False,
@@ -910,5 +960,5 @@ def run_requests(
     """
     return collect([(None, requests)], value=lambda event: event.record,
                    jobs=jobs, wall_timeout=wall_timeout, retries=retries,
-                   chunk_size=chunk_size, run_fn=run_fn, store=store,
-                   keep_records=True, force_pool=force_pool)[None]
+                   run_fn=run_fn, store=store, keep_records=True,
+                   force_pool=force_pool)[None]

@@ -8,14 +8,15 @@ distributed, resumable job queue over a fabric store server:
 2. **one** batched ``POST /missing`` call maps the whole key list to the
    miss-list — everything else is served as ``hit`` events from one bulk
    ``POST /fetch``;
-3. the misses are sharded round-robin across N worker processes, each
-   executing through the ordinary :func:`~repro.core.executor.iter_runs`
-   into a *private local shard store* and bulk-uploading completed rows
-   to the server every ``sync_every`` results (with the client's
-   retry/backoff underneath; a down server just defers the batch to the
-   next sync);
+3. the misses are sharded round-robin across N worker processes — the
+   executor's own worker group, the one ``iter_runs(jobs=N)`` uses —
+   each executing through the ordinary
+   :func:`~repro.core.executor.iter_runs` into a *private local shard
+   store* and bulk-uploading completed rows to the server every
+   ``sync_every`` results (with the client's retry/backoff underneath;
+   a down server just defers the batch to the next sync);
 4. the workers' typed :class:`~repro.core.executor.RunEvent` streams are
-   merged, re-indexed to sweep order, and yielded to the caller —
+   re-indexed to sweep order, merged, and yielded to the caller —
    exactly one terminal event per request, same contract as
    ``iter_runs``.
 
@@ -35,13 +36,11 @@ double-counted.
 
 from __future__ import annotations
 
-import multiprocessing
 import shutil
 import tempfile
 import time
-import traceback
 from dataclasses import replace
-from multiprocessing import connection as mp_connection
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -59,6 +58,7 @@ from ..core.executor import (
     RunFn,
     RunRequest,
     _terminal_event,
+    _worker_group,
     iter_runs,
 )
 from ..store.keys import fingerprint_for, record_from_dict, run_key
@@ -81,7 +81,7 @@ _Assigned = Tuple[int, RunRequest]
 
 def _hit_event(index: int, request: RunRequest, key: str,
                record_dict: Dict[str, Any]) -> RunEvent:
-    record = record_from_dict(record_dict)
+    record = record_from_dict(record_dict, request=request)
     record.cached = True
     return _terminal_event("hit", index, request, key, record, stored=True)
 
@@ -97,11 +97,11 @@ def _sync_new_rows(local: Any, remote: RemoteStore,
     return count
 
 
-def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
-                 local_path: str, sync_every: int, retries: int,
-                 wall_timeout: Optional[float], run_fn: Optional[RunFn],
-                 events: Any) -> None:
-    """One fabric worker process: execute a shard, sync, report events.
+def _worker_events(url: str, base: Path, sync_every: int, retries: int,
+                   wall_timeout: Optional[float], run_fn: Optional[RunFn],
+                   worker_id: int, assignment: Sequence[_Assigned]
+                   ) -> Iterator[RunEvent]:
+    """One fabric worker's body: execute a shard, sync, stream events.
 
     The local shard store doubles as the write-ahead log — rows land
     there first (via the executor's ordinary store write-back) and are
@@ -110,20 +110,18 @@ def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
     because exiting with unsent rows would stall the sweep until a
     respawn replays them.
     """
-    local = None
-    try:
-        remote = RemoteStore(url)
-        uploaded: set = set()
-        from ..store.backend import open_store
+    from ..store.backend import open_store
 
-        local = open_store(local_path, backend="shards")
+    remote = RemoteStore(url)
+    uploaded: set = set()
+    local = open_store(str(base / f"worker-{worker_id}"), backend="shards")
+    try:
         requests = [request for _, request in assignment]
         indices = [index for index, _ in assignment]
         since_sync = 0
         for event in iter_runs(requests, jobs=1, wall_timeout=wall_timeout,
                                retries=retries, run_fn=run_fn, store=local):
-            events.send(("event", worker_id,
-                         replace(event, index=indices[event.index])))
+            yield replace(event, index=indices[event.index])
             if event.terminal:
                 since_sync += 1
                 if since_sync >= sync_every:
@@ -140,15 +138,8 @@ def _worker_main(worker_id: int, assignment: Sequence[_Assigned], url: str,
                 if attempt == _FLUSH_ATTEMPTS - 1:
                     raise
                 time.sleep(0.5 * (2 ** attempt))
-        events.send(("done", worker_id, len(assignment)))
-    except BaseException:  # noqa: BLE001 - report, then die
-        try:
-            events.send(("failed", worker_id, traceback.format_exc()))
-        except OSError:
-            pass  # the coordinator is gone: nobody left to tell
     finally:
-        if local is not None:
-            local.close()
+        local.close()
 
 
 def iter_fabric_runs(
@@ -244,137 +235,31 @@ def iter_fabric_runs(
                 if own_workdir else workdir)
     base.mkdir(parents=True, exist_ok=True)
     workers = min(workers, len(misses))
-    assignments: List[List[_Assigned]] = [[] for _ in range(workers)]
-    for position, (index, request, _key) in enumerate(misses):
-        assignments[position % workers].append((index, request))
-    key_of = {index: key for index, _, key in misses}
-
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else None)
-    if max_restarts is None:
-        max_restarts = 2 * workers
-    # One event pipe per worker *process*, never a shared queue: a queue's
-    # writers serialise on one cross-process lock, and a worker SIGKILLed
-    # while it holds that lock would mute every other worker (and every
-    # respawn) for good.  A killed worker can only tear its own pipe,
-    # which then reads as end-of-file.
-    readers: Dict[int, Any] = {}
-
-    def _spawn(worker_id: int) -> Any:
-        remaining = [(index, request)
-                     for index, request in assignments[worker_id]
-                     if index not in terminal_seen]
-        reader, writer = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(worker_id, remaining, url,
-                  str(base / f"worker-{worker_id}"), sync_every, retries,
-                  wall_timeout, run_fn, writer),
-            name=f"repro-fabric-worker-{worker_id}", daemon=True)
-        process.start()
-        # The worker now holds the only write end, so its death is an
-        # end-of-file here (and no later fork inherits this end).
-        writer.close()
-        stale = readers.pop(worker_id, None)
-        if stale is not None:
-            stale.close()  # a hung worker's pipe; the respawn replays it
-        readers[worker_id] = reader
-        last_progress[worker_id] = time.monotonic()
-        if on_worker_start is not None:
-            on_worker_start(worker_id, process.pid)
-        return process
-
+    assignments: List[List[_Assigned]] = [
+        [(index, request) for index, request, _key in misses[worker::workers]]
+        for worker in range(workers)]
     terminal_seen: set = set()
-    finished: set = set()
-    last_progress: Dict[int, float] = {}
-    restarts = 0
-    alive = {worker_id: _spawn(worker_id) for worker_id in range(workers)}
-    try:
-        while alive:
-            ready = mp_connection.wait(list(readers.values()), timeout=0.1)
-            for worker_id, reader in list(readers.items()):
-                if reader not in ready:
-                    continue
-                try:
-                    message = reader.recv()
-                except (EOFError, OSError):
-                    # Exited, or killed mid-message: everything it sent
-                    # whole has been read; the liveness check takes over.
-                    del readers[worker_id]
-                    reader.close()
-                    continue
-                kind = message[0]
-                last_progress[worker_id] = time.monotonic()
-                if kind == "event":
-                    event = message[2]
-                    if fault_plan is not None:
-                        fault = fault_plan.take("worker", str(worker_id))
-                        if fault is not None and fault.spec.kind == "kill":
-                            victim = alive.get(worker_id)
-                            if victim is not None and victim.is_alive():
-                                victim.kill()  # scheduled chaos: SIGKILL
-                    if event.terminal:
-                        if event.index in terminal_seen:
-                            continue  # a respawn replayed it as a local hit
-                        terminal_seen.add(event.index)
-                    yield event
-                elif kind == "done":
-                    finished.add(worker_id)
-                elif kind == "failed":
-                    raise FabricWorkerError(
-                        f"fabric worker {worker_id} failed:\n{message[2]}")
-            if ready:
-                continue  # drain the pipes before liveness checks
-            for worker_id, process in list(alive.items()):
-                if process.is_alive():
-                    hung = (progress_timeout is not None
-                            and worker_id not in finished
-                            and (time.monotonic()
-                                 - last_progress.get(worker_id, 0.0)
-                                 > progress_timeout))
-                    if not hung:
-                        continue
-                    # Hung-worker watchdog: alive but mute past the
-                    # deadline — kill it and fall through to the
-                    # ordinary respawn path below.
-                    process.kill()
-                    process.join(timeout=5.0)
-                else:
-                    process.join()
-                del alive[worker_id]
-                if worker_id in finished:
-                    continue
-                # Killed without a word: its local shard store is the
-                # write-ahead log, so a respawn over the same directory
-                # replays executed-but-unsent rows as instant hits and
-                # only the genuinely unrun cells execute.
-                restarts += 1
-                if restarts > max_restarts:
-                    raise FabricWorkerError(
-                        f"fabric worker {worker_id} died and the restart "
-                        f"budget ({max_restarts}) is spent")
-                alive[worker_id] = _spawn(worker_id)
-    finally:
-        for process in alive.values():
-            process.terminate()
-        for process in alive.values():
-            process.join(timeout=5.0)
-        for reader in readers.values():
-            reader.close()
+    for event in _worker_group(
+            partial(_worker_events, url, base, sync_every, retries,
+                    wall_timeout, run_fn),
+            assignments, name="fabric worker", error=FabricWorkerError,
+            max_restarts=2 * workers if max_restarts is None
+            else max_restarts,
+            on_worker_start=on_worker_start,
+            progress_timeout=progress_timeout, fault_plan=fault_plan):
+        if event.terminal:
+            terminal_seen.add(event.index)
+        yield event
 
-    leftover = [(index, request) for worker_assignment in assignments
-                for index, request in worker_assignment
+    leftover = [(index, request, key) for index, request, key in misses
                 if index not in terminal_seen]
     if leftover:
-        # A worker exited cleanly but its last queued events were lost
-        # (possible if it was killed mid-queue-flush).  The rows may
-        # still have been uploaded — serve those as hits; anything truly
-        # absent is a real loss.
+        # Every worker reported done, yet a request has no terminal
+        # event.  Its row may still have been uploaded — serve it as a
+        # hit; anything truly absent is a real loss.
         rows = {key: record for key, _, _, record in remote.fetch(
-            [key_of[index] for index, _ in leftover])}
-        for index, request in leftover:
-            key = key_of[index]
+            [key for _, _, key in leftover])}
+        for index, request, key in leftover:
             if key in rows:
                 yield _hit_event(index, request, key, rows[key])
             else:

@@ -121,12 +121,13 @@ class StoreBackend(abc.ABC):
                  created: Optional[float] = None) -> int:
         """Insert or replace many ``(key, record, fingerprint)`` rows.
 
-        This is the write path pool workers use for worker-direct
-        write-back, where per-row locking would dominate: the records
-        reach :meth:`upload_rows` — batched in the shipped backends (one
-        transaction, or one locked append per shard) — as a generator,
-        each converted to its row dict only as it is encoded.
-        ``ShardStore`` keeps those dicts as its parse cache's rows.
+        The batch write path (:meth:`RunCache.offer_many
+        <repro.store.cache.RunCache.offer_many>`), where per-row locking
+        would dominate: the records reach :meth:`upload_rows` — batched
+        in the shipped backends (one transaction, or one locked append
+        per shard) — as a generator, each converted to its row dict only
+        as it is encoded.  ``ShardStore`` keeps those dicts as its parse
+        cache's rows.
         """
         return self.upload_rows(
             (key, created, fingerprint, record_to_dict(record))

@@ -93,8 +93,8 @@ class RunCache:
         """``(key, fingerprint, hit-or-None)`` for one store probe.
 
         The streaming executor uses this form: a miss keeps its
-        precomputed key and fingerprint so the pool worker that runs it
-        can write the record back without recomputing either.  A hit is
+        precomputed key and fingerprint, so the write-back of that very
+        request object through this cache recomputes neither.  A hit is
         the stored outcome on the caller's own ``request`` object — the
         key is its content address, so the stored request dict is not
         rebuilt — exactly as a miss's record carries it.
@@ -141,7 +141,7 @@ class RunCache:
         return True
 
     def offer_many(self, records: Iterable[RunRecord]) -> int:
-        """Batch :meth:`offer`: one backend write for a whole chunk."""
+        """Batch :meth:`offer`: one backend write for a whole batch."""
         batch = []
         for record in records:
             if self.cacheable(record):
@@ -180,7 +180,7 @@ class RunCache:
     def end_sweep(self) -> None:
         """A sweep over this cache finished or was abandoned: flush the
         counters and drop the keys of misses nobody offered (pool
-        workers write theirs directly)."""
+        workers write theirs through caches of their own)."""
         self._missed.clear()
         self.flush()
 

@@ -294,13 +294,12 @@ class ShardStore(StoreBackend):
     def upload_rows(self, rows: Iterable[Row]) -> int:
         """Batched append: group by shard, one lock + flush per shard.
 
-        This is what makes worker-direct write-back cheap — a pool
-        worker lands a whole chunk of records with at most one lock
-        acquisition per touched shard instead of one per record.  Each
-        row is encoded as it is drawn, and its dict is *kept*: the rows
-        appended are folded into this instance's parse cache
-        (:meth:`_fold`), which would otherwise re-parse every line of
-        them on the next read — a second, larger copy of the same
+        A batch — an import, a sync, a fabric upload — lands with at
+        most one lock acquisition per touched shard instead of one per
+        row.  Each row is encoded as it is drawn, and its dict is
+        *kept*: the rows appended are folded into this instance's parse
+        cache (:meth:`_fold`), which would otherwise re-parse every line
+        of them on the next read — a second, larger copy of the same
         dicts.  The store therefore takes ownership of the row dicts it
         is given; do not mutate one afterwards.
         """

@@ -77,8 +77,7 @@ class TestCollect:
     def test_completion_order_does_not_matter(self):
         events = []
         result = collect(CELLS, run_fn=_scrambling_run, jobs=2,
-                         force_pool=True, chunk_size=1,
-                         value=logging_value(events))
+                         force_pool=True, value=logging_value(events))
         # the pool did scramble
         assert [event.seed for event in events] != [7, 3, 5, 1, 6, 2]
         assert result == EXPECTED
@@ -87,7 +86,6 @@ class TestCollect:
     def test_on_cell_fires_once_per_full_cell(self):
         fired = []
         collect(CELLS, run_fn=_scrambling_run, jobs=2, force_pool=True,
-                chunk_size=1,
                 on_cell=lambda key, values: fired.append((key, list(values))))
         # exactly once each, and only with every slot of the cell filled
         assert sorted(fired) == sorted(

@@ -2,6 +2,8 @@
 
 import os
 import pickle
+import signal
+import tempfile
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from repro.core.executor import (
     RunRecord,
     RunRequest,
     execute_request,
+    iter_runs,
     resolve_jobs,
     run_requests,
 )
@@ -21,16 +24,19 @@ from repro.core.experiment import (
     WorkloadSpec,
     run_experiment,
 )
+from repro.core.report import build_store_report
 from repro.core.runner import (
     compare_page_load,
     measure_plts,
     run_bulk_transfer,
     run_page_load,
 )
+from repro.faults import FaultPlan, FaultyStore
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.netem.profiles import CELLULAR_PROFILES, Scenario
 from repro.quic import quic_config
+from repro.store import ShardStore
 from repro.tcp import tcp_config
 
 SCN = emulated(10.0)
@@ -63,6 +69,31 @@ def _flaky_marker_run(request):
             pass
         raise RuntimeError("transient failure")
     return RunRecord(request=request, plt=3.0, complete=True)
+
+
+def _marking_run(request):
+    """``_instant_run`` that leaves one ``<seed>.<pid>.*`` marker file per
+    call, and SIGKILLs its own process the first time it is handed the
+    seed ``$REPRO_TEST_KILL_SEED`` names (noting the victim's pid)."""
+    calls = os.environ["REPRO_TEST_CALL_DIR"]
+    os.close(tempfile.mkstemp(dir=calls,
+                              prefix=f"{request.seed}.{os.getpid()}.")[0])
+    kill_marker = os.path.join(os.path.dirname(calls), "victim")
+    if (str(request.seed) == os.environ.get("REPRO_TEST_KILL_SEED")
+            and not os.path.exists(kill_marker)):
+        with open(kill_marker, "w") as handle:
+            handle.write(str(os.getpid()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _instant_run(request)
+
+
+def _calls_by_seed(calls):
+    """``{seed: [pid, ...]}`` of every ``_marking_run`` call."""
+    by_seed = {}
+    for name in os.listdir(calls):
+        seed, pid = name.split(".")[:2]
+        by_seed.setdefault(int(seed), []).append(int(pid))
+    return by_seed
 
 
 class TestProtocolSpec:
@@ -138,8 +169,7 @@ class TestSerialParallelParity:
 
     def test_order_is_request_order_not_completion_order(self):
         requests = [req(seed=s) for s in range(8)]
-        records = run_requests(requests, jobs=4, chunk_size=1,
-                               run_fn=_instant_run)
+        records = run_requests(requests, jobs=4, run_fn=_instant_run)
         assert [r.request.seed for r in records] == list(range(8))
 
     def test_measure_plts_parallel_matches_serial(self):
@@ -156,6 +186,67 @@ class TestSerialParallelParity:
         )
         assert (run_experiment(spec, jobs=1).to_json()
                 == run_experiment(spec, jobs=4).to_json())
+
+
+class TestPoolWorkers:
+    @pytest.fixture
+    def calls(self, tmp_path, monkeypatch):
+        directory = tmp_path / "calls"
+        directory.mkdir()
+        monkeypatch.setenv("REPRO_TEST_CALL_DIR", str(directory))
+        return directory
+
+    def test_wrapped_store_runs_each_miss_once(self, tmp_path, calls):
+        # Workers cannot reopen a wrapper by (path, kind): its misses run
+        # in-process, once each (the chunked pool ran every one twice).
+        store = FaultyStore(ShardStore(tmp_path / "s"), FaultPlan([]))
+        events = list(iter_runs([req(seed=s) for s in range(16)], jobs=2,
+                                force_pool=True, run_fn=_marking_run,
+                                store=store))
+        assert sum(map(len, _calls_by_seed(calls).values())) == 16
+        assert sorted(e.index for e in events if e.terminal) == list(
+            range(16))
+        assert len(store) == 16
+
+    def test_killed_worker_is_respawned_not_serialised(self, tmp_path,
+                                                        calls, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_KILL_SEED", "10")
+        requests = [req(seed=s) for s in range(45)]
+        serial = ShardStore(tmp_path / "serial")
+        list(iter_runs(requests, run_fn=_instant_run, store=serial))
+        pooled = ShardStore(tmp_path / "pooled")
+        events = list(iter_runs(requests, jobs=2, force_pool=True,
+                                run_fn=_marking_run, store=pooled))
+        assert sorted(e.index for e in events if e.terminal) == list(
+            range(45))
+
+        by_seed = _calls_by_seed(calls)
+        victim = int((tmp_path / "victim").read_text())
+        # Only the victim's in-flight run executed twice...
+        assert sorted(by_seed) == list(range(45))
+        assert {seed: len(pids) for seed, pids in by_seed.items()
+                if len(pids) > 1} == {10: 2}
+        # ...the second time in a respawned worker, which also ran the
+        # rest of the victim's share: two workers and one respawn ran
+        # everything, this process nothing (the chunked pool ran 35 of
+        # these 45 here).
+        ran = {}
+        for seed, pids in by_seed.items():
+            for pid in pids:
+                ran.setdefault(pid, []).append(seed)
+        (respawned,) = set(by_seed[10]) - {victim}
+        assert len(ran) == 3 and os.getpid() not in ran
+        assert len(ran[respawned]) > 1
+
+        def rows(store):
+            # bar the stamps no two sweeps share: created and wall_time
+            return sorted(
+                (key, fingerprint, {**record, "wall_time": None})
+                for key, _created, fingerprint, record in store.items())
+
+        assert rows(pooled) == rows(serial)
+        assert (build_store_report(pooled).replace(pooled.path, "STORE")
+                == build_store_report(serial).replace(serial.path, "STORE"))
 
 
 class TestTimeout:
@@ -258,7 +349,8 @@ class TestKnobs:
         assert run_requests([], jobs=4) == []
 
     def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
+        # removed with the chunked pool: a TypeError, not a silent no-op
+        with pytest.raises(TypeError, match="chunk_size"):
             run_requests([req(), req(seed=1)], jobs=2, chunk_size=0)
 
 

@@ -22,6 +22,7 @@ from repro.core.executor import (
     RunFailure,
     RunRecord,
     RunRequest,
+    collect,
     iter_runs,
     run_requests,
 )
@@ -160,24 +161,25 @@ class TestWorkerDirectWriteBack:
                                                      monkeypatch):
         """jobs=4 pool: records land in the store from the workers; the
         parent pipe carries only payload-free, size-bounded events."""
-        # the parent's relay strips records before yielding, so look at
-        # the chunks as they come off the pipe, not only at the stream
+        # look at the events as the parent reads them off the worker
+        # pipes, not only at the stream it yields
         crossed = []
-        relay = executor_module._relay_chunk
+        group = executor_module._worker_group
 
-        def spy(chunk, *rest):
-            crossed.extend(chunk)
-            return relay(chunk, *rest)
+        def spy(*args, **kwargs):
+            for event in group(*args, **kwargs):
+                crossed.append(event)
+                yield event
 
-        monkeypatch.setattr(executor_module, "_relay_chunk", spy)
+        monkeypatch.setattr(executor_module, "_worker_group", spy)
         cache = RunCache(ShardStore(tmp_path / "shards"))
         requests = [req(seed=s) for s in range(40)]
-        events = list(iter_runs(requests, jobs=4, chunk_size=2,
-                                run_fn=_instant_run, store=cache,
-                                force_pool=True))
+        events = list(iter_runs(requests, jobs=4, run_fn=_instant_run,
+                                store=cache, force_pool=True))
         terminal = [e for e in events if e.terminal]
         assert sorted(e.index for e in terminal) == list(range(40))
-        assert sorted(e.index for e in crossed) == list(range(40))
+        assert sorted(e.index for e in crossed if e.terminal) == list(
+            range(40))
         # no payloads crossed the parent pipe...
         assert all(e.record is None for e in events + crossed)
         for event in events + crossed:
@@ -196,12 +198,12 @@ class TestWorkerDirectWriteBack:
         assert seeds == set(range(40))
 
     def test_memory_store_pool_still_persists(self, tmp_path):
-        # an in-memory store cannot be reopened by workers: records must
-        # ride back to the parent, which writes them itself.
+        # an in-memory store cannot be reopened by workers: its misses
+        # run in-process, and the parent writes them itself.
         cache = RunCache(open_store(":memory:"))
         events = list(iter_runs([req(seed=s) for s in range(8)], jobs=4,
-                                chunk_size=2, run_fn=_instant_run,
-                                store=cache, force_pool=True))
+                                run_fn=_instant_run, store=cache,
+                                force_pool=True))
         assert len(cache.store) == 8
         assert all(e.record is None for e in events)
         assert all(e.stored for e in events if e.terminal)
@@ -209,14 +211,14 @@ class TestWorkerDirectWriteBack:
     def test_pool_and_serial_stores_are_identical(self, tmp_path):
         serial = RunCache(ShardStore(tmp_path / "serial"))
         pooled = RunCache(ShardStore(tmp_path / "pooled"))
-        # keep_records: records ride the pipe and the parent writes them
+        # keep_records: records also ride the pipe; workers still write
         roundtrip = RunCache(ShardStore(tmp_path / "roundtrip"))
         requests = [req(seed=s) for s in range(10)]
         list(iter_runs(requests, run_fn=_instant_run, store=serial))
-        list(iter_runs(requests, jobs=4, chunk_size=3, run_fn=_instant_run,
-                       store=pooled, force_pool=True))
-        run_requests(requests, jobs=4, chunk_size=3, run_fn=_instant_run,
-                     store=roundtrip, force_pool=True)
+        list(iter_runs(requests, jobs=4, run_fn=_instant_run, store=pooled,
+                       force_pool=True))
+        run_requests(requests, jobs=4, run_fn=_instant_run, store=roundtrip,
+                     force_pool=True)
         for cache in (pooled, roundtrip):
             assert set(cache.store.keys()) == set(serial.store.keys())
             assert (store_aggregator(cache.store).render()
@@ -325,8 +327,13 @@ class TestValidation:
             list(iter_runs([req()], retries=-1))
 
     def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            list(iter_runs([req(), req(seed=1)], jobs=2, chunk_size=0))
+        # removed with the chunked pool: workers take round-robin shares
+        with pytest.raises(TypeError, match="chunk_size"):
+            iter_runs([req(), req(seed=1)], jobs=2, chunk_size=1)
+        with pytest.raises(TypeError, match="chunk_size"):
+            run_requests([req()], chunk_size=1)
+        with pytest.raises(TypeError, match="chunk_size"):
+            collect([("a", [req()])], chunk_size=1)
 
     def test_empty_request_list(self):
         assert list(iter_runs([])) == []

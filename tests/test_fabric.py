@@ -238,13 +238,12 @@ class TestExecutorOverRemote:
         assert warm_cache.session_stats[0] == 5
 
     def test_pool_workers_write_back_over_http(self, remote):
-        # writeback=(url, "http"): pool workers reopen the RemoteStore
-        # by URL and bulk-upload their chunks directly.
+        # pool workers reopen the RemoteStore by URL and write their
+        # records to it directly.
         requests = [req(seed=s) for s in range(12)]
         cache = RunCache(remote)
-        events = list(iter_runs(requests, jobs=2, chunk_size=3,
-                                run_fn=_instant_run, store=cache,
-                                force_pool=True))
+        events = list(iter_runs(requests, jobs=2, run_fn=_instant_run,
+                                store=cache, force_pool=True))
         terminal = [e for e in events if e.terminal]
         assert sorted(e.index for e in terminal) == list(range(12))
         assert all(e.stored for e in terminal)

@@ -40,7 +40,7 @@ from repro.core.manyflow import (
     manyflow_scenario,
 )
 from repro.core.report import build_store_report
-from repro.fabric import RemoteStore, StoreServer
+from repro.fabric import RemoteStore, StoreServer, iter_fabric_runs
 from repro.fabric.server import StoreRequestHandler
 from repro.faults import FaultPlan, FaultyStore
 from repro.http import single_object_page
@@ -177,6 +177,28 @@ class TestWarmSweepNeverRebuildsARequest:
                    for event, request in zip(events, requests))
         store.get(run_key(requests[0]))
         assert len(calls) == 1  # ...and the counter does see a full decode
+
+    def test_warm_fabric_sweep_makes_zero_request_decodes(self, tmp_path,
+                                                          monkeypatch):
+        requests = [req(seed=seed) for seed in range(24)]
+        store = ShardStore(tmp_path / "served")
+        list(iter_runs(requests, run_fn=_near_free, store=RunCache(store)))
+        with StoreServer(store, port=0) as server:
+            expected = list(iter_runs(requests, run_fn=_near_free,
+                                      store=RunCache(RemoteStore(server.url))))
+            calls = []
+            real = store_keys.request_from_dict
+
+            def counting(raw):
+                calls.append(1)
+                return real(raw)
+
+            monkeypatch.setattr(store_keys, "request_from_dict", counting)
+            events = list(iter_fabric_runs(requests, server.url, workers=2,
+                                           run_fn=_near_free))
+        assert len(calls) == 0  # the parent commit makes one per request
+        assert [event.kind for event in events] == ["hit"] * len(requests)
+        assert events == expected
 
 
 # ----------------------------------------------------------------------
