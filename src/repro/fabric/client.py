@@ -266,6 +266,16 @@ class RemoteStore(StoreBackend):
                                   {"keys": chunk})["missing"])
         return out
 
+    def fsck(self, *, repair: bool = False) -> Dict[str, Any]:
+        """The served store's :class:`~repro.store.fsck.FsckReport`
+        fields: ``POST /fsck`` runs the check (and with ``repair`` the
+        quarantine) on the server, which owns the files, under its store
+        lock.  A repair is not retried: a replay would report the
+        already-repaired store."""
+        self._ensure_schema()
+        return self._json("POST", "/fsck", {"repair": repair},
+                          retry=not repair)
+
     def fetch(self, keys: Iterable[str]) -> List[Row]:
         """Bulk download: full rows for the present subset of ``keys``."""
         self._ensure_schema()

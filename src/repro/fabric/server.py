@@ -17,6 +17,8 @@ dependencies — speaking the content-addressed key protocol:
                             *lacks* (the one-round-trip miss-list probe)
 ``POST /fetch``             ``{"keys": [...]}`` -> the present subset's
                             rows as JSONL (bulk download by key)
+``POST /fsck``              ``{"repair": bool}`` -> the served store's
+                            ``fsck`` report (``repro store fsck URL``)
 ``POST /gc``                drop rows older than a horizon
 ``POST /counters``          bump one persistent counter
 ``DELETE /records/<key>``   drop one row
@@ -42,6 +44,7 @@ bulk download), while the sharded backend's own per-shard flocks keep
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import socket
 import threading
@@ -51,6 +54,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..store.backend import StoreBackend, open_store
+from ..store.fsck import fsck
 from ..store.keys import KEY_SCHEMA_VERSION
 from ..store.rows import decode_row, decode_rows, encode_row, validated
 
@@ -216,11 +220,23 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                     missing = self.store.missing(keys)
                 self._json(200, {"missing": missing})
             elif collection == "fetch" and key is None:
-                wanted = set(json.loads(body.decode())["keys"])
+                # One point lookup per distinct key, not a sorted scan of
+                # the whole store per batch; the rows found still go out
+                # oldest first, as items() would list them.
+                wanted = dict.fromkeys(
+                    name for name in json.loads(body.decode())["keys"]
+                    if isinstance(name, str))
                 with self.lock:
-                    lines = [encode_row(*row) for row in self.store.items()
-                             if row[0] in wanted]
+                    found = [row for row in map(self.store.row, wanted)
+                             if row is not None]
+                found.sort(key=lambda row: (row[1], row[0]))
+                lines = [encode_row(*row) for row in found]
                 self._reply(200, "".join(lines).encode(), _JSONL)
+            elif collection == "fsck" and key is None:
+                repair = bool(json.loads(body.decode())["repair"])
+                with self.lock:
+                    report = fsck(self.store, repair=repair)
+                self._json(200, dataclasses.asdict(report))
             elif collection == "records" and key is None:
                 rows = list(validated(decode_rows(body)))
                 with self.lock:

@@ -2,7 +2,8 @@
 
 Every store row carries an integrity checksum
 (:func:`~repro.store.keys.row_check`, schema v3) written at append
-time.  :func:`fsck` walks a *local* store (sqlite or shards) and
+time.  :func:`fsck` walks a local store (sqlite or shards) — or asks
+the server of a served one to walk its own (``POST /fsck``) — and
 verifies three invariants per row:
 
 1. **checksum** — the stored check matches a recomputation over the
@@ -256,15 +257,23 @@ def _fsck_sqlite(store: SqliteStore, *, repair: bool) -> FsckReport:
 
 
 def fsck(store: StoreBackend, *, repair: bool = False) -> FsckReport:
-    """Verify (and with ``repair`` fix) a local store's integrity.
+    """Verify (and with ``repair`` fix) a store's integrity.
 
-    Remote stores cannot be fsck'd over the wire — run fsck on the
-    machine that owns the files (point it at the served path).
+    A served store (:class:`~repro.fabric.client.RemoteStore`) is
+    checked by the server that owns its files (``POST /fsck``); the
+    report comes back over the wire, field for field.
     """
     if isinstance(store, ShardStore):
         return _fsck_shards(store, repair=repair)
     if isinstance(store, SqliteStore):
         return _fsck_sqlite(store, repair=repair)
+    from ..fabric.client import RemoteStore  # local: fabric imports this
+
+    if isinstance(store, RemoteStore):
+        fields = store.fsck(repair=repair)
+        for name in ("checksum_failures", "key_mismatches"):
+            fields[name] = [FsckIssue(**issue) for issue in fields[name]]
+        return FsckReport(**fields)
     raise ValueError(
-        f"fsck needs a local store (sqlite or shards), not {store.kind!r}; "
-        f"run it on the host that owns the files")
+        f"fsck needs a sqlite, shard or served store, not {store.kind!r}; "
+        f"run it on the store it wraps")

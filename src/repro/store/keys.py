@@ -26,7 +26,10 @@ versioned explicitly via :data:`KEY_SCHEMA_VERSION`.
 The module also provides the JSON codec used by the store backends to
 persist :class:`~repro.core.executor.RunRecord` rows
 (:func:`request_to_dict` / :func:`request_from_dict`,
-:func:`record_to_dict` / :func:`record_from_dict`).
+:func:`record_to_dict` / :func:`record_from_dict`) and the row JSON
+every store line and checksum is written in (:func:`row_json`): each
+shared request part is serialised once per process, whichever of the
+three forms — run key, row line, checksum payload — asks for it.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 from functools import lru_cache
 from pathlib import Path
 from typing import (
@@ -45,6 +49,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -163,62 +168,137 @@ def _dataclass_encoder(cls: type, names: Tuple[str, ...]
     return encode
 
 
-#: Classes whose instances are *deeply immutable* by construction —
-#: frozen dataclasses of scalars and tuples of such — and shared by
-#: many requests of a sweep (every seed of a cell carries the same page,
-#: scenario and device objects).  Their JSON fragment is memoised per
-#: object.  Nothing reachable through a mutable dataclass (QuicConfig,
-#: TcpConfig, CubicConfig — hence ProtocolSpec and RunRequest) is ever
-#: memoised: a mutated config must never yield a stale key.
-_MEMOISED_CLASSES = (WebPage, Scenario, DeviceProfile, ManyflowConfig)
-#: ``id(obj) -> (obj, fragment)``.  The strong reference keeps the id
-#: from being recycled (an id found here *is* that object); the bound
-#: keeps a long-lived process that keys ever-new pages from growing (a
-#: full memo is simply dropped).  :data:`_PAGE_PARTS` is kept the same way.
-_FRAGMENT_MEMO: Dict[int, Tuple[Any, str]] = {}
-_FRAGMENT_MEMO_BOUND = 256
+#: The request parts every seed of a sweep cell shares *by object*: one
+#: page, scenario, device and protocol (and manyflow mix) instance
+#: carried by every request of the cell.  Each such object gets one
+#: :class:`_Part` memo entry holding everything a row needs of it — its
+#: run-key fragment, its :func:`request_to_dict` dict and that dict's
+#: two JSON texts — so a sweep serialises each part once, not once per
+#: row per form.  Page, scenario, device and manyflow objects are frozen
+#: dataclasses of scalars and tuples; a :class:`ProtocolSpec` carries a
+#: *mutable* ``QuicConfig`` / ``TcpConfig`` (and its ``CubicConfig``),
+#: so its entry is valid only under an identity snapshot of every field
+#: of those configs (:func:`_snapshot`), checked on every use: a mutated
+#: config never yields a stale key or line.  An object reaching anything
+#: but scalars, tuples and dataclasses (a frozen page built around a
+#: list) is never memoised.
+_MEMOISED_CLASSES = (WebPage, Scenario, DeviceProfile, ManyflowConfig,
+                     ProtocolSpec)
+#: One mutable dataclass a part reaches: ``(it, field getter, the field
+#: values the part was built from)``.
+_Watch = Tuple[Any, Callable[[Any], Tuple[Any, ...]], Tuple[Any, ...]]
 
 
-def _deeply_immutable(obj: Any) -> bool:
-    """Whether ``obj`` is scalars / tuples / frozen dataclasses all the
-    way down (a frozen dataclass built around a list is not)."""
+class _Part:
+    """The memo entry of one shared request part (see above).
+
+    ``fragment`` is filled by the first run key that needs it; ``data``
+    (shared by every row that carries the part: read-only) and its
+    ``spaced`` / ``compact`` texts by the first :func:`request_to_dict`.
+    """
+
+    __slots__ = ("source", "snapshot", "fragment", "data", "spaced",
+                 "compact")
+
+    def __init__(self, source: Any, snapshot: Tuple[_Watch, ...]) -> None:
+        self.source = source
+        self.snapshot = snapshot
+        self.fragment: Optional[str] = None
+        self.data: Any = None
+        self.spaced = self.compact = ""
+
+
+#: ``id(source object) -> its entry``.  The entry's strong reference
+#: keeps the id from being recycled (an id found here *is* that object);
+#: the bound keeps a long-lived process that keys ever-new pages from
+#: growing (a full memo is simply dropped, and its parts re-walked).
+_PARTS: Dict[int, _Part] = {}
+_PARTS_BOUND = 256
+#: ``id(entry.data) -> entry``: how a row writer recognises a part dict
+#: it may splice (held and dropped together with :data:`_PARTS`).
+_PART_OF_DATA: Dict[int, _Part] = {}
+
+
+def _field_getter(names: Sequence[str], getter: Callable[..., Any] = (
+        operator.attrgetter)) -> Callable[[Any], Tuple[Any, ...]]:
+    """``getter(*names)``, returning a tuple whatever ``len(names)``."""
+    if len(names) > 1:
+        return getter(*names)
+    return lambda obj: tuple(getter(name)(obj) for name in names)
+
+
+def _snapshot(obj: Any, out: List[_Watch]) -> bool:
+    """Append ``(owner, getter, field values)`` for every *mutable*
+    dataclass reachable from ``obj`` to ``out``; False when ``obj``
+    reaches anything but scalars, tuples and dataclasses."""
     cls = obj.__class__
     if obj is None or cls in _SCALAR_TYPES:
         return True
     if cls is tuple:
-        return all(_deeply_immutable(item) for item in obj)
+        return all(_snapshot(item, out) for item in obj)
     names = _field_names(cls)
-    if names is None or not cls.__dataclass_params__.frozen:
+    if names is None:
         return False
-    return all(_deeply_immutable(getattr(obj, name)) for name in names)
+    values = tuple(getattr(obj, name) for name in names)
+    if not cls.__dataclass_params__.frozen:
+        out.append((obj, _field_getter(names), values))
+    return all(_snapshot(value, out) for value in values)
 
 
-def _memoised(build: Callable[[Any], Any],
-              memo: Dict[int, Tuple[Any, Any]]) -> Callable[[Any], Any]:
-    """``build``, run once per deeply immutable object and remembered
-    in ``memo`` (keyed, held and bounded as :data:`_FRAGMENT_MEMO`)."""
-    def build_once(obj: Any) -> Any:
-        cached = memo.get(id(obj))
-        if cached is not None:
-            return cached[1]
-        value = build(obj)
-        if _deeply_immutable(obj):
-            if len(memo) >= _FRAGMENT_MEMO_BOUND:
-                memo.clear()
-            memo[id(obj)] = (obj, value)
-        return value
+def _shared_part(obj: Any) -> Optional[_Part]:
+    """``obj``'s memo entry — made on first sight, remade when a field
+    of a config it carries is no longer the very object it was — or
+    None when ``obj`` is not a shareable part.
 
-    return build_once
+    The snapshot compares with ``is``, never ``==``: ``True == 1`` and
+    ``0.0 == -0.0``, but each pair is spelled differently in JSON.
+    """
+    part = _PARTS.get(id(obj))
+    if part is not None:
+        for owner, get, values in part.snapshot:
+            if not all(map(operator.is_, get(owner), values)):
+                break
+        else:
+            return part
+        _PARTS.pop(id(obj))
+        _PART_OF_DATA.pop(id(part.data), None)
+    if obj.__class__ not in _MEMOISED_CLASSES:
+        return None
+    snapshot: List[_Watch] = []
+    if not _snapshot(obj, snapshot):
+        return None
+    if len(_PARTS) >= _PARTS_BOUND:
+        _PARTS.clear()
+        _PART_OF_DATA.clear()
+    part = _PARTS[id(obj)] = _Part(obj, tuple(snapshot))
+    return part
 
 
-#: Exact type -> encoder; dataclasses and scalar/sequence/mapping
-#: subclasses are resolved on first sight (:func:`_resolve_encoder`).
-_ENCODERS: Dict[type, Callable[[Any], str]] = {
-    type(None): lambda _obj: "null",
-    bool: lambda obj: "true" if obj else "false",
+def _fragment_encoder(walk: Callable[[Any], str]) -> Callable[[Any], str]:
+    """``walk`` (a dataclass encoder), once per shareable part."""
+    def encode(obj: Any) -> str:
+        part = _shared_part(obj)
+        if part is None:
+            return walk(obj)
+        if part.fragment is None:
+            part.fragment = walk(obj)
+        return part.fragment
+
+    return encode
+
+
+#: What ``json.dumps`` emits for each exact scalar type.
+_SCALAR_ENCODERS: Dict[type, Callable[[Any], str]] = {
+    type(None): {None: "null"}.__getitem__,
+    bool: {False: "false", True: "true"}.__getitem__,
     int: int.__repr__,
     str: _quote,
     float: _encode_float,
+}
+#: Exact type -> encoder; dataclasses and scalar/sequence/mapping
+#: subclasses are resolved on first sight (:func:`_resolve_encoder`).
+_ENCODERS: Dict[type, Callable[[Any], str]] = {
+    **_SCALAR_ENCODERS,
     list: _encode_sequence,
     tuple: _encode_sequence,
     dict: _encode_mapping,
@@ -237,7 +317,7 @@ def _resolve_encoder(obj: Any) -> Callable[[Any], str]:
     elif (names := _field_names(cls)) is not None:
         encoder = _dataclass_encoder(cls, names)
         if cls in _MEMOISED_CLASSES:
-            encoder = _memoised(encoder, _FRAGMENT_MEMO)
+            encoder = _fragment_encoder(encoder)
     elif isinstance(obj, (list, tuple)):
         encoder = _encode_sequence
     elif isinstance(obj, Mapping):
@@ -421,11 +501,95 @@ def achievable_fingerprints(package_dir: Optional[Path] = None) -> Set[str]:
     }
 
 
-#: ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
-#: building an encoder per call.  The shard line embeds the record in the
-#: *spaced* form, so this compact dump cannot be a slice of the line's.
+# ----------------------------------------------------------------------
+# row JSON
+# ----------------------------------------------------------------------
+#: The two forms a row is serialised in, one reusable encoder each: the
+#: row line (``json.dumps(..., sort_keys=True)``: shard ledgers, exports,
+#: the wire) and the checksum payload (the same with ``separators=(",",
+#: ":")``).  The line embeds the record *spaced*, so the compact dump
+#: cannot be a slice of the line's.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 _CHECK_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                                   check_circular=False)
+
+
+def _row_writer(encoder: json.JSONEncoder, text: Callable[[_Part], str]
+                ) -> Callable[[Any], str]:
+    """``encoder.encode`` of a dict, byte for byte, written in Python so
+    that a part dict registered in :data:`_PART_OF_DATA` is spliced in
+    as its memoised ``text``.  A dict or list holding anything but plain
+    JSON data (a ``str`` or ``int`` subclass, a non-string key) goes to
+    ``encoder`` whole, which also raises what the stdlib raises."""
+    item_sep, key_sep = encoder.item_separator, encoder.key_separator
+    #: A dict's keys in insertion order -> (its values in sorted-key
+    #: order, its ``%`` template with the quoted keys baked in): a
+    #: sweep's records come in a handful of shapes.
+    shapes: Dict[Tuple[str, ...], Tuple[Callable[[Any], Any], str]] = {}
+
+    def compile_shape(keys: Tuple[str, ...]
+                      ) -> Tuple[Callable[[Any], Any], str]:
+        order = sorted(keys)
+        template = "{" + item_sep.join([
+            _quote(key).replace("%", "%%") + key_sep + "%s"
+            for key in order]) + "}"
+        if len(shapes) >= _PARTS_BOUND:
+            shapes.clear()
+        shape = shapes[keys] = (_field_getter(order, operator.itemgetter),
+                                template)
+        return shape
+
+    def write_dict(value: Dict[Any, Any]) -> str:
+        part = _PART_OF_DATA.get(id(value))
+        if part is not None:
+            return text(part)
+        keys = tuple(value)
+        shape = shapes.get(keys)
+        if shape is None:
+            if not keys:
+                return "{}"
+            if not all(key.__class__ is str for key in keys):
+                return encoder.encode(value)
+            shape = compile_shape(keys)
+        values, template = shape
+        try:
+            return template % tuple([writers[item.__class__](item)
+                                     for item in values(value)])
+        except KeyError:  # a value of a type not in ``writers``
+            return encoder.encode(value)
+
+    def write_list(value: Iterable[Any]) -> str:
+        try:
+            return "[" + item_sep.join([writers[item.__class__](item)
+                                        for item in value]) + "]"
+        except KeyError:
+            return encoder.encode(value)
+
+    # Exact types only: the lookups above raise KeyError for the rest.
+    writers: Dict[type, Callable[[Any], str]] = {
+        **_SCALAR_ENCODERS, dict: write_dict, list: write_list,
+        tuple: write_list}
+    return write_dict
+
+
+_WRITE_LINE = _row_writer(_LINE_ENCODER, operator.attrgetter("spaced"))
+_WRITE_CHECK = _row_writer(_CHECK_ENCODER, operator.attrgetter("compact"))
+
+
+def row_json(row: Mapping[str, Any], *, compact: bool = False) -> str:
+    """``json.dumps(row, sort_keys=True)`` — with ``separators=(",",
+    ":")`` when ``compact`` — of a row mapping carrying a ``"record"``.
+
+    A record built by :func:`record_to_dict` in this process is written
+    around its request parts' memoised texts; any other — a row decoded
+    from a file or the wire — goes to the stdlib encoder whole.
+    """
+    record = row.get("record")
+    request = record.get("request") if record.__class__ is dict else None
+    if request.__class__ is dict and any(
+            id(value) in _PART_OF_DATA for value in request.values()):
+        return (_WRITE_CHECK if compact else _WRITE_LINE)(row)
+    return (_CHECK_ENCODER if compact else _LINE_ENCODER).encode(row)
 
 
 def row_check(key: str, record: Mapping[str, Any]) -> str:
@@ -436,7 +600,7 @@ def row_check(key: str, record: Mapping[str, Any]) -> str:
     cost nothing per line.  Written by every backend at append time and
     verified by ``repro store fsck`` (:mod:`repro.store.fsck`).
     """
-    payload = _CHECK_ENCODER.encode({"key": key, "record": record})
+    payload = row_json({"key": key, "record": record}, compact=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -493,28 +657,38 @@ def _page_to_dict(page: WebPage) -> Dict[str, Any]:
             "objects": [[o.obj_id, o.size_bytes] for o in page.objects]}
 
 
-#: ``id(page) -> (page, its request_to_dict part)``: every row of a
-#: sweep that carries one page shares one ``{"name", "objects"}`` dict
-#: (rows are read-only), instead of a list per object per row.  Protocol
-#: configs are mutable and are walked on every call.
-_PAGE_PARTS: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-_page_part = _memoised(_page_to_dict, _PAGE_PARTS)
+def _protocol_to_dict(protocol: ProtocolSpec) -> Dict[str, Any]:
+    return {"name": protocol.name, "config": _config_to_dict(protocol.config)}
+
+
+def _part_dict(obj: Any, build: Callable[[Any], Any]) -> Any:
+    """``build(obj)``, once per shareable part: the dict is then shared
+    by every row that carries ``obj`` and registered, with its two JSON
+    texts, for :func:`row_json` to splice."""
+    part = _shared_part(obj)
+    if part is None:
+        return build(obj)
+    if part.data is None:
+        data = part.data = build(obj)
+        part.spaced = _LINE_ENCODER.encode(data)
+        part.compact = _CHECK_ENCODER.encode(data)
+        _PART_OF_DATA[id(data)] = part
+    return part.data
 
 
 def request_to_dict(request: RunRequest) -> Dict[str, Any]:
     """A plain-JSON description of a request, rebuildable bit-identically.
 
-    The ``"page"`` part is shared between calls on the same page object:
-    treat the result as read-only.
+    The scenario, page, protocol, device and manyflow parts are shared
+    between calls on the same part objects: treat the result as
+    read-only.
     """
     return {
-        "scenario": request.scenario.to_spec(),
-        "page": _page_part(request.page),
-        "protocol": {
-            "name": request.protocol.name,
-            "config": _config_to_dict(request.protocol.config),
-        },
-        "device": _config_to_dict(request.device),
+        "scenario": _part_dict(request.scenario,
+                               operator.methodcaller("to_spec")),
+        "page": _part_dict(request.page, _page_to_dict),
+        "protocol": _part_dict(request.protocol, _protocol_to_dict),
+        "device": _part_dict(request.device, _config_to_dict),
         "seed": request.seed,
         "trace": request.trace,
         "cwnd_interval": request.cwnd_interval,
@@ -523,7 +697,7 @@ def request_to_dict(request: RunRequest) -> Dict[str, Any]:
         # None for ordinary page loads; a plain dict for manyflow runs.
         # Readers use .get, so rows written before the field existed
         # still decode.
-        "manyflow": _config_to_dict(request.manyflow),
+        "manyflow": _part_dict(request.manyflow, _config_to_dict),
     }
 
 

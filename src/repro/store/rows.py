@@ -27,15 +27,11 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
-from .keys import record_from_dict, row_check
+from .keys import record_from_dict, row_check, row_json
 
 #: ``(key, created, fingerprint, record-dict)``; ``created`` is None only
 #: on a row still travelling to the backend that will stamp it.
 Row = Tuple[str, Optional[float], str, Dict[str, Any]]
-
-#: ``json.dumps(..., sort_keys=True)`` without building an encoder per
-#: call (rows are trees, never cycles).
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
 class RowError(ValueError):
@@ -44,12 +40,17 @@ class RowError(ValueError):
 
 def encode_row(key: str, created: Optional[float], fingerprint: str,
                record: Dict[str, Any], *, check: bool = False) -> str:
-    """One row as one JSON line; ``check`` adds the shard-ledger checksum."""
+    """One row as one JSON line; ``check`` adds the shard-ledger checksum.
+
+    ``json.dumps(row, sort_keys=True)``'s bytes, spliced from the
+    record's memoised request parts where it has them
+    (:func:`~repro.store.keys.row_json`).
+    """
     raw = {"key": key, "created": created, "fingerprint": fingerprint,
            "record": record}
     if check:
         raw["check"] = row_check(key, record)
-    return _LINE_ENCODER.encode(raw) + "\n"
+    return row_json(raw) + "\n"
 
 
 def why_invalid(key: Any, created: Any, fingerprint: Any, record: Any,

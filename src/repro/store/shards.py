@@ -113,9 +113,10 @@ class ShardStore(StoreBackend):
         self._torn_warned: set = set()
         self._dir = Path(path)
         self._dir.mkdir(parents=True, exist_ok=True)
-        #: The directory as a string, resolved once: :meth:`_load` stats
-        #: a shard file per lookup and must not build a Path for it.
-        self._stat_prefix = os.path.join(str(self._dir), "")
+        #: The directory as a string, resolved once: a lookup stats a
+        #: shard file and a put opens a lockfile and a ledger, none of
+        #: which may build a Path per call.
+        self._prefix = os.path.join(str(self._dir), "")
         manifest = self._dir / MANIFEST_NAME
         if manifest.exists():
             meta = json.loads(manifest.read_text())
@@ -136,14 +137,16 @@ class ShardStore(StoreBackend):
         prefix = key[:1].lower()
         return prefix if prefix in _HEX else "misc"
 
+    def _data_file(self, shard: str) -> str:
+        return f"{self._prefix}{shard}.jsonl"
+
     def _data_path(self, shard: str) -> Path:
-        return self._dir / f"{shard}.jsonl"
+        return Path(self._data_file(shard))
 
     @contextlib.contextmanager
     def _locked(self, name: str) -> Iterator[None]:
         """Hold ``<name>.lock`` exclusively (no-op without fcntl)."""
-        lock_path = self._dir / f"{name}.lock"
-        with open(lock_path, "a") as handle:
+        with open(f"{self._prefix}{name}.lock", "a") as handle:
             if fcntl is not None:
                 fcntl.flock(handle, fcntl.LOCK_EX)
             try:
@@ -199,7 +202,7 @@ class ShardStore(StoreBackend):
         """One shard's live rows, parsed only when the file's signature
         is not the one the cache holds them at."""
         try:
-            stat = os.stat(f"{self._stat_prefix}{shard}.jsonl")
+            stat = os.stat(self._data_file(shard))
         except FileNotFoundError:
             self._cache.pop(shard, None)
             self.torn_lines.pop(shard, None)
@@ -316,7 +319,7 @@ class ShardStore(StoreBackend):
         for shard in sorted(by_shard):
             lines, kept = by_shard[shard]
             with self._locked(shard):
-                before, after = _append_healed(self._data_path(shard),
+                before, after = _append_healed(self._data_file(shard),
                                                "".join(lines))
             self._fold(shard, before, after, kept)
         return count
@@ -427,7 +430,8 @@ class ShardStore(StoreBackend):
         self._cache.clear()
 
 
-def _append_healed(path: Path, text: str) -> Tuple[Signature, Signature]:
+def _append_healed(path: Union[str, Path], text: str
+                   ) -> Tuple[Signature, Signature]:
     """Append ``text``, healing a torn tail first; returns the file's
     :data:`Signature` just before and just after.
 

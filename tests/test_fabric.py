@@ -137,6 +137,37 @@ class TestWireProtocol:
         assert {row[0]: row[1] for row in fetched} == {
             rows[i][0]: 1000.0 + i for i in range(3)}
 
+    @pytest.mark.parametrize("location", ["central", "central.sqlite"])
+    def test_fetch_looks_rows_up_by_key(self, tmp_path, location):
+        # POST /fetch answers with one point lookup per wanted key — no
+        # whole-store items() scan per batch — and the rows found go out
+        # in the order the scan gave them: oldest first, ties by key.
+        from repro.store import record_to_dict
+        from repro.store.rows import encode_row
+
+        store = open_store(tmp_path / location)
+        rows = [(key, float(1000 - 7 * (index % 3)), fingerprint,
+                 record_to_dict(record))
+                for index, (key, _req, fingerprint, record)
+                in enumerate(_seed_rows(6))]
+        rows.append(("not-hex-" + rows[0][0], 500.0, "fp", rows[0][3]))
+        store.upload_rows(rows)
+        present = [row[0] for row in rows]
+        wanted = (present[::-2] + ["0" * 64, present[3], 7, "nope"]
+                  + present[1:3])
+        expected = "".join(encode_row(*row) for row in store.items()
+                           if row[0] in set(wanted)).encode()
+        assert expected.count(b"\n") == 6
+        with StoreServer(store, port=0) as srv:
+            scans = []
+            real_items = srv.store.items
+            srv.store.items = lambda: scans.append(1) or real_items()
+            request = urllib.request.Request(
+                srv.url + "/fetch", method="POST",
+                data=json.dumps({"keys": wanted}).encode())
+            assert urllib.request.urlopen(request).read() == expected
+            assert scans == []
+
     def test_stats_counters_delete_gc(self, remote):
         key, _request, fingerprint, record = _seed_rows(1)[0]
         remote.put(key, record, fingerprint=fingerprint, created=100.0)

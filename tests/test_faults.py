@@ -400,9 +400,37 @@ class TestFsckSqlite:
         assert fsck(store).clean
         assert store.get(bad_key) is None
 
-    def test_remote_store_is_refused(self):
-        with pytest.raises(ValueError, match="local store"):
-            fsck(RemoteStore("http://127.0.0.1:9", check_schema=False))
+
+class TestFsckRemote:
+    """``fsck`` over the wire: the server checks the files it owns."""
+
+    def test_flipped_row_is_detected_quarantined_then_clean(self, tmp_path,
+                                                           capsys):
+        from repro.cli import main
+
+        store = _store_with_rows(ShardStore(tmp_path / "s"))
+        path = store._data_path(store._shards()[0])
+        bad_key, lines = _flip_one_row(path.read_text().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        local = fsck(ShardStore(tmp_path / "s"))
+        with StoreServer(ShardStore(tmp_path / "s"), port=0) as server:
+            report = fsck(RemoteStore(server.url))
+            # The same report a local fsck of the served files gives.
+            assert report == local
+            assert [i.key for i in report.checksum_failures] == [bad_key]
+            assert report.quarantined == 0
+            assert main(["store", "--store", server.url, "fsck"]) == 1
+            assert f"checksum: {bad_key[:16]}" in capsys.readouterr().out
+            assert main(["store", "--store", server.url, "fsck",
+                         "--repair"]) == 0
+            out = capsys.readouterr().out
+            assert "1 row(s) quarantined to" in out
+            assert (tmp_path / "s" / QUARANTINE_NAME).exists()
+            again = fsck(RemoteStore(server.url))
+            assert again.clean and again.rows == 3 and again.verified == 3
+            assert main(["store", "--store", server.url, "fsck"]) == 0
+            assert "— clean" in capsys.readouterr().out
+            assert bad_key not in RemoteStore(server.url)
 
 
 # ----------------------------------------------------------------------

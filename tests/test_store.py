@@ -311,13 +311,13 @@ class TestRunKeyMemo:
         assert float_key == GOLDEN_KEYS["quic-default"][1]
 
     def test_memo_is_bounded(self):
-        bound = store_keys._FRAGMENT_MEMO_BOUND
+        bound = store_keys._PARTS_BOUND
         pages = [single_object_page(1_000 + n) for n in range(bound + 50)]
         for index, workload in enumerate(pages):
             run_key(req(page=workload), fingerprint="pinned")
             request_to_dict(req(page=workload))
-            assert len(store_keys._FRAGMENT_MEMO) <= bound
-            assert len(store_keys._PAGE_PARTS) <= bound
+            assert len(store_keys._PARTS) <= bound
+            assert len(store_keys._PART_OF_DATA) <= bound
         # Dropped entries are simply re-walked: same key as a cold equal.
         assert (run_key(req(page=pages[0]), fingerprint="pinned")
                 == run_key(req(page=single_object_page(1_000)),
