@@ -20,7 +20,7 @@ that regime as a first-class, store-addressable workload:
   serial/pool/fabric execution (tested in ``tests/test_determinism.py``).
 * :class:`ManyflowEngine` — the flow-aggregate fast path: a
   :class:`~repro.netem.fastlink.AggregateLink` (batched link delivery)
-  plus a :class:`~repro.transport.flowtable.FlowTable` (array-backed
+  plus a :class:`~repro.transport.flowtable.FlowTable` (columnar
   per-flow state).  The engine drains its internal work items —
   transmission completions, deliveries, acks — in merged logical-time
   order from a *single* heap wakeup per batch; ``batch_quantum=0``
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -232,6 +233,9 @@ class ManyflowEngine:
         self.mss = mss
         self.sim = Simulator()
         self.table = FlowTable(config.flows, mss, cc=config.cc)
+        #: ``nack_threshold`` by ``proto`` value, read once per delivery.
+        self._nack_threshold = tuple(
+            params.nack_threshold for params in self.table.params_by_proto)
 
         arrivals, sizes, protos = build_flows(config, seed)
         for i in range(config.flows):
@@ -372,7 +376,7 @@ class ManyflowEngine:
         down = self.down
         while inflight < window and (retx_queue or nxt < total):
             if retx_queue:
-                idx = retx_queue.pop(0)
+                idx = retx_queue.popleft()
                 retx = True
                 retx_flag[idx] = 1
                 table.retx_sent[flow] += 1
@@ -415,7 +419,8 @@ class ManyflowEngine:
         if idx > table.rx_highest[flow]:
             table.rx_highest[flow] = idx
         nacks: Optional[Tuple[int, ...]] = None
-        limit = table.rx_highest[flow] - table.params(flow).nack_threshold
+        limit = (table.rx_highest[flow]
+                 - self._nack_threshold[table.proto[flow]])
         if rx_set and limit >= rx_next:
             scan = table.rx_scan[flow]
             if scan < rx_next:
@@ -502,7 +507,7 @@ class ManyflowEngine:
             pending[j] = 0
         table.lost_pkts[flow] += table.inflight[flow]
         table.inflight[flow] = 0
-        table.retx_queue[flow] = unacked
+        table.retx_queue[flow] = deque(unacked)
         table.on_timeout(flow, now)
         table.last_progress[flow] = now
         self._try_send(flow, now)

@@ -33,7 +33,7 @@ import math
 import random
 import zlib
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from .packet import Packet
 
@@ -269,7 +269,7 @@ class FQCoDel(QueueDiscipline):
     """
 
     __slots__ = ("target", "interval", "quantum", "limit_bytes", "flows",
-                 "_queues", "_new", "_old", "_bytes",
+                 "_queues", "_by_flow", "_new", "_old", "_bytes",
                  "codel_drops", "overflow_drops")
 
     def __init__(self, target: float = 0.005, interval: float = 0.100,
@@ -286,6 +286,9 @@ class FQCoDel(QueueDiscipline):
         self.limit_bytes = limit_bytes
         self.flows = flows
         self._queues: Dict[int, _FlowQueue] = {}
+        #: flow id -> its sub-queue: the crc32 bucket depends on the id
+        #: alone, so it is hashed once per flow, not once per packet.
+        self._by_flow: Dict[Any, _FlowQueue] = {}
         self._new: Deque[_FlowQueue] = deque()
         self._old: Deque[_FlowQueue] = deque()
         self._bytes = 0
@@ -293,12 +296,16 @@ class FQCoDel(QueueDiscipline):
         self.overflow_drops = 0
 
     def _bucket(self, packet: Packet) -> _FlowQueue:
-        key = str(packet.flow_id).encode("utf-8", "replace")
-        idx = zlib.crc32(key) % self.flows
-        fq = self._queues.get(idx)
+        flow_id = packet.flow_id
+        fq = self._by_flow.get(flow_id)
         if fq is None:
-            fq = _FlowQueue()
-            self._queues[idx] = fq
+            key = str(flow_id).encode("utf-8", "replace")
+            idx = zlib.crc32(key) % self.flows
+            fq = self._queues.get(idx)
+            if fq is None:
+                fq = _FlowQueue()
+                self._queues[idx] = fq
+            self._by_flow[flow_id] = fq
         return fq
 
     def _drop_from_fattest(self) -> bool:

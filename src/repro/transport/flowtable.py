@@ -1,4 +1,4 @@
-"""Array-backed per-flow transport state for the many-flow fast path.
+"""Columnar per-flow transport state for the many-flow fast path.
 
 The classic stacks (`repro.quic`, `repro.tcp`) model one connection as
 a graph of objects — endpoint, CC controller, RTT estimator, SACK
@@ -6,9 +6,16 @@ ranges — which is the right shape for protocol fidelity but costs too
 much Python dispatch when a single bottleneck carries ~1000 concurrent
 flows.  :class:`FlowTable` keeps the *hot* per-flow scalars (cwnd,
 inflight, bytes acked, next sequence index, RFC 6298 RTT estimator
-state) in preallocated ``array`` columns indexed by integer flow id, so
+state) in preallocated plain-list columns indexed by integer flow id, so
 the fan-out paths — ack processing, RTO scans, send-window checks —
-touch flat C buffers instead of attribute chains.
+index a list instead of walking per-flow attribute chains.  Lists, not
+``array('d')`` / ``array('q')``: on CPython every array read allocates a
+fresh float or int and every write converts one back, while a list load
+or store moves a reference (``docs/PERFORMANCE.md``, "The thousand-flow
+fast path", has the pairs).  Each column holds one element type —
+``float`` for times, windows and RTT state, ``int`` for counters and
+indices — and is written only with that type, so every value, and its
+``repr``, is what the typed array would have held.
 
 Congestion control is pluggable: the ``cc=`` axis selects one of the
 shared kernels from :mod:`repro.transport.cc.kernels` (``reno`` —
@@ -25,8 +32,9 @@ estimation follows RFC 6298 with the same constants as
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from .cc.kernels import KERNEL_NAMES, make_kernel
 
@@ -80,10 +88,12 @@ TCP_PARAMS = FlowParams(name="tcp", initial_window=10.0,
 class FlowTable:
     """Columnar state for ``capacity`` flows, indexed by flow id.
 
-    Scalar columns are ``array('d')`` / ``array('q')``; per-packet
-    bookkeeping (send timestamps, ack flags, receiver gap sets) lives
-    in preallocated list-of-columns slots filled in when a flow
-    activates, so idle capacity costs a few machine words per flow.
+    Scalar columns are plain lists of ``float`` (the first group in
+    ``__slots__``) or of ``int`` (the second), never mixed.  Per-packet
+    bookkeeping stays compact — ``sent_time`` is an ``array('d')``, the
+    flags ``bytearray`` columns — and lives in list-of-columns slots filled
+    in when a flow activates, so idle capacity costs a few machine words
+    per flow.
     """
 
     __slots__ = (
@@ -115,47 +125,42 @@ class FlowTable:
         self._is_bbr = cc == "bbr"  # per-table constant, read per ACK
         self.params_by_proto: Tuple[FlowParams, FlowParams] = (
             QUIC_PARAMS, TCP_PARAMS)
-        zd = [0.0] * capacity
-        zq = [0] * capacity
-        self.arrival = array("d", zd)
-        self.cwnd = array("d", zd)
-        self.ssthresh = array("d", zd)
-        self.srtt = array("d", zd)
-        self.rttvar = array("d", zd)
-        self.min_rtt = array("d", zd)
-        self.last_progress = array("d", zd)
-        self.finish = array("d", zd)
-        self.size_bytes = array("q", zq)
-        self.total_pkts = array("q", zq)
-        self.next_idx = array("q", zq)
-        self.inflight = array("q", zq)
-        self.acked_pkts = array("q", zq)
-        self.snd_una = array("q", zq)
-        self.recover_idx = array("q", zq)
-        self.state = array("q", zq)
-        self.proto = array("q", zq)
-        self.rx_next = array("q", zq)
-        self.rx_highest = array("q", zq)
-        self.rx_received = array("q", zq)
-        self.rx_scan = array("q", zq)
-        self.retx_sent = array("q", zq)
-        self.lost_pkts = array("q", zq)
+        self.arrival = [0.0] * capacity
+        self.cwnd = [0.0] * capacity
+        self.ssthresh = [0.0] * capacity
+        self.srtt = [0.0] * capacity
+        self.rttvar = [0.0] * capacity
+        self.min_rtt = [0.0] * capacity
+        self.last_progress = [0.0] * capacity
+        self.finish = [0.0] * capacity
+        self.size_bytes = [0] * capacity
+        self.total_pkts = [0] * capacity
+        self.next_idx = [0] * capacity
+        self.inflight = [0] * capacity
+        self.acked_pkts = [0] * capacity
+        self.snd_una = [0] * capacity
+        self.recover_idx = [0] * capacity
+        self.state = [0] * capacity
+        self.proto = [0] * capacity
+        self.rx_next = [0] * capacity
+        self.rx_highest = [0] * capacity
+        self.rx_received = [0] * capacity
+        self.rx_scan = [0] * capacity
+        self.retx_sent = [0] * capacity
+        self.lost_pkts = [0] * capacity
         self.sent_time: List[Optional[array]] = [None] * capacity
         self.acked: List[Optional[bytearray]] = [None] * capacity
         self.retx_flag: List[Optional[bytearray]] = [None] * capacity
         #: 1 while a packet is charged to ``inflight``: set on (re)send,
         #: cleared on first ack or on being declared lost.
         self.pending: List[Optional[bytearray]] = [None] * capacity
-        self.retx_queue: List[Optional[list]] = [None] * capacity
+        self.retx_queue: List[Optional[Deque[int]]] = [None] * capacity
         self.rx_set: List[Optional[set]] = [None] * capacity
         self.rx_nacked: List[Optional[set]] = [None] * capacity
         #: Per-flow CC kernel (packet units), allocated on activation.
         self.kernel: List[Optional[object]] = [None] * capacity
 
     # ------------------------------------------------------------------
-    def params(self, flow: int) -> FlowParams:
-        return self.params_by_proto[self.proto[flow]]
-
     def define_flow(self, flow: int, arrival: float, size_bytes: int,
                     proto: int) -> None:
         """Register a flow's workload before it activates."""
@@ -181,7 +186,7 @@ class FlowTable:
         self.acked[flow] = bytearray(npkts)
         self.retx_flag[flow] = bytearray(npkts)
         self.pending[flow] = bytearray(npkts)
-        self.retx_queue[flow] = []
+        self.retx_queue[flow] = deque()
         self.rx_set[flow] = set()
         self.rx_nacked[flow] = set()
 

@@ -17,6 +17,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import threading
 import time
 import warnings
 
@@ -563,6 +564,74 @@ class TestHttpFaultSurface:
             remote = RemoteStore(server.url, retries=0)
             assert "key_schema_version" in remote.healthz()
             assert plan.pending() == 1  # the handshake consumed no fault
+
+
+class TestStalledStoreLock:
+    """One slow store call holds the server-wide lock; every other
+    request — ``/healthz`` too, which reads ``runs`` under the lock —
+    queues behind it, and none fails."""
+
+    STALL = 1.0
+
+    def test_other_clients_complete_once_the_lock_is_released(self, tmp_path):
+        rows = sorted(_store_with_rows(ShardStore(tmp_path / "src"), 8).items())
+        held, uploaded = rows[:4], rows[4:]
+        inner = ShardStore(tmp_path / "s")
+        inner.upload_rows(held)
+        plan = FaultPlan([FaultSpec("store", "latency", op="put",
+                                    param=self.STALL)])
+        with StoreServer(FaultyStore(inner, plan), port=0) as server:
+            # retries=0: a call that fails raises instead of hiding in a
+            # replay, and a replayed upload cannot double-append a row.
+            writer = RemoteStore(server.url, retries=0)
+            reader = RemoteStore(server.url, retries=0)
+            reader.healthz()
+            results = {}
+
+            def upload():
+                results["imported"] = writer.upload_rows(uploaded)
+
+            uploading = threading.Thread(target=upload)
+            uploading.start()
+            deadline = time.monotonic() + 10.0
+            while not plan.fired():  # the first put is now asleep
+                assert time.monotonic() < deadline, "the stall never began"
+                time.sleep(0.005)
+            stalled_at = time.monotonic()
+            keys = [row[0] for row in rows]
+            calls = {"missing": lambda: reader.missing(keys),
+                     "fetch": lambda: reader.fetch(keys),
+                     "healthz": reader.healthz}
+            finished = {}
+
+            def call(name):
+                results[name] = calls[name]()
+                finished[name] = time.monotonic()
+
+            readers = [threading.Thread(target=call, args=(name,))
+                       for name in calls]
+            for each in readers:
+                each.start()
+            for each in [uploading] + readers:
+                each.join(timeout=30.0)
+                assert not each.is_alive()
+        # Each read queued behind the stall, then saw the post-upload store.
+        assert sorted(finished) == sorted(calls)
+        assert all(at - stalled_at >= self.STALL / 2
+                   for at in finished.values()), finished
+        assert results["missing"] == []
+        assert sorted(row[0] for row in results["fetch"]) == sorted(keys)
+        assert results["healthz"]["ok"] and results["healthz"]["runs"] == 8
+        assert results["imported"] == 4
+        assert plan.pending() == 0
+        # Every row stored exactly once: one ledger line per key, and clean.
+        lines = [json.loads(line)["key"]
+                 for path in sorted((tmp_path / "s").glob("*.jsonl"))
+                 if path.name != "counters.jsonl"
+                 for line in path.read_text().splitlines()]
+        assert sorted(lines) == sorted(keys)
+        report = fsck(ShardStore(tmp_path / "s"))
+        assert report.clean, report
 
 
 class TestBackoffJitter:

@@ -2,12 +2,15 @@
 
 Covers the batching contract (batched delivery is bit-identical to
 per-packet scheduling), end-to-end completion, AQM fairness ordering,
-the executor/store integration, and the config codec.
+the executor/store integration, the config codec, and conservation and
+column types checked during a run.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import run_requests
 from repro.core.manyflow import (
@@ -20,6 +23,7 @@ from repro.core.manyflow import (
 )
 from repro.core.report import build_store_report
 from repro.store import ShardStore, request_from_dict, request_to_dict
+from repro.transport.flowtable import STATE_ACTIVE, STATE_DONE
 
 
 def small_config(**overrides):
@@ -147,3 +151,87 @@ class TestExecutorIntegration:
         raw = request_to_dict(request)
         raw.pop("manyflow")
         assert request_from_dict(raw).manyflow is None
+
+
+#: ``FlowTable``'s scalar columns by element type.
+FLOAT_COLUMNS = ("arrival", "cwnd", "ssthresh", "srtt", "rttvar", "min_rtt",
+                 "last_progress", "finish")
+INT_COLUMNS = ("size_bytes", "total_pkts", "next_idx", "inflight",
+               "acked_pkts", "snd_una", "recover_idx", "state", "proto",
+               "rx_next", "rx_highest", "rx_received", "rx_scan",
+               "retx_sent", "lost_pkts")
+
+
+def check_conservation(engine):
+    """Per-flow and link accounting that must hold between any two items."""
+    table = engine.table
+    for column in FLOAT_COLUMNS:
+        assert all(type(v) is float for v in getattr(table, column)), column
+    for column in INT_COLUMNS:
+        # ``type(v) is int`` also rules out ``bool``.
+        assert all(type(v) is int for v in getattr(table, column)), column
+    for flow in range(engine.config.flows):
+        state = table.state[flow]
+        if state == STATE_DONE:
+            assert table.acked_pkts[flow] == table.total_pkts[flow], flow
+        elif state == STATE_ACTIVE:
+            acked = table.acked[flow]
+            assert table.inflight[flow] == sum(table.pending[flow]), flow
+            assert table.acked_pkts[flow] == sum(acked), flow
+            una = table.snd_una[flow]
+            assert all(acked[:una]), flow
+            assert una == table.total_pkts[flow] or not acked[una], flow
+    down = engine.down
+    assert down.tx_completions == down.launched_packets + down.loss_drops
+    assert down.launched_packets == (engine.delivered_packets
+                                     + len(down.deliveries))
+
+
+class CheckedEngine(ManyflowEngine):
+    """The engine with :func:`check_conservation` after every tick."""
+
+    ticks = 0
+
+    def _tick(self):
+        super()._tick()
+        self.ticks += 1
+        check_conservation(self)
+
+
+CCS = ("reno", "cubic", "bbr")
+AQMS = ("droptail", "codel", "fq_codel")
+
+
+def every_cc_and_aqm(test):
+    """One explicit example per cc x aqm cell (40 flows, loss on every
+    other one) on top of whatever hypothesis draws."""
+    for index, (cc, aqm) in enumerate((cc, aqm) for cc in CCS for aqm in AQMS):
+        test = example(cc=cc, aqm=aqm, loss=0.01 * (index % 2), flows=40,
+                       seed=index)(test)
+    return test
+
+
+class TestConservation:
+    @settings(max_examples=16, deadline=None, derandomize=True)
+    @every_cc_and_aqm
+    @given(cc=st.sampled_from(CCS), aqm=st.sampled_from(AQMS),
+           loss=st.sampled_from([0.0, 0.01]), flows=st.integers(2, 40),
+           seed=st.integers(0, 2**16))
+    def test_accounting_holds_at_every_tick_in_both_modes(
+            self, cc, aqm, loss, flows, seed):
+        """Checked after every tick and at the end, per-packet and
+        batched: 9 explicit + 16 drawn examples.  Arrivals are bunched
+        (400 flows/s) so the queue overflows and flows time out."""
+        config = small_config(flows=flows, cc=cc, aqm=aqm, arrival_rate=400.0)
+        scenario = manyflow_scenario(loss_rate=loss)
+        metrics = {}
+        for quantum in (0.0, DEFAULT_BATCH_QUANTUM):
+            engine = CheckedEngine(scenario, config, seed=seed,
+                                   batch_quantum=quantum)
+            metrics[quantum] = engine.run()
+            assert engine.ticks > 0
+            check_conservation(engine)
+        batched, per_packet = metrics[DEFAULT_BATCH_QUANTUM], metrics[0.0]
+        batched.pop("heap_events")
+        per_packet.pop("heap_events")  # the only thing batching may move
+        assert batched == per_packet
