@@ -21,6 +21,12 @@ Two of the contract's batched calls, and one more, carry the fabric:
   preserving per-row ``created`` stamps (a plain ``put_many``
   restamps).
 
+The bulk downloads — :meth:`RemoteStore.items` and
+:meth:`RemoteStore.fetch` — arrive as chunked bodies and are decoded a
+line at a time as the chunks come in: ``items()`` hands each row on
+before the next is read, so a report over a served store holds one
+chunk and one row, not the whole store.
+
 Failure handling is deliberately loud and actionable:
 
 * an unreachable server raises :class:`FabricConnectionError` naming
@@ -35,7 +41,11 @@ harmless) and deterministic-seeded jitter (N workers recovering from
 the same server blip must not thunder-herd on the same schedule);
 counter bumps are not idempotent and are never retried.  Server-side
 5xx replies and truncated/garbled bodies count as transient too — a
-faulting server is indistinguishable from a flaky network.
+faulting server is indistinguishable from a flaky network.  A streamed
+download is retried only while none of its rows has been handed on:
+one cut after that raises :class:`FabricConnectionError` — the caller
+already holds part of the listing, and a silently shorter one would be
+a wrong answer, not a slow one.
 
 Graceful degradation: constructed with ``spill_path=``, the client
 runs a circuit breaker over its *write* path.  After
@@ -58,7 +68,16 @@ import random
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from ..core.executor import RunRecord
 from ..store.backend import StoreBackend
@@ -71,6 +90,8 @@ from ..store.rows import Row, decode_row, decode_rows, encode_row, labelled
 
 #: Rows per bulk request (uploads and fetches are chunked to this).
 BATCH_SIZE = 500
+#: Most bytes one read of a streamed reply takes off the socket.
+_READ_SIZE = 64 * 1024
 
 
 class FabricError(RuntimeError):
@@ -88,6 +109,34 @@ class SchemaMismatchError(FabricError):
 def _chunked(items: List[Any], size: int) -> Iterator[List[Any]]:
     for start in range(0, len(items), size):
         yield items[start:start + size]
+
+
+def _whole(reply: Any) -> Iterator[bytes]:
+    """A ``Content-Length`` reply's body in one piece (a short one
+    raises ``http.client.IncompleteRead``)."""
+    yield reply.read()
+
+
+def _lines(reply: Any) -> Iterator[bytes]:
+    """A chunked reply's lines as its chunks arrive (a body cut before
+    its terminating chunk raises ``http.client.IncompleteRead``)."""
+    tail = b""
+    while True:
+        piece = reply.read1(_READ_SIZE)
+        if not piece:
+            break
+        lines = (tail + piece).split(b"\n")
+        tail = lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
+def _batch(reply: Any) -> Iterator[List[Row]]:
+    """A chunked reply's rows, decoded a line at a time as its chunks
+    arrive and passed on together once the body is complete — a cut
+    batch has passed nothing on, so it is retried whole."""
+    yield list(decode_rows(_lines(reply)))
 
 
 class RemoteStore(StoreBackend):
@@ -127,7 +176,19 @@ class RemoteStore(StoreBackend):
     # -- transport ---------------------------------------------------------
     def _request(self, method: str, path: str, body: Optional[bytes] = None,
                  *, retry: bool = True) -> bytes:
-        """One HTTP round-trip; transport failures become fabric errors."""
+        """One HTTP round-trip's whole reply body."""
+        return b"".join(self._exchange(method, path, body, _whole,
+                                       retry=retry))
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes],
+                  read: Callable[[Any], Iterator[Any]], *,
+                  retry: bool = True) -> Iterator[Any]:
+        """One HTTP round-trip, its reply passed on in the pieces
+        ``read`` cuts it into; transport failures become fabric errors.
+
+        A failed attempt is retried only while no piece has been passed
+        on; a failure after one raises :class:`FabricConnectionError`.
+        """
         attempts = (self.retries + 1) if retry else 1
         last: Optional[Exception] = None
         for attempt in range(attempts):
@@ -140,10 +201,14 @@ class RemoteStore(StoreBackend):
             request = urllib.request.Request(
                 self.path + path, data=body, method=method,
                 headers={"Content-Type": "application/json"} if body else {})
+            passed = 0
             try:
                 with urllib.request.urlopen(request,
                                             timeout=self.timeout) as reply:
-                    return reply.read()
+                    for piece in read(reply):
+                        passed += 1
+                        yield piece
+                return
             except urllib.error.HTTPError as exc:
                 if exc.code >= 500 and retry:
                     last = exc  # server-side fault: transient on
@@ -151,11 +216,17 @@ class RemoteStore(StoreBackend):
                 # The server answered: not a transport failure.  4xx
                 # surface to the caller, which maps 404s to None/False.
                 raise
-            except http.client.HTTPException as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 # Truncated or garbled reply (IncompleteRead,
-                # BadStatusLine, RemoteDisconnected): transient.
-                last = exc
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
+                # BadStatusLine, RemoteDisconnected), refused or reset
+                # connection: transient — until part of it was passed on.
+                if passed:
+                    raise FabricConnectionError(
+                        f"the fabric store server at {self.path} broke off "
+                        f"its reply to {method} {path} after {passed} "
+                        f"row(s) had been handed on ({exc!r}); the listing "
+                        f"is incomplete, so the call failed instead of "
+                        f"ending it short — retry it") from exc
                 last = exc
         if isinstance(last, urllib.error.HTTPError):
             raise FabricConnectionError(
@@ -277,12 +348,16 @@ class RemoteStore(StoreBackend):
                           retry=not repair)
 
     def fetch(self, keys: Iterable[str]) -> List[Row]:
-        """Bulk download: full rows for the present subset of ``keys``."""
+        """Bulk download: full rows for the present subset of ``keys``,
+        one ``POST /fetch`` per :data:`BATCH_SIZE` keys, each reply
+        decoded a line at a time as it arrives (a reply cut short is
+        retried whole: nothing of it has reached the caller)."""
         self._ensure_schema()
         rows: List[Row] = []
         for chunk in _chunked(list(keys), BATCH_SIZE):
             body = json.dumps({"keys": chunk}).encode()
-            rows.extend(decode_rows(self._request("POST", "/fetch", body)))
+            for batch in self._exchange("POST", "/fetch", body, _batch):
+                rows.extend(batch)
         return rows
 
     def upload_rows(self, rows: Iterable[Row]) -> int:
@@ -346,8 +421,9 @@ class RemoteStore(StoreBackend):
         return labelled(self.items())
 
     def items(self) -> Iterator[Row]:
+        """Every row, oldest first, each decoded as its line arrives."""
         self._ensure_schema()
-        yield from decode_rows(self._request("GET", "/records"))
+        yield from decode_rows(self._exchange("GET", "/records", None, _lines))
 
     def row(self, key: str) -> Optional[Row]:
         """One ``GET /records/<key>`` (404 → None), never a store scan."""

@@ -6,8 +6,9 @@ distributed, resumable job queue over a fabric store server:
 1. every request is content-addressed (:func:`~repro.store.keys.run_key`
    over the canonical request plus the per-subsystem code fingerprint);
 2. **one** batched ``POST /missing`` call maps the whole key list to the
-   miss-list — everything else is served as ``hit`` events from one bulk
-   ``POST /fetch``;
+   miss-list — everything else is served as ``hit`` events, in sweep
+   order, from bulk ``POST /fetch`` calls one ``BATCH_SIZE`` batch at a
+   time (the coordinator never holds more than one batch of rows);
 3. the misses are sharded round-robin across N worker processes — the
    executor's own worker group, the one ``iter_runs(jobs=N)`` uses —
    each executing through the ordinary
@@ -62,7 +63,7 @@ from ..core.executor import (
     iter_runs,
 )
 from ..store.keys import fingerprint_for, record_from_dict, run_key
-from .client import FabricConnectionError, RemoteStore
+from .client import BATCH_SIZE, FabricConnectionError, RemoteStore
 
 #: Completed results a worker accumulates before bulk-uploading.
 DEFAULT_SYNC_EVERY = 32
@@ -79,11 +80,27 @@ class FabricWorkerError(RuntimeError):
 _Assigned = Tuple[int, RunRequest]
 
 
-def _hit_event(index: int, request: RunRequest, key: str,
-               record_dict: Dict[str, Any]) -> RunEvent:
-    record = record_from_dict(record_dict, request=request)
-    record.cached = True
-    return _terminal_event("hit", index, request, key, record, stored=True)
+def _served_hits(remote: RemoteStore,
+                 tagged: Sequence[Tuple[int, RunRequest, str]]
+                 ) -> Iterator[RunEvent]:
+    """A ``hit`` event per ``(index, request, key)``, in the order given,
+    from one ``POST /fetch`` per :data:`BATCH_SIZE` keys: at most one
+    batch of fetched rows is held at a time.  A key the server does not
+    hold is a lost result."""
+    for start in range(0, len(tagged), BATCH_SIZE):
+        batch = tagged[start:start + BATCH_SIZE]
+        rows = {row[0]: row[3]
+                for row in remote.fetch([key for _, _, key in batch])}
+        for index, request, key in batch:
+            if key not in rows:
+                raise FabricWorkerError(
+                    f"no terminal event and no stored record for request "
+                    f"{index} ({request.label}) on the server; the sweep "
+                    f"is incomplete")
+            record = record_from_dict(rows[key], request=request)
+            record.cached = True
+            yield _terminal_event("hit", index, request, key, record,
+                                  stored=True)
 
 
 def _sync_new_rows(local: Any, remote: RemoteStore,
@@ -222,11 +239,7 @@ def iter_fabric_runs(
             if key not in missing]
     misses = [(index, request, key) for index, request, key in tagged
               if key in missing]
-    if hits:
-        rows = {key: record for key, _, _, record
-                in remote.fetch([key for _, _, key in hits])}
-        for index, request, key in hits:
-            yield _hit_event(index, request, key, rows[key])
+    yield from _served_hits(remote, hits)
     if not misses:
         return
 
@@ -251,21 +264,12 @@ def iter_fabric_runs(
             terminal_seen.add(event.index)
         yield event
 
-    leftover = [(index, request, key) for index, request, key in misses
-                if index not in terminal_seen]
-    if leftover:
-        # Every worker reported done, yet a request has no terminal
-        # event.  Its row may still have been uploaded — serve it as a
-        # hit; anything truly absent is a real loss.
-        rows = {key: record for key, _, _, record in remote.fetch(
-            [key for _, _, key in leftover])}
-        for index, request, key in leftover:
-            if key in rows:
-                yield _hit_event(index, request, key, rows[key])
-            else:
-                raise FabricWorkerError(
-                    f"no terminal event and no stored record for request "
-                    f"{index} ({request.label}); the sweep is incomplete")
+    # Every worker reported done, yet a request may have no terminal
+    # event.  Its row may still have been uploaded — serve it as a hit;
+    # anything truly absent is a real loss.
+    yield from _served_hits(remote, [
+        (index, request, key) for index, request, key in misses
+        if index not in terminal_seen])
     if own_workdir:
         shutil.rmtree(base, ignore_errors=True)
 

@@ -29,7 +29,14 @@ Rows travel in the store's portable JSONL dialect — ``{"key":,
 ``export_jsonl``/``import_jsonl`` read and write, so the wire format is
 the sync format (:mod:`repro.store.rows` owns it).  An uploaded row is
 outside input: it is decoded once — a body or record that does not
-decode is a 400 — and then written as the dict it arrived as.
+decode is a 400 — and then written as the dict it arrived as.  The two
+bulk downloads (``GET /records``, ``POST /fetch``) are HTTP/1.1 chunked
+bodies written as their rows are encoded, ~64 KB a chunk, so the server
+holds one chunk of a listing at a time, never the whole body; every
+other reply carries a ``Content-Length``.  A download cut short — a
+store failure after the status line went out, or the injected
+``truncate`` fault — ends without the terminating zero-length chunk, so
+the client sees an incomplete body, never a shorter listing.
 Every handler runs under one server-wide lock: the
 handler threads serialise on the backing store (which is what a sqlite
 backing needs, and what keeps a shard compaction from interleaving a
@@ -45,12 +52,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
 from ..store.backend import StoreBackend, open_store
@@ -65,12 +73,17 @@ DEFAULT_PORT = 8737
 
 _JSON = "application/json"
 _JSONL = "application/x-ndjson"
+#: Encoded bytes a streamed body gathers before writing one chunk.
+_CHUNK = 64 * 1024
 
 
 class StoreRequestHandler(BaseHTTPRequestHandler):
     """One fabric request; the backing store hangs off ``self.server``."""
 
     server_version = f"repro-fabric/{PROTOCOL_VERSION}"
+    # Chunked transfer coding is HTTP/1.1; every other reply carries a
+    # Content-Length, as 1.1 keep-alive needs.
+    protocol_version = "HTTP/1.1"
 
     # -- plumbing ----------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
@@ -95,6 +108,56 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(payload[:len(payload) // 2])
             return
         self.wfile.write(payload)
+
+    def _stream(self, lines: Iterable[str]) -> None:
+        """Send ``lines`` as a chunked JSONL body, encoding as it goes.
+
+        De-chunked, the body is exactly ``"".join(lines)``.  The first
+        line is drawn before the status line, so a store that fails at
+        once still answers 500; a failure after that can only cut the
+        body short.
+        """
+        lines = iter(lines)
+        first = next(lines, None)
+        self.send_response(200)
+        self.send_header("Content-Type", _JSONL)
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        pending: List[str] = []
+        size = 0
+        try:
+            for line in itertools.chain(() if first is None else (first,),
+                                        lines):
+                pending.append(line)
+                size += len(line)
+                if size >= _CHUNK:
+                    if not self._chunk(pending):
+                        return
+                    pending, size = [], 0
+            if pending and not self._chunk(pending):
+                return
+            self.wfile.write(b"0\r\n\r\n")
+        except Exception as exc:
+            # The status line is out: whatever failed (the store, the
+            # encoder, a client that went away) can only end the body
+            # unterminated, which the client reads as incomplete.
+            self.close_connection = True
+            if not isinstance(exc, OSError):
+                self.server.handle_error(self.request, self.client_address)
+
+    def _chunk(self, lines: List[str]) -> bool:
+        """Write one chunk; False when an injected ``truncate`` fault
+        cut it — the chunk is promised whole, half of it arrives, and
+        the connection closes."""
+        data = "".join(lines).encode()
+        head = b"%x\r\n" % len(data)
+        if getattr(self, "_truncate_reply", False):
+            self._truncate_reply = False
+            self.close_connection = True
+            self.wfile.write(head + data[:len(data) // 2])
+            return False
+        self.wfile.write(head + data + b"\r\n")
+        return True
 
     def _json(self, status: int, payload: Dict[str, Any]) -> None:
         self._reply(status, (json.dumps(payload, sort_keys=True)
@@ -127,7 +190,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         Returns True when the fault consumed the request (a scheduled
         5xx or a dropped connection); ``stall`` sleeps *before* the
         server-wide lock so only this request stalls, and ``truncate``
-        arms :meth:`_reply` to cut the body short.  ``/healthz`` is
+        arms :meth:`_reply` (or, for a streamed download, the first
+        chunk :meth:`_chunk` writes) to cut the body short.  ``/healthz`` is
         exempt — the liveness/handshake path stays dependable so chaos
         runs can still tell "faulting" from "gone".
         """
@@ -187,8 +251,8 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 elif collection == "counters" and key is None:
                     self._json(200, {"counters": self.store.counters()})
                 elif collection == "records" and key is None:
-                    lines = [encode_row(*row) for row in self.store.items()]
-                    self._reply(200, "".join(lines).encode(), _JSONL)
+                    self._stream(encode_row(*row)
+                                 for row in self.store.items())
                 elif collection == "records":
                     # row() keeps the created/fingerprint envelope the
                     # sync dialect carries; get() alone would lose it.
@@ -230,15 +294,14 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                     found = [row for row in map(self.store.row, wanted)
                              if row is not None]
                 found.sort(key=lambda row: (row[1], row[0]))
-                lines = [encode_row(*row) for row in found]
-                self._reply(200, "".join(lines).encode(), _JSONL)
+                self._stream(encode_row(*row) for row in found)
             elif collection == "fsck" and key is None:
                 repair = bool(json.loads(body.decode())["repair"])
                 with self.lock:
                     report = fsck(self.store, repair=repair)
                 self._json(200, dataclasses.asdict(report))
             elif collection == "records" and key is None:
-                rows = list(validated(decode_rows(body)))
+                rows = list(validated(decode_rows(body.splitlines())))
                 with self.lock:
                     imported = self.store.upload_rows(rows)
                 self._json(200, {"imported": imported})

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from .keys import record_from_dict, row_check, row_json
 
@@ -96,9 +96,12 @@ def decode_row(line: Union[str, bytes], *, ledger: bool = False,
     return row, check
 
 
-def decode_rows(body: Union[str, bytes]) -> List[Row]:
-    """The rows of a JSONL body in the sync dialect (blank lines skipped)."""
-    return [decode_row(line)[0] for line in body.splitlines() if line.strip()]
+def decode_rows(lines: Iterable[Union[str, bytes]]) -> Iterator[Row]:
+    """The rows of JSONL lines in the sync dialect, decoded one at a time
+    as the lines arrive (blank lines skipped)."""
+    for line in lines:
+        if line.strip():
+            yield decode_row(line)[0]
 
 
 def read_jsonl(path: Union[str, Path]) -> Iterator[Row]:

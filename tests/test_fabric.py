@@ -212,6 +212,93 @@ class TestWireProtocol:
 
 
 # ----------------------------------------------------------------------
+# streamed bulk downloads
+# ----------------------------------------------------------------------
+def _wire_rows(n):
+    from repro.store import record_to_dict
+
+    return [(key, 1000.0 + index, fingerprint, record_to_dict(record))
+            for index, (key, _req, fingerprint, record)
+            in enumerate(_seed_rows(n))]
+
+
+class TestStreamedDownloads:
+    def test_bulk_bodies_are_chunked_and_dechunk_to_the_listing(
+            self, tmp_path):
+        from repro.store.rows import encode_row
+
+        store = ShardStore(tmp_path / "central")
+        store.upload_rows(_wire_rows(200))
+        listing = "".join(encode_row(*row) for row in store.items()).encode()
+        assert len(listing) > 2 * server_module._CHUNK
+        keys = [row[0] for row in store.items()]
+        with StoreServer(store, port=0) as srv:
+            for request in (
+                    urllib.request.Request(srv.url + "/records"),
+                    urllib.request.Request(
+                        srv.url + "/fetch", method="POST",
+                        data=json.dumps({"keys": keys}).encode())):
+                with urllib.request.urlopen(request) as reply:
+                    assert reply.headers["Transfer-Encoding"] == "chunked"
+                    assert reply.headers["Content-Length"] is None
+                    assert reply.read() == listing
+
+    def test_report_over_served_store_holds_less_than_the_listing(
+            self, tmp_path):
+        # build_store_report streams the store: over RemoteStore the
+        # coordinating process (server thread and client both traced
+        # here) must stay under the size of the listing itself — the
+        # buffered wire held it ~7 times over.
+        import tracemalloc
+
+        from repro.store.rows import encode_row
+
+        store = ShardStore(tmp_path / "central")
+        store.upload_rows(_wire_rows(2000))
+        listing = sum(len(encode_row(*row)) for row in store.items())
+        with StoreServer(store, port=0) as srv:
+            remote = RemoteStore(srv.url)
+            build_store_report(remote)  # warms the served parse cache
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                report = build_store_report(remote)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            url = srv.url
+        assert report.replace(url, "STORE") == build_store_report(
+            store).replace(str(store.path), "STORE")
+        assert peak < listing, (peak, listing)
+
+    def test_warm_sweep_fetches_one_batch_at_a_time(self, server,
+                                                    monkeypatch):
+        import repro.fabric.coordinator as coordinator
+
+        requests = [req(seed=s) for s in range(11)]
+        list(iter_runs(requests, run_fn=_instant_run,
+                       store=RunCache(RemoteStore(server.url))))
+        monkeypatch.setattr(coordinator, "BATCH_SIZE", 4)
+        yielded = []
+        fetches = []
+        real_fetch = RemoteStore.fetch
+
+        def fetch(self, keys):
+            keys = list(keys)
+            fetches.append((len(keys), len(yielded)))
+            return real_fetch(self, keys)
+
+        monkeypatch.setattr(RemoteStore, "fetch", fetch)
+        for event in iter_fabric_runs(requests, server.url, workers=2,
+                                      run_fn=_instant_run):
+            yielded.append((event.kind, event.index))
+        # Sweep order, every one a hit; each batch fetched only once the
+        # one before it was handed on.
+        assert yielded == [("hit", index) for index in range(11)]
+        assert fetches == [(4, 0), (4, 4), (3, 8)]
+
+
+# ----------------------------------------------------------------------
 # backend integration: open_store / resolve_store / merge_into
 # ----------------------------------------------------------------------
 class TestBackendIntegration:

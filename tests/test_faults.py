@@ -539,6 +539,65 @@ class TestHttpFaultSurface:
             assert len(remote) == 2
         assert plan.pending() == 0
 
+    def test_stream_cut_before_its_first_row_is_retried(self, tmp_path):
+        # One row: half of the only chunk holds no whole line, so the cut
+        # reaches the client before any row and the download is replayed.
+        store = _store_with_rows(ShardStore(tmp_path / "s"), 1)
+        expected = list(store.items())
+        plan = FaultPlan([FaultSpec("http", "truncate", op="/records")])
+        with StoreServer(store, port=0, fault_plan=plan) as server:
+            remote = RemoteStore(server.url, backoff=0.01)
+            assert list(remote.items()) == expected
+        assert plan.pending() == 0
+
+    def test_stream_cut_after_rows_were_handed_on_raises(self, tmp_path):
+        # 100 rows outgrow one ~64 KB chunk: half of the first chunk is
+        # dozens of whole rows, which items() hands on before the cut.
+        store = _store_with_rows(ShardStore(tmp_path / "s"), 100)
+        plan = FaultPlan([FaultSpec("http", "truncate", op="/records")])
+        with StoreServer(store, port=0, fault_plan=plan) as server:
+            remote = RemoteStore(server.url, backoff=0.01)
+            handed_on = []
+            with pytest.raises(FabricConnectionError, match="incomplete"):
+                for row in remote.items():
+                    handed_on.append(row)
+            assert 0 < len(handed_on) < 100
+            assert handed_on == list(store.items())[:len(handed_on)]
+            # The fault is spent: the next listing is whole.
+            assert len(list(remote.items())) == 100
+        assert plan.pending() == 0
+
+    def test_store_failing_mid_listing_never_ends_it_short(self, tmp_path):
+        # The served store dies after 90 rows: the status line and the
+        # first ~64 KB chunk are out, so the body ends unterminated and
+        # the client raises instead of returning 75-odd rows as the store.
+        class DyingStore(ShardStore):
+            def items(self):
+                for count, row in enumerate(super().items()):
+                    if count == 90:
+                        raise OSError("disk gone")
+                    yield row
+
+        store = _store_with_rows(DyingStore(tmp_path / "s"), 100)
+        with StoreServer(store, port=0) as server:
+            remote = RemoteStore(server.url, backoff=0.01)
+            handed_on = []
+            with pytest.raises(FabricConnectionError, match="incomplete"):
+                for row in remote.items():
+                    handed_on.append(row)
+        assert 0 < len(handed_on) < 90
+
+    def test_cut_fetch_batch_is_retried_whole(self, tmp_path):
+        # fetch() hands a batch on only once its body is complete, so a
+        # cut after dozens of decoded rows is still a plain retry.
+        store = _store_with_rows(ShardStore(tmp_path / "s"), 100)
+        keys = [row[0] for row in store.items()]
+        plan = FaultPlan([FaultSpec("http", "truncate", op="/fetch")])
+        with StoreServer(store, port=0, fault_plan=plan) as server:
+            remote = RemoteStore(server.url, backoff=0.01)
+            assert remote.fetch(keys) == list(store.items())
+        assert plan.pending() == 0
+
     def test_stall_delays_but_succeeds(self, tmp_path):
         plan = FaultPlan([FaultSpec("http", "stall", param=0.1)])
         with StoreServer(ShardStore(tmp_path / "s"), port=0,
