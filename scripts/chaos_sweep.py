@@ -81,6 +81,13 @@ def build_requests(cells: int):
             for i in range(cells)]
 
 
+#: The smallest sweep whose requests reach every scheduled fault: the
+#: plan's HTTP offsets are fixed (up to the 14th request), and a
+#: 200-cell sweep left one fault unfired on 6-7 of 20 seeds (300 and 400
+#: cells: none of 20).
+MIN_CELLS = 300
+
+
 def build_plan(seed: int, cells: int) -> FaultPlan:
     """The headline schedule: 5xx burst, torn writes, a kill, a stall.
 
@@ -245,7 +252,8 @@ def contract_line(result: Dict[str, Any]) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cells", type=int, default=600,
-                        help="sweep size (default 600)")
+                        help=f"sweep size (default 600, at least "
+                             f"{MIN_CELLS})")
     parser.add_argument("--workers", type=int, default=3,
                         help="fabric worker processes (default 3)")
     parser.add_argument("--sync-every", type=int, default=32,
@@ -263,6 +271,12 @@ def main() -> int:
                         help=f"payload path (default {DEFAULT_OUT}); the "
                              "summary goes beside a non-default path")
     args = parser.parse_args()
+    if args.cells < MIN_CELLS:
+        parser.error(
+            f"--cells must be >= {MIN_CELLS}: a smaller sweep makes too "
+            f"few HTTP requests to reach the fault plan's fixed offsets "
+            f"(up to the 14th request), so a scheduled fault stays "
+            f"unfired and the run fails although the fabric is fine")
     if args.repeat is not None:
         if args.repeat < 1:
             parser.error("--repeat must be >= 1")

@@ -70,18 +70,18 @@ def _workload(args: argparse.Namespace):
 def _open_store(location, *, backend=None, must_exist=False):
     """Open the results store a command names.
 
-    Resolution goes through :func:`repro.store.resolve_store` — the
-    same precedence (explicit path > ``$REPRO_STORE`` > default; a bare
-    flag's ``""`` means unset) every other entry point uses, with a
-    clean error when ``--backend`` conflicts with an existing store.
+    :func:`repro.store.open_store` resolves it — explicit path >
+    ``$REPRO_STORE`` > default, a bare flag's ``""`` meaning unset — and
+    this is the one place the ``--backend auto`` spelling becomes None;
+    a ``--backend`` conflicting with an existing store is a clean error.
     With ``must_exist`` a missing store raises ``StoreNotFoundError``;
     each command words its own hint.
     """
-    from .store import resolve_store
+    from .store import open_store
 
     try:
-        return resolve_store(location or None, backend=backend,
-                             must_exist=must_exist)
+        return open_store(location, backend=None if backend == "auto"
+                          else backend, must_exist=must_exist)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 

@@ -770,8 +770,8 @@ def iter_runs(
     store:
         A results store — a :class:`repro.store.RunCache`, any
         :class:`repro.store.StoreBackend` (sqlite file or sharded JSONL
-        directory), or a path to one (see
-        :func:`repro.store.resolve_store`).  Requests whose content
+        directory), or a path or fabric URL to one, opened by
+        :func:`repro.store.open_store`.  Requests whose content
         address is already stored are served as ``hit`` events (no
         execution); misses execute and are written back *as they
         complete* — each row before its terminal event leaves — so an

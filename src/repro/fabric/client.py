@@ -30,7 +30,10 @@ chunk and one row, not the whole store.
 Failure handling is deliberately loud and actionable:
 
 * an unreachable server raises :class:`FabricConnectionError` naming
-  the URL and how to start a server there;
+  the URL and how to start a server there — on the write path too: the
+  client keeps no rows back, a fabric worker's local shard store is
+  where rows whose upload failed wait for its next sync
+  (:mod:`repro.fabric.coordinator`);
 * a server speaking a different ``KEY_SCHEMA_VERSION`` raises
   :class:`SchemaMismatchError` *before* any data moves — content
   addresses from different schema generations must never mix.
@@ -46,17 +49,6 @@ download is retried only while none of its rows has been handed on:
 one cut after that raises :class:`FabricConnectionError` — the caller
 already holds part of the listing, and a silently shorter one would be
 a wrong answer, not a slow one.
-
-Graceful degradation: constructed with ``spill_path=``, the client
-runs a circuit breaker over its *write* path.  After
-``breaker_threshold`` consecutive failed write calls the circuit
-opens: writes land in a local write-ahead
-:class:`~repro.store.shards.ShardStore` at ``spill_path`` instead of
-erroring, the sweep keeps moving, and after ``breaker_cooldown``
-seconds the next write probes the server again (half-open).  The first
-successful write resyncs everything spilled — content addressing makes
-the replay harmless — so the served store converges to exactly what a
-fault-free run would have produced.
 """
 
 from __future__ import annotations
@@ -145,9 +137,7 @@ class RemoteStore(StoreBackend):
     kind = "http"
 
     def __init__(self, url: str, *, timeout: float = 30.0, retries: int = 2,
-                 backoff: float = 0.25, check_schema: bool = True,
-                 spill_path: Optional[str] = None, breaker_threshold: int = 3,
-                 breaker_cooldown: float = 2.0) -> None:
+                 backoff: float = 0.25) -> None:
         if not url.startswith(("http://", "https://")):
             raise ValueError(
                 f"RemoteStore needs an http(s):// URL, got {url!r}")
@@ -155,23 +145,10 @@ class RemoteStore(StoreBackend):
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._check_schema = check_schema
         self._schema_checked = False
         # Deterministic-seeded jitter: stable within one process (runs
         # replay), decorrelated across workers (no thundering herd).
         self._jitter = random.Random(f"repro-fabric:{os.getpid()}:{self.path}")
-        # -- circuit breaker (write path; enabled by spill_path) -----------
-        self.spill_path = None if spill_path is None else str(spill_path)
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self._spill: Optional[StoreBackend] = None
-        self._write_failures = 0
-        self._open_until = 0.0
-        #: Times the circuit opened / rows spilled locally / rows
-        #: resynced to the server after recovery (session counters).
-        self.circuit_opens = 0
-        self.spilled_rows = 0
-        self.resynced_rows = 0
 
     # -- transport ---------------------------------------------------------
     def _request(self, method: str, path: str, body: Optional[bytes] = None,
@@ -250,7 +227,7 @@ class RemoteStore(StoreBackend):
 
     def _ensure_schema(self) -> None:
         """One-time handshake: refuse to mix key-schema generations."""
-        if self._schema_checked or not self._check_schema:
+        if self._schema_checked:
             return
         info = self.healthz()
         theirs = info.get("key_schema_version")
@@ -262,61 +239,6 @@ class RemoteStore(StoreBackend):
                 f"so syncing would only exchange dead rows — upgrade the "
                 f"older side (or re-serve the store with matching code)")
         self._schema_checked = True
-
-    # -- circuit breaker (write path) --------------------------------------
-    def _breaker_enabled(self) -> bool:
-        return self.spill_path is not None and self.breaker_threshold > 0
-
-    def _circuit_open(self) -> bool:
-        return time.monotonic() < self._open_until
-
-    def _spill_store(self) -> StoreBackend:
-        if self._spill is None:
-            from ..store.shards import ShardStore  # local: import cycle
-
-            self._spill = ShardStore(self.spill_path)
-        return self._spill
-
-    def _spill_writes(self, rows: List[Row]) -> None:
-        self.spilled_rows += self._spill_store().upload_rows(rows)
-
-    def _note_write_failure(self) -> None:
-        self._write_failures += 1
-        if self._write_failures >= self.breaker_threshold:
-            if not self._circuit_open():
-                self.circuit_opens += 1
-            self._open_until = time.monotonic() + self.breaker_cooldown
-
-    def _note_write_success(self) -> None:
-        self._write_failures = 0
-        self._open_until = 0.0
-        try:
-            self.resync()
-        except FabricConnectionError:
-            # The server vanished again between the probe and the
-            # resync; the spill is intact, the next success retries it.
-            self._note_write_failure()
-
-    def resync(self) -> int:
-        """Upload everything spilled while the circuit was open.
-
-        Called automatically by the first successful write after a
-        recovery (the half-open probe), and callable explicitly as an
-        end-of-run flush.  Returns rows resynced.  Content addressing
-        makes the replay idempotent — re-uploading a row the server
-        already absorbed is a no-op on its state.
-        """
-        if self.spill_path is None or not os.path.isdir(self.spill_path):
-            return 0
-        store = self._spill_store()
-        rows = list(store.items())
-        if not rows:
-            return 0
-        self._upload_now(rows)
-        # Drop everything from the spill (created < now + 1s horizon).
-        store.gc(older_than_seconds=-1.0)
-        self.resynced_rows += len(rows)
-        return len(rows)
 
     # -- fabric extras -----------------------------------------------------
     def healthz(self) -> Dict[str, Any]:
@@ -365,30 +287,11 @@ class RemoteStore(StoreBackend):
 
         Content-addressed rows make replays harmless, so transport
         retries (with backoff) are safe here — this is the write path
-        fabric workers sync through.  With the circuit breaker enabled
-        (``spill_path=``) a down server degrades to local spilling
-        instead of an exception; see the class docstring.
+        fabric workers sync through.
         """
-        rows = list(rows)
-        if self._breaker_enabled():
-            if self._circuit_open():
-                self._spill_writes(rows)
-                return len(rows)
-            try:
-                uploaded = self._upload_now(rows)
-            except FabricConnectionError:
-                self._note_write_failure()
-                self._spill_writes(rows)
-                return len(rows)
-            self._note_write_success()
-            return uploaded
-        return self._upload_now(rows)
-
-    def _upload_now(self, rows: List[Row]) -> int:
-        """The raw bulk-upload path (no breaker)."""
         self._ensure_schema()
         uploaded = 0
-        for chunk in _chunked(rows, BATCH_SIZE):
+        for chunk in _chunked(list(rows), BATCH_SIZE):
             body = "".join(encode_row(*row) for row in chunk).encode()
             reply = json.loads(self._request("POST", "/records",
                                              body).decode())
@@ -402,8 +305,6 @@ class RemoteStore(StoreBackend):
 
     def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
             created: Optional[float] = None) -> None:
-        # The bulk path even for one row, so single-row writes degrade
-        # (breaker: spill + resync) exactly like batches.
         self.upload_rows([(key, created, fingerprint, record_to_dict(record))])
 
     def __contains__(self, key: str) -> bool:

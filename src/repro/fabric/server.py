@@ -32,16 +32,19 @@ outside input: it is decoded once — a body or record that does not
 decode is a 400 — and then written as the dict it arrived as.  The two
 bulk downloads (``GET /records``, ``POST /fetch``) are HTTP/1.1 chunked
 bodies written as their rows are encoded, ~64 KB a chunk, so the server
-holds one chunk of a listing at a time, never the whole body; every
-other reply carries a ``Content-Length``.  A download cut short — a
-store failure after the status line went out, or the injected
+holds one chunk of encoded text at a time, never the whole body; every
+other reply carries a ``Content-Length``.  A download cut short — an
+encoder failure after the status line went out, or the injected
 ``truncate`` fault — ends without the terminating zero-length chunk, so
 the client sees an incomplete body, never a shorter listing.
-Every handler runs under one server-wide lock: the
+Every handler touches the store under one server-wide lock: the
 handler threads serialise on the backing store (which is what a sqlite
 backing needs, and what keeps a shard compaction from interleaving a
-bulk download), while the sharded backend's own per-shard flocks keep
-*other processes* appending to the same directory safe as ever.
+bulk download's read), while the sharded backend's own per-shard flocks
+keep *other processes* appending to the same directory safe as ever.
+The bulk downloads take their rows under that lock and encode and
+write them outside it, so a client that stops reading stalls only
+itself.
 
 ``repro serve`` is the CLI front-end::
 
@@ -52,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import socket
 import threading
@@ -112,13 +114,11 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
     def _stream(self, lines: Iterable[str]) -> None:
         """Send ``lines`` as a chunked JSONL body, encoding as it goes.
 
-        De-chunked, the body is exactly ``"".join(lines)``.  The first
-        line is drawn before the status line, so a store that fails at
-        once still answers 500; a failure after that can only cut the
-        body short.
+        De-chunked, the body is exactly ``"".join(lines)``.  Callers
+        read their rows from the store under the lock before calling
+        this, so a store failure still answers 500; a failure once the
+        status line is out can only cut the body short.
         """
-        lines = iter(lines)
-        first = next(lines, None)
         self.send_response(200)
         self.send_header("Content-Type", _JSONL)
         self.send_header("Transfer-Encoding", "chunked")
@@ -126,8 +126,7 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
         pending: List[str] = []
         size = 0
         try:
-            for line in itertools.chain(() if first is None else (first,),
-                                        lines):
+            for line in lines:
                 pending.append(line)
                 size += len(line)
                 if size >= _CHUNK:
@@ -138,9 +137,9 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 return
             self.wfile.write(b"0\r\n\r\n")
         except Exception as exc:
-            # The status line is out: whatever failed (the store, the
-            # encoder, a client that went away) can only end the body
-            # unterminated, which the client reads as incomplete.
+            # The status line is out: whatever failed (the encoder, a
+            # client that went away) can only end the body unterminated,
+            # which the client reads as incomplete.
             self.close_connection = True
             if not isinstance(exc, OSError):
                 self.server.handle_error(self.request, self.client_address)
@@ -228,6 +227,14 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
             return
         collection, key = self._route()
         try:
+            if collection == "records" and key is None:
+                # The listing is read under the lock and encoded and
+                # written outside it, as /fetch does: a reader that
+                # stops mid-listing stalls only itself.
+                with self.lock:
+                    rows = list(self.store.items())
+                self._stream(encode_row(*row) for row in rows)
+                return
             with self.lock:
                 if collection == "healthz" and key is None:
                     self._json(200, {
@@ -250,9 +257,6 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                     self._json(200, {"keys": self.store.keys()})
                 elif collection == "counters" and key is None:
                     self._json(200, {"counters": self.store.counters()})
-                elif collection == "records" and key is None:
-                    self._stream(encode_row(*row)
-                                 for row in self.store.items())
                 elif collection == "records":
                     # row() keeps the created/fingerprint envelope the
                     # sync dialect carries; get() alone would lose it.

@@ -13,8 +13,10 @@ the layers:
   ledger and the atomic file replace;
 * :mod:`repro.store.backend` — the :class:`StoreBackend` protocol (rows
   in through ``upload_rows``, out through ``items``), the sqlite
-  :class:`SqliteStore`, the :func:`open_store` factory and
-  :func:`merge_into` cross-store sync;
+  :class:`SqliteStore`, :func:`open_store` — the one way to open a
+  store, shared by the CLI, :class:`RunCache`, the executor's
+  ``store=`` argument and the fabric — and :func:`merge_into`
+  cross-store sync;
 * :mod:`repro.store.shards` — the sharded JSONL :class:`ShardStore`
   (concurrent multi-process writers, no single writer lock);
 * :mod:`repro.store.cache` — the :class:`RunCache` policy layer the
@@ -29,7 +31,7 @@ Typical use::
     from repro.store import open_store
     from repro.core import run_experiment
 
-    store = open_store("results.sqlite")        # or a shard directory
+    store = open_store("results.sqlite")        # or a shard dir / fabric URL
     run_experiment(spec, jobs=8, store=store)   # cold: executes, fills
     run_experiment(spec, jobs=8, store=store)   # warm: 100% cache hits
 
@@ -50,9 +52,6 @@ from .backend import (
     is_store_url,
     merge_into,
     open_store,
-    resolve_store,
-    resolve_store_path,
-    store_kind_at,
 )
 from .cache import RunCache, StoreLike
 from .fsck import FsckIssue, FsckReport, fsck
@@ -88,9 +87,6 @@ __all__ = [
     "is_store_url",
     "merge_into",
     "open_store",
-    "resolve_store",
-    "resolve_store_path",
-    "store_kind_at",
     "RunCache",
     "StoreLike",
     "FsckIssue",

@@ -82,15 +82,6 @@ def _kind_at(path: Union[str, Path]) -> Tuple[str, bool]:
     return ("sqlite" if target.suffix in (".sqlite", ".db") else "shards"), False
 
 
-def _known_backend(backend: Optional[str], *also: str) -> Optional[str]:
-    """``backend`` back if it names one (or is None), else a ValueError."""
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"unknown store backend {backend!r} (expected one of "
-            f"{', '.join(also + BACKENDS)})")
-    return backend
-
-
 class StoreBackend(abc.ABC):
     """The contract every results-store backend fulfils.
 
@@ -137,8 +128,8 @@ class StoreBackend(abc.ABC):
         """Insert or replace rows given as dicts; returns how many.
 
         The write currency: whoever already holds a row dict (an HTTP
-        upload, an import, a sync, a spill) writes it as it is,
-        ``created`` stamps preserved (None = stamp now).  The store takes
+        upload, an import, a sync) writes it as it is, ``created`` stamps
+        preserved (None = stamp now).  The store takes
         ownership of the dicts (``ShardStore`` keeps them as the rows its
         reads return), so do not mutate one afterwards.  The default
         rebuilds each record and loops :meth:`put`, which keeps every
@@ -232,12 +223,6 @@ class StoreBackend(abc.ABC):
         return self.upload_rows(validated(read_jsonl(path)))
 
     # -- plumbing ----------------------------------------------------------
-    @classmethod
-    def open(cls, store: Union["StoreBackend", str, Path, None]
-             ) -> "StoreBackend":
-        """Coerce a store argument: an instance, a path, or None (default)."""
-        return open_store(store)
-
     def __enter__(self) -> "StoreBackend":
         return self
 
@@ -379,108 +364,63 @@ class SqliteStore(StoreBackend):
         self._db.close()
 
 
+class StoreNotFoundError(FileNotFoundError):
+    """:func:`open_store` with ``must_exist`` found nothing at the path."""
+
+
 def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
-               backend: Optional[str] = None) -> StoreBackend:
-    """Open a results store, selecting the backend by convention.
+               backend: Optional[str] = None,
+               must_exist: bool = False) -> StoreBackend:
+    """Open a results store: the one way in, for the CLI and the library.
 
     ``store`` may be an existing backend (returned as-is), a path, an
     ``http(s)://`` URL naming a fabric server (``repro serve``), or
-    None (``$REPRO_STORE`` / ``.repro-store.sqlite``).  ``backend``
-    forces ``"sqlite"``, ``"shards"`` or ``"http"``; otherwise the path
-    decides: URLs open a :class:`~repro.fabric.client.RemoteStore`,
-    ``:memory:`` and existing files (or ``.sqlite``/``.db`` suffixes)
-    open sqlite, existing directories (or any other new path) open the
-    sharded JSONL store.
+    unset — None or ``""`` — which means ``$REPRO_STORE``, else
+    :data:`DEFAULT_STORE_PATH`.  The path decides the backend: URLs
+    open a :class:`~repro.fabric.client.RemoteStore`, existing files,
+    ``:memory:`` and ``.sqlite``/``.db`` suffixes open sqlite, existing
+    directories and any other new path open the sharded JSONL store.
+
+    ``backend`` (``"sqlite"``, ``"shards"`` or ``"http"``) forces an
+    implementation, and conflicts loudly when the path already holds a
+    store of another kind instead of failing deep inside the backend.
+    ``must_exist`` raises :class:`StoreNotFoundError` rather than
+    creating an empty store, and asks a URL's server for ``/healthz``
+    — the read-only paths (reports, ``repro store ls``) want a friendly
+    "nothing here yet", not a fresh empty directory.
     """
+    if backend is not None and backend not in BACKENDS:
+        raise ValueError(f"unknown store backend {backend!r} (expected one "
+                         f"of {', '.join(BACKENDS)})")
     if isinstance(store, StoreBackend):
         if backend is not None and backend != store.kind:
             raise ValueError(
                 f"store at {store.path} is {store.kind!r}, not {backend!r}")
         return store
-    from .shards import ShardStore  # local: shards imports this module
-
-    path = default_store_path() if store is None else str(store)
-    _known_backend(backend)
-    if is_store_url(path) or backend == "http":
+    path = str(store) if store else default_store_path()
+    kind, exists = _kind_at(path)
+    if must_exist and not exists and path != ":memory:":
+        raise StoreNotFoundError(f"no results store at {path}")
+    if backend is not None and exists and backend != kind:
+        raise ValueError(
+            f"backend {backend!r} conflicts with the existing {kind} store "
+            f"at {path}; drop the flag or point at another path")
+    kind = backend or kind
+    if kind == "http":
         if not is_store_url(path):
             raise ValueError(
                 f"backend 'http' needs an http(s):// URL, got {path!r}")
-        if backend not in (None, "http"):
-            raise ValueError(
-                f"backend {backend!r} cannot open the fabric server at "
-                f"{path}; drop the flag (URLs are always 'http')")
         from ..fabric.client import RemoteStore  # local: fabric imports this
 
-        return RemoteStore(path)
-    kind = backend or _kind_at(path)[0]
-    return SqliteStore(path) if kind == "sqlite" else ShardStore(path)
+        remote = RemoteStore(path)
+        if must_exist:
+            remote.healthz()  # "exists" for a URL means the server answers
+        return remote
+    if kind == "sqlite":
+        return SqliteStore(path)
+    from .shards import ShardStore  # local: shards imports this module
 
-
-# ----------------------------------------------------------------------
-# the one resolution path
-# ----------------------------------------------------------------------
-class StoreNotFoundError(FileNotFoundError):
-    """:func:`resolve_store` with ``must_exist`` found nothing at the path."""
-
-
-def resolve_store_path(path: Union[str, Path, None] = None) -> str:
-    """The store location an argument resolves to, without opening it.
-
-    Precedence: an explicit non-empty ``path`` wins, then
-    ``$REPRO_STORE``, then :data:`DEFAULT_STORE_PATH`.  ``None`` and
-    ``""`` both mean "unset" (the CLI's bare ``--from-store``).
-    """
-    if path is None or str(path) == "":
-        return default_store_path()
-    return str(path)
-
-
-def store_kind_at(path: Union[str, Path]) -> Optional[str]:
-    """The backend kind of an existing store at ``path``, or None.
-
-    Follows the same convention :func:`open_store` applies: a directory
-    is a sharded store, a file is sqlite, a URL is a fabric server
-    (reported without probing it).  ``:memory:`` and missing paths
-    report None (nothing exists there yet).
-    """
-    kind, exists = _kind_at(path)
-    return kind if exists else None
-
-
-def resolve_store(store: Union[StoreBackend, str, Path, None] = None, *,
-                  backend: Optional[str] = None,
-                  must_exist: bool = False) -> StoreBackend:
-    """The single store-resolution path shared by the CLI and library.
-
-    Every entry point that accepts a store — ``--cache`` / ``--store``
-    flags, ``RunCache(...)``, the executor's ``store=`` argument —
-    funnels through here, so path precedence (explicit argument >
-    ``$REPRO_STORE`` > :data:`DEFAULT_STORE_PATH`) and backend
-    selection behave identically everywhere.
-
-    ``backend`` (the ``--backend`` flag; ``"auto"``/None infer from the
-    path) forces an implementation — and conflicts *loudly* when the
-    path already holds a store of the other kind, instead of failing
-    deep inside the backend.  ``must_exist`` raises
-    :class:`StoreNotFoundError` rather than creating an empty store —
-    the read-only paths (reports, ``repro store ls``) want a friendly
-    "nothing here yet", not a fresh empty directory.
-    """
-    forced = None if backend == "auto" else _known_backend(backend, "auto")
-    if isinstance(store, StoreBackend):
-        return open_store(store, backend=forced)  # kind-mismatch check
-    path = resolve_store_path(store)
-    existing = store_kind_at(path)
-    if must_exist and existing is None and path != ":memory:":
-        raise StoreNotFoundError(f"no results store at {path}")
-    if forced is not None and existing is not None and existing != forced:
-        raise ValueError(
-            f"--backend {forced} conflicts with the existing {existing} "
-            f"store at {path}; drop the flag or point at another path")
-    opened = open_store(path, backend=forced)
-    if must_exist and existing == "http":
-        opened.healthz()  # "exists" for a URL means the server answers
-    return opened
+    return ShardStore(path)
 
 
 # ----------------------------------------------------------------------
@@ -494,8 +434,8 @@ def iter_source(source: Union[StoreBackend, str, Path]) -> Iterator[Row]:
         yield from source.items()
         return
     kind, exists = _kind_at(source)
-    if not exists:
-        raise FileNotFoundError(f"no store or export at {source}")
+    if not exists or not str(source):  # "" is no location, not the cwd
+        raise FileNotFoundError(f"no store or export at {str(source)!r}")
     if kind == "sqlite":  # any file: sqlite by its magic bytes, else an export
         with open(source, "rb") as handle:
             magic = handle.read(len(_SQLITE_MAGIC))

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..core.executor import RunRecord, RunRequest
-from .backend import StoreBackend, resolve_store
+from .backend import StoreBackend, open_store
 from .keys import fingerprint_for, record_from_dict, run_key
 
 #: What the executor's ``store=`` argument accepts.
@@ -53,7 +53,7 @@ class RunCache:
     def __init__(self, store: Union[StoreBackend, str, Path, None] = None,
                  *, fingerprint: Optional[str] = None,
                  backend: Optional[str] = None) -> None:
-        self.store = resolve_store(store, backend=backend)
+        self.store = open_store(store, backend=backend)
         #: A pinned fingerprint overriding the per-request subsystem
         #: composite — for tests and cross-machine stores that pin a
         #: release.  None (the default) derives it per request.

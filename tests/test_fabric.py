@@ -1,7 +1,7 @@
 """Tests for the distributed sweep fabric (repro.fabric).
 
 Covers the HTTP wire protocol, the RemoteStore backend contract (via
-open_store/resolve_store/merge_into), executor integration against a
+open_store/merge_into), executor integration against a
 served store, the work-sharing coordinator — including the acceptance
 criteria: a 2-worker sweep byte-identical to a single-process run, a
 kill-worker-at-50%/respawn sweep still byte-identical, and overlapping
@@ -13,6 +13,7 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -46,10 +47,9 @@ from repro.store import (
     is_store_url,
     merge_into,
     open_store,
-    resolve_store,
     run_key,
-    store_kind_at,
 )
+from repro.store.backend import _kind_at
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)
@@ -298,8 +298,33 @@ class TestStreamedDownloads:
         assert fetches == [(4, 0), (4, 4), (3, 8)]
 
 
+    def test_stalled_listing_reader_blocks_no_other_client(self, tmp_path):
+        # An 8 MiB listing outgrows both socket buffers, so the server's
+        # write to a reader that stopped after the status line blocks.
+        # It blocks outside the store lock: every other call still runs.
+        store = ShardStore(tmp_path / "central")
+        (key, created, fingerprint, record), = _wire_rows(1)
+        pad = "x" * 65536
+        store.upload_rows([(f"{index:064x}", created + index, fingerprint,
+                            dict(record, pad=pad)) for index in range(128)])
+        with StoreServer(store, port=0) as srv:
+            stalled = socket.socket()
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            try:
+                stalled.connect((srv.host, srv.port))
+                stalled.sendall(b"GET /records HTTP/1.1\r\nHost: x\r\n"
+                                b"Connection: close\r\n\r\n")
+                assert stalled.recv(17) == b"HTTP/1.1 200 OK\r\n"
+                other = RemoteStore(srv.url, retries=0, timeout=5)
+                assert other.healthz()["runs"] == 128
+                assert other.missing([key]) == [key]
+                assert other.upload_rows(_wire_rows(2)) == 2
+            finally:
+                stalled.close()
+
+
 # ----------------------------------------------------------------------
-# backend integration: open_store / resolve_store / merge_into
+# backend integration: open_store / merge_into
 # ----------------------------------------------------------------------
 class TestBackendIntegration:
     def test_open_store_recognises_urls(self, server):
@@ -308,7 +333,7 @@ class TestBackendIntegration:
         assert store.kind == "http" and store.path == server.url
         assert is_store_url(server.url)
         assert not is_store_url("/tmp/store.sqlite")
-        assert store_kind_at(server.url) == "http"
+        assert _kind_at(server.url) == ("http", True)
 
     def test_open_store_rejects_conflicting_backend(self, server):
         with pytest.raises(ValueError, match="http"):
@@ -317,10 +342,10 @@ class TestBackendIntegration:
             open_store("plain/path", backend="http")
 
     def test_resolve_store_pings_on_must_exist(self, server):
-        assert resolve_store(server.url, must_exist=True).kind == "http"
+        assert open_store(server.url, must_exist=True).kind == "http"
         dead = "http://127.0.0.1:9"
         with pytest.raises(FabricConnectionError, match="repro serve"):
-            resolve_store(dead, must_exist=True)
+            open_store(dead, must_exist=True)
 
     def test_merge_into_remote_uses_batched_path(self, tmp_path, server,
                                                  remote):

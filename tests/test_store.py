@@ -61,13 +61,11 @@ from repro.store import (
     request_from_dict,
     request_subsystems,
     request_to_dict,
-    resolve_store,
-    resolve_store_path,
     run_key,
-    store_kind_at,
     subsystem_fingerprints,
 )
 from repro.store import keys as store_keys
+from repro.store.backend import _kind_at
 from repro.tcp import tcp_config
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -870,78 +868,127 @@ class TestOpenStore:
         assert store.path == str(tmp_path / "env-store")
 
     def test_resultstore_alias_and_open(self, tmp_path):
-        # The pre-split name is gone; .open() coerces like open_store().
+        # The pre-split name is gone, and so are the other openers:
+        # open_store() is the one way in.
         with pytest.raises(ImportError):
             from repro.store import ResultStore  # noqa: F401
-        assert isinstance(SqliteStore.open(tmp_path / "x.sqlite"),
-                          SqliteStore)
-        assert isinstance(StoreBackend.open(tmp_path / "y-dir"), ShardStore)
+        for name in ("resolve_store", "resolve_store_path", "store_kind_at"):
+            with pytest.raises(ImportError):
+                exec(f"from repro.store import {name}")
+        assert not hasattr(StoreBackend, "open")
 
 
 class TestResolveStore:
-    """The single store-resolution helper every entry point shares."""
+    """The resolution rules every entry point shares through open_store."""
 
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
         explicit = tmp_path / "mine.sqlite"
-        assert resolve_store_path(explicit) == str(explicit)
-        store = resolve_store(explicit)
+        store = open_store(explicit)
         assert store.path == str(explicit) and store.kind == "sqlite"
 
     def test_env_var_beats_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
-        assert resolve_store_path(None) == str(tmp_path / "env-store")
-        assert resolve_store(None).kind == "shards"
+        assert open_store(None).path == str(tmp_path / "env-store")
+        assert open_store(None).kind == "shards"
 
-    def test_falls_back_to_default_path(self, monkeypatch):
+    def test_falls_back_to_default_path(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
         from repro.store import default_store_path
-        assert resolve_store_path(None) == str(default_store_path())
+        assert open_store(None).path == str(default_store_path())
 
     def test_backend_auto_infers_from_path(self, tmp_path):
-        assert resolve_store(tmp_path / "a.sqlite",
-                             backend="auto").kind == "sqlite"
-        assert resolve_store(tmp_path / "b-dir",
-                             backend="auto").kind == "shards"
+        # "auto" is the CLI's spelling of "unset"; only its opener
+        # knows it.
+        from repro.cli import _open_store
+        assert _open_store(tmp_path / "a.sqlite",
+                           backend="auto").kind == "sqlite"
+        assert _open_store(tmp_path / "b-dir",
+                           backend="auto").kind == "shards"
 
     def test_forced_backend_conflicts_with_existing_store(self, tmp_path):
+        from repro.cli import _open_store
         path = tmp_path / "existing.sqlite"
         SqliteStore(path).close()
         with pytest.raises(ValueError, match="conflicts"):
-            resolve_store(path, backend="shards")
+            open_store(path, backend="shards")
         # the matching backend (or auto) is fine
-        assert resolve_store(path, backend="sqlite").kind == "sqlite"
-        assert resolve_store(path, backend="auto").kind == "sqlite"
+        assert open_store(path, backend="sqlite").kind == "sqlite"
+        assert _open_store(path, backend="auto").kind == "sqlite"
 
     def test_unknown_backend_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="parquet"):
-            resolve_store(tmp_path / "x", backend="parquet")
+            open_store(tmp_path / "x", backend="parquet")
 
     def test_must_exist_raises_store_not_found(self, tmp_path):
         missing = tmp_path / "nope.sqlite"
         with pytest.raises(StoreNotFoundError, match="no results store"):
-            resolve_store(missing, must_exist=True)
+            open_store(missing, must_exist=True)
         # StoreNotFoundError is a FileNotFoundError for generic handlers
         assert issubclass(StoreNotFoundError, FileNotFoundError)
         SqliteStore(missing).close()
-        assert resolve_store(missing, must_exist=True).kind == "sqlite"
+        assert open_store(missing, must_exist=True).kind == "sqlite"
 
     def test_memory_is_always_found(self):
-        assert resolve_store(":memory:", must_exist=True).kind == "sqlite"
+        assert open_store(":memory:", must_exist=True).kind == "sqlite"
 
     def test_instance_passthrough(self):
         store = SqliteStore(":memory:")
-        assert resolve_store(store) is store
+        assert open_store(store) is store
 
     def test_store_kind_at(self, tmp_path):
-        assert store_kind_at(":memory:") is None
-        assert store_kind_at(tmp_path / "absent") is None
+        # (kind the path holds or would get, whether a store exists)
+        assert _kind_at(":memory:") == ("sqlite", False)
+        assert _kind_at(tmp_path / "absent") == ("shards", False)
         sqlite_path = tmp_path / "a.sqlite"
         SqliteStore(sqlite_path).close()
-        assert store_kind_at(sqlite_path) == "sqlite"
+        assert _kind_at(sqlite_path) == ("sqlite", True)
         shard_dir = tmp_path / "b-dir"
         ShardStore(shard_dir).close()
-        assert store_kind_at(shard_dir) == "shards"
+        assert _kind_at(shard_dir) == ("shards", True)
+
+
+def _served_store(location):
+    from repro.fabric import StoreServer
+
+    server = StoreServer(location, port=0)
+    server.shutdown()
+    return server.store
+
+
+class TestEmptyLocationIsUnset:
+    """``""`` means "unset" at every entry point — never the cwd."""
+
+    @pytest.fixture
+    def cwd(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        yield tmp_path
+        assert not (tmp_path / "store.json").exists()
+
+    @pytest.mark.parametrize("opener", [
+        open_store, lambda location: RunCache(location).store, _served_store,
+    ], ids=["open_store", "RunCache", "StoreServer"])
+    def test_opens_the_default_store(self, cwd, opener):
+        store = opener("")
+        assert (store.kind, store.path) == ("sqlite", ".repro-store.sqlite")
+        assert (cwd / ".repro-store.sqlite").is_file()
+
+    def test_iter_runs_writes_to_the_default_store(self, cwd):
+        list(iter_runs([req(seed=0)], run_fn=_instant, store=""))
+        assert len(SqliteStore(cwd / ".repro-store.sqlite")) == 1
+
+    def test_merge_into_refuses_it(self, cwd):
+        with pytest.raises(FileNotFoundError,
+                           match="no store or export at ''"):
+            merge_into(SqliteStore(":memory:"), "")
+
+    def test_store_sync_refuses_it(self, cwd):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="no store or export at ''"):
+            main(["store", "--store", str(cwd / "dst.sqlite"), "sync", ""])
 
 
 # ----------------------------------------------------------------------

@@ -219,8 +219,11 @@ def served(tmp_path, monkeypatch):
 
     monkeypatch.setattr(StoreRequestHandler, "do_GET", logging_get)
     with StoreServer(store, port=0) as server:
-        # No schema handshake: its GET /healthz is not part of a lookup.
-        yield RemoteStore(server.url, check_schema=False), paths
+        # The schema handshake's GET /healthz is not part of a lookup.
+        remote = RemoteStore(server.url)
+        remote._ensure_schema()
+        del paths[:]
+        yield remote, paths
 
 
 class TestPointLookupsStayPointLookups:
