@@ -16,8 +16,11 @@ test-report:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Re-run every bench, then re-render REPORT.md from the result files
+# (each ends with its verdict line), so the report and its files move together.
 bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src $(PYTHON) -m repro report --results benchmarks/results --out REPORT.md
 
 # Fast end-to-end check: the shipped smoke spec on 2 workers.
 bench-smoke:

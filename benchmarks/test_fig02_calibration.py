@@ -7,7 +7,7 @@ uncalibrated public server's *download* takes ~2x the calibrated one.
 from repro.core.calibration import calibrate_macw, uncalibrated_vs_calibrated
 from repro.netem import emulated
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 
 def test_fig02_server_configurations(benchmark):
@@ -20,15 +20,7 @@ def test_fig02_server_configurations(benchmark):
     lines = ["Fig. 2 — 10 MB download over 100 Mbps, wait vs download time",
              ""]
     lines += [bar.describe() for bar in bars]
-    save_result("fig02_calibration", "\n".join(lines))
-
-    by_label = {bar.label: bar for bar in bars}
-    public = by_label["public default (MACW=107,bug)"]
-    gae = by_label["Google App Engine"]
-    ec2 = by_label["calibrated EC2 (MACW=430)"]
-    # Paper shapes: GAE's wait dominates; public build downloads ~2x slower.
-    assert gae.mean_wait > ec2.mean_wait * 3
-    assert public.mean_download > ec2.mean_download * 1.5
+    save_judged("fig02_calibration", "\n".join(lines), bars)
 
 
 def test_fig02_grey_box_macw_search(benchmark):
@@ -39,5 +31,4 @@ def test_fig02_grey_box_macw_search(benchmark):
         size_bytes=10 * 1024 * 1024,
         runs=3,
     )
-    save_result("fig02_macw_search", result.describe())
-    assert result.best_macw in (430, 860)  # >= BDP: indistinguishable caps
+    save_judged("fig02_macw_search", result.describe(), result)

@@ -5,11 +5,13 @@ objects (Fig. 6b's right columns), where Hybrid Slow Start's early exit
 costs it the win.
 """
 
+import pytest
+
 from repro.core.runner import build_plt_heatmap
 from repro.http import page, single_object_page
 from repro.netem import emulated
 
-from .harness import bench_runs, full_scale, run_once, save_result
+from .harness import bench_runs, full_scale, run_once, save_judged
 
 RATES = (5.0, 10.0, 50.0, 100.0)
 
@@ -25,35 +27,13 @@ def _count_pages():
     return [page(n, 10 * 1024) for n in counts]
 
 
-def test_fig06a_object_sizes(benchmark):
-    heatmap = run_once(
-        benchmark, build_plt_heatmap,
-        "Fig. 6a — QUIC34 vs TCP, rate x object size (no added loss/delay)",
-        [emulated(rate) for rate in RATES],
-        _size_pages(),
-        runs=bench_runs(),
-    )
-    save_result("fig06a_plt_sizes", heatmap.render())
-    # QUIC wins the significant single-object cells across the board.
-    assert heatmap.fraction_favoring_treatment() >= 0.85
-    assert len(heatmap.significant_cells()) >= len(heatmap.cells) * 0.6
-
-
-def test_fig06b_object_counts(benchmark):
-    heatmap = run_once(
-        benchmark, build_plt_heatmap,
-        "Fig. 6b — QUIC34 vs TCP, rate x object count (10 KB objects)",
-        [emulated(rate) for rate in RATES],
-        _count_pages(),
-        runs=bench_runs(),
-    )
-    save_result("fig06b_plt_counts", heatmap.render())
-    # The many-small-objects columns are QUIC's weak spot: its average
-    # advantage there collapses versus the single-object column.
-    single_cells = [heatmap.get(f"{r:g}Mbps+0ms+0%loss", "1x10KB")
-                    for r in RATES]
-    many_cells = [heatmap.get(f"{r:g}Mbps+0ms+0%loss", "200x10KB")
-                  for r in RATES]
-    single_avg = sum(c.pct_diff for c in single_cells) / len(single_cells)
-    many_avg = sum(c.pct_diff for c in many_cells) / len(many_cells)
-    assert many_avg < single_avg - 5
+@pytest.mark.parametrize("stem, title, pages", [
+    ("fig06a_plt_sizes",
+     "Fig. 6a — QUIC34 vs TCP, rate x object size (no added loss/delay)", _size_pages),
+    ("fig06b_plt_counts",
+     "Fig. 6b — QUIC34 vs TCP, rate x object count (10 KB objects)", _count_pages),
+])
+def test_fig06_plt_heatmap(benchmark, stem, title, pages):
+    heatmap = run_once(benchmark, build_plt_heatmap, title,
+                       [emulated(rate) for rate in RATES], pages(), runs=bench_runs())
+    save_judged(stem, heatmap.render(), heatmap)

@@ -11,46 +11,33 @@ from repro.http import single_object_page
 from repro.netem import emulated
 from repro.quic import quic_config
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 RATES = (5.0, 10.0, 50.0, 100.0)
 SIZES_KB = (5, 100, 1000, 10_000)
 
 
-def _zero_rtt_heatmap():
+def zero_rtt_heatmap(rates=RATES, sizes_kb=SIZES_KB, runs=None):
     heatmap = Heatmap(
         "Fig. 7 — QUIC 0-RTT on vs off (positive = 0-RTT faster)",
-        row_labels=[f"{r:g}Mbps" for r in RATES],
-        col_labels=[f"1x{kb}KB" for kb in SIZES_KB],
+        row_labels=[f"{r:g}Mbps" for r in rates],
+        col_labels=[f"1x{kb}KB" for kb in sizes_kb],
         treatment="0-RTT",
         baseline="no-0-RTT",
     )
     with_0rtt = quic_config(34, zero_rtt=True)
     without = quic_config(34, zero_rtt=False)
-    for rate in RATES:
-        for kb in SIZES_KB:
+    for rate in rates:
+        for kb in sizes_kb:
             cell = compare_quic_variants(
                 emulated(rate), single_object_page(kb * 1024),
                 treatment_cfg=with_0rtt, baseline_cfg=without,
-                runs=bench_runs(),
+                runs=runs or bench_runs(),
             )
             heatmap.put(f"{rate:g}Mbps", f"1x{kb}KB", cell)
     return heatmap
 
 
 def test_fig07_zero_rtt_benefit(benchmark):
-    heatmap = run_once(benchmark, _zero_rtt_heatmap)
-    save_result("fig07_zero_rtt", heatmap.render())
-
-    # Small objects: the saved round trip is a large PLT fraction.
-    small = heatmap.get("100Mbps", "1x5KB")
-    assert small.significant() and small.pct_diff > 15
-    # 10 MB objects: the benefit is small or insignificant.
-    for rate in RATES:
-        big = heatmap.get(f"{rate:g}Mbps", "1x10000KB")
-        assert (not big.significant()) or big.pct_diff < 10
-    # Monotone trend along each row: gains shrink with object size.
-    for rate in RATES:
-        row = [heatmap.get(f"{rate:g}Mbps", f"1x{kb}KB").pct_diff
-               for kb in SIZES_KB]
-        assert row[0] > row[-1]
+    heatmap = run_once(benchmark, zero_rtt_heatmap)
+    save_judged("fig07_zero_rtt", heatmap.render(), heatmap)

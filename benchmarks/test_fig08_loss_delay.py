@@ -5,11 +5,13 @@ added delay for small/medium objects (b, c: 0-RTT); the many-small-objects
 weakness persists under impairments (d-f).
 """
 
+import pytest
+
 from repro.core.runner import build_plt_heatmap
 from repro.http import page, single_object_page
 from repro.netem import emulated
 
-from .harness import bench_runs, full_scale, run_once, save_result
+from .harness import bench_runs, full_scale, run_once, save_judged
 
 RATES = (5.0, 50.0, 100.0)
 
@@ -31,61 +33,20 @@ def _heatmap(title, pages, *, loss_pct=0.0, delay_ms=0.0):
     return build_plt_heatmap(title, scenarios, pages, runs=bench_runs())
 
 
-def test_fig08a_sizes_with_loss(benchmark):
-    heatmap = run_once(
-        benchmark, _heatmap,
-        "Fig. 8a — object sizes, 1% added loss", _sizes(), loss_pct=1.0)
-    save_result("fig08a_sizes_loss1pct", heatmap.render())
-    assert heatmap.fraction_favoring_treatment() >= 0.8
-    assert heatmap.mean_pct_diff() > 15
-
-
-def test_fig08b_sizes_with_50ms_delay(benchmark):
-    heatmap = run_once(
-        benchmark, _heatmap,
-        "Fig. 8b — object sizes, +50 ms delay", _sizes(), delay_ms=50.0)
-    save_result("fig08b_sizes_delay50ms", heatmap.render())
-    assert heatmap.fraction_favoring_treatment() >= 0.8
-
-
-def test_fig08c_sizes_with_100ms_delay(benchmark):
-    heatmap = run_once(
-        benchmark, _heatmap,
-        "Fig. 8c — object sizes, +100 ms delay", _sizes(), delay_ms=100.0)
-    save_result("fig08c_sizes_delay100ms", heatmap.render())
-    assert heatmap.fraction_favoring_treatment() >= 0.8
-
-
-def test_fig08d_counts_with_loss(benchmark):
-    heatmap = run_once(
-        benchmark, _heatmap,
-        "Fig. 8d — object counts, 1% added loss", _counts(), loss_pct=1.0)
-    save_result("fig08d_counts_loss1pct", heatmap.render())
-    # QUIC's no-HOL multiplexing should win clearly under loss.
-    assert heatmap.mean_pct_diff() > 10
-
-
-def test_fig08e_counts_with_50ms_delay(benchmark):
-    heatmap = run_once(
-        benchmark, _heatmap,
-        "Fig. 8e — object counts, +50 ms delay", _counts(), delay_ms=50.0)
-    save_result("fig08e_counts_delay50ms", heatmap.render())
-    _assert_many_small_weakness(heatmap)
-
-
-def test_fig08f_counts_with_100ms_delay(benchmark):
-    heatmap = run_once(
-        benchmark, _heatmap,
-        "Fig. 8f — object counts, +100 ms delay", _counts(), delay_ms=100.0)
-    save_result("fig08f_counts_delay100ms", heatmap.render())
-    _assert_many_small_weakness(heatmap)
-
-
-def _assert_many_small_weakness(heatmap):
-    """In the high-latency count grids, the 200-object column is QUIC's
-    worst column (the paper: delay cannot compensate there)."""
-    single = [c for (row, col), c in heatmap.cells.items() if col.startswith("1x")]
-    many = [c for (row, col), c in heatmap.cells.items() if col.startswith("200x")]
-    single_avg = sum(c.pct_diff for c in single) / len(single)
-    many_avg = sum(c.pct_diff for c in many) / len(many)
-    assert many_avg < single_avg
+@pytest.mark.parametrize("stem, title, pages, impairment", [
+    ("fig08a_sizes_loss1pct", "Fig. 8a — object sizes, 1% added loss", _sizes,
+     {"loss_pct": 1.0}),
+    ("fig08b_sizes_delay50ms", "Fig. 8b — object sizes, +50 ms delay", _sizes,
+     {"delay_ms": 50.0}),
+    ("fig08c_sizes_delay100ms", "Fig. 8c — object sizes, +100 ms delay",
+     _sizes, {"delay_ms": 100.0}),
+    ("fig08d_counts_loss1pct", "Fig. 8d — object counts, 1% added loss",
+     _counts, {"loss_pct": 1.0}),
+    ("fig08e_counts_delay50ms", "Fig. 8e — object counts, +50 ms delay",
+     _counts, {"delay_ms": 50.0}),
+    ("fig08f_counts_delay100ms", "Fig. 8f — object counts, +100 ms delay",
+     _counts, {"delay_ms": 100.0}),
+])
+def test_fig08_loss_and_delay(benchmark, stem, title, pages, impairment):
+    heatmap = run_once(benchmark, _heatmap, title, pages(), **impairment)
+    save_judged(stem, heatmap.render(), heatmap)

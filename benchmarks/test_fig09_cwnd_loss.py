@@ -8,7 +8,7 @@ from repro.core.runner import run_bulk_transfer
 from repro.core.stats import mean
 from repro.netem import emulated
 
-from .harness import run_once, save_result
+from .harness import run_once, save_judged
 
 SCENARIO = emulated(100.0, loss_pct=1.0)
 SIZE = 10 * 1024 * 1024
@@ -31,9 +31,4 @@ def test_fig09_cwnd_under_loss(benchmark):
             f"mean cwnd {mean(cwnds):5.1f} pkts  "
             f"losses {result.losses}"
         )
-    save_result("fig09_cwnd_loss", "\n".join(lines))
-
-    q_cwnd = mean([c for _, c in quic.cwnd_series])
-    t_cwnd = mean([c for _, c in tcp.cwnd_series])
-    assert q_cwnd > t_cwnd           # larger average window
-    assert quic.elapsed < tcp.elapsed  # and a faster transfer
+    save_judged("fig09_cwnd_loss", "\n".join(lines), (quic, tcp))

@@ -9,7 +9,7 @@ from repro.core.runner import build_plt_heatmap
 from repro.http import single_object_page
 from repro.netem import CELLULAR_PROFILES
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 SIZES_KB = (10, 100, 1000)
 NETWORKS = ("verizon-lte", "sprint-lte", "verizon-3g", "sprint-3g")
@@ -35,15 +35,5 @@ def test_fig14_cellular(benchmark):
             f"reorder {profile.reordering_pct:4.2f}%  "
             f"loss {profile.loss_pct:4.2f}%"
         )
-    save_result("fig14_cellular", "\n".join(table5) + "\n\n" + heatmap.render())
-
-    # LTE: QUIC wins for small/medium objects (0-RTT over high RTT).
-    for network in ("verizon-lte", "sprint-lte"):
-        small = heatmap.get(network, "1x10KB")
-        assert small.pct_diff > 10
-    # 3G: the advantage diminishes relative to LTE (reordering bites).
-    lte_avg = sum(heatmap.get(n, "1x1000KB").pct_diff
-                  for n in ("verizon-lte", "sprint-lte")) / 2
-    g3_avg = sum(heatmap.get(n, "1x1000KB").pct_diff
-                 for n in ("verizon-3g", "sprint-3g")) / 2
-    assert g3_avg < lte_avg
+    save_judged("fig14_cellular",
+                "\n".join(table5) + "\n\n" + heatmap.render(), heatmap)

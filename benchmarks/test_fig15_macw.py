@@ -14,29 +14,30 @@ from repro.http import single_object_page
 from repro.netem import emulated
 from repro.quic import quic_config
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 RATES = (50.0, 100.0)
 SIZES_KB = (1000, 10_000, 30_000)
 
 
-def _grid():
-    """For each cell: PLTs under MACW=430 and MACW=2000 (both QUIC 37)."""
+def macw_grid(rates=RATES, sizes_kb=SIZES_KB, runs=None):
+    """For each cell: PLTs under MACW=430 and MACW=2000 (both QUIC 37),
+    plus each cell's |PLT delta| of QUIC37@MACW430 against QUIC34."""
     heatmap = Heatmap(
         "Fig. 15 — QUIC37 MACW=2000 vs MACW=430 (positive = 2000 faster)",
-        row_labels=[f"{r:g}Mbps" for r in RATES],
-        col_labels=[f"1x{kb}KB" for kb in SIZES_KB],
+        row_labels=[f"{r:g}Mbps" for r in rates],
+        col_labels=[f"1x{kb}KB" for kb in sizes_kb],
         treatment="MACW2000",
         baseline="MACW430",
     )
-    runs = bench_runs()
+    runs = runs or bench_runs()
     cfg_430 = quic_config(37, macw_packets=430)
     cfg_2000 = quic_config(37, macw_packets=2000)
     v34_delta = []
-    for rate in RATES:
+    for rate in rates:
         # Add enough delay that the BDP can exceed 430 packets (580 KB).
         scenario = emulated(rate, extra_delay_ms=50)
-        for kb in SIZES_KB:
+        for kb in sizes_kb:
             page = single_object_page(kb * 1024)
             big = measure_plts(scenario, page, ProtocolSpec.quic(cfg_2000),
                                runs=runs)
@@ -51,15 +52,9 @@ def _grid():
 
 
 def test_fig15_macw(benchmark):
-    heatmap, v34_delta = run_once(benchmark, _grid)
+    heatmap, v34_delta = run_once(benchmark, macw_grid)
     text = heatmap.render() + (
         "\n\nQUIC37@MACW430 vs QUIC34 mean |PLT delta|: "
         f"{mean(v34_delta) * 100:.2f}% (paper: 'almost identical')"
     )
-    save_result("fig15_macw", text)
-
-    # Same MACW -> versions 34 and 37 are interchangeable.
-    assert mean(v34_delta) < 0.05
-    # The larger MACW helps the big-transfer, high-BDP cells.
-    big_cell = heatmap.get("100Mbps", "1x30000KB")
-    assert big_cell.pct_diff > 5
+    save_judged("fig15_macw", text, (heatmap, v34_delta))

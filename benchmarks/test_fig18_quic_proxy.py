@@ -11,7 +11,7 @@ from repro.core.runner import measure_plts
 from repro.http import single_object_page
 from repro.netem import emulated
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 SIZES_KB = (10, 200, 1000, 10_000)
 CONDITIONS = (
@@ -21,18 +21,18 @@ CONDITIONS = (
 )
 
 
-def _grid():
+def quic_proxy_grid(conditions=CONDITIONS, sizes_kb=SIZES_KB, runs=None):
     heatmap = Heatmap(
         "Fig. 18 — QUIC direct vs QUIC proxied (positive = direct faster)",
-        row_labels=[name for name, _ in CONDITIONS],
-        col_labels=[f"1x{kb}KB" for kb in SIZES_KB],
+        row_labels=[name for name, _ in conditions],
+        col_labels=[f"1x{kb}KB" for kb in sizes_kb],
         treatment="direct",
         baseline="proxied",
     )
-    runs = bench_runs()
-    for name, kwargs in CONDITIONS:
+    runs = runs or bench_runs()
+    for name, kwargs in conditions:
         scenario = emulated(10.0, **kwargs)
-        for kb in SIZES_KB:
+        for kb in sizes_kb:
             page = single_object_page(kb * 1024)
             direct = measure_plts(scenario, page, "quic", runs=runs)
             proxied = measure_plts(scenario, page, "quic", runs=runs,
@@ -43,14 +43,5 @@ def _grid():
 
 
 def test_fig18_quic_proxy(benchmark):
-    heatmap = run_once(benchmark, _grid)
-    save_result("fig18_quic_proxy", heatmap.render())
-
-    # Small objects: direct (0-RTT) beats the proxy everywhere.
-    for condition, _ in CONDITIONS:
-        small = heatmap.get(condition, "1x10KB")
-        assert small.pct_diff > 0
-    # Large objects under loss: the proxy's per-leg recovery wins
-    # (i.e. "direct faster" goes negative or insignificant).
-    big_lossy = heatmap.get("loss-1pct", "1x10000KB")
-    assert big_lossy.pct_diff < 5
+    heatmap = run_once(benchmark, quic_proxy_grid)
+    save_judged("fig18_quic_proxy", heatmap.render(), heatmap)

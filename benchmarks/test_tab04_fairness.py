@@ -7,58 +7,33 @@ against 2 or 4 TCP flows QUIC keeps more than half the bottleneck.
 from repro.core.runner import run_fairness
 from repro.core.stats import mean, sample_std
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 DURATION = 40.0
+MIXES = (("QUIC vs QUIC", 2, 0), ("QUIC vs TCP", 1, 1),
+         ("QUIC vs TCPx2", 1, 2), ("QUIC vs TCPx4", 1, 4))
 
 
-def _fairness_table():
-    rows = []
-    runs = max(bench_runs() // 2, 3)
-    for label, n_quic, n_tcp in (
-        ("QUIC vs QUIC", 2, 0),
-        ("QUIC vs TCP", 1, 1),
-        ("QUIC vs TCPx2", 1, 2),
-        ("QUIC vs TCPx4", 1, 4),
-    ):
-        samples = {}
-        shares = []
-        for seed in range(runs):
-            result = run_fairness(n_quic=n_quic, n_tcp=n_tcp,
-                                  duration=DURATION, seed=seed)
-            for flow, mbps in result.average_mbps.items():
-                samples.setdefault(flow, []).append(mbps)
-            shares.append(result.quic_share())
-        rows.append((label, samples, mean(shares)))
-    return rows
+def fairness_table(mixes=MIXES, seeds=None, duration=DURATION):
+    """Mix label -> one :class:`FairnessResult` per seed."""
+    seeds = seeds or range(max(bench_runs() // 2, 3))
+    return {label: [run_fairness(n_quic=n_quic, n_tcp=n_tcp,
+                                 duration=duration, seed=seed)
+                    for seed in seeds]
+            for label, n_quic, n_tcp in mixes}
 
 
 def test_tab04_fairness(benchmark):
-    rows = run_once(benchmark, _fairness_table)
+    table = run_once(benchmark, fairness_table)
     lines = [
         "Table 4 — avg throughput (Mbps) on a 5 Mbps link, buffer=30 KB",
         f"(paper: QUIC 2.71 vs TCP 1.62; QUIC >50% even vs TCPx2/x4)", "",
     ]
-    for label, samples, quic_share in rows:
-        lines.append(f"{label}  (QUIC share of bytes: {quic_share * 100:.0f}%)")
-        for flow in sorted(samples):
-            vals = samples[flow]
+    for label, runs in table.items():
+        share = mean([r.quic_share() for r in runs])
+        lines.append(f"{label}  (QUIC share of bytes: {share * 100:.0f}%)")
+        for flow in sorted(runs[0].average_mbps):
+            vals = [r.average_mbps[flow] for r in runs]
             lines.append(f"    {flow:<8} {mean(vals):5.2f} "
                          f"({sample_std(vals):4.2f})")
-    save_result("tab04_fairness", "\n".join(lines))
-
-    table = {label: (samples, share) for label, samples, share in rows}
-    # QUIC vs QUIC is fair.
-    qq = table["QUIC vs QUIC"][0]
-    flows = sorted(qq)
-    assert mean(qq[flows[0]]) > 0.25 * 5.0 and mean(qq[flows[1]]) > 0.25 * 5.0
-    # QUIC vs TCP: QUIC well above its fair share.
-    qt = table["QUIC vs TCP"][0]
-    assert mean(qt["quic"]) > 1.3 * mean(qt["tcp"])
-    # Majority share against two TCP flows (paper: 2.8 vs 0.7+0.96).
-    assert table["QUIC vs TCPx2"][1] > 0.5
-    # Against four TCP flows the paper still measures >50%; our simulated
-    # TCP recovers a little better at tiny windows, so QUIC lands at
-    # ~40% — still double its 20% fair share (deviation documented in
-    # EXPERIMENTS.md).
-    assert table["QUIC vs TCPx4"][1] > 0.35
+    save_judged("tab04_fairness", "\n".join(lines), table)

@@ -5,11 +5,10 @@ QUIC loads a larger fraction of the video in 60 s and spends a much
 smaller share of time buffering per played second.
 """
 
-from repro.core.stats import mean
 from repro.netem import emulated
 from repro.video import QUALITIES, measure_video_qoe
 
-from .harness import bench_runs, run_once, save_result
+from .harness import bench_runs, run_once, save_judged
 
 SCENARIO = emulated(100.0, loss_pct=1.0)
 
@@ -33,22 +32,4 @@ def test_tab06_video_qoe(benchmark):
         for protocol in ("quic", "tcp"):
             lines.append(rows[(quality, protocol)].row())
         lines.append("")
-    save_result("tab06_video_qoe", "\n".join(lines))
-
-    def loaded(quality, protocol):
-        return rows[(quality, protocol)].stat("video_loaded_pct")[0]
-
-    def buffer_ratio(quality, protocol):
-        return rows[(quality, protocol)].stat("buffer_play_ratio_pct")[0]
-
-    # Low/medium qualities: both protocols play smoothly.
-    for quality in ("tiny", "medium", "hd720"):
-        for protocol in ("quic", "tcp"):
-            assert buffer_ratio(quality, protocol) < 15.0
-    # tiny: both hit the preload cap at the same loaded fraction.
-    assert abs(loaded("tiny", "quic") - loaded("tiny", "tcp")) < 3.0
-    # hd2160: QUIC's goodput advantage shows — it loads about twice the
-    # video (paper: 0.8% vs 0.4%) and spends a smaller share of its time
-    # buffering per unit played (paper: 50.2% vs 73.1%).
-    assert loaded("hd2160", "quic") > loaded("hd2160", "tcp") * 1.3
-    assert buffer_ratio("hd2160", "quic") < buffer_ratio("hd2160", "tcp")
+    save_judged("tab06_video_qoe", "\n".join(lines), rows)

@@ -75,7 +75,7 @@ class Heatmap:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # aggregate queries used by benchmark assertions
+    # aggregate queries the claims table (repro.core.claims) reads
     # ------------------------------------------------------------------
     def fraction_favoring_treatment(self) -> float:
         """Fraction of significant cells where the treatment wins."""

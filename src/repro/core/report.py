@@ -5,7 +5,8 @@ a reproduction study would publish next to EXPERIMENTS.md.  Two
 sources feed it:
 
 * the committed text summaries under ``benchmarks/results/`` (the
-  classic path, keyed by :data:`EXPERIMENT_INDEX`), and
+  classic path, keyed by :data:`~repro.core.claims.CLAIMS`), whose
+  "reproduced" column is read from each file's verdict line, and
 * any results store (``repro report --from-store PATH``), whose cached
   :class:`~repro.core.executor.RunRecord` rows are aggregated through
   :mod:`repro.core.aggregate` — so a warm cache is reportable without
@@ -18,40 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 from .aggregate import render_cell_table, store_aggregator
-
-#: Experiment index: result-file stem -> (paper artefact, one-line claim).
-EXPERIMENT_INDEX: Dict[str, Tuple[str, str]] = {
-    "fig02_calibration": ("Fig. 2", "GAE wait-time variability; public build ~2x slower"),
-    "fig02_macw_search": ("Fig. 2", "grey-box MACW calibration selects 430"),
-    "fig03a_cubic_state_machine": ("Fig. 3a", "inferred QUIC Cubic state machine"),
-    "fig03b_bbr_state_machine": ("Fig. 3b", "inferred BBR state machine"),
-    "tab04_fairness": ("Table 4 / Fig. 4", "QUIC takes far more than its fair share"),
-    "fig05_cwnd_timeline": ("Fig. 5", "QUIC sustains the larger cwnd when competing"),
-    "fig06a_plt_sizes": ("Fig. 6a", "QUIC wins across rates and object sizes"),
-    "fig06b_plt_counts": ("Fig. 6b", "many small objects collapse QUIC's edge"),
-    "fig07_zero_rtt": ("Fig. 7", "0-RTT gain fades with object size"),
-    "fig08a_sizes_loss1pct": ("Fig. 8a", "QUIC wins under 1% loss"),
-    "fig08b_sizes_delay50ms": ("Fig. 8b", "QUIC wins under +50 ms delay"),
-    "fig08c_sizes_delay100ms": ("Fig. 8c", "QUIC wins under +100 ms delay"),
-    "fig08d_counts_loss1pct": ("Fig. 8d", "count grid under loss"),
-    "fig08e_counts_delay50ms": ("Fig. 8e", "count grid under +50 ms"),
-    "fig08f_counts_delay100ms": ("Fig. 8f", "count grid under +100 ms"),
-    "fig09_cwnd_loss": ("Fig. 9", "QUIC's larger window under 1% loss"),
-    "fig10_reordering": ("Fig. 10", "NACK threshold vs reordering"),
-    "fig11_variable_bw": ("Fig. 11", "QUIC tracks fluctuating bandwidth"),
-    "fig12_mobile": ("Fig. 12", "mobile devices erode QUIC's gains"),
-    "fig13_state_dwell": ("Fig. 13", "ApplicationLimited dwell on phones"),
-    "fig14_cellular": ("Fig. 14 / Table 5", "emulated cellular networks"),
-    "fig15_macw": ("Fig. 15", "MACW 2000 vs 430"),
-    "tab06_video_qoe": ("Table 6", "video QoE per quality"),
-    "fig17_tcp_proxy": ("Fig. 17", "QUIC vs proxied TCP"),
-    "fig18_quic_proxy": ("Fig. 18", "QUIC direct vs proxied"),
-    "sec54_versions": ("Sec. 5.4", "version-stable performance"),
-    "sec54_fsm_stability": ("Sec. 5.4", "version-stable state machines"),
-}
+from .claims import CLAIMS
 
 
 @dataclass
@@ -61,32 +32,33 @@ class ReportSection:
     claim: str
     body: str
 
+    @property
+    def reproduced(self) -> str:
+        """``yes``/``no`` from the file's verdict line, else ``unverified``
+        (no verdict line, or a ``partial`` one: a check was not judged)."""
+        words = self.body.rsplit("\n", 1)[-1].split()[:2]
+        yes_no = (["reproduced:", "yes"], ["reproduced:", "no"])
+        return words[1] if words in yes_no else "unverified"
+
 
 def collect_sections(results_dir: Path) -> List[ReportSection]:
     """Load every known result file present in ``results_dir``."""
-    sections: List[ReportSection] = []
-    for stem, (artefact, claim) in EXPERIMENT_INDEX.items():
-        path = results_dir / f"{stem}.txt"
-        if not path.exists():
-            continue
-        sections.append(ReportSection(stem, artefact, claim,
-                                      path.read_text().rstrip()))
-    return sections
+    missing = set(missing_experiments(results_dir))
+    return [ReportSection(stem, claim.artefact, claim.text,
+                          (results_dir / f"{stem}.txt").read_text().rstrip())
+            for stem, claim in CLAIMS.items() if stem not in missing]
 
 
 def missing_experiments(results_dir: Path) -> List[str]:
-    """Index entries with no result file yet (bench not run)."""
-    return [stem for stem in EXPERIMENT_INDEX
+    """Claims with no result file yet (bench not run)."""
+    return [stem for stem in CLAIMS
             if not (results_dir / f"{stem}.txt").exists()]
 
 
 def extra_results(results_dir: Path) -> List[str]:
-    """Result files outside the core index (ablations, extensions)."""
-    known = set(EXPERIMENT_INDEX)
-    return sorted(
-        path.stem for path in results_dir.glob("*.txt")
-        if path.stem not in known
-    )
+    """Result files outside the claims table (ablations, extensions)."""
+    return sorted(path.stem for path in results_dir.glob("*.txt")
+                  if path.stem not in CLAIMS)
 
 
 def build_report(results_dir: Path, title: str = "Reproduction report") -> str:
@@ -100,10 +72,11 @@ def build_report(results_dir: Path, title: str = "Reproduction report") -> str:
     lines.append("| artefact | claim | reproduced |")
     lines.append("|---|---|---|")
     for section in sections:
-        lines.append(f"| {section.artefact} | {section.claim} | yes |")
+        lines.append(f"| {section.artefact} | {section.claim} | "
+                     f"{section.reproduced} |")
     for stem in missing_experiments(results_dir):
-        artefact, claim = EXPERIMENT_INDEX[stem]
-        lines.append(f"| {artefact} | {claim} | *not run* |")
+        lines.append(f"| {CLAIMS[stem].artefact} | {CLAIMS[stem].text} | "
+                     "*not run* |")
     lines.append("")
     for section in sections:
         lines.append(f"## {section.artefact} — {section.claim}")
@@ -227,12 +200,5 @@ def build_store_report(store: object,
     return "\n".join(lines)
 
 
-__all__ = [
-    "EXPERIMENT_INDEX",
-    "ReportSection",
-    "build_report",
-    "build_store_report",
-    "collect_sections",
-    "extra_results",
-    "missing_experiments",
-]
+__all__ = ["ReportSection", "build_report", "build_store_report",
+           "collect_sections", "extra_results", "missing_experiments"]

@@ -6,9 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.core.aggregate import store_aggregator
+from repro.core.claims import CLAIMS
 from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import (
-    EXPERIMENT_INDEX,
     build_report,
     build_store_report,
     collect_sections,
@@ -55,7 +55,7 @@ class TestReport:
         assert "no results yet" in text
 
     def test_index_covers_all_paper_artifacts(self):
-        artifacts = {a for a, _ in EXPERIMENT_INDEX.values()}
+        artifacts = {claim.artefact for claim in CLAIMS.values()}
         for needed in ("Fig. 2", "Fig. 3a", "Table 4 / Fig. 4", "Fig. 5",
                        "Fig. 6a", "Fig. 7", "Fig. 8a", "Fig. 9", "Fig. 10",
                        "Fig. 11", "Fig. 12", "Fig. 13", "Fig. 14 / Table 5",
