@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-report bench bench-smoke bench-report bench-full bench-e2e pairs perf-gate examples check clean distclean results
+.PHONY: install test test-report bench bench-smoke bench-report bench-full bench-e2e pairs identity perf-gate examples check clean distclean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -44,6 +44,13 @@ bench-e2e:
 # make pairs PARENT=HEAD~1 W=store_replay,store_fill,fabric_synth [N=10]
 pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(W) $(if $(N),-n $(N)) $(if $(SEEDS),--seeds $(SEEDS))
+
+# The identity a simulator perf PR owes: grid_serial's 480 cells on the
+# parent and on this checkout, compared cell by cell (PLT, endpoint stats,
+# link counters, final clock, events); exit 1 names the first difference.
+# make identity PARENT=HEAD~1 [SEEDS=0,7]
+identity:
+	$(PYTHON) scripts/identity.py --parent $(PARENT) $(if $(SEEDS),--seeds $(SEEDS))
 
 # Paper-scale: >=10 rounds per cell and full workload grids.
 bench-full:

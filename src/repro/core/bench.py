@@ -379,7 +379,9 @@ def _print_events_by_handler(stats: Any, out: Any) -> None:
     Every simulator event is one call from ``Simulator._loop`` into a
     handler, so the loop's callees in the profile *are* the census —
     which handler the events go to is what a flat function-level table
-    hides (docs/PERFORMANCE.md, "Events per packet").
+    hides (docs/PERFORMANCE.md, "Events per packet").  The total line
+    also gives the Python-level calls those events cost ("Calls per
+    packet").
     """
     handlers: Dict[str, int] = {}
     for (filename, _line, func), row in stats.stats.items():
@@ -397,9 +399,14 @@ def _print_events_by_handler(stats: Any, out: Any) -> None:
     for label in sorted(handlers, key=handlers.get, reverse=True):
         print(f"  {label:<44} {handlers[label]:>10,}  "
               f"{100.0 * handlers[label] / total:>5.1f}%", file=out)
+    # Builtins ("~") excluded: only frames the program itself runs.
+    calls = sum(row[1] for (filename, _l, _f), row in stats.stats.items()
+                if filename != "~")
     delivered = handlers.get("netem/link.py:_deliver")
     per_packet = (f"; {total / delivered:.2f} per delivered packet "
-                  f"(link deliveries)" if delivered else "")
+                  f"(link deliveries); {calls:,} Python calls, "
+                  f"{calls / delivered:.2f} per delivered packet"
+                  if delivered else f"; {calls:,} Python calls")
     print(f"  {'total':<44} {total:>10,} events{per_packet}\n", file=out)
 
 

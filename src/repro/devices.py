@@ -107,7 +107,8 @@ class PacketProcessor:
 
     Received packets queue here and are handed to ``handler`` after the
     device's per-packet cost.  With zero cost the processor degenerates to
-    an inline call (desktop fast path — no extra simulator events).
+    an inline call: ``submit`` *is* ``handler`` (desktop fast path — no
+    extra simulator event and no frame of its own).
     """
 
     def __init__(self, sim: Simulator, per_packet_cost: float,
@@ -123,18 +124,19 @@ class PacketProcessor:
         self.cost_jitter = cost_jitter
         self._queue: Deque[Any] = deque()
         self._busy = False
+        #: Items handed on after their CPU cost (a zero-cost processor
+        #: calls ``handler`` directly and counts nothing).
         self.processed = 0
+        #: Hand one item to the device CPU.
+        self.submit: Callable[[Any], None] = (
+            handler if per_packet_cost <= 0.0 else self._enqueue)
 
     @property
     def backlog(self) -> int:
         """Packets waiting for CPU (drives flow-control backpressure)."""
         return len(self._queue) + (1 if self._busy else 0)
 
-    def submit(self, item: Any) -> None:
-        if self.cost <= 0.0:
-            self.processed += 1
-            self.handler(item)
-            return
+    def _enqueue(self, item: Any) -> None:
         self._queue.append(item)
         if not self._busy:
             self._start_next()

@@ -31,25 +31,26 @@ Event model: a packet's fate is decided when its transmission *starts*.
 (the link's draws are FIFO either way) and posts the delivery at
 ``(now + tx) + latency`` — the same two additions, in the same order, as
 launching at the end of serialisation, so delivery times are
-bit-identical.  A completion event (``_drain``) exists only while a
-successor waits, so an uncongested hop costs one event per packet.
+bit-identical.  A completion event (``_transmit_next`` again) exists only
+while a successor waits, so an uncongested hop costs one event per packet.
+
+Per-hop cost: the link pushes its delivery and completion entries onto
+the simulator's heap itself (one ``(time, seq)`` draw each, exactly what
+``Simulator.post_at`` would draw), and ``_deliver`` hands the packet to
+the far node's ``send``, so a router hop is ``_deliver`` → ``Node.send``
+→ the next ``Link.send``.
 """
 
 from __future__ import annotations
 
 import random
+from heapq import heappush
 from typing import Callable, List, Optional, Tuple
 
 from .packet import Packet
 from .sim import Simulator
 
 Receiver = Callable[[Packet], None]
-
-#: How many uniform draws a link pre-draws from its RNG at a time.  The
-#: draws are consumed strictly in order, so the stream of values any
-#: packet sees is bit-identical to calling ``rng.random()`` per draw —
-#: batching only amortises the attribute lookups and method-call setup.
-RAND_BATCH = 256
 
 
 def mbps(value: float) -> float:
@@ -124,7 +125,7 @@ class Link:
         "_queue", "_free_at", "_drain_pending", "_wire", "_force_drops",
         "_enqueue_seq",
         "_last_delivered_seq", "on_deliver", "on_send",
-        "_rng", "_rand_batch", "_rand_idx",
+        "_rng", "_uniform",
     )
 
     def __init__(
@@ -170,7 +171,8 @@ class Link:
             self._queue = DropTail(queue_bytes)
         self._queue.on_drop = self._count_drop
         #: When the packet now serialising leaves the wire (the line is
-        #: free from then on), and whether a ``_drain`` is posted for it.
+        #: free from then on), and whether a ``_transmit_next`` is posted
+        #: for that instant.
         self._free_at = 0.0
         self._drain_pending = False
         #: The packet now serialising, while ``drop_next`` may still take it.
@@ -189,7 +191,7 @@ class Link:
         self.on_send: Optional[Callable[[Packet], None]] = None
 
     # ------------------------------------------------------------------
-    # randomness (batched draws, bit-identical to per-call rng.random())
+    # randomness
     # ------------------------------------------------------------------
     @property
     def rng(self) -> random.Random:
@@ -197,23 +199,12 @@ class Link:
 
     @rng.setter
     def rng(self, value: random.Random) -> None:
-        # Topology builders assign link.rng after construction; any
-        # pre-drawn batch belongs to the old stream and must be discarded.
+        # ``build_path`` and friends assign link.rng after construction.
         self._rng = value
-        self._rand_batch: list = []
-        self._rand_idx = 0
-
-    def _draw(self) -> float:
-        """Next uniform [0,1) value from the link's private stream."""
-        idx = self._rand_idx
-        batch = self._rand_batch
-        if idx >= len(batch):
-            rand = self._rng.random
-            batch = [rand() for _ in range(RAND_BATCH)]
-            self._rand_batch = batch
-            idx = 0
-        self._rand_idx = idx + 1
-        return batch[idx]
+        #: The next uniform [0, 1) draw of the link's private stream:
+        #: exactly ``rng.random()``, called from C by the iterator, so a
+        #: draw costs no Python frame.
+        self._uniform = iter(value.random, None).__next__
 
     # ------------------------------------------------------------------
     # wiring
@@ -231,11 +222,13 @@ class Link:
             raise RuntimeError(f"{self.name}: no receiver attached")
         if self.on_send is not None:
             self.on_send(packet)
-        now = self.sim._now
+        now = self.sim.now
         packet.enqueued_at = now
         stats = self.stats
-        if self.rate_bps is None:
-            # Infinite-rate link: skip the queue entirely.
+        if (self.rate_bps is None and not self._drain_pending
+                and now >= self._free_at):
+            # Infinite-rate link with an idle line: skip the queue.  (A
+            # backlog left from before ``set_rate(None)`` drains first.)
             stats.enqueued_packets += 1
             stats.enqueued_bytes += packet.size_bytes
             self._launch(packet, now)
@@ -251,28 +244,36 @@ class Link:
         else:
             # First successor behind a packet still on the wire.
             self._drain_pending = True
-            self.sim.post_at(self._free_at, self._drain)
+            self.sim.post_at(self._free_at, self._transmit_next)
 
     def _count_drop(self, packet: Packet) -> None:
         self.stats.dropped_packets += 1
         self.stats.dropped_bytes += packet.size_bytes
 
     def _transmit_next(self) -> None:
-        """Start serialising the next queued packet (the line is free)."""
-        now = self.sim._now
+        """Start serialising the next queued packet (the line is free).
+
+        ``send`` calls it on an idle line; while a successor waits, it is
+        also the event posted for the instant the line falls free.
+        """
+        self._drain_pending = False
+        now = self.sim.now
         packet = self._queue.dequeue(now)
         if packet is None:
             return
-        done = now + packet.size_bytes * 8.0 / self.rate_bps
+        rate = self.rate_bps
+        # At infinite rate (``set_rate(None)`` over a backlog) a queued
+        # packet leaves with zero serialisation time.
+        done = now if rate is None else now + packet.size_bytes * 8.0 / rate
         self._free_at = done
         self._launch(packet, done)
         if self._queue.backlog_bytes > 0:
             self._drain_pending = True
-            self.sim.post_at(done, self._drain)
-
-    def _drain(self) -> None:
-        self._drain_pending = False
-        self._transmit_next()
+            sim = self.sim
+            seq = sim._seq
+            sim._seq = seq + 1
+            sim._pending += 1
+            heappush(sim._queue, (done, seq, self._transmit_next, ()))
 
     def drop_next(self, n: int = 1) -> None:
         """Deterministically drop the next ``n`` packets to leave the wire
@@ -281,7 +282,7 @@ class Link:
         if n < 0:
             raise ValueError("n must be non-negative")
         packet = self._wire
-        if n > 0 and packet is not None and self.sim._now < self._free_at:
+        if n > 0 and packet is not None and self.sim.now < self._free_at:
             # Its delivery is already posted: void it (``_deliver`` skips
             # a negative stamp) and count it when it leaves the wire.
             self._wire = None
@@ -301,10 +302,10 @@ class Link:
             self._force_drops -= 1
             lost = True
         else:
-            lost = self.loss_rate > 0.0 and self._draw() < self.loss_rate
+            lost = self.loss_rate > 0.0 and self._uniform() < self.loss_rate
         if lost:
             self._wire = None
-            if at > self.sim._now:
+            if at > self.sim.now:
                 self.sim.post_at(at, self._count_lost)
             else:
                 self.stats.lost_packets += 1
@@ -314,16 +315,22 @@ class Link:
         if jitter > 0.0:
             # Exactly random.Random.uniform(-jitter, jitter), fed from
             # the batched stream: a + (b - a) * random().
-            latency += -jitter + (jitter - -jitter) * self._draw()
+            latency += -jitter + (jitter - -jitter) * self._uniform()
             if latency < 0.0:
                 latency = 0.0
-        if self.reorder_prob > 0.0 and self._draw() < self.reorder_prob:
+        if self.reorder_prob > 0.0 and self._uniform() < self.reorder_prob:
             latency += self.reorder_extra
         seq = self._enqueue_seq + 1
         self._enqueue_seq = seq
         packet.link_seq = seq
         self._wire = packet
-        self.sim.post_at(at + latency, self._deliver, packet)
+        # The delivery's heap entry, pushed here rather than through
+        # ``sim.post_at``: the same (time, seq) draw, one frame fewer per hop.
+        sim = self.sim
+        seq = sim._seq
+        sim._seq = seq + 1
+        sim._pending += 1
+        heappush(sim._queue, (at + latency, seq, self._deliver, (packet,)))
 
     def _deliver(self, packet: Packet) -> None:
         stats = self.stats
@@ -337,7 +344,7 @@ class Link:
         stats.delivered_packets += 1
         stats.delivered_bytes += packet.size_bytes
         if self.on_deliver is not None:
-            self.on_deliver(self.sim._now, packet)
+            self.on_deliver(self.sim.now, packet)
         self._receiver(packet)
 
     # ------------------------------------------------------------------
@@ -350,7 +357,7 @@ class Link:
         was_infinite = self.rate_bps is None
         self.rate_bps = rate_bps
         if (was_infinite and rate_bps is not None and not self._drain_pending
-                and self.sim._now >= self._free_at
+                and self.sim.now >= self._free_at
                 and self._queue.backlog_bytes > 0):
             self._transmit_next()
 

@@ -43,34 +43,25 @@ class Node:
 
     # -- data path ------------------------------------------------------
     def send(self, packet: Packet) -> None:
-        """Originate or forward a packet."""
-        if packet.dst == self.name:
-            self.deliver(packet)
-            return
-        link = self.routes.get(packet.dst)
-        if link is None:
-            self.no_route_drops += 1
-            return
-        link.send(packet)
+        """Originate, forward or deliver a packet.
 
-    def deliver(self, packet: Packet) -> None:
-        """Hand a packet that terminates here to the local handler."""
-        if self._local_handler is None:
-            self.no_route_drops += 1
-            return
-        self._local_handler(packet)
-
-    def _receive_from_wire(self, packet: Packet) -> None:
-        """Entry point for packets arriving over an attached link."""
-        if packet.dst == self.name:
-            # Inlined deliver(): this runs once per delivered packet.
+        The node's one entry: its own endpoints send through it and every
+        attached link delivers into it, so a router hop is this call and
+        the next link's ``send``.
+        """
+        dst = packet.dst
+        if dst == self.name:
             handler = self._local_handler
             if handler is None:
                 self.no_route_drops += 1
                 return
             handler(packet)
-        else:
-            self.send(packet)
+            return
+        link = self.routes.get(dst)
+        if link is None:
+            self.no_route_drops += 1
+            return
+        link.send(packet)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "host" if self._local_handler else "router"
@@ -123,8 +114,8 @@ class Network:
             raise KeyError("both endpoints must be added before linking")
         forward = Link(self.sim, name=f"{a}->{b}", **link_kwargs)
         backward = Link(self.sim, name=f"{b}->{a}", **link_kwargs)
-        forward.attach(self.nodes[b]._receive_from_wire)
-        backward.attach(self.nodes[a]._receive_from_wire)
+        forward.attach(self.nodes[b].send)
+        backward.attach(self.nodes[a].send)
         self.links[(a, b)] = forward
         self.links[(b, a)] = backward
         return forward, backward

@@ -18,8 +18,10 @@ follow-on question — so the link's queue is pluggable:
 
 All four expose the same tiny interface consumed by
 :class:`~repro.netem.link.Link`: ``enqueue(now, packet) -> bool``,
-``dequeue(now) -> Optional[Packet]``, ``backlog_bytes``.  Drops made at
-dequeue time (CoDel/FQCoDel) are reported through ``on_drop``.
+``dequeue(now) -> Optional[Packet]`` and a ``backlog_bytes`` attribute
+(the bytes queued, kept current by ``enqueue``/``dequeue``; the link reads
+it once per transmission).  Drops made at dequeue time (CoDel/FQCoDel)
+are reported through ``on_drop``.
 
 Drop-accounting invariant (relied on by link stats and tested across
 all disciplines): at the moment ``on_drop`` fires, ``backlog_bytes``
@@ -41,7 +43,7 @@ DropHook = Callable[[Packet], None]
 
 
 class QueueDiscipline:
-    """Interface; subclasses manage their own backlog accounting."""
+    """Interface; subclasses keep their own ``backlog_bytes`` current."""
 
     __slots__ = ("on_drop",)
 
@@ -54,10 +56,6 @@ class QueueDiscipline:
     def dequeue(self, now: float) -> Optional[Packet]:  # pragma: no cover
         raise NotImplementedError
 
-    @property
-    def backlog_bytes(self) -> int:  # pragma: no cover
-        raise NotImplementedError
-
     def _drop(self, packet: Packet) -> None:
         if self.on_drop is not None:
             self.on_drop(packet)
@@ -66,41 +64,37 @@ class QueueDiscipline:
 class DropTail(QueueDiscipline):
     """The classic FIFO: accept until the byte limit, then tail-drop."""
 
-    __slots__ = ("limit_bytes", "_queue", "_bytes")
+    __slots__ = ("limit_bytes", "_queue", "backlog_bytes")
 
     def __init__(self, limit_bytes: Optional[int]) -> None:
         super().__init__()
         self.limit_bytes = limit_bytes
         self._queue: Deque[Packet] = deque()
-        self._bytes = 0
+        self.backlog_bytes = 0
 
     def enqueue(self, now: float, packet: Packet) -> bool:
         if (self.limit_bytes is not None
-                and self._bytes + packet.size_bytes > self.limit_bytes):
+                and self.backlog_bytes + packet.size_bytes > self.limit_bytes):
             self._drop(packet)
             return False
         self._queue.append(packet)
-        self._bytes += packet.size_bytes
+        self.backlog_bytes += packet.size_bytes
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._queue:
             return None
         packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
+        self.backlog_bytes -= packet.size_bytes
         return packet
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self._bytes
 
 
 class RED(QueueDiscipline):
     """Random Early Detection (byte mode, EWMA average occupancy)."""
 
     __slots__ = ("limit_bytes", "min_threshold", "max_threshold",
-                 "max_probability", "weight", "rng", "_queue", "_bytes",
-                 "_avg", "early_drops")
+                 "max_probability", "weight", "rng", "_queue",
+                 "backlog_bytes", "_avg", "early_drops")
 
     def __init__(self, limit_bytes: int, *, min_threshold: Optional[int] = None,
                  max_threshold: Optional[int] = None, max_probability: float = 0.1,
@@ -119,13 +113,14 @@ class RED(QueueDiscipline):
         self.weight = weight
         self.rng = rng if rng is not None else random.Random(0)
         self._queue: Deque[Packet] = deque()
-        self._bytes = 0
+        self.backlog_bytes = 0
         self._avg = 0.0
         self.early_drops = 0
 
     def enqueue(self, now: float, packet: Packet) -> bool:
-        self._avg = (1 - self.weight) * self._avg + self.weight * self._bytes
-        if self._bytes + packet.size_bytes > self.limit_bytes:
+        self._avg = ((1 - self.weight) * self._avg
+                     + self.weight * self.backlog_bytes)
+        if self.backlog_bytes + packet.size_bytes > self.limit_bytes:
             self._drop(packet)
             return False
         if self._avg >= self.max_threshold:
@@ -140,19 +135,15 @@ class RED(QueueDiscipline):
                 self._drop(packet)
                 return False
         self._queue.append(packet)
-        self._bytes += packet.size_bytes
+        self.backlog_bytes += packet.size_bytes
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
         if not self._queue:
             return None
         packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
+        self.backlog_bytes -= packet.size_bytes
         return packet
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self._bytes
 
 
 class CoDel(QueueDiscipline):
@@ -164,9 +155,9 @@ class CoDel(QueueDiscipline):
     falls back under target.
     """
 
-    __slots__ = ("target", "interval", "limit_bytes", "_queue", "_bytes",
-                 "_first_above", "_dropping", "_drop_next", "_drop_count",
-                 "codel_drops")
+    __slots__ = ("target", "interval", "limit_bytes", "_queue",
+                 "backlog_bytes", "_first_above", "_dropping", "_drop_next",
+                 "_drop_count", "codel_drops")
 
     def __init__(self, target: float = 0.005, interval: float = 0.100,
                  limit_bytes: Optional[int] = 10_000_000) -> None:
@@ -177,7 +168,7 @@ class CoDel(QueueDiscipline):
         self.interval = interval
         self.limit_bytes = limit_bytes
         self._queue: Deque[Tuple[float, Packet]] = deque()
-        self._bytes = 0
+        self.backlog_bytes = 0
         self._first_above: Optional[float] = None
         self._dropping = False
         self._drop_next = 0.0
@@ -186,16 +177,16 @@ class CoDel(QueueDiscipline):
 
     def enqueue(self, now: float, packet: Packet) -> bool:
         if (self.limit_bytes is not None
-                and self._bytes + packet.size_bytes > self.limit_bytes):
+                and self.backlog_bytes + packet.size_bytes > self.limit_bytes):
             self._drop(packet)
             return False
         self._queue.append((now, packet))
-        self._bytes += packet.size_bytes
+        self.backlog_bytes += packet.size_bytes
         return True
 
     def _pop(self) -> Tuple[float, Packet]:
         entered, packet = self._queue.popleft()
-        self._bytes -= packet.size_bytes
+        self.backlog_bytes -= packet.size_bytes
         return entered, packet
 
     def dequeue(self, now: float) -> Optional[Packet]:
@@ -232,10 +223,6 @@ class CoDel(QueueDiscipline):
             return packet
         return None
 
-    @property
-    def backlog_bytes(self) -> int:
-        return self._bytes
-
 
 class _FlowQueue:
     """One FQ-CoDel sub-queue: a FIFO plus its own CoDel drop state."""
@@ -269,7 +256,7 @@ class FQCoDel(QueueDiscipline):
     """
 
     __slots__ = ("target", "interval", "quantum", "limit_bytes", "flows",
-                 "_queues", "_by_flow", "_new", "_old", "_bytes",
+                 "_queues", "_by_flow", "_new", "_old", "backlog_bytes",
                  "codel_drops", "overflow_drops")
 
     def __init__(self, target: float = 0.005, interval: float = 0.100,
@@ -291,7 +278,7 @@ class FQCoDel(QueueDiscipline):
         self._by_flow: Dict[Any, _FlowQueue] = {}
         self._new: Deque[_FlowQueue] = deque()
         self._old: Deque[_FlowQueue] = deque()
-        self._bytes = 0
+        self.backlog_bytes = 0
         self.codel_drops = 0
         self.overflow_drops = 0
 
@@ -318,14 +305,14 @@ class FQCoDel(QueueDiscipline):
             return False
         _, victim = fattest.queue.popleft()
         fattest.bytes -= victim.size_bytes
-        self._bytes -= victim.size_bytes
+        self.backlog_bytes -= victim.size_bytes
         self.overflow_drops += 1
         self._drop(victim)
         return True
 
     def enqueue(self, now: float, packet: Packet) -> bool:
         if self.limit_bytes is not None:
-            while self._bytes + packet.size_bytes > self.limit_bytes:
+            while self.backlog_bytes + packet.size_bytes > self.limit_bytes:
                 if not self._drop_from_fattest():
                     # Nothing queued and the packet alone exceeds the
                     # limit: reject the arrival itself.
@@ -334,7 +321,7 @@ class FQCoDel(QueueDiscipline):
         fq = self._bucket(packet)
         fq.queue.append((now, packet))
         fq.bytes += packet.size_bytes
-        self._bytes += packet.size_bytes
+        self.backlog_bytes += packet.size_bytes
         if not fq.active:
             fq.active = True
             fq.deficit = self.quantum
@@ -346,7 +333,7 @@ class FQCoDel(QueueDiscipline):
         while fq.queue:
             entered, packet = fq.queue.popleft()
             fq.bytes -= packet.size_bytes
-            self._bytes -= packet.size_bytes
+            self.backlog_bytes -= packet.size_bytes
             sojourn = now - entered
             if sojourn < self.target or not fq.queue:
                 fq.first_above = None
@@ -402,10 +389,6 @@ class FQCoDel(QueueDiscipline):
                 continue
             fq.deficit -= packet.size_bytes
             return packet
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self._bytes
 
 
 #: AQM labels accepted by :func:`make_queue` (and ``Scenario``-level

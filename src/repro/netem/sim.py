@@ -134,7 +134,7 @@ class Timer:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         sim = self._sim
-        when = sim._now + delay
+        when = sim.now + delay
         seq = sim._seq
         sim._seq = seq + 1
         if not self.armed:
@@ -183,7 +183,9 @@ class Simulator:
     def __init__(self) -> None:
         self._queue: List[Entry] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute: the run
+        #: loop writes it before each callback and everything else reads it.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._event_count = 0
@@ -193,11 +195,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of events that have fired (cancelled ones excluded)."""
@@ -214,13 +211,13 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.at(self._now + delay, callback, *args)
+        return self.at(self.now + delay, callback, *args)
 
     def at(self, when: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at t={when} before now={self._now}"
+                f"cannot schedule at t={when} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -242,13 +239,13 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         self._pending += 1
-        heappush(self._queue, (self._now + delay, seq, callback, args))
+        heappush(self._queue, (self.now + delay, seq, callback, args))
 
     def post_at(self, when: float, callback: Callable[..., Any], *args: Any) -> None:
         """Fast path: non-cancellable callback at absolute time ``when``."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at t={when} before now={self._now}"
+                f"cannot schedule at t={when} before now={self.now}"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -276,8 +273,8 @@ class Simulator:
             than this many events fire.
         """
         ended_early = self._loop(_INF if until is None else until, max_events)
-        if until is not None and not ended_early and self._now < until:
-            self._now = until
+        if until is not None and not ended_early and self.now < until:
+            self.now = until
 
     def run_until(self, predicate: Callable[[], bool], timeout: float,
                   max_events: Optional[int] = None) -> bool:
@@ -290,9 +287,9 @@ class Simulator:
         """
         if predicate():
             return True
-        deadline = self._now + timeout
-        if not self._loop(deadline, max_events, predicate) and self._now < deadline:
-            self._now = deadline
+        deadline = self.now + timeout
+        if not self._loop(deadline, max_events, predicate) and self.now < deadline:
+            self.now = deadline
         return predicate()
 
     def stop(self) -> None:
@@ -349,7 +346,7 @@ class Simulator:
                 else:
                     args = entry[3]
                 self._pending -= 1
-                self._now = when
+                self.now = when
                 fired += 1
                 if fired > limit:
                     raise SimulationError(f"exceeded max_events={max_events}")
@@ -366,4 +363,4 @@ class Simulator:
         return self._pending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.6f} queued={len(self._queue)}>"
+        return f"<Simulator t={self.now:.6f} queued={len(self._queue)}>"

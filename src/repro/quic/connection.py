@@ -196,6 +196,9 @@ class QuicConnection(TransportEndpoint):
         #: (time, cumulative app bytes) samples for throughput analysis.
         self.delivery_log: List[Tuple[float, int]] = []
         self._delivered_app_bytes = 0
+        # Received packets enter stage 1 through the device's packet CPU
+        # (on a zero-cost device its ``submit`` is ``_process_packet``).
+        self.listen(self._processor.submit)
 
     # ==================================================================
     # public API
@@ -268,10 +271,6 @@ class QuicConnection(TransportEndpoint):
             return
         stream.finish()
         self._wake_sender()
-
-    @property
-    def smoothed_rtt(self) -> float:
-        return self.rtt.smoothed_rtt()
 
     # ==================================================================
     # request plumbing
@@ -346,7 +345,12 @@ class QuicConnection(TransportEndpoint):
             self._arm_ack_timer()
 
     def _has_stream_data(self) -> bool:
-        return any(s.has_data_to_send for s in self.send_streams.values())
+        # Plain loop, not any(genexpr): the generator frame is a call per
+        # stream, and a page load keeps up to a hundred streams open.
+        for stream in self.send_streams.values():
+            if stream.has_data_to_send:
+                return True
+        return False
 
     def _maybe_signal_app_limited(self) -> None:
         """Tell the CC the window is not being utilised (Table 3 semantics)."""
@@ -477,11 +481,8 @@ class QuicConnection(TransportEndpoint):
     # ==================================================================
     # receive path
     # ==================================================================
-    def on_packet(self, packet: Packet) -> None:
-        self._processor.submit((self.sim.now, packet.payload))
-
-    def _process_packet(self, item: Tuple[float, QuicPacket]) -> None:
-        arrival, qp = item
+    def _process_packet(self, packet: Packet) -> None:
+        qp: QuicPacket = packet.payload
         now = self.sim.now
         self.stats.packets_received += 1
         self._record_received(now, qp.pkt_num, qp.retransmittable)
@@ -576,7 +577,8 @@ class QuicConnection(TransportEndpoint):
         if not self._received_nums:
             return None
         ranges = self._received_nums.tail(self.config.max_ack_blocks)
-        blocks = tuple((lo, hi - 1) for lo, hi in reversed(ranges))
+        # A list comprehension is one call; a generator is one per block.
+        blocks = tuple([(lo, hi - 1) for lo, hi in reversed(ranges)])
         ack_delay = self.sim.now - self._largest_received_at
         self._ack_pending = 0
         self._reorder_seen = False
@@ -639,7 +641,7 @@ class QuicConnection(TransportEndpoint):
         missing = self._missing_below(self._largest_acked)
         lost = self.loss_detector.detect(
             now, self.sent, missing, newly_acked, self._largest_acked,
-            self.rtt.smoothed_rtt(),
+            self.rtt.smoothed_rtt,
         )
         if lost:
             self._on_packets_lost(now, lost)
@@ -669,7 +671,7 @@ class QuicConnection(TransportEndpoint):
         missing = self._missing_below(self._largest_acked)
         lost = self.loss_detector.detect(
             now, self.sent, missing, [], self._largest_acked,
-            self.rtt.smoothed_rtt(),
+            self.rtt.smoothed_rtt,
         )
         if lost:
             self._on_packets_lost(now, lost)
@@ -699,7 +701,9 @@ class QuicConnection(TransportEndpoint):
         return live
 
     def _on_frames_acked(self, record: SentPacketRecord) -> None:
-        for frame in record.stream_frames():
+        for frame in record.frames:
+            if not isinstance(frame, StreamFrame):
+                continue
             stream = self.send_streams.get(frame.stream_id)
             if stream is not None:
                 stream.on_range_acked(frame.offset, frame.length, frame.fin)
@@ -745,7 +749,7 @@ class QuicConnection(TransportEndpoint):
         if self.bytes_in_flight <= 0 or self.closed:
             self._retx_timer.cancel()
             return
-        srtt = self.rtt.smoothed_rtt()
+        srtt = self.rtt.smoothed_rtt
         if self.config.tlp_enabled and self._tlp_count < self.config.max_tail_loss_probes:
             delay = max(2.0 * srtt, 1.5 * srtt + self.config.ack_delay_timer)
             kind = "tlp"
@@ -855,7 +859,7 @@ class QuicConnection(TransportEndpoint):
         # Chromium auto-tune: frequent updates mean the window is too
         # small for the path's BDP; double it up to the cap.
         if (
-            now - self._last_conn_update < 2.0 * self.rtt.smoothed_rtt()
+            now - self._last_conn_update < 2.0 * self.rtt.smoothed_rtt
             and self._conn_window < self.config.conn_flow_window_cap
         ):
             self._conn_window = min(self._conn_window * 2,

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional
 
 from ..core.instrumentation import Trace
 from .config import QuicConfig
-from .frames import StreamFrame
 
 
 @dataclass
@@ -41,9 +40,6 @@ class SentPacketRecord:
     #: Under time-based loss detection: when the pending loss declaration
     #: matures (None while the NACK threshold has not been reached).
     loss_eligible_at: Optional[float] = None
-
-    def stream_frames(self) -> List[StreamFrame]:
-        return [f for f in self.frames if isinstance(f, StreamFrame)]
 
 
 class LossDetector:

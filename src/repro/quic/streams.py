@@ -45,6 +45,10 @@ class SendStream:
         self.fin_acked = False
         #: Meta to attach to the first frame of this stream.
         self._meta_pending = meta is not None
+        #: True while a range or an owed FIN waits to be sent.  Every
+        #: method that changes either keeps it current (they are its only
+        #: writers); the connection's round-robin reads it per stream.
+        self.has_data_to_send = bool(self._pending) or finalized
 
     # ------------------------------------------------------------------
     def append(self, nbytes: int) -> None:
@@ -59,16 +63,16 @@ class SendStream:
         # A FIN emitted early (empty stream) must be re-sent later.
         self.fin_sent = False
         self.fin_pending = True
+        self.has_data_to_send = True
 
     def finish(self) -> None:
         """No more data will be appended; the FIN may now be sent."""
         self.finalized = True
+        self._refresh_has_data()
 
-    @property
-    def has_data_to_send(self) -> bool:
-        if self._pending:
-            return True
-        return self.finalized and self.fin_pending and not self.fin_sent
+    def _refresh_has_data(self) -> None:
+        self.has_data_to_send = bool(self._pending) or (
+            self.finalized and self.fin_pending and not self.fin_sent)
 
     @property
     def flow_blocked(self) -> bool:
@@ -136,11 +140,14 @@ class SendStream:
             if self._meta_pending:
                 meta = self.meta
                 self._meta_pending = False
+            if not self._pending:  # the last range just left
+                self._refresh_has_data()
             return lo, length, fin, meta
         # Data all sent; emit a bare FIN if still owed (zero-length frame).
         if self.finalized and self.fin_pending and not self.fin_sent:
             self.fin_sent = True
             self.fin_pending = False
+            self.has_data_to_send = False
             if self._meta_pending:
                 meta = self.meta
                 self._meta_pending = False
@@ -159,6 +166,7 @@ class SendStream:
         if fin and not self.fin_acked:
             self.fin_pending = True
             self.fin_sent = False
+        self._refresh_has_data()
 
     def on_range_acked(self, offset: int, length: int, fin: bool) -> None:
         if length > 0:

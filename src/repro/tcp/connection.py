@@ -148,6 +148,11 @@ class TcpConnection(TransportEndpoint):
         self.bytes_in_flight = 0
         self._retx_queue: Deque[SegmentRecord] = deque()
         self._msg_queue: Deque[_OutMessage] = deque()
+        #: Message bytes queued but not yet segmented (the sum of the
+        #: queued messages' ``remaining``), kept by the methods that move
+        #: ``remaining``: "is there new data?" is read per ACK and per
+        #: send-loop pass.
+        self._unsent_bytes = 0
         self._out_messages: Dict[int, _OutMessage] = {}
         self._next_msg_id = 1 if role == "client" else 1_000_001
         self._peer_rwnd = config.receive_buffer
@@ -196,6 +201,8 @@ class TcpConnection(TransportEndpoint):
         self._response_cbs: Dict[int, ResponseCallback] = {}
         self.delivery_log: List[Tuple[float, int]] = []
         self._delivered_app_bytes = 0
+        # "Kernel" receive work (ACKs in and out) runs inline on arrival.
+        self.listen(self.on_packet)
 
     # ==================================================================
     # public API
@@ -236,6 +243,7 @@ class TcpConnection(TransportEndpoint):
             return
         msg.total += nbytes
         msg.remaining += nbytes
+        self._unsent_bytes += nbytes
         if msg not in self._msg_queue:
             self._msg_queue.append(msg)
         self._wake_sender()
@@ -253,6 +261,7 @@ class TcpConnection(TransportEndpoint):
         if msg.remaining <= 0 and not msg.fin_sent:
             msg.total += 1
             msg.remaining += 1
+            self._unsent_bytes += 1
         if msg.remaining > 0 and msg not in self._msg_queue:
             self._msg_queue.append(msg)
         self._wake_sender()
@@ -266,12 +275,9 @@ class TcpConnection(TransportEndpoint):
         msg = _OutMessage(msg_id, total_bytes, meta, finalized=finalized)
         self._out_messages[msg_id] = msg
         self._msg_queue.append(msg)
+        self._unsent_bytes += total_bytes
         self._wake_sender()
         return msg_id
-
-    @property
-    def smoothed_rtt(self) -> float:
-        return self.rtt.smoothed_rtt()
 
     @property
     def handshake_ready_time(self) -> Optional[float]:
@@ -396,7 +402,9 @@ class TcpConnection(TransportEndpoint):
         if self.closed or not self._ready:
             return
         sent = False
-        while True:
+        # The window is asked only while something waits to be sent
+        # (``can_send_bytes`` is pure, so the order changes no decision).
+        while self._retx_queue or self._unsent_bytes > 0:
             budget = self.cc.can_send_bytes(self.bytes_in_flight)
             if budget < 1:
                 break
@@ -412,8 +420,6 @@ class TcpConnection(TransportEndpoint):
                 self._transmit_record(record, retransmit=True, arm_timer=False)
                 sent = True
                 continue
-            if not self._has_new_data():
-                break
             if self._snd_nxt - self._snd_una >= self._peer_rwnd:
                 break  # receiver-window limited
             segment_len = min(self.config.mss, budget)
@@ -428,14 +434,6 @@ class TcpConnection(TransportEndpoint):
             # One timer arming per burst: sim time does not advance inside
             # the loop, so this deadline equals the last per-segment one.
             self._set_retx_timer()
-
-    def _has_new_data(self) -> bool:
-        # Plain loop, not any(genexpr): called on every ACK and every
-        # send-loop pass, and the generator frame shows up in profiles.
-        for m in self._msg_queue:
-            if m.remaining > 0:
-                return True
-        return False
 
     def _maybe_signal_app_limited(self) -> None:
         if not self._sent_any_data:
@@ -460,6 +458,7 @@ class TcpConnection(TransportEndpoint):
                 msg.first_piece_sent = True
             pieces.append(piece)
             msg.remaining -= take
+            self._unsent_bytes -= take
             remaining -= take
             if msg.remaining <= 0:
                 if msg.finalized:
@@ -514,7 +513,7 @@ class TcpConnection(TransportEndpoint):
         if self.bytes_in_flight <= 0 or self.closed:
             self._retx_timer.cancel()
             return
-        srtt = self.rtt.smoothed_rtt()
+        srtt = self.rtt.smoothed_rtt
         if self.config.tlp_enabled and self._tlp_count < self.config.max_tail_loss_probes:
             delay = max(2.0 * srtt, 1.5 * srtt + self.config.delayed_ack_timeout)
             kind = "tlp"
@@ -787,7 +786,8 @@ class TcpConnection(TransportEndpoint):
             self.cc.on_recovery_exit(now)
             self._recovery_until = None
         if newly_acked_bytes > 0:
-            cwnd_limited = was_cwnd_limited or bool(self._sent) or self._has_new_data()
+            cwnd_limited = (was_cwnd_limited or bool(self._sent)
+                            or self._unsent_bytes > 0)
             self.cc.on_ack(now, newly_acked_bytes, cwnd_limited=cwnd_limited)
         self._post_ack(now)
 

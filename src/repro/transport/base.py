@@ -81,8 +81,13 @@ class TransportEndpoint:
         self.peer_addr = peer_addr
         self.flow_id = flow_id if flow_id is not None else conn_id
         self.mux = mux_for(node)
-        self.mux.register(conn_id, self.on_packet)
         self.closed = False
+
+    def listen(self, receive: Callable[[Packet], None]) -> None:
+        """Start receiving: the host mux hands each packet of this
+        connection to ``receive`` (a subclass calls this once, at the end
+        of its set-up, with its receive path's first stage)."""
+        self.mux.register(self.conn_id, receive)
 
     # ------------------------------------------------------------------
     def emit(self, payload: Any, payload_bytes: int) -> None:
@@ -90,9 +95,6 @@ class TransportEndpoint:
         self.node.send(Packet(self.node.name, self.peer_addr,
                               payload_bytes + HEADER_BYTES, payload,
                               self.flow_id))
-
-    def on_packet(self, packet: Packet) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def close(self) -> None:
         if not self.closed:

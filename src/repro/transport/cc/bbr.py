@@ -46,7 +46,7 @@ class BBR(CongestionController):
         self.rtt = rtt
         self.mss = mss
         self.kernel = BBRKernel(mss=mss)
-        self._in_recovery = False
+        self.in_recovery = False
         self._delivered_bytes = 0
         self._set_state(0.0, BBRState.STARTUP.value)
 
@@ -55,15 +55,11 @@ class BBR(CongestionController):
     def cwnd(self) -> int:
         return int(self.kernel.cwnd)
 
-    @property
-    def in_recovery(self) -> bool:
-        return self._in_recovery
-
     def can_send_bytes(self, in_flight: int) -> int:
         return max(int(self.kernel.cwnd) - in_flight, 0)
 
     def pacing_rate(self) -> Optional[float]:
-        return self.kernel.pacing_rate(self.rtt.smoothed_rtt())
+        return self.kernel.pacing_rate(self.rtt.smoothed_rtt)
 
     def _bandwidth(self) -> float:
         return self.kernel.bandwidth()
@@ -78,14 +74,14 @@ class BBR(CongestionController):
 
     def on_ack(self, now: float, acked_bytes: int, *, cwnd_limited: bool) -> None:
         kernel = self.kernel
-        if self._in_recovery:
-            self._in_recovery = False
+        if self.in_recovery:
+            self.in_recovery = False
             self._set_state(now, kernel.mode)
         prev_mode = kernel.mode
-        kernel.on_ack(acked_bytes, now, self.rtt.smoothed_rtt(),
+        kernel.on_ack(acked_bytes, now, self.rtt.smoothed_rtt,
                       self.rtt.min_rtt())
         self._delivered_bytes += acked_bytes
-        if kernel.mode != prev_mode and not self._in_recovery:
+        if kernel.mode != prev_mode and not self.in_recovery:
             self._set_state(now, kernel.mode)
         self.trace.log_cwnd(now, int(kernel.cwnd))
 
@@ -95,18 +91,18 @@ class BBR(CongestionController):
     def on_congestion_event(self, now: float, in_flight: int) -> None:
         # BBR v1 reacts to loss only by entering a shallow recovery:
         # cap cwnd at in-flight (packet conservation) for one round.
-        self._in_recovery = True
+        self.in_recovery = True
         self.kernel.on_loss(now, float(in_flight))
         self._set_state(now, BBRState.RECOVERY.value)
 
     def on_recovery_exit(self, now: float) -> None:
-        if self._in_recovery:
-            self._in_recovery = False
+        if self.in_recovery:
+            self.in_recovery = False
             self._set_state(now, self.kernel.mode)
 
     def on_retransmission_timeout(self, now: float) -> None:
         self.kernel.on_timeout(now)
-        self._in_recovery = True
+        self.in_recovery = True
         self._set_state(now, BBRState.RECOVERY.value)
 
     def on_rto_resolved(self, now: float) -> None:

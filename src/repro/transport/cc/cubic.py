@@ -128,7 +128,7 @@ class CubicCC(CongestionController):
         )
         self._hss = HybridSlowStart(config.hss_threshold_divisor)
         self._prr: Optional[ProportionalRateReduction] = None
-        self._in_recovery = False
+        self.in_recovery = False
         self._in_rto = False
         self._in_tlp = False
         self._app_limited = False
@@ -138,16 +138,16 @@ class CubicCC(CongestionController):
         self.loss_events = 0
         self.rto_events = 0
         self.slow_start_exits_by_delay = 0
+        #: The kernel's window in whole bytes, re-read after every kernel
+        #: call that can move it (only this class calls the kernel); the
+        #: connection reads it per ACK and per send-loop pass.
+        self.cwnd = int(self.kernel.cwnd)
         self.trace.log_state(0.0, CCState.INIT.value)
-        self.trace.log_cwnd(0.0, int(self.kernel.cwnd))
+        self.trace.log_cwnd(0.0, self.cwnd)
 
     # ------------------------------------------------------------------
     # window & pacing
     # ------------------------------------------------------------------
-    @property
-    def cwnd(self) -> int:
-        return int(self.kernel.cwnd)
-
     @property
     def ssthresh(self) -> float:
         return self.kernel.ssthresh
@@ -155,28 +155,24 @@ class CubicCC(CongestionController):
     @property
     def in_slow_start(self) -> bool:
         return (self.kernel.cwnd < self.kernel.ssthresh
-                and not self._in_recovery)
-
-    @property
-    def in_recovery(self) -> bool:
-        return self._in_recovery
+                and not self.in_recovery)
 
     def can_send_bytes(self, in_flight: int) -> int:
-        if self._in_recovery and self._prr is not None:
+        if self.in_recovery and self._prr is not None:
             return self._prr.can_send(in_flight)
-        budget = int(self.kernel.cwnd) - in_flight
+        budget = self.cwnd - in_flight
         return budget if budget > 0 else 0
 
     def pacing_rate(self) -> Optional[float]:
         # Inlined in_slow_start and clamp: called once per sent packet.
         kernel = self.kernel
-        if kernel.cwnd < kernel.ssthresh and not self._in_recovery:
+        if kernel.cwnd < kernel.ssthresh and not self.in_recovery:
             gain = self.config.pacing_gain_slow_start
         else:
             gain = self.config.pacing_gain_ca
         if gain is None:
             return None
-        srtt = self.rtt.smoothed_rtt()
+        srtt = self.rtt.smoothed_rtt
         if srtt < 1e-6:
             srtt = 1e-6
         return gain * kernel.cwnd / srtt
@@ -208,7 +204,7 @@ class CubicCC(CongestionController):
 
     def on_packet_sent(self, now: float, size_bytes: int,
                        is_retransmission: bool) -> None:
-        if self._prr is not None and self._in_recovery:
+        if self._prr is not None and self.in_recovery:
             self._prr.on_sent(size_bytes)
         if self._app_limited:
             self._app_limited = False
@@ -221,16 +217,17 @@ class CubicCC(CongestionController):
         if self._in_tlp:
             self._in_tlp = False
             self._refresh_state(now)
-        if self._in_recovery:
+        if self.in_recovery:
             if self._prr is not None:
                 self._prr.on_ack(acked_bytes)
             return
         if not cwnd_limited:
             # RFC 7661: do not grow a window the application is not using.
             return
-        self.kernel.on_ack(acked_bytes, now, self.rtt.smoothed_rtt(),
+        self.kernel.on_ack(acked_bytes, now, self.rtt.smoothed_rtt,
                            self.rtt.min_rtt())
-        self.trace.log_cwnd(now, int(self.kernel.cwnd))
+        self.cwnd = int(self.kernel.cwnd)
+        self.trace.log_cwnd(now, self.cwnd)
         self._refresh_state(now)
 
     def on_rtt_sample(self, now: float, rtt: float) -> None:
@@ -239,7 +236,7 @@ class CubicCC(CongestionController):
         should_exit = self._hss.on_rtt_sample(
             now, rtt,
             baseline_min_rtt=self.rtt.min_rtt(),
-            srtt=self.rtt.smoothed_rtt(),
+            srtt=self.rtt.smoothed_rtt,
             cwnd_packets=self.kernel.cwnd / self.config.mss,
         )
         if should_exit:
@@ -253,7 +250,7 @@ class CubicCC(CongestionController):
         kernel = self.kernel
         prev_cwnd = kernel.cwnd
         kernel.on_loss(now, float(in_flight))
-        self._in_recovery = True
+        self.in_recovery = True
         if self.config.prr:
             # PRR rations sending during recovery instead of collapsing
             # the window immediately; restore the kernel's pre-loss cwnd.
@@ -264,27 +261,30 @@ class CubicCC(CongestionController):
             )
         else:
             self._prr = None
+        self.cwnd = int(kernel.cwnd)
         self._set_state(now, CCState.RECOVERY.value)
-        self.trace.log_cwnd(now, int(kernel.cwnd))
+        self.trace.log_cwnd(now, self.cwnd)
 
     def on_recovery_exit(self, now: float) -> None:
-        if not self._in_recovery:
+        if not self.in_recovery:
             return
-        self._in_recovery = False
+        self.in_recovery = False
         self._prr = None
         self.kernel.on_recovery_exit()
-        self.trace.log_cwnd(now, int(self.kernel.cwnd))
+        self.cwnd = int(self.kernel.cwnd)
+        self.trace.log_cwnd(now, self.cwnd)
         self._refresh_state(now)
 
     def on_retransmission_timeout(self, now: float) -> None:
         self.rto_events += 1
         self.kernel.on_timeout(now)
-        self._in_recovery = False
+        self.in_recovery = False
         self._prr = None
         self._in_rto = True
         self._hss.restart()
+        self.cwnd = int(self.kernel.cwnd)
         self._set_state(now, CCState.RETRANSMISSION_TIMEOUT.value)
-        self.trace.log_cwnd(now, int(self.kernel.cwnd))
+        self.trace.log_cwnd(now, self.cwnd)
 
     def on_rto_resolved(self, now: float) -> None:
         if self._in_rto:
@@ -301,7 +301,7 @@ class CubicCC(CongestionController):
             self._refresh_state(now)
 
     def on_application_limited(self, now: float) -> None:
-        if self._in_recovery or self._in_rto or self._in_tlp:
+        if self.in_recovery or self._in_rto or self._in_tlp:
             return
         if not self._app_limited:
             self._app_limited = True
@@ -321,7 +321,7 @@ class CubicCC(CongestionController):
     def _refresh_state(self, now: float) -> None:
         if self._in_rto:
             self._set_state(now, CCState.RETRANSMISSION_TIMEOUT.value)
-        elif self._in_recovery:
+        elif self.in_recovery:
             self._set_state(now, CCState.RECOVERY.value)
         elif self._in_tlp:
             self._set_state(now, CCState.TAIL_LOSS_PROBE.value)

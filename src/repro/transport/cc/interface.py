@@ -70,10 +70,9 @@ class CongestionController(abc.ABC):
             self.trace.log_state(now, state)
 
     # -- window ---------------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def cwnd(self) -> int:
-        """Congestion window in bytes."""
+    #: Congestion window in bytes: an attribute the controller keeps
+    #: current (or a property), read per ACK and per send-loop pass.
+    cwnd: int
 
     @abc.abstractmethod
     def can_send_bytes(self, in_flight: int) -> int:
@@ -128,7 +127,6 @@ class CongestionController(abc.ABC):
         """The sender has window available but nothing to send."""
 
     # -- recovery status ---------------------------------------------------
-    @property
-    @abc.abstractmethod
-    def in_recovery(self) -> bool:
-        """True while a loss-recovery episode is active."""
+    #: True while a loss-recovery episode is active (an attribute the
+    #: controller keeps current; read once per ACK).
+    in_recovery: bool

@@ -35,7 +35,9 @@ class RttEstimator:
             raise ValueError("initial_rtt must be positive")
         self.initial_rtt = initial_rtt
         self.min_rtt_window = min_rtt_window
-        self.srtt: Optional[float] = None
+        #: SRTT, or ``initial_rtt`` before any sample.  Kept current by
+        #: :meth:`on_sample`, its only writer; read once or more per ACK.
+        self.smoothed_rtt = initial_rtt
         self.rttvar: float = initial_rtt / 2.0
         self.latest: Optional[float] = None
         self.samples = 0
@@ -64,19 +66,16 @@ class RttEstimator:
         adjusted = rtt
         if ack_delay > 0 and rtt - ack_delay >= self.min_rtt():
             adjusted = rtt - ack_delay
-        self.latest = adjusted
-        if self.srtt is None:
-            self.srtt = adjusted
+        if self.latest is None:  # first sample
+            self.smoothed_rtt = adjusted
             self.rttvar = adjusted / 2.0
-            return
-        self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - adjusted)
-        self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * adjusted
+        else:
+            srtt = self.smoothed_rtt
+            self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(srtt - adjusted)
+            self.smoothed_rtt = (1 - self.ALPHA) * srtt + self.ALPHA * adjusted
+        self.latest = adjusted
 
     # ------------------------------------------------------------------
-    def smoothed_rtt(self) -> float:
-        """SRTT, or the configured initial RTT before any sample."""
-        return self.srtt if self.srtt is not None else self.initial_rtt
-
     def min_rtt(self) -> float:
         """Minimum RTT observed within the sliding window.
 
@@ -90,11 +89,11 @@ class RttEstimator:
     def retransmission_timeout(self, min_rto: float = 0.2,
                                max_rto: float = 60.0) -> float:
         """RFC 6298 RTO with the given floor/ceiling."""
-        rto = self.smoothed_rtt() + max(self.K * self.rttvar, 0.001)
+        rto = self.smoothed_rtt + max(self.K * self.rttvar, 0.001)
         return min(max(rto, min_rto), max_rto)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<RttEstimator srtt={self.smoothed_rtt() * 1000:.2f}ms "
+            f"<RttEstimator srtt={self.smoothed_rtt * 1000:.2f}ms "
             f"var={self.rttvar * 1000:.2f}ms min={self.min_rtt() * 1000:.2f}ms>"
         )

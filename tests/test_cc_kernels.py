@@ -324,7 +324,7 @@ class TestKernelAdapterEquivalence:
             now += 0.01
             rtt.on_sample(0.05, now)
             cc.on_ack(now, config.mss, cwnd_limited=True)
-            mirror.on_ack(config.mss, now, rtt.smoothed_rtt(),
+            mirror.on_ack(config.mss, now, rtt.smoothed_rtt,
                           rtt.min_rtt())
             assert cc.kernel.cwnd == mirror.cwnd, step
             if step in (150, 290):
@@ -356,7 +356,7 @@ class TestKernelAdapterEquivalence:
             cc.on_rtt_sample(now, 0.04)
             mirror.on_rtt_sample(now, 0.04, rtt.min_rtt())
             cc.on_ack(now, 1350, cwnd_limited=True)
-            mirror.on_ack(1350, now, rtt.smoothed_rtt(), rtt.min_rtt())
+            mirror.on_ack(1350, now, rtt.smoothed_rtt, rtt.min_rtt())
             assert cc.kernel.cwnd == mirror.cwnd, step
             assert cc.kernel.mode == mirror.mode, step
             if step == 400:
@@ -366,7 +366,7 @@ class TestKernelAdapterEquivalence:
                 cc.on_recovery_exit(now)
         # The filter and machine progressed past Startup.
         assert mirror.mode != "Startup"
-        assert cc.pacing_rate() == mirror.pacing_rate(rtt.smoothed_rtt())
+        assert cc.pacing_rate() == mirror.pacing_rate(rtt.smoothed_rtt)
 
     def test_flowtable_reno(self):
         table = FlowTable(1, cc="reno")

@@ -192,7 +192,8 @@ class TestManyflowCommand:
         rows = dict(line.split()[:2] for line in census.splitlines())
         counts = {k: int(v.replace(",", "")) for k, v in rows.items()}
         assert counts.pop("total") == sum(counts.values()) == 3666 + 5092
-        assert counts["netem/link.py:_deliver"] > counts["netem/link.py:_drain"]
+        assert (counts["netem/link.py:_deliver"]
+                > counts["netem/link.py:_transmit_next"])
         assert "per delivered packet" in census
 
     def test_small_run_and_cache_replay(self, capsys, tmp_path):

@@ -441,6 +441,38 @@ class TestLinkProperties:
         sim.run()
         assert [t for t, _ in received] == [1.0, 1.5, 2.0]
 
+    def test_set_rate_none_drains_a_backlog_with_zero_serialisation(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=mbps(1), delay=0.002)
+        received = collect(link)
+        sent = [pkt(size=1000) for _ in range(5)]
+        for packet in sent:
+            link.send(packet)  # the first serialises for 8 ms, four queue
+        link.set_rate(None)
+        sim.run()
+        # The packet on the wire finishes at the old rate; the queued ones
+        # follow it out at the same instant, in order.
+        assert [t for t, _ in received] == [0.008 + 0.002] * 5
+        assert [p for _, p in received] == sent
+        assert link.backlog_bytes == 0
+        assert link.stats.delivered_packets == 5
+        assert link.stats.reordered_packets == 0
+        # Idle again: the next packet skips the queue.
+        sim.post_at(1.0, link.send, pkt(size=1000))
+        sim.run()
+        assert received[-1][0] == 1.0 + 0.002
+
+    def test_set_rate_none_mid_transmission_keeps_fifo(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=8000.0, delay=0.0)
+        received = collect(link)
+        first, second = pkt(size=1000), pkt(size=1000)
+        link.send(first)  # on the wire until t = 1
+        sim.post(0.5, link.set_rate, None)
+        sim.post(0.6, link.send, second)  # waits for the line, not the queue
+        sim.run()
+        assert received == [(1.0, first), (1.0, second)]
+
     def test_random_loss_is_counted_at_wire_exit(self):
         sim = Simulator()
         link = Link(sim, rate_bps=8000.0, delay=0.0, loss_rate=0.999,

@@ -9,25 +9,25 @@ class TestSrtt:
     def test_first_sample_initialises(self):
         est = RttEstimator(initial_rtt=0.1)
         est.on_sample(0.05, now=0.0)
-        assert est.smoothed_rtt() == pytest.approx(0.05)
+        assert est.smoothed_rtt == pytest.approx(0.05)
         assert est.rttvar == pytest.approx(0.025)
 
     def test_before_samples_uses_initial(self):
         est = RttEstimator(initial_rtt=0.2)
-        assert est.smoothed_rtt() == 0.2
+        assert est.smoothed_rtt == 0.2
 
     def test_ewma_update(self):
         est = RttEstimator()
         est.on_sample(0.1, now=0.0)
         est.on_sample(0.2, now=0.1)
         # srtt = 7/8*0.1 + 1/8*0.2
-        assert est.smoothed_rtt() == pytest.approx(0.1125)
+        assert est.smoothed_rtt == pytest.approx(0.1125)
 
     def test_converges_to_stable_rtt(self):
         est = RttEstimator()
         for i in range(100):
             est.on_sample(0.05, now=i * 0.05)
-        assert est.smoothed_rtt() == pytest.approx(0.05, rel=1e-3)
+        assert est.smoothed_rtt == pytest.approx(0.05, rel=1e-3)
         assert est.rttvar < 0.001
 
     def test_nonpositive_sample_ignored(self):
