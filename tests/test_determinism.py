@@ -25,6 +25,10 @@ The fixed cells cover the paths the optimisations touch:
   endpoints' full stats too.
 * TCP through the split proxy — router and proxy forwarding over eight
   links, every one of them pinned.
+* TCP 1 MB under 10 ms jitter — SACK recovery under reordering, DSACK
+  and the adaptive duplicate threshold.
+* QUIC 1 MB over a 1 % lossy link — many-block ACK frames, NACK loss
+  detection and tail loss probes.
 
 Exact ``==`` on floats is deliberate: bit-identity is the guarantee.
 """
@@ -167,6 +171,81 @@ class TestGoldenTcpProxied:
             ("router-b", "proxy"): ((208, 272226, 0, 1, 207, 270824, 0), 0),
             ("router-b", "server"): ((151, 15762, 0, 0, 151, 15762, 0), 0),
             ("server", "router-b"): ((208, 272226, 0, 0, 208, 272226, 0), 0),
+        }
+
+
+class TestGoldenTcpJitterSack:
+    """10 Mbps, +50 ms, 10 ms jitter; 1 x 1 MB; seed 3.
+
+    Reordering deep enough to trip FACK: three spurious retransmits, each
+    reported back by DSACK, raise the duplicate threshold.  Pins the SACK
+    scoreboard's bookkeeping end to end.
+    """
+
+    def test_exact_outcome(self):
+        out = run_page_load(
+            emulated(10.0, extra_delay_ms=50.0, jitter_ms=10.0),
+            page(1, 1024 * 1024), "tcp", seed=3)
+        assert out.result.plt == 4.200294054849584
+        assert out.sim.events_processed == 7121
+        assert out.sim.now == 4.200294054849584
+        assert vars(out.client.stats) == {
+            "segments_sent": 4, "bytes_sent": 300, "acks_sent": 948,
+            "retransmits": 0, "spurious_retransmits": 0, "rto_fires": 0,
+            "dsacks_sent": 3, "segments_received": 1164,
+            "duplicate_segments": 3}
+        assert vars(out.server.stats) == {
+            "segments_sent": 1169, "bytes_sent": 1052626, "acks_sent": 1,
+            "retransmits": 3, "spurious_retransmits": 3, "rto_fires": 0,
+            "dsacks_sent": 0, "segments_received": 1,
+            "duplicate_segments": 0}
+        assert (out.server.dupthresh, out.server.cc.cwnd) == (8, 27315)
+        assert _every_link(out) == {
+            ("client", "router"): ((952, 88414, 0, 0, 952, 88414, 0), 0),
+            ("router", "client"): ((1170, 1117446, 0, 0, 1170, 1117446, 0),
+                                   0),
+            ("router", "server"): ((952, 88414, 0, 0, 943, 87586, 447), 0),
+            ("server", "router"): ((1170, 1117446, 0, 0, 1170, 1117446, 650),
+                                   0),
+        }
+
+
+class TestGoldenQuicLossyAckBlocks:
+    """5 Mbps, 1 % loss; 1 x 1 MB; seed 5.
+
+    Random loss leaves holes in the receiver's packet numbers, so ACK
+    frames carry many blocks, most of them repeats; NACK loss detection
+    and three tail loss probes run on top.
+    """
+
+    def test_exact_outcome(self):
+        out = run_page_load(emulated(5.0, loss_pct=1.0),
+                            page(1, 1024 * 1024), "quic", seed=5)
+        assert out.result.plt == 2.051958897318542
+        assert out.sim.events_processed == 4689
+        assert out.sim.now == 2.051958897318542
+        assert vars(out.client.stats) == {
+            "packets_sent": 512, "bytes_sent": 69716, "data_packets_sent": 7,
+            "retransmitted_ranges": 1, "acks_sent": 505,
+            "packets_received": 1016, "duplicate_bytes": 0,
+            "tlp_probes": 3, "rto_fires": 0, "flow_blocked_events": 0,
+            "app_limited_events": 5}
+        assert vars(out.server.stats) == {
+            "packets_sent": 1040, "bytes_sent": 1091849,
+            "data_packets_sent": 1040, "retransmitted_ranges": 24,
+            "acks_sent": 0, "packets_received": 498, "duplicate_bytes": 0,
+            "tlp_probes": 0, "rto_fires": 0, "flow_blocked_events": 0,
+            "app_limited_events": 6}
+        detector = out.server.loss_detector
+        assert (detector.losses_declared, detector.false_losses,
+                detector.threshold, out.server.cc.cwnd) == (24, 0, 3, 22342)
+        assert _every_link(out) == {
+            ("client", "router"): ((512, 90196, 0, 0, 511, 89972, 0), 0),
+            ("router", "client"): ((1016, 1102892, 0, 0, 1016, 1102892, 0),
+                                   0),
+            ("router", "server"): ((511, 89972, 0, 8, 498, 86252, 0), 0),
+            ("server", "router"): ((1029, 1118642, 11, 13, 1016, 1102892, 0),
+                                   14807),
         }
 
 
