@@ -12,7 +12,9 @@ end-to-end workload at each seed on both sides — ``REV`` through ``git
 archive``, the change as the files of this checkout, each in its own
 scratch copy made the way ``scripts/bench_pairs.py`` makes them — and
 compares, cell by cell: PLT, completion, the client's and the server's
-stats, every link's counters, the final simulated clock and
+stats, the loss machinery's end state on each endpoint (congestion
+window; TCP's duplicate threshold; QUIC's declared and false losses and
+NACK threshold), every link's counters, the final simulated clock and
 ``events_processed``.  It prints the first cell and component that
 differ and exits 1, or prints one ``equal`` line per seed and exits 0.
 """
@@ -28,13 +30,30 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from bench_pairs import SIDES, export_checkout, export_rev
 
+#: The loss machinery's end state on one endpoint, as the dump records it:
+#: a trim of loss bookkeeping that shifts these shows even when the stats
+#: agree.  (Source text: it runs inside each side's tree.)
+LOSS_STATE = '''
+def loss_state(conn):
+    state = {"cwnd": conn.cc.cwnd}
+    if hasattr(conn, "dupthresh"):
+        state["dupthresh"] = conn.dupthresh
+    detector = getattr(conn, "loss_detector", None)
+    if detector is not None:
+        state.update(losses_declared=detector.losses_declared,
+                     false_losses=detector.false_losses,
+                     threshold=detector.threshold)
+    return state
+'''
 #: Runs in a side's tree (``python - SEED``): one JSON line per cell.  It
 #: reads only surface both sides have — ``run_page_load``, its output's
-#: stats objects and the path's network.
+#: endpoints (stats, congestion controller, loss state) and the path's
+#: network.
 DUMP = '''
 import json, sys
 from benchmarks.e2e.workloads import FULL, build_requests
 from repro.core.runner import run_page_load
+''' + LOSS_STATE + '''
 for index, req in enumerate(build_requests("grid_serial", FULL, int(sys.argv[1]))):
     out = run_page_load(req.scenario, req.page, req.protocol, seed=req.seed,
                         device=req.device, trace=req.trace,
@@ -44,12 +63,15 @@ for index, req in enumerate(build_requests("grid_serial", FULL, int(sys.argv[1])
         "cell": index, "label": req.label, "plt": out.result.plt,
         "complete": out.result.complete,
         "client": vars(out.client.stats), "server": vars(out.server.stats),
+        "loss": {"client": loss_state(out.client),
+                 "server": loss_state(out.server)},
         "links": {f"{a}->{b}": link.stats.as_dict()
                   for (a, b), link in sorted(out.path.network.links.items())},
         "now": out.sim.now, "events": out.sim.events_processed}))
 '''
 #: The components compared, in the order a difference is looked for.
-COMPONENTS = ("plt", "complete", "client", "server", "links", "now", "events")
+COMPONENTS = ("plt", "complete", "client", "server", "loss", "links", "now",
+              "events")
 
 
 def dump(tree: Path, seed: int, code: str = DUMP) -> List[Dict[str, Any]]:

@@ -133,6 +133,8 @@ class QuicConnection(TransportEndpoint):
         self._send_scheduled = False
         self._largest_acked = 0
         self._peer_acked = RangeSet()
+        #: The blocks of the last ACK frame processed, all in _peer_acked.
+        self._last_ack_blocks: Tuple[Tuple[int, int], ...] = ()
         self._ack_floor = 1
         self._recovery_marker: Optional[int] = None
         self._retx_timer = sim.timer(self._retx_timer_fired)
@@ -576,7 +578,11 @@ class QuicConnection(TransportEndpoint):
     def _make_ack_frame(self) -> Optional[AckFrame]:
         if not self._received_nums:
             return None
-        ranges = self._received_nums.tail(self.config.max_ack_blocks)
+        max_blocks = self.config.max_ack_blocks
+        if max_blocks < 1:
+            # _build_packet budgets the frame for this many blocks.
+            raise ValueError(f"max_ack_blocks must be >= 1, got {max_blocks}")
+        ranges = self._received_nums.tail(max_blocks)
         # A list comprehension is one call; a generator is one per block.
         blocks = tuple([(lo, hi - 1) for lo, hi in reversed(ranges)])
         ack_delay = self.sim.now - self._largest_received_at
@@ -595,13 +601,22 @@ class QuicConnection(TransportEndpoint):
         newly_acked: List[int] = []
         acked_bytes = 0
         largest_newly: Optional[SentPacketRecord] = None
-        # Only numbers not already covered by earlier ACKs are new: a
-        # frame repeats up to max_ack_blocks old blocks, so skip those with
-        # one bisect each and keep per-ACK work proportional to new numbers.
+        # Only numbers not already covered by earlier ACKs are new.  A
+        # frame repeats up to max_ack_blocks blocks of the one before, and
+        # every block of a processed frame is in _peer_acked (which never
+        # shrinks): walk the new head blocks and stop where the rest
+        # repeats, so per-ACK work follows the new numbers.
         peer_acked = self._peer_acked
-        for lo, hi in ack.blocks:
-            if peer_acked.covers(lo, hi + 1):
+        blocks = ack.blocks
+        last = self._last_ack_blocks
+        self._last_ack_blocks = blocks
+        for index, block in enumerate(blocks):
+            if block in last:
+                at = last.index(block)
+                if blocks[index:] == last[at:at + len(blocks) - index]:
+                    break
                 continue
+            lo, hi = block
             for gap_lo, gap_hi in peer_acked.gaps(lo, hi + 1):
                 for pkt_num in range(gap_lo, gap_hi):
                     record = self.sent.pop(pkt_num, None)

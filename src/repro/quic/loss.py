@@ -20,26 +20,40 @@ variants.  All three policies are implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..core.instrumentation import Trace
 from .config import QuicConfig
 
 
-@dataclass
 class SentPacketRecord:
-    """Book-keeping for one transmitted retransmittable packet."""
+    """Book-keeping for one transmitted retransmittable packet.
 
-    pkt_num: int
-    sent_time: float
-    size_bytes: int
-    frames: List[Any] = field(default_factory=list)
-    is_probe: bool = False
-    nacks: int = 0
-    #: Under time-based loss detection: when the pending loss declaration
-    #: matures (None while the NACK threshold has not been reached).
-    loss_eligible_at: Optional[float] = None
+    A hand-rolled ``__slots__`` class (not a dataclass), like the other
+    per-packet objects: one is built for every packet sent.
+    """
+
+    __slots__ = ("pkt_num", "sent_time", "size_bytes", "frames", "is_probe",
+                 "nacks", "loss_eligible_at")
+
+    def __init__(self, pkt_num: int, sent_time: float, size_bytes: int,
+                 frames: Optional[List[Any]] = None, is_probe: bool = False,
+                 nacks: int = 0,
+                 loss_eligible_at: Optional[float] = None) -> None:
+        self.pkt_num = pkt_num
+        self.sent_time = sent_time
+        self.size_bytes = size_bytes
+        self.frames = frames if frames is not None else []
+        self.is_probe = is_probe
+        self.nacks = nacks
+        #: Under time-based loss detection: when the pending loss
+        #: declaration matures (None while the NACK threshold has not been
+        #: reached).
+        self.loss_eligible_at = loss_eligible_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"<SentPacketRecord #{self.pkt_num} {self.size_bytes}B "
+                f"nacks={self.nacks}>")
 
 
 class LossDetector:

@@ -27,7 +27,6 @@ Cubic — the paper's central methodological point.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -39,7 +38,7 @@ from ..netem.sim import Simulator
 from ..transport.base import TransportEndpoint, fresh_conn_id
 from ..transport.cc.cubic import CubicCC
 from ..transport.rtt import RttEstimator
-from ..transport.util import INF, RangeSet
+from ..transport.util import RangeSet
 from .config import TcpConfig
 from .segment import Piece, SegmentRecord, TcpSegment
 
@@ -641,16 +640,23 @@ class TcpConnection(TransportEndpoint):
         self.emit(seg, 52)
 
     def _sack_blocks(self) -> List[Tuple[int, int]]:
+        frontier = self._rcv_frontier
         blocks: List[Tuple[int, int]] = []
         for seq in self._recent_arrivals:
-            containing = self._rcv_ranges.containing(seq)
-            if containing is None or containing[1] <= self._rcv_frontier:
+            # An arrival below the frontier or inside a block already built
+            # adds no block: only the rest need a bisect.
+            if seq < frontier:
                 continue
-            block = (max(containing[0], self._rcv_frontier), containing[1])
-            if block not in blocks:
-                blocks.append(block)
-            if len(blocks) >= self.config.max_sack_blocks:
-                break
+            for lo, hi in blocks:
+                if lo <= seq < hi:
+                    break
+            else:
+                containing = self._rcv_ranges.containing(seq)
+                if containing is None or containing[1] <= frontier:
+                    continue
+                blocks.append((max(containing[0], frontier), containing[1]))
+                if len(blocks) >= self.config.max_sack_blocks:
+                    break
         return blocks
 
     # ------------------------------------------------------------------
@@ -760,6 +766,10 @@ class TcpConnection(TransportEndpoint):
                 walk = record.end
             self._snd_una = cum
             self._rto_backoff = 0
+            # Every reader of the scoreboard asks about sequence numbers
+            # at or above snd_una only: keep just the live window.
+            if sacked is not None:
+                sacked.trim_below(cum)
         # --- SACK processing ----------------------------------------------
         newly_sacked = 0
         for lo, hi in seg.sack_blocks:
@@ -800,6 +810,13 @@ class TcpConnection(TransportEndpoint):
 
     def _apply_sack(self, lo: int, hi: int) -> int:
         """Mark [lo, hi) SACKed; return bytes newly removed from flight."""
+        if hi <= self._snd_una:
+            # A stale block (a reordered older ACK): nothing below snd_una
+            # is in _sent and the scoreboard is trimmed there; only its
+            # edge still counts toward _highest_sacked.
+            if hi > self._highest_sacked:
+                self._highest_sacked = hi
+            return 0
         if self._sacked.covers(lo, hi):
             return 0  # a repeated block: nothing new, _highest_sacked >= hi
         freed = 0
@@ -819,57 +836,36 @@ class TcpConnection(TransportEndpoint):
         return freed
 
     def _detect_losses(self, now: float, newly_sacked: int) -> None:
-        """FACK-style: holes with >= dupthresh*MSS SACKed above are lost."""
-        congestion = False
-        # Suffix sums over the SACK scoreboard make each above-the-edge
-        # query O(log n) instead of O(n) (recovery can hold thousands of
-        # holes, so the naive form is quadratic).
-        ranges = self._sacked.ranges()
-        suffix = [0] * (len(ranges) + 1)
-        for i in range(len(ranges) - 1, -1, -1):
-            lo, hi = ranges[i]
-            suffix[i] = suffix[i + 1] + (hi - lo)
+        """FACK-style: holes with >= dupthresh*MSS SACKed above are lost.
 
-        def sacked_above(seq: int) -> int:
-            i = bisect_right(ranges, (seq, INF))
-            total = suffix[i]
-            if i > 0 and ranges[i - 1][1] > seq:
-                total += ranges[i - 1][1] - seq
-            return total
-
+        The scoreboard holds only the live window (it is trimmed at
+        snd_una), so each call's work is sized by the holes in flight.
+        """
+        sacked = self._sacked
         threshold = self.dupthresh * self.config.mss
-
-        def judge(record: SegmentRecord) -> None:
-            nonlocal congestion
-            edge = max(record.end, record.retx_edge)
-            sacked_above_edge = sacked_above(edge)
-            record.nack_bytes = sacked_above_edge
-            if sacked_above_edge >= threshold:
-                record.declared_lost = True
-                self.bytes_in_flight -= record.length
-                self._lost_depths[record.seq] = sacked_above_edge
-                self._retx_queue.append(record)
-                self._retx_live.pop(record.seq, None)
-                self.trace.log(now, "loss", record.seq)
-                if (self._recovery_until is None
-                        or record.seq >= self._recovery_until):
-                    congestion = True
-
+        congestion = False
         # (1) Retransmitted segments: re-loss needs evidence above the
         # retransmission edge, which only exists once newer data is SACKed.
         for seq, record in list(self._retx_live.items()):
             if (record.end <= self._snd_una or record.declared_lost
-                    or self._sacked.covers(record.seq, record.end)):
+                    or sacked.covers(record.seq, record.end)):
                 del self._retx_live[seq]
                 continue
             if self._highest_sacked <= record.retx_edge:
                 continue  # no post-retransmit evidence yet (common case)
-            judge(record)
-        # (2) Never-retransmitted holes, scanned from the floor.
+            above = sacked.covered_above(max(record.end, record.retx_edge))
+            congestion |= self._judge(now, record, above, threshold)
+        # (2) Never-retransmitted holes, scanned from the floor.  SACKed
+        # bytes above a point are constant across a hole, and drop by the
+        # covered run between one hole and the next.
         start = max(self._snd_una, self._loss_floor)
+        above = sacked.covered_above(start)
+        cursor = start
         first_live: Optional[int] = None
-        for gap_lo, gap_hi in self._sacked.gaps(start, self._highest_sacked):
-            if sacked_above(gap_lo) < threshold:
+        for gap_lo, gap_hi in sacked.gaps(start, self._highest_sacked):
+            above -= gap_lo - cursor
+            cursor = gap_hi
+            if above < threshold:
                 # Later holes have even less SACK evidence above them.
                 if first_live is None:
                     first_live = gap_lo
@@ -880,7 +876,11 @@ class TcpConnection(TransportEndpoint):
                 if record is None:
                     break
                 if not record.declared_lost and record.retx_count == 0:
-                    judge(record)
+                    edge = max(record.end, record.retx_edge)
+                    congestion |= self._judge(
+                        now, record,
+                        above if edge <= gap_hi else sacked.covered_above(edge),
+                        threshold)
                     if not record.declared_lost and first_live is None:
                         first_live = record.seq
                 walk = record.end
@@ -893,6 +893,22 @@ class TcpConnection(TransportEndpoint):
         if len(self._lost_depths) > 1024:
             for seq in sorted(self._lost_depths)[:512]:
                 del self._lost_depths[seq]
+
+    def _judge(self, now: float, record: SegmentRecord, sacked_above: int,
+               threshold: int) -> bool:
+        """Declare ``record`` lost if ``sacked_above`` bytes beyond its edge
+        reach ``threshold``; True when that loss is a new congestion event."""
+        record.nack_bytes = sacked_above
+        if sacked_above < threshold:
+            return False
+        record.declared_lost = True
+        self.bytes_in_flight -= record.length
+        self._lost_depths[record.seq] = sacked_above
+        self._retx_queue.append(record)
+        self._retx_live.pop(record.seq, None)
+        self.trace.log(now, "loss", record.seq)
+        return (self._recovery_until is None
+                or record.seq >= self._recovery_until)
 
     def _on_dsack(self, now: float, dsack: Tuple[int, int]) -> bool:
         """A duplicate arrival: our retransmission was spurious (RR-TCP)."""

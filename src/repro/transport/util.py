@@ -87,6 +87,22 @@ class RangeSet:
         self._total += added
         return added
 
+    def trim_below(self, value: int) -> None:
+        """Drop every range that ends at or below ``value``.
+
+        A range reaching past ``value`` stays whole.  The dropped ranges
+        lead the list, so the cost is proportional to what is dropped.
+        """
+        ranges = self._ranges
+        n = 0
+        for lo, hi in ranges:
+            if hi > value:
+                break
+            self._total -= hi - lo
+            n += 1
+        if n:
+            del ranges[:n]
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -110,8 +126,12 @@ class RangeSet:
         """True if the whole ``[lo, hi)`` range is covered."""
         if hi <= lo:
             return True
-        i = bisect.bisect_right(self._ranges, (lo, INF)) - 1
-        return i >= 0 and self._ranges[i][0] <= lo and self._ranges[i][1] >= hi
+        ranges = self._ranges
+        # Fast path: new data at or past the end (in-order arrivals).
+        if not ranges or lo >= ranges[-1][1]:
+            return False
+        i = bisect.bisect_right(ranges, (lo, INF)) - 1
+        return i >= 0 and ranges[i][0] <= lo and ranges[i][1] >= hi
 
     def overlaps(self, lo: int, hi: int) -> bool:
         """True if any part of ``[lo, hi)`` is already covered."""
@@ -123,17 +143,35 @@ class RangeSet:
         j = i + 1
         return j < len(self._ranges) and self._ranges[j][0] < hi
 
+    def covered_above(self, value: int) -> int:
+        """Number of covered units at or above ``value``.
+
+        O(log n + ranges above ``value``).
+        """
+        ranges = self._ranges
+        i = bisect.bisect_right(ranges, (value, INF))
+        total = 0
+        for lo, hi in ranges[i:]:
+            total += hi - lo
+        if i and ranges[i - 1][1] > value:
+            total += ranges[i - 1][1] - value
+        return total
+
     def contiguous_from(self, origin: int = 0) -> int:
         """Highest value ``x`` such that ``[origin, x)`` is fully covered.
 
         This is TCP's ``rcv_nxt`` computation: the in-order delivery
         frontier given out-of-order arrivals.
         """
-        i = bisect.bisect_right(self._ranges, (origin, INF)) - 1
-        if i >= 0 and self._ranges[i][0] <= origin < self._ranges[i][1]:
-            return self._ranges[i][1]
-        if i + 1 < len(self._ranges) and self._ranges[i + 1][0] == origin:
-            return self._ranges[i + 1][1]
+        ranges = self._ranges
+        # Fast path: the origin inside the first range (TCP's rcv_nxt).
+        if ranges and ranges[0][0] <= origin < ranges[0][1]:
+            return ranges[0][1]
+        i = bisect.bisect_right(ranges, (origin, INF)) - 1
+        if i >= 0 and ranges[i][0] <= origin < ranges[i][1]:
+            return ranges[i][1]
+        if i + 1 < len(ranges) and ranges[i + 1][0] == origin:
+            return ranges[i + 1][1]
         return origin
 
     def gaps(self, lo: int, hi: int) -> List[Range]:
@@ -164,8 +202,9 @@ class RangeSet:
         return list(self._ranges)
 
     def tail(self, n: int) -> List[Range]:
-        """The last ``n`` covered ranges, ascending (a copy of just those)."""
-        return self._ranges[-n:]
+        """The last ``n`` covered ranges, ascending (a copy of just those);
+        none for ``n <= 0``."""
+        return self._ranges[-n:] if n > 0 else []
 
     def max_covered(self) -> Optional[int]:
         """Highest covered value + 1 (i.e. the end of the last range)."""

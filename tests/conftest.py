@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Dict, Optional, Tuple
 
 import pytest
@@ -19,22 +20,31 @@ def sim() -> Simulator:
 
 
 class CountingRangeSet(RangeSet):
-    """A ``RangeSet`` that counts its ``gaps`` and ``add`` calls, to pin
-    that ACK processing does work in proportion to what is new."""
+    """A ``RangeSet`` that counts its ``gaps``, ``add``, ``covers`` and
+    ``containing`` calls by name, to pin that ACK processing does work in
+    proportion to what is new."""
 
     __slots__ = ("calls",)
 
     def __init__(self) -> None:
         super().__init__()
-        self.calls = 0
+        self.calls: Counter = Counter()
 
     def gaps(self, lo, hi):
-        self.calls += 1
+        self.calls["gaps"] += 1
         return super().gaps(lo, hi)
 
     def add(self, lo, hi):
-        self.calls += 1
+        self.calls["add"] += 1
         return super().add(lo, hi)
+
+    def covers(self, lo, hi):
+        self.calls["covers"] += 1
+        return super().covers(lo, hi)
+
+    def containing(self, value):
+        self.calls["containing"] += 1
+        return super().containing(value)
 
 
 def make_quic_pair(

@@ -19,9 +19,12 @@ seed = int(sys.argv[1])
 for cell in range(3):
     row = {"cell": cell, "label": f"c{cell}", "plt": 0.5 + cell + seed,
            "complete": True, "client": {"acks_sent": 4}, "server": {"acks_sent": 9},
+           "loss": {"client": {"cwnd": 100}, "server": {"cwnd": 200, "dupthresh": 3}},
            "links": {"a->b": {"delivered_packets": 3}}, "now": 2.0, "events": 40}
     if cell == 1 and mode == "link":
         row["links"]["a->b"]["delivered_packets"] = 4
+    if cell == 0 and mode == "loss":
+        row["loss"]["server"]["dupthresh"] = 5
     if cell == 2 and mode == "events":
         row["events"] = 41
     print(json.dumps(row))
@@ -65,6 +68,36 @@ def test_event_count_is_compared(identity, capsys):
     assert identity("events") == 1
     assert "cell 2 (c2): events: parent 40, change 41" in \
         capsys.readouterr().out
+
+
+def test_loss_state_is_compared_when_stats_agree(identity, capsys):
+    assert identity("loss") == 1
+    assert capsys.readouterr().out.strip() == (
+        "seed 0: DIFFERENT at cell 0 (c0): loss.server.dupthresh: "
+        "parent 3, change 5")
+
+
+def test_loss_state_reads_both_transports(identity):
+    """The dump's ``loss_state`` on real endpoints: the congestion window
+    everywhere, TCP's duplicate threshold, QUIC's detector counters."""
+    from repro.core.runner import run_page_load
+    from repro.http.objects import page
+    from repro.netem.profiles import emulated
+
+    namespace = {}
+    exec(identity.module.LOSS_STATE, namespace)
+    loss_state = namespace["loss_state"]
+    lossy = emulated(10.0, loss_pct=2.0)
+    tcp = run_page_load(lossy, page(1, 100 * 1024), "tcp", seed=1).server
+    assert loss_state(tcp) == {"cwnd": tcp.cc.cwnd,
+                               "dupthresh": tcp.dupthresh}
+    quic = run_page_load(lossy, page(1, 100 * 1024), "quic", seed=1).server
+    detector = quic.loss_detector
+    assert detector.losses_declared > 0
+    assert loss_state(quic) == {
+        "cwnd": quic.cc.cwnd, "losses_declared": detector.losses_declared,
+        "false_losses": detector.false_losses,
+        "threshold": detector.threshold}
 
 
 def test_cell_count_mismatch_is_a_difference(identity):

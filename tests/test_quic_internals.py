@@ -2,10 +2,14 @@
 control granting, packet packing, and handshake message flow."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netem import Simulator, emulated
 from repro.quic import quic_config
 from repro.quic.frames import AckFrame, MaxDataFrame, StreamFrame
+from repro.quic.loss import SentPacketRecord
+from repro.transport.util import RangeSet
 
 from .conftest import MEDIUM, CountingRangeSet, make_quic_pair, quic_download
 
@@ -38,34 +42,86 @@ class TestAckGeneration:
         ack = client._make_ack_frame()
         assert ack.ack_delay == pytest.approx(0.030)
 
-    def test_block_count_capped(self, sim):
+    def test_block_count_capped(self):
+        for max_blocks in (4, 1):
+            cfg = quic_config(34)
+            cfg.max_ack_blocks = max_blocks
+            _, client, _ = make_quic_pair(Simulator(), MEDIUM, cfg=cfg)
+            for num in range(1, 41, 2):  # 20 isolated packets = 20 ranges
+                client._record_received(0.1, num, True)
+            ack = client._make_ack_frame()
+            assert len(ack.blocks) == max_blocks
+            assert ack.blocks[0] == (39, 39)
+            assert ack.largest_acked == 39
+            # The frame fits what _build_packet budgets for it.
+            assert ack.wire_bytes <= 16 + 8 * max_blocks
+
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_fewer_than_one_block_is_refused(self, sim, blocks):
+        """``tail(0)`` once returned every range, so a frame meant to
+        carry none carried all of them, past _build_packet's budget."""
         cfg = quic_config(34)
-        cfg.max_ack_blocks = 4
         _, client, _ = make_quic_pair(sim, MEDIUM, cfg=cfg)
-        for num in range(1, 41, 2):  # 20 isolated packets = 20 ranges
-            client._record_received(0.1, num, True)
-        ack = client._make_ack_frame()
-        assert len(ack.blocks) == 4
-        assert ack.largest_acked == 39
+        cfg.max_ack_blocks = blocks  # the config is mutable after construction
+        client._record_received(0.1, 1, True)
+        client._record_received(0.1, 3, True)
+        with pytest.raises(ValueError, match="max_ack_blocks"):
+            client._make_ack_frame()
 
 
 class TestAckProcessing:
     def test_work_is_proportional_to_new_blocks_not_repeated_ones(self, sim):
         """A frame repeats up to 32 blocks the sender has mostly seen: 500
         frames of 31 old blocks + 1 new one cost one gaps() and one add()
-        each, not 32 of both."""
+        each, not 32 of both, and no covers() for the repeats."""
         _, _client, server = make_quic_pair(sim, MEDIUM)
         server._peer_acked = acked = CountingRangeSet()
         numbers = list(range(1, 2 * (31 + 500), 2))  # isolated: never merge
         server._on_ack_frame(0.0, AckFrame(
             numbers[30], 0.0, tuple((n, n) for n in reversed(numbers[:31]))))
-        acked.calls = 0
+        acked.calls.clear()
         for newest in range(31, 31 + 500):
             blocks = tuple((n, n) for n in reversed(numbers[newest - 31:newest + 1]))
             assert len(blocks) == 32
             server._on_ack_frame(0.0, AckFrame(numbers[newest], 0.0, blocks))
-        assert acked.calls <= 2 * 500
+        assert acked.calls["gaps"] + acked.calls["add"] <= 2 * 500
+        assert acked.calls["covers"] == 0
         assert acked.ranges() == [(n, n + 1) for n in numbers]
+
+    def test_new_block_below_a_repeated_head_is_processed(self, sim):
+        """Late packets extend an old block under an unchanged head
+        block: the frame's head repeats, but its rest does not."""
+        _, _client, server = make_quic_pair(sim, MEDIUM)
+        server.loss_detector.threshold = 10 ** 9  # keep every record
+        for num in range(1, 21):
+            server.sent[num] = SentPacketRecord(num, 0.0, 100)
+        server._on_ack_frame(0.0, AckFrame(20, 0.0, ((10, 20), (1, 5))))
+        assert sorted(server.sent) == [6, 7, 8, 9]
+        server._on_ack_frame(0.0, AckFrame(20, 0.0, ((10, 20), (1, 8))))
+        assert sorted(server.sent) == [9]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 60), max_size=12), max_size=12))
+    def test_acked_numbers_are_the_union_of_all_frames(self, frames):
+        """Any frame order — repeats, merges, reordered older frames:
+        every number in some block is acked exactly once, and only those."""
+        sim = Simulator()
+        _, _client, server = make_quic_pair(sim, MEDIUM)
+        server.loss_detector.threshold = 10 ** 9
+        for num in range(1, 61):
+            server.sent[num] = SentPacketRecord(num, 0.0, 100)
+        acked = set()
+        for numbers in frames:
+            if not numbers:
+                continue
+            blocks = tuple((lo, hi - 1) for lo, hi in
+                           reversed(RangeSet((n, n + 1) for n in numbers).ranges()))
+            server._on_ack_frame(0.0, AckFrame(max(numbers), 0.0, blocks))
+            acked.update(numbers)
+        assert set(server.sent) == set(range(1, 61)) - acked
+        assert set(server._peer_acked.ranges()) == \
+            set(RangeSet((n, n + 1) for n in acked).ranges())
+        assert server.bytes_in_flight == -100 * len(acked)
 
 
 class TestFlowControlGrants:

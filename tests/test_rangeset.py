@@ -111,6 +111,31 @@ class TestQueries:
         rs = RangeSet([(0, 5), (10, 20)])
         assert rs.max_covered() == 20
 
+    def test_tail(self):
+        rs = RangeSet([(0, 2), (4, 6), (8, 9)])
+        assert rs.tail(2) == [(4, 6), (8, 9)]
+        assert rs.tail(5) == [(0, 2), (4, 6), (8, 9)]
+        # A non-positive count asks for no ranges (``[-0:]`` is all).
+        assert rs.tail(0) == []
+        assert rs.tail(-1) == []
+
+    def test_covered_above(self):
+        rs = RangeSet([(5, 10), (15, 20)])
+        assert rs.covered_above(0) == 10
+        assert rs.covered_above(7) == 8
+        assert rs.covered_above(10) == 5
+        assert rs.covered_above(20) == 0
+
+    def test_trim_below_drops_whole_ranges_only(self):
+        rs = RangeSet([(0, 5), (10, 20), (30, 40)])
+        rs.trim_below(10)
+        assert rs.ranges() == [(10, 20), (30, 40)]
+        rs.trim_below(15)  # (10, 20) reaches past 15: it stays whole
+        assert rs.ranges() == [(10, 20), (30, 40)]
+        assert rs.total() == 20
+        rs.trim_below(40)
+        assert not rs and rs.total() == 0
+
     def test_equality(self):
         assert RangeSet([(0, 5)]) == RangeSet([(0, 3), (3, 5)])
         assert RangeSet([(0, 5)]) != RangeSet([(0, 6)])
@@ -205,3 +230,58 @@ def test_insertion_order_irrelevant(ranges, rnd):
     rnd.shuffle(shuffled)
     rs2 = RangeSet(shuffled)
     assert rs1 == rs2
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranges_strategy, st.integers(-3, 35))
+def test_tail_matches_naive(ranges, n):
+    out = RangeSet(ranges).ranges()
+    assert RangeSet(ranges).tail(n) == (out[max(len(out) - n, 0):] if n > 0 else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges_strategy, st.integers(0, 300))
+def test_covered_above_matches_naive(ranges, value):
+    assert RangeSet(ranges).covered_above(value) == \
+        sum(1 for point in naive(ranges) if point >= value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges_strategy, st.integers(0, 300), ranges_strategy)
+def test_trim_below_matches_naive(ranges, value, later):
+    """Exactly the ranges ending at or below ``value`` go; the set stays
+    a valid ``RangeSet`` for later adds and queries."""
+    rs = RangeSet(ranges)
+    kept = [(lo, hi) for lo, hi in rs.ranges() if hi > value]
+    rs.trim_below(value)
+    assert rs.ranges() == kept
+    assert rs.total() == len(naive(kept))
+    for lo, hi in later:
+        rs.add(lo, hi)
+    assert rs == RangeSet(kept + later)
+    assert rs.total() == len(naive(kept + later))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranges_strategy, st.integers(0, 300), st.integers(0, 60))
+def test_covers_matches_naive(ranges, lo, length):
+    """Probes inside, across and past the last range too (the in-order
+    fast path answers those without a bisect)."""
+    covered = naive(ranges)
+    assert RangeSet(ranges).covers(lo, lo + length) == \
+        all(point in covered for point in range(lo, lo + length))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranges_strategy)
+def test_contiguous_from_at_every_range_edge(ranges):
+    """Origins just before, at, inside and at the end of each range: the
+    first range's fast path must agree with the bisect."""
+    covered = naive(ranges)
+    rs = RangeSet(ranges)
+    for lo, hi in rs.ranges():
+        for origin in (lo - 1, lo, hi - 1, hi):
+            expected = origin
+            while expected in covered:
+                expected += 1
+            assert rs.contiguous_from(origin) == expected

@@ -105,14 +105,100 @@ class TestSackScoreboard:
         blocks = [(1000 * i, 1000 * i + 500) for i in range(1, 3 + 500 + 1)]
         for block in blocks[:3]:
             server._apply_sack(*block)
-        sacked.calls = 0
+        sacked.calls.clear()
         for newest in range(3, 3 + 500):
             server._on_ack_info(0.0, TcpSegment(
                 server.conn_id, "ack", cum_ack=0, rwnd=100_000,
                 sack_blocks=tuple(reversed(blocks[newest - 3:newest + 1]))))
-        assert sacked.calls <= 2 * 500
+        assert sacked.calls["gaps"] + sacked.calls["add"] <= 2 * 500
         assert sacked.ranges() == blocks
         assert server._highest_sacked == blocks[-1][1]
+
+
+class TestSackBlockGeneration:
+    def test_arrivals_inside_a_built_block_cost_no_bisect(self, sim):
+        """Eight recent arrivals, all in one block above a hole: one
+        bisect builds the block, the other seven reuse it."""
+        _, client, _server = make_tcp_pair(sim, MEDIUM)
+        client._rcv_ranges = received = CountingRangeSet()
+        for seq in range(1000, 9000, 1000):
+            received.add(seq, seq + 1000)
+            client._recent_arrivals.appendleft(seq)
+        received.calls.clear()
+        assert client._sack_blocks() == [(1000, 9000)]
+        assert received.calls["containing"] == 1
+
+    def test_arrivals_below_the_frontier_cost_no_bisect(self, sim):
+        _, client, _server = make_tcp_pair(sim, MEDIUM)
+        client._rcv_ranges = received = CountingRangeSet()
+        for seq in range(0, 6000, 1000):
+            received.add(seq, seq + 1000)
+            client._recent_arrivals.appendleft(seq)
+        client._rcv_frontier = 6000
+        received.add(8000, 9000)
+        client._recent_arrivals.appendleft(8000)
+        received.calls.clear()
+        assert client._sack_blocks() == [(8000, 9000)]
+        assert received.calls["containing"] == 1
+
+
+class TestScoreboardTrim:
+    """The SACK scoreboard keeps only the live window above snd_una."""
+
+    def _pass_holes(self, sim, holes):
+        """Send ``2 * holes + 8`` segments, SACK every other one of the
+        first ``2 * holes``, then cumulatively ACK past all of them."""
+        _, _client, server = make_tcp_pair(sim, MEDIUM)
+        server._ready = True
+        server._sacked = CountingRangeSet()
+        count = 2 * holes + 8
+        server.send_message(1000 * count, ("resp", 1, None))
+        records = [server._segmentize(1000) for _ in range(count)]
+        for record in records:
+            server._transmit_record(record, retransmit=False)
+
+        def ack(cum, *blocks):
+            server._on_ack_info(0.0, TcpSegment(
+                server.conn_id, "ack", cum_ack=cum, rwnd=10 ** 7,
+                sack_blocks=blocks))
+
+        for record in records[1:2 * holes:2]:
+            ack(0, (record.seq, record.end))
+        assert len(server._sacked) == holes
+        ack(records[2 * holes].seq)
+        return server, records, ack
+
+    def test_cumulative_ack_trims_passed_ranges(self, sim):
+        server, records, ack = self._pass_holes(sim, 50)
+        assert not server._sacked
+        # A reordered older ACK's blocks below snd_una do not come back.
+        ack(0, (records[1].seq, records[1].end))
+        assert not server._sacked
+
+    def test_loss_scan_does_not_grow_with_passed_holes(self):
+        """The same recovery after passing 5 or 300 holes: each
+        _detect_losses call sees the same scoreboard and does the same
+        scoreboard work."""
+        seen = {}
+        for holes in (5, 300):
+            server, records, ack = self._pass_holes(Simulator(), holes)
+            sacked = server._sacked
+            sacked.calls.clear()
+            sizes = []
+            detect = server._detect_losses
+
+            def counting_detect(now, newly_sacked):
+                sizes.append(len(server._sacked))
+                return detect(now, newly_sacked)
+
+            server._detect_losses = counting_detect
+            live = records[2 * holes:]
+            for record in live[2:]:
+                ack(live[0].seq, (record.seq, record.end))
+            assert live[0].declared_lost and live[1].declared_lost
+            seen[holes] = (sizes, dict(sacked.calls))
+        assert seen[5] == seen[300]
+        assert seen[5][0] == [1] * 6
 
 
 class TestMessageFraming:
