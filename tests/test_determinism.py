@@ -29,21 +29,29 @@ The fixed cells cover the paths the optimisations touch:
   and the adaptive duplicate threshold.
 * QUIC 1 MB over a 1 % lossy link — many-block ACK frames, NACK loss
   detection and tail loss probes.
+* QUIC through the split proxy — the proxy's QUIC legs (no 0-RTT) and
+  its streaming-response relay, every link pinned.
+* Video playback over QUIC and over TCP — the player's pipeline on
+  either stack, every QoE field pinned.
+* One QUIC and one TCP bulk flow sharing a bottleneck — the fairness
+  driver's per-side connection set-up and kick-off order.
 
 Exact ``==`` on floats is deliberate: bit-identity is the guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import hashlib
+from dataclasses import asdict, replace
 
 from repro.core.bench import bench_plt
 from repro.core.executor import ProtocolSpec
-from repro.core.runner import run_page_load
+from repro.core.runner import run_fairness, run_page_load
 from repro.devices import MOTOG
 from repro.http.objects import page
 from repro.netem.profiles import Scenario, emulated
 from repro.quic.config import quic_config
+from repro.video import play_video_once
 
 
 def _link_counts(stats):
@@ -172,6 +180,85 @@ class TestGoldenTcpProxied:
             ("router-b", "server"): ((151, 15762, 0, 0, 151, 15762, 0), 0),
             ("server", "router-b"): ((208, 272226, 0, 0, 208, 272226, 0), 0),
         }
+
+
+class TestGoldenQuicProxied:
+    """The proxied cell of :class:`TestGoldenTcpProxied`, over QUIC.
+
+    The "unoptimized" QUIC proxy: both legs without 0-RTT (Sec. 5.5),
+    response bytes relayed through streaming responses.
+    """
+
+    def test_exact_outcome(self):
+        out = run_page_load(
+            emulated(20.0, extra_delay_ms=40.0, loss_pct=1.0),
+            page(5, 50 * 1024), "quic", seed=4, proxied=True)
+        assert out.result.plt == 0.2731410125330144
+        assert out.sim.events_processed == 2049
+        assert out.sim.now == 0.2731410125330144
+        assert vars(out.client.stats) == {
+            "packets_sent": 101, "bytes_sent": 5644, "data_packets_sent": 3,
+            "retransmitted_ranges": 0, "acks_sent": 98,
+            "packets_received": 199, "duplicate_bytes": 0,
+            "tlp_probes": 0, "rto_fires": 0, "flow_blocked_events": 0,
+            "app_limited_events": 1}
+        assert vars(out.server.stats) == {
+            "packets_sent": 202, "bytes_sent": 263134,
+            "data_packets_sent": 199, "retransmitted_ranges": 1,
+            "acks_sent": 3, "packets_received": 103, "duplicate_bytes": 0,
+            "tlp_probes": 0, "rto_fires": 0, "flow_blocked_events": 0,
+            "app_limited_events": 55}
+        assert _every_link(out) == {
+            ("client", "router-a"): ((101, 9684, 0, 0, 100, 9612, 0), 0),
+            ("proxy", "router-a"): ((200, 271098, 0, 1, 199, 269708, 0), 0),
+            ("proxy", "router-b"): ((105, 11584, 0, 1, 103, 11424, 0), 0),
+            ("router-a", "client"): ((199, 269708, 0, 0, 199, 269708, 0), 0),
+            ("router-a", "proxy"): ((100, 9612, 0, 1, 99, 9540, 0), 0),
+            ("router-b", "proxy"): ((202, 271214, 0, 1, 201, 269824, 0), 0),
+            ("router-b", "server"): ((103, 11424, 0, 0, 103, 11424, 0), 0),
+            ("server", "router-b"): ((202, 271214, 0, 0, 202, 271214, 0), 0),
+        }
+
+
+class TestGoldenVideo:
+    """10 Mbps, 1 % loss; 20 s of the medium title; seed 1, per protocol."""
+
+    def _play(self, protocol):
+        return asdict(play_video_once(emulated(10.0, loss_pct=1.0), "medium",
+                                      protocol, seed=1, test_seconds=20.0))
+
+    def test_exact_quic_qoe(self):
+        assert self._play("quic") == {
+            "quality": "medium", "protocol": "quic",
+            "time_to_start": 0.2518650974995549,
+            "video_loaded_pct": 3.3333333333333335,
+            "buffer_play_ratio_pct": 0.0, "rebuffer_count": 0,
+            "rebuffers_per_played_sec": 0.0,
+            "played_seconds": 19.748134902500446, "stalled_seconds": 0.0}
+
+    def test_exact_tcp_qoe(self):
+        assert self._play("tcp") == {
+            "quality": "medium", "protocol": "tcp",
+            "time_to_start": 0.3625486060816035,
+            "video_loaded_pct": 2.111111111111111,
+            "buffer_play_ratio_pct": 0.0, "rebuffer_count": 0,
+            "rebuffers_per_played_sec": 0.0,
+            "played_seconds": 19.637451393918397, "stalled_seconds": 0.0}
+
+
+class TestGoldenFairness:
+    """One QUIC and one TCP flow on the default bottleneck; 10 s; seed 2."""
+
+    def test_exact_throughputs(self):
+        result = run_fairness(n_quic=1, n_tcp=1, duration=10.0, seed=2)
+        assert result.average_mbps == {"quic": 3.9148584, "tcp": 1.0655296}
+        assert {flow: len(points) for flow, points in result.series.items()} \
+            == {"quic": 40, "tcp": 37}
+        # Every (time, Mbps) point of both series, exact.
+        digest = hashlib.sha256(
+            repr(sorted(result.series.items())).encode()).hexdigest()
+        assert digest == ("b636928107e0e72171219f071722f74e"
+                          "90ee5feff3b81e4d004100aa4ce17d3d")
 
 
 class TestGoldenTcpJitterSack:
