@@ -133,7 +133,7 @@ def test_ablation_n_connection_emulation(benchmark):
             cfg = quic_config(34)
             cfg.cc.num_emulated_connections = n
             result = run_fairness(n_quic=1, n_tcp=1, duration=30.0, seed=1,
-                                  quic_cfg=cfg)
+                                  quic=cfg)
             shares[n] = result.quic_share()
         return shares
 

@@ -195,9 +195,8 @@ def test_extension_abr_over_fluctuating_bandwidth(benchmark):
     with fewer downward switches."""
 
     def run():
+        from repro.core.executor import ProtocolSpec
         from repro.netem import BandwidthSchedule, Simulator, build_path, mbps
-        from repro.quic import open_quic_pair, quic_config
-        from repro.tcp import open_tcp_pair, tcp_config
         from repro.video import AbrVideoPlayer
 
         out = {}
@@ -209,16 +208,10 @@ def test_extension_abr_over_fluctuating_bandwidth(benchmark):
                 sim, [path.bottleneck_down, path.bottleneck_up],
                 mbps(5.0), mbps(50.0), period=1.0)
             sched.start()
-            handler = lambda m: m["size"]  # noqa: E731
-            if protocol == "quic":
-                client, _ = open_quic_pair(sim, path.client, path.server,
-                                           quic_config(34),
-                                           request_handler=handler, seed=4)
-            else:
-                client, _ = open_tcp_pair(sim, path.client, path.server,
-                                          tcp_config(),
-                                          request_handler=handler, seed=4)
-            player = AbrVideoPlayer(sim, client, protocol=protocol)
+            client, _ = ProtocolSpec.of(protocol).open_pair(
+                sim, path.client, path.server,
+                request_handler=lambda m: m["size"], seed=4)
+            player = AbrVideoPlayer(sim, client)
             player.start()
             sim.run(until=60.0)
             metrics = player.finalize()

@@ -161,7 +161,9 @@ def cmd_fairness(args: argparse.Namespace) -> int:
 def cmd_bulk(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
     protocol = ProtocolSpec.of(args.protocol)
-    if args.protocol == "quic" and args.nack_threshold is not None:
+    if args.nack_threshold is not None:
+        if args.protocol != "quic":
+            raise SystemExit("error: --nack-threshold applies to --protocol quic")
         cfg = quic_config(34)
         cfg.nack_threshold = args.nack_threshold
         protocol = ProtocolSpec("quic", cfg)

@@ -64,10 +64,14 @@ from typing import (
 
 from ..devices import DESKTOP, DeviceProfile
 from ..http.objects import WebPage
+from ..netem.node import Node
 from ..netem.profiles import Scenario
+from ..netem.sim import Simulator
 from .manyflow import ManyflowConfig
 from ..quic.config import QuicConfig, quic_config
+from ..quic.connection import QuicConnection
 from ..tcp.config import TcpConfig, tcp_config
+from ..tcp.connection import TcpConnection
 
 #: Simulated-time cap per run (mirrors ``runner.DEFAULT_TIMEOUT``).
 DEFAULT_SIM_TIMEOUT = 900.0
@@ -77,7 +81,13 @@ SERIAL_ENV_VAR = "REPRO_EXECUTOR_SERIAL"
 #: speedup, so the engine runs them in-process instead.
 MIN_PARALLEL = 4
 
-PROTOCOL_NAMES = ("quic", "tcp")
+#: Protocol name -> (config type, the paper's default config, connection
+#: class): the one place a protocol name becomes a stack.
+_STACKS = {
+    "quic": (QuicConfig, partial(quic_config, 34), QuicConnection),
+    "tcp": (TcpConfig, tcp_config, TcpConnection),
+}
+PROTOCOL_NAMES = tuple(_STACKS)
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +112,7 @@ class ProtocolSpec:
                 f"{', '.join(PROTOCOL_NAMES)})"
             )
         if self.config is not None:
-            expected = QuicConfig if self.name == "quic" else TcpConfig
+            expected = _STACKS[self.name][0]
             if not isinstance(self.config, expected):
                 raise TypeError(
                     f"{self.name} ProtocolSpec needs a {expected.__name__}, "
@@ -142,7 +152,16 @@ class ProtocolSpec:
         """The configuration, with the paper's defaults filled in."""
         if self.config is not None:
             return self.config
-        return quic_config(34) if self.name == "quic" else tcp_config()
+        return _STACKS[self.name][1]()
+
+    def open_pair(self, sim: Simulator, client_node: Node, server_node: Node,
+                  **endpoint_kwargs: Any) -> Tuple[Any, Any]:
+        """A connected client/server pair of this stack on the resolved
+        config; ``endpoint_kwargs`` are
+        :meth:`~repro.transport.base.TransportEndpoint.open_pair`'s."""
+        return _STACKS[self.name][2].open_pair(
+            sim, client_node, server_node, self.resolved_config(),
+            **endpoint_kwargs)
 
     @property
     def label(self) -> str:
@@ -151,6 +170,11 @@ class ProtocolSpec:
         if isinstance(self.config, QuicConfig):
             return self.config.label()
         return "tcp(custom)"
+
+
+#: What a protocol argument may look like across the public drivers: a
+#: spec, or a bare ``"quic"``/``"tcp"`` for the paper's defaults.
+ProtocolLike = Union[str, ProtocolSpec]
 
 
 @dataclass(frozen=True)

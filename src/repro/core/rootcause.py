@@ -82,25 +82,28 @@ class LossReport:
         )
 
 
+#: Each stack's own loss counters, read from its sender connection:
+#: (losses declared, spurious losses, TLPs, final reordering threshold).
+_LOSS_COUNTERS = {
+    "quic": lambda c: (c.loss_detector.losses_declared,
+                       c.loss_detector.false_losses, c.stats.tlp_probes,
+                       c.loss_detector.threshold),
+    "tcp": lambda c: (c.stats.retransmits, c.stats.spurious_retransmits, 0,
+                      c.dupthresh),
+}
+
+
 def loss_report(connection: Any) -> LossReport:
     """Build a loss report from either transport's sender connection."""
-    detector = getattr(connection, "loss_detector", None)
-    if detector is not None:  # QUIC
-        return LossReport(
-            protocol="quic",
-            losses_declared=detector.losses_declared,
-            false_losses=detector.false_losses,
-            rto_fires=connection.stats.rto_fires,
-            tlp_fires=connection.stats.tlp_probes,
-            final_threshold=detector.threshold,
-        )
+    declared, false_losses, tlps, threshold = (
+        _LOSS_COUNTERS[connection.protocol](connection))
     return LossReport(
-        protocol="tcp",
-        losses_declared=connection.stats.retransmits,
-        false_losses=connection.stats.spurious_retransmits,
+        protocol=connection.protocol,
+        losses_declared=declared,
+        false_losses=false_losses,
         rto_fires=connection.stats.rto_fires,
-        tlp_fires=0,
-        final_threshold=connection.dupthresh,
+        tlp_fires=tlps,
+        final_threshold=threshold,
     )
 
 
@@ -153,13 +156,12 @@ class EfficiencyReport:
 
 def efficiency_report(server: Any, app_bytes: int) -> EfficiencyReport:
     """Build a wire-efficiency report for either protocol's sender."""
-    protocol = "quic" if hasattr(server, "loss_detector") else "tcp"
     return EfficiencyReport(
-        protocol=protocol,
+        protocol=server.protocol,
         app_bytes=app_bytes,
         wire_payload_bytes=server.stats.bytes_sent,
-        packets_sent=(server.stats.packets_sent
-                      if protocol == "quic" else server.stats.segments_sent),
+        packets_sent=(server.stats.packets_sent if server.protocol == "quic"
+                      else server.stats.segments_sent),
     )
 
 

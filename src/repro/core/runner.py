@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..devices import DESKTOP, DeviceProfile
 from ..http.client import PageLoader, PageLoadResult
@@ -31,23 +31,19 @@ from ..netem.link import BandwidthSchedule, mbps
 from ..netem.profiles import Scenario, fairness_bottleneck
 from ..netem.sim import Simulator
 from ..netem.topology import Path, build_bottleneck, build_path, build_proxy_path
-from ..quic.config import QuicConfig, quic_config
-from ..quic.connection import open_quic_pair
-from ..tcp.config import TcpConfig, tcp_config
-from ..tcp.connection import open_tcp_pair
+from ..proxy import install_proxy
+from ..quic.config import QuicConfig
+from ..tcp.config import TcpConfig
 from .comparison import Comparison
-from .executor import ProtocolSpec, RunRequest, collect
+from .executor import ProtocolLike, ProtocolSpec, RunRequest, collect
 from .heatmap import Heatmap
 from .instrumentation import Trace
 from .monitors import FlowThroughputMonitor
+from .rootcause import loss_report
 
 #: Default number of measurement rounds (the paper: "at least 10").
 DEFAULT_RUNS = 10
 DEFAULT_TIMEOUT = 900.0
-
-#: What a protocol argument may look like across the public drivers.
-ProtocolLike = Union[str, ProtocolSpec]
-
 
 #: RunRequest fields settable through the batch drivers' ``**kwargs``.
 _REQUEST_FIELDS = ("device", "trace", "cwnd_interval", "proxied", "timeout")
@@ -103,19 +99,6 @@ class RunOutput:
         return self.result.plt
 
 
-def _make_connections(sim: Simulator, path: Path, spec: ProtocolSpec,
-                      handler: Callable[[Any], Optional[int]],
-                      *, device: DeviceProfile, seed: int,
-                      server_trace: Trace, client_trace: Trace
-                      ) -> Tuple[Any, Any]:
-    open_pair = open_quic_pair if spec.name == "quic" else open_tcp_pair
-    return open_pair(
-        sim, path.client, path.server, spec.resolved_config(), device=device,
-        request_handler=handler, server_trace=server_trace,
-        client_trace=client_trace, seed=seed,
-    )
-
-
 def run_page_load(
     scenario: Scenario,
     page: WebPage,
@@ -136,32 +119,26 @@ def run_page_load(
     on both legs.
     """
     spec = ProtocolSpec.of(protocol)
-    protocol = spec.name
     sim = Simulator()
-    server_trace = Trace(label=f"{protocol}-server", enabled=trace,
+    server_trace = Trace(label=f"{spec.name}-server", enabled=trace,
                          cwnd_min_interval=cwnd_interval)
-    client_trace = Trace(label=f"{protocol}-client", enabled=False)
+    client_trace = Trace(label=f"{spec.name}-client", enabled=False)
     handler = page_request_handler(page)
     proxy_conns: Tuple[Any, ...] = ()
     if proxied:
-        from ..proxy import install_proxy  # local import avoids a cycle
-
         path = build_proxy_path(sim, scenario, seed=seed)
-        cfg = spec.resolved_config()
         client, server, proxy_conns = install_proxy(
-            sim, path, protocol, handler,
-            quic_cfg=cfg if protocol == "quic" else None,
-            tcp_cfg=cfg if protocol == "tcp" else None,
-            device=device, seed=seed,
+            sim, path, spec, handler, device=device, seed=seed,
             server_trace=server_trace, client_trace=client_trace,
         )
     else:
         path = build_path(sim, scenario, seed=seed)
-        client, server = _make_connections(
-            sim, path, spec, handler, device=device, seed=seed,
-            server_trace=server_trace, client_trace=client_trace,
+        client, server = spec.open_pair(
+            sim, path.client, path.server, device=device,
+            request_handler=handler, server_trace=server_trace,
+            client_trace=client_trace, seed=seed,
         )
-    loader = PageLoader(sim, client, page, protocol)
+    loader = PageLoader(sim, client, page)
     loader.run(timeout)
     server_trace.close(sim.now)
     client_trace.close(sim.now)
@@ -318,18 +295,19 @@ def run_fairness(
     *,
     scenario: Optional[Scenario] = None,
     seed: int = 0,
-    quic_cfg: Optional[QuicConfig] = None,
-    tcp_cfg: Optional[TcpConfig] = None,
+    quic: Optional[Union[QuicConfig, ProtocolSpec]] = None,
+    tcp: Optional[Union[TcpConfig, ProtocolSpec]] = None,
     stagger: float = 0.1,
 ) -> FairnessResult:
     """Competing bulk flows over one bottleneck (Table 4's setup).
 
     Each flow downloads an effectively unbounded object; throughput is
-    measured at the bottleneck for ``duration`` seconds.
+    measured at the bottleneck for ``duration`` seconds.  ``quic``/``tcp``
+    override either side's configuration (a config or a full
+    :class:`ProtocolSpec`).
     """
     scenario = scenario if scenario is not None else fairness_bottleneck()
-    quic_cfg = quic_cfg if quic_cfg is not None else quic_config(34)
-    tcp_cfg = tcp_cfg if tcp_cfg is not None else tcp_config()
+    quic_spec, tcp_spec = _side_spec("quic", quic), _side_spec("tcp", tcp)
     sim = Simulator()
     n_pairs = n_quic + n_tcp
     net, clients, servers, bottleneck = build_bottleneck(
@@ -344,8 +322,8 @@ def run_fairness(
     idx = 0
     for q in range(n_quic):
         flow = f"quic{q}" if n_quic > 1 else "quic"
-        client, _server = open_quic_pair(
-            sim, clients[idx], servers[idx], quic_cfg,
+        client, _server = quic_spec.open_pair(
+            sim, clients[idx], servers[idx],
             request_handler=handler, seed=rng.randrange(1 << 30), flow_id=flow,
         )
         start = stagger * idx
@@ -354,8 +332,8 @@ def run_fairness(
         idx += 1
     for t in range(n_tcp):
         flow = f"tcp{t + 1}" if n_tcp > 1 else "tcp"
-        client, _server = open_tcp_pair(
-            sim, clients[idx], servers[idx], tcp_cfg,
+        client, _server = tcp_spec.open_pair(
+            sim, clients[idx], servers[idx],
             request_handler=handler, seed=rng.randrange(1 << 30), flow_id=flow,
         )
         start = stagger * idx
@@ -407,7 +385,6 @@ def run_bulk_transfer(
     rate during the transfer (Fig. 11).
     """
     spec = ProtocolSpec.of(protocol)
-    protocol = spec.name
     sim = Simulator()
     path = build_path(sim, scenario, seed=seed)
     if variable_bw is not None:
@@ -418,34 +395,29 @@ def run_bulk_transfer(
             rng=random.Random(seed ^ 0xBEEF),
         )
         schedule.start()
-    server_trace = Trace(label=f"{protocol}-server", enabled=True,
+    server_trace = Trace(label=f"{spec.name}-server", enabled=True,
                          cwnd_min_interval=cwnd_interval)
     page = single_object_page(size_bytes)
-    handler = page_request_handler(page)
-    client, server = _make_connections(
-        sim, path, spec, handler, device=DESKTOP, seed=seed,
-        server_trace=server_trace, client_trace=Trace(enabled=False),
+    client, server = spec.open_pair(
+        sim, path.client, path.server, device=DESKTOP,
+        request_handler=page_request_handler(page), server_trace=server_trace,
+        client_trace=Trace(enabled=False), seed=seed,
     )
-    loader = PageLoader(sim, client, page, protocol)
+    loader = PageLoader(sim, client, page)
     loader.run(timeout)
     server_trace.close(sim.now)
     if not loader.done:
-        raise RuntimeError(f"{protocol} bulk transfer did not finish in {timeout}s")
+        raise RuntimeError(f"{spec.name} bulk transfer did not finish in {timeout}s")
     elapsed = loader.result.plt
-    if protocol == "quic":
-        false_losses = server.loss_detector.false_losses
-        losses = server.loss_detector.losses_declared
-    else:
-        false_losses = server.stats.spurious_retransmits
-        losses = server.stats.retransmits
+    report = loss_report(server)
     return TransferResult(
-        protocol=protocol,
+        protocol=spec.name,
         size_bytes=size_bytes,
         elapsed=elapsed,
         throughput_mbps=size_bytes * 8 / elapsed / 1e6,
         cwnd_series=server_trace.series("cwnd"),
         server_trace=server_trace,
         stats=server.stats,
-        false_losses=false_losses,
-        losses=losses,
+        false_losses=report.false_losses,
+        losses=report.losses_declared,
     )

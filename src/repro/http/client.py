@@ -7,10 +7,11 @@ all objects on a page" measured from the moment the load starts — DNS is
 excluded by construction (there is none), exactly as the paper excludes
 it.
 
-The loader is transport-agnostic: it drives anything exposing
-``connect(on_ready)`` and ``request(meta, on_complete)`` — both
-:class:`~repro.quic.connection.QuicConnection` and
-:class:`~repro.tcp.connection.TcpConnection` qualify.  (Chrome's
+The loader is transport-agnostic: it drives the one application surface
+both :class:`~repro.quic.connection.QuicConnection` and
+:class:`~repro.tcp.connection.TcpConnection` expose — ``connect(on_ready)``,
+``request(meta, on_complete)``, ``handshake_ready_time`` and the
+``protocol`` each HAR entry records.  (Chrome's
 TCP-vs-QUIC connection racing is intentionally not exercised: like the
 paper, experiments pin the protocol per run and verify it from the HAR.)
 """
@@ -67,12 +68,11 @@ class PageLoadResult:
 class PageLoader:
     """Loads one page over one transport connection."""
 
-    def __init__(self, sim: Simulator, connection: Any, page: WebPage,
-                 protocol: str) -> None:
+    def __init__(self, sim: Simulator, connection: Any, page: WebPage) -> None:
         self.sim = sim
         self.connection = connection
         self.page = page
-        self.protocol = protocol
+        protocol = connection.protocol
         self._timings: Dict[int, ResourceTiming] = {
             o.obj_id: ResourceTiming(o.obj_id, o.size_bytes, protocol=protocol)
             for o in page.objects
@@ -90,7 +90,7 @@ class PageLoader:
         """Begin the load: connect, then request every object."""
         self.result.started_at = self.sim.now
         self.connection.connect(self._on_ready)
-        if getattr(self.connection, "handshake_ready_time", None) is not None:
+        if self.connection.handshake_ready_time is not None:
             # QUIC 0-RTT: requests may be issued immediately.
             self._issue_requests()
 
@@ -131,7 +131,7 @@ class PageLoader:
                 self.sim.stop()
 
 
-def load_page(sim: Simulator, connection: Any, page: WebPage, protocol: str,
+def load_page(sim: Simulator, connection: Any, page: WebPage,
               timeout: float = 600.0) -> PageLoadResult:
     """Convenience wrapper: run the load to completion on the simulator."""
-    return PageLoader(sim, connection, page, protocol).run(timeout)
+    return PageLoader(sim, connection, page).run(timeout)

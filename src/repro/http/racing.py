@@ -38,21 +38,19 @@ class RacingLoader:
     def start(self) -> None:
         """Kick off both handshakes; the first ready connection wins."""
         self._started_at = self.sim.now
-        self.tcp_connection.connect(lambda now: self._on_ready("tcp", now))
-        self.quic_connection.connect(lambda now: self._on_ready("quic", now))
+        self.tcp_connection.connect(lambda now: self._on_ready(self.tcp_connection))
+        self.quic_connection.connect(lambda now: self._on_ready(self.quic_connection))
         if self.quic_connection.handshake_ready_time is not None:
             # 0-RTT: QUIC is ready synchronously and wins the race.
-            self._on_ready("quic", self.sim.now)
+            self._on_ready(self.quic_connection)
 
-    def _on_ready(self, protocol: str, now: float) -> None:
+    def _on_ready(self, connection: Any) -> None:
         if self.winner is not None:
             return
-        self.winner = protocol
-        connection = (self.quic_connection if protocol == "quic"
-                      else self.tcp_connection)
-        loser = (self.tcp_connection if protocol == "quic"
+        self.winner = connection.protocol
+        loser = (self.tcp_connection if connection is self.quic_connection
                  else self.quic_connection)
-        self.loader = PageLoader(self.sim, connection, self.page, protocol)
+        self.loader = PageLoader(self.sim, connection, self.page)
         # The loader re-calls connect(); both transports treat a second
         # connect as a no-op, and the winner is already ready.
         self.loader.start()

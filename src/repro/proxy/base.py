@@ -12,7 +12,8 @@ cellular TCP proxies behave this way, which is why they help at all).
   explicit terminating proxy, and — as the paper notes — it cannot use
   0-RTT connection establishment on either leg, hurting small objects.
 
-Both are one :class:`SplitConnectionProxy`, protocol chosen per leg.
+Both are one :class:`SplitConnectionProxy` over one
+:class:`~repro.core.executor.ProtocolSpec`, terminated on both legs.
 """
 
 from __future__ import annotations
@@ -20,14 +21,11 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..core.executor import ProtocolLike, ProtocolSpec
 from ..core.instrumentation import Trace
 from ..devices import DESKTOP, DeviceProfile
 from ..netem.sim import Simulator
 from ..netem.topology import Path
-from ..quic.config import QuicConfig
-from ..quic.connection import open_quic_pair
-from ..tcp.config import TcpConfig
-from ..tcp.connection import open_tcp_pair
 
 
 class SplitConnectionProxy:
@@ -38,11 +36,9 @@ class SplitConnectionProxy:
         self,
         sim: Simulator,
         path: Path,
-        protocol: str,
+        protocol: ProtocolLike,
         origin_handler: Callable[[Any], Optional[int]],
         *,
-        quic_cfg: Optional[QuicConfig] = None,
-        tcp_cfg: Optional[TcpConfig] = None,
         device: DeviceProfile = DESKTOP,
         seed: int = 0,
         server_trace: Optional[Trace] = None,
@@ -50,37 +46,20 @@ class SplitConnectionProxy:
     ) -> None:
         if path.proxy is None:
             raise ValueError("path has no proxy node (use build_proxy_path)")
-        self.sim = sim
-        self.protocol = protocol
-        rng = random.Random(seed ^ 0x9E3779B9)
-        if protocol == "quic":
-            if quic_cfg is None:
-                raise ValueError("quic_cfg required for a QUIC proxy")
+        spec = ProtocolSpec.of(protocol)
+        if spec.name == "quic":
             # "Unoptimized" QUIC proxy: no 0-RTT on either leg (Sec. 5.5).
-            leg_cfg = quic_cfg.with_(zero_rtt=False)
-            self.client, self.left_server = open_quic_pair(
-                sim, path.client, path.proxy, leg_cfg, device=device,
-                seed=rng.randrange(1 << 30), client_trace=client_trace,
-            )
-            self.right_client, self.origin = open_quic_pair(
-                sim, path.proxy, path.server, leg_cfg,
-                request_handler=origin_handler,
-                server_trace=server_trace, seed=rng.randrange(1 << 30),
-            )
-        elif protocol == "tcp":
-            if tcp_cfg is None:
-                raise ValueError("tcp_cfg required for a TCP proxy")
-            self.client, self.left_server = open_tcp_pair(
-                sim, path.client, path.proxy, tcp_cfg, device=device,
-                seed=rng.randrange(1 << 30), client_trace=client_trace,
-            )
-            self.right_client, self.origin = open_tcp_pair(
-                sim, path.proxy, path.server, tcp_cfg,
-                request_handler=origin_handler,
-                server_trace=server_trace, seed=rng.randrange(1 << 30),
-            )
-        else:
-            raise ValueError(f"unknown protocol {protocol!r}")
+            spec = ProtocolSpec.quic(spec.resolved_config().with_(zero_rtt=False))
+        self.sim = sim
+        rng = random.Random(seed ^ 0x9E3779B9)
+        self.client, self.left_server = spec.open_pair(
+            sim, path.client, path.proxy, device=device,
+            seed=rng.randrange(1 << 30), client_trace=client_trace,
+        )
+        self.right_client, self.origin = spec.open_pair(
+            sim, path.proxy, path.server, request_handler=origin_handler,
+            server_trace=server_trace, seed=rng.randrange(1 << 30),
+        )
 
         self.left_server.on_request = self._on_left_request
         self.right_client.on_progress = self._on_right_progress
@@ -99,12 +78,8 @@ class SplitConnectionProxy:
     def _on_left_request(self, left_id: int, meta: Any) -> None:
         """A client request reached the proxy: open a streaming response
         on the left leg and fetch from the origin on the right leg."""
-        if self.protocol == "quic":
-            self.left_server.open_streaming_response(left_id, meta)
-            handle = left_id
-        else:
-            handle = self.left_server.open_streaming_response(left_id, meta)
-        self._left_handle[id(meta)] = handle
+        self._left_handle[id(meta)] = (
+            self.left_server.open_streaming_response(left_id, meta))
         self.right_client.request(meta, self._on_right_complete)
 
     def _meta_key(self, meta: Any) -> Optional[int]:
@@ -131,10 +106,7 @@ class SplitConnectionProxy:
         if nbytes <= 0:
             return
         self.forwarded_bytes += nbytes
-        if self.protocol == "quic":
-            self.left_server.stream_append(handle, nbytes)
-        else:
-            self.left_server.message_append(handle, nbytes)
+        self.left_server.stream_append(handle, nbytes)
 
     def _on_right_complete(self, right_id: int, meta: Any, _now: float) -> None:
         key = self._meta_key(meta)
@@ -145,20 +117,15 @@ class SplitConnectionProxy:
             return
         # Flush anything that arrived before the metadata did.
         self._forward(handle, self._pending_by_right.pop(right_id, 0))
-        if self.protocol == "quic":
-            self.left_server.stream_finish(handle)
-        else:
-            self.left_server.message_finish(handle)
+        self.left_server.stream_finish(handle)
 
 
 def install_proxy(
     sim: Simulator,
     path: Path,
-    protocol: str,
+    protocol: ProtocolLike,
     origin_handler: Callable[[Any], Optional[int]],
     *,
-    quic_cfg: Optional[QuicConfig] = None,
-    tcp_cfg: Optional[TcpConfig] = None,
     device: DeviceProfile = DESKTOP,
     seed: int = 0,
     server_trace: Optional[Trace] = None,
@@ -171,8 +138,7 @@ def install_proxy(
     client and inspect the origin.
     """
     proxy = SplitConnectionProxy(
-        sim, path, protocol, origin_handler,
-        quic_cfg=quic_cfg, tcp_cfg=tcp_cfg, device=device, seed=seed,
+        sim, path, protocol, origin_handler, device=device, seed=seed,
         server_trace=server_trace, client_trace=client_trace,
     )
     return proxy.client, proxy.origin, (proxy.left_server, proxy.right_client)

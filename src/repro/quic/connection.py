@@ -25,17 +25,15 @@ import random
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..core.instrumentation import Trace
-from ..devices import DESKTOP, DeviceProfile, PacketProcessor
+from ..devices import PacketProcessor
 from ..netem.node import Node
 from ..netem.packet import Packet
 from ..netem.sim import Simulator
-from ..transport.base import TransportEndpoint, fresh_conn_id
+from ..transport.base import ResponseCallback, TransportEndpoint
 from ..transport.cc.bbr import BBR
 from ..transport.cc.cubic import CubicCC
 from ..transport.cc.interface import CongestionController
 from ..transport.cc.pacing import Pacer
-from ..transport.rtt import RttEstimator
 from ..transport.util import RangeSet
 from .config import QuicConfig
 from .frames import (
@@ -49,9 +47,6 @@ from .frames import (
 from .fec import FecDecoder, FecEncoder, FecFrame
 from .loss import LossDetector, SentPacketRecord
 from .streams import RecvStream, SendStream
-
-ResponseCallback = Callable[[int, Any, float], None]
-RequestHandler = Callable[[Any], int]
 
 #: Wire size of a typical HTTP request head on a stream.
 DEFAULT_REQUEST_BYTES = 300
@@ -79,6 +74,10 @@ class QuicStats:
 class QuicConnection(TransportEndpoint):
     """One endpoint of a QUIC connection (client or server role)."""
 
+    protocol = "quic"
+    stats_type = QuicStats
+    ack_delay_field = "ack_delay_timer"
+
     def __init__(
         self,
         sim: Simulator,
@@ -88,25 +87,11 @@ class QuicConnection(TransportEndpoint):
         config: QuicConfig,
         role: str,
         *,
-        device: DeviceProfile = DESKTOP,
-        trace: Optional[Trace] = None,
-        request_handler: Optional[RequestHandler] = None,
-        server_noise: float = 0.001,
-        rng: Optional[random.Random] = None,
-        flow_id: Optional[str] = None,
         session_cache: Optional["SessionCache"] = None,
+        **endpoint_kwargs: Any,
     ) -> None:
-        if role not in ("client", "server"):
-            raise ValueError("role must be 'client' or 'server'")
-        super().__init__(sim, node, conn_id, peer_addr, flow_id=flow_id)
-        self.config = config
-        self.role = role
-        self.device = device
-        self.rng = rng if rng is not None else random.Random(0)
-        self.trace = trace if trace is not None else Trace(label=f"{conn_id}:{role}",
-                                                           enabled=False)
-        self.stats = QuicStats()
-        self.rtt = RttEstimator(initial_rtt=0.1)
+        super().__init__(sim, node, conn_id, peer_addr, config, role,
+                         **endpoint_kwargs)
         if config.use_bbr:
             self.cc: CongestionController = BBR(self.rtt, mss=config.mss,
                                                 trace=self.trace)
@@ -123,14 +108,12 @@ class QuicConnection(TransportEndpoint):
         # --- send state ---------------------------------------------------
         self._next_pkt_num = 1
         self.sent: Dict[int, SentPacketRecord] = {}
-        self.bytes_in_flight = 0
         self.send_streams: Dict[int, SendStream] = {}
         self._send_rr: Deque[int] = deque()
         self._crypto_out: Deque[CryptoFrame] = deque()
         self._control_out: Deque[Any] = deque()
         self._peer_conn_limit = config.conn_flow_window
         self._conn_new_bytes_sent = 0
-        self._send_scheduled = False
         self._largest_acked = 0
         self._peer_acked = RangeSet()
         #: The blocks of the last ACK frame processed, all in _peer_acked.
@@ -139,9 +122,6 @@ class QuicConnection(TransportEndpoint):
         self._recovery_marker: Optional[int] = None
         self._retx_timer = sim.timer(self._retx_timer_fired)
         self._loss_recheck_timer = sim.timer(self._loss_recheck)
-        self._tlp_count = 0
-        self._rto_count = 0
-        self._sent_any_data = False
 
         # --- receive state --------------------------------------------------
         self.recv_streams: Dict[int, RecvStream] = {}
@@ -150,6 +130,8 @@ class QuicConnection(TransportEndpoint):
         self._largest_received_at = 0.0
         self._ack_pending = 0
         self._ack_timer = sim.timer(self._ack_timer_fired)
+        self._timers = (self._retx_timer, self._ack_timer,
+                        self._loss_recheck_timer)
         self._reorder_seen = False
         self._conn_bytes_consumed = 0
         self._conn_granted = config.conn_flow_window
@@ -158,7 +140,7 @@ class QuicConnection(TransportEndpoint):
         self._stream_windows: Dict[int, int] = {}
         self._processor = PacketProcessor(
             sim,
-            device.packet_cost("quic"),
+            self.device.packet_cost("quic"),
             self._process_packet,
             rng=random.Random(self.rng.randrange(1 << 30)),
         )
@@ -166,7 +148,7 @@ class QuicConnection(TransportEndpoint):
         #: credit and response completion (Sec. 5.2's mobile root cause).
         self._consumer = PacketProcessor(
             sim,
-            device.quic_consume_cost,
+            self.device.quic_consume_cost,
             self._consume_item,
             rng=random.Random(self.rng.randrange(1 << 30)),
         )
@@ -178,26 +160,12 @@ class QuicConnection(TransportEndpoint):
         self._app_data_allowed = role == "server"
         self._server_ready_at: Optional[float] = None
         self._pending_serve: List[Tuple[int, Any]] = []
-        self.on_ready: Optional[Callable[[float], None]] = None
-        self.handshake_ready_time: Optional[float] = None
 
         # --- application state ------------------------------------------------
-        self.request_handler = request_handler
-        self.server_noise = server_noise
-        #: Optional hook fired as response bytes arrive:
-        #: ``on_progress(stream_id, newly_received_bytes, meta)``.
-        self.on_progress: Optional[Callable[[int, int, Any], None]] = None
-        #: Optional deferred request hook: ``on_request(stream_id, meta)``
-        #: replaces ``request_handler`` (used by proxies).
-        self.on_request: Optional[Callable[[int, Any], None]] = None
         # Client-initiated streams are odd, server-initiated even.
         self._next_stream_id = 1 if role == "client" else 2
         self._active_requests = 0
         self._request_queue: Deque[Tuple[Any, ResponseCallback, int]] = deque()
-        self._response_cbs: Dict[int, ResponseCallback] = {}
-        #: (time, cumulative app bytes) samples for throughput analysis.
-        self.delivery_log: List[Tuple[float, int]] = []
-        self._delivered_app_bytes = 0
         # Received packets enter stage 1 through the device's packet CPU
         # (on a zero-cost device its ``submit`` is ``_process_packet``).
         self.listen(self._processor.submit)
@@ -244,19 +212,16 @@ class QuicConnection(TransportEndpoint):
         self._request_queue.append((meta, on_complete, request_bytes))
         self._drain_request_queue()
 
-    def open_unidirectional_transfer(self, total_bytes: int, meta: Any = None) -> int:
-        """Server-push-style transfer (used by proxies and raw benchmarks)."""
-        sid = self._alloc_stream_id()
-        self._open_send_stream(sid, total_bytes, meta)
-        return sid
-
     # -- streaming responses (proxy / deferred-server support) ----------
-    def open_streaming_response(self, stream_id: int, meta: Any = None) -> None:
-        """Begin a response whose length is not yet known (proxy pass-through)."""
+    def open_streaming_response(self, stream_id: int, meta: Any = None) -> int:
+        """Begin a response whose length is not yet known (proxy
+        pass-through); returns the handle :meth:`stream_append` and
+        :meth:`stream_finish` take — the stream id itself."""
         stream = SendStream(stream_id, 0, self.config.stream_flow_window,
                             meta=meta, finalized=False)
         self.send_streams[stream_id] = stream
         self._send_rr.append(stream_id)
+        return stream_id
 
     def stream_append(self, stream_id: int, nbytes: int) -> None:
         """Append bytes to a streaming response as they become available."""
@@ -317,11 +282,6 @@ class QuicConnection(TransportEndpoint):
     # ==================================================================
     # send path
     # ==================================================================
-    def _wake_sender(self) -> None:
-        if not self._send_scheduled and not self.closed:
-            self._send_scheduled = True
-            self.sim.post(0.0, self._send_loop)
-
     def _send_loop(self) -> None:
         self._send_scheduled = False
         if self.closed:
@@ -760,20 +720,6 @@ class QuicConnection(TransportEndpoint):
     # ------------------------------------------------------------------
     # retransmission timers: TLP then RTO (paper Sec. 2.1)
     # ------------------------------------------------------------------
-    def _set_retx_timer(self) -> None:
-        if self.bytes_in_flight <= 0 or self.closed:
-            self._retx_timer.cancel()
-            return
-        srtt = self.rtt.smoothed_rtt
-        if self.config.tlp_enabled and self._tlp_count < self.config.max_tail_loss_probes:
-            delay = max(2.0 * srtt, 1.5 * srtt + self.config.ack_delay_timer)
-            kind = "tlp"
-        else:
-            delay = self.rtt.retransmission_timeout(self.config.min_rto)
-            delay *= 2 ** min(self._rto_count, 6)
-            kind = "rto"
-        self._retx_timer.arm(delay, kind)
-
     def _retx_timer_fired(self, kind: str) -> None:
         if self.bytes_in_flight <= 0 or self.closed:
             return
@@ -1011,56 +957,15 @@ class QuicConnection(TransportEndpoint):
         self._wake_sender()
 
     # ------------------------------------------------------------------
-    def close(self, notify_peer: bool = True) -> None:
-        """Tear the connection down.
-
-        With ``notify_peer`` a CONNECTION_CLOSE-style frame is emitted so
-        the peer stops its timers too (instead of retransmitting into a
-        dead endpoint until its RTO backoff gives up).
-        """
-        if self.closed:
-            return
-        if notify_peer:
-            frame = CryptoFrame("connection_close", 32)
-            packet = QuicPacket(self.conn_id, self._next_pkt_num, [frame])
-            self._next_pkt_num += 1
-            self._peer_acked.add(packet.pkt_num, packet.pkt_num + 1)
-            self._emit_packet(packet)
-        for timer in (self._retx_timer, self._ack_timer,
-                      self._loss_recheck_timer):
-            timer.cancel()
-        self.trace.close(self.sim.now)
-        super().close()
+    def _send_close(self) -> None:
+        """A CONNECTION_CLOSE-style frame, never acknowledged."""
+        frame = CryptoFrame("connection_close", 32)
+        packet = QuicPacket(self.conn_id, self._next_pkt_num, [frame])
+        self._next_pkt_num += 1
+        self._peer_acked.add(packet.pkt_num, packet.pkt_num + 1)
+        self._emit_packet(packet)
 
 
-def open_quic_pair(
-    sim: Simulator,
-    client_node: Node,
-    server_node: Node,
-    config: QuicConfig,
-    *,
-    device: DeviceProfile = DESKTOP,
-    request_handler: Optional[RequestHandler] = None,
-    client_trace: Optional[Trace] = None,
-    server_trace: Optional[Trace] = None,
-    seed: int = 0,
-    server_noise: float = 0.001,
-    flow_id: Optional[str] = None,
-    session_cache: Optional["SessionCache"] = None,
-) -> Tuple[QuicConnection, QuicConnection]:
-    """Create a connected client/server QUIC endpoint pair."""
-    conn_id = fresh_conn_id("quic")
-    rng = random.Random(seed)
-    client = QuicConnection(
-        sim, client_node, conn_id, server_node.name, config, "client",
-        device=device, trace=client_trace,
-        rng=random.Random(rng.randrange(1 << 30)), flow_id=flow_id,
-        session_cache=session_cache,
-    )
-    server = QuicConnection(
-        sim, server_node, conn_id, client_node.name, config, "server",
-        device=DESKTOP, trace=server_trace, request_handler=request_handler,
-        rng=random.Random(rng.randrange(1 << 30)), server_noise=server_noise,
-        flow_id=flow_id,
-    )
-    return client, server
+#: A connected client/server QUIC pair (``session_cache`` goes to the
+#: client): :meth:`TransportEndpoint.open_pair`.
+open_quic_pair = QuicConnection.open_pair

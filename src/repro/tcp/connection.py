@@ -30,20 +30,15 @@ import random
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..core.instrumentation import Trace
-from ..devices import DESKTOP, DeviceProfile, PacketProcessor
+from ..devices import PacketProcessor
 from ..netem.node import Node
 from ..netem.packet import Packet
 from ..netem.sim import Simulator
-from ..transport.base import TransportEndpoint, fresh_conn_id
+from ..transport.base import ResponseCallback, TransportEndpoint
 from ..transport.cc.cubic import CubicCC
-from ..transport.rtt import RttEstimator
 from ..transport.util import RangeSet
 from .config import TcpConfig
 from .segment import Piece, SegmentRecord, TcpSegment
-
-RequestHandler = Callable[[Any], int]
-ResponseCallback = Callable[[int, Any, float], None]
 
 #: Handshake retry timer (initial; doubles).
 HANDSHAKE_RTO = 1.0
@@ -101,32 +96,15 @@ class _InMessage:
 class TcpConnection(TransportEndpoint):
     """One endpoint of a TCP+TLS connection (client or server role)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        conn_id: str,
-        peer_addr: str,
-        config: TcpConfig,
-        role: str,
-        *,
-        device: DeviceProfile = DESKTOP,
-        trace: Optional[Trace] = None,
-        request_handler: Optional[RequestHandler] = None,
-        server_noise: float = 0.001,
-        rng: Optional[random.Random] = None,
-        flow_id: Optional[str] = None,
-    ) -> None:
-        if role not in ("client", "server"):
-            raise ValueError("role must be 'client' or 'server'")
-        super().__init__(sim, node, conn_id, peer_addr, flow_id=flow_id)
-        self.config = config
-        self.role = role
-        self.device = device
-        self.rng = rng if rng is not None else random.Random(0)
-        self.trace = trace if trace is not None else Trace(enabled=False)
-        self.stats = TcpStats()
-        self.rtt = RttEstimator(initial_rtt=0.1)
+    protocol = "tcp"
+    stats_type = TcpStats
+    ack_delay_field = "delayed_ack_timeout"
+
+    def __init__(self, sim: Simulator, node: Node, conn_id: str,
+                 peer_addr: str, config: TcpConfig, role: str,
+                 **endpoint_kwargs: Any) -> None:
+        super().__init__(sim, node, conn_id, peer_addr, config, role,
+                         **endpoint_kwargs)
         self.cc = CubicCC(config.cc, self.rtt, trace=self.trace)
         self.cc.on_receiver_buffer(config.receive_buffer)
 
@@ -135,8 +113,6 @@ class TcpConnection(TransportEndpoint):
         self._handshake_stage = "idle"
         self._handshake_timer = sim.timer(self._handshake_retry)
         self._handshake_retries = 0
-        self.on_ready: Optional[Callable[[float], None]] = None
-        self.ready_time: Optional[float] = None
 
         # --- send state ------------------------------------------------------
         self._snd_nxt = 0
@@ -144,7 +120,6 @@ class TcpConnection(TransportEndpoint):
         self._sent: Dict[int, SegmentRecord] = {}
         self._sacked = RangeSet()
         self._highest_sacked = 0
-        self.bytes_in_flight = 0
         self._retx_queue: Deque[SegmentRecord] = deque()
         self._msg_queue: Deque[_OutMessage] = deque()
         #: Message bytes queued but not yet segmented (the sum of the
@@ -155,12 +130,8 @@ class TcpConnection(TransportEndpoint):
         self._out_messages: Dict[int, _OutMessage] = {}
         self._next_msg_id = 1 if role == "client" else 1_000_001
         self._peer_rwnd = config.receive_buffer
-        self._send_scheduled = False
         self._recovery_until: Optional[int] = None
         self._retx_timer = sim.timer(self._retx_timer_fired)
-        self._rto_backoff = 0
-        self._tlp_count = 0
-        self._sent_any_data = False
         self.dupthresh = config.dupthresh
         #: nack depth recorded for recently declared-lost segments.
         self._lost_depths: Dict[int, int] = {}
@@ -179,29 +150,18 @@ class TcpConnection(TransportEndpoint):
         self._app_processed = 0
         self._ack_pending = 0
         self._ack_timer = sim.timer(self._ack_timer_fired)
+        self._timers = (self._retx_timer, self._ack_timer,
+                        self._handshake_timer)
         self._pending_dsack: Optional[Tuple[int, int]] = None
         #: Sequence numbers of the most recent data arrivals (SACK source).
         self._recent_arrivals: Deque[int] = deque(maxlen=8)
         self._last_advertised_rwnd = config.receive_buffer
         self._processor = PacketProcessor(
-            sim, device.packet_cost("tcp"), self._process_delivery,
+            sim, self.device.packet_cost("tcp"), self._process_delivery,
             rng=random.Random(self.rng.randrange(1 << 30)),
         )
-
-        # --- application ------------------------------------------------------
-        self.request_handler = request_handler
-        self.server_noise = server_noise
-        #: Optional hook fired as message bytes are delivered in order:
-        #: ``on_progress(msg_id, newly_delivered_bytes, meta)``.
-        self.on_progress: Optional[Callable[[int, int, Any], None]] = None
-        #: Optional deferred request hook: ``on_request(msg_id, meta)``
-        #: replaces ``request_handler`` (used by proxies).
-        self.on_request: Optional[Callable[[int, Any], None]] = None
-        self._response_cbs: Dict[int, ResponseCallback] = {}
-        self.delivery_log: List[Tuple[float, int]] = []
-        self._delivered_app_bytes = 0
         # "Kernel" receive work (ACKs in and out) runs inline on arrival.
-        self.listen(self.on_packet)
+        self.listen(self._on_packet)
 
     # ==================================================================
     # public API
@@ -220,19 +180,18 @@ class TcpConnection(TransportEndpoint):
         """Issue one request over the shared connection (HTTP/2 style)."""
         if self.role != "client":
             raise RuntimeError("only clients issue requests")
-        msg_id = self.send_message(request_bytes, ("req", None, meta))
+        msg_id = self._enqueue_message(request_bytes, ("req", None, meta))
         self._response_cbs[msg_id] = on_complete
 
-    def send_message(self, total_bytes: int, meta: Any) -> int:
-        """Queue an application message onto the byte stream."""
-        return self._enqueue_message(total_bytes, meta, finalized=True)
+    def open_streaming_response(self, req_msg_id: int, meta: Any = None) -> int:
+        """Start a response of unknown length (proxy pass-through);
+        returns the handle :meth:`stream_append` and :meth:`stream_finish`
+        take — its message id."""
+        return self._enqueue_message(0, ("resp", req_msg_id, meta),
+                                     finalized=False)
 
-    def send_streaming_message(self, meta: Any) -> int:
-        """Open a message whose length is not yet known (proxy pass-through)."""
-        return self._enqueue_message(0, meta, finalized=False)
-
-    def message_append(self, msg_id: int, nbytes: int) -> None:
-        """Append bytes to a streaming message."""
+    def stream_append(self, msg_id: int, nbytes: int) -> None:
+        """Append bytes to a streaming response."""
         msg = self._out_messages.get(msg_id)
         if msg is None:
             raise KeyError(f"no open message {msg_id}")
@@ -247,8 +206,8 @@ class TcpConnection(TransportEndpoint):
             self._msg_queue.append(msg)
         self._wake_sender()
 
-    def message_finish(self, msg_id: int) -> None:
-        """Close a streaming message; its END_STREAM marker will be sent.
+    def stream_finish(self, msg_id: int) -> None:
+        """Close a streaming response; its END_STREAM marker will be sent.
 
         If all appended data already left, a 1-byte trailer (the HTTP/2
         frame-header stand-in) carries the marker.
@@ -266,7 +225,8 @@ class TcpConnection(TransportEndpoint):
         self._wake_sender()
 
     def _enqueue_message(self, total_bytes: int, meta: Any,
-                         finalized: bool) -> int:
+                         finalized: bool = True) -> int:
+        """Queue an application message onto the byte stream."""
         msg_id = self._next_msg_id
         self._next_msg_id += 1
         if finalized and total_bytes <= 0:
@@ -277,15 +237,6 @@ class TcpConnection(TransportEndpoint):
         self._unsent_bytes += total_bytes
         self._wake_sender()
         return msg_id
-
-    @property
-    def handshake_ready_time(self) -> Optional[float]:
-        """When the connection became usable (None while handshaking).
-
-        Mirrors the QUIC attribute so page loaders treat both transports
-        uniformly.
-        """
-        return self.ready_time
 
     # ==================================================================
     # handshake (TCP 3WHS + TLS 1.2, paper Sec. 3.1)
@@ -382,7 +333,7 @@ class TcpConnection(TransportEndpoint):
             return
         self._ready = True
         self._handshake_stage = "done"
-        self.ready_time = now
+        self.handshake_ready_time = now
         self._handshake_timer.cancel()
         if self.on_ready is not None:
             self.on_ready(now)
@@ -391,11 +342,6 @@ class TcpConnection(TransportEndpoint):
     # ==================================================================
     # send path
     # ==================================================================
-    def _wake_sender(self) -> None:
-        if not self._send_scheduled and not self.closed:
-            self._send_scheduled = True
-            self.sim.post(0.0, self._send_loop)
-
     def _send_loop(self) -> None:
         self._send_scheduled = False
         if self.closed or not self._ready:
@@ -508,20 +454,6 @@ class TcpConnection(TransportEndpoint):
     # ==================================================================
     # retransmission timer (RTO; optional TLP ablation)
     # ==================================================================
-    def _set_retx_timer(self) -> None:
-        if self.bytes_in_flight <= 0 or self.closed:
-            self._retx_timer.cancel()
-            return
-        srtt = self.rtt.smoothed_rtt
-        if self.config.tlp_enabled and self._tlp_count < self.config.max_tail_loss_probes:
-            delay = max(2.0 * srtt, 1.5 * srtt + self.config.delayed_ack_timeout)
-            kind = "tlp"
-        else:
-            delay = self.rtt.retransmission_timeout(self.config.min_rto)
-            delay *= 2 ** min(self._rto_backoff, 6)
-            kind = "rto"
-        self._retx_timer.arm(delay, kind)
-
     def _retx_timer_fired(self, kind: str) -> None:
         if self.bytes_in_flight <= 0 or self.closed:
             return
@@ -536,7 +468,7 @@ class TcpConnection(TransportEndpoint):
                 self._transmit_record(record, retransmit=True)
             self._set_retx_timer()
             return
-        self._rto_backoff += 1
+        self._rto_count += 1
         self.stats.rto_fires += 1
         self.trace.log(now, "rto")
         self.cc.on_retransmission_timeout(now)
@@ -558,7 +490,7 @@ class TcpConnection(TransportEndpoint):
     # ==================================================================
     # receive path
     # ==================================================================
-    def on_packet(self, packet: Packet) -> None:
+    def _on_packet(self, packet: Packet) -> None:
         seg: TcpSegment = packet.payload
         now = self.sim.now
         if seg.kind == "ctrl":
@@ -723,15 +655,11 @@ class TcpConnection(TransportEndpoint):
             # Deferred response: the application (e.g. a proxy) answers
             # later via respond() or open_streaming_response().
             return
-        self.send_message(size, ("resp", req_msg_id, app_meta))
+        self.respond(req_msg_id, size, app_meta)
 
     def respond(self, req_msg_id: int, size: int, meta: Any = None) -> None:
-        """Deferred-response API mirroring QuicConnection.respond."""
-        self.send_message(size, ("resp", req_msg_id, meta))
-
-    def open_streaming_response(self, req_msg_id: int, meta: Any = None) -> int:
-        """Start a response of unknown length; returns its message id."""
-        return self.send_streaming_message(("resp", req_msg_id, meta))
+        """Deferred-response API: serve ``size`` bytes to ``req_msg_id``."""
+        self._enqueue_message(size, ("resp", req_msg_id, meta))
 
     # ==================================================================
     # ACK processing (sender side)
@@ -765,7 +693,7 @@ class TcpConnection(TransportEndpoint):
                     rtt_candidate = record
                 walk = record.end
             self._snd_una = cum
-            self._rto_backoff = 0
+            self._rto_count = 0
             # Every reader of the scoreboard asks about sequence numbers
             # at or above snd_una only: keep just the live window.
             if sacked is not None:
@@ -924,45 +852,11 @@ class TcpConnection(TransportEndpoint):
         return True
 
     # ------------------------------------------------------------------
-    def close(self, notify_peer: bool = True) -> None:
-        """Tear the connection down (RST-style when notifying the peer)."""
-        if self.closed:
-            return
-        if notify_peer:
-            seg = TcpSegment(self.conn_id, "ctrl", ctrl="rst", ctrl_size=40)
-            self.emit(seg, seg.wire_bytes)
-        for timer in (self._retx_timer, self._ack_timer, self._handshake_timer):
-            timer.cancel()
-        self.trace.close(self.sim.now)
-        super().close()
+    def _send_close(self) -> None:
+        """An RST."""
+        seg = TcpSegment(self.conn_id, "ctrl", ctrl="rst", ctrl_size=40)
+        self.emit(seg, seg.wire_bytes)
 
 
-def open_tcp_pair(
-    sim: Simulator,
-    client_node: Node,
-    server_node: Node,
-    config: TcpConfig,
-    *,
-    device: DeviceProfile = DESKTOP,
-    request_handler: Optional[RequestHandler] = None,
-    client_trace: Optional[Trace] = None,
-    server_trace: Optional[Trace] = None,
-    seed: int = 0,
-    server_noise: float = 0.001,
-    flow_id: Optional[str] = None,
-) -> Tuple[TcpConnection, TcpConnection]:
-    """Create a connected client/server TCP endpoint pair."""
-    conn_id = fresh_conn_id("tcp")
-    rng = random.Random(seed)
-    client = TcpConnection(
-        sim, client_node, conn_id, server_node.name, config, "client",
-        device=device, trace=client_trace,
-        rng=random.Random(rng.randrange(1 << 30)), flow_id=flow_id,
-    )
-    server = TcpConnection(
-        sim, server_node, conn_id, client_node.name, config, "server",
-        device=DESKTOP, trace=server_trace, request_handler=request_handler,
-        rng=random.Random(rng.randrange(1 << 30)), server_noise=server_noise,
-        flow_id=flow_id,
-    )
-    return client, server
+#: A connected client/server TCP pair: :meth:`TransportEndpoint.open_pair`.
+open_tcp_pair = TcpConnection.open_pair

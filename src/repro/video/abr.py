@@ -26,7 +26,7 @@ class AbrVideoPlayer(VideoPlayer):
     """A player that re-selects quality per segment from throughput."""
 
     def __init__(self, sim: Simulator, connection: Any, *,
-                 protocol: str = "", start_quality: str = "medium",
+                 start_quality: str = "medium",
                  safety_factor: float = 0.8, window: int = 3,
                  segment_duration: float = 2.0, **player_kwargs: Any) -> None:
         if start_quality not in QUALITIES:
@@ -36,7 +36,7 @@ class AbrVideoPlayer(VideoPlayer):
         ]
         self._level = QUALITIES.index(start_quality)
         super().__init__(sim, connection, self.ladder[self._level],
-                         protocol=protocol, **player_kwargs)
+                         **player_kwargs)
         self.safety_factor = safety_factor
         self.window = window
         self._samples_mbps: List[float] = []

@@ -58,7 +58,6 @@ class VideoPlayer:
         connection: Any,
         video: Video,
         *,
-        protocol: str = "",
         startup_segments: int = 1,
         resume_segments: int = 1,
         pipeline_depth: int = 1,
@@ -67,7 +66,6 @@ class VideoPlayer:
         self.sim = sim
         self.connection = connection
         self.video = video
-        self.protocol = protocol
         self.startup_segments = startup_segments
         self.resume_segments = resume_segments
         self.pipeline_depth = pipeline_depth
@@ -93,7 +91,7 @@ class VideoPlayer:
         """Open the connection and begin fetching."""
         self._start_time = self.sim.now
         self.connection.connect(self._on_ready)
-        if getattr(self.connection, "handshake_ready_time", None) is not None:
+        if self.connection.handshake_ready_time is not None:
             self._fill_pipeline()
 
     def _on_ready(self, _now: float) -> None:
@@ -194,7 +192,7 @@ class VideoPlayer:
         )
         return QoEMetrics(
             quality=self.video.quality,
-            protocol=self.protocol,
+            protocol=self.connection.protocol,
             time_to_start=time_to_start,
             video_loaded_pct=loaded_pct,
             buffer_play_ratio_pct=buffer_ratio,

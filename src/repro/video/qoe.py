@@ -11,16 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..core.executor import ProtocolLike, ProtocolSpec
 from ..core.stats import mean, sample_std
 from ..devices import DESKTOP, DeviceProfile
 from ..netem.profiles import Scenario, emulated
 from ..netem.sim import Simulator
 from ..netem.topology import build_path
-from ..quic.config import QuicConfig, quic_config
-from ..quic.connection import open_quic_pair
-from ..tcp.config import TcpConfig, tcp_config
-from ..tcp.connection import open_tcp_pair
-from .catalog import Video, one_hour_video
+from .catalog import one_hour_video
 from .player import QoEMetrics, VideoPlayer
 
 #: The headline Table 6 environment.
@@ -30,34 +27,25 @@ TABLE6_SCENARIO_KWARGS = dict(rate_mbps=100.0, loss_pct=1.0)
 def play_video_once(
     scenario: Scenario,
     quality: str,
-    protocol: str,
+    protocol: ProtocolLike,
     *,
     seed: int = 0,
     test_seconds: float = 60.0,
-    quic_cfg: Optional[QuicConfig] = None,
-    tcp_cfg: Optional[TcpConfig] = None,
     device: DeviceProfile = DESKTOP,
 ) -> QoEMetrics:
-    """One 60-second streaming session; returns its QoE metrics."""
+    """One 60-second streaming session; returns its QoE metrics.
+
+    ``protocol`` is a :class:`~repro.core.executor.ProtocolSpec` (or a
+    bare ``"quic"``/``"tcp"`` for the defaults).
+    """
+    spec = ProtocolSpec.of(protocol)
     sim = Simulator()
     path = build_path(sim, scenario, seed=seed)
-    video = one_hour_video(quality)
-    handler = lambda meta: meta["size"]  # noqa: E731 - segment server
-    if protocol == "quic":
-        cfg = quic_cfg if quic_cfg is not None else quic_config(34)
-        client, _server = open_quic_pair(
-            sim, path.client, path.server, cfg, device=device,
-            request_handler=handler, seed=seed,
-        )
-    elif protocol == "tcp":
-        cfg = tcp_cfg if tcp_cfg is not None else tcp_config()
-        client, _server = open_tcp_pair(
-            sim, path.client, path.server, cfg, device=device,
-            request_handler=handler, seed=seed,
-        )
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    player = VideoPlayer(sim, client, video, protocol=protocol)
+    client, _server = spec.open_pair(
+        sim, path.client, path.server, device=device,
+        request_handler=lambda meta: meta["size"], seed=seed,
+    )
+    player = VideoPlayer(sim, client, one_hour_video(quality))
     player.start()
     sim.run(until=test_seconds)
     return player.finalize()
@@ -100,7 +88,7 @@ class QoEAggregate:
 
 def measure_video_qoe(
     quality: str,
-    protocol: str,
+    protocol: ProtocolLike,
     runs: int = 10,
     *,
     scenario: Optional[Scenario] = None,
@@ -108,12 +96,13 @@ def measure_video_qoe(
     **kwargs,
 ) -> QoEAggregate:
     """Table 6: repeated 60-second sessions, aggregated."""
+    spec = ProtocolSpec.of(protocol)
     scenario = scenario if scenario is not None else emulated(
         TABLE6_SCENARIO_KWARGS["rate_mbps"],
         loss_pct=TABLE6_SCENARIO_KWARGS["loss_pct"],
     )
     sessions = [
-        play_video_once(scenario, quality, protocol, seed=seed_base + i, **kwargs)
+        play_video_once(scenario, quality, spec, seed=seed_base + i, **kwargs)
         for i in range(runs)
     ]
-    return QoEAggregate(quality, protocol, sessions)
+    return QoEAggregate(quality, spec.name, sessions)

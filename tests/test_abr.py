@@ -18,7 +18,7 @@ def run_abr(scenario, seconds=40.0, variable=None, seed=1, **kw):
         sched = BandwidthSchedule(sim, [path.bottleneck_down],
                                   mbps(lo), mbps(hi), period=2.0)
         sched.start()
-    player = AbrVideoPlayer(sim, client, protocol="quic", **kw)
+    player = AbrVideoPlayer(sim, client, **kw)
     player.start()
     sim.run(until=seconds)
     return player, player.finalize()
@@ -46,8 +46,7 @@ class TestAbr:
     def test_downswitches_when_bandwidth_collapses(self):
         sim = Simulator()
         path, client, _server = make_quic_pair(sim, emulated(50.0), seed=2)
-        player = AbrVideoPlayer(sim, client, protocol="quic",
-                                start_quality="hd720")
+        player = AbrVideoPlayer(sim, client, start_quality="hd720")
         player.start()
         sim.run(until=6.0)
         path.bottleneck_down.set_rate(mbps(0.4))

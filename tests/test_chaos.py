@@ -96,10 +96,9 @@ class TestProxyUnderStress:
         path = build_proxy_path(sim, scn, seed=7)
         web_page = page(20, 30 * 1024)
         proxy = SplitConnectionProxy(
-            sim, path, protocol, page_request_handler(web_page),
-            quic_cfg=quic_config(34), tcp_cfg=tcp_config(), seed=7,
+            sim, path, protocol, page_request_handler(web_page), seed=7,
         )
-        loader = PageLoader(sim, proxy.client, web_page, protocol)
+        loader = PageLoader(sim, proxy.client, web_page)
         loader.start()
         assert sim.run_until(lambda: loader.done, timeout=240.0)
         assert proxy.forwarded_bytes >= web_page.total_bytes

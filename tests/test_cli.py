@@ -78,6 +78,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Mbps" in out and "losses=" in out
 
+    def test_bulk_tcp_rejects_nack_threshold(self, capsys):
+        # a QUIC-only knob: refused before anything runs, not ignored
+        with pytest.raises(SystemExit,
+                           match="error: --nack-threshold applies to "
+                                 "--protocol quic"):
+            main(["bulk", "--protocol", "tcp", "--size-mb", "0.5",
+                  "--nack-threshold", "30"])
+        assert capsys.readouterr().out == ""
+
     def test_bulk_tcp(self, capsys):
         assert main(["bulk", "--protocol", "tcp", "--size-mb", "0.5",
                      "--rate", "20"]) == 0

@@ -72,15 +72,15 @@ def checked_page_load(scenario, web_page, protocol, seed):
         def run(self, until=None, max_events=None):
             self.run_until(check, until - self.now, max_events)
 
-    real_make = runner._make_connections
+    real_open = ProtocolSpec.open_pair
 
-    def make_connections(*args, **kwargs):
-        client, server = real_make(*args, **kwargs)
+    def open_pair(*args, **kwargs):
+        client, server = real_open(*args, **kwargs)
         endpoints.extend((client, server))
         return client, server
 
     with mock.patch.object(runner, "Simulator", CheckedSimulator), \
-            mock.patch.object(runner, "_make_connections", make_connections):
+            mock.patch.object(ProtocolSpec, "open_pair", open_pair):
         output = runner.run_page_load(scenario, web_page,
                                       PROTOCOLS[protocol], seed=seed)
     return output, checked[0]

@@ -29,15 +29,18 @@ from repro.core.runner import (
     compare_page_load,
     measure_plts,
     run_bulk_transfer,
+    run_fairness,
     run_page_load,
 )
 from repro.faults import FaultPlan, FaultyStore
 from repro.http import single_object_page
-from repro.netem import emulated
+from repro.netem import Simulator, build_proxy_path, emulated
 from repro.netem.profiles import CELLULAR_PROFILES, Scenario
+from repro.proxy import SplitConnectionProxy, install_proxy
 from repro.quic import quic_config
 from repro.store import ShardStore
 from repro.tcp import tcp_config
+from repro.video import play_video_once
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)
@@ -366,6 +369,23 @@ class TestDeprecationShims:
                 lambda: compare_page_load(SCN, PAGE, runs=1,
                                           quic_kwargs={"seed": 1})):
             with pytest.raises(TypeError):
+                call()
+
+    def test_per_stack_cfg_kwargs_are_type_errors(self):
+        # removed: the proxy, video and fairness drivers take one
+        # ProtocolSpec (or quic=/tcp= per side) instead
+        sim = Simulator()
+        path = build_proxy_path(sim, SCN, seed=1)
+        for call in (
+                lambda: SplitConnectionProxy(sim, path, "quic",
+                                             lambda meta: 100,
+                                             quic_cfg=quic_config(34)),
+                lambda: install_proxy(sim, path, "tcp", lambda meta: 100,
+                                      tcp_cfg=tcp_config()),
+                lambda: play_video_once(SCN, "tiny", "quic",
+                                        quic_cfg=quic_config(34)),
+                lambda: run_fairness(duration=1.0, quic_cfg=quic_config(34))):
+            with pytest.raises(TypeError, match="_cfg"):
                 call()
 
     def test_protocolspec_plus_cfg_kwarg_is_an_error(self):

@@ -72,7 +72,7 @@ class TestPageLoader:
             _, client, _ = make_quic_pair(sim, scenario, handler=handler)
         else:
             _, client, _ = make_tcp_pair(sim, scenario, handler=handler)
-        loader = PageLoader(sim, client, web_page, protocol)
+        loader = PageLoader(sim, client, web_page)
         loader.start()
         assert sim.run_until(lambda: loader.done, timeout=60.0)
         return loader.result
@@ -116,7 +116,7 @@ class TestPageLoader:
         p = page(1, 10 * KB)
         _, client, _ = make_quic_pair(sim, MEDIUM,
                                       handler=page_request_handler(p))
-        loader = PageLoader(sim, client, p, "quic")
+        loader = PageLoader(sim, client, p)
         with pytest.raises(RuntimeError):
             _ = loader.result.plt
 

@@ -111,7 +111,7 @@ class TestLoadPageHelper:
         client, _ = open_quic_pair(sim, path.client, path.server,
                                    quic_config(34),
                                    request_handler=page_request_handler(web_page))
-        result = load_page(sim, client, web_page, "quic")
+        result = load_page(sim, client, web_page)
         assert result.complete
         assert result.protocol == "quic"
 

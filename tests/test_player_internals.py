@@ -10,8 +10,7 @@ from .conftest import make_quic_pair
 
 def make_player(sim, scenario, quality="medium", **kw):
     _path, client, _server = make_quic_pair(sim, scenario)
-    player = VideoPlayer(sim, client, one_hour_video(quality),
-                         protocol="quic", **kw)
+    player = VideoPlayer(sim, client, one_hour_video(quality), **kw)
     return player
 
 
@@ -89,7 +88,7 @@ class TestAccountingIdentities:
 
         tiny_clip = Video(quality="medium", duration=8.0,
                           segment_duration=2.0, bitrate=0.75e6)
-        player = VideoPlayer(sim, client, tiny_clip, protocol="quic")
+        player = VideoPlayer(sim, client, tiny_clip)
         player.start()
         sim.run(until=30.0)
         metrics = player.finalize()

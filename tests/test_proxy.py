@@ -6,8 +6,6 @@ from repro.core.runner import run_page_load
 from repro.http import page, single_object_page
 from repro.netem import Simulator, build_proxy_path, emulated
 from repro.proxy import SplitConnectionProxy, install_proxy
-from repro.quic import quic_config
-from repro.tcp import tcp_config
 from repro.http import PageLoader, page_request_handler
 
 
@@ -15,10 +13,9 @@ def proxied_load(protocol, web_page, scenario, seed=1):
     sim = Simulator()
     path = build_proxy_path(sim, scenario, seed=seed)
     proxy = SplitConnectionProxy(
-        sim, path, protocol, page_request_handler(web_page),
-        quic_cfg=quic_config(34), tcp_cfg=tcp_config(), seed=seed,
+        sim, path, protocol, page_request_handler(web_page), seed=seed,
     )
-    loader = PageLoader(sim, proxy.client, web_page, protocol)
+    loader = PageLoader(sim, proxy.client, web_page)
     loader.start()
     assert sim.run_until(lambda: loader.done, timeout=120.0)
     return loader.result, proxy
@@ -50,8 +47,7 @@ class TestForwarding:
 
         path = build_path(sim, HIGH_DELAY, seed=1)
         with pytest.raises(ValueError):
-            SplitConnectionProxy(sim, path, "tcp", lambda m: 100,
-                                 tcp_cfg=tcp_config())
+            SplitConnectionProxy(sim, path, "tcp", lambda m: 100)
 
     def test_unknown_protocol_rejected(self):
         sim = Simulator()
@@ -59,11 +55,18 @@ class TestForwarding:
         with pytest.raises(ValueError):
             SplitConnectionProxy(sim, path, "sctp", lambda m: 100)
 
-    def test_missing_config_rejected(self):
+    def test_bare_name_runs_the_spec_defaults(self):
+        """A bare "quic" proxy runs ProtocolSpec's default config: the
+        same PLT as the runner's proxied load of the same spec."""
+        web_page = page(3, 20_000)
+        runner_plt = run_page_load(HIGH_DELAY, web_page, "quic", seed=5,
+                                   proxied=True).plt
         sim = Simulator()
-        path = build_proxy_path(sim, HIGH_DELAY, seed=1)
-        with pytest.raises(ValueError):
-            SplitConnectionProxy(sim, path, "quic", lambda m: 100)
+        path = build_proxy_path(sim, HIGH_DELAY, seed=5)
+        proxy = SplitConnectionProxy(sim, path, "quic",
+                                     page_request_handler(web_page), seed=5)
+        loader = PageLoader(sim, proxy.client, web_page)
+        assert loader.run(120.0).plt == runner_plt
 
 
 class TestPaperEffects:
@@ -99,7 +102,7 @@ class TestInstallHelper:
         sim = Simulator()
         path = build_proxy_path(sim, HIGH_DELAY, seed=3)
         client, origin, (left, right) = install_proxy(
-            sim, path, "tcp", lambda m: m["size"], tcp_cfg=tcp_config(),
+            sim, path, "tcp", lambda m: m["size"],
         )
         assert client.node.name == "client"
         assert origin.node.name == "server"

@@ -41,8 +41,8 @@ class TestReceiveWindow:
 class TestSegmentPacking:
     def test_multiple_messages_share_a_segment(self, sim):
         _, client, server = make_tcp_pair(sim, MEDIUM)
-        server.send_message(400, ("resp", 1, None))
-        server.send_message(400, ("resp", 2, None))
+        server.respond(1, 400)
+        server.respond(2, 400)
         record = server._segmentize(1350)
         assert record is not None
         assert len(record.pieces) == 2
@@ -50,15 +50,15 @@ class TestSegmentPacking:
 
     def test_segment_respects_mss(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
-        server.send_message(10_000, ("resp", 1, None))
+        server.respond(1, 10_000)
         record = server._segmentize(1350)
         assert record.length == 1350
 
     def test_roundrobin_rotates_between_messages(self, sim):
         cfg = tcp_config(scheduler="roundrobin")
         _, _client, server = make_tcp_pair(sim, MEDIUM, cfg=cfg)
-        server.send_message(5_000, ("resp", 1, None))
-        server.send_message(5_000, ("resp", 2, None))
+        server.respond(1, 5_000)
+        server.respond(2, 5_000)
         first = server._segmentize(1350)
         second = server._segmentize(1350)
         assert first.pieces[0].msg_id != second.pieces[0].msg_id
@@ -66,8 +66,8 @@ class TestSegmentPacking:
     def test_fifo_finishes_first_message_first(self, sim):
         cfg = tcp_config(scheduler="fifo")
         _, _client, server = make_tcp_pair(sim, MEDIUM, cfg=cfg)
-        m1 = server.send_message(3_000, ("resp", 1, None))
-        server.send_message(3_000, ("resp", 2, None))
+        m1 = server._enqueue_message(3_000, ("resp", 1, None))
+        server.respond(2, 3_000)
         ids = []
         for _ in range(4):
             record = server._segmentize(1350)
@@ -76,7 +76,7 @@ class TestSegmentPacking:
 
     def test_fin_flag_on_last_piece(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
-        server.send_message(2_000, ("resp", 1, None))
+        server.respond(1, 2_000)
         first = server._segmentize(1350)
         second = server._segmentize(1350)
         assert not first.pieces[-1].fin
@@ -87,7 +87,7 @@ class TestSackScoreboard:
     def test_apply_sack_frees_flight_once(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
         server._ready = True
-        server.send_message(5_000, ("resp", 1, None))
+        server.respond(1, 5_000)
         record = server._segmentize(1350)
         server._transmit_record(record, retransmit=False)
         flight = server.bytes_in_flight
@@ -152,7 +152,7 @@ class TestScoreboardTrim:
         server._ready = True
         server._sacked = CountingRangeSet()
         count = 2 * holes + 8
-        server.send_message(1000 * count, ("resp", 1, None))
+        server.respond(1, 1000 * count)
         records = [server._segmentize(1000) for _ in range(count)]
         for record in records:
             server._transmit_record(record, retransmit=False)
@@ -204,28 +204,28 @@ class TestScoreboardTrim:
 class TestMessageFraming:
     def test_streaming_message_lifecycle(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
-        mid = server.send_streaming_message(("resp", 1, None))
-        server.message_append(mid, 1_000)
+        mid = server.open_streaming_response(1)
+        server.stream_append(mid, 1_000)
         record = server._segmentize(1350)
         assert record.length == 1_000
         assert not record.pieces[-1].fin
-        server.message_finish(mid)
+        server.stream_finish(mid)
         fin_record = server._segmentize(1350)
         assert fin_record.pieces[-1].fin
 
     def test_append_after_finish_rejected(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
-        mid = server.send_streaming_message(("resp", 1, None))
-        server.message_finish(mid)
+        mid = server.open_streaming_response(1)
+        server.stream_finish(mid)
         with pytest.raises((RuntimeError, KeyError)):
-            server.message_append(mid, 100)
+            server.stream_append(mid, 100)
 
     def test_finish_after_data_sent_adds_trailer(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
-        mid = server.send_streaming_message(("resp", 1, None))
-        server.message_append(mid, 500)
+        mid = server.open_streaming_response(1)
+        server.stream_append(mid, 500)
         server._segmentize(1350)  # drain the 500 bytes
-        server.message_finish(mid)
+        server.stream_finish(mid)
         trailer = server._segmentize(1350)
         assert trailer is not None
         assert trailer.length == 1

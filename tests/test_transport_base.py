@@ -75,13 +75,15 @@ class TestEndpoint:
         sim, net = make_net()
 
         class Probe(TransportEndpoint):
+            stats_type = dict
+
             def on_packet(self, packet):
                 pass
 
         got = []
         net.node("b").register_handler(lambda p: got.append(p))
         # Replace handler after mux creation: rewire explicitly instead.
-        probe = Probe(sim, net.node("a"), "probe-1", "b")
+        probe = Probe(sim, net.node("a"), "probe-1", "b", None, "client")
         mux_b = mux_for(net.node("b"))
         mux_b.set_listener(got.append)
         probe.emit(FakePayload("probe-1"), 1000)
@@ -92,10 +94,12 @@ class TestEndpoint:
         sim, net = make_net()
 
         class Probe(TransportEndpoint):
+            stats_type = dict
+
             def on_packet(self, packet):
                 pass
 
-        probe = Probe(sim, net.node("a"), "p1", "b")
+        probe = Probe(sim, net.node("a"), "p1", "b", None, "client")
         probe.close()
         probe.close()  # idempotent
         mux = mux_for(net.node("a"))

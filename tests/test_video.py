@@ -42,8 +42,7 @@ def run_player(scenario, quality, seconds=30.0, protocol="quic", **player_kw):
         _, client, _ = make_quic_pair(sim, scenario)
     else:
         _, client, _ = make_tcp_pair(sim, scenario)
-    player = VideoPlayer(sim, client, one_hour_video(quality),
-                         protocol=protocol, **player_kw)
+    player = VideoPlayer(sim, client, one_hour_video(quality), **player_kw)
     player.start()
     sim.run(until=seconds)
     return player.finalize()
