@@ -5,6 +5,8 @@ direction of its effect, isolating the contribution of the features the
 paper credits for QUIC's behaviour.
 """
 
+from dataclasses import replace
+
 from repro.core.runner import (
     compare_quic_variants,
     measure_plts,
@@ -30,8 +32,7 @@ def test_ablation_hybrid_slow_start(benchmark):
         scenario = emulated(50.0)
         web_page = page(200, 10 * 1024)
         on_cfg = quic_config(34)
-        off_cfg = quic_config(34)
-        off_cfg.cc.hybrid_slow_start = False
+        off_cfg = on_cfg.with_(cc=replace(on_cfg.cc, hybrid_slow_start=False))
         on = measure_plts(scenario, web_page, ProtocolSpec.quic(on_cfg),
                           runs=4)
         off = measure_plts(scenario, web_page, ProtocolSpec.quic(off_cfg),
@@ -57,8 +58,8 @@ def test_ablation_pacing(benchmark):
         for pacing in (True, False):
             cfg = quic_config(34)
             if not pacing:
-                cfg.cc.pacing_gain_slow_start = None
-                cfg.cc.pacing_gain_ca = None
+                cfg = cfg.with_(cc=replace(cfg.cc, pacing_gain_slow_start=None,
+                                           pacing_gain_ca=None))
             out = run_bulk_transfer(scenario, 150_000,
                                     ProtocolSpec.quic(cfg), seed=3)
             results[pacing] = out
@@ -89,8 +90,7 @@ def test_ablation_tlp(benchmark):
             # A small MACW keeps the sender wire-paced (bytes_sent tracks
             # the wire), so the injected drop hits the true tail; the deep
             # queue removes incidental losses.
-            cfg = quic_config(34, macw_packets=20)
-            cfg.tlp_enabled = tlp
+            cfg = quic_config(34, macw_packets=20).with_(tlp_enabled=tlp)
             sim = Simulator()
             scenario = emulated(10.0).with_(queue_bytes=10_000_000)
             path = build_path(sim, scenario, seed=3)
@@ -131,7 +131,7 @@ def test_ablation_n_connection_emulation(benchmark):
         shares = {}
         for n in (1, 2):
             cfg = quic_config(34)
-            cfg.cc.num_emulated_connections = n
+            cfg = cfg.with_(cc=replace(cfg.cc, num_emulated_connections=n))
             result = run_fairness(n_quic=1, n_tcp=1, duration=30.0, seed=1,
                                   quic=cfg)
             shares[n] = result.quic_share()
@@ -178,7 +178,7 @@ def test_ablation_prr(benchmark):
         results = {}
         for prr in (True, False):
             cfg = quic_config(34)
-            cfg.cc.prr = prr
+            cfg = cfg.with_(cc=replace(cfg.cc, prr=prr))
             results[prr] = mean(measure_plts(
                 scenario, single_object_page(2_000_000),
                 ProtocolSpec.quic(cfg), runs=4))
@@ -222,8 +222,7 @@ def test_ablation_fec(benchmark):
         out = {}
         for loss in (0.0, 1.0):
             for fec in (False, True):
-                cfg = quic_config(34)
-                cfg.fec_enabled = fec
+                cfg = quic_config(34).with_(fec_enabled=fec)
                 result = run_bulk_transfer(
                     emulated(20.0, loss_pct=loss), 2_000_000,
                     ProtocolSpec.quic(cfg), seed=3)

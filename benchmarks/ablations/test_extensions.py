@@ -32,8 +32,7 @@ def test_extension_bbr_vs_cubic(benchmark):
         out = {}
         for loss in (0.0, 1.0):
             for use_bbr in (False, True):
-                cfg = quic_config(34)
-                cfg.use_bbr = use_bbr
+                cfg = quic_config(34).with_(use_bbr=use_bbr)
                 result = run_bulk_transfer(
                     emulated(50.0, loss_pct=loss), 10 * 1024 * 1024,
                     ProtocolSpec.quic(cfg), seed=1)

@@ -82,8 +82,7 @@ def test_fig03a_cubic_state_machine(benchmark):
 
 def _collect_bbr_traces():
     traces = []
-    cfg = quic_config(34)
-    cfg.use_bbr = True
+    cfg = quic_config(34).with_(use_bbr=True)
     for seed in range(3):
         out = run_page_load(emulated(20.0), single_object_page(5 * 1024 * 1024),
                             ProtocolSpec.quic(cfg), seed=seed, trace=True)

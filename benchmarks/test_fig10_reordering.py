@@ -19,11 +19,9 @@ THRESHOLDS = (3, 10, 25, 50)
 
 def quic_transfer(**knobs):
     """One seeded 10 MB QUIC transfer over the reordering path."""
-    cfg = quic_config(34)
-    for knob, value in knobs.items():
-        setattr(cfg, knob, value)
     return run_bulk_transfer(reordering_scenario(), SIZE,
-                             ProtocolSpec.quic(cfg), seed=1)
+                             ProtocolSpec.quic(quic_config(34).with_(**knobs)),
+                             seed=1)
 
 
 def reordering_sweep(thresholds=THRESHOLDS):

@@ -58,14 +58,13 @@ def main() -> None:
           "raised its dupthresh.\n")
 
     print("step 3 - the fixes (paper: the QUIC team's experiments):")
-    for label, mutate in (
-        ("QUIC NACK=10", lambda c: setattr(c, "nack_threshold", 10)),
-        ("QUIC NACK=50", lambda c: setattr(c, "nack_threshold", 50)),
-        ("QUIC adaptive", lambda c: setattr(c, "adaptive_nack_threshold", True)),
-        ("QUIC time-based", lambda c: setattr(c, "time_based_loss", True)),
+    for label, changes in (
+        ("QUIC NACK=10", {"nack_threshold": 10}),
+        ("QUIC NACK=50", {"nack_threshold": 50}),
+        ("QUIC adaptive", {"adaptive_nack_threshold": True}),
+        ("QUIC time-based", {"time_based_loss": True}),
     ):
-        cfg = quic_config(34)
-        mutate(cfg)
+        cfg = quic_config(34).with_(**changes)
         show(label, run_bulk_transfer(scenario, SIZE,
                                       ProtocolSpec("quic", cfg), seed=1))
 

@@ -62,8 +62,7 @@ def main() -> None:
     print(f"\nDOT diagram written to {dot_path}")
 
     print("\n=== the same pipeline applied to BBR (Fig. 3b) ===")
-    cfg = quic_config(34)
-    cfg.use_bbr = True
+    cfg = quic_config(34).with_(use_bbr=True)
     bbr_traces = []
     for seed in range(3):
         out = run_page_load(emulated(20.0), single_object_page(5 * 1024 * 1024),

@@ -164,9 +164,8 @@ def cmd_bulk(args: argparse.Namespace) -> int:
     if args.nack_threshold is not None:
         if args.protocol != "quic":
             raise SystemExit("error: --nack-threshold applies to --protocol quic")
-        cfg = quic_config(34)
-        cfg.nack_threshold = args.nack_threshold
-        protocol = ProtocolSpec("quic", cfg)
+        protocol = ProtocolSpec("quic", quic_config(34).with_(
+            nack_threshold=args.nack_threshold))
     result = run_bulk_transfer(
         scenario, int(args.size_mb * 1024 * 1024), protocol,
         seed=args.seed,

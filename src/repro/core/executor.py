@@ -84,8 +84,8 @@ MIN_PARALLEL = 4
 #: Protocol name -> (config type, the paper's default config, connection
 #: class): the one place a protocol name becomes a stack.
 _STACKS = {
-    "quic": (QuicConfig, partial(quic_config, 34), QuicConnection),
-    "tcp": (TcpConfig, tcp_config, TcpConnection),
+    "quic": (QuicConfig, quic_config(34), QuicConnection),
+    "tcp": (TcpConfig, tcp_config(), TcpConnection),
 }
 PROTOCOL_NAMES = tuple(_STACKS)
 
@@ -152,7 +152,7 @@ class ProtocolSpec:
         """The configuration, with the paper's defaults filled in."""
         if self.config is not None:
             return self.config
-        return _STACKS[self.name][1]()
+        return _STACKS[self.name][1]
 
     def open_pair(self, sim: Simulator, client_node: Node, server_node: Node,
                   **endpoint_kwargs: Any) -> Tuple[Any, Any]:

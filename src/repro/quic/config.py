@@ -19,7 +19,7 @@ constant across the versions the paper tested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..transport.cc.cubic import CubicConfig
@@ -33,14 +33,14 @@ MACW_CALIBRATED = 430
 MACW_QUIC37 = 2000
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuicConfig:
     """All tunables of one QUIC endpoint pair."""
 
     version: int = 34
     mss: int = 1350
     #: Congestion-control configuration (Cubic unless ``use_bbr``).
-    cc: CubicConfig = field(default_factory=CubicConfig)
+    cc: CubicConfig = CubicConfig()
     use_bbr: bool = False
     #: Fixed NACK (reordering) threshold for fast retransmit; the paper's
     #: Fig. 10 sweeps this (default 3).
@@ -83,6 +83,12 @@ class QuicConfig:
     inchoate_chlo_bytes: int = 512
     rej_bytes: int = 2200
     shlo_bytes: int = 1100
+
+    def __post_init__(self) -> None:
+        # _build_packet budgets every ACK frame for this many blocks.
+        if self.max_ack_blocks < 1:
+            raise ValueError(
+                f"max_ack_blocks must be >= 1, got {self.max_ack_blocks}")
 
     def label(self) -> str:
         macw = self.cc.max_cwnd_packets

@@ -538,11 +538,7 @@ class QuicConnection(TransportEndpoint):
     def _make_ack_frame(self) -> Optional[AckFrame]:
         if not self._received_nums:
             return None
-        max_blocks = self.config.max_ack_blocks
-        if max_blocks < 1:
-            # _build_packet budgets the frame for this many blocks.
-            raise ValueError(f"max_ack_blocks must be >= 1, got {max_blocks}")
-        ranges = self._received_nums.tail(max_blocks)
+        ranges = self._received_nums.tail(self.config.max_ack_blocks)
         # A list comprehension is one call; a generator is one per block.
         blocks = tuple([(lo, hi - 1) for lo, hi in reversed(ranges)])
         ack_delay = self.sim.now - self._largest_received_at

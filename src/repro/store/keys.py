@@ -49,7 +49,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -174,19 +173,13 @@ def _dataclass_encoder(cls: type, names: Tuple[str, ...]
 #: :class:`_Part` memo entry holding everything a row needs of it — its
 #: run-key fragment, its :func:`request_to_dict` dict and that dict's
 #: two JSON texts — so a sweep serialises each part once, not once per
-#: row per form.  Page, scenario, device and manyflow objects are frozen
-#: dataclasses of scalars and tuples; a :class:`ProtocolSpec` carries a
-#: *mutable* ``QuicConfig`` / ``TcpConfig`` (and its ``CubicConfig``),
-#: so its entry is valid only under an identity snapshot of every field
-#: of those configs (:func:`_snapshot`), checked on every use: a mutated
-#: config never yields a stale key or line.  An object reaching anything
-#: but scalars, tuples and dataclasses (a frozen page built around a
-#: list) is never memoised.
+#: row per form.  An entry is made only for an object that reaches
+#: nothing but scalars, tuples and frozen dataclasses (the configs a
+#: :class:`ProtocolSpec` carries included), so what it holds can never
+#: go stale; an object reaching anything else (a frozen page built
+#: around a list) is never memoised.
 _MEMOISED_CLASSES = (WebPage, Scenario, DeviceProfile, ManyflowConfig,
                      ProtocolSpec)
-#: One mutable dataclass a part reaches: ``(it, field getter, the field
-#: values the part was built from)``.
-_Watch = Tuple[Any, Callable[[Any], Tuple[Any, ...]], Tuple[Any, ...]]
 
 
 class _Part:
@@ -197,12 +190,10 @@ class _Part:
     ``spaced`` / ``compact`` texts by the first :func:`request_to_dict`.
     """
 
-    __slots__ = ("source", "snapshot", "fragment", "data", "spaced",
-                 "compact")
+    __slots__ = ("source", "fragment", "data", "spaced", "compact")
 
-    def __init__(self, source: Any, snapshot: Tuple[_Watch, ...]) -> None:
+    def __init__(self, source: Any) -> None:
         self.source = source
-        self.snapshot = snapshot
         self.fragment: Optional[str] = None
         self.data: Any = None
         self.spaced = self.compact = ""
@@ -219,58 +210,31 @@ _PARTS_BOUND = 256
 _PART_OF_DATA: Dict[int, _Part] = {}
 
 
-def _field_getter(names: Sequence[str], getter: Callable[..., Any] = (
-        operator.attrgetter)) -> Callable[[Any], Tuple[Any, ...]]:
-    """``getter(*names)``, returning a tuple whatever ``len(names)``."""
-    if len(names) > 1:
-        return getter(*names)
-    return lambda obj: tuple(getter(name)(obj) for name in names)
-
-
-def _snapshot(obj: Any, out: List[_Watch]) -> bool:
-    """Append ``(owner, getter, field values)`` for every *mutable*
-    dataclass reachable from ``obj`` to ``out``; False when ``obj``
-    reaches anything but scalars, tuples and dataclasses."""
+def _immutable(obj: Any) -> bool:
+    """Whether ``obj`` reaches nothing but scalars, tuples and frozen
+    dataclasses."""
     cls = obj.__class__
     if obj is None or cls in _SCALAR_TYPES:
         return True
     if cls is tuple:
-        return all(_snapshot(item, out) for item in obj)
+        return all(map(_immutable, obj))
     names = _field_names(cls)
-    if names is None:
-        return False
-    values = tuple(getattr(obj, name) for name in names)
-    if not cls.__dataclass_params__.frozen:
-        out.append((obj, _field_getter(names), values))
-    return all(_snapshot(value, out) for value in values)
+    return (names is not None and cls.__dataclass_params__.frozen
+            and all(_immutable(getattr(obj, name)) for name in names))
 
 
 def _shared_part(obj: Any) -> Optional[_Part]:
-    """``obj``'s memo entry — made on first sight, remade when a field
-    of a config it carries is no longer the very object it was — or
-    None when ``obj`` is not a shareable part.
-
-    The snapshot compares with ``is``, never ``==``: ``True == 1`` and
-    ``0.0 == -0.0``, but each pair is spelled differently in JSON.
-    """
+    """``obj``'s memo entry, made on first sight, or None when ``obj``
+    is not a shareable part."""
     part = _PARTS.get(id(obj))
     if part is not None:
-        for owner, get, values in part.snapshot:
-            if not all(map(operator.is_, get(owner), values)):
-                break
-        else:
-            return part
-        _PARTS.pop(id(obj))
-        _PART_OF_DATA.pop(id(part.data), None)
-    if obj.__class__ not in _MEMOISED_CLASSES:
-        return None
-    snapshot: List[_Watch] = []
-    if not _snapshot(obj, snapshot):
+        return part
+    if obj.__class__ not in _MEMOISED_CLASSES or not _immutable(obj):
         return None
     if len(_PARTS) >= _PARTS_BOUND:
         _PARTS.clear()
         _PART_OF_DATA.clear()
-    part = _PARTS[id(obj)] = _Part(obj, tuple(snapshot))
+    part = _PARTS[id(obj)] = _Part(obj)
     return part
 
 
@@ -535,8 +499,10 @@ def _row_writer(encoder: json.JSONEncoder, text: Callable[[_Part], str]
             for key in order]) + "}"
         if len(shapes) >= _PARTS_BOUND:
             shapes.clear()
-        shape = shapes[keys] = (_field_getter(order, operator.itemgetter),
-                                template)
+        # One key's itemgetter returns the value itself, not a 1-tuple.
+        values = (operator.itemgetter(*order) if len(order) > 1
+                  else lambda value: (value[order[0]],))
+        shape = shapes[keys] = (values, template)
         return shape
 
     def write_dict(value: Dict[Any, Any]) -> str:

@@ -19,7 +19,7 @@ settings (kernel 4.4 server).  The corresponding knobs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..transport.cc.cubic import CubicConfig
 
@@ -39,12 +39,12 @@ def default_tcp_cubic() -> CubicConfig:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TcpConfig:
     """All tunables of one TCP endpoint pair."""
 
     mss: int = 1350
-    cc: CubicConfig = field(default_factory=default_tcp_cubic)
+    cc: CubicConfig = default_tcp_cubic()
     #: Fast-retransmit duplicate threshold and DSACK adaptation.
     dupthresh: int = 3
     dsack: bool = True
@@ -71,6 +71,12 @@ class TcpConfig:
     #: chunks fairly across in-progress responses; "fifo" finishes one
     #: response before the next.
     scheduler: str = "roundrobin"
+
+    def __post_init__(self) -> None:
+        if self.scheduler not in ("roundrobin", "fifo"):
+            raise ValueError(
+                f"unknown TCP scheduler {self.scheduler!r} (expected "
+                f"'roundrobin' or 'fifo')")
 
     def with_(self, **changes) -> "TcpConfig":
         return replace(self, **changes)

@@ -42,7 +42,7 @@ from .kernels import CubicKernel
 from .prr import ProportionalRateReduction
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubicConfig:
     """Tunables for one Cubic instance.
 

@@ -71,8 +71,7 @@ class TestEfficiencyReport:
         assert "overhead" in report.describe()
 
     def test_fec_overhead_visible(self, sim):
-        cfg = quic_config(34)
-        cfg.fec_enabled = True
+        cfg = quic_config(34).with_(fec_enabled=True)
         scn = emulated(10.0).with_(queue_bytes=10_000_000)
         _, client, server = make_quic_pair(sim, scn, cfg=cfg)
         quic_download(sim, client, 1_000_000)

@@ -1,5 +1,6 @@
 """Tests for the parallel experiment executor (repro.core.executor)."""
 
+import dataclasses
 import os
 import pickle
 import signal
@@ -22,8 +23,10 @@ from repro.core.experiment import (
     ExperimentSpec,
     ScenarioSpec,
     WorkloadSpec,
+    experiment_requests,
     run_experiment,
 )
+from repro.core.manyflow import ManyflowConfig, manyflow_requests
 from repro.core.report import build_store_report
 from repro.core.runner import (
     compare_page_load,
@@ -147,6 +150,59 @@ class TestRunRequest:
         assert record.failure.kind == "incomplete"
         with pytest.raises(RuntimeError):
             record.require()
+
+
+def _reachable_dataclasses(obj):
+    """Every dataclass instance reachable from ``obj`` through fields
+    and containers."""
+    found, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        if dataclasses.is_dataclass(node):
+            found.append(node)
+            stack.extend(getattr(node, field.name)
+                         for field in dataclasses.fields(node))
+        elif isinstance(node, (list, tuple, set, frozenset)):
+            stack.extend(node)
+        elif isinstance(node, dict):
+            stack.extend(node.values())
+    return found
+
+
+def _grid_request(protocol):
+    """The first request of ``protocol``'s cell, as a spec sweep builds
+    it."""
+    spec = ExperimentSpec(name="frozen", scenarios=[ScenarioSpec(10.0)],
+                          workloads=[WorkloadSpec(2, 10.0)], runs=1)
+    return next(requests[0] for key, requests in experiment_requests(spec)
+                if key[2] == protocol)
+
+
+#: name -> (request builder, dataclasses the walk must reach).
+REQUEST_TREES = {
+    "page-load": (lambda: _grid_request("quic"),
+                  {"QuicConfig", "CubicConfig", "WebPage", "Scenario"}),
+    "proxied-tcp": (lambda: _grid_request("tcp").with_(
+        protocol=ProtocolSpec("tcp", tcp_config()), proxied=True),
+        {"TcpConfig", "CubicConfig", "DeviceProfile"}),
+    "manyflow": (lambda: manyflow_requests(ManyflowConfig(flows=50))[0],
+                 {"ManyflowConfig", "ProtocolSpec"}),
+}
+
+
+class TestRequestTreeIsFrozen:
+    """Every object a request reaches is a value: the store's key memo
+    trusts an entry it made once, and a request hashes."""
+
+    @pytest.mark.parametrize("name", sorted(REQUEST_TREES))
+    def test_every_reachable_dataclass_is_frozen(self, name):
+        build, expected = REQUEST_TREES[name]
+        request = build()
+        nodes = _reachable_dataclasses(request)
+        assert expected <= {type(node).__name__ for node in nodes}
+        assert sorted({type(node).__name__ for node in nodes
+                       if not type(node).__dataclass_params__.frozen}) == []
+        assert hash(request) == hash(pickle.loads(pickle.dumps(request)))
 
 
 class TestScenarioSpecRoundTrip:

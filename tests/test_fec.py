@@ -94,8 +94,7 @@ class TestEndToEnd:
         assert client.fec_decoder is None
 
     def test_fec_transfer_completes_and_revives(self, sim):
-        cfg = quic_config(34)
-        cfg.fec_enabled = True
+        cfg = quic_config(34).with_(fec_enabled=True)
         _, client, server = make_quic_pair(
             sim, emulated(20.0, loss_pct=2.0), cfg=cfg, seed=3)
         quic_download(sim, client, 2_000_000, timeout=120.0)
@@ -105,9 +104,7 @@ class TestEndToEnd:
     def test_fec_packets_are_congestion_charged(self, sim):
         """FEC rides inside the congestion window (GQUIC behaviour), so
         the data-packet count grows by roughly the group overhead."""
-        cfg = quic_config(34)
-        cfg.fec_enabled = True
-        cfg.fec_group_size = 5
+        cfg = quic_config(34).with_(fec_enabled=True, fec_group_size=5)
         _, client, server = make_quic_pair(sim, emulated(20.0), cfg=cfg, seed=3)
         quic_download(sim, client, 2_000_000, timeout=120.0)
         data_pkts = 2_000_000 // 1338 + 1
@@ -124,8 +121,7 @@ class TestEndToEnd:
         times = {}
         for fec in (False, True):
             sim = Simulator()
-            cfg = quic_config(34)
-            cfg.fec_enabled = fec
+            cfg = quic_config(34).with_(fec_enabled=fec)
             _, client, _ = make_quic_pair(sim, emulated(20.0), cfg=cfg, seed=3)
             times[fec] = quic_download(sim, client, 2_000_000, timeout=120.0)
         assert times[True] > times[False]

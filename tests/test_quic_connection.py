@@ -85,8 +85,7 @@ class TestMultiplexing:
         assert sim.run_until(lambda: len(done) == 10, timeout=30.0)
 
     def test_mspc_limits_concurrency(self, sim):
-        cfg = quic_config(34)
-        cfg.max_streams_per_connection = 2
+        cfg = quic_config(34).with_(max_streams_per_connection=2)
         _, client, _ = make_quic_pair(sim, MEDIUM, cfg=cfg)
         done = {}
         client.connect()
@@ -104,8 +103,7 @@ class TestMultiplexing:
         times = {}
         for mspc in (1, 100):
             sim = Simulator()
-            cfg = quic_config(34)
-            cfg.max_streams_per_connection = mspc
+            cfg = quic_config(34).with_(max_streams_per_connection=mspc)
             _, client, _ = make_quic_pair(sim, emulated(10.0), cfg=cfg)
             done = {}
             client.connect()
@@ -151,16 +149,14 @@ class TestLossRecovery:
         false = {}
         for threshold in (3, 50):
             sim = Simulator()
-            cfg = quic_config(34)
-            cfg.nack_threshold = threshold
+            cfg = quic_config(34).with_(nack_threshold=threshold)
             _, client, server = make_quic_pair(sim, JITTERY, cfg=cfg)
             quic_download(sim, client, 2_000_000)
             false[threshold] = server.loss_detector.false_losses
         assert false[50] < false[3] / 2
 
     def test_adaptive_threshold_converges(self, sim):
-        cfg = quic_config(34)
-        cfg.adaptive_nack_threshold = True
+        cfg = quic_config(34).with_(adaptive_nack_threshold=True)
         _, client, server = make_quic_pair(sim, JITTERY, cfg=cfg)
         quic_download(sim, client, 2_000_000)
         assert server.loss_detector.threshold > 3
@@ -174,11 +170,9 @@ class TestFlowControl:
 
     def test_window_updates_unblock(self, sim):
         """Transfer far larger than the initial windows still completes."""
-        cfg = quic_config(34)
-        cfg.conn_flow_window = 64_000
-        cfg.conn_flow_window_cap = 256_000
-        cfg.stream_flow_window = 32_000
-        cfg.stream_flow_window_cap = 128_000
+        cfg = quic_config(34).with_(
+            conn_flow_window=64_000, conn_flow_window_cap=256_000,
+            stream_flow_window=32_000, stream_flow_window_cap=128_000)
         _, client, server = make_quic_pair(sim, MEDIUM, cfg=cfg)
         elapsed = quic_download(sim, client, 2_000_000, timeout=60.0)
         assert elapsed < 60.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netem import Simulator, emulated
-from repro.quic import quic_config
+from repro.quic import QuicConfig, quic_config
 from repro.quic.frames import AckFrame, MaxDataFrame, StreamFrame
 from repro.quic.loss import SentPacketRecord
 from repro.transport.util import RangeSet
@@ -44,8 +44,7 @@ class TestAckGeneration:
 
     def test_block_count_capped(self):
         for max_blocks in (4, 1):
-            cfg = quic_config(34)
-            cfg.max_ack_blocks = max_blocks
+            cfg = quic_config(34).with_(max_ack_blocks=max_blocks)
             _, client, _ = make_quic_pair(Simulator(), MEDIUM, cfg=cfg)
             for num in range(1, 41, 2):  # 20 isolated packets = 20 ranges
                 client._record_received(0.1, num, True)
@@ -57,16 +56,14 @@ class TestAckGeneration:
             assert ack.wire_bytes <= 16 + 8 * max_blocks
 
     @pytest.mark.parametrize("blocks", [0, -1])
-    def test_fewer_than_one_block_is_refused(self, sim, blocks):
+    def test_fewer_than_one_block_is_refused(self, blocks):
         """``tail(0)`` once returned every range, so a frame meant to
-        carry none carried all of them, past _build_packet's budget."""
-        cfg = quic_config(34)
-        _, client, _ = make_quic_pair(sim, MEDIUM, cfg=cfg)
-        cfg.max_ack_blocks = blocks  # the config is mutable after construction
-        client._record_received(0.1, 1, True)
-        client._record_received(0.1, 3, True)
+        carry none carried all of them, past _build_packet's budget: such
+        a config is refused when it is made."""
         with pytest.raises(ValueError, match="max_ack_blocks"):
-            client._make_ack_frame()
+            quic_config(34).with_(max_ack_blocks=blocks)
+        with pytest.raises(ValueError, match="max_ack_blocks"):
+            QuicConfig(max_ack_blocks=blocks)
 
 
 class TestAckProcessing:
@@ -126,9 +123,9 @@ class TestAckProcessing:
 
 class TestFlowControlGrants:
     def test_conn_window_update_sent_at_half(self, sim):
-        cfg = quic_config(34)
-        cfg.conn_flow_window = 100_000
-        cfg.conn_flow_window_cap = 100_000  # no auto-tune
+        # No auto-tune: the cap is the initial window.
+        cfg = quic_config(34).with_(conn_flow_window=100_000,
+                                    conn_flow_window_cap=100_000)
         _, client, server = make_quic_pair(sim, MEDIUM, cfg=cfg)
         quic_download(sim, client, 300_000)
         # The transfer exceeded the initial window: updates were granted.
@@ -136,25 +133,22 @@ class TestFlowControlGrants:
         assert server._peer_conn_limit == client._conn_granted
 
     def test_auto_tune_doubles_on_frequent_updates(self, sim):
-        cfg = quic_config(34)
-        cfg.conn_flow_window = 50_000
-        cfg.conn_flow_window_cap = 1_000_000
+        cfg = quic_config(34).with_(conn_flow_window=50_000,
+                                    conn_flow_window_cap=1_000_000)
         _, client, _ = make_quic_pair(sim, emulated(50.0), cfg=cfg)
         quic_download(sim, client, 2_000_000)
         assert client._conn_window > 50_000  # grew toward the cap
 
     def test_window_cap_respected(self, sim):
-        cfg = quic_config(34)
-        cfg.conn_flow_window = 50_000
-        cfg.conn_flow_window_cap = 120_000
+        cfg = quic_config(34).with_(conn_flow_window=50_000,
+                                    conn_flow_window_cap=120_000)
         _, client, _ = make_quic_pair(sim, emulated(50.0), cfg=cfg)
         quic_download(sim, client, 2_000_000)
         assert client._conn_window <= 120_000
 
     def test_sender_never_exceeds_peer_limit(self, sim):
-        cfg = quic_config(34)
-        cfg.conn_flow_window = 64_000
-        cfg.conn_flow_window_cap = 128_000
+        cfg = quic_config(34).with_(conn_flow_window=64_000,
+                                    conn_flow_window_cap=128_000)
         _, client, server = make_quic_pair(sim, MEDIUM, cfg=cfg)
         quic_download(sim, client, 500_000)
         assert server._conn_new_bytes_sent <= server._peer_conn_limit

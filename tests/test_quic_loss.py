@@ -8,10 +8,8 @@ from repro.quic.loss import LossDetector, SentPacketRecord
 
 
 def make_detector(**cfg_kwargs):
-    cfg = quic_config(34)
-    for key, value in cfg_kwargs.items():
-        setattr(cfg, key, value)
-    return LossDetector(cfg, Trace(enabled=False))
+    return LossDetector(quic_config(34).with_(**cfg_kwargs),
+                        Trace(enabled=False))
 
 
 def sent_map(*nums, t=0.0):

@@ -10,16 +10,17 @@ suite holds the splice to what it replaced:
   encoders, kept here as the oracle, over records with shared and
   unshared parts and awkward values (signed zeros, non-finite floats,
   subnormals, ``bool`` vs ``int``, escapes, nesting);
-* **staleness** — a protocol config is mutable, so its memo entry is
-  valid only under an identity snapshot of its fields: a mutation the
-  ``==`` operator cannot see (``True`` -> ``1``, ``0.0`` -> ``-0.0``)
-  must still move the key and the line;
+* **distinct spellings** — a config is frozen, so a changed config is a
+  new object with its own memo entry: a change the ``==`` operator
+  cannot see (``True`` -> ``1``, ``0.0`` -> ``-0.0``) must still move
+  the key and the line;
 * **census** — N rows over one cell cost O(distinct parts) stdlib
   encodes, not 2 N.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -97,13 +98,14 @@ def part_objects(draw):
     config = draw(st.sampled_from([None, "quic", "tcp"]))
     if config == "quic":
         config = quic_config(draw(st.integers(25, 37)))
-        config.zero_rtt = draw(st.sampled_from([True, 1, False, 0]))
-        config.min_rto = draw(floats)
-        config.cc.beta = draw(floats)
+        config = config.with_(
+            zero_rtt=draw(st.sampled_from([True, 1, False, 0])),
+            min_rto=draw(floats), cc=replace(config.cc, beta=draw(floats)))
         protocol = ProtocolSpec("quic", config)
     else:
         protocol = ProtocolSpec("tcp", None if config is None else tcp_config(
-            dupthresh=draw(st.integers(1, 99)), scheduler=draw(texts)))
+            dupthresh=draw(st.integers(1, 99)),
+            scheduler=draw(st.sampled_from(["roundrobin", "fifo"]))))
     device = draw(st.sampled_from([DESKTOP, None]))
     if device is None:
         device = DeviceProfile(draw(texts), draw(floats), 0.0, -0.0, 1e-3,
@@ -174,21 +176,21 @@ class TestSpliceEqualsStdlib:
 
 
 # ----------------------------------------------------------------------
-# staleness: one ProtocolSpec, mutated between two requests
+# distinct spellings: a changed config is a new object, with its own entry
 # ----------------------------------------------------------------------
 def _set(path, value):
-    def mutate(config):
-        owner = config
+    def change(config):
         *parents, name = path.split(".")
-        for parent in parents:
-            owner = getattr(owner, parent)
-        setattr(owner, name, value)
-    return mutate
+        if parents:
+            return replace(config, cc=replace(config.cc, **{name: value}))
+        return replace(config, **{name: value})
+    return change
 
 
-#: name -> (the field's value before, the mutation); the last two are
-#: invisible to ``==`` (True == 1, 0.0 == -0.0) but not to JSON.
-MUTATIONS = {
+#: name -> (the change the base config is built with, the change); the
+#: last two are invisible to ``==`` (True == 1, 0.0 == -0.0) but not to
+#: JSON.
+CHANGES = {
     "top-level": (None, _set("nack_threshold", 50)),
     "nested-cc": (None, _set("cc.beta", 0.5)),
     "true-to-1": (None, _set("zero_rtt", 1)),
@@ -197,31 +199,31 @@ MUTATIONS = {
 }
 
 
-class TestProtocolSnapshot:
-    @pytest.mark.parametrize("name", sorted(MUTATIONS))
-    def test_key_and_line_follow_the_mutation(self, name):
-        prepare, mutate = MUTATIONS[name]
-        spec = ProtocolSpec("quic", quic_config(34))
-        if prepare is not None:
-            prepare(spec.config)
+def _base(prepare):
+    config = quic_config(34)
+    return config if prepare is None else prepare(config)
 
-        def key_and_line():
+
+class TestProtocolSnapshot:
+    @pytest.mark.parametrize("name", sorted(CHANGES))
+    def test_key_and_line_follow_the_mutation(self, name):
+        prepare, change = CHANGES[name]
+        spec = ProtocolSpec("quic", _base(prepare))
+
+        def key_and_line(spec):
             request = req(protocol=spec)
             key = run_key(request, fingerprint="pinned")
             record = record_to_dict(RunRecord(request=request, plt=1.0))
             return key, encode_row(key, 1.0, "pinned", record, check=True)
 
-        before = key_and_line()
-        assert key_and_line() == before  # a hit: the memo serves it
-        mutate(spec.config)
-        after = key_and_line()
+        before = key_and_line(spec)
+        assert key_and_line(spec) == before  # a hit: the memo serves it
+        changed = ProtocolSpec("quic", change(spec.config))
+        after = key_and_line(changed)
         assert after[0] != before[0] and after[1] != before[1]
+        assert key_and_line(spec) == before
         # ...and both are what an equal, freshly built spec gives.
-        fresh = ProtocolSpec("quic", quic_config(34))
-        if prepare is not None:
-            prepare(fresh.config)
-        mutate(fresh.config)
-        request = req(protocol=fresh)
+        request = req(protocol=ProtocolSpec("quic", change(_base(prepare))))
         assert after[0] == run_key(request, fingerprint="pinned")
         record = json.loads(json.dumps(
             record_to_dict(RunRecord(request=request, plt=1.0))))
@@ -229,20 +231,23 @@ class TestProtocolSnapshot:
                                        check=True)
 
     def test_a_replaced_nested_config_is_seen(self):
-        spec = ProtocolSpec("tcp", tcp_config())
-        before = run_key(req(protocol=spec), fingerprint="pinned")
-        spec.config.cc = tcp_config(dupthresh=4).cc
-        assert run_key(req(protocol=spec), fingerprint="pinned") == before
-        spec.config.cc = quic_config(34).cc
-        assert run_key(req(protocol=spec), fingerprint="pinned") != before
+        config = tcp_config()
+        before = run_key(req(protocol=ProtocolSpec("tcp", config)),
+                         fingerprint="pinned")
+        same = replace(config, cc=tcp_config(dupthresh=4).cc)
+        assert run_key(req(protocol=ProtocolSpec("tcp", same)),
+                       fingerprint="pinned") == before
+        other = replace(config, cc=quic_config(34).cc)
+        assert run_key(req(protocol=ProtocolSpec("tcp", other)),
+                       fingerprint="pinned") != before
 
     def test_a_config_holding_a_list_is_never_memoised(self):
-        spec = ProtocolSpec("tcp", tcp_config())
-        spec.config.scheduler = ["fifo"]  # not a scalar, not a config
+        sizes = [1024]  # not a scalar, not a config
+        spec = ProtocolSpec("quic", quic_config(34).with_(chlo_bytes=sizes))
         part = request_to_dict(req(protocol=spec))["protocol"]
         assert id(part) not in store_keys._PART_OF_DATA
         before = run_key(req(protocol=spec), fingerprint="pinned")
-        spec.config.scheduler.append("roundrobin")
+        sizes.append(512)
         assert run_key(req(protocol=spec), fingerprint="pinned") != before
 
 

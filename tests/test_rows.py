@@ -12,7 +12,9 @@ single definition (``repro.store.rows``) from the outside:
   line per reader, ending in convergence after ``--repair``;
 * **byte goldens** — the four line forms (shard, export, wire response,
   upload body) as literals captured on the commit *before* the codec
-  was unified;
+  was unified, and the shard line and checksum of a QUIC and a TCP
+  request carrying an explicit config, captured before the configs
+  were frozen;
 * **one label derivation**, the frozen ``StoreBackend`` surface the
   benchmark harness subclasses, and rows written as the bytes they
   arrived with.
@@ -30,10 +32,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.executor import RunRecord
+from repro.core.executor import ProtocolSpec, RunRecord
 from repro.core.report import build_store_report
 from repro.fabric import RemoteStore, StoreServer
 from repro.faults import FaultyStore
+from repro.quic.config import quic_config
 from repro.store import (
     ShardStore,
     SqliteStore,
@@ -45,6 +48,7 @@ from repro.store import (
     row_check,
     run_key,
 )
+from repro.tcp.config import tcp_config
 
 from . import test_store as fixtures
 from .test_store import req
@@ -365,6 +369,101 @@ class TestByteGoldens:
             remote.put(GOLDEN_KEY, _golden_record(), fingerprint="pinned",
                        created=1234.5)
             assert sent[-1] == ("POST", "/records", wire)
+
+
+# ----------------------------------------------------------------------
+# config-carrying row goldens (captured while configs were mutable)
+# ----------------------------------------------------------------------
+GOLDEN_QUIC_NACK50_LINE = (
+    '{"check": "ee02bc3b41db772f", "created": 1234.5, "fingerprint"'
+    ': "pinned", "key": "c72cde12d0937912146c22c86fc5f34957c1561539'
+    '72677ef5132cb733656f69", "record": {"attempts": 1, "complete":'
+    ' true, "failure": null, "metrics": {"bytes": 20000.0, "plt": 1'
+    '.25}, "plt": 1.25, "request": {"cwnd_interval": 0.0, "device":'
+    ' {"crypto_setup_cost": 0.001, "name": "desktop", "noise": 0.00'
+    '2, "quic_consume_cost": 0.0, "quic_packet_cost": 0.0, "tcp_pac'
+    'ket_cost": 0.0}, "manyflow": null, "page": {"name": "1x19.5312'
+    'KB", "objects": [[0, 20000]]}, "protocol": {"config": {"ack_de'
+    'lay_timer": 0.025, "ack_every_n": 2, "adaptive_nack_threshold"'
+    ': false, "cc": {"beta": 0.7, "buggy_initial_ssthresh_packets":'
+    ' 100, "cubic_c": 0.4, "fast_convergence": true, "hss_threshold'
+    '_divisor": 8.0, "hybrid_slow_start": true, "initial_cwnd_packe'
+    'ts": 32, "max_cwnd_packets": 430, "min_cwnd_packets": 2, "mss"'
+    ': 1350, "num_emulated_connections": 2, "pacing_gain_ca": 1.25,'
+    ' "pacing_gain_slow_start": 2.0, "prr": true, "ssthresh_from_re'
+    'ceiver_buffer": true}, "chlo_bytes": 1024, "conn_flow_window":'
+    ' 1536000, "conn_flow_window_cap": 25165824, "fec_enabled": fal'
+    'se, "fec_group_size": 5, "inchoate_chlo_bytes": 512, "max_ack_'
+    'blocks": 32, "max_streams_per_connection": 100, "max_tail_loss'
+    '_probes": 2, "min_rto": 0.2, "mss": 1350, "nack_threshold": 50'
+    ', "nack_threshold_cap": 100, "rej_bytes": 2200, "shlo_bytes": '
+    '1100, "stream_flow_window": 1024000, "stream_flow_window_cap":'
+    ' 6291456, "time_based_loss": false, "tlp_enabled": true, "use_'
+    'bbr": false, "version": 34, "zero_rtt": true}, "name": "quic"}'
+    ', "proxied": false, "scenario": {"extra_delay": 0.0, "jitter":'
+    ' 0.0, "loss_rate": 0.0, "name": "10Mbps+0ms+0%loss", "queue_by'
+    'tes": null, "rate_mbps": 10.0, "reorder_extra": 0.0, "reorder_'
+    'prob": 0.0, "rtt": 0.036, "rtt_run_variation": 0.02}, "seed": '
+    '3, "timeout": 900.0, "trace": false}, "wall_time": 0.5}}\n'
+)
+GOLDEN_TCP_DUPTHRESH10_LINE = (
+    '{"check": "e02d0f353278053b", "created": 1234.5, "fingerprint"'
+    ': "pinned", "key": "f985a367dffa048e1716ec510599cefe2b3a2028ed'
+    '3d201ddeed8f6445811e7a", "record": {"attempts": 1, "complete":'
+    ' true, "failure": null, "metrics": {"bytes": 20000.0, "plt": 1'
+    '.25}, "plt": 1.25, "request": {"cwnd_interval": 0.0, "device":'
+    ' {"crypto_setup_cost": 0.001, "name": "desktop", "noise": 0.00'
+    '2, "quic_consume_cost": 0.0, "quic_packet_cost": 0.0, "tcp_pac'
+    'ket_cost": 0.0}, "manyflow": null, "page": {"name": "1x19.5312'
+    'KB", "objects": [[0, 20000]]}, "protocol": {"config": {"ack_ev'
+    'ery_n": 2, "cc": {"beta": 0.7, "buggy_initial_ssthresh_packets'
+    '": 100, "cubic_c": 0.4, "fast_convergence": true, "hss_thresho'
+    'ld_divisor": 4.0, "hybrid_slow_start": true, "initial_cwnd_pac'
+    'kets": 10, "max_cwnd_packets": null, "min_cwnd_packets": 2, "m'
+    'ss": 1350, "num_emulated_connections": 1, "pacing_gain_ca": nu'
+    'll, "pacing_gain_slow_start": null, "prr": true, "ssthresh_fro'
+    'm_receiver_buffer": true}, "client_finished_bytes": 300, "clie'
+    'nt_hello_bytes": 350, "delayed_ack_timeout": 0.04, "dsack": tr'
+    'ue, "dupthresh": 10, "dupthresh_cap": 100, "max_sack_blocks": '
+    '3, "max_tail_loss_probes": 2, "min_rto": 0.2, "mss": 1350, "re'
+    'ceive_buffer": 6291456, "scheduler": "roundrobin", "server_fin'
+    'ished_bytes": 300, "server_hello_bytes": 3600, "tlp_enabled": '
+    'false, "tls_rtts": 2}, "name": "tcp"}, "proxied": false, "scen'
+    'ario": {"extra_delay": 0.0, "jitter": 0.0, "loss_rate": 0.0, "'
+    'name": "10Mbps+0ms+0%loss", "queue_bytes": null, "rate_mbps": '
+    '10.0, "reorder_extra": 0.0, "reorder_prob": 0.0, "rtt": 0.036,'
+    ' "rtt_run_variation": 0.02}, "seed": 3, "timeout": 900.0, "tra'
+    'ce": false}, "wall_time": 0.5}}\n'
+)
+CONFIG_ROW_GOLDENS = {
+    "quic-v34-nack50": (
+        lambda: ProtocolSpec("quic", quic_config(34).with_(nack_threshold=50)),
+        "ee02bc3b41db772f", GOLDEN_QUIC_NACK50_LINE),
+    "tcp-dupthresh10": (
+        lambda: ProtocolSpec("tcp", tcp_config(dupthresh=10)),
+        "e02d0f353278053b", GOLDEN_TCP_DUPTHRESH10_LINE),
+}
+
+
+class TestConfigRowGoldens:
+    """A request carrying an explicit config spells the same shard line
+    and checksum, on the memo's first sight of its protocol part and on
+    a hit."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIG_ROW_GOLDENS))
+    def test_shard_line_and_check(self, name, tmp_path):
+        build, check, line = CONFIG_ROW_GOLDENS[name]
+        record = RunRecord(request=req(seed=3, protocol=build()), plt=1.25,
+                           complete=True,
+                           metrics={"plt": 1.25, "bytes": 20000.0},
+                           wall_time=0.5, attempts=1)
+        key = run_key(record.request, fingerprint="pinned")
+        assert json.loads(line)["key"] == key
+        for attempt in ("first", "memo-hit"):
+            store = ShardStore(tmp_path / attempt)
+            store.put(key, record, fingerprint="pinned", created=1234.5)
+            assert store._data_path(store.shard_of(key)).read_text() == line
+            assert row_check(key, record_to_dict(record)) == check
 
 
 # ----------------------------------------------------------------------

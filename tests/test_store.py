@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
@@ -66,9 +67,15 @@ from repro.store import (
 )
 from repro.store import keys as store_keys
 from repro.store.backend import _kind_at
+from repro.store.rows import encode_row
 from repro.tcp import tcp_config
+from repro.transport.cc.cubic import CubicConfig
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+#: An explicit QUIC config the spelling variants of
+#: ``test_any_field_change_changes_key`` are ``==`` to.
+SPELLED = quic_config(34).with_(min_rto=0.0)
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)
@@ -79,6 +86,12 @@ def req(seed=0, **overrides):
                   seed=seed)
     kwargs.update(overrides)
     return RunRequest(**kwargs)
+
+
+def _line(request):
+    """The store line a record of ``request`` is written as."""
+    record = record_to_dict(RunRecord(request=request, plt=1.0))
+    return encode_row("k", 1.0, "pinned", record)
 
 
 def fresh_req(seed=0):
@@ -243,9 +256,22 @@ class TestRunKey:
         lambda: req(trace=True),
         lambda: req(proxied=True),
         lambda: req(timeout=123.0),
+        # Changes ``==`` cannot see (True == 1, 0.0 == -0.0) but JSON can.
+        pytest.param(lambda: req(protocol=ProtocolSpec(
+            "quic", replace(SPELLED, zero_rtt=1))), id="zero_rtt-true-to-1"),
+        pytest.param(lambda: req(protocol=ProtocolSpec(
+            "quic", replace(SPELLED, min_rto=-0.0))),
+            id="min_rto-zero-to-minus-zero"),
+        pytest.param(lambda: req(protocol=ProtocolSpec("quic", replace(
+            SPELLED, cc=replace(SPELLED.cc, prr=1)))), id="cc.prr-true-to-1"),
+        pytest.param(lambda: req(protocol=ProtocolSpec("quic", replace(
+            SPELLED, cc=replace(SPELLED.cc, beta=0.5)))), id="cc.beta"),
     ])
     def test_any_field_change_changes_key(self, variant):
-        assert run_key(variant()) != run_key(req())
+        request = variant()
+        for base in (req(), req(protocol=ProtocolSpec("quic", SPELLED))):
+            assert run_key(request) != run_key(base)
+            assert _line(request) != _line(base)
 
     def test_default_and_explicit_default_config_differ(self):
         # ProtocolSpec(None) defers to the *current* defaults, so it is
@@ -273,26 +299,41 @@ class TestRunKey:
 class TestRunKeyMemo:
     """The fragment memo may never serve a stale key."""
 
-    @pytest.mark.parametrize("build, mutate", [
+    @pytest.mark.parametrize("config", [quic_config(34), tcp_config()],
+                             ids=["quic", "tcp"])
+    def test_configs_refuse_assignment(self, config):
+        with pytest.raises(FrozenInstanceError):
+            config.mss = 1200
+        with pytest.raises(FrozenInstanceError):
+            config.cc = CubicConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.cc.beta = 0.5
+
+    @pytest.mark.parametrize("build, change", [
         (lambda: ProtocolSpec.quic(version=34),
-         lambda config: setattr(config, "nack_threshold", 50)),
+         lambda config: replace(config, nack_threshold=50)),
         (lambda: ProtocolSpec("tcp", tcp_config()),
-         lambda config: setattr(config, "dupthresh", 10)),
+         lambda config: replace(config, dupthresh=10)),
         (lambda: ProtocolSpec.quic(version=34),
-         lambda config: setattr(config.cc, "beta", 0.5)),
+         lambda config: replace(config, cc=replace(config.cc, beta=0.5))),
         (lambda: ProtocolSpec("tcp", tcp_config()),
-         lambda config: setattr(config.cc, "max_cwnd_packets", 77)),
+         lambda config: replace(config, cc=replace(config.cc,
+                                                   max_cwnd_packets=77))),
     ], ids=["quic-field", "tcp-field", "quic-nested-cc", "tcp-nested-cc"])
-    def test_mutated_config_is_rehashed(self, build, mutate):
+    def test_mutated_config_is_rehashed(self, build, change):
+        """A config is changed by building a new one: the memoised key
+        of the old one stands, the new one gets its own."""
         request = req(protocol=build())
         before = run_key(request, fingerprint="pinned")
-        assert run_key(request, fingerprint="pinned") == before
-        mutate(request.protocol.config)
-        after = run_key(request, fingerprint="pinned")
+        protocol = ProtocolSpec(request.protocol.name,
+                                change(request.protocol.config))
+        after = run_key(req(protocol=protocol), fingerprint="pinned")
         assert after != before
+        assert run_key(request, fingerprint="pinned") == before
         # ...and it is the key an equal, freshly built request gets.
         fresh_protocol = build()
-        mutate(fresh_protocol.config)
+        fresh_protocol = ProtocolSpec(fresh_protocol.name,
+                                      change(fresh_protocol.config))
         assert after == run_key(req(protocol=fresh_protocol),
                                 fingerprint="pinned")
 

@@ -74,6 +74,12 @@ class TestSegmentPacking:
             ids.extend(p.msg_id for p in record.pieces)
         assert ids[0] == m1 and ids[1] == m1 and ids[2] == m1
 
+    @pytest.mark.parametrize("scheduler", ["round-robin", "FIFO", ""])
+    def test_unknown_scheduler_is_refused(self, scheduler):
+        """A misspelt name must not quietly run FIFO."""
+        with pytest.raises(ValueError, match="'roundrobin' or 'fifo'"):
+            tcp_config(scheduler=scheduler)
+
     def test_fin_flag_on_last_piece(self, sim):
         _, _client, server = make_tcp_pair(sim, MEDIUM)
         server.respond(1, 2_000)
