@@ -27,11 +27,10 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro spec --file examples/specs/smoke.json --jobs 2
 
 # Perf-regression gate: re-measure every kind of scripts/bench_diff.py's
-# gate table into a temp directory and gate it against the committed
-# BENCH_*.json.  HISTORY=benchmarks/results/bench_history.jsonl appends
-# a per-commit trend line per kind; nothing else in the tree is written.
+# gate table (manyflow, models, chaos) into a temp directory and gate it
+# against the committed BENCH_*.json; nothing in the tree is written.
 perf-gate:
-	$(PYTHON) scripts/bench_diff.py gate $(if $(HISTORY),--history $(HISTORY))
+	$(PYTHON) scripts/bench_diff.py gate
 
 # The end-to-end benchmark BENCHMARK.json declares (six workloads).
 bench-e2e:

@@ -10,14 +10,14 @@ and TCP parameterisations, two loss rates) — twice, and records:
   inside the tolerance band (the gate requires all of them),
 * ``max_abs_log_error``   — the worst |ln(observed/model)| over gated
   cells; the ceiling is ``ln(1 + tolerance)`` by construction, and
-  ``scripts/bench_diff.py`` trends it per commit,
+  ``scripts/bench_diff.py`` prints its trend against the committed
+  payload,
 * ``fit``                 — the per-cell table itself, so the diff gate
   can cross-check fixed-seed behaviour between commits.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/model_fit.py [--quick] \
-        [--out BENCH_models.json]
+    PYTHONPATH=src python benchmarks/model_fit.py [--out BENCH_models.json]
 """
 
 from __future__ import annotations
@@ -53,15 +53,11 @@ def main() -> int:
     parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="accepted observed/model band "
                              f"(default {DEFAULT_TOLERANCE})")
-    parser.add_argument("--quick", action="store_true",
-                        help="reno-only, one loss cell — fast but not "
-                             "the gated grid; for local iteration only")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output path (default {DEFAULT_OUT})")
     args = parser.parse_args()
 
-    ccs = ("reno",) if args.quick else ("reno", "cubic", "bbr")
-    loss_rates = (0.01,) if args.quick else (0.01, 0.02)
+    ccs, loss_rates = ("reno", "cubic", "bbr"), (0.01, 0.02)
     seeds, flows = (0,), 8
 
     fit, metrics_a, failed = run_grid(ccs, loss_rates, seeds, flows)

@@ -14,14 +14,13 @@ bottleneck) twice — batched link delivery vs per-packet scheduling
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/sim_manyflow.py [--quick] \
-        [--baseline BENCH_manyflow.json] [--out BENCH_manyflow.json]
+    PYTHONPATH=src python benchmarks/sim_manyflow.py [--flows N] \
+        [--out BENCH_manyflow.json]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from repro.core.bench import run_manyflow_benchmark, write_payload
@@ -40,27 +39,13 @@ def main() -> int:
                         help="simulated-seconds cap")
     parser.add_argument("--repeat", type=int, default=1,
                         help="samples (best speedup kept)")
-    parser.add_argument("--quick", action="store_true",
-                        help="200 flows — fast but not the gated cell; "
-                             "for local iteration only")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help="previous BENCH_manyflow.json to compute a "
-                             "rate speedup against")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
                         help=f"output path (default {DEFAULT_OUT})")
     args = parser.parse_args()
 
-    if args.quick:
-        args.flows = min(args.flows, 200)
-        args.repeat = 1
-
-    baseline = None
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-
     payload = run_manyflow_benchmark(
         flows=args.flows, repeat=args.repeat, aqm=args.aqm,
-        seed=args.seed, duration=args.duration, baseline=baseline)
+        seed=args.seed, duration=args.duration)
     print(f"flows:                {payload['flows']:>10,}")
     print(f"batched wall:         {payload['batched_seconds']:>10.3f} s")
     print(f"per-packet wall:      {payload['per_packet_seconds']:>10.3f} s")

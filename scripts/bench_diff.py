@@ -3,36 +3,37 @@
 
 Usage::
 
-    python scripts/bench_diff.py BASELINE.json CANDIDATE.json \
-        [--history benchmarks/results/bench_history.jsonl]
-    python scripts/bench_diff.py gate [KIND ...] [--history]
+    python scripts/bench_diff.py BASELINE.json CANDIDATE.json
+    python scripts/bench_diff.py gate [KIND ...]
 
 ``gate`` measures each KIND (default: all) into a fresh temp directory
 and compares it with the committed payload; it never writes a tracked
 file.  A kind is one row of :data:`GATES`.  Contracts hold on the
-candidate (every kind but sim_hotpath also needs ``results_identical is
-True``); *id* = fixed-seed block identical on the same workload.  No
-wall-clock rate gates: on a shared host they flapped on unchanged code,
-so every rate is informational and the end-to-end benchmark
-(BENCHMARK.json) carries the timing (docs/PERFORMANCE.md has the full
-table):
+candidate; *id* = fixed-seed block identical on the same workload.  In
+``gate`` mode a fresh measurement whose workload differs from the
+committed payload's fails, since its *id* fields could not be compared;
+the two-file form skips them instead.  No wall-clock rate gates: on a
+shared host they flapped on unchanged code, so every rate is
+informational and the end-to-end benchmark (BENCHMARK.json) carries
+the timing (docs/PERFORMANCE.md has the full table):
 
 ================ =================== ====================================
 kind             committed payload   contracts
 ================ =================== ====================================
-sim_hotpath      BENCH_sim.json      id: PLT pair, event/packet counts
-manyflow         BENCH_manyflow.json speedup_vs_per_packet >= 3.0;
-                                     id: outcome
-models           BENCH_models.json   all gated_cells within_tolerance; id:
-                                     fit; max_abs_log_error <= ln(1 + tol)
-chaos            BENCH_chaos.json    fsck_clean; fsck_detect_rate 1.0; all
-                                     faults fired; plan_deterministic
+manyflow         BENCH_manyflow.json results_identical;
+                                     speedup_vs_per_packet >= 3.0; id:
+                                     outcome
+models           BENCH_models.json   results_identical; all gated_cells
+                                     within_tolerance; max_abs_log_error
+                                     <= ln(1 + tol); id: fit
+chaos            BENCH_chaos.json    results_identical; fsck_clean;
+                                     fsck_detect_rate 1.0; all faults
+                                     fired; plan_deterministic
 ================ =================== ====================================
 
 Exit codes: 0 = gate passes; 1 = behaviour change, contract violation
 or failed measurement; 2 = malformed payload (missing required
-keys), kind mismatch or unknown kind.  ``--history PATH`` appends one
-JSON line per comparison (commit, kind, outcome, headline metrics).
+keys), kind mismatch or unknown kind.
 """
 
 import argparse
@@ -42,7 +43,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -72,28 +72,13 @@ _RATE = "{c:,.0f}/s vs baseline {b:,.0f}/s"
 #: The gate table — the one place a payload kind is declared.  Columns:
 #:   payload    committed baseline at the repo root
 #:   measure    argv that re-measures it (``--out TEMP`` is appended)
-#:   under      key the numbers nest under (absent: top level)
 #:   required   keys both payloads must carry (the shape gate, exit 2)
 #:   contracts  (field, op, rhs, what a violation means) on the candidate;
 #:              a string rhs names another of its fields
 #:   identity   fixed-seed fields that must not change while every ``same``
 #:              path (dotted, from the root; default: ``workload``) matches
-#:   info       (field, template over b, c, inverse=b/c[, label])
-#:   history    what lands in a --history line
+#:   info       (field, template over b, c[, label])
 GATES: Dict[str, Dict[str, Any]] = {
-    "sim_hotpath": {
-        "payload": "BENCH_sim.json",
-        "measure": ["-m", "repro", "bench", "--repeat", "3"],
-        "under": "current",
-        "required": ("events_per_sec", "packets_per_sec"),
-        "identity": ("plt_quic", "plt_tcp", "events_quic", "events_tcp",
-                     "packets_delivered"),
-        # events/packets sizes change the microbenchmarks, not the PLT pair
-        "same": ("workload.plt_scenario", "workload.plt_page"),
-        "info": (("events_per_sec", _RATE), ("packets_per_sec", _RATE),
-                 ("plt_wall_seconds", "{inverse:.3f}x of baseline")),
-        "history": ("events_per_sec", "packets_per_sec", "plt_wall_seconds"),
-    },
     "manyflow": {
         "payload": "BENCH_manyflow.json",
         "measure": ["benchmarks/sim_manyflow.py"],
@@ -107,8 +92,6 @@ GATES: Dict[str, Dict[str, Any]] = {
              "the fast path fell below its acceptance floor")),
         "identity": ("outcome",),
         "info": (("events_per_sec", _RATE),),
-        "history": ("speedup_vs_per_packet", "events_per_sec",
-                    "batched_seconds", "per_packet_seconds"),
     },
     "models": {
         "payload": "BENCH_models.json",
@@ -126,8 +109,6 @@ GATES: Dict[str, Dict[str, Any]] = {
         "same": ("workload", "tolerance"),
         "info": (("max_abs_log_error", "{c:.4f} vs baseline {b:.4f}",
                   "fit error trend"),),
-        "history": ("max_abs_log_error", "mean_abs_log_error",
-                    "within_tolerance", "gated_cells"),
     },
     "chaos": {
         "payload": "BENCH_chaos.json",
@@ -149,8 +130,6 @@ GATES: Dict[str, Dict[str, Any]] = {
             ("faults_fired", "all of", "faults_scheduled",
              "an unfired fault gates nothing")),
         "info": (("chaos_seconds", "{c:.2f}s vs baseline run's {b:.2f}s"),),
-        "history": ("chaos_seconds", "baseline_seconds", "faults_fired",
-                    "quarantined", "fsck_detect_rate"),
     },
 }
 
@@ -168,31 +147,14 @@ def _change(b: Any, c: Any) -> str:
     return "differs" if isinstance(c, list) else f"{b!r} -> {c!r}"
 
 
-def append_history(path: str, kind: str, ok: bool,
-                   numbers: Dict[str, Any]) -> None:
-    commit = os.environ.get("GIT_COMMIT") or os.environ.get("GITHUB_SHA")
-    if not commit:
-        try:
-            commit = subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"], capture_output=True,
-                text=True, timeout=5).stdout.strip()
-        except (OSError, subprocess.TimeoutExpired):
-            pass
-    line = {
-        "ts": round(time.time(), 3),
-        "commit": commit[:12] if commit else None,
-        "benchmark": kind,
-        "ok": ok,
-        "metrics": {key: numbers[key] for key in GATES[kind]["history"]
-                    if key in numbers},
-    }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as handle:
-        handle.write(json.dumps(line, sort_keys=True) + "\n")
-    print(f"history line appended to {path}")
+def _drift(row: Dict[str, Any], base: Any, cand: Any) -> List[str]:
+    """How two payloads' workloads differ, one entry per ``same`` path."""
+    pairs = ((path, _dig(base, path), _dig(cand, path))
+             for path in row.get("same", ("workload",)))
+    return [f"{path} {_change(b, c)}" for path, b, c in pairs if b != c]
 
 
-def compare(baseline: str, candidate: str, history: Optional[str]) -> int:
+def compare(baseline: str, candidate: str) -> int:
     """Gate ``candidate`` against ``baseline``: interpret their kind's
     :data:`GATES` row over the two payload files."""
     base, cand = (json.loads(Path(path).read_text())
@@ -207,9 +169,8 @@ def compare(baseline: str, candidate: str, history: Optional[str]) -> int:
               f"(expected one of {', '.join(GATES)})")
         return 2
     row = GATES[kind]
-    b_num, c_num = (p.get(row.get("under"), p) for p in (base, cand))
     failures = []
-    for which, numbers in (("baseline", b_num), ("candidate", c_num)):
+    for which, numbers in (("baseline", base), ("candidate", cand)):
         missing = [key for key in row["required"] if key not in numbers]
         if missing:
             failures.append(f"{which} payload missing required {kind} "
@@ -220,8 +181,8 @@ def compare(baseline: str, candidate: str, history: Optional[str]) -> int:
 
     print(f"benchmark: {kind}")
     for field, op, rhs, why in row.get("contracts", ()):
-        value = c_num.get(field)
-        bound = c_num.get(rhs) if isinstance(rhs, str) else rhs
+        value = cand.get(field)
+        bound = cand.get(rhs) if isinstance(rhs, str) else rhs
         holds, show = OPS[op]
         if holds(value, bound):
             print(f"{field}: {show(value, bound)} [ok]")
@@ -232,13 +193,11 @@ def compare(baseline: str, candidate: str, history: Optional[str]) -> int:
         print(f"{field}: {value!r} [CONTRACT FAIL]")
 
     # Fixed-seed outcomes are only comparable on identical workloads.
-    if base.get("workload") and all(
-            _dig(base, path) == _dig(cand, path)
-            for path in row.get("same", ("workload",))):
+    if base.get("workload") and not _drift(row, base, cand):
         for field in row.get("identity", ()):
-            if field not in b_num or field not in c_num:
+            if field not in base or field not in cand:
                 continue
-            b, c = b_num[field], c_num[field]
+            b, c = base[field], cand[field]
             if b != c:
                 failures.append(f"behaviour change: fixed-seed {field} "
                                 f"{_change(b, c)} on an identical workload")
@@ -247,13 +206,11 @@ def compare(baseline: str, candidate: str, history: Optional[str]) -> int:
                 print(f"{field}: identical on identical workload [ok]")
 
     for field, template, *label in row.get("info", ()):
-        b, c = b_num.get(field), c_num.get(field)
+        b, c = base.get(field), cand.get(field)
         if _numbers(b, c) and b and c:
-            trend = template.format(b=b, c=c, inverse=b / c)
+            trend = template.format(b=b, c=c)
             print(f"{label[0] if label else field}: {trend} [informational]")
 
-    if history:
-        append_history(history, kind, not failures, c_num)
     if failures:
         print("\nFAIL:\n" + "\n".join(f"  - {line}" for line in failures))
         return 1
@@ -262,8 +219,13 @@ def compare(baseline: str, candidate: str, history: Optional[str]) -> int:
     return 0
 
 
-def run_gates(kinds: List[str], history: Optional[str]) -> int:
-    """Gate a fresh temp-dir measurement of each kind against its payload."""
+def run_gates(kinds: List[str]) -> int:
+    """Gate a fresh temp-dir measurement of each kind against its payload.
+
+    A kind with ``identity`` fields must be measured on its committed
+    workload: otherwise those fields go uncompared and the gate would
+    pass on nothing, so a drifted workload fails.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     worst = 0
@@ -278,7 +240,21 @@ def run_gates(kinds: List[str], history: Optional[str]) -> int:
                 print(f"FAIL: the {kind} measurement exited {code}")
                 code = 1
             else:
-                code = compare(REPO / row["payload"], out, history)
+                committed = REPO / row["payload"]
+                drift = row.get("identity") and _drift(
+                    row, *(json.loads(path.read_text())
+                           for path in (committed, out)))
+                if drift:
+                    print(f"FAIL: the fresh {kind} measurement ran another "
+                          f"workload than the committed {row['payload']} "
+                          f"({'; '.join(drift)}), so its fixed-seed "
+                          f"{', '.join(row['identity'])} cannot be "
+                          f"compared.  To re-baseline, run `PYTHONPATH=src "
+                          f"python {' '.join(row['measure'])}` (it writes "
+                          f"{row['payload']}) and commit the result.")
+                    code = 1
+                else:
+                    code = compare(committed, out)
             worst = max(worst, code)
     return worst
 
@@ -286,22 +262,19 @@ def run_gates(kinds: List[str], history: Optional[str]) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    parser.usage = ("%(prog)s (BASELINE.json CANDIDATE.json | gate [KIND ...])"
-                    " [--history JSONL]")
+    parser.usage = "%(prog)s (BASELINE.json CANDIDATE.json | gate [KIND ...])"
     parser.add_argument("what", nargs="+",
                         help="two payloads to compare, or `gate` plus any of "
                              f"{', '.join(GATES)} (default: all)")
-    parser.add_argument("--history", default=None, metavar="JSONL",
-                        help="append a per-commit history line to this ledger")
     args = parser.parse_args(argv)
     if args.what[0] == "gate":
         unknown = [kind for kind in args.what[1:] if kind not in GATES]
         if unknown:
             parser.error(f"unknown benchmark kind(s): {', '.join(unknown)}")
-        return run_gates(args.what[1:], args.history)
+        return run_gates(args.what[1:])
     if len(args.what) != 2:
         parser.error("expected BASELINE.json CANDIDATE.json or gate [KIND ...]")
-    return compare(*args.what, args.history)
+    return compare(*args.what)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ Examples::
     python -m repro bulk --protocol quic --size-mb 10 --rate 100 --loss 1
     python -m repro video --quality hd2160 --runs 3
     python -m repro statemachine --out fsm.dot
-    python -m repro bench --quick
+    python -m repro bench --profile 25
     python -m repro versions
 
 Every command builds the same simulated testbed the benchmarks use, so
@@ -24,7 +24,6 @@ CLI results match ``pytest benchmarks/`` cell for cell.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -570,37 +569,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .core.bench import (profile_manyflow, profile_plt, run_benchmarks,
-                             write_payload)
+    from .core.bench import profile_manyflow, profile_plt
 
-    if args.profile is not None:
-        if args.profile_workload == "manyflow":
-            profile_manyflow(top=args.profile)
-        else:
-            profile_plt(top=args.profile)
-        return 0
-
-    if args.quick:
-        args.events = min(args.events, 50_000)
-        args.packets = min(args.packets, 8_000)
-        args.repeat = 1
-
-    baseline = None
-    if args.baseline is not None:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-
-    payload = run_benchmarks(events=args.events, packets=args.packets,
-                             repeat=args.repeat, baseline=baseline)
-    current = payload["current"]
-    print(f"events/sec:      {current['events_per_sec']:>12,.0f}")
-    print(f"packets/sec:     {current['packets_per_sec']:>12,.0f}")
-    print(f"PLT pair wall:   {current['plt_wall_seconds']:>12.4f} s "
-          f"(quic={current['plt_quic']:.4f}s tcp={current['plt_tcp']:.4f}s)")
-    for metric, factor in payload.get("speedup", {}).items():
-        print(f"speedup {metric}: {factor:.2f}x")
-    if args.out:
-        write_payload(payload, args.out)
+    if args.profile_workload == "manyflow":
+        profile_manyflow(top=args.profile)
+    else:
+        profile_plt(top=args.profile)
     return 0
 
 
@@ -848,27 +822,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache_arg(p)
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bench", help="hot-path microbenchmarks / profiler")
-    p.add_argument("--events", type=int, default=200_000,
-                   help="events for the event-loop microbenchmark")
-    p.add_argument("--packets", type=int, default=30_000,
-                   help="packets for the link microbenchmark")
-    p.add_argument("--repeat", type=int, default=3,
-                   help="samples per benchmark (best is kept)")
-    p.add_argument("--quick", action="store_true",
-                   help="small sizes, one sample — fast but too noisy "
-                        "to gate on; for local iteration only")
-    p.add_argument("--baseline", default=None, metavar="JSON",
-                   help="previous BENCH_sim.json to compute speedups against")
-    p.add_argument("--out", default=None, metavar="JSON",
-                   help="write the payload here (default: print only)")
-    p.add_argument("--profile", type=int, default=None, metavar="N",
-                   help="cProfile instead of benchmarking: print a "
-                        "subsystem-partition summary, the events-by-"
-                        "handler census and the top N cumulative rows")
+    p = sub.add_parser("bench", help="profile the simulation hot path")
+    p.add_argument("--profile", type=int, default=25, metavar="N",
+                   help="cProfile the workload: print a subsystem-"
+                        "partition summary, the events-by-handler census "
+                        "and the top N cumulative rows (default 25)")
     p.add_argument("--profile-workload", choices=("plt", "manyflow"),
                    default="plt",
-                   help="what --profile runs: the canonical PLT pair or "
+                   help="what to profile: the canonical PLT pair or "
                         "a 300-flow manyflow engine, one cell per CC "
                         "kernel (default: plt)")
     p.set_defaults(func=cmd_bench)

@@ -1,33 +1,26 @@
-"""Hot-path microbenchmarks for the simulation core.
+"""The simulation core's profiler and its benchmark payload helpers.
 
-The optimisation work on the event loop and the netem layer only counts
-if it is measured the same way every time, on every host, across
-commits.  This module is that measurement layer:
+Speed is measured in one place, the end-to-end benchmark
+(``BENCHMARK.json``): its per-layer probes ``netem.sim.event_ns`` and
+``netem.link.packet_ns`` are the event-loop and link rates.  This module
+keeps what only it provides:
 
-* :func:`bench_events` — raw event-loop throughput (events/second): many
-  concurrent self-rescheduling callback chains, nothing else.  This is
-  the number the per-event scheduling overhead shows up in directly.
-* :func:`bench_packets` — packets/second through one rate-limited,
-  lossy, jittery :class:`~repro.netem.link.Link`, i.e. the full netem
-  data path (queue, token-bucket serialisation, loss/jitter draws,
-  delivery bookkeeping) without any transport on top.
 * :func:`bench_plt` — one canonical page-load pair (QUIC and TCP over
-  the same emulated scenario), wall-clock timed.  This is the end-to-end
-  number a sweep cell costs; speeding it up is the point of the whole
-  exercise.
+  the same emulated scenario).  It is the workload ``repro bench``
+  profiles, and its PLTs and event counts are pinned in
+  ``tests/test_determinism.py``.
+* :func:`profile_plt` / :func:`profile_manyflow` — cProfile the pair or
+  a manyflow engine: a subsystem-partition summary, the events-by-handler
+  census, then the top-N rows.  ``repro bench`` is a thin wrapper.
+* :func:`run_manyflow_benchmark` — the ``BENCH_manyflow.json`` payload.
 * :func:`calibrate` — a tiny pure-Python spin loop measured on the same
   host.  Benchmark JSONs carry this so a reader can tell how fast the
-  measuring host was (a laptop and a CI runner disagree wildly on
-  absolute events/sec but much less on events-per-calibration-op).
+  measuring host was.
 
-:func:`run_benchmarks` bundles the above into the ``BENCH_sim.json``
-payload; the ``repro bench`` CLI subcommand is a thin wrapper around it.
-
-Determinism note: every benchmark here is a fixed-seed simulation, so
-the *simulated* outcome (delivered packet counts, PLT values,
-``events_processed``) is bit-identical across runs and hosts — only the
-wall-clock numbers vary.  The payload records those outcomes too, which
-gives the perf gate a free behaviour cross-check.
+Determinism note: every workload here is a fixed-seed simulation, so
+the *simulated* outcome (PLT values, ``events_processed``, manyflow
+metrics) is bit-identical across runs and hosts — only the wall-clock
+numbers vary.
 """
 
 from __future__ import annotations
@@ -40,10 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..http.objects import page
-from ..netem.link import Link, mbps
-from ..netem.packet import Packet
 from ..netem.profiles import emulated
-from ..netem.sim import Simulator
 
 #: The canonical PLT cell: the paper's mid-range emulated condition — a
 #: 20 Mbps cap, 20 ms extra one-way delay, 0.5 % loss — loading a
@@ -88,161 +78,20 @@ def calibrate(ops: int = 2_000_000) -> float:
 
 
 # ----------------------------------------------------------------------
-# events/sec
-# ----------------------------------------------------------------------
-def bench_events(num_events: int = 200_000, chains: int = 64) -> Dict[str, Any]:
-    """Event-loop throughput: ``chains`` concurrent callback chains.
-
-    Each chain re-posts itself a fixed number of times, so the heap holds
-    ``chains`` entries throughout — a realistic depth for a page load.
-    Uses the non-cancellable fast path (``Simulator.post``) when the
-    simulator provides one, else plain ``schedule``; the benchmark is the
-    representative cost of the *majority* scheduling style either way.
-    """
-    sim = Simulator()
-    post = getattr(sim, "post", None) or sim.schedule
-    per_chain = num_events // chains
-    remaining = [per_chain] * chains
-
-    def tick(index: int) -> None:
-        left = remaining[index] - 1
-        remaining[index] = left
-        if left > 0:
-            post(1e-6, tick, index)
-
-    for index in range(chains):
-        post(1e-6, tick, index)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    fired = sim.events_processed
-    return {
-        "events": fired,
-        "wall_seconds": elapsed,
-        "events_per_sec": fired / elapsed if elapsed > 0 else float("inf"),
-    }
-
-
-# ----------------------------------------------------------------------
-# packets/sec
-# ----------------------------------------------------------------------
-def bench_packets(num_packets: int = 30_000) -> Dict[str, Any]:
-    """Netem data-path throughput: packets/second through one Link.
-
-    A 50 Mbps, 10 ms link with 1 % loss, 2 ms jitter and a 64 KB droptail
-    queue; the sender offers slightly more than the link can carry so the
-    queue and the serialisation path both stay busy.
-    """
-    sim = Simulator()
-    link = Link(sim, mbps(50.0), 0.010, jitter=0.002, loss_rate=0.01,
-                queue_bytes=64 * 1024, name="bench")
-    delivered = [0]
-
-    def sink(packet: Packet) -> None:
-        delivered[0] += 1
-
-    link.attach(sink)
-    size = 1390
-    interval = size * 8 / mbps(50.0) * 0.95  # offer ~105% of capacity
-    sent = [0]
-    post = getattr(sim, "post", None) or sim.schedule
-
-    def feed() -> None:
-        link.send(Packet("a", "b", size, flow_id="bench"))
-        sent[0] += 1
-        if sent[0] < num_packets:
-            post(interval, feed)
-
-    feed()
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    return {
-        "packets_offered": sent[0],
-        "packets_delivered": delivered[0],
-        "wall_seconds": elapsed,
-        "packets_per_sec": sent[0] / elapsed if elapsed > 0 else float("inf"),
-        "events_processed": sim.events_processed,
-    }
-
-
-# ----------------------------------------------------------------------
 # canonical PLT run
 # ----------------------------------------------------------------------
 def bench_plt(seed: int = CANONICAL_SEED) -> Dict[str, Any]:
-    """One canonical QUIC + TCP page-load pair, wall-clock timed."""
+    """One canonical QUIC + TCP page-load pair: each PLT and event count."""
     from .runner import run_page_load  # runner sits above this module
 
     scenario = emulated(CANONICAL_RATE_MBPS, **CANONICAL_SCENARIO_KWARGS)
     workload = page(*CANONICAL_PAGE)
     out: Dict[str, Any] = {}
-    total = 0.0
     for protocol in ("quic", "tcp"):
-        start = time.perf_counter()
         output = run_page_load(scenario, workload, protocol, seed=seed)
-        elapsed = time.perf_counter() - start
-        total += elapsed
         out[f"plt_{protocol}"] = output.result.plt
         out[f"events_{protocol}"] = output.sim.events_processed
-        out[f"wall_{protocol}"] = elapsed
-    out["plt_wall_seconds"] = total
     return out
-
-
-# ----------------------------------------------------------------------
-# the bundle
-# ----------------------------------------------------------------------
-def run_benchmarks(*, events: int = 200_000, packets: int = 30_000,
-                   repeat: int = 3,
-                   baseline: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """Run the full suite; return the ``BENCH_sim.json`` payload.
-
-    ``baseline`` is the ``current`` section of a previous payload (or a
-    whole previous payload, whose ``current`` is then used); when given,
-    per-metric speedups are computed against it.
-    """
-    cal = calibrate()
-    ev = _best_of(repeat, lambda: bench_events(events), "events_per_sec")
-    pk = _best_of(repeat, lambda: bench_packets(packets), "packets_per_sec")
-    plt_samples = [bench_plt() for _ in range(max(1, repeat))]
-    plt = min(plt_samples, key=lambda s: s["plt_wall_seconds"])
-
-    current: Dict[str, Any] = {
-        "events_per_sec": round(ev["events_per_sec"], 1),
-        "packets_per_sec": round(pk["packets_per_sec"], 1),
-        "plt_wall_seconds": round(plt["plt_wall_seconds"], 4),
-        "plt_quic": plt["plt_quic"],
-        "plt_tcp": plt["plt_tcp"],
-        "events_quic": plt["events_quic"],
-        "events_tcp": plt["events_tcp"],
-        "packets_delivered": pk["packets_delivered"],
-    }
-    payload: Dict[str, Any] = {
-        "benchmark": "sim_hotpath",
-        "python": platform.python_version(),
-        "calibration_ops_per_sec": round(cal, 1),
-        "workload": {
-            "events": events,
-            "packets": packets,
-            "repeat": repeat,
-            "plt_scenario": f"emulated({CANONICAL_RATE_MBPS:g}, "
-                            f"extra_delay_ms=20, loss_pct=0.5)",
-            "plt_page": f"page{CANONICAL_PAGE}",
-        },
-        "current": current,
-    }
-    if baseline:
-        base = baseline.get("current", baseline)
-        payload["baseline"] = base
-        speedup: Dict[str, float] = {}
-        for metric in ("events_per_sec", "packets_per_sec"):
-            if base.get(metric):
-                speedup[metric] = round(current[metric] / base[metric], 3)
-        if base.get("plt_wall_seconds"):
-            speedup["plt_wall_seconds"] = round(
-                base["plt_wall_seconds"] / current["plt_wall_seconds"], 3)
-        payload["speedup"] = speedup
-    return payload
 
 
 def bench_manyflow(flows: int = 1000, *, aqm: str = "droptail",
@@ -298,9 +147,7 @@ def bench_manyflow(flows: int = 1000, *, aqm: str = "droptail",
 
 def run_manyflow_benchmark(*, flows: int = 1000, repeat: int = 1,
                            aqm: str = "droptail", seed: int = CANONICAL_SEED,
-                           duration: float = 300.0,
-                           baseline: Optional[Dict[str, Any]] = None
-                           ) -> Dict[str, Any]:
+                           duration: float = 300.0) -> Dict[str, Any]:
     """Run the manyflow cell; return the ``BENCH_manyflow.json`` payload."""
     cal = calibrate()
     sample = _best_of(repeat,
@@ -321,11 +168,6 @@ def run_manyflow_benchmark(*, flows: int = 1000, repeat: int = 1,
         },
     }
     payload.update(sample)
-    if baseline:
-        base_rate = baseline.get("events_per_sec")
-        if base_rate:
-            payload["speedup_vs_baseline"] = round(
-                sample["events_per_sec"] / base_rate, 3)
     return payload
 
 

@@ -192,10 +192,13 @@ class TestManyflowCommand:
             assert out.count(heading) == 1
             assert "Ordered by: cumulative time" in out.split(heading)[1]
 
-    def test_profile_prints_the_event_census(self, capsys):
+    @pytest.mark.parametrize("argv", [["bench"], ["bench", "--profile", "1"]],
+                             ids=["bare", "profile-1"])
+    def test_profile_prints_the_event_census(self, capsys, argv):
         """Every event is one call out of the run loop, so the handler
-        counts sum to the canonical pair's pinned ``events_processed``."""
-        assert main(["bench", "--profile", "1"]) == 0
+        counts sum to the canonical pair's pinned ``events_processed``;
+        a bare ``repro bench`` profiles the same pair."""
+        assert main(argv) == 0
         census = capsys.readouterr().out.split(
             "Events by handler (callees of the run loop):\n")[1].split("\n\n")[0]
         rows = dict(line.split()[:2] for line in census.splitlines())
@@ -204,6 +207,13 @@ class TestManyflowCommand:
         assert (counts["netem/link.py:_deliver"]
                 > counts["netem/link.py:_transmit_next"])
         assert "per delivered packet" in census
+
+    def test_bench_writes_no_payload(self, capsys):
+        # `repro bench` is the profiler alone; timing lives in BENCHMARK.json
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--out", "x.json"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
 
     def test_small_run_and_cache_replay(self, capsys, tmp_path):
         argv = ["manyflow", "--flows", "20", "--duration", "120",

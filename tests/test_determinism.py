@@ -355,11 +355,11 @@ class TestGoldenQuicBbr:
 
 
 class TestCanonicalBenchCell:
-    """The BENCH_sim.json canonical cell is itself a golden pair.
+    """The canonical PLT pair ``repro bench`` profiles is itself a golden.
 
-    This ties the perf numbers to behaviour: if the benchmark's PLT or
-    event count drifts, the committed BENCH_sim.json comparison is
-    comparing different work and the perf gate is void.
+    This is the one place the pair's PLTs and event counts are pinned:
+    a drift in either means the profiler now measures different work,
+    so profiles from before and after the change no longer compare.
     """
 
     def test_canonical_plt_pair(self):
