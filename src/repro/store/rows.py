@@ -187,11 +187,11 @@ def sum_counters(text: str) -> Tuple[Dict[str, int], int, int]:
     return totals, lines, torn
 
 
-def atomic_write(path: Path, lines: Iterable[str]) -> None:
+def atomic_write(path: Union[str, Path], lines: Iterable[str]) -> None:
     """Replace ``path`` with ``lines``: temp file, flush, fsync, rename —
     a reader (or a crash) sees the old file or the new one, never a
     mixture.  Where a lock guards the file, the caller holds it."""
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = f"{path}.tmp"
     with open(tmp, "w") as handle:
         handle.writelines(lines)
         handle.flush()

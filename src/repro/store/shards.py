@@ -11,10 +11,25 @@ shard to a temp file and ``os.replace`` it atomically.
 
 Durability/concurrency contract:
 
-* appends happen with the shard's lockfile held and are flushed before
-  the lock drops, so concurrent writers interleave whole lines;
+* appends happen with the shard's lockfile held and are written
+  through before the lock drops, so concurrent writers interleave whole
+  lines;
 * the lock lives in a *separate* ``<shard>.lock`` file that is never
-  renamed, so an appender can never race a compaction onto a dead inode;
+  renamed.  An instance opens each lockfile and each ledger's append
+  descriptor once and holds them until :meth:`ShardStore.close`.  Under
+  the lock, an append stats the ledger's path and compares its
+  ``(inode, mtime, size)`` with what the instance's own last append
+  left: equal, it appends straight; the same inode grown by someone
+  else, it first heals a torn tail (a crashed append's partial line);
+  another inode, or no file, means another process compacted, deleted,
+  gc'd or repaired the shard, and the path is reopened — so an append
+  never lands on a dead inode.  The instance's own rewrites drop the
+  shard's held descriptor;
+* held descriptors belong to the process that opened them: ``flock``
+  locks live on the open file description a ``fork`` shares, so a
+  forked child opens its own instead of locking (or unlocking) through
+  the parent's; and an in-process lock per lockfile keeps two threads
+  of one instance from interleaving an append;
 * readers take no locks: a torn trailing line (a crash mid-append) is
   skipped — but *counted* per shard (:attr:`ShardStore.torn_lines`,
   surfaced by ``repro store stats`` and warned about once per shard),
@@ -44,8 +59,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -86,6 +103,11 @@ DEFAULT_COMPACT_RATIO = 0.5
 #: Shards with fewer ledger lines than this never auto-compact (the
 #: rewrite would cost more than the dead lines do).
 DEFAULT_COMPACT_MIN_LINES = 512
+#: ``os.open`` flags of a held lockfile and a held ledger (the ledger is
+#: read too: the torn-tail check reads its last byte).
+_LOCK_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+_LEDGER_FLAGS = (os.O_RDWR | os.O_APPEND | os.O_CREAT
+                 | getattr(os, "O_BINARY", 0))
 
 
 class ShardStore(StoreBackend):
@@ -114,9 +136,21 @@ class ShardStore(StoreBackend):
         self._dir = Path(path)
         self._dir.mkdir(parents=True, exist_ok=True)
         #: The directory as a string, resolved once: a lookup stats a
-        #: shard file and a put opens a lockfile and a ledger, none of
-        #: which may build a Path per call.
+        #: shard file and a put stats a ledger, neither of which may
+        #: build a Path per call.
         self._prefix = os.path.join(str(self._dir), "")
+        #: Descriptors held open until :meth:`close`, by file name
+        #: (``a.lock``, ``a.jsonl``, ``counters.jsonl`` ...), all opened
+        #: by process ``_pid``; a forked child opens its own.
+        self._held: Dict[str, int] = {}
+        #: Ledger -> the :data:`Signature` this instance's last append
+        #: through its held descriptor (or the opening) left the file at;
+        #: read only while that descriptor is held.
+        self._tails: Dict[str, Signature] = {}
+        #: Lock name -> the in-process lock taken before its ``flock``.
+        self._guards: Dict[str, threading.Lock] = {}
+        self._pid = os.getpid()
+        weakref.finalize(self, _close_all, self._held)
         manifest = self._dir / MANIFEST_NAME
         if manifest.exists():
             meta = json.loads(manifest.read_text())
@@ -145,15 +179,85 @@ class ShardStore(StoreBackend):
 
     @contextlib.contextmanager
     def _locked(self, name: str) -> Iterator[None]:
-        """Hold ``<name>.lock`` exclusively (no-op without fcntl)."""
-        with open(f"{self._prefix}{name}.lock", "a") as handle:
-            if fcntl is not None:
-                fcntl.flock(handle, fcntl.LOCK_EX)
+        """Hold ``<name>.lock`` exclusively: this instance's in-process
+        lock for the name, then an ``flock`` on the held lockfile (no
+        ``flock`` without fcntl)."""
+        if self._pid != os.getpid():
+            self._forget_inherited()
+        guard = self._guards.get(name)
+        if guard is None:
+            guard = self._guards.setdefault(name, threading.Lock())
+        with guard:
+            fd = self._held.get(f"{name}.lock")
+            if fd is None:
+                fd = self._open(f"{name}.lock", _LOCK_FLAGS)
+            if fcntl is None:
+                yield
+                return
+            fcntl.flock(fd, fcntl.LOCK_EX)
             try:
                 yield
             finally:
-                if fcntl is not None:
-                    fcntl.flock(handle, fcntl.LOCK_UN)
+                fcntl.flock(fd, fcntl.LOCK_UN)
+
+    def _open(self, file: str, flags: int) -> int:
+        fd = self._held[file] = os.open(self._prefix + file, flags, 0o666)
+        return fd
+
+    def _release(self, file: str) -> None:
+        """Close a held descriptor, if there is one."""
+        fd = self._held.pop(file, None)
+        if fd is not None:
+            os.close(fd)
+
+    def _forget_inherited(self) -> None:
+        """In a forked child: close the parent's descriptors and drop its
+        in-process locks.  Closing a copy never releases the parent's
+        ``flock`` (the parent still holds the description); unlocking
+        through it would."""
+        _close_all(self._held)
+        self._guards = {}
+        self._pid = os.getpid()
+
+    def _append(self, name: str, text: str) -> Tuple[Signature, Signature]:
+        """Append ``text`` to ``<name>.jsonl`` under its lock; returns the
+        file's :data:`Signature` just before and just after.
+
+        A writer killed mid-append leaves a partial line with no trailing
+        newline; appending straight after it would glue the new row onto
+        the debris and destroy *both*.  So unless the file is exactly as
+        this instance's last append left it, a missing final newline is
+        written first, confining the damage to the torn fragment, which
+        the parser skips and ``fsck --repair`` quarantines.  The lock is
+        held throughout, so the two signatures bracket exactly this
+        append.
+        """
+        file = f"{name}.jsonl"
+        with self._locked(name):
+            try:
+                before = _signature(os.stat(self._prefix + file))
+            except FileNotFoundError:
+                before = None
+            fd = self._held.get(file)
+            tail = self._tails.get(file)
+            if fd is None or before is None or before[0] != tail[0]:
+                # Not open yet, or replaced or removed by another
+                # process since: append to the file at the path now.
+                self._release(file)
+                fd = self._open(file, _LEDGER_FLAGS)
+                before = self._tails[file] = _signature(os.fstat(fd))
+                heal = before[2] > 0
+            else:
+                heal = before != tail
+            if heal:
+                os.lseek(fd, before[2] - 1, os.SEEK_SET)
+                if os.read(fd, 1) != b"\n":
+                    os.write(fd, b"\n")
+            data = text.encode()
+            while data:
+                data = data[os.write(fd, data):]
+            after = self._tails[file] = _signature(os.fstat(fd))
+        return before, after
 
     def _parse_counted(self, shard: str) -> Tuple[Dict[str, Row], int, int]:
         """Parse a shard's ledger as it is on disk now (nothing when the
@@ -225,13 +329,15 @@ class ShardStore(StoreBackend):
             # (or already compacted) since the triggering read.
             entries = self._parse_counted(shard)[0]
             self._rewrite(shard, entries)
+            # The signature of the file just written, before the lock
+            # lets another writer append to it.
+            try:
+                stat = os.stat(self._data_file(shard))
+                self._cache[shard] = (_signature(stat), entries, len(entries))
+            except FileNotFoundError:
+                pass  # every entry was dead; _rewrite removed the file
         self.compactions += 1
         self.bump_counter("compactions")
-        try:
-            stat = self._data_path(shard).stat()
-            self._cache[shard] = (_signature(stat), entries, len(entries))
-        except FileNotFoundError:
-            pass  # every entry was dead; _rewrite removed the file
         return entries
 
     def _fold(self, shard: str, before: Signature, after: Signature,
@@ -275,15 +381,17 @@ class ShardStore(StoreBackend):
     def _replace(self, shard: str, lines: List[str]) -> None:
         """Swap a shard's ledger for ``lines`` atomically, or remove an
         emptied shard's file (caller holds the lock).  Whatever debris
-        the old ledger carried is gone with it."""
-        path = self._data_path(shard)
+        the old ledger carried is gone with it, and so is the descriptor
+        this instance held on it."""
+        path = self._data_file(shard)
+        self._release(f"{shard}.jsonl")
         self._cache.pop(shard, None)
         self.torn_lines.pop(shard, None)
         if lines:
             atomic_write(path, lines)
         else:
             with contextlib.suppress(FileNotFoundError):
-                path.unlink()
+                os.unlink(path)
 
     # -- core map operations ----------------------------------------------
     def get(self, key: str) -> Optional[RunRecord]:
@@ -295,7 +403,7 @@ class ShardStore(StoreBackend):
         self.upload_rows([(key, created, fingerprint, record_to_dict(record))])
 
     def upload_rows(self, rows: Iterable[Row]) -> int:
-        """Batched append: group by shard, one lock + flush per shard.
+        """Batched append: group by shard, one lock + write per shard.
 
         A batch — an import, a sync, a fabric upload — lands with at
         most one lock acquisition per touched shard instead of one per
@@ -318,9 +426,7 @@ class ShardStore(StoreBackend):
             count += 1
         for shard in sorted(by_shard):
             lines, kept = by_shard[shard]
-            with self._locked(shard):
-                before, after = _append_healed(self._data_file(shard),
-                                               "".join(lines))
+            before, after = self._append(shard, "".join(lines))
             self._fold(shard, before, after, kept)
         return count
 
@@ -382,26 +488,28 @@ class ShardStore(StoreBackend):
 
     # -- persistent counters ----------------------------------------------
     def bump_counter(self, name: str, delta: int = 1) -> None:
-        path = self._dir / "counters.jsonl"
-        with self._locked("counters"):
-            _append_healed(path, counter_line(name, delta))
+        self._append("counters", counter_line(name, delta))
 
     def counters(self) -> Dict[str, int]:
-        path = self._dir / "counters.jsonl"
-        if not path.exists():
+        try:
+            with open(f"{self._prefix}counters.jsonl") as handle:
+                text = handle.read()
+        except FileNotFoundError:
             return {}
-        totals, lines, _torn = sum_counters(path.read_text())
+        totals, lines, _torn = sum_counters(text)
         if lines > _COUNTER_COMPACT_LINES:
             self._compact_counters()
         return totals
 
     def _compact_counters(self) -> None:
         """Rewrite the ledger as one total per counter (torn lines go)."""
-        path = self._dir / "counters.jsonl"
+        path = f"{self._prefix}counters.jsonl"
         with self._locked("counters"):
             # Re-read under the lock: a bump may have landed since the
             # caller's unlocked read, and compaction must not lose it.
-            totals = sum_counters(path.read_text())[0]
+            with open(path) as handle:
+                totals = sum_counters(handle.read())[0]
+            self._release("counters.jsonl")
             atomic_write(path, [counter_line(name, totals[name])
                                 for name in sorted(totals)])
 
@@ -427,31 +535,16 @@ class ShardStore(StoreBackend):
         }
 
     def close(self) -> None:
+        """Drop the parse cache and close every held descriptor (the
+        store reopens what it needs if used again)."""
         self._cache.clear()
-
-
-def _append_healed(path: Union[str, Path], text: str
-                   ) -> Tuple[Signature, Signature]:
-    """Append ``text``, healing a torn tail first; returns the file's
-    :data:`Signature` just before and just after.
-
-    A writer killed mid-append leaves a partial line with no trailing
-    newline; appending straight after it would glue the new row onto
-    the debris and destroy *both*.  Starting on a fresh line confines
-    the damage to the torn fragment, which the parser skips and
-    ``fsck --repair`` quarantines.  The caller holds the shard lock, so
-    the two signatures bracket exactly this append.
-    """
-    with open(path, "a+b") as handle:
-        before = os.fstat(handle.fileno())
-        if before.st_size > 0:
-            handle.seek(-1, os.SEEK_END)
-            if handle.read(1) != b"\n":
-                handle.write(b"\n")
-        handle.write(text.encode())
-        handle.flush()
-        return _signature(before), _signature(os.fstat(handle.fileno()))
+        _close_all(self._held)
 
 
 def _signature(stat: os.stat_result) -> Signature:
     return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+
+def _close_all(held: Dict[str, int]) -> None:
+    while held:
+        os.close(held.popitem()[1])

@@ -13,13 +13,24 @@ held here:
 * **a sweep and its report scan no ledger line**, nor does a fabric
   worker's write-ahead-log sync loop, in either store;
 * **the cache signature is the file, not its size and mtime** — a
-  same-size rewrite with the old mtime restored is still seen.
+  same-size rewrite with the old mtime restored is still seen;
+* **a put is lock, append, unlock** through descriptors held open until
+  ``close()``: a forked child and a second thread still wait for the
+  lock, another process's rewrite is followed to the new file, another
+  writer's torn tail is healed, and ``close()`` gives back every
+  descriptor.
 """
 
+import contextlib
 import copy
+import functools
+import gc
 import os
+import select
 import shutil
+import signal
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -42,6 +53,7 @@ from repro.netem import emulated
 from repro.store import (
     RunCache,
     ShardStore,
+    fsck,
     merge_into,
     record_to_dict,
     run_key,
@@ -402,3 +414,263 @@ def test_two_writers_see_what_a_fresh_reader_sees(tmp_path):
         run_state_machine_as_test(TwoWriters, settings=settings(
             max_examples=60, stateful_step_count=30, derandomize=True,
             deadline=None, suppress_health_check=list(HealthCheck)))
+
+
+# ----------------------------------------------------------------------
+# held descriptors: a put is lock, append, unlock
+# ----------------------------------------------------------------------
+def _lines(store, shard="a"):
+    return (Path(store.path) / f"{shard}.jsonl").read_text().splitlines()
+
+
+@functools.lru_cache(maxsize=None)
+def _shard_a(count):
+    """``count`` seeds whose real run keys (fingerprint ``fp``) land in
+    shard ``a``, with those keys — rows ``fsck`` verifies clean."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        key = run_key(req(seed=seed), fingerprint="fp")
+        if key.startswith("a"):
+            found.append((key, seed))
+        seed += 1
+    return tuple(found)
+
+
+def _put_a(store, index, created=None):
+    """Put the ``index``-th shard-``a`` row; returns its key."""
+    key, seed = _shard_a(index + 1)[index]
+    store.put(key, _record(seed), fingerprint="fp", created=created)
+    return key
+
+
+def _is_blocked(done, seconds=0.3):
+    """True when ``done`` (an ``Event`` or a pipe's read end) stays
+    unset/unreadable for ``seconds``: the other side is waiting on a lock."""
+    if isinstance(done, threading.Event):
+        return not done.wait(seconds)
+    return not select.select([done], [], [], seconds)[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+class TestForkedChild:
+    def test_child_locks_through_its_own_description(self, tmp_path):
+        # The parent holds its descriptors (it has put into shard a)
+        # and its lock on a when it forks.  A child that flocked through
+        # the inherited descriptor would share the parent's lock and
+        # append at once; its own blocks until the parent unlocks.
+        store = ShardStore(tmp_path / "s")
+        keys = [_put_a(store, 0)]
+        read_end, write_end = os.pipe()
+        with store._locked("a"):
+            pid = os.fork()
+            if pid == 0:  # pragma: no cover - the child's side
+                code = 1
+                try:
+                    os.close(read_end)
+                    _put_a(store, 1)
+                    os.write(write_end, b"x")
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_end)
+            try:
+                blocked = _is_blocked(read_end)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+        landed = False
+        try:
+            assert blocked
+            landed = not _is_blocked(read_end, 30.0)  # unlocked: it lands
+        finally:
+            os.close(read_end)
+            if not landed:
+                os.kill(pid, signal.SIGKILL)  # wedged: fail, don't hang
+            status = os.waitpid(pid, 0)[1]
+        assert landed
+        assert os.waitstatus_to_exitcode(status) == 0
+        keys += [_put_a(store, 2), _shard_a(2)[1][0]]
+
+        fresh = ShardStore(store.path)
+        assert sorted(fresh.keys()) == sorted(keys)
+        assert sorted(store.keys()) == sorted(keys)
+        assert fsck(fresh).clean
+
+
+class TestThreads:
+    def test_two_threads_never_interleave_an_append(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
+        start = threading.Barrier(2)
+        per_thread = 200
+
+        _shard_a(2 * per_thread)
+
+        def writer(first):
+            start.wait()
+            for index in range(first, 2 * per_thread, 2):
+                _put_a(store, index)
+
+        threads = [threading.Thread(target=writer, args=(first,))
+                   for first in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        assert len(_lines(store)) == 2 * per_thread
+        fresh = ShardStore(store.path)
+        assert len(fresh) == 2 * per_thread
+        assert fresh.torn_lines == {}
+        assert fsck(fresh).clean
+
+    def test_a_thread_waits_for_the_lock_another_holds(self, tmp_path):
+        # Both threads flock through the one held descriptor, which does
+        # not exclude them; the instance's in-process lock must.
+        store = ShardStore(tmp_path / "s")
+        store.put("a1", _record(1))
+        done = threading.Event()
+
+        def put():
+            store.put("a2", _record(2))
+            done.set()
+
+        thread = threading.Thread(target=put)
+        with store._locked("a"):
+            thread.start()
+            assert _is_blocked(done)
+        thread.join()
+        assert done.is_set()
+        assert sorted(ShardStore(store.path).keys()) == ["a1", "a2"]
+
+
+def _delete(other, path):
+    assert other.delete(_shard_a(1)[0][0])
+
+
+def _gc(other, path):
+    assert other.gc(0.0, now=5.0) == 1  # drops the row created at 1.0
+
+
+def _fsck_repair(other, path):
+    with open(Path(path) / "a.jsonl", "a") as handle:
+        handle.write(_TORN)
+    assert fsck(other, repair=True).quarantined == 1
+
+
+def _auto_compact(other, path):
+    for created in range(8):
+        key = _put_a(other, 3, created=20.0 + created)
+    assert other.get(key) is not None  # this read compacts
+    assert other.compactions == 1
+
+
+class TestReplacedUnderneath:
+    @pytest.mark.parametrize("replace", [
+        _delete, _gc, _fsck_repair, _auto_compact],
+        ids=["delete", "gc", "fsck-repair", "auto-compaction"])
+    def test_the_next_put_lands_in_the_new_file(self, tmp_path, replace):
+        path = tmp_path / "s"
+        store = ShardStore(path, compact_ratio=None)
+        _put_a(store, 0, created=1.0)
+        first = _put_a(store, 1, created=10.0)
+        inode = os.stat(path / "a.jsonl").st_ino
+
+        replace(ShardStore(path, compact_min_lines=8), path)
+        assert os.stat(path / "a.jsonl").st_ino != inode
+        second = _put_a(store, 2, created=11.0)
+
+        fresh = ShardStore(path)
+        assert second in fresh
+        assert first in fresh
+        assert sorted(store.keys()) == sorted(fresh.keys())
+        assert fsck(fresh).clean
+
+    def test_a_deleted_ledger_is_created_again(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
+        store.put("a1", _record(1))
+        os.unlink(tmp_path / "s" / "a.jsonl")
+        store.put("a2", _record(2))
+        assert ShardStore(store.path).keys() == ["a2"]
+
+
+class TestTornTail:
+    def test_another_writers_torn_tail_is_healed_first(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
+        store.put("a1", _record(1))
+        with open(tmp_path / "s" / "a.jsonl", "a") as handle:
+            handle.write(_TORN)  # a crashed writer's partial line
+        store.put("a2", _record(2))
+
+        assert _lines(store)[1] == _TORN  # alone on its line
+        fresh = ShardStore(store.path)
+        with pytest.warns(RuntimeWarning, match="torn line"):
+            assert sorted(fresh.keys()) == ["a1", "a2"]
+        assert fresh.torn_lines == {"a": 1}
+
+    def test_another_writers_whole_line_is_not_split(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
+        store.put("a1", _record(1))
+        ShardStore(store.path).put("a2", _record(2))
+        store.put("a3", _record(3))
+        assert len(_lines(store)) == 3
+        assert ShardStore(store.path).keys() == ["a1", "a2", "a3"]
+
+
+def _fd_targets():
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own fd is gone
+            targets.append(os.readlink(f"/proc/self/fd/{fd}"))
+    return targets
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+class TestClose:
+    def test_close_returns_every_descriptor(self, tmp_path):
+        gc.collect()
+        before = len(os.listdir("/proc/self/fd"))
+        store = ShardStore(tmp_path / "s", compact_min_lines=4)
+        store.upload_rows([_row(f"{shard}{n}", float(n), 1.0)
+                           for shard in "abz" for n in range(3)])
+        for plt in range(6):
+            store.put("c1", _record(0, float(plt)))
+        store.get("c1")  # compacts: a rewrite and a counter bump
+        assert store.delete("a1")
+        assert len(os.listdir("/proc/self/fd")) > before
+        # The rewrites dropped their shards' descriptors with the old files.
+        assert not [target for target in _fd_targets()
+                    if target.startswith(store.path)
+                    and target.endswith(" (deleted)")]
+        store.close()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+        store.put("a9", _record(9))  # a closed store reopens on demand
+        assert "a9" in ShardStore(store.path)
+        store.close()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestCompactionSignature:
+    def test_an_append_during_the_compactions_counter_bump_is_seen(
+            self, tmp_path):
+        # The compacting instance must take the rewritten shard's
+        # signature before it unlocks: one taken after its counter bump
+        # would already cover another writer's row its entries lack.
+        path = tmp_path / "s"
+        store = ShardStore(path, compact_min_lines=4)
+        other = ShardStore(path, compact_ratio=None)
+        for plt in range(5):
+            store.put("a1", _record(0, float(plt)))
+        real_bump = store.bump_counter
+
+        def bump_while_another_appends(name, delta=1):
+            other.put("a2", _record(2))
+            real_bump(name, delta)
+
+        store.bump_counter = bump_while_another_appends
+        assert store.get("a1").plt == 4.0  # compacts
+        assert store.compactions == 1
+        assert ShardStore(path).row("a2") is not None
+        assert store.row("a2") is not None
