@@ -22,9 +22,17 @@ bench-report:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 	PYTHONPATH=src $(PYTHON) -m repro report --results benchmarks/results --out REPORT.md
 
-# Fast end-to-end check: the shipped smoke spec on 2 workers.
+# Fast end-to-end check: the shipped smoke spec on 2 workers, twice, into a
+# fresh store in a temp directory.  The pool workers reopen that store by
+# its path, so the rerun must be all hits.
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro spec --file examples/specs/smoke.json --jobs 2
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -e; \
+	for pass in 1 2; do \
+		PYTHONPATH=src $(PYTHON) -m repro spec --file examples/specs/smoke.json \
+			--jobs 2 --cache "$$dir/store" > "$$dir/out"; \
+		cat "$$dir/out"; \
+	done; \
+	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: the rerun was not all hits" >&2; exit 1; }
 
 # Perf-regression gate: re-measure every kind of scripts/bench_diff.py's
 # gate table (manyflow, models, chaos) into a temp directory and gate it

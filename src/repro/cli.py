@@ -66,45 +66,31 @@ def _workload(args: argparse.Namespace):
     return single_object_page(args.size_kb * 1024)
 
 
-def _open_store(location, *, backend=None, must_exist=False):
+def _open_store(location, *, must_exist=False):
     """Open the results store a command names.
 
-    :func:`repro.store.open_store` resolves it — explicit path >
+    :func:`repro.store.open_store` resolves it — explicit path or URL >
     ``$REPRO_STORE`` > default, a bare flag's ``""`` meaning unset — and
-    this is the one place the ``--backend auto`` spelling becomes None;
-    a ``--backend`` conflicting with an existing store is a clean error.
+    a directory that is some other program's store is a clean error.
     With ``must_exist`` a missing store raises ``StoreNotFoundError``;
     each command words its own hint.
     """
     from .store import open_store
 
     try:
-        return open_store(location, backend=None if backend == "auto"
-                          else backend, must_exist=must_exist)
+        return open_store(location, must_exist=must_exist)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
 
 def _cache(args: argparse.Namespace):
-    """Build the RunCache behind ``--cache [PATH]`` / ``--store-url``.
-
-    ``--store-url`` is the fabric spelling: the same cache, served by a
-    ``repro serve`` process.
-    """
+    """Build the RunCache behind ``--cache [PATH|URL]``."""
     location = getattr(args, "cache", None)
-    store_url = getattr(args, "store_url", None)
-    if store_url is not None:
-        if location is not None:
-            raise SystemExit(
-                "error: pass --cache or --store-url, not both (they name "
-                "the same results store)")
-        location = store_url
     if location is None:
         return None
     from .store import RunCache
 
-    return RunCache(_open_store(location,
-                                backend=getattr(args, "backend", None)))
+    return RunCache(_open_store(location))
 
 
 def _print_session(cache) -> None:
@@ -311,8 +297,7 @@ def cmd_store(args: argparse.Namespace) -> int:
     read_only = args.store_command in ("ls", "show", "stats", "gc", "export",
                                        "fsck")
     try:
-        opened = _open_store(args.store, backend=args.backend,
-                             must_exist=read_only)
+        opened = _open_store(args.store, must_exist=read_only)
     except StoreNotFoundError as exc:
         print(f"{exc} — nothing to {args.store_command}; run a sweep with "
               "--cache to create one")
@@ -427,7 +412,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(
             "error: repro serve exposes a *local* store over HTTP; point "
             "--store at a file or directory, not another server's URL")
-    store = _open_store(args.store, backend=args.backend)
+    store = _open_store(args.store)
     try:
         server = StoreServer(store, host=args.host, port=args.port,
                              verbose=args.verbose)
@@ -589,11 +574,15 @@ def cmd_versions(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
+    from .store import DEFAULT_STORE_PATH, STORE_ENV_VAR
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction toolkit for 'Taking a Long Look at QUIC'",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Where a store flag points when given no location.
+    where = f"${STORE_ENV_VAR} or {DEFAULT_STORE_PATH}"
 
     def jobs_arg(p):
         p.add_argument("--jobs", type=int, default=1,
@@ -604,17 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", nargs="?", const="", default=None,
                        metavar="PATH",
                        help="serve already-computed runs from a results "
-                            "store and persist new ones; PATH defaults to "
-                            "$REPRO_STORE or .repro-store.sqlite")
-        p.add_argument("--backend", choices=("auto", "sqlite", "shards"),
-                       default=None,
-                       help="force the --cache store backend (default: "
-                            "auto — infer from the path / what exists "
-                            "there)")
-        p.add_argument("--store-url", default=None, metavar="URL",
-                       help="use a fabric store server (repro serve) as "
-                            "the results store — the remote equivalent of "
-                            "--cache")
+                            "store and persist new ones; PATH may be a "
+                            "'repro serve' URL and defaults to " + where)
 
     def common_network(p):
         p.add_argument("--rate", type=float, default=10.0,
@@ -694,8 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-store", nargs="?", const="", default=None,
                    metavar="PATH",
                    help="collate directly from a results store instead of "
-                        "result files; PATH defaults to $REPRO_STORE or "
-                        ".repro-store.sqlite")
+                        "result files; PATH defaults to " + where)
     p.add_argument("--live", action="store_true",
                    help="with --from-store: render mid-sweep — label the "
                         "partial cells instead of presenting the grid as "
@@ -705,14 +684,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("store", help="inspect and maintain the results store")
     p.add_argument("--store", default=None, metavar="PATH",
-                   help="store location (default: $REPRO_STORE or "
-                        ".repro-store.sqlite); a .sqlite/.db path or "
-                        "existing file opens sqlite, anything else a "
-                        "sharded JSONL directory")
-    p.add_argument("--backend", choices=("auto", "sqlite", "shards"),
-                   default="auto",
-                   help="force the backend instead of inferring it from "
-                        "the path (default: auto)")
+                   help=f"store location (default: {where}); a 'repro "
+                        "serve' URL, a store that exists, or a new path: "
+                        ".sqlite/.db opens sqlite, anything else a sharded "
+                        "JSONL directory")
     store_sub = p.add_subparsers(dest="store_command", required=True)
     store_sub.add_parser("ls", help="list stored runs")
     sp = store_sub.add_parser("show", help="dump one stored run as JSON")
@@ -742,11 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="serve a results store to fabric workers over HTTP")
     p.add_argument("--store", default=None, metavar="PATH",
-                   help="store to expose (default: $REPRO_STORE or "
-                        ".repro-store.sqlite)")
-    p.add_argument("--backend", choices=("auto", "sqlite", "shards"),
-                   default="auto",
-                   help="force the backing store's kind (default: auto)")
+                   help=f"store to expose (default: {where})")
     p.add_argument("--host", default="127.0.0.1",
                    help="bind address (default 127.0.0.1; use 0.0.0.0 to "
                         "accept workers from other hosts)")
@@ -810,8 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-store", nargs="?", const="", default=None,
                    metavar="PATH",
                    help="fit existing store records instead of running "
-                        "the oracle grid; PATH defaults to $REPRO_STORE "
-                        "or .repro-store.sqlite")
+                        "the oracle grid; PATH defaults to " + where)
     p.add_argument("--tolerance", type=float, default=0.6,
                    help="accepted observed/model band as a fraction "
                         "(default 0.6: within 1.6x either way)")

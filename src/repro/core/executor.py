@@ -691,19 +691,19 @@ class _PoolLost(RuntimeError):
 
 
 def _pool_worker(run: RunFn,
-                 store_spec: Optional[Tuple[str, str, Optional[str]]],
+                 store_spec: Optional[Tuple[str, Optional[str]]],
                  wall_timeout: Optional[float], retries: int,
                  keep_records: bool, _worker_id: int,
                  share: List[TaggedRequest]) -> Iterator[RunEvent]:
     """A pool worker's body: the serial path over its share of the misses,
     writing through a :class:`~repro.store.RunCache` on the sweep's store
-    (``(path, kind, pinned fingerprint)``), reopened once."""
+    (``(path, pinned fingerprint)``), reopened once by its path."""
     cache = None
     if store_spec is not None:
         from ..store.cache import RunCache  # lazy: store imports this module
 
-        path, kind, fingerprint = store_spec
-        cache = RunCache(path, backend=kind, fingerprint=fingerprint)
+        path, fingerprint = store_spec
+        cache = RunCache(path, fingerprint=fingerprint)
     try:
         for tagged in share:
             yield from _stream_one(run, tagged, cache, wall_timeout, retries,
@@ -802,9 +802,9 @@ def iter_runs(
         interrupted sweep is resumable: the rerun only executes the
         missing requests.  Pool workers reopen the store and write
         their records **directly**; only the payload-free events reach
-        the parent.  A store workers cannot reopen by ``(path, kind)``
-        (``:memory:``, or a wrapper whose ``kind`` :func:`repro.store.
-        open_store` does not know) runs its misses in-process.
+        the parent.  A store workers cannot reopen by its path
+        (``:memory:``, or a wrapper whose ``kind`` no path opens to)
+        runs its misses in-process.
     keep_records:
         Attach the full :class:`RunRecord` to each terminal event.  This
         is the compatibility mode :func:`run_requests` uses; leave it
@@ -884,7 +884,7 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
 
         if cache.store.kind not in BACKENDS or cache.store.path == ":memory:":
             n_jobs = 1  # workers could not reopen it: write it from here
-        store_spec = (cache.store.path, cache.store.kind, cache.fingerprint)
+        store_spec = (cache.store.path, cache.fingerprint)
     done: set = set()
     if (n_jobs > 1 and not _force_serial()
             and (force_pool or len(misses) >= MIN_PARALLEL)):

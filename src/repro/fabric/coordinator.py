@@ -127,11 +127,11 @@ def _worker_events(url: str, base: Path, sync_every: int, retries: int,
     because exiting with unsent rows would stall the sweep until a
     respawn replays them.
     """
-    from ..store.backend import open_store
+    from ..store.shards import ShardStore
 
     remote = RemoteStore(url)
     uploaded: set = set()
-    local = open_store(str(base / f"worker-{worker_id}"), backend="shards")
+    local = ShardStore(base / f"worker-{worker_id}")
     try:
         requests = [request for _, request in assignment]
         indices = [index for index, _ in assignment]

@@ -61,7 +61,6 @@ from .keys import (
     achievable_fingerprints,
     canonical,
     canonical_json,
-    code_fingerprint,
     composite_fingerprint,
     fingerprint_for,
     record_from_dict,
@@ -98,7 +97,6 @@ __all__ = [
     "achievable_fingerprints",
     "canonical",
     "canonical_json",
-    "code_fingerprint",
     "composite_fingerprint",
     "fingerprint_for",
     "record_from_dict",

@@ -12,10 +12,10 @@ is :class:`StoreBackend`; two implementations ship:
   concurrently without contending on one writer lock, which is what
   paper-scale sweeps on many-core hosts need.
 
-:func:`open_store` selects a backend by path convention (``.sqlite`` /
-``.db`` file vs directory; ``http(s)://`` URLs open the fabric's
-:class:`~repro.fabric.client.RemoteStore`), honours ``$REPRO_STORE``
-for the default location, and takes an explicit ``backend=`` override.
+:func:`open_store` selects a backend by the location alone (see
+:func:`_kind_at`; ``http(s)://`` URLs open the fabric's
+:class:`~repro.fabric.client.RemoteStore`) and honours ``$REPRO_STORE``
+for the default location.
 Everything above the backend — :class:`~repro.store.cache.RunCache`,
 the executor's ``store=`` argument, the ``repro store`` CLI group —
 works identically against all of them.
@@ -46,7 +46,9 @@ from .rows import Row, encode_row, label_of, read_jsonl, validated
 STORE_ENV_VAR = "REPRO_STORE"
 #: Default on-disk location when none is given (repo/cwd-local).
 DEFAULT_STORE_PATH = ".repro-store.sqlite"
-#: ``backend=`` values :func:`open_store` understands.
+#: The kinds a store location opens to, so a pool worker can reopen a
+#: store from its path (a wrapper such as ``FaultyStore`` has another
+#: kind and stays in-process).
 BACKENDS = ("sqlite", "shards", "http")
 
 #: Rows per probe + upload round of :func:`merge_into`.
@@ -54,6 +56,10 @@ _SYNC_BATCH = 500
 
 #: First bytes of every sqlite database file (format sniffing).
 _SQLITE_MAGIC = b"SQLite format 3\x00"
+#: A shard store's directory marker: a directory without it holds no
+#: store, and :class:`~repro.store.shards.ShardStore` refuses one whose
+#: marker names another format.
+MANIFEST_NAME = "store.json"
 
 
 def default_store_path() -> str:
@@ -68,17 +74,25 @@ def is_store_url(path: Union[str, Path]) -> bool:
 
 def _kind_at(path: Union[str, Path]) -> Tuple[str, bool]:
     """The path convention, stated once: ``(kind the path holds or would
-    get, whether a store exists there)``.  What exists wins over its
-    name; a URL "exists" without being probed."""
+    get, whether a store exists there)``.
+
+    A URL is a served store (it "exists" without being probed); a
+    directory holds a shard store once it has the shard manifest, a file
+    an sqlite store once it starts with the sqlite magic; otherwise the
+    suffix decides what a new store there becomes.  What exists wins
+    over its name, and nothing else counts as a store: a read-only
+    command on a plain directory or an export must not turn it into one.
+    """
     if is_store_url(path):
         return "http", True
     if str(path) == ":memory:":
         return "sqlite", False
     target = Path(path)
     if target.is_dir():
-        return "shards", True
+        return "shards", (target / MANIFEST_NAME).is_file()
     if target.is_file():
-        return "sqlite", True
+        with open(target, "rb") as handle:
+            return "sqlite", handle.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
     return ("sqlite" if target.suffix in (".sqlite", ".db") else "shards"), False
 
 
@@ -369,47 +383,30 @@ class StoreNotFoundError(FileNotFoundError):
 
 
 def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
-               backend: Optional[str] = None,
                must_exist: bool = False) -> StoreBackend:
     """Open a results store: the one way in, for the CLI and the library.
 
     ``store`` may be an existing backend (returned as-is), a path, an
     ``http(s)://`` URL naming a fabric server (``repro serve``), or
     unset — None or ``""`` — which means ``$REPRO_STORE``, else
-    :data:`DEFAULT_STORE_PATH`.  The path decides the backend: URLs
-    open a :class:`~repro.fabric.client.RemoteStore`, existing files,
-    ``:memory:`` and ``.sqlite``/``.db`` suffixes open sqlite, existing
-    directories and any other new path open the sharded JSONL store.
+    :data:`DEFAULT_STORE_PATH`.  The location alone decides the backend
+    (:func:`_kind_at`): URLs open a
+    :class:`~repro.fabric.client.RemoteStore`, files, ``:memory:`` and
+    new ``.sqlite``/``.db`` paths open sqlite, directories and any other
+    new path open the sharded JSONL store.
 
-    ``backend`` (``"sqlite"``, ``"shards"`` or ``"http"``) forces an
-    implementation, and conflicts loudly when the path already holds a
-    store of another kind instead of failing deep inside the backend.
     ``must_exist`` raises :class:`StoreNotFoundError` rather than
     creating an empty store, and asks a URL's server for ``/healthz``
     — the read-only paths (reports, ``repro store ls``) want a friendly
     "nothing here yet", not a fresh empty directory.
     """
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(f"unknown store backend {backend!r} (expected one "
-                         f"of {', '.join(BACKENDS)})")
     if isinstance(store, StoreBackend):
-        if backend is not None and backend != store.kind:
-            raise ValueError(
-                f"store at {store.path} is {store.kind!r}, not {backend!r}")
         return store
     path = str(store) if store else default_store_path()
     kind, exists = _kind_at(path)
     if must_exist and not exists and path != ":memory:":
         raise StoreNotFoundError(f"no results store at {path}")
-    if backend is not None and exists and backend != kind:
-        raise ValueError(
-            f"backend {backend!r} conflicts with the existing {kind} store "
-            f"at {path}; drop the flag or point at another path")
-    kind = backend or kind
     if kind == "http":
-        if not is_store_url(path):
-            raise ValueError(
-                f"backend 'http' needs an http(s):// URL, got {path!r}")
         from ..fabric.client import RemoteStore  # local: fabric imports this
 
         remote = RemoteStore(path)
@@ -427,23 +424,19 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
 # cross-store sync
 # ----------------------------------------------------------------------
 def iter_source(source: Union[StoreBackend, str, Path]) -> Iterator[Row]:
-    """Rows of any syncable source: a backend, a store path, a fabric
-    server URL, or a JSONL export (sqlite files are sniffed by their
-    magic bytes)."""
+    """Rows of any syncable source: a backend, a store location, or a
+    JSONL export (any other existing file)."""
     if isinstance(source, StoreBackend):
         yield from source.items()
         return
-    kind, exists = _kind_at(source)
-    if not exists or not str(source):  # "" is no location, not the cwd
+    _kind, exists = _kind_at(source)
+    if exists and str(source):  # "" is no location, not the cwd
+        with open_store(source) as src:
+            yield from src.items()
+    elif str(source) and Path(source).is_file():
+        yield from read_jsonl(source)
+    else:
         raise FileNotFoundError(f"no store or export at {str(source)!r}")
-    if kind == "sqlite":  # any file: sqlite by its magic bytes, else an export
-        with open(source, "rb") as handle:
-            magic = handle.read(len(_SQLITE_MAGIC))
-        if magic != _SQLITE_MAGIC:
-            yield from read_jsonl(source)
-            return
-    with open_store(source, backend=kind) as src:
-        yield from src.items()
 
 
 def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]

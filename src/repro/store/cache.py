@@ -51,9 +51,8 @@ class RunCache:
     """A cache-policy wrapper around one :class:`StoreBackend`."""
 
     def __init__(self, store: Union[StoreBackend, str, Path, None] = None,
-                 *, fingerprint: Optional[str] = None,
-                 backend: Optional[str] = None) -> None:
-        self.store = open_store(store, backend=backend)
+                 *, fingerprint: Optional[str] = None) -> None:
+        self.store = open_store(store)
         #: A pinned fingerprint overriding the per-request subsystem
         #: composite — for tests and cross-machine stores that pin a
         #: release.  None (the default) derives it per request.

@@ -335,7 +335,6 @@ _BASE_SUBSYSTEMS: Tuple[str, ...] = ("core", "http", "netem", "transport")
 _PROXIED_SUBSYSTEMS: Tuple[str, ...] = tuple(
     sorted(_BASE_SUBSYSTEMS + ("proxy",)))
 
-_FINGERPRINT_CACHE: Dict[str, str] = {}
 _SUBSYSTEM_CACHE: Dict[str, Dict[str, str]] = {}
 #: ``(package dir, sorted subsystem names) -> (fingerprints, composite)``.
 #: An entry is only served while ``fingerprints`` *is* the dict
@@ -357,26 +356,6 @@ def _hash_tree(digest: "hashlib._Hash", root: Path, paths: Iterable[Path]
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-
-
-def code_fingerprint(package_dir: Optional[Path] = None) -> str:
-    """A sha256 over every ``.py`` file of the ``repro`` package.
-
-    The *whole-package* fingerprint — the coarsest possible invalidation
-    signal, kept for pinning a release and for diagnostics.  Run keys
-    use the per-subsystem composites (:func:`fingerprint_for`) instead.
-    """
-    if package_dir is None:
-        package_dir = _default_package_dir()
-    cache_key = str(package_dir)
-    cached = _FINGERPRINT_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    digest = hashlib.sha256()
-    _hash_tree(digest, package_dir, sorted(package_dir.rglob("*.py")))
-    fingerprint = digest.hexdigest()
-    _FINGERPRINT_CACHE[cache_key] = fingerprint
-    return fingerprint
 
 
 def subsystem_fingerprints(package_dir: Optional[Path] = None

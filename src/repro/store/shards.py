@@ -72,7 +72,7 @@ except ImportError:  # pragma: no cover - Windows
     fcntl = None  # type: ignore[assignment]
 
 from ..core.executor import RunRecord
-from .backend import StoreBackend
+from .backend import MANIFEST_NAME, StoreBackend
 from .keys import record_from_dict, record_to_dict
 from .rows import (
     Row,
@@ -92,8 +92,6 @@ from .rows import (
 #: number out again within that same tick.
 Signature = Tuple[int, int, int]
 
-#: Directory marker; refuses to treat arbitrary directories as stores.
-MANIFEST_NAME = "store.json"
 #: Hex characters a key prefix may bucket to; anything else -> "misc".
 _HEX = set("0123456789abcdef")
 #: Compact the counters ledger when it grows past this many lines.

@@ -50,6 +50,11 @@ def _instant_run(request):
                      complete=True)
 
 
+def _pid_run(request):
+    return RunRecord(request=request, plt=1.0, complete=True,
+                     metrics={"pid": os.getpid()})
+
+
 def _failing_run(request):
     return RunRecord(request=request, plt=None, complete=False,
                      failure=RunFailure("error", "boom " * 200))
@@ -196,6 +201,25 @@ class TestWorkerDirectWriteBack:
             assert record is not None
             seeds.add(record.request.seed)
         assert seeds == set(range(40))
+
+    def test_pool_reopens_a_shard_directory_named_like_sqlite(self,
+                                                              tmp_path):
+        # Workers reopen the store by its path alone: what exists there
+        # (a shard directory) wins over its .sqlite suffix.
+        path = tmp_path / "pool.sqlite"
+        cache = RunCache(ShardStore(path))
+        requests = [req(seed=s) for s in range(12)]
+        events = list(iter_runs(requests, jobs=2, run_fn=_pid_run,
+                                store=cache, force_pool=True))
+        assert all(e.stored for e in events if e.terminal)
+        assert path.is_dir() and len(cache.store) == 12
+        assert sorted(os.listdir(tmp_path)) == ["pool.sqlite"]
+        pids = {cache.store.get(key).metrics["pid"]
+                for key in cache.store.keys()}
+        assert os.getpid() not in pids  # every row came from a worker
+        rerun = list(iter_runs(requests, jobs=2, run_fn=_pid_run,
+                               store=RunCache(path), force_pool=True))
+        assert [e.kind for e in rerun] == ["hit"] * 12
 
     def test_memory_store_pool_still_persists(self, tmp_path):
         # an in-memory store cannot be reopened by workers: its misses

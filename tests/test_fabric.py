@@ -17,6 +17,7 @@ import socket
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +54,7 @@ from repro.store.backend import _kind_at
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)
+SMOKE_SPEC = Path(__file__).parent.parent / "examples" / "specs" / "smoke.json"
 
 
 def req(seed=0, **overrides):
@@ -335,12 +337,6 @@ class TestBackendIntegration:
         assert not is_store_url("/tmp/store.sqlite")
         assert _kind_at(server.url) == ("http", True)
 
-    def test_open_store_rejects_conflicting_backend(self, server):
-        with pytest.raises(ValueError, match="http"):
-            open_store(server.url, backend="shards")
-        with pytest.raises(ValueError, match="URL"):
-            open_store("plain/path", backend="http")
-
     def test_resolve_store_pings_on_must_exist(self, server):
         assert open_store(server.url, must_exist=True).kind == "http"
         dead = "http://127.0.0.1:9"
@@ -608,14 +604,6 @@ class TestFriendlyErrors:
         with pytest.raises(SystemExit, match="local"):
             main(["serve", "--store", "http://127.0.0.1:9"])
 
-    def test_cli_rejects_cache_plus_store_url(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit, match="not both"):
-            main(["compare", "--runs", "1",
-                  "--cache", str(tmp_path / "x.sqlite"),
-                  "--store-url", "http://127.0.0.1:9"])
-
 
 # ----------------------------------------------------------------------
 # CLI end-to-end (report --from-store over HTTP)
@@ -631,6 +619,20 @@ class TestCliOverRemote:
         out = capsys.readouterr().out
         assert "Reproduction report" in out
         assert server.url in out
+
+    def test_spec_caches_through_a_served_store(self, server, capsys):
+        # --cache URL on a pool: each worker reopens the served store by
+        # its URL and writes there directly.
+        from repro.cli import main
+
+        argv = ["spec", "--file", str(SMOKE_SPEC), "--cache", server.url,
+                "--jobs", "2"]
+        assert main(argv) == 0
+        assert "0/16 hits" in capsys.readouterr().out
+        assert len(server.store) == 16
+        assert main(argv) == 0
+        assert "16/16 hits" in capsys.readouterr().out
+        assert len(server.store) == 16
 
     def test_store_stats_over_url(self, server, remote, capsys):
         from repro.cli import main

@@ -52,7 +52,6 @@ from repro.store import (
     achievable_fingerprints,
     canonical,
     canonical_json,
-    code_fingerprint,
     composite_fingerprint,
     fingerprint_for,
     merge_into,
@@ -283,17 +282,6 @@ class TestRunKey:
         base = run_key(req(), fingerprint="aaaa")
         assert run_key(req(), fingerprint="bbbb") != base
         assert run_key(req(), fingerprint="aaaa") == base
-
-    def test_fingerprint_tracks_source(self, tmp_path):
-        tree = tmp_path / "pkg"
-        tree.mkdir()
-        (tree / "a.py").write_text("x = 1\n")
-        first = code_fingerprint(tree)
-        assert first == code_fingerprint(tmp_path / "pkg")  # cached, stable
-        tree2 = tmp_path / "pkg2"
-        tree2.mkdir()
-        (tree2 / "a.py").write_text("x = 2\n")
-        assert code_fingerprint(tree2) != first
 
 
 class TestRunKeyMemo:
@@ -887,20 +875,9 @@ class TestOpenStore:
         ShardStore(shard_dir).close()
         assert open_store(shard_dir).kind == "shards"
 
-    def test_backend_kwarg_forces(self, tmp_path):
-        store = open_store(tmp_path / "forced.sqlite", backend="shards")
-        assert store.kind == "shards"
-        assert (tmp_path / "forced.sqlite" / "store.json").exists()
-
-    def test_backend_kwarg_rejects_unknown(self, tmp_path):
-        with pytest.raises(ValueError):
-            open_store(tmp_path / "x", backend="parquet")
-
     def test_instance_passthrough_and_mismatch(self, tmp_path):
         store = SqliteStore(":memory:")
         assert open_store(store) is store
-        with pytest.raises(ValueError):
-            open_store(store, backend="shards")
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
@@ -939,29 +916,6 @@ class TestResolveStore:
         from repro.store import default_store_path
         assert open_store(None).path == str(default_store_path())
 
-    def test_backend_auto_infers_from_path(self, tmp_path):
-        # "auto" is the CLI's spelling of "unset"; only its opener
-        # knows it.
-        from repro.cli import _open_store
-        assert _open_store(tmp_path / "a.sqlite",
-                           backend="auto").kind == "sqlite"
-        assert _open_store(tmp_path / "b-dir",
-                           backend="auto").kind == "shards"
-
-    def test_forced_backend_conflicts_with_existing_store(self, tmp_path):
-        from repro.cli import _open_store
-        path = tmp_path / "existing.sqlite"
-        SqliteStore(path).close()
-        with pytest.raises(ValueError, match="conflicts"):
-            open_store(path, backend="shards")
-        # the matching backend (or auto) is fine
-        assert open_store(path, backend="sqlite").kind == "sqlite"
-        assert _open_store(path, backend="auto").kind == "sqlite"
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="parquet"):
-            open_store(tmp_path / "x", backend="parquet")
-
     def test_must_exist_raises_store_not_found(self, tmp_path):
         missing = tmp_path / "nope.sqlite"
         with pytest.raises(StoreNotFoundError, match="no results store"):
@@ -988,6 +942,14 @@ class TestResolveStore:
         shard_dir = tmp_path / "b-dir"
         ShardStore(shard_dir).close()
         assert _kind_at(shard_dir) == ("shards", True)
+        # Only a store counts as one: a directory without the shard
+        # manifest, or a file without the sqlite magic, holds none.
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        assert _kind_at(plain) == ("shards", False)
+        export = tmp_path / "export.jsonl"
+        export.write_text("{}\n")
+        assert _kind_at(export) == ("sqlite", False)
 
 
 def _served_store(location):
@@ -1030,6 +992,66 @@ class TestEmptyLocationIsUnset:
 
         with pytest.raises(SystemExit, match="no store or export at ''"):
             main(["store", "--store", str(cwd / "dst.sqlite"), "sync", ""])
+
+
+class TestReadOnlyCommandsLeaveNonStoresAlone:
+    """A directory without the shard manifest, or a file that is not an
+    sqlite database, holds no store: a read-only command says so and
+    writes nothing there."""
+
+    STORE_COMMANDS = [["ls"], ["stats"], ["show", "ab"],
+                      ["gc", "--older-than", "0"], ["fsck"],
+                      ["export", "OUT"]]
+
+    @pytest.fixture
+    def plain(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        (plain / "readme.txt").write_text("not a store\n")
+        return plain
+
+    @pytest.mark.parametrize("command", STORE_COMMANDS,
+                             ids=lambda command: command[0])
+    def test_store_commands(self, plain, tmp_path, capsys, command):
+        from repro.cli import main
+
+        out = str(tmp_path / "out.jsonl")
+        argv = [out if part == "OUT" else part for part in command]
+        assert main(["store", "--store", str(plain), *argv]) == 0
+        assert f"no results store at {plain}" in capsys.readouterr().out
+        assert os.listdir(plain) == ["readme.txt"]
+        assert not Path(out).exists()
+
+    def test_report_and_validate(self, plain, capsys):
+        from repro.cli import main
+
+        assert main(["report", "--from-store", str(plain)]) == 0
+        assert f"no results store at {plain}" in capsys.readouterr().out
+        assert main(["validate", "--from-store", str(plain)]) == 1
+        assert f"no results store at {plain}" in capsys.readouterr().out
+        assert os.listdir(plain) == ["readme.txt"]
+
+    def test_sync_from_a_plain_directory(self, plain, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="no store or export at"):
+            main(["store", "--store", str(tmp_path / "dst.sqlite"), "sync",
+                  str(plain)])
+        assert os.listdir(plain) == ["readme.txt"]
+
+    def test_a_non_sqlite_file_is_no_store(self, tmp_path, capsys):
+        from repro.cli import main
+
+        source = SqliteStore(":memory:")
+        source.put("ab", RunRecord(request=req(), plt=1.0, complete=True))
+        export = tmp_path / "export.jsonl"
+        source.export_jsonl(export)
+        before = export.read_bytes()
+        assert main(["store", "--store", str(export), "ls"]) == 0
+        assert f"no results store at {export}" in capsys.readouterr().out
+        assert export.read_bytes() == before
+        # ...while sync still reads it as the export it is
+        assert merge_into(SqliteStore(":memory:"), export) == (1, 0)
 
 
 # ----------------------------------------------------------------------
