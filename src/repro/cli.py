@@ -286,10 +286,9 @@ def cmd_store(args: argparse.Namespace) -> int:
 
     from .store import (
         StoreNotFoundError,
-        achievable_fingerprints,
+        code_fingerprints,
         merge_into,
         record_to_dict,
-        subsystem_fingerprints,
     )
 
     # Read-only commands on a store that was never created get a
@@ -363,10 +362,10 @@ def cmd_store(args: argparse.Namespace) -> int:
             return 0 if report.clean else 1
         elif args.store_command == "stats":
             counters = store.counters()
-            fresh_prints = achievable_fingerprints()
+            current = code_fingerprints()
             by_fingerprint = store.fingerprints()
             fresh = sum(n for f, n in by_fingerprint.items()
-                        if f in fresh_prints)
+                        if f in current)
             print(f"store:   {store.path} [{store.kind}]")
             print(f"runs:    {len(store)} stored "
                   f"({fresh} reusable by the current code)")
@@ -378,7 +377,7 @@ def cmd_store(args: argparse.Namespace) -> int:
                   f"({rate:.0f}% lifetime hit rate)")
             print(f"writes:  {counters.get('writes', 0)}")
             stale = {f: n for f, n in by_fingerprint.items()
-                     if f not in fresh_prints}
+                     if f not in current}
             if stale:
                 print(f"stale:   {sum(stale.values())} run(s) from "
                       f"{len(stale)} older code fingerprint(s) "
@@ -397,10 +396,8 @@ def cmd_store(args: argparse.Namespace) -> int:
             if quarantined:
                 print(f"quarantined: {quarantined} row(s) moved aside by "
                       f"'store fsck --repair'")
-            subsystems = subsystem_fingerprints()
-            print("code:    " + ", ".join(
-                f"{name}={subsystems[name][:8]}"
-                for name in sorted(subsystems)))
+            plain, proxied = current
+            print(f"code:    plain={plain[:8]}, proxied={proxied[:8]}")
     return 0
 
 
@@ -794,8 +791,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="profile the simulation hot path")
     p.add_argument("--profile", type=int, default=25, metavar="N",
-                   help="cProfile the workload: print a subsystem-"
-                        "partition summary, the events-by-handler census "
+                   help="cProfile the workload: print a per-package "
+                        "summary, the events-by-handler census "
                         "and the top N cumulative rows (default 25)")
     p.add_argument("--profile-workload", choices=("plt", "manyflow"),
                    default="plt",

@@ -10,7 +10,7 @@ keeps what only it provides:
   profiles, and its PLTs and event counts are pinned in
   ``tests/test_determinism.py``.
 * :func:`profile_plt` / :func:`profile_manyflow` — cProfile the pair or
-  a manyflow engine: a subsystem-partition summary, the events-by-handler
+  a manyflow engine: a per-package summary, the events-by-handler
   census, then the top-N rows.  ``repro bench`` is a thin wrapper.
 * :func:`run_manyflow_benchmark` — the ``BENCH_manyflow.json`` payload.
 * :func:`calibrate` — a tiny pure-Python spin loop measured on the same
@@ -171,43 +171,27 @@ def run_manyflow_benchmark(*, flows: int = 1000, repeat: int = 1,
     return payload
 
 
-def _subsystem_of(filename: str) -> str:
-    """Map a profiled frame's file onto the fingerprint partition.
-
-    Uses the same :data:`repro.store.keys.SUBSYSTEMS` table that stamps
-    store rows, so "which partition is hot" lines up with "which
-    partition's fingerprint would a fix invalidate".
-    """
-    from ..store.keys import SUBSYSTEMS  # avoid a package cycle
-
+def _package_of(filename: str) -> str:
+    """The top-level entry of the ``repro`` package a profiled frame's
+    file lives in (``core``, ``store``, ``cli.py``, ...), else
+    ``(stdlib/other)``."""
     normalised = filename.replace("\\", "/")
     if "/repro/" not in normalised:
         return "(stdlib/other)"
-    rel = normalised.split("/repro/", 1)[1]
-    # Explicit file entries win over the enclosing directory (e.g.
-    # core/models.py belongs to transport, not core), mirroring the
-    # claimed-file precedence in subsystem_fingerprints.
-    for name, entries in SUBSYSTEMS.items():
-        if rel in entries:
-            return name
-    head = rel.split("/", 1)[0]
-    for name, entries in SUBSYSTEMS.items():
-        if head in entries:
-            return name
-    return "(stdlib/other)"
+    return normalised.rsplit("/repro/", 1)[1].split("/", 1)[0]
 
 
-def _print_subsystem_partition(stats: Any, out: Any) -> None:
-    """Aggregate a pstats table by subsystem fingerprint partition."""
+def _print_by_package(stats: Any, out: Any) -> None:
+    """Aggregate a pstats table by top-level ``repro`` package."""
     totals: Dict[str, float] = {}
     calls: Dict[str, int] = {}
     for (filename, _line, _func), row in stats.stats.items():
         cc, _nc, tottime, _cumtime, _callers = row
-        part = _subsystem_of(filename)
+        part = _package_of(filename)
         totals[part] = totals.get(part, 0.0) + tottime
         calls[part] = calls.get(part, 0) + cc
     grand = sum(totals.values()) or 1.0
-    print("By subsystem fingerprint partition (tottime):", file=out)
+    print("By package (tottime):", file=out)
     for part in sorted(totals, key=totals.get, reverse=True):
         print(f"  {part:<16} {totals[part]:>9.4f}s  "
               f"{100.0 * totals[part] / grand:>5.1f}%  "
@@ -253,8 +237,8 @@ def _print_events_by_handler(stats: Any, out: Any) -> None:
 
 
 def profile_run(workload: Any, top: int = 25, out: Any = None) -> None:
-    """cProfile ``workload()``: subsystem partition summary, the events-by-
-    handler census, then the top-N rows."""
+    """cProfile ``workload()``: per-package summary, the events-by-handler
+    census, then the top-N rows."""
     import cProfile
     import pstats
 
@@ -264,7 +248,7 @@ def profile_run(workload: Any, top: int = 25, out: Any = None) -> None:
     workload()
     profiler.disable()
     stats = pstats.Stats(profiler, stream=out)
-    _print_subsystem_partition(stats, out)
+    _print_by_package(stats, out)
     _print_events_by_handler(stats, out)
     stats.sort_stats("cumulative").print_stats(top)
 

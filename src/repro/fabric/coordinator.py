@@ -4,7 +4,7 @@
 distributed, resumable job queue over a fabric store server:
 
 1. every request is content-addressed (:func:`~repro.store.keys.run_key`
-   over the canonical request plus the per-subsystem code fingerprint);
+   over the canonical request plus the code fingerprint);
 2. **one** batched ``POST /missing`` call maps the whole key list to the
    miss-list — everything else is served as ``hit`` events, in sweep
    order, from bulk ``POST /fetch`` calls one ``BATCH_SIZE`` batch at a

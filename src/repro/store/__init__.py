@@ -5,8 +5,9 @@ Every run in this framework is a pure function of its
 exercises, so results are perfectly cacheable.  This package provides
 the layers:
 
-* :mod:`repro.store.keys` — canonical serialisation, per-subsystem code
-  fingerprints, and the :func:`run_key` content address;
+* :mod:`repro.store.keys` — canonical serialisation, the code
+  fingerprints (every module but the layers above the simulation), and
+  the :func:`run_key` content address;
 * :mod:`repro.store.rows` — the row every other layer moves,
   ``(key, created, fingerprint, record-dict)``: its one JSONL codec and
   validity rule (shard ledgers, exports, the fabric wire), the counters
@@ -57,20 +58,16 @@ from .cache import RunCache, StoreLike
 from .fsck import FsckIssue, FsckReport, fsck
 from .keys import (
     KEY_SCHEMA_VERSION,
-    SUBSYSTEMS,
-    achievable_fingerprints,
     canonical,
     canonical_json,
-    composite_fingerprint,
+    code_fingerprints,
     fingerprint_for,
     record_from_dict,
     record_to_dict,
     request_from_dict,
-    request_subsystems,
     request_to_dict,
     row_check,
     run_key,
-    subsystem_fingerprints,
 )
 from .shards import ShardStore
 
@@ -93,17 +90,13 @@ __all__ = [
     "fsck",
     "row_check",
     "KEY_SCHEMA_VERSION",
-    "SUBSYSTEMS",
-    "achievable_fingerprints",
     "canonical",
     "canonical_json",
-    "composite_fingerprint",
+    "code_fingerprints",
     "fingerprint_for",
     "record_from_dict",
     "record_to_dict",
     "request_from_dict",
-    "request_subsystems",
     "request_to_dict",
     "run_key",
-    "subsystem_fingerprints",
 ]

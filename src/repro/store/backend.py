@@ -391,9 +391,11 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
     unset — None or ``""`` — which means ``$REPRO_STORE``, else
     :data:`DEFAULT_STORE_PATH`.  The location alone decides the backend
     (:func:`_kind_at`): URLs open a
-    :class:`~repro.fabric.client.RemoteStore`, files, ``:memory:`` and
-    new ``.sqlite``/``.db`` paths open sqlite, directories and any other
-    new path open the sharded JSONL store.
+    :class:`~repro.fabric.client.RemoteStore`, sqlite databases, empty
+    files, ``:memory:`` and new ``.sqlite``/``.db`` paths open sqlite,
+    directories and any other new path open the sharded JSONL store.  A
+    non-empty file that is no sqlite database (an export, a log) raises
+    ``ValueError`` and is left untouched.
 
     ``must_exist`` raises :class:`StoreNotFoundError` rather than
     creating an empty store, and asks a URL's server for ``/healthz``
@@ -414,6 +416,8 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
             remote.healthz()  # "exists" for a URL means the server answers
         return remote
     if kind == "sqlite":
+        if not exists and os.path.isfile(path) and os.path.getsize(path):
+            raise ValueError(f"{path} exists but is not a results store")
         return SqliteStore(path)
     from .shards import ShardStore  # local: shards imports this module
 

@@ -4,8 +4,8 @@
 :class:`~repro.store.backend.StoreBackend` (sqlite or sharded JSONL —
 see :func:`~repro.store.backend.open_store`).  It decides what may be
 served from the store (anything whose key matches — the key already
-encodes configuration, seed *and* the code fingerprints of the
-subsystems the run exercises, so a hit is definitionally fresh) and
+encodes configuration, seed *and* the fingerprint of the code the run
+executes, so a hit is definitionally fresh) and
 what may be written back:
 
 * successful records — always;
@@ -53,9 +53,9 @@ class RunCache:
     def __init__(self, store: Union[StoreBackend, str, Path, None] = None,
                  *, fingerprint: Optional[str] = None) -> None:
         self.store = open_store(store)
-        #: A pinned fingerprint overriding the per-request subsystem
-        #: composite — for tests and cross-machine stores that pin a
-        #: release.  None (the default) derives it per request.
+        #: A pinned fingerprint overriding the current code's — for
+        #: tests and cross-machine stores that pin a release.  None (the
+        #: default) derives it per request (:func:`fingerprint_for`).
         self.fingerprint = fingerprint
         #: Session counters (this process, this cache instance).
         self.hits = 0

@@ -13,15 +13,14 @@ fingerprint of the source code the run exercises, and hashed into a
   the device) or to the code it exercises produces a different key, so a
   store lookup can never return a stale result.
 
-The code fingerprint is *per subsystem*: the package is partitioned
-into :data:`SUBSYSTEMS` (netem, transport, http, proxy, video, core)
-and a request's key covers only the subsystems its scenario / protocol
-/ workload actually exercise (:func:`request_subsystems`).  A touch
+The code fingerprint covers every module of the package except the
+layers above the simulation (:data:`UNKEYED`: ``cli.py``, ``fabric``,
+``faults.py``, ``store``, and ``video``, which no run executes), and
+``proxy/`` only for proxied runs (:func:`code_fingerprints`).  A touch
 under ``video/`` therefore leaves a cached PLT sweep's keys unchanged,
-while a touch under ``netem/`` invalidates it.  The ``store`` package
-and ``cli.py`` are deliberately outside every fingerprint: they cannot
-change what a simulation computes, and the key layer's own shape is
-versioned explicitly via :data:`KEY_SCHEMA_VERSION`.
+while a touch under ``netem/`` — or in any new module — invalidates
+it.  The key layer's own shape is versioned explicitly via
+:data:`KEY_SCHEMA_VERSION`.
 
 The module also provides the JSON codec used by the store backends to
 persist :class:`~repro.core.executor.RunRecord` rows
@@ -49,7 +48,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -65,7 +63,8 @@ from ..core.manyflow import ManyflowConfig
 #: Bump when the canonical form itself changes shape, so stores written
 #: by older code are invalidated wholesale instead of mis-read.
 #: v2: whole-package code fingerprint replaced by per-subsystem
-#: composites (see :data:`SUBSYSTEMS`).
+#: composites (since folded into :func:`code_fingerprints`; the
+#: envelope did not change).
 #: v3: per-record integrity checksums in the serialized row
 #: (:func:`row_check`; verified by ``repro store fsck``).
 KEY_SCHEMA_VERSION = 3
@@ -311,37 +310,15 @@ def canonical_json(obj: Any) -> str:
 # ----------------------------------------------------------------------
 # code fingerprints
 # ----------------------------------------------------------------------
-#: The package partition: subsystem name -> package-relative entries
-#: (directories are walked recursively for ``*.py``).  Everything not
-#: listed — the ``store`` package, ``cli.py`` — is outside every
-#: fingerprint: those layers cannot change what a simulation computes.
-SUBSYSTEMS: Dict[str, Tuple[str, ...]] = {
-    "core": ("core", "devices.py", "__init__.py", "__main__.py"),
-    "netem": ("netem",),
-    # core/models.py is the analytical CC oracle layer: it encodes the
-    # kernels' steady-state behaviour, so an edit there must invalidate
-    # exactly the transport-keyed cached sweeps (explicit file entries
-    # override the owning directory's subsystem).
-    "transport": ("transport", "quic", "tcp", "core/models.py"),
-    "http": ("http",),
-    "proxy": ("proxy",),
-    "video": ("video",),
-}
+#: The package entries no run key covers: the layers above the
+#: simulation (the CLI, the fabric, fault injection, this store) and
+#: the video QoE player, which no :class:`RunRequest` runs.  Nothing
+#: ``execute_request`` reaches imports them; every other ``*.py`` under
+#: the package is keyed, so a new module is keyed by default.
+UNKEYED = ("cli.py", "fabric", "faults.py", "store", "video")
 
-#: Subsystems every page-load run exercises: the event loop and drivers
-#: (core), the emulated network (netem), a transport stack (transport),
-#: and the page model / HTTP layers (http).
-_BASE_SUBSYSTEMS: Tuple[str, ...] = ("core", "http", "netem", "transport")
-_PROXIED_SUBSYSTEMS: Tuple[str, ...] = tuple(
-    sorted(_BASE_SUBSYSTEMS + ("proxy",)))
-
-_SUBSYSTEM_CACHE: Dict[str, Dict[str, str]] = {}
-#: ``(package dir, sorted subsystem names) -> (fingerprints, composite)``.
-#: An entry is only served while ``fingerprints`` *is* the dict
-#: ``_SUBSYSTEM_CACHE`` holds for that directory, so dropping or
-#: replacing a subsystem-cache entry invalidates its composites too.
-_COMPOSITE_CACHE: Dict[Tuple[str, Tuple[str, ...]],
-                       Tuple[Dict[str, str], str]] = {}
+#: ``str(package dir) -> (plain, proxied)``: constant for a process.
+_FINGERPRINTS: Dict[str, Tuple[str, str]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -349,99 +326,35 @@ def _default_package_dir() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-def _hash_tree(digest: "hashlib._Hash", root: Path, paths: Iterable[Path]
-               ) -> None:
-    for path in paths:
-        digest.update(path.relative_to(root).as_posix().encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-
-
-def subsystem_fingerprints(package_dir: Optional[Path] = None
-                           ) -> Dict[str, str]:
-    """One sha256 per :data:`SUBSYSTEMS` entry, cached per process.
-
-    Missing entries hash to the digest of nothing, so the function also
-    works on partial trees (tests fingerprint synthetic packages).
-    """
+def code_fingerprints(package_dir: Optional[Path] = None) -> Tuple[str, str]:
+    """``(plain, proxied)``: the sha256 over every keyed ``*.py`` of the
+    package (path and bytes, in path order), cached per process and
+    directory.  ``proxy/`` enters only ``proxied``: a plain run never
+    routes through it."""
     if package_dir is None:
         package_dir = _default_package_dir()
-    cache_key = str(package_dir)
-    cached = _SUBSYSTEM_CACHE.get(cache_key)
+    cached = _FINGERPRINTS.get(str(package_dir))
     if cached is not None:
         return cached
-    # Explicit file entries claim their file away from whatever
-    # subsystem owns the enclosing directory (e.g. core/models.py is
-    # transport's even though core/ is walked for "core").
-    claimed: Dict[Path, str] = {}
-    for name, entries in SUBSYSTEMS.items():
-        for entry in entries:
-            target = package_dir / entry
-            if target.is_file():
-                claimed[target] = name
-    fingerprints: Dict[str, str] = {}
-    for name, entries in SUBSYSTEMS.items():
-        digest = hashlib.sha256()
-        for entry in entries:
-            target = package_dir / entry
-            if target.is_dir():
-                files = [path for path in sorted(target.rglob("*.py"))
-                         if claimed.get(path, name) == name]
-                _hash_tree(digest, package_dir, files)
-            elif target.is_file():
-                _hash_tree(digest, package_dir, [target])
-        fingerprints[name] = digest.hexdigest()
-    _SUBSYSTEM_CACHE[cache_key] = fingerprints
-    return fingerprints
-
-
-def request_subsystems(request: RunRequest) -> Tuple[str, ...]:
-    """The subsystems one run actually exercises (sorted).
-
-    Every page load touches the base set; ``proxied`` runs additionally
-    route through the ``proxy`` package.  ``video/`` never backs a
-    :class:`RunRequest` (the QoE driver has its own loop), so video
-    edits leave every run key unchanged.
-    """
-    return _PROXIED_SUBSYSTEMS if request.proxied else _BASE_SUBSYSTEMS
-
-
-def composite_fingerprint(subsystems: Iterable[str],
-                          package_dir: Optional[Path] = None) -> str:
-    """One hash over the named subsystems' fingerprints (memoised per
-    package directory and subsystem set: constant for a process)."""
-    if package_dir is None:
-        package_dir = _default_package_dir()
-    fingerprints = subsystem_fingerprints(package_dir)
-    cache_key = (str(package_dir), tuple(sorted(set(subsystems))))
-    cached = _COMPOSITE_CACHE.get(cache_key)
-    if cached is not None and cached[0] is fingerprints:
-        return cached[1]
-    payload = json.dumps(
-        {name: fingerprints.get(name, "") for name in cache_key[1]},
-        sort_keys=True, separators=(",", ":"))
-    composite = hashlib.sha256(payload.encode()).hexdigest()
-    _COMPOSITE_CACHE[cache_key] = (fingerprints, composite)
-    return composite
+    plain, proxied = hashlib.sha256(), hashlib.sha256()
+    for path in sorted(package_dir.rglob("*.py")):
+        relative = path.relative_to(package_dir).as_posix()
+        top = relative.split("/", 1)[0]
+        if top in UNKEYED:
+            continue
+        entry = b"%s\0%s\0" % (relative.encode(), path.read_bytes())
+        proxied.update(entry)
+        if top != "proxy":
+            plain.update(entry)
+    cached = _FINGERPRINTS[str(package_dir)] = (plain.hexdigest(),
+                                                proxied.hexdigest())
+    return cached
 
 
 def fingerprint_for(request: RunRequest,
                     package_dir: Optional[Path] = None) -> str:
     """The code fingerprint entering ``request``'s run key."""
-    return composite_fingerprint(request_subsystems(request), package_dir)
-
-
-def achievable_fingerprints(package_dir: Optional[Path] = None) -> Set[str]:
-    """Every composite the current code can emit (fresh-row detection).
-
-    ``repro store stats`` counts a row as *fresh* when its stored
-    fingerprint is one of these; anything else came from older code.
-    """
-    return {
-        composite_fingerprint(_BASE_SUBSYSTEMS, package_dir),
-        composite_fingerprint(_BASE_SUBSYSTEMS + ("proxy",), package_dir),
-    }
+    return code_fingerprints(package_dir)[bool(request.proxied)]
 
 
 # ----------------------------------------------------------------------
@@ -552,7 +465,7 @@ def row_check(key: str, record: Mapping[str, Any]) -> str:
 def run_key(request: RunRequest, *, fingerprint: Optional[str] = None) -> str:
     """The content address of one run: sha256 of request + code.
 
-    ``fingerprint`` defaults to the per-subsystem composite for this
+    ``fingerprint`` defaults to the current code's fingerprint for this
     request (:func:`fingerprint_for`); tests (and cross-machine stores
     that pin a release) may pass their own.
     """

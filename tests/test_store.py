@@ -49,20 +49,17 @@ from repro.store import (
     SqliteStore,
     StoreBackend,
     StoreNotFoundError,
-    achievable_fingerprints,
     canonical,
     canonical_json,
-    composite_fingerprint,
+    code_fingerprints,
     fingerprint_for,
     merge_into,
     open_store,
     record_from_dict,
     record_to_dict,
     request_from_dict,
-    request_subsystems,
     request_to_dict,
     run_key,
-    subsystem_fingerprints,
 )
 from repro.store import keys as store_keys
 from repro.store.backend import _kind_at
@@ -387,31 +384,30 @@ class TestRunKeyMemo:
         assert fingerprint_for(req(), pkg) != default
         assert fingerprint_for(req(), pkg) != fingerprint_for(req(), edited)
         assert fingerprint_for(req()) == default
-        # Dropping a directory's subsystem fingerprints drops the
-        # composites derived from them too.
+        # Dropping a directory's cached fingerprints re-hashes it.
         (pkg / "netem" / "mod.py").write_text("rate = 3\n")
         stale = fingerprint_for(req(), pkg)
-        store_keys._SUBSYSTEM_CACHE.pop(str(pkg))
+        store_keys._FINGERPRINTS.pop(str(pkg))
         assert fingerprint_for(req(), pkg) != stale
 
 
 # ----------------------------------------------------------------------
-# per-subsystem fingerprints
+# code fingerprints
 # ----------------------------------------------------------------------
 def _fake_package(root: Path) -> Path:
-    """A miniature repro tree exercising every subsystem bucket."""
+    """A miniature repro tree: keyed packages, the unkeyed layers, and a
+    package no earlier tree had (``manyflow``)."""
     pkg = root / "pkg"
     for sub in ("core", "netem", "transport", "quic", "tcp", "http",
-                "proxy", "video"):
+                "proxy", "video", "fabric", "manyflow"):
         (pkg / sub).mkdir(parents=True)
         (pkg / sub / "mod.py").write_text(f"name = {sub!r}\n")
     (pkg / "devices.py").write_text("profiles = {}\n")
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text("entry = None\n")
+    (pkg / "faults.py").write_text("plan = None\n")
     (pkg / "store").mkdir()
     (pkg / "store" / "keys.py").write_text("schema = 1\n")
-    # The claimed-file case: core/models.py lives under core/ but is
-    # listed in the transport partition (it encodes kernel behaviour).
     (pkg / "core" / "models.py").write_text("oracle = 1\n")
     (pkg / "transport" / "cc").mkdir()
     (pkg / "transport" / "cc" / "kernels.py").write_text("step = 1\n")
@@ -431,12 +427,6 @@ def _edited_copy(pkg: Path, relative: str, text: str) -> Path:
 
 
 class TestSubsystemFingerprints:
-    def test_request_subsystems(self):
-        assert request_subsystems(req()) == ("core", "http", "netem",
-                                             "transport")
-        assert "proxy" in request_subsystems(req(proxied=True))
-        assert "video" not in request_subsystems(req(proxied=True))
-
     def test_video_edit_leaves_plt_keys_unchanged(self, tmp_path):
         # The acceptance criterion: a comment-only touch under video/
         # must not invalidate a cached QUIC-vs-TCP PLT sweep.
@@ -464,6 +454,9 @@ class TestSubsystemFingerprints:
     @pytest.mark.parametrize("relative", [
         "transport/mod.py", "quic/mod.py", "tcp/mod.py", "http/mod.py",
         "core/mod.py", "devices.py",
+        # No table lists manyflow/: a module is keyed unless UNKEYED
+        # names it, so a new package cannot serve stale hits.
+        "manyflow/mod.py",
     ])
     def test_exercised_subsystem_edits_change_keys(self, tmp_path, relative):
         pkg = _fake_package(tmp_path)
@@ -472,10 +465,11 @@ class TestSubsystemFingerprints:
                 != fingerprint_for(req(), edited))
 
     @pytest.mark.parametrize("relative", [
-        "store/keys.py", "cli.py", "proxy/mod.py",
+        "store/keys.py", "cli.py", "proxy/mod.py", "fabric/mod.py",
+        "faults.py",
     ])
     def test_unexercised_edits_leave_keys_alone(self, tmp_path, relative):
-        # store/ and cli.py are outside every fingerprint; proxy/ only
+        # The UNKEYED layers are outside every fingerprint; proxy/ only
         # enters the key of proxied runs.
         pkg = _fake_package(tmp_path)
         edited = _edited_copy(pkg, relative, "changed = True\n")
@@ -489,29 +483,23 @@ class TestSubsystemFingerprints:
         assert (fingerprint_for(proxied, pkg)
                 != fingerprint_for(proxied, edited))
 
-    def test_achievable_fingerprints_cover_requests(self, tmp_path):
+    def test_code_fingerprints_cover_requests(self, tmp_path):
         pkg = _fake_package(tmp_path)
-        achievable = achievable_fingerprints(pkg)
-        assert fingerprint_for(req(), pkg) in achievable
-        assert fingerprint_for(req(proxied=True), pkg) in achievable
+        plain, proxied = code_fingerprints(pkg)
+        assert fingerprint_for(req(), pkg) == plain
+        assert fingerprint_for(req(proxied=True), pkg) == proxied
+        assert plain != proxied
 
-    def test_composite_is_order_insensitive(self, tmp_path):
-        pkg = _fake_package(tmp_path)
-        assert (composite_fingerprint(("netem", "core"), pkg)
-                == composite_fingerprint(("core", "netem"), pkg))
-
-    def test_subsystem_map_covers_real_package(self):
-        fingerprints = subsystem_fingerprints()
-        assert set(fingerprints) == {"core", "netem", "transport", "http",
-                                     "proxy", "video"}
-        # A real tree backs every bucket, so no digest is the empty hash.
+    def test_unkeyed_entries_exist_in_real_package(self):
+        # A typo in UNKEYED would silently key a layer it meant to skip.
+        package = SRC_DIR / "repro"
+        assert all((package / entry).exists()
+                   for entry in store_keys.UNKEYED)
         empty = __import__("hashlib").sha256().hexdigest()
-        assert all(fp != empty for fp in fingerprints.values())
+        assert empty not in code_fingerprints()
 
     @pytest.mark.parametrize("relative", [
-        # The oracle layer is claimed away from core/ by an explicit
-        # file entry; the kernels live under transport/ proper.  Either
-        # edit must invalidate exactly the transport partition.
+        # The analytical CC oracle layer and the kernels themselves.
         "core/models.py",
         "transport/cc/kernels.py",
     ])
@@ -519,25 +507,19 @@ class TestSubsystemFingerprints:
                                                     relative):
         pkg = _fake_package(tmp_path)
         edited = _edited_copy(pkg, relative, "changed = True\n")
-        before = subsystem_fingerprints(pkg)
-        after = subsystem_fingerprints(edited)
-        assert before["transport"] != after["transport"]
-        unchanged = set(before) - {"transport"}
-        assert {name: before[name] for name in unchanged} == \
-            {name: after[name] for name in unchanged}
-        # transport is in every run's base set, so the keys move too.
         assert fingerprint_for(req(), pkg) != fingerprint_for(req(), edited)
 
-    def test_profile_partition_matches_claimed_files(self):
-        # The perf-report attribution must agree with the fingerprint
-        # partition, including the claimed-file precedence.
-        from repro.core.bench import _subsystem_of
+    def test_profile_attributes_frames_by_top_level_package(self):
+        from repro.core.bench import _package_of
 
-        assert _subsystem_of("/x/src/repro/core/models.py") == "transport"
-        assert _subsystem_of(
+        assert _package_of("/x/src/repro/core/models.py") == "core"
+        assert _package_of(
             "/x/src/repro/transport/cc/kernels.py") == "transport"
-        assert _subsystem_of("/x/src/repro/core/executor.py") == "core"
-        assert _subsystem_of("/usr/lib/python3/heapq.py") == "(stdlib/other)"
+        assert _package_of("/x/src/repro/store/shards.py") == "store"
+        assert _package_of("/x/src/repro/fabric/server.py") == "fabric"
+        assert _package_of("/x/src/repro/cli.py") == "cli.py"
+        assert _package_of("/x/repro/src/repro/faults.py") == "faults.py"
+        assert _package_of("/usr/lib/python3/heapq.py") == "(stdlib/other)"
 
 
 # ----------------------------------------------------------------------
@@ -1052,6 +1034,52 @@ class TestReadOnlyCommandsLeaveNonStoresAlone:
         assert export.read_bytes() == before
         # ...while sync still reads it as the export it is
         assert merge_into(SqliteStore(":memory:"), export) == (1, 0)
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--rate", "10", "--size-kb", "10", "--runs", "1",
+         "--cache", "EXPORT"],
+        ["store", "--store", "EXPORT", "import", "EXPORT"],
+    ], ids=lambda command: command[0])
+    def test_a_write_to_a_non_sqlite_file_is_one_error_line(
+            self, tmp_path, command):
+        from repro.cli import main
+
+        source = SqliteStore(":memory:")
+        source.put("ab", RunRecord(request=req(), plt=1.0, complete=True))
+        export = tmp_path / "export.jsonl"
+        source.export_jsonl(export)
+        before = export.read_bytes()
+        argv = [str(export) if part == "EXPORT" else part
+                for part in command]
+        with pytest.raises(SystemExit,
+                           match=r"^error: .* is not a results store$"):
+            main(argv)
+        assert export.read_bytes() == before
+        assert os.listdir(tmp_path) == ["export.jsonl"]
+        # ...and sync still reads it as the export it is
+        assert main(["store", "--store", str(tmp_path / "dst"), "sync",
+                     str(export)]) == 0
+
+
+class TestStatsFreshness:
+    def test_rows_of_either_current_fingerprint_are_reusable(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        plain, proxied = code_fingerprints()
+        with ShardStore(tmp_path / "s") as store:
+            for key, request, fingerprint in (
+                    ("a" * 64, req(), plain),
+                    ("b" * 64, req(proxied=True), proxied),
+                    ("c" * 64, req(seed=1), "0" * 64)):
+                store.put(key, RunRecord(request=request, plt=1.0),
+                          fingerprint=fingerprint)
+        assert main(["store", "--store", str(tmp_path / "s"), "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "runs:    3 stored (2 reusable by the current code)" in out
+        assert ("stale:   1 run(s) from 1 older code fingerprint(s)"
+                in out)
+        assert f"code:    plain={plain[:8]}, proxied={proxied[:8]}" in out
 
 
 # ----------------------------------------------------------------------
