@@ -25,9 +25,10 @@ then the next), and each gets its own table in the same form.
 
 This script calls the harness; it does not edit it, and it writes no
 tracked file.  Exit codes: 0 = every run printed ``"correct": true`` with
-no failed operation; 1 = some run did not (the table is still printed);
-2 = a run produced no result line at all (that workload has no table;
-the others still run) — the worst over the workloads.
+no failed operation, and both sides of every pair the same
+``outcome_digest``; 1 = some run or pair did not (the table is still
+printed); 2 = a run produced no result line at all (that workload has no
+table; the others still run) — the worst over the workloads.
 """
 
 import argparse
@@ -133,12 +134,18 @@ def render(workload: str, results: List[Dict[str, Dict[str, Any]]]) -> str:
 
 
 def failures(results: List[Dict[str, Dict[str, Any]]]) -> List[str]:
-    """One line per run that was not correct or had failed operations."""
-    return [f"pair {index + 1} {side}: correct={result['correct']!r} "
-            f"failed={result['failed']!r}"
-            for index, pair in enumerate(results)
-            for side, result in pair.items()
-            if result["correct"] is not True or result["failed"]]
+    """One line per run that was not correct or had failed operations,
+    and one per pair whose sides printed different outcome digests."""
+    bad = []
+    for index, pair in enumerate(results):
+        bad += [f"pair {index + 1} {side}: correct={result['correct']!r} "
+                f"failed={result['failed']!r}"
+                for side, result in pair.items()
+                if result["correct"] is not True or result["failed"]]
+        parent, change = pair["parent"]["digest"], pair["change"]["digest"]
+        if parent != change:
+            bad.append(f"pair {index + 1}: digest {parent} vs {change}")
+    return bad
 
 
 def export_rev(rev: str, dest: Path) -> None:

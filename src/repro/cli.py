@@ -363,12 +363,16 @@ def cmd_store(args: argparse.Namespace) -> int:
         elif args.store_command == "stats":
             counters = store.counters()
             current = code_fingerprints()
+            reusable = set(current)
+            if args.fingerprint:
+                reusable.add(args.fingerprint)
             by_fingerprint = store.fingerprints()
             fresh = sum(n for f, n in by_fingerprint.items()
-                        if f in current)
+                        if f in reusable)
             print(f"store:   {store.path} [{store.kind}]")
+            pinned = f" or {args.fingerprint}" if args.fingerprint else ""
             print(f"runs:    {len(store)} stored "
-                  f"({fresh} reusable by the current code)")
+                  f"({fresh} reusable by the current code{pinned})")
             hits = counters.get("hits", 0)
             misses = counters.get("misses", 0)
             total = hits + misses
@@ -377,11 +381,12 @@ def cmd_store(args: argparse.Namespace) -> int:
                   f"({rate:.0f}% lifetime hit rate)")
             print(f"writes:  {counters.get('writes', 0)}")
             stale = {f: n for f, n in by_fingerprint.items()
-                     if f not in current}
+                     if f not in reusable}
             if stale:
                 print(f"stale:   {sum(stale.values())} run(s) from "
                       f"{len(stale)} older code fingerprint(s) "
-                      f"(reclaim with 'repro store gc')")
+                      f"(unreachable by the current code; for a pinned "
+                      f"release pass --fingerprint FP)")
             shard_stats = getattr(store, "stats", None)
             if callable(shard_stats):
                 info = shard_stats()
@@ -702,7 +707,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="drop runs recorded more than DAYS days ago")
     sp.add_argument("--dry-run", action="store_true",
                     help="only report what would be dropped")
-    store_sub.add_parser("stats", help="row counts and hit/miss counters")
+    sp = store_sub.add_parser("stats",
+                              help="row counts and hit/miss counters")
+    sp.add_argument("--fingerprint", default=None, metavar="FP",
+                    help="also count rows keyed with FP (a release pinned "
+                         "through RunCache(fingerprint=...)) as reusable")
     sp = store_sub.add_parser(
         "fsck", help="verify row checksums and re-derive run keys "
                      "(exit 1 when anything is wrong)")

@@ -28,7 +28,8 @@ persist :class:`~repro.core.executor.RunRecord` rows
 :func:`record_to_dict` / :func:`record_from_dict`) and the row JSON
 every store line and checksum is written in (:func:`row_json`): each
 shared request part is serialised once per process, whichever of the
-three forms — run key, row line, checksum payload — asks for it.
+three forms — run key, row line, checksum payload — asks for it, and
+each sweep cell's key text is hashed once up to its seed.
 """
 
 from __future__ import annotations
@@ -144,10 +145,12 @@ def _encode_mapping(mapping: Mapping[Any, Any]) -> str:
                            for key in sorted(items)]) + "}"
 
 
-def _dataclass_encoder(cls: type, names: Tuple[str, ...]
-                       ) -> Callable[[Any], str]:
-    """An encoder emitting ``cls`` instances with pre-sorted, pre-quoted
-    keys (the ``__type__`` tag is a constant of the class)."""
+def _dataclass_layout(cls: type, names: Tuple[str, ...]
+                      ) -> Tuple[List[Tuple[str, str]], str]:
+    """``cls``'s canonical text as ``(prefix, field)`` pairs in sorted-key
+    order plus a constant tail: an instance's text is each prefix
+    followed by its field's encoding, then the tail (pre-sorted,
+    pre-quoted keys; the ``__type__`` tag is a constant of the class)."""
     parts: List[Tuple[str, str]] = []
     pending = "{"
     for position, key in enumerate(sorted({*names, "__type__"})):
@@ -157,7 +160,13 @@ def _dataclass_encoder(cls: type, names: Tuple[str, ...]
         else:
             parts.append((pending + _quote(key) + ":", key))
             pending = ""
-    tail = pending + "}"
+    return parts, pending + "}"
+
+
+def _dataclass_encoder(cls: type, names: Tuple[str, ...]
+                       ) -> Callable[[Any], str]:
+    """An encoder emitting ``cls`` instances (:func:`_dataclass_layout`)."""
+    parts, tail = _dataclass_layout(cls, names)
 
     def encode(obj: Any) -> str:
         return "".join([prefix + _encode(getattr(obj, name))
@@ -207,6 +216,25 @@ _PARTS_BOUND = 256
 #: ``id(entry.data) -> entry``: how a row writer recognises a part dict
 #: it may splice (held and dropped together with :data:`_PARTS`).
 _PART_OF_DATA: Dict[int, _Part] = {}
+#: ``(fingerprint, field texts) -> _Cell``: the run-key state of each
+#: sweep cell (:func:`run_key`), held and dropped together with
+#: :data:`_PARTS`.
+_CELLS: Dict[Tuple[str, Tuple[str, ...]], "_Cell"] = {}
+#: ``(fingerprint, ids of the fields) -> (the fields, their cell)``: a
+#: cell found again by the identity of every non-seed field of a request
+#: whose fields are all immutable.  The entry holds the fields, so none
+#: of those ids can be recycled while it lives.
+_CELL_OF_IDS: Dict[Tuple[str, Tuple[int, ...]],
+                   Tuple[Tuple[Any, ...], "_Cell"]] = {}
+
+
+def _clear_memos() -> None:
+    """Drop every part and cell memo (a full one is simply dropped, and
+    its parts re-walked)."""
+    _PARTS.clear()
+    _PART_OF_DATA.clear()
+    _CELLS.clear()
+    _CELL_OF_IDS.clear()
 
 
 def _immutable(obj: Any) -> bool:
@@ -231,8 +259,7 @@ def _shared_part(obj: Any) -> Optional[_Part]:
     if obj.__class__ not in _MEMOISED_CLASSES or not _immutable(obj):
         return None
     if len(_PARTS) >= _PARTS_BOUND:
-        _PARTS.clear()
-        _PART_OF_DATA.clear()
+        _clear_memos()
     part = _PARTS[id(obj)] = _Part(obj)
     return part
 
@@ -462,20 +489,106 @@ def row_check(key: str, record: Mapping[str, Any]) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+#: A :class:`RunRequest`'s canonical layout (:func:`_dataclass_layout`):
+#: its key prefixes in order, where the seed's sits, and a getter of
+#: every field but the seed.
+_REQUEST_PARTS, _REQUEST_TAIL = _dataclass_layout(
+    RunRequest, _field_names(RunRequest))
+_REQUEST_PREFIXES = [prefix for prefix, _name in _REQUEST_PARTS]
+_SEED_AT = [name for _prefix, name in _REQUEST_PARTS].index("seed")
+_cell_values = operator.attrgetter(
+    *[name for _prefix, name in _REQUEST_PARTS if name != "seed"])
+#: The run-key envelope: canonical_json({"code": .., "request": ..,
+#: "schema": ..}), its three sorted keys spelled out.
+_KEY_HEAD = '{"code":%s,"request":'
+_KEY_TAIL = ',"schema":%d}' % KEY_SCHEMA_VERSION
+
+
+class _Cell:
+    """The run key of every seed of one sweep cell, short of the seed:
+    ``state`` has hashed the key text up to and including ``"seed":``,
+    ``suffix`` is the text after the seed."""
+
+    __slots__ = ("state", "suffix")
+
+    def __init__(self, fingerprint: str, texts: Tuple[str, ...]) -> None:
+        head = "".join(map(operator.add, _REQUEST_PREFIXES[:_SEED_AT],
+                           texts[:_SEED_AT]))
+        tail = "".join(map(operator.add, _REQUEST_PREFIXES[_SEED_AT + 1:],
+                           texts[_SEED_AT:]))
+        self.state = hashlib.sha256(
+            (_KEY_HEAD % _quote(fingerprint) + head
+             + _REQUEST_PREFIXES[_SEED_AT]).encode())
+        self.suffix = (tail + _REQUEST_TAIL + _KEY_TAIL).encode()
+
+
+def _cell_of(fingerprint: str, values: Tuple[Any, ...]
+             ) -> Tuple[_Cell, bool]:
+    """The cell of a request with the non-seed fields ``values``, made on
+    first sight, and whether every one of those is immutable.
+
+    A cell is memoised under the fingerprint and the encoded text of
+    every field — text, not value, since ``==`` cannot tell ``0.0`` from
+    ``-0.0`` or ``True`` from ``1``.  A memoised part's text is its
+    fragment, found by id: an id in :data:`_PARTS` is that entry's
+    object, which the entry keeps alive.
+    """
+    texts = []
+    immutable = True
+    for value in values:
+        part = _PARTS.get(id(value))
+        if part is None or part.fragment is None:
+            texts.append(_encode(value))
+            immutable = immutable and (value.__class__ in _SCALAR_ENCODERS
+                                       or id(value) in _PARTS)
+        else:
+            texts.append(part.fragment)
+    key = (fingerprint, tuple(texts))
+    cell = _CELLS.get(key)
+    if cell is None:
+        if len(_CELLS) >= _PARTS_BOUND:
+            _clear_memos()
+        cell = _CELLS[key] = _Cell(fingerprint, key[1])
+    return cell, immutable
+
+
 def run_key(request: RunRequest, *, fingerprint: Optional[str] = None) -> str:
     """The content address of one run: sha256 of request + code.
 
     ``fingerprint`` defaults to the current code's fingerprint for this
     request (:func:`fingerprint_for`); tests (and cross-machine stores
     that pin a release) may pass their own.
+
+    Every seed of a sweep cell shares the key text around its seed, so
+    an exact :class:`RunRequest` with an exact ``int`` seed hashes only
+    the seed and the text after it, from its cell's memoised state
+    (:func:`_cell_of`); anything else is walked whole.  The bytes hashed
+    are the same either way.  The seeds of a sweep cell carry the very
+    same field objects, so a request whose fields are all immutable
+    finds its cell again by their ids (:data:`_CELL_OF_IDS`).
     """
     if fingerprint is None:
         fingerprint = fingerprint_for(request)
-    # canonical_json({"code": .., "request": .., "schema": ..}), with the
-    # envelope's three sorted keys spelled out.
-    payload = (f'{{"code":{_encode(fingerprint)},"request":{_encode(request)}'
-               f',"schema":{KEY_SCHEMA_VERSION}}}')
-    return hashlib.sha256(payload.encode()).hexdigest()
+    if (request.__class__ is not RunRequest
+            or request.seed.__class__ is not int
+            or fingerprint.__class__ is not str):
+        payload = (_KEY_HEAD % _encode(fingerprint) + _encode(request)
+                   + _KEY_TAIL)
+        return hashlib.sha256(payload.encode()).hexdigest()
+    values = _cell_values(request)
+    ids = (fingerprint, tuple(map(id, values)))
+    held = _CELL_OF_IDS.get(ids)
+    if held is None:
+        cell, immutable = _cell_of(fingerprint, values)
+        if immutable:
+            if len(_CELL_OF_IDS) >= _PARTS_BOUND:
+                _clear_memos()
+            _CELL_OF_IDS[ids] = (values, cell)
+    else:
+        cell = held[1]
+    state = cell.state.copy()
+    state.update(b"%d" % request.seed + cell.suffix)
+    return state.hexdigest()
 
 
 # ----------------------------------------------------------------------

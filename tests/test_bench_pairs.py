@@ -25,7 +25,8 @@ if args["--workload"] != os.environ.get("PAIRS_BAD_WORKLOAD", args["--workload"]
 if mode == "silent" and side == "change":
     sys.exit(3)
 print("host: chatter before the result line")
-print("%s: 480 cells x 1 repetition(s), digest %016x" % (args["--workload"], int(args["--seed"])))
+digest = int(args["--seed"]) + (mode == "digest" and side == "change")
+print("%s: 480 cells x 1 repetition(s), digest %016x" % (args["--workload"], digest))
 print(json.dumps({
     "correct": not (mode == "incorrect" and side == "change"),
     "attempted": 480, "failed": 2 if mode == "failed" and side == "parent" else 0,
@@ -135,3 +136,18 @@ def test_exit_code_is_the_worst_workloads(pairs, capsys, monkeypatch, mode,
     else:
         assert "`store_fill`" not in captured.out
         assert "--workload store_fill" in captured.err
+
+
+def test_a_digest_mismatch_fails_its_pair(pairs, capsys, monkeypatch):
+    monkeypatch.setenv("PAIRS_MODE", "digest")
+    monkeypatch.setenv("PAIRS_BAD_WORKLOAD", "store_replay")
+    code, _calls = pairs("-n", "2", "--seeds", "5",
+                         workload="store_replay,grid_serial")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "outcome_digest equal in 0/2 pairs" in captured.out
+    assert captured.err.splitlines() == [
+        "FAILED pair 1: digest 0000000000000005 vs 0000000000000006 "
+        "(store_replay)",
+        "FAILED pair 2: digest 0000000000000005 vs 0000000000000006 "
+        "(store_replay)"]

@@ -8,6 +8,7 @@ backend-facing test runs against both store backends (sqlite and
 sharded JSONL) through the ``make_store`` fixture.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -31,6 +32,7 @@ from repro.core.experiment import (
     ExperimentSpec,
     ScenarioSpec,
     WorkloadSpec,
+    experiment_requests,
     run_experiment,
 )
 from repro.core.manyflow import (
@@ -389,6 +391,130 @@ class TestRunKeyMemo:
         stale = fingerprint_for(req(), pkg)
         store_keys._FINGERPRINTS.pop(str(pkg))
         assert fingerprint_for(req(), pkg) != stale
+
+
+def _walked_key(request, fingerprint):
+    """The run key spelled the slow way: sha256 of the two-pass canonical
+    JSON of the whole envelope, no memo involved."""
+    envelope = {"code": fingerprint, "request": request,
+                "schema": store_keys.KEY_SCHEMA_VERSION}
+    return hashlib.sha256(_reference_json(envelope).encode()).hexdigest()
+
+
+def _has_cell(request, fingerprint):
+    """Whether ``request`` finds a memoised cell by its fields' ids."""
+    ids = tuple(map(id, store_keys._cell_values(request)))
+    return (fingerprint, ids) in store_keys._CELL_OF_IDS
+
+
+class TestCellMemo:
+    """A key from a cell's memoised sha256 state is the whole walk's."""
+
+    def _assert_walked(self, request, fingerprint="pinned"):
+        for _ in range(2):  # the cell's first key, then a memo hit
+            assert run_key(request, fingerprint=fingerprint) == _walked_key(
+                request, fingerprint)
+
+    def test_every_sweep_request_and_variant(self):
+        spec = ExperimentSpec(
+            name="cells",
+            scenarios=[ScenarioSpec(rate_mbps=10.0),
+                       ScenarioSpec(rate_mbps=50, loss_pct=1.0),
+                       ScenarioSpec(rate_mbps=5.0, delay_ms=50.0,
+                                    jitter_ms=10.0)],
+            workloads=[WorkloadSpec(1, 5), WorkloadSpec(10, 10)],
+            runs=3, device="nexus6", quic_version=34)
+        requests = [request for _cell, cell in experiment_requests(
+            spec, seed_base=40) for request in cell]
+        for cc in ("reno", "bbr"):
+            requests += manyflow_requests(
+                ManyflowConfig(flows=20, duration=30.0, cc=cc, aqm="codel"),
+                manyflow_scenario(), seeds=range(3))
+        assert len(requests) == 42
+        for request in requests:
+            for variant in (request, request.with_(proxied=True),
+                            request.with_(trace=True),
+                            request.with_(cwnd_interval=0.05)):
+                self._assert_walked(variant)
+                assert _has_cell(variant, "pinned")
+                assert run_key(variant) == _walked_key(
+                    variant, fingerprint_for(variant))
+
+    @pytest.mark.parametrize("field", ["cwnd_interval", "timeout"])
+    def test_minus_zero_is_not_zero(self, field):
+        # -0.0 == 0.0 and they hash alike: a memo keyed on values would
+        # hand the second request the first one's cell.
+        zero = req(seed=4, **{field: 0.0})
+        minus_zero = req(seed=4, **{field: -0.0})
+        self._assert_walked(zero)
+        self._assert_walked(minus_zero)
+        assert (run_key(zero, fingerprint="pinned")
+                != run_key(minus_zero, fingerprint="pinned"))
+
+    def test_int_is_not_float_and_bool_seed_is_not_int(self):
+        as_int, as_float = req(timeout=60), req(timeout=60.0)
+        self._assert_walked(as_int)
+        self._assert_walked(as_float)
+        assert (run_key(as_int, fingerprint="pinned")
+                != run_key(as_float, fingerprint="pinned"))
+        as_bool, as_one = req(seed=True), req(seed=1)
+        self._assert_walked(as_one)
+        self._assert_walked(as_bool)
+        assert (run_key(as_bool, fingerprint="pinned")
+                != run_key(as_one, fingerprint="pinned"))
+
+    def test_a_subclass_is_walked_and_a_list_page_keys_by_its_text(self):
+        from dataclasses import dataclass
+
+        from repro.http.objects import WebObject, WebPage
+
+        @dataclass(frozen=True)
+        class Sub(RunRequest):
+            pass
+
+        sub = Sub(scenario=SCN, page=PAGE, protocol=ProtocolSpec.quic(),
+                  seed=2)
+        self._assert_walked(sub)
+        assert (run_key(sub, fingerprint="pinned")
+                != run_key(req(seed=2), fingerprint="pinned"))
+        # A page around a list is never memoised as a part; its cell is
+        # found by its current text, so an appended object moves the key.
+        objects = [WebObject(0, 1_000)]
+        leaky = req(seed=2, page=WebPage("leaky", objects))
+        self._assert_walked(leaky)
+        before = run_key(leaky, fingerprint="pinned")
+        objects.append(WebObject(1, 2_000))
+        self._assert_walked(leaky)
+        assert run_key(leaky, fingerprint="pinned") != before
+
+    def test_a_field_id_is_not_recycled_under_a_cell(self):
+        # Each timeout is freed with its request; a memo that did not
+        # hold it would find the next one, at the same address, by id.
+        quic = ProtocolSpec.quic()
+        for n in range(50):
+            request = req(seed=1, protocol=quic, timeout=float(f"{n}.5"))
+            self._assert_walked(request)
+            del request
+
+    def test_keys_after_the_memo_overflows(self):
+        bound = store_keys._PARTS_BOUND
+        # Equal fields in new objects: one cell, a new id entry each.
+        for n in range(bound + 10):
+            self._assert_walked(req(seed=n, timeout=float("900.0")))
+            assert len(store_keys._CELL_OF_IDS) <= bound
+        first = [req(seed=seed, page=page(2, 1_000)) for seed in range(3)]
+        keys = [run_key(request, fingerprint="pinned") for request in first]
+        for n in range(bound + 10):
+            request = req(seed=n, page=single_object_page(5_000 + n))
+            self._assert_walked(request)
+            assert len(store_keys._CELLS) <= bound
+            assert len(store_keys._PARTS) <= bound
+        # The cells went with the parts; the first requests key afresh.
+        assert not _has_cell(first[0], "pinned")
+        assert [run_key(request, fingerprint="pinned")
+                for request in first] == keys
+        for request in first:
+            self._assert_walked(request)
 
 
 # ----------------------------------------------------------------------
@@ -1080,6 +1206,28 @@ class TestStatsFreshness:
         assert ("stale:   1 run(s) from 1 older code fingerprint(s)"
                 in out)
         assert f"code:    plain={plain[:8]}, proxied={proxied[:8]}" in out
+
+    def test_rows_of_a_pinned_release_are_reusable_with_its_fingerprint(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "s"
+        cache = RunCache(path, fingerprint="release-1")
+        run_requests([req(seed=seed) for seed in range(16)], store=cache,
+                     run_fn=_instant)
+        cache.store.close()
+        assert main(["store", "--store", str(path), "stats",
+                     "--fingerprint", "release-1"]) == 0
+        out = capsys.readouterr().out
+        assert "runs:    16 stored (16 reusable" in out
+        assert "stale:" not in out
+        # Without it the release's rows are stale, and gc (which drops
+        # rows by age, fresh ones too) is not offered as the remedy.
+        assert main(["store", "--store", str(path), "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "runs:    16 stored (0 reusable" in out
+        assert "stale:   16 run(s) from 1 older code fingerprint(s)" in out
+        assert "store gc" not in out
 
 
 # ----------------------------------------------------------------------

@@ -437,9 +437,14 @@ def _shard_a(count):
     return tuple(found)
 
 
+#: How many shard-``a`` rows :func:`_put_a` can put: derived once, since
+#: every prefix of the list is the list a smaller count derives.
+_PUT_ROWS = 400
+
+
 def _put_a(store, index, created=None):
     """Put the ``index``-th shard-``a`` row; returns its key."""
-    key, seed = _shard_a(index + 1)[index]
+    key, seed = _shard_a(_PUT_ROWS)[index]
     store.put(key, _record(seed), fingerprint="fp", created=created)
     return key
 
