@@ -27,9 +27,10 @@ persist :class:`~repro.core.executor.RunRecord` rows
 (:func:`request_to_dict` / :func:`request_from_dict`,
 :func:`record_to_dict` / :func:`record_from_dict`) and the row JSON
 every store line and checksum is written in (:func:`row_json`): each
-shared request part is serialised once per process, whichever of the
-three forms — run key, row line, checksum payload — asks for it, and
-each sweep cell's key text is hashed once up to its seed.
+shared request part is serialised once per process for the run key and
+once for the rows, a row's line and checksum come from one encoding of
+its record, and each sweep cell's key text is hashed once up to its
+seed.
 """
 
 from __future__ import annotations
@@ -180,9 +181,10 @@ def _dataclass_encoder(cls: type, names: Tuple[str, ...]
 #: carried by every request of the cell.  Each such object gets one
 #: :class:`_Part` memo entry holding everything a row needs of it — its
 #: run-key fragment, its :func:`request_to_dict` dict and that dict's
-#: two JSON texts — so a sweep serialises each part once, not once per
-#: row per form.  An entry is made only for an object that reaches
-#: nothing but scalars, tuples and frozen dataclasses (the configs a
+#: neutral JSON text (:func:`row_json`) — so a sweep serialises each
+#: part once, not once per row.  An entry is made only for an object
+#: that reaches nothing but scalars, tuples and frozen dataclasses (the
+#: configs a
 #: :class:`ProtocolSpec` carries included), so what it holds can never
 #: go stale; an object reaching anything else (a frozen page built
 #: around a list) is never memoised.
@@ -195,16 +197,16 @@ class _Part:
 
     ``fragment`` is filled by the first run key that needs it; ``data``
     (shared by every row that carries the part: read-only) and its
-    ``spaced`` / ``compact`` texts by the first :func:`request_to_dict`.
+    neutral ``text`` by the first :func:`request_to_dict`.
     """
 
-    __slots__ = ("source", "fragment", "data", "spaced", "compact")
+    __slots__ = ("source", "fragment", "data", "text")
 
     def __init__(self, source: Any) -> None:
         self.source = source
         self.fragment: Optional[str] = None
         self.data: Any = None
-        self.spaced = self.compact = ""
+        self.text = ""
 
 
 #: ``id(source object) -> its entry``.  The entry's strong reference
@@ -387,94 +389,118 @@ def fingerprint_for(request: RunRequest,
 # ----------------------------------------------------------------------
 # row JSON
 # ----------------------------------------------------------------------
-#: The two forms a row is serialised in, one reusable encoder each: the
-#: row line (``json.dumps(..., sort_keys=True)``: shard ledgers, exports,
-#: the wire) and the checksum payload (the same with ``separators=(",",
-#: ":")``).  The line embeds the record *spaced*, so the compact dump
-#: cannot be a slice of the line's.
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
-_CHECK_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                                  check_circular=False)
+#: A row's record is encoded once, into a *neutral* text separated by
+#: control characters (``"\x00\x02"`` between items, ``"\x01\x03"``
+#: between a key and its value), and one ``bytes.translate`` each turns
+#: it into the row line (``json.dumps(..., sort_keys=True)``: shard
+#: ledgers, exports, the wire) and the checksum payload (the same with
+#: ``separators=(",", ":")``).  JSON escapes every U+0000–U+001F inside
+#: a string, so a raw control character can only be a separator.
+_ITEM, _KEY = "\x00\x02", "\x01\x03"
+_SPACED = bytes.maketrans(b"\x00\x01\x02\x03", b",:  ")
+_COMPACT = bytes.maketrans(b"\x00\x01", b",:")
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(_ITEM, _KEY),
+                                check_circular=False)
+#: A dict's keys in insertion order -> (its values in sorted-key order,
+#: its ``%`` template with the quoted keys baked in): a sweep's records
+#: come in a handful of shapes.
+_SHAPES: Dict[Tuple[str, ...], Tuple[Callable[[Any], Any], str]] = {}
 
 
-def _row_writer(encoder: json.JSONEncoder, text: Callable[[_Part], str]
-                ) -> Callable[[Any], str]:
-    """``encoder.encode`` of a dict, byte for byte, written in Python so
-    that a part dict registered in :data:`_PART_OF_DATA` is spliced in
-    as its memoised ``text``.  A dict or list holding anything but plain
+def _compile_shape(keys: Tuple[str, ...]) -> Tuple[Callable[[Any], Any], str]:
+    order = sorted(keys)
+    template = "{" + _ITEM.join([_quote(key).replace("%", "%%") + _KEY + "%s"
+                                 for key in order]) + "}"
+    if len(_SHAPES) >= _PARTS_BOUND:
+        _SHAPES.clear()
+    # One key's itemgetter returns the value itself, not a 1-tuple.
+    values = (operator.itemgetter(*order) if len(order) > 1
+              else lambda value: (value[order[0]],))
+    shape = _SHAPES[keys] = (values, template)
+    return shape
+
+
+def _write_dict(value: Dict[Any, Any]) -> str:
+    """``_ROW_ENCODER.encode`` of a dict, byte for byte, written in Python
+    so that a part dict registered in :data:`_PART_OF_DATA` is spliced in
+    as its memoised text.  A dict or list holding anything but plain
     JSON data (a ``str`` or ``int`` subclass, a non-string key) goes to
-    ``encoder`` whole, which also raises what the stdlib raises."""
-    item_sep, key_sep = encoder.item_separator, encoder.key_separator
-    #: A dict's keys in insertion order -> (its values in sorted-key
-    #: order, its ``%`` template with the quoted keys baked in): a
-    #: sweep's records come in a handful of shapes.
-    shapes: Dict[Tuple[str, ...], Tuple[Callable[[Any], Any], str]] = {}
-
-    def compile_shape(keys: Tuple[str, ...]
-                      ) -> Tuple[Callable[[Any], Any], str]:
-        order = sorted(keys)
-        template = "{" + item_sep.join([
-            _quote(key).replace("%", "%%") + key_sep + "%s"
-            for key in order]) + "}"
-        if len(shapes) >= _PARTS_BOUND:
-            shapes.clear()
-        # One key's itemgetter returns the value itself, not a 1-tuple.
-        values = (operator.itemgetter(*order) if len(order) > 1
-                  else lambda value: (value[order[0]],))
-        shape = shapes[keys] = (values, template)
-        return shape
-
-    def write_dict(value: Dict[Any, Any]) -> str:
-        part = _PART_OF_DATA.get(id(value))
-        if part is not None:
-            return text(part)
-        keys = tuple(value)
-        shape = shapes.get(keys)
-        if shape is None:
-            if not keys:
-                return "{}"
-            if not all(key.__class__ is str for key in keys):
-                return encoder.encode(value)
-            shape = compile_shape(keys)
-        values, template = shape
-        try:
-            return template % tuple([writers[item.__class__](item)
-                                     for item in values(value)])
-        except KeyError:  # a value of a type not in ``writers``
-            return encoder.encode(value)
-
-    def write_list(value: Iterable[Any]) -> str:
-        try:
-            return "[" + item_sep.join([writers[item.__class__](item)
-                                        for item in value]) + "]"
-        except KeyError:
-            return encoder.encode(value)
-
-    # Exact types only: the lookups above raise KeyError for the rest.
-    writers: Dict[type, Callable[[Any], str]] = {
-        **_SCALAR_ENCODERS, dict: write_dict, list: write_list,
-        tuple: write_list}
-    return write_dict
+    the encoder whole, which also raises what the stdlib raises."""
+    part = _PART_OF_DATA.get(id(value))
+    if part is not None:
+        return part.text
+    keys = tuple(value)
+    shape = _SHAPES.get(keys)
+    if shape is None:
+        if not keys:
+            return "{}"
+        if not all(key.__class__ is str for key in keys):
+            return _ROW_ENCODER.encode(value)
+        shape = _compile_shape(keys)
+    values, template = shape
+    try:
+        return template % tuple([_WRITERS[item.__class__](item)
+                                 for item in values(value)])
+    except KeyError:  # a value of a type not in ``_WRITERS``
+        return _ROW_ENCODER.encode(value)
 
 
-_WRITE_LINE = _row_writer(_LINE_ENCODER, operator.attrgetter("spaced"))
-_WRITE_CHECK = _row_writer(_CHECK_ENCODER, operator.attrgetter("compact"))
+def _write_list(value: Iterable[Any]) -> str:
+    try:
+        return "[" + _ITEM.join([_WRITERS[item.__class__](item)
+                                 for item in value]) + "]"
+    except KeyError:
+        return _ROW_ENCODER.encode(value)
 
 
-def row_json(row: Mapping[str, Any], *, compact: bool = False) -> str:
-    """``json.dumps(row, sort_keys=True)`` — with ``separators=(",",
-    ":")`` when ``compact`` — of a row mapping carrying a ``"record"``.
+# Exact types only: the lookups above raise KeyError for the rest.
+_WRITERS: Dict[type, Callable[[Any], str]] = {
+    **_SCALAR_ENCODERS, dict: _write_dict, list: _write_list,
+    tuple: _write_list}
+
+
+def _pair_json(key: str, record: Any) -> str:
+    """The neutral text of ``{"key": key, "record": record}`` — what the
+    row line and the checksum payload both hold.
 
     A record built by :func:`record_to_dict` in this process is written
     around its request parts' memoised texts; any other — a row decoded
     from a file or the wire — goes to the stdlib encoder whole.
     """
-    record = row.get("record")
+    pair = {"key": key, "record": record}
     request = record.get("request") if record.__class__ is dict else None
-    if request.__class__ is dict and any(
-            id(value) in _PART_OF_DATA for value in request.values()):
-        return (_WRITE_CHECK if compact else _WRITE_LINE)(row)
-    return (_CHECK_ENCODER if compact else _LINE_ENCODER).encode(row)
+    if request.__class__ is dict and not _PART_OF_DATA.keys().isdisjoint(
+            map(id, request.values())):
+        return _write_dict(pair)
+    return _ROW_ENCODER.encode(pair)
+
+
+def _check_of(pair: str) -> str:
+    payload = pair.encode().translate(_COMPACT, b"\x02\x03")
+    return hashlib.sha256(payload).hexdigest()[:16]
+
+
+def _write(value: Any) -> str:
+    return _WRITERS.get(value.__class__, _ROW_ENCODER.encode)(value)
+
+
+#: A row's neutral text ``%`` (created, fingerprint, its pair's text past
+#: the brace): ``"check"``, ``"created"``, ``"fingerprint"`` sort first.
+_ROW = _ITEM.join(['{"created"' + _KEY + "%s", '"fingerprint"' + _KEY + "%s",
+                   "%s"])
+_CHECKED_ROW = '{"check"' + _KEY + '"%s"' + _ITEM + _ROW[1:]
+
+
+def row_json(key: str, created: Any, fingerprint: Any, record: Any, *,
+             check: bool = False) -> str:
+    """``json.dumps(row, sort_keys=True)`` of the row ``{"key",
+    "created", "fingerprint", "record"}`` — plus its :func:`row_check`
+    under ``"check"`` when ``check`` — from one encoding of the record."""
+    pair = _pair_json(key, record)
+    fields = (_write(created), _write(fingerprint), pair[1:])
+    line = (_CHECKED_ROW % (_check_of(pair), *fields) if check
+            else _ROW % fields)
+    return line.encode().translate(_SPACED).decode()
 
 
 def row_check(key: str, record: Mapping[str, Any]) -> str:
@@ -485,8 +511,7 @@ def row_check(key: str, record: Mapping[str, Any]) -> str:
     cost nothing per line.  Written by every backend at append time and
     verified by ``repro store fsck`` (:mod:`repro.store.fsck`).
     """
-    payload = row_json({"key": key, "record": record}, compact=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _check_of(_pair_json(key, record))
 
 
 #: A :class:`RunRequest`'s canonical layout (:func:`_dataclass_layout`):
@@ -634,15 +659,14 @@ def _protocol_to_dict(protocol: ProtocolSpec) -> Dict[str, Any]:
 
 def _part_dict(obj: Any, build: Callable[[Any], Any]) -> Any:
     """``build(obj)``, once per shareable part: the dict is then shared
-    by every row that carries ``obj`` and registered, with its two JSON
-    texts, for :func:`row_json` to splice."""
+    by every row that carries ``obj`` and registered, with its neutral
+    JSON text, for :func:`row_json` to splice."""
     part = _shared_part(obj)
     if part is None:
         return build(obj)
     if part.data is None:
         data = part.data = build(obj)
-        part.spaced = _LINE_ENCODER.encode(data)
-        part.compact = _CHECK_ENCODER.encode(data)
+        part.text = _ROW_ENCODER.encode(data)
         _PART_OF_DATA[id(data)] = part
     return part.data
 

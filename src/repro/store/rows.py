@@ -27,7 +27,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from .keys import record_from_dict, row_check, row_json
+from .keys import record_from_dict, row_json
 
 #: ``(key, created, fingerprint, record-dict)``; ``created`` is None only
 #: on a row still travelling to the backend that will stamp it.
@@ -42,15 +42,12 @@ def encode_row(key: str, created: Optional[float], fingerprint: str,
                record: Dict[str, Any], *, check: bool = False) -> str:
     """One row as one JSON line; ``check`` adds the shard-ledger checksum.
 
-    ``json.dumps(row, sort_keys=True)``'s bytes, spliced from the
-    record's memoised request parts where it has them
+    ``json.dumps(row, sort_keys=True)``'s bytes, the line and its
+    checksum derived from one encoding of the record and spliced from
+    its memoised request parts where it has them
     (:func:`~repro.store.keys.row_json`).
     """
-    raw = {"key": key, "created": created, "fingerprint": fingerprint,
-           "record": record}
-    if check:
-        raw["check"] = row_check(key, record)
-    return row_json(raw) + "\n"
+    return row_json(key, created, fingerprint, record, check=check) + "\n"
 
 
 def why_invalid(key: Any, created: Any, fingerprint: Any, record: Any,

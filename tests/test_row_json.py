@@ -2,9 +2,10 @@
 
 Every seed of a sweep cell carries the same page, scenario, device and
 protocol objects, so ``repro.store.keys`` serialises each such part once
-— run-key fragment, ``request_to_dict`` dict, spaced and compact text —
-and ``encode_row`` / ``row_check`` write a row around those texts.  This
-suite holds the splice to what it replaced:
+— run-key fragment, ``request_to_dict`` dict, one neutral text — and
+``encode_row`` / ``row_check`` write a row around those texts, deriving
+the spaced line and the compact checksum payload from one encoding of
+the record.  This suite holds the splice to what it replaced:
 
 * **differential** — ``encode_row`` and ``row_check`` against the stdlib
   encoders, kept here as the oracle, over records with shared and
@@ -14,8 +15,8 @@ suite holds the splice to what it replaced:
   new object with its own memo entry: a change the ``==`` operator
   cannot see (``True`` -> ``1``, ``0.0`` -> ``-0.0``) must still move
   the key and the line;
-* **census** — N rows over one cell cost O(distinct parts) stdlib
-  encodes, not 2 N.
+* **census** — N rows over one cell cost one stdlib encode per distinct
+  part, not 2 N; N decoded rows cost N, not 2 N.
 """
 
 import hashlib
@@ -67,9 +68,18 @@ AWKWARD_FLOATS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
                   5e-324, 1e16, 1e-7, 1e22, 0.1, -2.5]
 floats = st.one_of(st.sampled_from(AWKWARD_FLOATS),
                    st.floats(allow_nan=True, allow_infinity=True))
+#: C0 controls beside the plain ones: a row is encoded once with
+#: ``"\x00\x02"`` / ``"\x01\x03"`` as its separators, so a string holding
+#: them (or the separators' spaced spellings) must still come out escaped.
+CONTROL_TEXTS = ["\x00", "\x01", "\x02", "\x03", "\x00\x02", "\x01\x03",
+                 "a\x01b\x00c", "\x1f\x02\x7f", '", "', '": "',
+                 "\x00\x02, \x01\x03: "]
 texts = st.one_of(st.text(max_size=12),
+                  st.text(alphabet=st.characters(max_codepoint=0x20),
+                          max_size=6),
                   st.sampled_from(["", "été", '"q"\\\n\t\x00',
-                                   "\U0001f600", "\ud800", "%s %%", "/"]))
+                                   "\U0001f600", "\ud800", "%s %%", "/",
+                                   *CONTROL_TEXTS]))
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), floats, texts,
                     st.sampled_from([True, 1, False, 0, 10 ** 30]))
 json_values = st.recursive(
@@ -138,8 +148,9 @@ def records(draw):
 
 class TestSpliceEqualsStdlib:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(record=records(), key=texts, fingerprint=texts,
-           created=st.one_of(st.none(), floats, st.integers()),
+    @given(record=records(), key=texts,
+           fingerprint=st.one_of(texts, texts.map(Text)),
+           created=st.one_of(st.none(), floats, st.integers(), json_values),
            check=st.booleans())
     def test_encode_row_and_row_check(self, record, key, fingerprint,
                                       created, check):
@@ -156,6 +167,27 @@ class TestSpliceEqualsStdlib:
         assert store_keys._PART_OF_DATA[id(shared["request"]["page"])]
         assert not any(id(value) in store_keys._PART_OF_DATA
                        for value in decoded["request"].values())
+
+    def test_separator_lookalikes_in_every_string(self):
+        """Strings holding the placeholder separators, and the spellings
+        they are replaced by, on the spliced and the decoded path."""
+        odd = 'a\x00b\x01c\x02d\x03", "e": "f\x00\x02, \x01\x03: '
+        request = RunRequest(
+            scenario=Scenario(odd, rate_mbps=10.0),
+            page=WebPage(odd, (WebObject(0, 1000),)),
+            protocol=ProtocolSpec("quic", quic_config(34)), seed=5,
+            device=DeviceProfile(odd, 0.0, 0.0, 0.0, 0.0))
+        shared = record_to_dict(RunRecord(
+            request=request, plt=1.0,
+            metrics={odd: odd, "\x01\x03": ["\x00\x02"]},
+            failure=RunFailure(odd, odd)))
+        decoded = json.loads(json.dumps(shared))
+        assert store_keys._PART_OF_DATA[id(shared["request"]["page"])]
+        for record in (shared, decoded):
+            for check in (False, True):
+                assert (encode_row(odd, 1.0, odd, record, check=check)
+                        == oracle_line(odd, 1.0, odd, record, check))
+            assert row_check(odd, record) == oracle_check(odd, record)
 
     def test_unserialisable_values_raise_what_the_stdlib_raises(self):
         record = record_to_dict(RunRecord(request=req(), plt=1.0,
@@ -289,8 +321,9 @@ class TestEncodeCensus:
         for index, record in enumerate(cell):
             store.put(f"{index:064x}", record, fingerprint="fp",
                       created=float(index))
-        # scenario, page, protocol, desktop: one spaced + one compact each.
-        assert len(count_encodes) == 2 * 4
+        # scenario, page, protocol, desktop: one encoding each, from
+        # which both the line and the checksum take their text.
+        assert len(count_encodes) == 4
         fresh = ShardStore(tmp_path / "s")
         for index, record in enumerate(cell):
             assert fresh.row(f"{index:064x}")[3] == json.loads(
@@ -302,4 +335,4 @@ class TestEncodeCensus:
         count_encodes.clear()
         for record in decoded:
             encode_row("k", 1.0, "fp", record, check=True)
-        assert count_encodes == ["dict", "dict"] * 10  # check, then line
+        assert count_encodes == ["dict"] * 10  # the line and its check

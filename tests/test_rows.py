@@ -14,12 +14,14 @@ single definition (``repro.store.rows``) from the outside:
   upload body) as literals captured on the commit *before* the codec
   was unified, and the shard line and checksum of a QUIC and a TCP
   request carrying an explicit config, captured before the configs
-  were frozen;
+  were frozen; a decoded upload row, a compacted shard and the digest
+  of a 1 008-row sweep, captured before the one-walk row encoder;
 * **one label derivation**, the frozen ``StoreBackend`` surface the
   benchmark harness subclasses, and rows written as the bytes they
   arrived with.
 """
 
+import hashlib
 import inspect
 import json
 import sys
@@ -32,7 +34,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.executor import ProtocolSpec, RunRecord
+from repro.core.executor import ProtocolSpec, RunFailure, RunRecord
+from repro.core.experiment import (
+    ExperimentSpec,
+    ScenarioSpec,
+    WorkloadSpec,
+    experiment_requests,
+)
 from repro.core.report import build_store_report
 from repro.fabric import RemoteStore, StoreServer
 from repro.faults import FaultyStore
@@ -48,6 +56,7 @@ from repro.store import (
     row_check,
     run_key,
 )
+from repro.store.rows import encode_row
 from repro.tcp.config import tcp_config
 
 from . import test_store as fixtures
@@ -294,6 +303,9 @@ GOLDEN_EXPORT_LINE = (
     ' 0.5}}\n'
 )
 
+GOLDEN_GRID_DIGEST = (
+    "0e80e0bc78e6594448d6442fe40a023c9cda80f3ee7f526af6ca2111e202f15b")
+
 
 def _golden_record():
     return RunRecord(request=req(seed=3), plt=1.25, complete=True,
@@ -318,17 +330,63 @@ class TestByteGoldens:
         assert shard.read_text() == GOLDEN_SHARD_LINE
 
     def test_put_many_and_upload_rows_write_the_same_line(self, tmp_path):
+        # A decoded record (as a file or the wire hands it back) carries
+        # no memoised parts, so it takes the other encoding path.
+        decoded = json.loads(json.dumps(record_to_dict(_golden_record())))
         for name, write in (
                 ("many", lambda s: s.put_many(
                     [(GOLDEN_KEY, _golden_record(), "pinned")],
                     created=1234.5)),
                 ("rows", lambda s: s.upload_rows(
                     [(GOLDEN_KEY, 1234.5, "pinned",
-                      record_to_dict(_golden_record()))]))):
+                      record_to_dict(_golden_record()))])),
+                ("decoded", lambda s: s.upload_rows(
+                    [(GOLDEN_KEY, 1234.5, "pinned", decoded)]))):
             store = ShardStore(tmp_path / name)
             assert write(store) == 1
             shard = store._data_path(store.shard_of(GOLDEN_KEY))
             assert shard.read_text() == GOLDEN_SHARD_LINE
+
+    def test_a_compacted_shard_is_the_golden_line(self, tmp_path):
+        store = ShardStore(tmp_path / "c", compact_ratio=0.0,
+                           compact_min_lines=1)
+        shard = store._data_path(store.shard_of(GOLDEN_KEY))
+        shard.write_text(GOLDEN_SHARD_LINE * 2)  # one live, one dead line
+        assert store.get(GOLDEN_KEY).plt == 1.25  # the read compacts
+        assert store.compactions == 1
+        assert shard.read_text() == GOLDEN_SHARD_LINE
+
+    def test_a_grid_of_rows_spells_the_golden_digest(self):
+        """Every line of a 1 008-run sweep, spliced from its cells' shared
+        parts, hashed whole (lines written before the one-walk encoder)."""
+        spec = ExperimentSpec(
+            name="golden", runs=42, quic_version=34, scenarios=[
+                ScenarioSpec(rate_mbps=10.0),
+                ScenarioSpec(rate_mbps=50.0, loss_pct=1.0),
+                ScenarioSpec(rate_mbps=None, delay_ms=50.0, jitter_ms=10.0)],
+            workloads=[WorkloadSpec(1, 10.0), WorkloadSpec(5, 100.0),
+                       WorkloadSpec(20, 2.5), WorkloadSpec(1, 1000.0)])
+        digest = hashlib.sha256()
+        index = 0
+        for _cell, requests in experiment_requests(spec):
+            for request in requests:
+                plt = request.seed / 7.0 + index * 1e-3
+                failed = request.seed % 13 == 0
+                record = RunRecord(
+                    request=request, plt=None if failed else plt,
+                    complete=not failed, wall_time=index / 64.0,
+                    attempts=1 + failed, metrics={
+                        "plt": plt, "objects": float(request.seed % 5),
+                        "note": "é\x00\"," if failed else ""},
+                    failure=RunFailure("timeout", f"seed {request.seed}")
+                    if failed else None)
+                key = run_key(request, fingerprint="pinned")
+                digest.update(encode_row(
+                    key, 1_700_000_000.0 + index * 0.25, "pinned",
+                    record_to_dict(record), check=True).encode())
+                index += 1
+        assert index == 1008
+        assert digest.hexdigest() == GOLDEN_GRID_DIGEST
 
     def test_a_golden_ledger_reads_back_and_verifies(self, tmp_path):
         store = ShardStore(tmp_path / "old")
