@@ -24,7 +24,9 @@ bench-report:
 
 # Fast end-to-end check: the shipped smoke spec on 2 workers, twice, into a
 # fresh store in a temp directory.  The pool workers reopen that store by
-# its path, so the rerun must be all hits.
+# its path, so the rerun must be all hits.  A third pass runs a copy of
+# src/ whose sweep engine (repro/sweep.py) has one more line: the engine
+# is outside the run key, so that pass must be all hits too.
 bench-smoke:
 	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -e; \
 	for pass in 1 2; do \
@@ -32,7 +34,13 @@ bench-smoke:
 			--jobs 2 --cache "$$dir/store" > "$$dir/out"; \
 		cat "$$dir/out"; \
 	done; \
-	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: the rerun was not all hits" >&2; exit 1; }
+	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: the rerun was not all hits" >&2; exit 1; }; \
+	cp -R src "$$dir/src"; \
+	echo "# an edit to the sweep engine" >> "$$dir/src/repro/sweep.py"; \
+	PYTHONPATH="$$dir/src" $(PYTHON) -m repro spec --file examples/specs/smoke.json \
+		--jobs 2 --cache "$$dir/store" > "$$dir/out"; \
+	cat "$$dir/out"; \
+	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: an edit to the sweep engine re-executed cached runs" >&2; exit 1; }
 
 # Perf-regression gate: re-measure every kind of scripts/bench_diff.py's
 # gate table (manyflow, models, chaos) into a temp directory and gate it

@@ -28,13 +28,13 @@ import platform
 from pathlib import Path
 
 from repro.core.bench import calibrate, write_payload
-from repro.core.executor import run_requests
 from repro.core.models import (
     DEFAULT_TOLERANCE,
     fit_records,
     oracle_requests,
     render_model_fit_table,
 )
+from repro.sweep import run_requests
 
 DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_models.json"
 

@@ -47,18 +47,14 @@ from pathlib import Path
 from typing import Any, Callable, Dict
 
 from repro.core.bench import write_payload, write_summary
-from repro.core.executor import (
-    ProtocolSpec,
-    RunRecord,
-    RunRequest,
-    usable_cpu_count,
-)
+from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import build_store_report
 from repro.fabric import StoreServer, iter_fabric_runs
 from repro.faults import FaultPlan, FaultSpec, FaultyStore
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import ShardStore, fsck
+from repro.sweep import usable_cpu_count
 
 RESULTS = Path(__file__).parent.parent / "benchmarks" / "results" / \
     "chaos_sweep.txt"

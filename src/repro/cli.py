@@ -449,15 +449,14 @@ def cmd_worker(args: argparse.Namespace) -> int:
         requests, args.url, workers=args.workers,
         sync_every=args.sync_every, workdir=args.workdir)
     print(f"done: {summary['hits']} already stored, "
-          f"{summary['completed']} executed, {summary['failed']} failed "
-          f"({summary['retries']} retries)")
+          f"{summary['completed']} executed, {summary['failed']} failed")
     return 0
 
 
 def cmd_manyflow(args: argparse.Namespace) -> int:
-    from .core.executor import run_requests
     from .core.manyflow import (ManyflowConfig, manyflow_requests,
                                 manyflow_scenario)
+    from .sweep import run_requests
     from .transport.cc import KERNEL_NAMES
 
     ccs = [cc.strip() for cc in args.cc.split(",") if cc.strip()]
@@ -520,7 +519,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         with found as store:
             fit = fit_records(iter_records(store))
     else:
-        from .core.executor import run_requests
+        from .sweep import run_requests
 
         requests = oracle_requests(seeds=tuple(range(args.runs)))
         cache = _cache(args)

@@ -17,16 +17,11 @@ from .aggregate import CellAccumulator, StreamAggregator
 from .comparison import Comparison
 from .diffing import ModelDiff, diff_models, version_stability_report
 from .executor import (
-    EVENT_WIRE_BOUND,
     ProtocolSpec,
-    RunEvent,
     RunFailure,
     RunRecord,
     RunRequest,
-    collect,
     execute_request,
-    iter_runs,
-    run_requests,
 )
 from .experiment import (
     SCHEMA_VERSION,
@@ -78,6 +73,13 @@ from .stats import (
     sample_std,
     sample_variance,
     welch_t_test,
+)
+from ..sweep import (
+    EVENT_WIRE_BOUND,
+    RunEvent,
+    collect,
+    iter_runs,
+    run_requests,
 )
 
 __all__ = [

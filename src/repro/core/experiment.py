@@ -36,8 +36,9 @@ from ..devices import DEVICE_PROFILES
 from ..http.objects import WebPage, page
 from ..netem.profiles import Scenario, emulated
 from ..quic.config import quic_config
+from ..sweep import collect
 from .comparison import Comparison
-from .executor import ProtocolSpec, RunRequest, collect
+from .executor import ProtocolSpec, RunRequest
 from .heatmap import Heatmap
 from .stats import mean, sample_std
 
@@ -248,7 +249,7 @@ def run_experiment(spec: ExperimentSpec, *, seed_base: int = 0,
     """Execute a spec: every (scenario x workload x protocol) cell.
 
     ``jobs`` fans every seeded run of the whole grid out over the
-    process-pool executor; because each run is a pure function of its
+    sweep engine's worker processes; because each run is a pure function of its
     request, the result (including ``to_json()``) is byte-identical for
     any worker count.  ``progress(key, plts)`` fires once per cell, as
     soon as that cell's last run completes (completion order under

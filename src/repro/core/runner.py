@@ -8,8 +8,8 @@ harness and the examples are thin layers over this module.
 
 Batch drivers (``measure_plts``, ``compare_page_load``,
 ``compare_quic_variants``, ``build_plt_heatmap``) accept ``jobs=`` and
-fan their independent seeded rounds out over
-:mod:`repro.core.executor`; seeded results are bit-identical to serial
+fan their independent seeded rounds out over the sweep engine
+(:mod:`repro.sweep`); seeded results are bit-identical to serial
 execution.  They also accept ``store=`` — a :mod:`repro.store` results
 store (or a path to one) that serves previously computed runs as cache
 hits and persists new ones as they complete.  A protocol is named by a
@@ -34,8 +34,9 @@ from ..netem.topology import Path, build_bottleneck, build_path, build_proxy_pat
 from ..proxy import install_proxy
 from ..quic.config import QuicConfig
 from ..tcp.config import TcpConfig
+from ..sweep import collect
 from .comparison import Comparison
-from .executor import ProtocolLike, ProtocolSpec, RunRequest, collect
+from .executor import ProtocolLike, ProtocolSpec, RunRequest
 from .heatmap import Heatmap
 from .instrumentation import Trace
 from .monitors import FlowThroughputMonitor
@@ -251,7 +252,7 @@ def build_plt_heatmap(
     """Build a Fig. 6/8-style heatmap: scenarios as rows, pages as columns.
 
     The whole grid — every (scenario x page x protocol x round) — is
-    fanned out over the executor in one batch, so ``jobs`` parallelises
+    fanned out over the sweep engine in one batch, so ``jobs`` parallelises
     across cells, not just within them.  Two scenarios (or pages) that
     share a name would share a row, so they raise ``ValueError`` before
     anything runs.

@@ -25,9 +25,9 @@ Three layers:
 * :mod:`repro.fabric.coordinator` — :func:`iter_fabric_runs`, the
   work-sharing coordinator: one batched ``/missing`` call computes the
   sweep's miss-list, the misses are sharded across N worker processes
-  (each executing through :func:`~repro.core.executor.iter_runs` into
+  (each executing through :func:`~repro.sweep.iter_runs` into
   a private local shard store and bulk-uploading with retry/backoff),
-  and the merged, typed :class:`~repro.core.executor.RunEvent` stream
+  and the merged, typed :class:`~repro.sweep.RunEvent` stream
   reaches the parent.  A killed worker loses nothing: its keys are
   still missing server-side, so the coordinator respawns it (or a
   rerun resumes) and only the absent cells execute.  The CLI

@@ -10,13 +10,13 @@ distributed, resumable job queue over a fabric store server:
    order, from bulk ``POST /fetch`` calls one ``BATCH_SIZE`` batch at a
    time (the coordinator never holds more than one batch of rows);
 3. the misses are sharded round-robin across N worker processes — the
-   executor's own worker group, the one ``iter_runs(jobs=N)`` uses —
+   sweep engine's own worker group, the one ``iter_runs(jobs=N)`` uses —
    each executing through the ordinary
-   :func:`~repro.core.executor.iter_runs` into a *private local shard
+   :func:`~repro.sweep.iter_runs` into a *private local shard
    store* and bulk-uploading completed rows to the server every
    ``sync_every`` results (with the client's retry/backoff underneath;
    a down server just defers the batch to the next sync);
-4. the workers' typed :class:`~repro.core.executor.RunEvent` streams are
+4. the workers' typed :class:`~repro.sweep.RunEvent` streams are
    re-indexed to sweep order, merged, and yielded to the caller —
    exactly one terminal event per request, same contract as
    ``iter_runs``.
@@ -54,15 +54,9 @@ from typing import (
     Tuple,
 )
 
-from ..core.executor import (
-    RunEvent,
-    RunFn,
-    RunRequest,
-    _terminal_event,
-    _worker_group,
-    iter_runs,
-)
+from ..core.executor import RunFn, RunRequest
 from ..store.keys import fingerprint_for, record_from_dict, run_key
+from ..sweep import RunEvent, _terminal_event, _worker_group, iter_runs
 from .client import BATCH_SIZE, FabricConnectionError, RemoteStore
 
 #: Completed results a worker accumulates before bulk-uploading.
@@ -114,7 +108,7 @@ def _sync_new_rows(local: Any, remote: RemoteStore,
     return count
 
 
-def _worker_events(url: str, base: Path, sync_every: int, retries: int,
+def _worker_events(url: str, base: Path, sync_every: int,
                    wall_timeout: Optional[float], run_fn: Optional[RunFn],
                    worker_id: int, assignment: Sequence[_Assigned]
                    ) -> Iterator[RunEvent]:
@@ -137,7 +131,7 @@ def _worker_events(url: str, base: Path, sync_every: int, retries: int,
         indices = [index for index, _ in assignment]
         since_sync = 0
         for event in iter_runs(requests, jobs=1, wall_timeout=wall_timeout,
-                               retries=retries, run_fn=run_fn, store=local):
+                               run_fn=run_fn, store=local):
             yield replace(event, index=indices[event.index])
             if event.terminal:
                 since_sync += 1
@@ -165,7 +159,6 @@ def iter_fabric_runs(
     *,
     workers: int = 2,
     sync_every: int = DEFAULT_SYNC_EVERY,
-    retries: int = 1,
     wall_timeout: Optional[float] = None,
     run_fn: Optional[RunFn] = None,
     workdir: Optional[str] = None,
@@ -176,7 +169,7 @@ def iter_fabric_runs(
 ) -> Iterator[RunEvent]:
     """Execute a sweep against a fabric server, streaming merged events.
 
-    The distributed analogue of :func:`~repro.core.executor.iter_runs`:
+    The distributed analogue of :func:`~repro.sweep.iter_runs`:
     same typed event stream, same exactly-one-terminal-per-request
     contract, but the misses execute in ``workers`` separate processes
     and the results land in the server's store.
@@ -253,8 +246,8 @@ def iter_fabric_runs(
         for worker in range(workers)]
     terminal_seen: set = set()
     for event in _worker_group(
-            partial(_worker_events, url, base, sync_every, retries,
-                    wall_timeout, run_fn),
+            partial(_worker_events, url, base, sync_every, wall_timeout,
+                    run_fn),
             assignments, name="fabric worker", error=FabricWorkerError,
             max_restarts=2 * workers if max_restarts is None
             else max_restarts,
@@ -283,13 +276,10 @@ def run_fabric_sweep(
 
     Convenience wrapper over :func:`iter_fabric_runs` for callers that
     only want the summary: ``{"requests", "hits", "completed",
-    "failed", "retries"}``.
+    "failed"}``.
     """
-    counts = {"requests": 0, "hits": 0, "completed": 0, "failed": 0,
-              "retries": 0}
+    counts = {"requests": 0, "hits": 0, "completed": 0, "failed": 0}
     for event in iter_fabric_runs(requests, url, **kwargs):
-        if event.kind == "retry":
-            counts["retries"] += 1
         if not event.terminal:
             continue
         counts["requests"] += 1

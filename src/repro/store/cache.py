@@ -61,10 +61,6 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        #: Retried attempts observed this session (one per ``retry``
-        #: event the executor emitted), so event streams and counters
-        #: reconcile exactly.
-        self.retries = 0
         #: Counter deltas not yet landed in the store (see :meth:`flush`).
         self._unflushed: Dict[str, int] = {}
         #: ``id(request) -> (request, key, fingerprint)`` of every miss

@@ -15,11 +15,11 @@ fingerprint of the source code the run exercises, and hashed into a
 
 The code fingerprint covers every module of the package except the
 layers above the simulation (:data:`UNKEYED`: ``cli.py``, ``fabric``,
-``faults.py``, ``store``, and ``video``, which no run executes), and
-``proxy/`` only for proxied runs (:func:`code_fingerprints`).  A touch
-under ``video/`` therefore leaves a cached PLT sweep's keys unchanged,
-while a touch under ``netem/`` — or in any new module — invalidates
-it.  The key layer's own shape is versioned explicitly via
+``faults.py``, ``store``, the sweep engine ``sweep.py``, and ``video``,
+which no run executes), and ``proxy/`` only for proxied runs
+(:func:`code_fingerprints`).  A touch under ``video/`` or to the sweep
+engine therefore leaves a cached PLT sweep's keys unchanged, while a
+touch under ``netem/`` — or in any new module — invalidates it.  The key layer's own shape is versioned explicitly via
 :data:`KEY_SCHEMA_VERSION`.
 
 The module also provides the JSON codec used by the store backends to
@@ -340,11 +340,12 @@ def canonical_json(obj: Any) -> str:
 # code fingerprints
 # ----------------------------------------------------------------------
 #: The package entries no run key covers: the layers above the
-#: simulation (the CLI, the fabric, fault injection, this store) and
-#: the video QoE player, which no :class:`RunRequest` runs.  Nothing
-#: ``execute_request`` reaches imports them; every other ``*.py`` under
-#: the package is keyed, so a new module is keyed by default.
-UNKEYED = ("cli.py", "fabric", "faults.py", "store", "video")
+#: simulation (the CLI, the fabric, fault injection, this store, the
+#: sweep engine) and the video QoE player, which no :class:`RunRequest`
+#: runs.  Nothing ``execute_request`` reaches calls them; every other
+#: ``*.py`` under the package is keyed, so a new module is keyed by
+#: default.
+UNKEYED = ("cli.py", "fabric", "faults.py", "store", "sweep.py", "video")
 
 #: ``str(package dir) -> (plain, proxied)``: constant for a process.
 _FINGERPRINTS: Dict[str, Tuple[str, str]] = {}

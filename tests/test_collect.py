@@ -1,4 +1,4 @@
-"""The one sweep fold (``repro.core.executor.collect``) and its callers.
+"""The one sweep fold (``repro.sweep.collect``) and its callers.
 
 Two halves: the fold's own contract under an injected run function,
 and goldens for every batch driver that became a request builder around
@@ -13,13 +13,7 @@ import time
 
 import pytest
 
-from repro.core.executor import (
-    ProtocolSpec,
-    RunRecord,
-    RunRequest,
-    collect,
-    run_requests,
-)
+from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.runner import (
     build_plt_heatmap,
     compare_page_load,
@@ -29,6 +23,7 @@ from repro.http import page, single_object_page
 from repro.netem import emulated
 from repro.quic import quic_config
 from repro.store import SqliteStore
+from repro.sweep import collect, run_requests
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)

@@ -1,10 +1,12 @@
-"""Tests for the parallel experiment executor (repro.core.executor)."""
+"""Tests for the run definition (repro.core.executor) and the sweep engine
+(repro.sweep)."""
 
 import dataclasses
 import os
 import pickle
 import signal
 import tempfile
+import threading
 import time
 
 import pytest
@@ -15,9 +17,6 @@ from repro.core.executor import (
     RunRecord,
     RunRequest,
     execute_request,
-    iter_runs,
-    resolve_jobs,
-    run_requests,
 )
 from repro.core.experiment import (
     ExperimentSpec,
@@ -42,6 +41,7 @@ from repro.netem.profiles import CELLULAR_PROFILES, Scenario
 from repro.proxy import SplitConnectionProxy, install_proxy
 from repro.quic import quic_config
 from repro.store import ShardStore
+from repro.sweep import iter_runs, resolve_jobs, run_requests
 from repro.tcp import tcp_config
 from repro.video import play_video_once
 
@@ -69,7 +69,7 @@ def _sleepy_run(request):
 
 
 def _flaky_marker_run(request):
-    marker = os.environ["REPRO_TEST_FLAKY_MARKER"]
+    marker = os.environ["REPRO_TEST_FLAKY_MARKER"] + f".{request.seed}"
     if not os.path.exists(marker):
         with open(marker, "w"):
             pass
@@ -312,7 +312,7 @@ class TestTimeout:
     def test_parallel_timeout_yields_failure_not_hang(self):
         start = time.perf_counter()
         records = run_requests([req()], jobs=2, wall_timeout=0.3,
-                               run_fn=_sleepy_run, retries=0)
+                               run_fn=_sleepy_run)
         elapsed = time.perf_counter() - start
         assert elapsed < 8.0  # nowhere near the 10 s sleep
         assert records[0].failure is not None
@@ -320,17 +320,44 @@ class TestTimeout:
 
     def test_serial_timeout_yields_failure(self):
         records = run_requests([req()], jobs=1, wall_timeout=0.2,
-                               run_fn=_sleepy_run, retries=0)
+                               run_fn=_sleepy_run)
         assert records[0].failure.kind == "timeout"
 
     def test_timeouts_are_not_retried(self):
         records = run_requests([req()], jobs=1, wall_timeout=0.2,
-                               run_fn=_sleepy_run, retries=3)
+                               run_fn=_sleepy_run)
         assert records[0].attempts == 1
+
+    def test_wall_timeout_off_the_main_thread_is_refused(self):
+        # SIGALRM can be armed on the main thread only: off it, a budget
+        # would be silently ignored, so asking for one is refused before
+        # any run starts.  Without a budget a thread may sweep.
+        outcome = {}
+
+        def sweep():
+            try:
+                iter_runs([req()], jobs=1, wall_timeout=0.2,
+                          run_fn=_sleepy_run)
+            except ValueError as exc:
+                outcome["refused"] = str(exc)
+            outcome["unbudgeted"] = [
+                event.kind for event in iter_runs([req()],
+                                                  run_fn=_instant_run)]
+
+        start = time.perf_counter()
+        thread = threading.Thread(target=sweep)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert time.perf_counter() - start < 5.0  # nothing slept
+        assert "main thread" in outcome["refused"]
+        assert outcome["unbudgeted"] == ["miss-start", "complete"]
 
 
 class TestRetry:
-    def test_retry_recovers_transient_failure_serial(self):
+    """Run retries are removed: a fixed-seed run that raised would raise
+    again, so its error record is final after one attempt."""
+
+    def test_transient_failure_is_not_retried_serial(self):
         calls = {"n": 0}
 
         def flaky(request):
@@ -339,30 +366,31 @@ class TestRetry:
                 raise RuntimeError("transient")
             return RunRecord(request=request, plt=2.0, complete=True)
 
-        record = run_requests([req()], jobs=1, retries=1, run_fn=flaky)[0]
-        assert record.ok
-        assert record.attempts == 2
-
-    def test_retry_recovers_transient_failure_parallel(self, tmp_path):
-        marker = tmp_path / "flaky-marker"
-        os.environ["REPRO_TEST_FLAKY_MARKER"] = str(marker)
-        try:
-            record = run_requests([req()], jobs=2, retries=1,
-                                  run_fn=_flaky_marker_run)[0]
-        finally:
-            del os.environ["REPRO_TEST_FLAKY_MARKER"]
-        assert record.ok
-        assert record.attempts == 2
-
-    def test_bounded_retries_exhaust_into_error_record(self):
-        def always_broken(request):
-            raise RuntimeError("permanent")
-
-        record = run_requests([req()], jobs=1, retries=2,
-                              run_fn=always_broken)[0]
+        record = run_requests([req()], jobs=1, run_fn=flaky)[0]
+        assert calls["n"] == 1
         assert record.failure.kind == "error"
-        assert "permanent" in record.failure.message
-        assert record.attempts == 3  # initial + 2 retries
+        assert "transient" in record.failure.message
+        assert record.attempts == 1
+
+    def test_transient_failure_is_not_retried_parallel(self, tmp_path,
+                                                       monkeypatch):
+        marker = tmp_path / "flaky-marker"
+        monkeypatch.setenv("REPRO_TEST_FLAKY_MARKER", str(marker))
+        records = run_requests([req(seed=s) for s in range(2)], jobs=2,
+                               force_pool=True, run_fn=_flaky_marker_run)
+        assert [r.failure.kind for r in records] == ["error", "error"]
+        assert [r.attempts for r in records] == [1, 1]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "flaky-marker.0", "flaky-marker.1"]
+
+    def test_retries_keyword_accepts_only_zero(self):
+        events = list(iter_runs([req()], retries=0, run_fn=_instant_run))
+        assert [event.kind for event in events] == ["miss-start", "complete"]
+        for retries in (1, 3, -1):
+            with pytest.raises(ValueError, match="retries were removed"):
+                iter_runs([req()], retries=retries, run_fn=_instant_run)
+        with pytest.raises(TypeError, match="retries"):
+            run_requests([req()], retries=0, run_fn=_instant_run)
 
     def test_one_bad_run_does_not_poison_the_batch(self):
         def broken_seed_one(request):
@@ -371,7 +399,7 @@ class TestRetry:
             return RunRecord(request=request, plt=1.0, complete=True)
 
         records = run_requests([req(seed=s) for s in range(3)], jobs=1,
-                               retries=0, run_fn=broken_seed_one)
+                               run_fn=broken_seed_one)
         assert [r.ok for r in records] == [True, False, True]
 
 

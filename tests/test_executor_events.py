@@ -1,8 +1,8 @@
 """Tests for the streaming execution API (iter_runs + RunEvents).
 
 Covers the event-stream contract, worker-direct store write-back across
-a real 4-process pool, parent-pipe payload bounds, retry-counter
-reconciliation, and mid-sweep report parity (kill / live-render /
+a real 4-process pool, parent-pipe payload bounds, one attempt per
+run, and mid-sweep report parity (kill / live-render /
 resume / byte-identical final report).
 """
 
@@ -11,25 +11,22 @@ import pickle
 
 import pytest
 
-import repro.core.executor as executor_module
+import repro.sweep as sweep_module
 from repro.core.aggregate import store_aggregator
-from repro.core.executor import (
-    EVENT_KINDS,
-    EVENT_WIRE_BOUND,
-    TERMINAL_EVENTS,
-    ProtocolSpec,
-    RunEvent,
-    RunFailure,
-    RunRecord,
-    RunRequest,
-    collect,
-    iter_runs,
-    run_requests,
-)
+from repro.core.executor import ProtocolSpec, RunFailure, RunRecord, RunRequest
 from repro.core.report import build_store_report
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import RunCache, ShardStore, open_store
+from repro.sweep import (
+    EVENT_KINDS,
+    EVENT_WIRE_BOUND,
+    TERMINAL_EVENTS,
+    RunEvent,
+    collect,
+    iter_runs,
+    run_requests,
+)
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)
@@ -141,24 +138,31 @@ class TestEventStreamContract:
 
 
 class TestRetryAccounting:
-    def test_retry_event_per_attempt_reconciles_counters(self, tmp_path,
-                                                         monkeypatch):
+    def test_an_error_is_final_and_a_rerun_executes_it(self, tmp_path,
+                                                       monkeypatch):
+        # One attempt per run: a raised exception is the run's terminal
+        # error event, never written back, so rerunning the sweep (once
+        # whatever made it fail is gone) executes it again.
         monkeypatch.setenv("REPRO_TEST_EVENT_MARKER",
                            str(tmp_path / "marker"))
         cache = RunCache(tmp_path / "store.sqlite")
-        events = list(iter_runs([req(seed=s) for s in range(3)],
-                                run_fn=_flaky_once_run, retries=2,
+        requests = [req(seed=s) for s in range(3)]
+        events = list(iter_runs(requests, run_fn=_flaky_once_run,
                                 store=cache))
-        retries = [e for e in events if e.kind == "retry"]
-        assert len(retries) == 3  # one failed first attempt per seed
-        assert cache.retries == len(retries)
-        terminal = [e for e in events if e.terminal]
-        assert all(e.ok and e.attempts == 2 for e in terminal)
-        assert cache.session_stats == (0, 3, 3)
+        assert [e.kind for e in events] == ["miss-start", "error"] * 3
+        assert all("transient failure" in e.failure_message
+                   for e in events if e.terminal)
+        assert cache.session_stats == (0, 3, 0)
+        rerun = list(iter_runs(requests, run_fn=_flaky_once_run,
+                               store=cache))
+        assert [e.kind for e in rerun if e.terminal] == ["complete"] * 3
+        assert cache.session_stats == (0, 6, 3)
 
     def test_no_retry_events_without_retries(self):
         events = list(iter_runs([req(), req(seed=1)], run_fn=_instant_run))
         assert not [e for e in events if e.kind == "retry"]
+        assert "retry" not in EVENT_KINDS
+        assert "attempts" not in RunEvent.__dataclass_fields__
 
 
 class TestWorkerDirectWriteBack:
@@ -169,14 +173,14 @@ class TestWorkerDirectWriteBack:
         # look at the events as the parent reads them off the worker
         # pipes, not only at the stream it yields
         crossed = []
-        group = executor_module._worker_group
+        group = sweep_module._worker_group
 
         def spy(*args, **kwargs):
             for event in group(*args, **kwargs):
                 crossed.append(event)
                 yield event
 
-        monkeypatch.setattr(executor_module, "_worker_group", spy)
+        monkeypatch.setattr(sweep_module, "_worker_group", spy)
         cache = RunCache(ShardStore(tmp_path / "shards"))
         requests = [req(seed=s) for s in range(40)]
         events = list(iter_runs(requests, jobs=4, run_fn=_instant_run,
@@ -324,25 +328,25 @@ class TestRunRequestsCompatibility:
                     if issubclass(w.category, DeprecationWarning)]
 
     @pytest.mark.parametrize("force_pool", [False, True])
-    def test_progress_path_reconciles_retry_events(self, tmp_path,
+    def test_progress_path_reconciles_error_events(self, tmp_path,
                                                    monkeypatch, force_pool):
         """Regression guard: the record-materialising wrapper
-        (``keep_records=True``) must account retries identically to the
-        event stream — per failed attempt, on both the serial and the
-        pool code path.  (Named for the ``progress=`` callback it first
-        guarded; that keyword is gone, the accounting contract is not.)"""
+        (``keep_records=True``) must account failures identically to the
+        event stream — one attempt, no write-back — on both the serial
+        and the pool code path.  (Named for the ``progress=`` callback
+        it first guarded; that keyword is gone, the accounting contract
+        is not.)"""
         monkeypatch.setenv("REPRO_TEST_EVENT_MARKER",
                            str(tmp_path / f"marker-{force_pool}"))
         cache = RunCache(tmp_path / "store.sqlite")
         records = run_requests([req(seed=s) for s in range(3)],
-                               run_fn=_flaky_once_run, retries=2,
+                               run_fn=_flaky_once_run,
                                jobs=2 if force_pool else 1,
                                force_pool=force_pool, store=cache)
         assert len(records) == 3
-        assert all(r.complete and r.attempts == 2 for r in records)
-        # counter == sum of failed attempts == what retry events report
-        assert cache.retries == sum(r.attempts - 1 for r in records) == 3
-        assert cache.session_stats == (0, 3, 3)
+        assert all(r.failure.kind == "error" and r.attempts == 1
+                   for r in records)
+        assert cache.session_stats == (0, 3, 0)
 
 
 class TestValidation:

@@ -22,12 +22,7 @@ from pathlib import Path
 import pytest
 
 import repro.fabric.server as server_module
-from repro.core.executor import (
-    ProtocolSpec,
-    RunRecord,
-    RunRequest,
-    iter_runs,
-)
+from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import build_store_report
 from repro.fabric import (
     FabricConnectionError,
@@ -51,6 +46,7 @@ from repro.store import (
     run_key,
 )
 from repro.store.backend import _kind_at
+from repro.sweep import iter_runs
 
 SCN = emulated(10.0)
 PAGE = single_object_page(20_000)
@@ -434,7 +430,7 @@ class TestCoordinator:
         summary = run_fabric_sweep(requests, server.url, workers=2,
                                    run_fn=_instant_run)
         assert summary == {"requests": 12, "hits": 12, "completed": 0,
-                           "failed": 0, "retries": 0}
+                           "failed": 0}
 
     def test_killed_worker_resumes_byte_identical(self, tmp_path, server):
         requests = self._grid(60)

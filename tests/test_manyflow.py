@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.executor import run_requests
 from repro.core.manyflow import (
     DEFAULT_BATCH_QUANTUM,
     ManyflowConfig,
@@ -23,6 +22,7 @@ from repro.core.manyflow import (
 )
 from repro.core.report import build_store_report
 from repro.store import ShardStore, request_from_dict, request_to_dict
+from repro.sweep import run_requests
 from repro.transport.flowtable import STATE_ACTIVE, STATE_DONE
 
 

@@ -15,7 +15,6 @@ import math
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core.executor import run_requests
 from repro.core.models import (
     DEFAULT_TOLERANCE,
     FitCell,
@@ -34,6 +33,7 @@ from repro.core.models import (
 )
 from repro.core.report import build_store_report
 from repro.store import ShardStore, SqliteStore
+from repro.sweep import run_requests
 from repro.transport.cc import kernels
 from repro.transport.flowtable import QUIC_PARAMS, TCP_PARAMS
 

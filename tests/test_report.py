@@ -118,7 +118,7 @@ class TestStoreReport:
 
     def test_cached_sweep_reports_without_rerun(self, tmp_path):
         # End to end: executor --cache writes the store, report reads it.
-        from repro.core.executor import run_requests
+        from repro.sweep import run_requests
 
         cache = RunCache(SqliteStore(tmp_path / "sweep.sqlite"))
         requests = [RunRequest(scenario=emulated(10.0),

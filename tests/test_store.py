@@ -9,6 +9,7 @@ sharded JSONL) through the ``make_store`` fixture.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -25,8 +26,7 @@ from repro.core.executor import (
     RunFailure,
     RunRecord,
     RunRequest,
-    iter_runs,
-    run_requests,
+    execute_request,
 )
 from repro.core.experiment import (
     ExperimentSpec,
@@ -66,6 +66,7 @@ from repro.store import (
 from repro.store import keys as store_keys
 from repro.store.backend import _kind_at
 from repro.store.rows import encode_row
+from repro.sweep import iter_runs, run_requests
 from repro.tcp import tcp_config
 from repro.transport.cc.cubic import CubicConfig
 
@@ -532,6 +533,7 @@ def _fake_package(root: Path) -> Path:
     (pkg / "__init__.py").write_text("")
     (pkg / "cli.py").write_text("entry = None\n")
     (pkg / "faults.py").write_text("plan = None\n")
+    (pkg / "sweep.py").write_text("engine = None\n")
     (pkg / "store").mkdir()
     (pkg / "store" / "keys.py").write_text("schema = 1\n")
     (pkg / "core" / "models.py").write_text("oracle = 1\n")
@@ -592,7 +594,7 @@ class TestSubsystemFingerprints:
 
     @pytest.mark.parametrize("relative", [
         "store/keys.py", "cli.py", "proxy/mod.py", "fabric/mod.py",
-        "faults.py",
+        "faults.py", "sweep.py",
     ])
     def test_unexercised_edits_leave_keys_alone(self, tmp_path, relative):
         # The UNKEYED layers are outside every fingerprint; proxy/ only
@@ -615,6 +617,51 @@ class TestSubsystemFingerprints:
         assert fingerprint_for(req(), pkg) == plain
         assert fingerprint_for(req(proxied=True), pkg) == proxied
         assert plain != proxied
+
+    def test_an_edit_to_the_sweep_engine_leaves_keys_alone(self, tmp_path):
+        # The real package, not a miniature: a one-line edit to the file
+        # that defines iter_runs must leave every cached run reusable.
+        package = (SRC_DIR / "repro").resolve()
+        engine = Path(inspect.getsourcefile(iter_runs)).resolve()
+        copy = tmp_path / "parent" / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        edited = tmp_path / "edited" / "repro"
+        shutil.copytree(copy, edited)
+        with open(edited / engine.relative_to(package), "a") as handle:
+            handle.write("# a one-line edit to the sweep engine\n")
+        assert code_fingerprints(copy) == code_fingerprints(package)
+        assert code_fingerprints(edited) == code_fingerprints(copy)
+
+    @pytest.mark.parametrize("kind", ["quic", "tcp", "proxied", "manyflow"])
+    def test_no_unkeyed_code_runs_inside_a_run(self, kind):
+        # UNKEYED is sound only if a run never calls into those entries:
+        # an edit there could otherwise change an outcome under a key
+        # that did not move.
+        request = {
+            "quic": req(),
+            "tcp": req(protocol=ProtocolSpec.tcp()),
+            "proxied": req(proxied=True),
+            "manyflow": manyflow_requests(
+                ManyflowConfig(flows=20, duration=10.0), seeds=(0,))[0],
+        }[kind]
+        package = Path(store_keys.__file__).parent.parent
+        unkeyed = tuple(str(package / entry)
+                        for entry in store_keys.UNKEYED)
+        called = set()
+
+        def profile(frame, event, _arg):
+            if (event == "call"
+                    and frame.f_code.co_filename.startswith(unkeyed)):
+                called.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+        sys.setprofile(profile)
+        try:
+            record = execute_request(request)
+        finally:
+            sys.setprofile(None)
+        assert record.ok
+        assert called == set()
 
     def test_unkeyed_entries_exist_in_real_package(self):
         # A typo in UNKEYED would silently key a layer it meant to skip.
@@ -1409,7 +1456,7 @@ class TestCacheAwareExecution:
         def broken(request):
             raise RuntimeError("boom")
 
-        records = run_requests([req()], store=cache, retries=0, run_fn=broken)
+        records = run_requests([req()], store=cache, run_fn=broken)
         assert records[0].failure.kind == "error"
         assert len(cache.store) == 0
 

@@ -27,13 +27,7 @@ from repro.core.aggregate import (
     StreamAggregator,
     store_aggregator,
 )
-from repro.core.executor import (
-    ProtocolSpec,
-    RunFailure,
-    RunRecord,
-    RunRequest,
-    iter_runs,
-)
+from repro.core.executor import ProtocolSpec, RunFailure, RunRecord, RunRequest
 from repro.core.manyflow import (
     ManyflowConfig,
     manyflow_requests,
@@ -55,6 +49,7 @@ from repro.store import (
 )
 from repro.store import keys as store_keys
 from repro.store.rows import encode_row
+from repro.sweep import iter_runs
 
 from .test_store import req
 

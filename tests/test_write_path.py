@@ -44,7 +44,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.core.executor import ProtocolSpec, RunRecord, RunRequest, iter_runs
+from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import build_store_report
 from repro.fabric import RemoteStore, StoreServer
 from repro.fabric.coordinator import _sync_new_rows
@@ -60,6 +60,7 @@ from repro.store import (
 )
 from repro.store import rows as store_rows
 from repro.store import shards as store_shards
+from repro.sweep import iter_runs
 
 from .test_store import req
 from .test_warm_path import _near_free
