@@ -56,9 +56,10 @@ bench-e2e:
 # workloads (W is one name or a comma-separated list: the claim and its
 # must-not-move rows), each side in one scratch copy of its files, medians /
 # quartiles / wins as one Markdown table per workload.
-# make pairs PARENT=HEAD~1 W=store_replay,store_fill,fabric_synth [N=10]
+# LAYERS adds per-layer rows from one traced repetition per side.
+# make pairs PARENT=HEAD~1 W=store_replay,store_fill,fabric_synth [N=10] [LAYERS=core.executor.us_per_event]
 pairs:
-	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(W) $(if $(N),-n $(N)) $(if $(SEEDS),--seeds $(SEEDS))
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(W) $(if $(N),-n $(N)) $(if $(SEEDS),--seeds $(SEEDS)) $(if $(LAYERS),--layers $(LAYERS))
 
 # The identity a simulator perf PR owes: grid_serial's 480 cells on the
 # parent and on this checkout, compared cell by cell (PLT, endpoint stats,

@@ -4,7 +4,7 @@
 Usage::
 
     python scripts/bench_pairs.py --parent REV --workload W[,W2,...]
-        [-n 10] [--seeds 0,1,2]
+        [-n 10] [--seeds 0,1,2] [--layers NAME[,NAME...]]
 
 The evidence a perf PR owes (ROADMAP ground rules, docs/PERFORMANCE.md):
 each side gets its own copy of its files in a scratch directory that is
@@ -22,6 +22,15 @@ in how many pairs both sides printed the same ``outcome_digest``.
 move" rows in one command: the two scratch copies are made once and
 shared, the workloads run one after another (all ``n`` pairs of one,
 then the next), and each gets its own table in the same form.
+
+``--layers`` names per-layer metrics of ``BENCHMARK.json``'s
+``per_layer`` list (an unknown name is refused before anything runs).
+After a workload's pairs, each side runs one ``--trace 1`` repetition on
+the first pair's seed, and the table gains one row per named layer with
+the two traced values: the layer a change moved, next to the end-to-end
+numbers it moved.  One traced run is one sample, so those rows show no
+spread; their "better" column is 1/1 or 0/1 (n/a where a side's harness
+did not report the metric).
 
 This script calls the harness; it does not edit it, and it writes no
 tracked file.  Exit codes: 0 = every run printed ``"correct": true`` with
@@ -41,7 +50,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 REPO = Path(__file__).resolve().parent.parent
 COMMAND = ["python3", "benchmarks/e2e/run.py"]
@@ -51,17 +60,24 @@ METRICS = {"setup_s": False, "wall_s": False, "cells_per_s": True,
 SIDES = ("parent", "change")
 
 
+def per_layer_metrics() -> Dict[str, bool]:
+    """``BENCHMARK.json``'s per-layer metrics -> True when higher is better."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] == "higher" for m in spec["per_layer"]}
+
+
 class NoResult(RuntimeError):
     """A run ended without the harness's JSON result line."""
 
 
 def run_once(command: Sequence[str], tree: Path, workload: str,
-             seed: int) -> Dict[str, Any]:
-    """One repetition from the root of ``tree``; the harness's result line."""
+             seed: int, trace: bool = False) -> Dict[str, Any]:
+    """One repetition from the root of ``tree``; the harness's result line
+    (end-to-end metrics, or with ``trace`` the per-layer ones)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
-         "--seconds", "10", "--trace", "0"],
+         "--seconds", "10", "--trace", "1" if trace else "0"],
         cwd=tree, env=env, capture_output=True, text=True)
     lines = [line for line in done.stdout.splitlines() if line.strip()]
     try:
@@ -95,14 +111,28 @@ def run_pairs(trees: Dict[str, Path], workload: str, seeds: Sequence[int],
     return out
 
 
+def run_traced(trees: Dict[str, Path], workload: str, seed: int,
+               command: Sequence[str] = COMMAND) -> Dict[str, Dict[str, Any]]:
+    """One ``--trace 1`` repetition per side: ``{side: result}``."""
+    return {side: run_once(command, trees[side], workload, seed, trace=True)
+            for side in SIDES}
+
+
+def _relative(parent: float, change: float) -> str:
+    return f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+
+
 def _quartiles(values: List[float]) -> List[float]:
     if len(values) < 2:
         return [values[0]] * 3
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def render(workload: str, results: List[Dict[str, Dict[str, Any]]]) -> str:
-    """The pairs as the Markdown table docs/PERFORMANCE.md quotes."""
+def render(workload: str, results: List[Dict[str, Dict[str, Any]]],
+           traced: Optional[Dict[str, Dict[str, Any]]] = None,
+           layers: Dict[str, bool] = None) -> str:
+    """The pairs as the Markdown table docs/PERFORMANCE.md quotes, plus a
+    row per ``layers`` name (-> higher is better) from ``traced``."""
     rows = [f"`{workload}`, {len(results)} alternating pairs, reference "
             "seconds; median [quartiles]; spread = the parent's "
             "(q3 - q1) / median; better = pairs the change won",
@@ -121,10 +151,24 @@ def render(workload: str, results: List[Dict[str, Dict[str, Any]]]) -> str:
         parent, change = cells["parent"][0], cells["change"][0]
         wins = sum((c > p) if higher else (c < p)
                    for p, c in zip(values["parent"], values["change"]))
-        delta = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
         rows.append(
             f"| `{metric}` | {cells['parent'][1]} | {cells['change'][1]} | "
-            f"{delta} | {cells['parent'][2]:.1%} | {wins}/{len(results)} |")
+            f"{_relative(parent, change)} | {cells['parent'][2]:.1%} | "
+            f"{wins}/{len(results)} |")
+    for name, higher in (layers or {}).items():
+        value = {side: traced[side]["metrics"].get(name, {}).get("value")
+                 for side in SIDES}
+        parent, change = value["parent"], value["change"]
+        if parent is None or change is None:
+            delta, won = "n/a", "n/a"
+        else:
+            delta = _relative(parent, change)
+            better = change > parent if higher else change < parent
+            won = f"{int(better)}/1"
+        shown = {side: "n/a" if v is None else f"{v:.4g}"
+                 for side, v in value.items()}
+        rows.append(f"| `{name}` (1 traced run) | {shown['parent']} | "
+                    f"{shown['change']} | {delta} | – | {won} |")
     same = sum(pair["parent"]["digest"] == pair["change"]["digest"]
                for pair in results)
     rows += ["", f"outcome_digest equal in {same}/{len(results)} pairs: "
@@ -133,10 +177,14 @@ def render(workload: str, results: List[Dict[str, Dict[str, Any]]]) -> str:
     return "\n".join(rows)
 
 
-def failures(results: List[Dict[str, Dict[str, Any]]]) -> List[str]:
+def failures(results: List[Dict[str, Dict[str, Any]]],
+             traced: Optional[Dict[str, Dict[str, Any]]] = None) -> List[str]:
     """One line per run that was not correct or had failed operations,
     and one per pair whose sides printed different outcome digests."""
-    bad = []
+    bad = [f"traced {side}: correct={result['correct']!r} "
+           f"failed={result['failed']!r}"
+           for side, result in (traced or {}).items()
+           if result["correct"] is not True or result["failed"]]
     for index, pair in enumerate(results):
         bad += [f"pair {index + 1} {side}: correct={result['correct']!r} "
                 f"failed={result['failed']!r}"
@@ -179,9 +227,19 @@ def main(argv: Sequence[str] = None, *, command: Sequence[str] = COMMAND,
     parser.add_argument("-n", type=int, default=10, dest="pairs")
     parser.add_argument("--seeds", default=None,
                         help="comma-separated; default 0..n-1")
+    parser.add_argument("--layers", default="", metavar="NAME[,NAME...]",
+                        help="per-layer metrics to add from one traced "
+                             "repetition per side")
     args = parser.parse_args(argv)
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else list(range(args.pairs)))
+    known = per_layer_metrics()
+    names = list(filter(None, args.layers.split(",")))
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        parser.error(f"--layers: not a per-layer metric of BENCHMARK.json: "
+                     f"{', '.join(unknown)}")
+    layers = {name: known[name] for name in names}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         if trees is None:
             trees = {side: Path(scratch) / side for side in SIDES}
@@ -194,14 +252,16 @@ def main(argv: Sequence[str] = None, *, command: Sequence[str] = COMMAND,
             try:
                 results = run_pairs(trees, workload, seeds, args.pairs,
                                     command)
+                traced = (run_traced(trees, workload, seeds[0], command)
+                          if layers else None)
             except NoResult as error:
                 print(f"error: {error}", file=sys.stderr)
                 worst = 2
                 continue
             print()
-            print(render(workload, results))
+            print(render(workload, results, traced, layers))
             print()
-            bad = failures(results)
+            bad = failures(results, traced)
             for line in bad:
                 print(f"FAILED {line} ({workload})", file=sys.stderr)
             worst = max(worst, 1 if bad else 0)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -56,7 +55,13 @@ from typing import (
 
 from ..core.executor import RunFn, RunRequest
 from ..store.keys import fingerprint_for, record_from_dict, run_key
-from ..sweep import RunEvent, _terminal_event, _worker_group, iter_runs
+from ..sweep import (
+    RunEvent,
+    _terminal_event,
+    _wall_budget,
+    _worker_group,
+    iter_runs,
+)
 from .client import BATCH_SIZE, FabricConnectionError, RemoteStore
 
 #: Completed results a worker accumulates before bulk-uploading.
@@ -132,7 +137,7 @@ def _worker_events(url: str, base: Path, sync_every: int,
         since_sync = 0
         for event in iter_runs(requests, jobs=1, wall_timeout=wall_timeout,
                                run_fn=run_fn, store=local):
-            yield replace(event, index=indices[event.index])
+            yield event._replace(index=indices[event.index])
             if event.terminal:
                 since_sync += 1
                 if since_sync >= sync_every:
@@ -187,6 +192,10 @@ def iter_fabric_runs(
         Smaller = less loss-window after a crash (a respawn replays
         unsynced rows from the worker's local store anyway); larger =
         fewer round trips.
+    wall_timeout:
+        Per-run wall-clock budget, as :func:`~repro.sweep.iter_runs`
+        takes it (``None`` / ``0``: no deadline; negative: ``ValueError``
+        before any work starts).
     run_fn:
         Per-request run function (default: the real simulator).  Must
         be importable in a child process.
@@ -216,6 +225,7 @@ def iter_fabric_runs(
         machinery then has to earn its keep — chaos testing).
     """
     requests = list(requests)
+    wall_timeout = _wall_budget(wall_timeout)
     if not requests:
         return
     if workers < 1:

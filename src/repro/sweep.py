@@ -31,7 +31,6 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass
 from functools import partial
 from multiprocessing import connection as mp_connection
 from typing import (
@@ -40,6 +39,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -75,14 +75,19 @@ def _clipped(message: Optional[str]) -> Optional[str]:
     return message[:_FAILURE_MESSAGE_LIMIT - 3] + "..."
 
 
-@dataclass(frozen=True)
-class RunEvent:
+class RunEvent(NamedTuple):
     """One step of a streamed execution (see :func:`iter_runs`).
 
     Events identify their run by coordinates — ``(scenario, page,
     protocol, seed)`` names plus the request ``index`` — and carry only
     strings and numbers, never a request or record object, so they stay
     tiny on the parent pipe (``EVENT_WIRE_BOUND`` bytes pickled).
+
+    An event is an immutable named tuple: building one costs what a
+    tuple costs, and a sweep builds one per hit and two per miss.
+    Derive a changed copy with ``event._replace(field=...)`` and a dict
+    with ``event._asdict()``.  ``event.index`` is the request index
+    field, which shadows ``tuple.index``.
 
     Kinds:
 
@@ -142,9 +147,8 @@ class RunEvent:
 
 def _event(kind: str, index: int, request: RunRequest,
            key: Optional[str]) -> RunEvent:
-    return RunEvent(kind=kind, index=index, scenario=request.scenario.name,
-                    page=request.page.name, protocol=request.protocol.name,
-                    seed=request.seed, key=key)
+    return RunEvent(kind, index, request.scenario.name, request.page.name,
+                    request.protocol.name, request.seed, key)
 
 
 def _terminal_kind(record: RunRecord) -> str:
@@ -165,15 +169,15 @@ def _terminal_event(kind: str, index: int, request: RunRequest,
                     stored: bool = False,
                     attach: Optional[RunRecord] = None) -> RunEvent:
     failure = record.failure
-    return RunEvent(
-        kind=kind, index=index, scenario=request.scenario.name,
-        page=request.page.name, protocol=request.protocol.name,
-        seed=request.seed, key=key, plt=record.plt, ok=record.ok,
-        wall_time=record.wall_time,
-        failure_kind=failure.kind if failure is not None else None,
-        failure_message=_clipped(failure.message) if failure is not None
-        else None,
-        cached=record.cached, stored=stored, record=attach)
+    if failure is None:
+        failure_kind = failure_message = None
+    else:
+        failure_kind, failure_message = (failure.kind,
+                                         _clipped(failure.message))
+    return RunEvent(kind, index, request.scenario.name, request.page.name,
+                    request.protocol.name, request.seed, key, record.plt,
+                    record.ok, record.wall_time, failure_kind,
+                    failure_message, record.cached, stored, attach)
 
 
 # ----------------------------------------------------------------------
@@ -183,8 +187,20 @@ class WallClockTimeout(Exception):
     """Raised inside a run when its wall-clock budget expires."""
 
 
+def _wall_budget(wall_timeout: Optional[float]) -> Optional[float]:
+    """Normalise a ``wall_timeout`` argument: ``None`` and ``0`` mean no
+    deadline; a negative (or NaN) budget is refused by name."""
+    if wall_timeout is None or wall_timeout == 0:
+        return None
+    if not wall_timeout > 0:
+        raise ValueError(
+            f"wall_timeout={wall_timeout!r}: a wall-clock budget is a "
+            f"positive number of seconds, or 0 / None for no deadline")
+    return wall_timeout
+
+
 @contextlib.contextmanager
-def _wall_clock_deadline(seconds: Optional[float]) -> Iterator[None]:
+def _wall_clock_deadline(seconds: float) -> Iterator[None]:
     """Raise :class:`WallClockTimeout` in the current frame after ``seconds``.
 
     Uses ``SIGALRM``, which :func:`iter_runs` checks this thread can arm
@@ -192,9 +208,6 @@ def _wall_clock_deadline(seconds: Optional[float]) -> Iterator[None]:
     against a run that hangs in wall-clock time at a fixed simulated
     time, which the request's simulated-time cap cannot see.
     """
-    if seconds is None or seconds <= 0:
-        yield
-        return
 
     def _on_alarm(signum: int, frame: Any) -> None:
         raise WallClockTimeout()
@@ -218,11 +231,15 @@ def _alarm_usable() -> bool:
 def _guarded_run(run_fn: RunFn, request: RunRequest,
                  wall_timeout: Optional[float]) -> RunRecord:
     """The one attempt at a run: exceptions and timeouts become failure
-    records."""
+    records.  ``wall_timeout`` is normalised (:func:`_wall_budget`): with
+    ``None`` the run pays for no deadline context at all."""
     start = time.perf_counter()
     try:
-        with _wall_clock_deadline(wall_timeout):
+        if wall_timeout is None:
             record = run_fn(request)
+        else:
+            with _wall_clock_deadline(wall_timeout):
+                record = run_fn(request)
         if not isinstance(record, RunRecord):
             raise TypeError(
                 f"run function returned {type(record).__name__}, "
@@ -490,6 +507,8 @@ def iter_runs(
     wall_timeout:
         Per-run wall-clock budget in seconds; an overrun yields a
         ``"timeout"`` :class:`RunFailure` instead of hanging the pool.
+        ``None`` (the default) and ``0`` mean no deadline; a negative
+        budget raises ``ValueError`` before any run starts.
         It is enforced with ``SIGALRM``, which only the main thread can
         arm, so a budget asked for from any other thread (or where
         ``SIGALRM`` does not exist) raises ``ValueError`` before any run
@@ -531,8 +550,8 @@ def iter_runs(
             f"retries={retries!r}: run retries were removed — a run is "
             f"attempted once, since a fixed-seed run that raised raises "
             f"again; drop the argument")
-    if (wall_timeout is not None and wall_timeout > 0
-            and not _alarm_usable()):
+    wall_timeout = _wall_budget(wall_timeout)
+    if wall_timeout is not None and not _alarm_usable():
         raise ValueError(
             f"wall_timeout={wall_timeout!r} cannot be enforced here: its "
             f"SIGALRM deadline can be armed only on the main thread of a "

@@ -27,14 +27,24 @@ if mode == "silent" and side == "change":
 print("host: chatter before the result line")
 digest = int(args["--seed"]) + (mode == "digest" and side == "change")
 print("%s: 480 cells x 1 repetition(s), digest %016x" % (args["--workload"], digest))
+metrics = {"setup_s": {"value": 0.25, "unit": "s"},
+           "wall_s": {"value": wall, "unit": "s"},
+           "cells_per_s": {"value": 480 / wall, "unit": "1/s"},
+           "cpu_s": {"value": wall - 0.1, "unit": "s"},
+           "peak_rss_mb": {"value": 35.0, "unit": "MiB"}}
+if args["--trace"] == "1":
+    per_event = {"parent": 4.0, "change": 3.0}[side]
+    metrics = {"core.executor.us_per_event":
+                   {"value": per_event, "unit": "us"},
+               "store.cache.hits": {"value": 480.0, "unit": "count"}}
+    if side == "change":
+        metrics["store.shards.rows"] = {"value": 480.0, "unit": "count"}
+    if mode == "failed-traced":
+        mode = "failed"
 print(json.dumps({
     "correct": not (mode == "incorrect" and side == "change"),
     "attempted": 480, "failed": 2 if mode == "failed" and side == "parent" else 0,
-    "metrics": {"setup_s": {"value": 0.25, "unit": "s"},
-                "wall_s": {"value": wall, "unit": "s"},
-                "cells_per_s": {"value": 480 / wall, "unit": "1/s"},
-                "cpu_s": {"value": wall - 0.1, "unit": "s"},
-                "peak_rss_mb": {"value": 35.0, "unit": "MiB"}}}))
+    "metrics": metrics}))
 '''
 
 
@@ -151,3 +161,42 @@ def test_a_digest_mismatch_fails_its_pair(pairs, capsys, monkeypatch):
         "(store_replay)",
         "FAILED pair 2: digest 0000000000000005 vs 0000000000000006 "
         "(store_replay)"]
+
+
+def test_layers_add_one_traced_row_each(pairs, capsys):
+    code, calls = pairs("-n", "2", "--seeds", "5,6", "--layers",
+                        "core.executor.us_per_event,store.cache.hits,"
+                        "store.shards.rows")
+    assert code == 0
+    # The pairs untraced, then one traced run per side on the first seed.
+    assert [(side, args["--seed"], args["--trace"])
+            for side, args in calls] == [
+        ("parent", "5", "0"), ("change", "5", "0"),
+        ("change", "6", "0"), ("parent", "6", "0"),
+        ("parent", "5", "1"), ("change", "5", "1")]
+    table = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("|")]
+    assert table[-3:] == [
+        "| `core.executor.us_per_event` (1 traced run) | 4 | 3 | -25.0% "
+        "| – | 1/1 |",
+        # higher is better for a count of hits; a tie is no win
+        "| `store.cache.hits` (1 traced run) | 480 | 480 | +0.0% | – "
+        "| 0/1 |",
+        # the parent's harness did not report it
+        "| `store.shards.rows` (1 traced run) | n/a | 480 | n/a | – | n/a |"]
+
+
+def test_layers_are_checked_before_anything_runs(pairs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        pairs("-n", "2", "--layers", "core.executor.us_per_event,bogus.layer")
+    assert exit_info.value.code == 2
+    assert "bogus.layer" in capsys.readouterr().err
+
+
+def test_a_bad_traced_run_fails_the_workload(pairs, capsys, monkeypatch):
+    monkeypatch.setenv("PAIRS_MODE", "failed-traced")
+    code, _calls = pairs("-n", "2", "--layers", "core.executor.us_per_event")
+    assert code == 1
+    # the pairs were clean: only the traced parent run failed operations
+    assert capsys.readouterr().err.splitlines() == [
+        "FAILED traced parent: correct=True failed=2 (grid_serial)"]

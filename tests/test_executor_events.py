@@ -15,6 +15,7 @@ import repro.sweep as sweep_module
 from repro.core.aggregate import store_aggregator
 from repro.core.executor import ProtocolSpec, RunFailure, RunRecord, RunRequest
 from repro.core.report import build_store_report
+from repro.fabric import StoreServer, iter_fabric_runs
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import RunCache, ShardStore, open_store
@@ -64,6 +65,82 @@ def _flaky_once_run(request):
             pass
         raise RuntimeError("transient failure")
     return RunRecord(request=request, plt=1.0, complete=True)
+
+
+def _mixed_run(request):
+    """Every outcome an event can carry, by seed: a sample, a structured
+    ``incomplete``, a raised exception with a long message."""
+    if request.seed % 4 == 3:
+        raise RuntimeError("boom " * 100)
+    if request.seed % 4 == 2:
+        return RunRecord(request=request, plt=None, complete=False,
+                         failure=RunFailure("incomplete", "still loading"))
+    return _instant_run(request)
+
+
+#: ``RunEvent``'s public shape: field names, in order, and defaults.
+EVENT_FIELDS = ("kind", "index", "scenario", "page", "protocol", "seed",
+                "key", "plt", "ok", "wall_time", "failure_kind",
+                "failure_message", "cached", "stored", "record")
+EVENT_DEFAULTS = {"key": None, "plt": None, "ok": False, "wall_time": 0.0,
+                  "failure_kind": None, "failure_message": None,
+                  "cached": False, "stored": False, "record": None}
+
+
+class TestRunEventShape:
+    def test_fields_order_and_defaults(self):
+        assert RunEvent._fields == EVENT_FIELDS
+        assert RunEvent._field_defaults == EVENT_DEFAULTS
+        event = RunEvent("hit", 4, "s", "p", "quic", 7)
+        assert event._asdict() == {"kind": "hit", "index": 4, "scenario": "s",
+                                   "page": "p", "protocol": "quic",
+                                   "seed": 7, **EVENT_DEFAULTS}
+
+    def test_replace_changes_only_the_named_field(self):
+        event = next(e for e in iter_runs([req(seed=3)], run_fn=_instant_run)
+                     if e.terminal)
+        moved = event._replace(index=11)
+        assert moved.index == 11 and event.index == 0
+        assert ({k: v for k, v in moved._asdict().items() if k != "index"}
+                == {k: v for k, v in event._asdict().items() if k != "index"})
+        assert type(moved) is RunEvent and moved.terminal
+
+    def test_pickle_round_trips_within_the_wire_bound(self):
+        events = list(iter_runs([req(seed=s) for s in range(4)],
+                                run_fn=_mixed_run))
+        clipped = [e for e in events if e.kind == "error"]
+        assert clipped and len(clipped[0].failure_message) == 300
+        for event in events:
+            wire = pickle.dumps(event)
+            assert pickle.loads(wire) == event
+            assert type(pickle.loads(wire)) is RunEvent
+            assert len(wire) <= EVENT_WIRE_BOUND
+
+    def test_serial_pool_and_fabric_end_alike(self, tmp_path):
+        """The same 8 requests end in equal terminal events, ``wall_time``
+        excepted, run serially, by a 2-worker pool, and by the fabric."""
+        requests = [req(seed=s) for s in range(8)]
+
+        def terminal(events):
+            ended = sorted((e for e in events if e.terminal),
+                           key=lambda e: e.index)
+            assert [e.index for e in ended] == list(range(8))
+            return [e._replace(wall_time=0.0) for e in ended]
+
+        serial = terminal(iter_runs(
+            requests, run_fn=_mixed_run,
+            store=RunCache(ShardStore(tmp_path / "serial"))))
+        pooled = terminal(iter_runs(
+            requests, jobs=2, run_fn=_mixed_run, force_pool=True,
+            store=RunCache(ShardStore(tmp_path / "pooled"))))
+        with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
+            fabric = terminal(iter_fabric_runs(
+                requests, server.url, workers=2, run_fn=_mixed_run,
+                workdir=str(tmp_path / "work")))
+        assert [e.kind for e in serial] == ["complete", "complete",
+                                            "complete", "error"] * 2
+        assert pooled == serial
+        assert fabric == serial
 
 
 class TestEventStreamContract:
@@ -132,8 +209,9 @@ class TestEventStreamContract:
 
     def test_events_are_frozen_and_labelled(self):
         event = next(iter(iter_runs([req()], run_fn=_instant_run)))
-        with pytest.raises(AttributeError):
-            event.kind = "hit"
+        for name in (*EVENT_FIELDS, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
         assert "quic" in event.label and SCN.name in event.label
 
 
@@ -162,7 +240,7 @@ class TestRetryAccounting:
         events = list(iter_runs([req(), req(seed=1)], run_fn=_instant_run))
         assert not [e for e in events if e.kind == "retry"]
         assert "retry" not in EVENT_KINDS
-        assert "attempts" not in RunEvent.__dataclass_fields__
+        assert "attempts" not in RunEvent._fields
 
 
 class TestWorkerDirectWriteBack:
@@ -362,6 +440,39 @@ class TestValidation:
             run_requests([req()], chunk_size=1)
         with pytest.raises(TypeError, match="chunk_size"):
             collect([("a", [req()])], chunk_size=1)
+
+    def test_negative_wall_timeout_is_refused_before_any_run(self):
+        ran = []
+
+        def run(request):
+            ran.append(request.seed)
+            return _instant_run(request)
+
+        for budget in (-1, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="wall_timeout="):
+                iter_runs([req()], wall_timeout=budget, run_fn=run)
+            with pytest.raises(ValueError, match="wall_timeout="):
+                # refused before the (unreachable) server is contacted
+                list(iter_fabric_runs([req()], "http://127.0.0.1:9",
+                                      wall_timeout=budget))
+        assert ran == []
+
+    def test_no_budget_enters_no_deadline(self, monkeypatch):
+        entered = []
+        deadline = sweep_module._wall_clock_deadline
+
+        def spy(seconds):
+            entered.append(seconds)
+            return deadline(seconds)
+
+        monkeypatch.setattr(sweep_module, "_wall_clock_deadline", spy)
+        for budget in (None, 0, 0.0):
+            events = list(iter_runs([req()], wall_timeout=budget,
+                                    run_fn=_instant_run))
+            assert [e.kind for e in events] == ["miss-start", "complete"]
+        assert entered == []
+        list(iter_runs([req()], wall_timeout=5, run_fn=_instant_run))
+        assert entered == [5]
 
     def test_empty_request_list(self):
         assert list(iter_runs([])) == []
