@@ -78,8 +78,10 @@ examples:
 results:
 	@ls -1 benchmarks/results/
 
-# What CI runs: the tier-1 suite, the end-to-end benchmark's own tests
-# and the real `repro spec --jobs 2` path over the shipped smoke spec.
+# What CI runs, in one target: the real `repro spec --jobs 2` path over the
+# shipped smoke spec, the tier-1 suite and the end-to-end benchmark's own
+# tests.  CI splits it: its tier1 job runs the suite once per Python
+# version, and its check job runs the other two.
 check: bench-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e/tests -q

@@ -109,9 +109,9 @@ def test_ablation_tlp(benchmark):
                 if stream is not None and stream.bytes_sent >= size - 3 * 1350:
                     path.bottleneck_down.drop_next(3)
                     return
-                sim.schedule(0.002, arm_tail_drop)
+                sim.post(0.002, arm_tail_drop)
 
-            sim.schedule(0.002, arm_tail_drop)
+            sim.post(0.002, arm_tail_drop)
             assert sim.run_until(lambda: 1 in done, timeout=30.0)
             times[tlp] = done[1]
         return times

@@ -63,9 +63,9 @@ def _tail_loss_trace():
         if stream is not None and stream.bytes_sent >= size - 3 * 1350:
             path.bottleneck_down.drop_next(3)
             return
-        sim.schedule(0.002, arm)
+        sim.post(0.002, arm)
 
-    sim.schedule(0.002, arm)
+    sim.post(0.002, arm)
     assert sim.run_until(lambda: 1 in done, timeout=30.0)
     trace.close(sim.now)
     return trace

@@ -328,8 +328,8 @@ def run_fairness(
             request_handler=handler, seed=rng.randrange(1 << 30), flow_id=flow,
         )
         start = stagger * idx
-        sim.schedule(start, client.connect)
-        sim.schedule(start, client.request, {"size": blob}, lambda *a: None)
+        sim.post(start, client.connect)
+        sim.post(start, client.request, {"size": blob}, lambda *a: None)
         idx += 1
     for t in range(n_tcp):
         flow = f"tcp{t + 1}" if n_tcp > 1 else "tcp"
@@ -342,7 +342,7 @@ def run_fairness(
         def kickoff(c=client):
             c.connect(lambda now, c=c: c.request({"size": blob}, lambda *a: None))
 
-        sim.schedule(start, kickoff)
+        sim.post(start, kickoff)
         idx += 1
     sim.run(until=duration)
     averages = {

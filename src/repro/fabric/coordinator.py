@@ -194,8 +194,9 @@ def iter_fabric_runs(
         fewer round trips.
     wall_timeout:
         Per-run wall-clock budget, as :func:`~repro.sweep.iter_runs`
-        takes it (``None`` / ``0``: no deadline; negative: ``ValueError``
-        before any work starts).
+        takes it (``None`` / ``0`` / ``inf``: no deadline; negative or
+        above ``MAX_WALL_TIMEOUT``: ``ValueError`` before any work
+        starts).
     run_fn:
         Per-request run function (default: the real simulator).  Must
         be importable in a child process.

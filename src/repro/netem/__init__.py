@@ -39,7 +39,7 @@ from .profiles import (
     reordering_scenario,
     variable_bandwidth_scenario,
 )
-from .sim import Event, SimulationError, Simulator
+from .sim import SimulationError, Simulator
 from .tracebw import (
     BandwidthTrace,
     TraceDrivenLink,
@@ -83,7 +83,6 @@ __all__ = [
     "plt_grid",
     "reordering_scenario",
     "variable_bandwidth_scenario",
-    "Event",
     "SimulationError",
     "Simulator",
     "BandwidthTrace",

@@ -205,7 +205,7 @@ def characterize_scenario(scenario: Scenario, *, duration: float = 20.0,
         if sim.now >= duration:
             return
         path.client.send(Packet("client", "server", 1400, flow_id="probe"))
-        sim.schedule(interval, send_probe)
+        sim.post(interval, send_probe)
 
     send_probe()
     sim.run(until=duration + 2.0)

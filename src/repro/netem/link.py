@@ -272,7 +272,6 @@ class Link:
             sim = self.sim
             seq = sim._seq
             sim._seq = seq + 1
-            sim._pending += 1
             heappush(sim._queue, (done, seq, self._transmit_next, ()))
 
     def drop_next(self, n: int = 1) -> None:
@@ -329,7 +328,6 @@ class Link:
         sim = self.sim
         seq = sim._seq
         sim._seq = seq + 1
-        sim._pending += 1
         heappush(sim._queue, (at + latency, seq, self._deliver, (packet,)))
 
     def _deliver(self, packet: Packet) -> None:
@@ -400,23 +398,19 @@ class BandwidthSchedule:
         self.period = period
         self.rng = rng if rng is not None else random.Random(0)
         self.history: List[Tuple[float, float]] = []
-        self._event = None
-        self._stopped = False
+        self._timer = sim.timer(self._tick)
 
     def start(self) -> None:
-        """Apply an initial draw immediately and re-draw every period."""
+        """Apply an initial draw immediately and re-draw every period
+        (a second call restarts the period)."""
         self._tick()
 
     def stop(self) -> None:
-        self._stopped = True
-        if self._event is not None:
-            self._event.cancel()
+        self._timer.cancel()
 
     def _tick(self) -> None:
-        if self._stopped:
-            return
         rate = self.rng.uniform(self.low_bps, self.high_bps)
         for link in self.links:
             link.set_rate(rate)
         self.history.append((self.sim.now, rate))
-        self._event = self.sim.schedule(self.period, self._tick)
+        self._timer.arm(self.period)

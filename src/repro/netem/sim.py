@@ -13,28 +13,24 @@ Design notes
 * Events scheduled for the same instant fire in FIFO order (a
   monotonically increasing sequence number breaks ties), which keeps runs
   fully deterministic for a given seed.
-* Three scheduling flavours share one heap and one sequence space:
+* Two scheduling flavours share one heap and one sequence space:
 
   - :meth:`Simulator.post` / :meth:`Simulator.post_at` push a bare
     ``(time, seq, callback, args)`` tuple — no allocation beyond the
     tuple, and heap ordering compares the first two floats/ints directly
-    in C instead of dispatching into a Python ``__lt__``.  This is the
-    fast path for the non-cancellable majority of events (packet
-    transmissions, deliveries, sender wakeups, device-CPU completions).
-  - :meth:`Simulator.schedule` / :meth:`Simulator.at` wrap the callback
-    in a cancellable :class:`Event` and push ``(time, seq, None, event)``
-    — the ``None`` in the callback slot marks the entry as cancellable.
-    Transport retransmission timers rely on this.
+    in C instead of dispatching into a Python ``__lt__``.  Every one-shot
+    callback uses it (packet transmissions, deliveries, sender wakeups,
+    device-CPU completions, connection kick-offs).
+  - :meth:`Simulator.timer` returns a re-armable :class:`Timer` for
+    anything that may be cancelled or pushed out (retransmission and
+    delayed-ACK timers, bandwidth redraws): re-arming updates fields
+    instead of pushing a heap entry, and the entry's callback slot holds
+    ``None`` to mark it as a timer's.
 
-  - :meth:`Simulator.timer` returns a re-armable :class:`Timer` for the
-    callbacks that are pushed out far more often than they fire
-    (retransmission and delayed-ACK timers): re-arming updates fields
-    instead of allocating an :class:`Event` and pushing a heap entry.
-
-  All flavours draw from the same sequence counter, so FIFO ordering at
-  equal times holds across flavours and a call-site can be switched
-  between them without perturbing the event order (only the per-event
-  cost changes).
+  Both flavours draw from the same sequence counter, so FIFO ordering at
+  equal times holds across them and a call-site can be switched between
+  them without perturbing the event order (only the per-event cost
+  changes).
 """
 
 from __future__ import annotations
@@ -49,69 +45,21 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulator (e.g. scheduling in the past)."""
 
 
-class Event:
-    """A cancellable scheduled callback.
-
-    Instances are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.at`.  Holding on to the event allows cancelling or
-    inspecting it; dropping it is fine, the simulator keeps its own
-    reference until the event fires.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim",
-                 "_fired")
-
-    def __init__(self, time: float, seq: int, callback: Callable[..., Any],
-                 args: tuple, sim: Optional["Simulator"] = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-        self._fired = False
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Cancelling twice is a no-op."""
-        if not self.cancelled:
-            self.cancelled = True
-            # Keep the owning simulator's live-event counter exact: a
-            # cancelled-but-still-queued event will never fire.  A cancel
-            # arriving after the event already fired must not decrement.
-            sim = self._sim
-            if sim is not None and not self._fired:
-                sim._pending -= 1
-
-    @property
-    def pending(self) -> bool:
-        """True if the event has not been cancelled (it may still have fired)."""
-        return not self.cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<Event t={self.time:.6f} {name} {state}>"
-
-
 class Timer:
     """A re-armable one-shot timer (retransmission, delayed ACK).
 
-    ``timer.arm(delay, *args)`` is ``event.cancel()`` followed by
-    ``sim.schedule(delay, callback, *args)`` — it draws exactly one
-    sequence number, so the timer fires at the same ``(time, seq)``
-    position among all other events, and :meth:`Simulator.pending_events`
-    and :attr:`Simulator.events_processed` read the same — without the
-    :class:`Event` allocation and, usually, without the heap push.
+    ``timer.arm(delay, *args)`` draws exactly one sequence number, like
+    ``sim.post(delay, callback, *args)``, and supersedes any earlier
+    arming: the timer fires once, at the ``(time, seq)`` position the
+    last :meth:`arm` drew among all other events, unless :meth:`cancel`
+    comes first.  A superseded or cancelled deadline never fires and is
+    not counted in :attr:`Simulator.events_processed`.
 
     The timer keeps at most one live *carrier* entry in the heap.
     Pushing the deadline out only updates ``time``/``seq``; when the
     carrier surfaces early the run loop re-posts it at the true
     ``(time, seq)``.  Arming *earlier* than the carrier pushes a new
-    carrier and the old entry is skipped, uncounted, when it surfaces —
-    like a cancelled :class:`Event`.
+    carrier and the old entry is skipped, uncounted, when it surfaces.
     """
 
     __slots__ = ("callback", "args", "armed", "time", "seq", "_sim",
@@ -137,9 +85,7 @@ class Timer:
         when = sim.now + delay
         seq = sim._seq
         sim._seq = seq + 1
-        if not self.armed:
-            self.armed = True
-            sim._pending += 1
+        self.armed = True
         self.time = when
         self.seq = seq
         self.args = args
@@ -150,9 +96,7 @@ class Timer:
 
     def cancel(self) -> None:
         """Stop the timer.  A no-op when it is not armed (or already fired)."""
-        if self.armed:
-            self.armed = False
-            self._sim._pending -= 1
+        self.armed = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"armed t={self.time:.6f}" if self.armed else "idle"
@@ -160,7 +104,7 @@ class Timer:
         return f"<Timer {name} {state}>"
 
 
-#: One heap entry: ``(time, seq, callback_or_None, args_or_Event_or_Timer)``.
+#: One heap entry: ``(time, seq, callback, args)`` or ``(time, seq, None, timer)``.
 Entry = Tuple[float, int, Optional[Callable[..., Any]], Any]
 
 
@@ -170,9 +114,8 @@ class Simulator:
     Typical usage::
 
         sim = Simulator()
-        sim.schedule(0.010, handler, arg1, arg2)   # 10 ms, cancellable
-        sim.post(0.010, handler, arg1, arg2)       # 10 ms, fire-and-forget
-        rto = sim.timer(on_timeout); rto.arm(0.2)  # re-armable
+        sim.post(0.010, handler, arg1, arg2)       # 10 ms, one-shot
+        rto = sim.timer(on_timeout); rto.arm(0.2)  # cancellable, re-armable
         sim.run()                                   # until queue drains
 
     The simulator is intentionally minimal: no processes, no channels.
@@ -189,8 +132,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._event_count = 0
-        #: Queued events that will actually fire (cancelled ones excluded).
-        self._pending = 0
 
     # ------------------------------------------------------------------
     # time
@@ -203,17 +144,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        ``delay`` must be non-negative.  Returns a cancellable
-        :class:`Event`.
+        ``delay`` must be non-negative.  The callback cannot be
+        cancelled; use :meth:`timer` for one that may be.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self.at(self.now + delay, callback, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._queue, (self.now + delay, seq, callback, args))
 
-    def at(self, when: float, callback: Callable[..., Any], *args: Any) -> Event:
+    def post_at(self, when: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute simulated time ``when``."""
         if when < self.now:
             raise SimulationError(
@@ -221,35 +164,6 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, callback, args, self)
-        self._pending += 1
-        heappush(self._queue, (when, seq, None, event))
-        return event
-
-    def post(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fast path: schedule a *non-cancellable* callback ``delay`` from now.
-
-        Identical semantics to :meth:`schedule` except nothing is
-        returned, so the callback cannot be cancelled.  Use it for the
-        fire-and-forget majority: the heap entry is a plain tuple and no
-        :class:`Event` is allocated.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        seq = self._seq
-        self._seq = seq + 1
-        self._pending += 1
-        heappush(self._queue, (self.now + delay, seq, callback, args))
-
-    def post_at(self, when: float, callback: Callable[..., Any], *args: Any) -> None:
-        """Fast path: non-cancellable callback at absolute time ``when``."""
-        if when < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={when} before now={self.now}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        self._pending += 1
         heappush(self._queue, (when, seq, callback, args))
 
     def timer(self, callback: Callable[..., Any]) -> Timer:
@@ -320,32 +234,26 @@ class Simulator:
                 pop(queue)
                 callback = entry[2]
                 if callback is None:
-                    event = entry[3]
-                    if event.__class__ is Timer:
-                        seq = entry[1]
-                        if seq != event._carrier:
-                            continue  # superseded by an earlier carrier
-                        if not event.armed:
-                            event._carrier_time = _INF
-                            continue  # counter already adjusted by cancel()
-                        if seq != event.seq:
-                            # Deadline was pushed out: carry it to the
-                            # (time, seq) the last arm() drew.
-                            event._carrier = event.seq
-                            event._carrier_time = event.time
-                            heappush(queue, (event.time, event.seq, None, event))
-                            continue
-                        event.armed = False
-                        event._carrier_time = _INF
-                    else:
-                        if event.cancelled:
-                            continue  # counter already adjusted by cancel()
-                        event._fired = True
-                    callback = event.callback
-                    args = event.args
+                    timer = entry[3]
+                    seq = entry[1]
+                    if seq != timer._carrier:
+                        continue  # superseded by an earlier carrier
+                    if not timer.armed:
+                        timer._carrier_time = _INF
+                        continue  # cancelled
+                    if seq != timer.seq:
+                        # Deadline was pushed out: carry it to the
+                        # (time, seq) the last arm() drew.
+                        timer._carrier = timer.seq
+                        timer._carrier_time = timer.time
+                        heappush(queue, (timer.time, timer.seq, None, timer))
+                        continue
+                    timer.armed = False
+                    timer._carrier_time = _INF
+                    callback = timer.callback
+                    args = timer.args
                 else:
                     args = entry[3]
-                self._pending -= 1
                 self.now = when
                 fired += 1
                 if fired > limit:
@@ -357,10 +265,6 @@ class Simulator:
         finally:
             self._event_count += fired
             self._running = False
-
-    def pending_events(self) -> int:
-        """Number of queued events that will fire (O(1); cancelled excluded)."""
-        return self._pending
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self.now:.6f} queued={len(self._queue)}>"

@@ -163,4 +163,4 @@ class TraceDrivenLink:
             link.set_rate(effective)
         self.applied.append(effective)
         self._step += 1
-        self.sim.schedule(self.trace.interval, self._tick)
+        self.sim.post(self.trace.interval, self._tick)

@@ -72,7 +72,7 @@ class SplitConnectionProxy:
         self.forwarded_bytes = 0
         # A transparent proxy opens its origin leg as soon as the client
         # appears; both legs handshake in parallel.
-        sim.schedule(0.0, self.right_client.connect)
+        sim.post(0.0, self.right_client.connect)
 
     # ------------------------------------------------------------------
     def _on_left_request(self, left_id: int, meta: Any) -> None:

@@ -187,15 +187,26 @@ class WallClockTimeout(Exception):
     """Raised inside a run when its wall-clock budget expires."""
 
 
+#: The largest wall-clock budget :func:`_wall_clock_deadline` arms, in
+#: seconds (~68 years: what a 32-bit ``time_t`` holds).  ``setitimer``
+#: overflows somewhere above it, depending on the platform.
+MAX_WALL_TIMEOUT = 2**31 - 1
+
+
 def _wall_budget(wall_timeout: Optional[float]) -> Optional[float]:
-    """Normalise a ``wall_timeout`` argument: ``None`` and ``0`` mean no
-    deadline; a negative (or NaN) budget is refused by name."""
-    if wall_timeout is None or wall_timeout == 0:
+    """Normalise a ``wall_timeout`` argument: ``None``, ``0`` and ``inf``
+    mean no deadline; a negative (or NaN) budget, or a finite one above
+    :data:`MAX_WALL_TIMEOUT`, is refused by name."""
+    if wall_timeout in (None, 0, float("inf")):
         return None
     if not wall_timeout > 0:
         raise ValueError(
             f"wall_timeout={wall_timeout!r}: a wall-clock budget is a "
-            f"positive number of seconds, or 0 / None for no deadline")
+            f"positive number of seconds, or 0 / None / inf for no deadline")
+    if wall_timeout > MAX_WALL_TIMEOUT:
+        raise ValueError(
+            f"wall_timeout={wall_timeout!r}: SIGALRM cannot arm a budget "
+            f"over {MAX_WALL_TIMEOUT} s; pass inf or None for no deadline")
     return wall_timeout
 
 
@@ -507,8 +518,9 @@ def iter_runs(
     wall_timeout:
         Per-run wall-clock budget in seconds; an overrun yields a
         ``"timeout"`` :class:`RunFailure` instead of hanging the pool.
-        ``None`` (the default) and ``0`` mean no deadline; a negative
-        budget raises ``ValueError`` before any run starts.
+        ``None`` (the default), ``0`` and ``inf`` mean no deadline; a
+        negative budget, or a finite one above :data:`MAX_WALL_TIMEOUT`,
+        raises ``ValueError`` before any run starts.
         It is enforced with ``SIGALRM``, which only the main thread can
         arm, so a budget asked for from any other thread (or where
         ``SIGALRM`` does not exist) raises ``ValueError`` before any run

@@ -23,7 +23,7 @@ def flood(sim, path, n=500, size=1400, interval=0.001):
             return
         path.client.send(Packet("client", "server", size, flow_id="f"))
         state["sent"] += 1
-        sim.schedule(interval, tick)
+        sim.post(interval, tick)
 
     tick()
     sim.run()

@@ -35,6 +35,12 @@ The fixed cells cover the paths the optimisations touch:
   either stack, every QoE field pinned.
 * One QUIC and one TCP bulk flow sharing a bottleneck — the fairness
   driver's per-side connection set-up and kick-off order.
+* Fig. 11's variable-bandwidth bulk transfer over QUIC and over TCP — the
+  ``BandwidthSchedule`` redraw chain and the cwnd trace.
+* A transfer over a trace-driven LTE link — ``TraceDrivenLink``'s rate
+  steps and TCP's RTO through the trace's outages.
+* ``characterize_scenario``'s probe stream — its self-rescheduling
+  sender and the capture's reorder accounting.
 
 Exact ``==`` on floats is deliberate: bit-identity is the guarantee.
 """
@@ -46,11 +52,14 @@ from dataclasses import asdict, replace
 
 from repro.core.bench import bench_plt
 from repro.core.executor import ProtocolSpec
-from repro.core.runner import run_fairness, run_page_load
+from repro.core.runner import run_bulk_transfer, run_fairness, run_page_load
 from repro.devices import MOTOG
 from repro.http.objects import page
+from repro.netem import (Simulator, TraceDrivenLink, build_path,
+                         characterize_scenario, lte_like_trace)
 from repro.netem.profiles import Scenario, emulated
 from repro.quic.config import quic_config
+from repro.tcp import open_tcp_pair, tcp_config
 from repro.video import play_video_once
 
 
@@ -352,6 +361,92 @@ class TestGoldenQuicBbr:
             seed=1)
         assert out.result.plt == 1.885478055352652
         assert out.sim.events_processed == 42911
+
+
+class TestGoldenVariableBandwidth:
+    """Fig. 11: 2 MB over 50 Mbps redrawn in [10, 50] Mbps every 0.5 s;
+    seed 3, per protocol."""
+
+    def _transfer(self, protocol):
+        return run_bulk_transfer(emulated(50.0), 2 * 1024 * 1024, protocol,
+                                 seed=3, variable_bw=(10.0, 50.0, 0.5))
+
+    def test_exact_quic_transfer(self):
+        result = self._transfer("quic")
+        assert repr(result.elapsed) == "0.9352374846415704"
+        assert (result.losses, result.false_losses,
+                len(result.cwnd_series)) == (0, 0, 83)
+        assert vars(result.stats) == {
+            "packets_sent": 1725, "bytes_sent": 2119140,
+            "data_packets_sent": 1725, "retransmitted_ranges": 0,
+            "acks_sent": 0, "packets_received": 852, "duplicate_bytes": 0,
+            "tlp_probes": 0, "rto_fires": 0, "flow_blocked_events": 0,
+            "app_limited_events": 157}
+
+    def test_exact_tcp_transfer(self):
+        result = self._transfer("tcp")
+        assert repr(result.elapsed) == "1.3491170380174304"
+        assert (result.losses, result.false_losses,
+                len(result.cwnd_series)) == (180, 0, 57)
+        assert vars(result.stats) == {
+            "segments_sent": 2064, "bytes_sent": 2210691, "acks_sent": 1,
+            "retransmits": 180, "spurious_retransmits": 0, "rto_fires": 0,
+            "dsacks_sent": 0, "segments_received": 1,
+            "duplicate_segments": 0}
+
+
+class TestGoldenTraceDrivenTcp:
+    """3 MB of TCP over a 100 Mbps path whose bottleneck follows a
+    synthetic LTE trace (8 Mbps mean, outages); seed 1.  Built the way
+    the trace-driven extension bench builds its transfer."""
+
+    def test_exact_outcome(self):
+        sim = Simulator()
+        path = build_path(sim, emulated(100.0), seed=1)
+        trace = lte_like_trace(mean_mbps=8.0, duration=120.0, seed=1)
+        driver = TraceDrivenLink(
+            sim, [path.bottleneck_down, path.bottleneck_up], trace)
+        driver.start()
+        done = {}
+        client, server = open_tcp_pair(
+            sim, path.client, path.server, tcp_config(),
+            request_handler=lambda m: m["size"], seed=1)
+        client.connect(lambda now: client.request(
+            {"size": 3 * 1024 * 1024},
+            lambda m, meta, t: done.update({1: t})))
+        assert sim.run_until(lambda: 1 in done, timeout=300.0)
+        driver.stop()
+        assert repr(done[1]) == "15.643428076527009"
+        assert sim.events_processed == 17844
+        assert len(driver.applied) == 157
+        assert vars(server.stats) == {
+            "segments_sent": 3235, "bytes_sent": 3259128, "acks_sent": 1,
+            "retransmits": 84, "spurious_retransmits": 84, "rto_fires": 7,
+            "dsacks_sent": 0, "segments_received": 1,
+            "duplicate_segments": 0}
+        links = {key: (_link_counts(link.stats), link.stats.dropped_bytes)
+                 for key, link in path.network.links.items()}
+        assert links == {
+            ("client", "router"): ((1661, 153642, 0, 0, 1660, 153550, 0), 0),
+            ("router", "client"): ((3236, 3431380, 0, 0, 3236, 3431380, 0),
+                                   0),
+            ("router", "server"): ((1660, 153550, 0, 0, 1653, 152906, 0), 0),
+            ("server", "router"): ((3236, 3431380, 0, 0, 3236, 3431380, 0),
+                                   0),
+        }
+
+
+class TestGoldenCharacterize:
+    """``characterize_scenario`` on 20 Mbps, 1 % loss, 5 ms jitter; seed 1."""
+
+    def test_exact_characteristics(self):
+        measured = characterize_scenario(
+            emulated(20.0, loss_pct=1.0, jitter_ms=5.0), seed=1)
+        assert asdict(measured) == {
+            "duration": 20.05822836653376, "delivered_packets": 35463,
+            "delivered_bytes": 49648200, "dropped_packets": 7047,
+            "lost_packets": 348, "reordered_packets": 24590,
+            "mean_reorder_depth": 3.9224074827165514}
 
 
 class TestCanonicalBenchCell:

@@ -49,7 +49,8 @@ class TestPacketProcessor:
         proc = PacketProcessor(sim, 0.0, out.append)
         proc.submit("a")
         assert out == ["a"]  # no event needed
-        assert sim.pending_events() == 0
+        sim.run()
+        assert sim.events_processed == 0
 
     def test_items_processed_in_fifo_order(self):
         sim = Simulator()
@@ -101,6 +102,6 @@ class TestPacketProcessor:
         out = []
         proc = PacketProcessor(sim, 0.01, out.append, cost_jitter=0.0)
         proc.submit(1)
-        sim.schedule(0.005, proc.submit, 2)
+        sim.post(0.005, proc.submit, 2)
         sim.run()
         assert out == [1, 2]

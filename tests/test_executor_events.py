@@ -457,6 +457,21 @@ class TestValidation:
                                       wall_timeout=budget))
         assert ran == []
 
+    def test_unarmable_wall_timeout_is_refused_before_any_run(self):
+        ran = []
+
+        def run(request):
+            ran.append(request.seed)
+            return _instant_run(request)
+
+        for budget in (1e10, 1e12, sweep_module.MAX_WALL_TIMEOUT + 1):
+            with pytest.raises(ValueError, match=f"wall_timeout={budget!r}"):
+                iter_runs([req()], wall_timeout=budget, run_fn=run)
+            with pytest.raises(ValueError, match=f"wall_timeout={budget!r}"):
+                list(iter_fabric_runs([req()], "http://127.0.0.1:9",
+                                      wall_timeout=budget))
+        assert ran == []
+
     def test_no_budget_enters_no_deadline(self, monkeypatch):
         entered = []
         deadline = sweep_module._wall_clock_deadline
@@ -466,13 +481,16 @@ class TestValidation:
             return deadline(seconds)
 
         monkeypatch.setattr(sweep_module, "_wall_clock_deadline", spy)
-        for budget in (None, 0, 0.0):
+        for budget in (None, 0, 0.0, float("inf")):
             events = list(iter_runs([req()], wall_timeout=budget,
                                     run_fn=_instant_run))
             assert [e.kind for e in events] == ["miss-start", "complete"]
         assert entered == []
-        list(iter_runs([req()], wall_timeout=5, run_fn=_instant_run))
-        assert entered == [5]
+        for budget in (5, sweep_module.MAX_WALL_TIMEOUT):
+            events = list(iter_runs([req()], wall_timeout=budget,
+                                    run_fn=_instant_run))
+            assert events[-1].ok
+        assert entered == [5, sweep_module.MAX_WALL_TIMEOUT]
 
     def test_empty_request_list(self):
         assert list(iter_runs([])) == []

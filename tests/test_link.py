@@ -203,6 +203,16 @@ class TestBandwidthSchedule:
         sim.run(until=10.0)
         assert len(sched.history) == n
 
+    def test_second_start_restarts_the_period(self):
+        sim = Simulator()
+        link = Link(sim, rate_bps=mbps(100), delay=0.0)
+        sched = BandwidthSchedule(sim, [link], mbps(50), mbps(150), period=1.0)
+        sched.start()
+        sim.run(until=0.5)
+        sched.start()
+        sim.run(until=3.0)
+        assert [t for t, _rate in sched.history] == [0.0, 0.5, 1.5, 2.5]
+
     def test_invalid_parameters(self):
         sim = Simulator()
         link = Link(sim, rate_bps=None, delay=0.0)

@@ -40,7 +40,7 @@ class TestFlowThroughputMonitor:
             if i >= 100:
                 return
             servers[0].send(Packet("server0", "client0", 1250, flow_id="a"))
-            sim.schedule(0.01, send, i + 1)
+            sim.post(0.01, send, i + 1)
 
         send()
         sim.run()
@@ -55,7 +55,7 @@ class TestFlowThroughputMonitor:
             if i >= 40:
                 return
             servers[0].send(Packet("server0", "client0", 1000, flow_id="a"))
-            sim.schedule(0.05, send, i + 1)
+            sim.post(0.05, send, i + 1)
 
         send()
         sim.run()

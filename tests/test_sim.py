@@ -4,45 +4,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netem.sim import Event, SimulationError, Simulator
+import repro.netem
+import repro.netem.sim as sim_module
+from repro.netem.sim import SimulationError, Simulator
 
 
 class TestScheduling:
     def test_events_fire_in_time_order(self, sim):
         fired = []
-        sim.schedule(0.3, fired.append, "c")
-        sim.schedule(0.1, fired.append, "a")
-        sim.schedule(0.2, fired.append, "b")
+        sim.post(0.3, fired.append, "c")
+        sim.post(0.1, fired.append, "a")
+        sim.post(0.2, fired.append, "b")
         sim.run()
         assert fired == ["a", "b", "c"]
 
     def test_same_time_events_fire_fifo(self, sim):
         fired = []
         for tag in range(10):
-            sim.schedule(1.0, fired.append, tag)
+            sim.post(1.0, fired.append, tag)
         sim.run()
         assert fired == list(range(10))
 
     def test_clock_advances_to_event_time(self, sim):
         seen = []
-        sim.schedule(2.5, lambda: seen.append(sim.now))
+        sim.post(2.5, lambda: seen.append(sim.now))
         sim.run()
         assert seen == [2.5]
         assert sim.now == 2.5
 
     def test_negative_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim.schedule(-0.1, lambda: None)
+            sim.post(-0.1, lambda: None)
 
     def test_schedule_in_past_rejected(self, sim):
-        sim.schedule(1.0, lambda: None)
+        sim.post(1.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.at(0.5, lambda: None)
+            sim.post_at(0.5, lambda: None)
 
     def test_zero_delay_allowed(self, sim):
         fired = []
-        sim.schedule(0.0, fired.append, 1)
+        sim.post(0.0, fired.append, 1)
         sim.run()
         assert fired == [1]
 
@@ -51,9 +53,9 @@ class TestScheduling:
 
         def outer():
             fired.append("outer")
-            sim.schedule(0.1, fired.append, "inner")
+            sim.post(0.1, fired.append, "inner")
 
-        sim.schedule(0.1, outer)
+        sim.post(0.1, outer)
         sim.run()
         assert fired == ["outer", "inner"]
         assert sim.now == pytest.approx(0.2)
@@ -62,36 +64,66 @@ class TestScheduling:
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
-        event = sim.schedule(0.1, fired.append, "x")
-        event.cancel()
+        timer = sim.timer(fired.append)
+        timer.arm(0.1, "x")
+        timer.cancel()
         sim.run()
         assert fired == []
 
     def test_cancel_twice_is_noop(self, sim):
-        event = sim.schedule(0.1, lambda: None)
-        event.cancel()
-        event.cancel()
+        timer = sim.timer(lambda: None)
+        timer.arm(0.1)
+        timer.cancel()
+        timer.cancel()
         sim.run()
+        assert sim.events_processed == 0
 
     def test_cancel_from_earlier_event(self, sim):
         fired = []
-        later = sim.schedule(0.2, fired.append, "later")
-        sim.schedule(0.1, later.cancel)
+        later = sim.timer(fired.append)
+        later.arm(0.2, "later")
+        sim.post(0.1, later.cancel)
         sim.run()
         assert fired == []
+        assert sim.events_processed == 1
 
-    def test_pending_events_excludes_cancelled(self, sim):
-        event = sim.schedule(0.1, lambda: None)
-        sim.schedule(0.2, lambda: None)
-        event.cancel()
-        assert sim.pending_events() == 1
+    def test_events_processed_excludes_cancelled(self, sim):
+        timer = sim.timer(lambda: None)
+        timer.arm(0.1)
+        sim.post(0.2, lambda: None)
+        timer.cancel()
+        sim.run()
+        assert sim.events_processed == 1
+        assert sim.now == 0.2
+
+    def test_armed_property(self, sim):
+        timer = sim.timer(lambda: None)
+        assert not timer.armed
+        timer.arm(0.1)
+        assert timer.armed
+        timer.cancel()
+        assert not timer.armed
+        timer.arm(0.1)
+        sim.run()
+        assert not timer.armed
+
+
+class TestSurface:
+    def test_two_scheduling_flavours_only(self, sim):
+        """One-shot callbacks are posted and cancellable ones are timers:
+        no cancellable event object and no pending-event counter."""
+        assert not hasattr(sim_module, "Event")
+        assert not hasattr(repro.netem, "Event")
+        assert "Event" not in repro.netem.__all__
+        for name in ("schedule", "at", "pending_events", "_pending"):
+            assert not hasattr(sim, name), name
 
 
 class TestRun:
     def test_run_until_time_stops_and_advances_clock(self, sim):
         fired = []
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(3.0, fired.append, "b")
+        sim.post(1.0, fired.append, "a")
+        sim.post(3.0, fired.append, "b")
         sim.run(until=2.0)
         assert fired == ["a"]
         assert sim.now == 2.0
@@ -101,7 +133,7 @@ class TestRun:
     def test_run_until_predicate(self, sim):
         counter = []
         for i in range(10):
-            sim.schedule(0.1 * (i + 1), counter.append, i)
+            sim.post(0.1 * (i + 1), counter.append, i)
         satisfied = sim.run_until(lambda: len(counter) >= 3, timeout=10.0)
         assert satisfied
         assert len(counter) == 3
@@ -117,15 +149,15 @@ class TestRun:
 
     def test_max_events_guard(self, sim):
         def loop():
-            sim.schedule(0.001, loop)
+            sim.post(0.001, loop)
 
-        sim.schedule(0.0, loop)
+        sim.post(0.0, loop)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
 
     def test_events_processed_counter(self, sim):
         for i in range(5):
-            sim.schedule(0.1 * i, lambda: None)
+            sim.post(0.1 * i, lambda: None)
         sim.run()
         assert sim.events_processed == 5
 
@@ -133,12 +165,12 @@ class TestRun:
         def recurse():
             sim.run()
 
-        sim.schedule(0.1, recurse)
+        sim.post(0.1, recurse)
         with pytest.raises(SimulationError):
             sim.run()
 
     def test_run_inside_run_until_callback_is_rejected_too(self, sim):
-        sim.schedule(0.1, sim.run)
+        sim.post(0.1, sim.run)
         with pytest.raises(SimulationError):
             sim.run_until(lambda: False, timeout=1.0)
 
@@ -150,68 +182,59 @@ class TestRun:
             sim.stop()
             fired.append("b-finished")
 
-        sim.schedule(1.0, fired.append, "a")
-        sim.schedule(2.0, second)
-        sim.schedule(3.0, fired.append, "c")
+        sim.post(1.0, fired.append, "a")
+        sim.post(2.0, second)
+        sim.post(3.0, fired.append, "c")
         sim.run(until=10.0)
         assert fired == ["a", "b", "b-finished"]
         assert sim.now == 2.0  # not advanced to ``until``
-        assert sim.pending_events() == 1
+        assert sim.events_processed == 2
         sim.run()
         assert fired[-1] == "c"
+        assert sim.events_processed == 3
 
     def test_stop_ends_run_until_with_the_predicate_false(self, sim):
-        sim.schedule(1.0, sim.stop)
-        sim.schedule(2.0, lambda: None)
+        sim.post(1.0, sim.stop)
+        sim.post(2.0, lambda: None)
         assert not sim.run_until(lambda: False, timeout=10.0)
         assert sim.now == 1.0
 
     def test_stop_while_idle_does_not_affect_the_next_run(self, sim):
         fired = []
         sim.stop()
-        sim.schedule(1.0, fired.append, "a")
+        sim.post(1.0, fired.append, "a")
         sim.run()
         assert fired == ["a"]
 
 
-class TestEvent:
-    def test_event_ordering_dunder(self):
-        a = Event(1.0, 0, lambda: None, ())
-        b = Event(1.0, 1, lambda: None, ())
-        c = Event(0.5, 2, lambda: None, ())
-        assert c < a < b
-
-    def test_pending_property(self, sim):
-        event = sim.schedule(0.1, lambda: None)
-        assert event.pending
-        event.cancel()
-        assert not event.pending
-
-
 class _RefTimer:
-    """The reference: what every call site spelled before ``Timer`` —
-    ``cancel()`` the old :class:`Event`, ``schedule()`` a new one."""
+    """The reference: a timer on :meth:`Simulator.post` alone.  Each
+    ``arm()`` posts once — drawing the one sequence number
+    :meth:`Timer.arm` draws — under a new generation; a fire whose
+    generation was superseded or cancelled is a no-op, noted in
+    ``noops``."""
 
-    def __init__(self, sim, callback):
+    def __init__(self, sim, callback, noops):
         self.sim = sim
         self.callback = callback
-        self.event = None
-
-    @property
-    def armed(self):
-        return self.event is not None
+        self.noops = noops
+        self.generation = 0
+        self.armed = False
 
     def arm(self, delay, *args):
-        self.cancel()
-        self.event = self.sim.schedule(delay, self._fire, *args)
+        self.generation += 1
+        self.armed = True
+        self.sim.post(delay, self._fire, self.generation, args)
 
     def cancel(self):
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None
+        self.generation += 1
+        self.armed = False
 
-    def _fire(self, *args):
-        self.event = None
+    def _fire(self, generation, args):
+        if generation != self.generation:
+            self.noops.append(generation)
+            return
+        self.armed = False
         self.callback(*args)
 
 
@@ -235,8 +258,7 @@ def _drive(ops, make_timer):
     log = []
 
     def seen(*what):
-        log.append((sim.now, sim.pending_events(),
-                    tuple(t.armed for t in timers)) + what)
+        log.append((sim.now, tuple(t.armed for t in timers)) + what)
 
     def fired(which, tag, rearm):
         seen("timer", which, tag)
@@ -257,18 +279,26 @@ def _drive(ops, make_timer):
     for index, (slot, kind, which, delay, rearm) in enumerate(ops):
         sim.post_at(float(slot), do, index, kind, which, delay, rearm)
     sim.run(max_events=10_000)
-    return log, sim.events_processed, sim.pending_events(), sim.now
+    return log, sim.events_processed, sim.now
 
 
 class TestTimer:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_ops)
     def test_matches_cancel_plus_schedule_exactly(self, ops):
-        """Same firing log (time, which, args), same ``pending_events()``
-        and ``armed`` after every event, same final ``events_processed``:
-        arm / re-arm later / re-arm earlier / cancel / same-instant ties."""
-        assert (_drive(ops, lambda sim, cb: sim.timer(cb))
-                == _drive(ops, _RefTimer))
+        """Same firing log (time, which, args) and ``armed`` states after
+        every event as the post-and-generation reference, and the same
+        ``events_processed`` once the reference's no-op fires are taken
+        out: arm / re-arm later / re-arm earlier / cancel / same-instant
+        ties."""
+        log, events, now = _drive(ops, lambda sim, cb: sim.timer(cb))
+        noops = []
+        ref_log, ref_events, _ = _drive(
+            ops, lambda sim, cb: _RefTimer(sim, cb, noops))
+        assert log == ref_log
+        assert events == ref_events - len(noops)
+        # A cancelled or superseded deadline does not move the clock.
+        assert now == (log[-1][0] if log else 0.0)
 
     def test_fires_once_with_the_last_args(self, sim):
         fired = []
@@ -277,21 +307,23 @@ class TestTimer:
         timer.arm(1.0, "first")
         timer.arm(3.0, "later")
         timer.arm(2.0, "earlier")
-        assert timer.armed and sim.pending_events() == 1
+        assert timer.armed
         sim.run()
         assert fired == [(2.0, ("earlier",))]
         assert not timer.armed and sim.events_processed == 1
 
     def test_cancel_after_fire_is_a_noop(self, sim):
-        timer = sim.timer(lambda: None)
-        timer.arm(1.0)
-        sim.schedule(2.0, lambda: None)
+        fired = []
+        timer = sim.timer(fired.append)
+        timer.arm(1.0, "timer")
+        sim.post(2.0, fired.append, "post")
         sim.run(until=1.5)
         timer.cancel()
         timer.cancel()
-        assert sim.pending_events() == 1
+        assert not timer.armed
         sim.run()
-        assert sim.events_processed == 2 and sim.pending_events() == 0
+        assert fired == ["timer", "post"]
+        assert sim.events_processed == 2
 
     def test_arm_inside_own_callback_makes_it_periodic(self, sim):
         ticks = []

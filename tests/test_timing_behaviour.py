@@ -86,9 +86,9 @@ class TestRetransmissionTimers:
             if stream is not None and stream.bytes_sent >= 100_000 - 3 * 1350:
                 path.bottleneck_down.drop_next(3)
                 return
-            sim.schedule(0.002, arm)
+            sim.post(0.002, arm)
 
-        sim.schedule(0.002, arm)
+        sim.post(0.002, arm)
         assert sim.run_until(lambda: 1 in done, timeout=30.0)
         assert server.stats.tlp_probes >= 1
         # TLP repaired the tail well before a 200 ms RTO would have.
