@@ -95,4 +95,4 @@ clean:
 # distclean additionally drops regenerable local state: the committed-
 # results directory (restorable with git checkout) and local result stores.
 distclean: clean
-	rm -rf benchmarks/results .repro-store.sqlite
+	rm -rf benchmarks/results .repro-store .repro-store.sqlite

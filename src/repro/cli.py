@@ -321,14 +321,13 @@ def cmd_store(args: argparse.Namespace) -> int:
         elif args.store_command == "export":
             count = store.export_jsonl(args.file)
             print(f"exported {count} run(s) to {args.file}")
-        elif args.store_command == "import":
-            count = store.import_jsonl(args.file)
-            print(f"imported {count} run(s) into {store.path}")
         elif args.store_command == "sync":
             try:
                 imported, skipped = merge_into(store, args.source)
             except FileNotFoundError as exc:
                 raise SystemExit(str(exc))
+            except ValueError as exc:  # a row that must not land
+                raise SystemExit(f"error: {exc}")
             print(f"synced from {args.source}: {imported} imported, "
                   f"{skipped} already present; {len(store)} total in "
                   f"{store.path}")
@@ -413,7 +412,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if is_store_url(args.store or ""):
         raise SystemExit(
             "error: repro serve exposes a *local* store over HTTP; point "
-            "--store at a file or directory, not another server's URL")
+            "--store at a shard directory, not another server's URL")
     store = _open_store(args.store)
     try:
         server = StoreServer(store, host=args.host, port=args.port,
@@ -686,20 +685,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("store", help="inspect and maintain the results store")
     p.add_argument("--store", default=None, metavar="PATH",
                    help=f"store location (default: {where}); a 'repro "
-                        "serve' URL, a store that exists, or a new path: "
-                        ".sqlite/.db opens sqlite, anything else a sharded "
-                        "JSONL directory")
+                        "serve' URL or a shard directory (a new path "
+                        "becomes one)")
     store_sub = p.add_subparsers(dest="store_command", required=True)
     store_sub.add_parser("ls", help="list stored runs")
     sp = store_sub.add_parser("show", help="dump one stored run as JSON")
     sp.add_argument("key", help="run key (an unambiguous prefix suffices)")
     sp = store_sub.add_parser("export", help="write the store as JSONL")
     sp.add_argument("file")
-    sp = store_sub.add_parser("import", help="merge a JSONL export")
-    sp.add_argument("file")
     sp = store_sub.add_parser(
-        "sync", help="merge another store (sqlite file, shard directory, "
-                     "or JSONL export), skipping keys already present")
+        "sync", help="merge another store (shard directory or 'repro "
+                     "serve' URL), a JSONL export or a legacy sqlite "
+                     "file, skipping keys already present")
     sp.add_argument("source", help="path to the store or export to pull")
     sp = store_sub.add_parser("gc", help="drop old rows")
     sp.add_argument("--older-than", type=float, required=True, metavar="DAYS",

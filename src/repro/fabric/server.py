@@ -26,8 +26,8 @@ dependencies — speaking the content-addressed key protocol:
 
 Rows travel in the store's portable JSONL dialect — ``{"key":,
 "created":, "fingerprint":, "record":}`` — exactly what
-``export_jsonl``/``import_jsonl`` read and write, so the wire format is
-the sync format (:mod:`repro.store.rows` owns it).  An uploaded row is
+``export_jsonl`` writes and ``repro store sync`` reads, so the wire
+format is the sync format (:mod:`repro.store.rows` owns it).  An uploaded row is
 outside input: it is decoded once — a body or record that does not
 decode is a 400 — and then written as the dict it arrived as.  The two
 bulk downloads (``GET /records``, ``POST /fetch``) are HTTP/1.1 chunked
@@ -38,9 +38,8 @@ encoder failure after the status line went out, or the injected
 ``truncate`` fault — ends without the terminating zero-length chunk, so
 the client sees an incomplete body, never a shorter listing.
 Every handler touches the store under one server-wide lock: the
-handler threads serialise on the backing store (which is what a sqlite
-backing needs, and what keeps a shard compaction from interleaving a
-bulk download's read), while the sharded backend's own per-shard flocks
+handler threads serialise on the backing store (which keeps a shard
+compaction from interleaving a bulk download's read), while the sharded backend's own per-shard flocks
 keep *other processes* appending to the same directory safe as ever.
 The bulk downloads take their rows under that lock and encode and
 write them outside it, so a client that stops reading stalls only

@@ -203,8 +203,8 @@ class FaultyStore(StoreBackend):
     a truncated line to the underlying shard file **and** raises
     ``OSError`` — the on-disk state a crash mid-append leaves behind,
     with the failure surfaced so idempotent retry re-uploads the row.
-    On non-shard backends a torn write degrades to ``os_error``
-    (sqlite's transaction can't half-land a row).  ``upload_rows`` is
+    On non-shard backends a torn write degrades to ``os_error`` (there
+    is no ledger to tear).  ``upload_rows`` is
     inherited on purpose: the default feeds every uploaded row through
     the instrumented :meth:`put`, so ``op="put"`` counts see them all.
     """

@@ -13,13 +13,15 @@ the layers:
   validity rule (shard ledgers, exports, the fabric wire), the counters
   ledger and the atomic file replace;
 * :mod:`repro.store.backend` — the :class:`StoreBackend` protocol (rows
-  in through ``upload_rows``, out through ``items``), the sqlite
-  :class:`SqliteStore`, :func:`open_store` — the one way to open a
-  store, shared by the CLI, :class:`RunCache`, the executor's
-  ``store=`` argument and the fabric — and :func:`merge_into`
-  cross-store sync;
-* :mod:`repro.store.shards` — the sharded JSONL :class:`ShardStore`
-  (concurrent multi-process writers, no single writer lock);
+  in through ``upload_rows``, out through ``items``), :func:`open_store`
+  — the one way to open a store, shared by the CLI, :class:`RunCache`,
+  the executor's ``store=`` argument and the fabric — and
+  :func:`merge_into` cross-store sync, the one way rows from outside
+  (another store, a JSONL export, a legacy :class:`SqliteStore` file)
+  enter one;
+* :mod:`repro.store.shards` — the sharded JSONL :class:`ShardStore`,
+  the one store format (concurrent multi-process writers, no single
+  writer lock);
 * :mod:`repro.store.cache` — the :class:`RunCache` policy layer the
   executor talks to (what is reusable, what is written back, hit/miss
   accounting);
@@ -32,7 +34,7 @@ Typical use::
     from repro.store import open_store
     from repro.core import run_experiment
 
-    store = open_store("results.sqlite")        # or a shard dir / fabric URL
+    store = open_store("results")               # a shard dir, or a fabric URL
     run_experiment(spec, jobs=8, store=store)   # cold: executes, fills
     run_experiment(spec, jobs=8, store=store)   # warm: 100% cache hits
 

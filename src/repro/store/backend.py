@@ -1,21 +1,18 @@
-"""The persistent results store: pluggable backends behind one protocol.
+"""The persistent results store: one format behind one protocol.
 
 A store maps :func:`~repro.store.keys.run_key` content addresses to
 completed :class:`~repro.core.executor.RunRecord` rows.  The interface
-is :class:`StoreBackend`; two implementations ship:
+is :class:`StoreBackend`; the one format a location opens or creates is
+:class:`~repro.store.shards.ShardStore` — a directory of append-only
+JSONL shard files bucketed by key prefix, which many processes append
+to concurrently without contending on one writer lock.
 
-* :class:`SqliteStore` — one sqlite file.  Atomic, compact, cheap point
-  lookups; writes serialise on the sqlite lock, which is fine for a
-  single coordinating process.
-* :class:`~repro.store.shards.ShardStore` — a directory of append-only
-  JSONL shard files bucketed by key prefix.  Many processes append
-  concurrently without contending on one writer lock, which is what
-  paper-scale sweeps on many-core hosts need.
-
-:func:`open_store` selects a backend by the location alone (see
+:func:`open_store` selects the kind by the location alone (see
 :func:`_kind_at`; ``http(s)://`` URLs open the fabric's
 :class:`~repro.fabric.client.RemoteStore`) and honours ``$REPRO_STORE``
-for the default location.
+for the default location.  A sqlite file written by earlier releases
+(:class:`SqliteStore`) and a JSONL export are *sources*, not stores:
+:func:`merge_into` (``repro store sync``) reads them into a shard store.
 Everything above the backend — :class:`~repro.store.cache.RunCache`,
 the executor's ``store=`` argument, the ``repro store`` CLI group —
 works identically against all of them.
@@ -40,16 +37,18 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.executor import RunRecord
 from .keys import record_from_dict, record_to_dict, row_check
-from .rows import Row, encode_row, label_of, read_jsonl, validated
+from .rows import Row, RowError, encode_row, label_of, read_jsonl, validated
 
 #: Environment variable naming the default store location.
 STORE_ENV_VAR = "REPRO_STORE"
 #: Default on-disk location when none is given (repo/cwd-local).
-DEFAULT_STORE_PATH = ".repro-store.sqlite"
+DEFAULT_STORE_PATH = ".repro-store"
+#: Where earlier releases put the default store (one sqlite file).
+LEGACY_STORE_PATH = ".repro-store.sqlite"
 #: The kinds a store location opens to, so a pool worker can reopen a
-#: store from its path (a wrapper such as ``FaultyStore`` has another
-#: kind and stays in-process).
-BACKENDS = ("sqlite", "shards", "http")
+#: store from its path (a wrapper such as ``FaultyStore``, or a
+#: ``SqliteStore`` object, has another kind and stays in-process).
+BACKENDS = ("shards", "http")
 
 #: Rows per probe + upload round of :func:`merge_into`.
 _SYNC_BATCH = 500
@@ -77,22 +76,23 @@ def _kind_at(path: Union[str, Path]) -> Tuple[str, bool]:
     get, whether a store exists there)``.
 
     A URL is a served store (it "exists" without being probed); a
-    directory holds a shard store once it has the shard manifest, a file
-    an sqlite store once it starts with the sqlite magic; otherwise the
-    suffix decides what a new store there becomes.  What exists wins
-    over its name, and nothing else counts as a store: a read-only
+    directory holds a shard store once it has the shard manifest, and a
+    new path becomes one.  A file is no store: ``"sqlite"`` when it
+    starts with the sqlite magic (a legacy store, which only ``sync``
+    reads), else ``"file"`` (an export, a log).  A new ``.sqlite`` /
+    ``.db`` path is ``"sqlite"`` too, so it is refused rather than made a
+    directory of that name.  Nothing else counts as a store: a read-only
     command on a plain directory or an export must not turn it into one.
     """
     if is_store_url(path):
         return "http", True
-    if str(path) == ":memory:":
-        return "sqlite", False
     target = Path(path)
     if target.is_dir():
         return "shards", (target / MANIFEST_NAME).is_file()
     if target.is_file():
         with open(target, "rb") as handle:
-            return "sqlite", handle.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
+            legacy = handle.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
+        return ("sqlite", True) if legacy else ("file", False)
     return ("sqlite" if target.suffix in (".sqlite", ".db") else "shards"), False
 
 
@@ -101,13 +101,13 @@ class StoreBackend(abc.ABC):
 
     Keys are opaque strings (in practice 64-hex run keys); values are
     :class:`RunRecord` rows tagged with a creation time and the code
-    fingerprint that produced them.  ``export_jsonl``/``import_jsonl``
-    are implemented once here on top of :meth:`items` /
-    :meth:`upload_rows`, so every backend speaks the same portable
-    JSONL dialect (:mod:`repro.store.rows`).
+    fingerprint that produced them.  ``export_jsonl`` is implemented
+    once here on top of :meth:`items`, so every backend writes the same
+    portable JSONL dialect (:mod:`repro.store.rows`), which
+    :func:`merge_into` reads back.
     """
 
-    #: Human-readable backend name ("sqlite" / "shards").
+    #: Human-readable backend name ("shards", "http", ...).
     kind: str = ""
     #: String form of the on-disk location.
     path: str = ""
@@ -232,10 +232,6 @@ class StoreBackend(abc.ABC):
                 count += 1
         return count
 
-    def import_jsonl(self, path: Union[str, Path]) -> int:
-        """Merge a JSONL export into this store; returns rows imported."""
-        return self.upload_rows(validated(read_jsonl(path)))
-
     # -- plumbing ----------------------------------------------------------
     def __enter__(self) -> "StoreBackend":
         return self
@@ -261,23 +257,21 @@ CREATE TABLE IF NOT EXISTS meta (
 
 
 class SqliteStore(StoreBackend):
-    """A content-addressed map of run keys to run records in one sqlite file."""
+    """The store format of earlier releases: run rows in one sqlite file.
+
+    No location opens or creates one any more (:func:`open_store` refuses
+    a sqlite file); :func:`iter_source` reads one so ``repro store sync``
+    can migrate it into a shard store.
+    """
 
     kind = "sqlite"
 
-    def __init__(self, path: Union[str, Path] = ":memory:") -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = str(path)
-        if self.path != ":memory:":
-            parent = Path(self.path).resolve().parent
-            parent.mkdir(parents=True, exist_ok=True)
-        # A generous busy timeout: concurrent writers (benchmarks, a lab
-        # of machines syncing into one file) queue instead of erroring.
-        # check_same_thread=False lets the fabric server's handler
-        # threads share this connection; the server serialises every
-        # access under one lock, so the connection is never used
-        # concurrently.
-        self._db = sqlite3.connect(self.path, timeout=30.0,
-                                   check_same_thread=False)
+        Path(self.path).resolve().parent.mkdir(parents=True, exist_ok=True)
+        # A generous busy timeout: a second process reading the same
+        # file queues instead of erroring.
+        self._db = sqlite3.connect(self.path, timeout=30.0)
         self._db.executescript(_SCHEMA)
         try:  # stores created before the integrity column existed
             self._db.execute(
@@ -391,11 +385,11 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
     unset — None or ``""`` — which means ``$REPRO_STORE``, else
     :data:`DEFAULT_STORE_PATH`.  The location alone decides the backend
     (:func:`_kind_at`): URLs open a
-    :class:`~repro.fabric.client.RemoteStore`, sqlite databases, empty
-    files, ``:memory:`` and new ``.sqlite``/``.db`` paths open sqlite,
-    directories and any other new path open the sharded JSONL store.  A
-    non-empty file that is no sqlite database (an export, a log) raises
-    ``ValueError`` and is left untouched.
+    :class:`~repro.fabric.client.RemoteStore`, directories and any other
+    new path the sharded JSONL store.  A legacy sqlite file, or a new
+    ``.sqlite``/``.db`` path, raises ``ValueError`` naming ``repro store
+    sync``; any other file (an export, a log) raises ``ValueError`` and
+    is left untouched.
 
     ``must_exist`` raises :class:`StoreNotFoundError` rather than
     creating an empty store, and asks a URL's server for ``/healthz``
@@ -406,8 +400,19 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
         return store
     path = str(store) if store else default_store_path()
     kind, exists = _kind_at(path)
-    if must_exist and not exists and path != ":memory:":
-        raise StoreNotFoundError(f"no results store at {path}")
+    # A legacy file is refused outright; a new sqlite path only where a
+    # store would be created (a read-only command finds nothing there).
+    if kind == "sqlite" and (exists or not must_exist):
+        raise ValueError(
+            f"{path} names a sqlite store; results stores are shard "
+            f"directories now — migrate a legacy one with "
+            f"`repro store [--store DIR] sync {path}`")
+    if must_exist and not exists:
+        message = f"no results store at {path}"
+        if path == DEFAULT_STORE_PATH and os.path.isfile(LEGACY_STORE_PATH):
+            message += (f" (a legacy {LEGACY_STORE_PATH} is here: `repro "
+                        f"store sync {LEGACY_STORE_PATH}` migrates it)")
+        raise StoreNotFoundError(message)
     if kind == "http":
         from ..fabric.client import RemoteStore  # local: fabric imports this
 
@@ -415,10 +420,8 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
         if must_exist:
             remote.healthz()  # "exists" for a URL means the server answers
         return remote
-    if kind == "sqlite":
-        if not exists and os.path.isfile(path) and os.path.getsize(path):
-            raise ValueError(f"{path} exists but is not a results store")
-        return SqliteStore(path)
+    if kind == "file":
+        raise ValueError(f"{path} exists but is not a results store")
     from .shards import ShardStore  # local: shards imports this module
 
     return ShardStore(path)
@@ -428,28 +431,55 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
 # cross-store sync
 # ----------------------------------------------------------------------
 def iter_source(source: Union[StoreBackend, str, Path]) -> Iterator[Row]:
-    """Rows of any syncable source: a backend, a store location, or a
-    JSONL export (any other existing file)."""
+    """Rows of any syncable source: a backend, a store location, a legacy
+    sqlite file, or a JSONL export (any other existing file)."""
     if isinstance(source, StoreBackend):
         yield from source.items()
         return
-    _kind, exists = _kind_at(source)
-    if exists and str(source):  # "" is no location, not the cwd
+    kind, exists = _kind_at(source)
+    if not str(source):  # "" is no location, not the cwd
+        exists = False
+    if kind == "sqlite" and exists:
+        yield from _legacy_rows(str(source))
+    elif exists:
         with open_store(source) as src:
             yield from src.items()
-    elif str(source) and Path(source).is_file():
+    elif kind == "file":
         yield from read_jsonl(source)
     else:
         raise FileNotFoundError(f"no store or export at {str(source)!r}")
+
+
+def _legacy_rows(path: str) -> Iterator[Row]:
+    """The rows of a legacy sqlite store, each held to the checksum it
+    was written with: a sync re-checksums what it writes, so a row whose
+    bytes changed on disk must stop here, not come out clean."""
+    with SqliteStore(path) as legacy:
+        for key, created, fingerprint, text, check in legacy._db.execute(
+                "SELECT key, created, fingerprint, record, checksum FROM runs "
+                "ORDER BY created, key"):
+            try:
+                record = json.loads(text)
+            except ValueError:
+                record = None
+            if record is None or (check and check != row_check(key, record)):
+                raise RowError(
+                    f"{path}: the row of key {key!r} is not JSON or fails "
+                    f"its stored checksum (its bytes changed after they "
+                    f"were written); delete it from the file and sync again")
+            yield key, created, fingerprint, record
 
 
 def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]
                ) -> Tuple[int, int]:
     """Merge ``source`` into ``dst``, skipping keys already present.
 
-    Returns ``(imported, skipped)`` — the lab-wide warm-cache path:
-    pull a peer's store (sqlite file, shard directory, fabric server
-    URL, or JSONL export) and only the rows you were missing land.
+    Returns ``(imported, skipped)`` — the lab-wide warm-cache path and
+    the one way rows from outside enter a store: pull a peer's store
+    (shard directory or fabric server URL), a JSONL export or a legacy
+    sqlite file, and only the rows you were missing land.  Run keys are
+    content addresses, so a skipped row is the row that would have been
+    written.
 
     Rows move in batches: one :meth:`~StoreBackend.missing` probe and
     one :meth:`~StoreBackend.upload_rows` each, so a sync into a remote

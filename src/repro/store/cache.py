@@ -1,7 +1,7 @@
 """The caching policy: which records are reusable, and the hit/miss ledger.
 
 :class:`RunCache` sits between the executor and a
-:class:`~repro.store.backend.StoreBackend` (sqlite or sharded JSONL —
+:class:`~repro.store.backend.StoreBackend` (a shard directory or a served one —
 see :func:`~repro.store.backend.open_store`).  It decides what may be
 served from the store (anything whose key matches — the key already
 encodes configuration, seed *and* the fingerprint of the code the run

@@ -2,9 +2,9 @@
 
 Every store row carries an integrity checksum
 (:func:`~repro.store.keys.row_check`, schema v3) written at append
-time.  :func:`fsck` walks a local store (sqlite or shards) — or asks
-the server of a served one to walk its own (``POST /fsck``) — and
-verifies three invariants per row:
+time.  :func:`fsck` walks a shard store — or asks the server of a
+served one to walk its own (``POST /fsck``) — and verifies three
+invariants per row:
 
 1. **checksum** — the stored check matches a recomputation over the
    serialized ``(key, record)`` pair.  A mismatch means the bytes on
@@ -17,16 +17,18 @@ verifies three invariants per row:
    ("key_mismatch"): the row is internally consistent (its checksum
    passed) but was filed under a foreign key — synthetic test rows and
    hand-imported data look like this, so repair keeps them.
-3. **ledger hygiene** (shards only) — torn lines in data shards and the
+3. **ledger hygiene** — torn lines in data shards and the
    counters ledger are counted; ``--repair`` drops the debris (data
    lines go to the quarantine sidecar, counter totals are re-written).
    "Torn" is :func:`~repro.store.rows.scan_ledger`'s verdict, the one
    ``ShardStore`` reads by: a repaired store is clean to both.
 
-``--repair`` moves corrupt rows to a quarantine sidecar —
-``quarantine.jsonl`` inside a shard directory, ``<file>.quarantine.jsonl``
-beside a sqlite store — one JSON line per quarantined row with the raw
-bytes and the reason, so nothing is destroyed, only set aside.  The
+``--repair`` moves corrupt rows to a quarantine sidecar,
+``quarantine.jsonl`` inside the shard directory — one JSON line per
+quarantined row with the raw bytes and the reason, so nothing is
+destroyed, only set aside.  (A legacy sqlite file is not checked here:
+``repro store sync`` holds each of its rows to its stored checksum on
+the way into a shard store.)  The
 persistent ``quarantined`` counter is bumped by the number of rows
 moved, reconciling the counter ledger with what actually happened.
 
@@ -43,7 +45,7 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from .backend import SqliteStore, StoreBackend
+from .backend import StoreBackend
 from .keys import record_from_dict, request_from_dict, row_check, run_key
 from .rows import scan_ledger, sum_counters
 from .shards import ShardStore
@@ -57,7 +59,7 @@ class FsckIssue:
     """One problem row: where it lives, what failed, and why."""
 
     key: str           #: the row's claimed key ("" for torn lines)
-    location: str      #: shard name, or "runs" for sqlite rows
+    location: str      #: shard name
     kind: str          #: "torn" | "checksum" | "key_mismatch" | "undecodable"
     detail: str = ""
 
@@ -216,46 +218,6 @@ def _fsck_shards(store: ShardStore, *, repair: bool) -> FsckReport:
     return report
 
 
-# ----------------------------------------------------------------------
-# sqlite
-# ----------------------------------------------------------------------
-def _fsck_sqlite(store: SqliteStore, *, repair: bool) -> FsckReport:
-    report = FsckReport(backend="sqlite", path=store.path)
-    bad_rows: List[Tuple[str, str, str]] = []  # key, raw record, reason
-    for key, created, fingerprint, record_json, checksum in store._db.execute(
-            "SELECT key, created, fingerprint, record, checksum FROM runs "
-            "ORDER BY created, key"):
-        report.rows += 1
-        try:
-            record = json.loads(record_json)
-            if not isinstance(record, dict):
-                raise TypeError("record is not an object")
-        except (json.JSONDecodeError, TypeError):
-            report.checksum_failures.append(FsckIssue(
-                key=key, location="runs", kind="checksum",
-                detail="record column is not valid JSON"))
-            bad_rows.append((key, record_json, "undecodable"))
-            continue
-        if not _check_row(key, fingerprint, record, checksum or None,
-                          "runs", report):
-            bad_rows.append((key, record_json, "checksum"))
-    if repair:
-        report.repaired = True
-        if bad_rows:
-            sidecar = Path(str(store.path) + ".quarantine.jsonl")
-            _quarantine(sidecar, [
-                {"key": key, "reason": reason, "record": record_json}
-                for key, record_json, reason in bad_rows])
-            store._db.executemany("DELETE FROM runs WHERE key = ?",
-                                  [(key,) for key, _r, _why in bad_rows])
-            store._db.commit()
-            store.bump_counter("quarantined", len(bad_rows))
-            report.quarantined = len(bad_rows)
-            report.quarantine_path = str(sidecar)
-            report.checksum_failures = []
-    return report
-
-
 def fsck(store: StoreBackend, *, repair: bool = False) -> FsckReport:
     """Verify (and with ``repair`` fix) a store's integrity.
 
@@ -265,8 +227,6 @@ def fsck(store: StoreBackend, *, repair: bool = False) -> FsckReport:
     """
     if isinstance(store, ShardStore):
         return _fsck_shards(store, repair=repair)
-    if isinstance(store, SqliteStore):
-        return _fsck_sqlite(store, repair=repair)
     from ..fabric.client import RemoteStore  # local: fabric imports this
 
     if isinstance(store, RemoteStore):
@@ -275,5 +235,5 @@ def fsck(store: StoreBackend, *, repair: bool = False) -> FsckReport:
             fields[name] = [FsckIssue(**issue) for issue in fields[name]]
         return FsckReport(**fields)
     raise ValueError(
-        f"fsck needs a sqlite, shard or served store, not {store.kind!r}; "
+        f"fsck needs a shard or served store, not {store.kind!r}; "
         f"run it on the store it wraps")

@@ -534,8 +534,8 @@ def iter_runs(
         Must be picklable (module-level) where ``fork`` is unavailable.
     store:
         A results store — a :class:`repro.store.RunCache`, any
-        :class:`repro.store.StoreBackend` (sqlite file or sharded JSONL
-        directory), or a path or fabric URL to one, opened by
+        :class:`repro.store.StoreBackend` (a sharded JSONL directory),
+        or a path or fabric URL to one, opened by
         :func:`repro.store.open_store`.  Requests whose content
         address is already stored are served as ``hit`` events (no
         execution); misses execute and are written back *as they
@@ -543,9 +543,9 @@ def iter_runs(
         interrupted sweep is resumable: the rerun only executes the
         missing requests.  Pool workers reopen the store and write
         their records **directly**; only the payload-free events reach
-        the parent.  A store workers cannot reopen by its path
-        (``:memory:``, or a wrapper whose ``kind`` no path opens to)
-        runs its misses in-process.
+        the parent.  A store workers cannot reopen by its path (a
+        wrapper, or any object whose ``kind`` no path opens to) runs its
+        misses in-process.
     keep_records:
         Attach the full :class:`RunRecord` to each terminal event.  This
         is the compatibility mode :func:`run_requests` uses; leave it
@@ -634,7 +634,7 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
     if cache is not None:
         from .store.backend import BACKENDS  # lazy, as above
 
-        if cache.store.kind not in BACKENDS or cache.store.path == ":memory:":
+        if cache.store.kind not in BACKENDS:
             n_jobs = 1  # workers could not reopen it: write it from here
         store_spec = (cache.store.path, cache.fingerprint)
     done: set = set()

@@ -708,8 +708,10 @@ class TcpConnection(TransportEndpoint):
         if newly_acked_bytes <= 0 and not spurious:
             self._post_ack(now)
             return
-        # Probe-state resolution.
-        if self._tlp_count:
+        # Probe-state resolution: only newly acknowledged data ends a
+        # probe episode.  A DSACK of the probe itself proves nothing was
+        # repaired, and treating it as progress re-arms the TLP forever.
+        if self._tlp_count and newly_acked_bytes > 0:
             self._tlp_count = 0
             self.cc.on_tlp_resolved(now)
         self.cc.on_rto_resolved(now)

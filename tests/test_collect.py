@@ -22,7 +22,7 @@ from repro.core.runner import (
 from repro.http import page, single_object_page
 from repro.netem import emulated
 from repro.quic import quic_config
-from repro.store import SqliteStore
+from repro.store import ShardStore
 from repro.sweep import collect, run_requests
 
 SCN = emulated(10.0)
@@ -100,7 +100,7 @@ class TestCollect:
         assert result == {"a": [("complete", 1)]}
 
     def test_store_hits_and_misses_slot_identically(self, tmp_path):
-        store = SqliteStore(tmp_path / "fold.sqlite")
+        store = ShardStore(tmp_path / "fold")
         executed = []
 
         def counting_run(request):

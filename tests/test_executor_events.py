@@ -18,7 +18,7 @@ from repro.core.report import build_store_report
 from repro.fabric import StoreServer, iter_fabric_runs
 from repro.http import single_object_page
 from repro.netem import emulated
-from repro.store import RunCache, ShardStore, open_store
+from repro.store import RunCache, ShardStore, SqliteStore
 from repro.sweep import (
     EVENT_KINDS,
     EVENT_WIRE_BOUND,
@@ -197,7 +197,7 @@ class TestEventStreamContract:
                 assert event.record is None
 
     def test_hits_stream_first_in_request_order(self, tmp_path):
-        cache = RunCache(tmp_path / "store.sqlite")
+        cache = RunCache(tmp_path / "store")
         list(iter_runs([req(seed=s) for s in (1, 3)], run_fn=_instant_run,
                        store=cache))
         events = list(iter_runs([req(seed=s) for s in range(4)],
@@ -223,7 +223,7 @@ class TestRetryAccounting:
         # whatever made it fail is gone) executes it again.
         monkeypatch.setenv("REPRO_TEST_EVENT_MARKER",
                            str(tmp_path / "marker"))
-        cache = RunCache(tmp_path / "store.sqlite")
+        cache = RunCache(tmp_path / "store")
         requests = [req(seed=s) for s in range(3)]
         events = list(iter_runs(requests, run_fn=_flaky_once_run,
                                 store=cache))
@@ -303,10 +303,11 @@ class TestWorkerDirectWriteBack:
                                store=RunCache(path), force_pool=True))
         assert [e.kind for e in rerun] == ["hit"] * 12
 
-    def test_memory_store_pool_still_persists(self, tmp_path):
-        # an in-memory store cannot be reopened by workers: its misses
-        # run in-process, and the parent writes them itself.
-        cache = RunCache(open_store(":memory:"))
+    def test_a_sqlite_store_object_pool_still_persists(self, tmp_path):
+        # A SqliteStore object (no location opens one) cannot be
+        # reopened by workers: its misses run in-process, and the parent
+        # writes them itself.
+        cache = RunCache(SqliteStore(tmp_path / "legacy.sqlite"))
         events = list(iter_runs([req(seed=s) for s in range(8)], jobs=4,
                                 run_fn=_instant_run, store=cache,
                                 force_pool=True))
@@ -416,7 +417,7 @@ class TestRunRequestsCompatibility:
         is not.)"""
         monkeypatch.setenv("REPRO_TEST_EVENT_MARKER",
                            str(tmp_path / f"marker-{force_pool}"))
-        cache = RunCache(tmp_path / "store.sqlite")
+        cache = RunCache(tmp_path / "store")
         records = run_requests([req(seed=s) for s in range(3)],
                                run_fn=_flaky_once_run,
                                jobs=2 if force_pool else 1,

@@ -39,6 +39,7 @@ from repro.store import (
     KEY_SCHEMA_VERSION,
     RunCache,
     ShardStore,
+    SqliteStore,
     fingerprint_for,
     is_store_url,
     merge_into,
@@ -135,7 +136,7 @@ class TestWireProtocol:
         assert {row[0]: row[1] for row in fetched} == {
             rows[i][0]: 1000.0 + i for i in range(3)}
 
-    @pytest.mark.parametrize("location", ["central", "central.sqlite"])
+    @pytest.mark.parametrize("location", ["central"])
     def test_fetch_looks_rows_up_by_key(self, tmp_path, location):
         # POST /fetch answers with one point lookup per wanted key — no
         # whole-store items() scan per batch — and the rows found go out
@@ -199,14 +200,20 @@ class TestWireProtocol:
         assert err.value.code == 400
 
     def test_sqlite_backed_server(self, tmp_path):
-        # handler threads share the sqlite connection under the server
-        # lock; check_same_thread=False makes that legal.
-        with StoreServer(tmp_path / "central.sqlite", port=0) as srv:
-            remote = RemoteStore(srv.url)
-            key, _request, fingerprint, record = _seed_rows(1)[0]
-            remote.put(key, record, fingerprint=fingerprint)
-            assert remote.healthz()["kind"] == "sqlite"
-            assert remote.get(key).plt == record.plt
+        # No server is backed by sqlite any more: a legacy file (or a
+        # new .sqlite path) is refused with the sync hint, untouched.
+        from repro.cli import main
+
+        legacy = tmp_path / "central.sqlite"
+        SqliteStore(legacy).close()
+        before = legacy.read_bytes()
+        for location in (legacy, tmp_path / "new.sqlite"):
+            with pytest.raises(ValueError, match=f"sync {location}"):
+                StoreServer(location, port=0)
+        with pytest.raises(SystemExit, match=f"sync {legacy}"):
+            main(["serve", "--store", str(legacy), "--port", "0"])
+        assert legacy.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["central.sqlite"]
 
 
 # ----------------------------------------------------------------------

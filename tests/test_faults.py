@@ -38,6 +38,7 @@ from repro.store import (
     SqliteStore,
     fingerprint_for,
     fsck,
+    merge_into,
     row_check,
     run_key,
 )
@@ -223,10 +224,12 @@ class TestFaultyStore:
         with pytest.raises(OSError):
             store.put(key, _instant_run(request),
                   fingerprint=fingerprint_for(request))
-        assert fsck(inner).clean  # a transaction cannot half-land
+        assert len(inner) == 0  # a transaction cannot half-land
         store.put(key, _instant_run(request),
                   fingerprint=fingerprint_for(request))
-        assert fsck(inner).clean
+        dst = ShardStore(tmp_path / "migrated")
+        assert merge_into(dst, inner.path) == (1, 0)  # checksum holds
+        assert fsck(dst).clean
 
 
 # ----------------------------------------------------------------------
@@ -379,26 +382,35 @@ class TestFsckShards:
         assert fsck(store).clean
 
 
-class TestFsckSqlite:
-    def test_detects_and_quarantines_silent_corruption(self, tmp_path):
+class TestLegacySync:
+    """fsck has no sqlite half: a legacy file's rows are held to their
+    stored checksums on the one way out of it, ``repro store sync``."""
+
+    @pytest.mark.parametrize("damage", ["edited", "truncated"])
+    def test_sync_refuses_a_corrupt_legacy_row(self, tmp_path, damage):
+        from repro.cli import main
+
         store = _store_with_rows(SqliteStore(tmp_path / "s.sqlite"))
-        bad_key = store.keys()[0]
-        row = store.row(bad_key)
-        record = dict(row[3])
+        bad_key = store.keys()[-1]
+        record = dict(store.row(bad_key)[3])
         record["plt"] = 424242.0
+        text = json.dumps(record)
+        if damage == "truncated":
+            text = text[:len(text) // 2]
         store._db.execute("UPDATE runs SET record = ? WHERE key = ?",
-                          (json.dumps(record), bad_key))
+                          (text, bad_key))
         store._db.commit()
 
-        report = fsck(store)
-        assert [i.key for i in report.checksum_failures] == [bad_key]
-        repaired = fsck(store, repair=True)
-        assert repaired.quarantined == 1
-        sidecar = tmp_path / "s.sqlite.quarantine.jsonl"
-        assert sidecar.exists()
-        assert store.counters()["quarantined"] == 1
-        assert fsck(store).clean
-        assert store.get(bad_key) is None
+        dst = tmp_path / "migrated"
+        with pytest.raises(SystemExit, match=(
+                f"^error: .*the row of key '{bad_key}' is not JSON or fails "
+                f"its stored checksum")):
+            main(["store", "--store", str(dst), "sync", store.path])
+        assert bad_key not in ShardStore(dst)  # not laundered
+        store.delete(bad_key)  # the remedy the message names
+        assert main(["store", "--store", str(dst), "sync", store.path]) == 0
+        assert len(ShardStore(dst)) == len(store)
+        assert fsck(ShardStore(dst)).clean
 
 
 class TestFsckRemote:

@@ -32,7 +32,7 @@ from repro.core.models import (
     render_model_fit_table,
 )
 from repro.core.report import build_store_report
-from repro.store import ShardStore, SqliteStore
+from repro.store import ShardStore
 from repro.sweep import run_requests
 from repro.transport.cc import kernels
 from repro.transport.flowtable import QUIC_PARAMS, TCP_PARAMS
@@ -206,8 +206,8 @@ class TestMisTunedKernelIsFlagged:
 
 class TestValidateCli:
     def test_from_store_passes_and_tightens(self, tmp_path, capsys):
-        store_path = tmp_path / "store.sqlite"
-        store = SqliteStore(store_path)
+        store_path = tmp_path / "store"
+        store = ShardStore(store_path)
         oracle_grid_records(store=store)
         store.close()
         assert cli_main(["validate", "--from-store",
@@ -222,7 +222,7 @@ class TestValidateCli:
 
     def test_missing_store_exits_nonzero(self, tmp_path, capsys):
         assert cli_main(["validate", "--from-store",
-                         str(tmp_path / "absent.sqlite")]) == 1
+                         str(tmp_path / "absent")]) == 1
 
 
 class TestReportSections:

@@ -17,7 +17,7 @@ from repro.core.report import (
 )
 from repro.http import single_object_page
 from repro.netem import emulated
-from repro.store import RunCache, SqliteStore, run_key
+from repro.store import RunCache, ShardStore, run_key
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ def _record(scenario, page, protocol, seed, plt):
 @pytest.fixture
 def store(tmp_path):
     """A small store: one scenario/page cell, QUIC and TCP, 3 seeds."""
-    backend = SqliteStore(tmp_path / "report.sqlite")
+    backend = ShardStore(tmp_path / "report")
     scenario = emulated(10.0)
     page = single_object_page(20_000)
     for seed, (q_plt, t_plt) in enumerate([(0.7, 1.3), (0.8, 1.2),
@@ -109,7 +109,7 @@ class TestStoreReport:
         assert cells["tcp"].median_plt == pytest.approx(1.3)
 
     def test_empty_store_is_friendly(self, tmp_path):
-        text = build_store_report(SqliteStore(tmp_path / "empty.sqlite"))
+        text = build_store_report(ShardStore(tmp_path / "empty"))
         assert "no decodable records" in text
         assert "--cache" in text
 
@@ -120,7 +120,7 @@ class TestStoreReport:
         # End to end: executor --cache writes the store, report reads it.
         from repro.sweep import run_requests
 
-        cache = RunCache(SqliteStore(tmp_path / "sweep.sqlite"))
+        cache = RunCache(ShardStore(tmp_path / "sweep"))
         requests = [RunRequest(scenario=emulated(10.0),
                                page=single_object_page(20_000),
                                protocol=proto, seed=s)
@@ -138,7 +138,7 @@ class TestStoreReport:
 
     def test_cli_from_store_missing_is_friendly(self, tmp_path, capsys):
         assert main(["report", "--from-store",
-                     str(tmp_path / "nope.sqlite")]) == 0
+                     str(tmp_path / "nope")]) == 0
         assert "no results store" in capsys.readouterr().out
 
     def test_cli_from_store_live(self, store, capsys):

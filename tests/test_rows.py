@@ -7,7 +7,7 @@ repaired store and its checker never converged.  This suite pins the
 single definition (``repro.store.rows``) from the outside:
 
 * **one validity table** — six hand-written lines, each pushed through
-  ``ShardStore``, ``fsck`` / ``fsck --repair``, ``import_jsonl`` and the
+  ``ShardStore``, ``fsck`` / ``fsck --repair``, ``store sync`` and the
   server's ``POST /records`` / ``PUT /records/<key>``, one verdict per
   line per reader, ending in convergence after ``--repair``;
 * **byte goldens** — the four line forms (shard, export, wire response,
@@ -90,7 +90,8 @@ KEY, FINGERPRINT, RECORD = _genuine(7)
 #: name -> (line, key it claims, then one verdict per reader):
 #:   shard  — "live" / "torn" / "blank" to ``ShardStore``;
 #:   fsck   — "torn" / "checksum" / "legacy" / "blank";
-#:   import — "accepted" / "rejected" / "blank" to ``import_jsonl``;
+#:   import — "accepted" / "rejected" / "blank" to ``merge_into`` (the
+#:            ``repro store sync`` of a JSONL export);
 #:   wire   — the status of ``POST /records`` and ``PUT /records/<key>``.
 TABLE = {
     "record-not-object": (
@@ -197,15 +198,22 @@ class TestOneVerdictPerLine:
                else SqliteStore(tmp_path / "dst.sqlite"))
         if verdict == "rejected":
             with pytest.raises(ValueError):
-                dst.import_jsonl(dump)
+                merge_into(dst, dump)
             assert key not in dst
             return
         before = time.time()
-        assert dst.import_jsonl(dump) == (2 if verdict == "accepted" else 1)
+        assert merge_into(dst, dump) == (
+            (2 if verdict == "accepted" else 1), 0)
         assert (key in dst) == (verdict == "accepted")
         if case == "no-created":  # the writer stamps what the line lacks
             assert dst.row(key)[1] >= before
-        assert fsck(dst).clean  # whatever came in was re-checksummed
+        # whatever came in was re-checksummed
+        if backend == "shards":
+            assert fsck(dst).clean
+        else:
+            for row_key, record, check in dst._db.execute(
+                    "SELECT key, record, checksum FROM runs"):
+                assert check == row_check(row_key, json.loads(record))
 
     @pytest.mark.parametrize("verb", ["POST", "PUT"])
     @pytest.mark.parametrize("case", CASES)
@@ -247,9 +255,11 @@ class TestOneVerdictPerLine:
         dump = tmp_path / "dump.jsonl"
         dump.write_text(line + "\n")
         with pytest.raises(ValueError, match="does not decode"):
-            ShardStore(tmp_path / "dst").import_jsonl(dump)
-        with pytest.raises(ValueError, match="does not decode"):
-            merge_into(SqliteStore(":memory:"), dump)
+            merge_into(ShardStore(tmp_path / "dst"), dump)
+        with pytest.raises(SystemExit, match="^error: .*does not decode"):
+            main(["store", "--store", str(tmp_path / "dst"), "sync",
+                  str(dump)])
+        assert len(ShardStore(tmp_path / "dst")) == 0
 
     def test_torn_counter_line_means_the_same_to_both(self, tmp_path):
         store = ShardStore(tmp_path / "s")
@@ -547,6 +557,8 @@ class TestLabels:
 
     def test_store_ls_is_unchanged_on_all_three_backends(self, tmp_path,
                                                          capsys):
+        # A shard directory, a legacy sqlite file once synced into one,
+        # and a served store list the same rows.
         unique = {run_key(request, fingerprint="pinned"): request
                   for request in _request_fixtures()}
         expected = []
@@ -560,9 +572,12 @@ class TestLabels:
             stamp = time.strftime("%Y-%m-%d %H:%M:%S",
                                   time.localtime(created))
             expected.append(f"{key[:16]}  {stamp}  {request.label}")
+        migrated = tmp_path / "migrated"
+        assert main(["store", "--store", str(migrated), "sync",
+                     str(tmp_path / "s.sqlite")]) == 0
+        capsys.readouterr()
         with StoreServer(ShardStore(tmp_path / "shards"), port=0) as server:
-            for location in (tmp_path / "shards", tmp_path / "s.sqlite",
-                             server.url):
+            for location in (tmp_path / "shards", migrated, server.url):
                 assert main(["store", "--store", str(location), "ls"]) == 0
                 listed = capsys.readouterr().out.splitlines()
                 assert listed[:-1] == expected, location

@@ -4,8 +4,10 @@ The correctness contract: the same logical request always maps to the
 same key (across object identities and across processes), while *any*
 change to the configuration, seed, or the code the run exercises maps
 to a different key — a cache hit can therefore never be stale.  Every
-backend-facing test runs against both store backends (sqlite and
-sharded JSONL) through the ``make_store`` fixture.
+backend-facing test runs through the ``make_store`` fixture against the
+shard store, the one format a location opens, and against the legacy
+``SqliteStore`` class, which still ships as the format ``repro store
+sync`` migrates from.
 """
 
 import hashlib
@@ -735,7 +737,7 @@ class TestCodec:
 
 
 # ----------------------------------------------------------------------
-# the backends (each test runs against sqlite AND shards)
+# the backends (each test runs against shards AND the legacy sqlite class)
 # ----------------------------------------------------------------------
 class TestStoreBackends:
     def record(self, seed=0, plt=1.0):
@@ -766,7 +768,8 @@ class TestStoreBackends:
         with make_store("reopen") as store:
             path = store.path
             store.put("k1", self.record(plt=2.5), fingerprint="f1")
-        with open_store(path) as store:
+        reopen = open_store if make_store.backend == "shards" else SqliteStore
+        with reopen(path) as store:
             assert store.kind == make_store.backend
             assert store.get("k1").plt == 2.5
             assert store.fingerprints() == {"f1": 1}
@@ -779,7 +782,7 @@ class TestStoreBackends:
         out = tmp_path / "dump.jsonl"
         assert store.export_jsonl(out) == 3
         other = make_store("dst")
-        assert other.import_jsonl(out) == 3
+        assert merge_into(other, out) == (3, 0)
         assert other.keys() == store.keys()
         for key in store.keys():
             assert other.get(key).plt == store.get(key).plt
@@ -1014,24 +1017,28 @@ class TestConcurrentWriters:
 # backend selection
 # ----------------------------------------------------------------------
 class TestOpenStore:
-    def test_memory_is_sqlite(self):
-        assert open_store(":memory:").kind == "sqlite"
-
     def test_suffix_convention(self, tmp_path):
-        assert open_store(tmp_path / "a.sqlite").kind == "sqlite"
-        assert open_store(tmp_path / "b.db").kind == "sqlite"
+        # A new .sqlite/.db path is refused, not made a directory of
+        # that name; any other new path becomes a shard directory.
+        for name in ("a.sqlite", "b.db"):
+            with pytest.raises(ValueError, match="repro store .*sync"):
+                open_store(tmp_path / name)
         assert open_store(tmp_path / "c-store").kind == "shards"
+        assert sorted(os.listdir(tmp_path)) == ["c-store"]
 
     def test_existing_paths_win_over_suffix(self, tmp_path):
-        sqlite_path = tmp_path / "store.sqlite"
+        sqlite_path = tmp_path / "store.db.bak"
         SqliteStore(sqlite_path).close()
-        assert open_store(sqlite_path).kind == "sqlite"
-        shard_dir = tmp_path / "weird.sqlite.d"
-        ShardStore(shard_dir).close()
-        assert open_store(shard_dir).kind == "shards"
+        before = sqlite_path.read_bytes()
+        with pytest.raises(ValueError, match=f"sync {sqlite_path}"):
+            open_store(sqlite_path)
+        assert sqlite_path.read_bytes() == before
+        for name in ("weird.sqlite.d", "named.sqlite"):
+            ShardStore(tmp_path / name).close()
+            assert open_store(tmp_path / name).kind == "shards"
 
     def test_instance_passthrough_and_mismatch(self, tmp_path):
-        store = SqliteStore(":memory:")
+        store = ShardStore(tmp_path / "s")
         assert open_store(store) is store
 
     def test_env_var_default(self, tmp_path, monkeypatch):
@@ -1056,9 +1063,9 @@ class TestResolveStore:
 
     def test_explicit_path_wins_over_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
-        explicit = tmp_path / "mine.sqlite"
+        explicit = tmp_path / "mine"
         store = open_store(explicit)
-        assert store.path == str(explicit) and store.kind == "sqlite"
+        assert store.path == str(explicit) and store.kind == "shards"
 
     def test_env_var_beats_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
@@ -1077,20 +1084,34 @@ class TestResolveStore:
             open_store(missing, must_exist=True)
         # StoreNotFoundError is a FileNotFoundError for generic handlers
         assert issubclass(StoreNotFoundError, FileNotFoundError)
-        SqliteStore(missing).close()
-        assert open_store(missing, must_exist=True).kind == "sqlite"
+        SqliteStore(missing).close()  # a legacy store: found, and refused
+        with pytest.raises(ValueError, match=f"sync {missing}"):
+            open_store(missing, must_exist=True)
+        ShardStore(tmp_path / "here").close()
+        assert open_store(tmp_path / "here", must_exist=True).kind == "shards"
 
-    def test_memory_is_always_found(self):
-        assert open_store(":memory:", must_exist=True).kind == "sqlite"
+    def test_missing_default_names_a_legacy_default(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(StoreNotFoundError) as plain:
+            open_store(None, must_exist=True)
+        assert "sync" not in str(plain.value)
+        SqliteStore(tmp_path / ".repro-store.sqlite").close()
+        with pytest.raises(StoreNotFoundError, match=(
+                "no results store at .repro-store .*"
+                "`repro store sync .repro-store.sqlite`")):
+            open_store("", must_exist=True)
+        assert sorted(os.listdir(tmp_path)) == [".repro-store.sqlite"]
 
-    def test_instance_passthrough(self):
-        store = SqliteStore(":memory:")
+    def test_instance_passthrough(self, tmp_path):
+        store = ShardStore(tmp_path / "s")
         assert open_store(store) is store
 
     def test_store_kind_at(self, tmp_path):
         # (kind the path holds or would get, whether a store exists)
-        assert _kind_at(":memory:") == ("sqlite", False)
         assert _kind_at(tmp_path / "absent") == ("shards", False)
+        assert _kind_at(tmp_path / "absent.db") == ("sqlite", False)
         sqlite_path = tmp_path / "a.sqlite"
         SqliteStore(sqlite_path).close()
         assert _kind_at(sqlite_path) == ("sqlite", True)
@@ -1099,12 +1120,13 @@ class TestResolveStore:
         assert _kind_at(shard_dir) == ("shards", True)
         # Only a store counts as one: a directory without the shard
         # manifest, or a file without the sqlite magic, holds none.
+        # (A legacy sqlite file "exists" only as a source for sync.)
         plain = tmp_path / "plain"
         plain.mkdir()
         assert _kind_at(plain) == ("shards", False)
         export = tmp_path / "export.jsonl"
         export.write_text("{}\n")
-        assert _kind_at(export) == ("sqlite", False)
+        assert _kind_at(export) == ("file", False)
 
 
 def _served_store(location):
@@ -1130,29 +1152,29 @@ class TestEmptyLocationIsUnset:
     ], ids=["open_store", "RunCache", "StoreServer"])
     def test_opens_the_default_store(self, cwd, opener):
         store = opener("")
-        assert (store.kind, store.path) == ("sqlite", ".repro-store.sqlite")
-        assert (cwd / ".repro-store.sqlite").is_file()
+        assert (store.kind, store.path) == ("shards", ".repro-store")
+        assert (cwd / ".repro-store" / "store.json").is_file()
 
     def test_iter_runs_writes_to_the_default_store(self, cwd):
         list(iter_runs([req(seed=0)], run_fn=_instant, store=""))
-        assert len(SqliteStore(cwd / ".repro-store.sqlite")) == 1
+        assert len(ShardStore(cwd / ".repro-store")) == 1
 
     def test_merge_into_refuses_it(self, cwd):
         with pytest.raises(FileNotFoundError,
                            match="no store or export at ''"):
-            merge_into(SqliteStore(":memory:"), "")
+            merge_into(ShardStore(cwd / "dst"), "")
 
     def test_store_sync_refuses_it(self, cwd):
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="no store or export at ''"):
-            main(["store", "--store", str(cwd / "dst.sqlite"), "sync", ""])
+            main(["store", "--store", str(cwd / "dst"), "sync", ""])
 
 
 class TestReadOnlyCommandsLeaveNonStoresAlone:
-    """A directory without the shard manifest, or a file that is not an
-    sqlite database, holds no store: a read-only command says so and
-    writes nothing there."""
+    """A directory without the shard manifest, or a file, holds no store:
+    a read-only command says so (or, for a legacy sqlite file, names
+    ``repro store sync``) and writes nothing there."""
 
     STORE_COMMANDS = [["ls"], ["stats"], ["show", "ab"],
                       ["gc", "--older-than", "0"], ["fsck"],
@@ -1190,14 +1212,14 @@ class TestReadOnlyCommandsLeaveNonStoresAlone:
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="no store or export at"):
-            main(["store", "--store", str(tmp_path / "dst.sqlite"), "sync",
+            main(["store", "--store", str(tmp_path / "dst"), "sync",
                   str(plain)])
         assert os.listdir(plain) == ["readme.txt"]
 
     def test_a_non_sqlite_file_is_no_store(self, tmp_path, capsys):
         from repro.cli import main
 
-        source = SqliteStore(":memory:")
+        source = ShardStore(tmp_path / "src")
         source.put("ab", RunRecord(request=req(), plt=1.0, complete=True))
         export = tmp_path / "export.jsonl"
         source.export_jsonl(export)
@@ -1206,18 +1228,41 @@ class TestReadOnlyCommandsLeaveNonStoresAlone:
         assert f"no results store at {export}" in capsys.readouterr().out
         assert export.read_bytes() == before
         # ...while sync still reads it as the export it is
-        assert merge_into(SqliteStore(":memory:"), export) == (1, 0)
+        assert merge_into(ShardStore(tmp_path / "dst"), export) == (1, 0)
+
+    @pytest.mark.parametrize("command", [
+        ["store", "--store", "LEGACY", "ls"],
+        ["store", "--store", "LEGACY", "fsck"],
+        ["report", "--from-store", "LEGACY"],
+    ], ids=lambda command: command[-1])
+    def test_a_legacy_sqlite_file_names_the_sync_command(
+            self, tmp_path, capsys, command):
+        from repro.cli import main
+
+        legacy = tmp_path / "old.sqlite"
+        with SqliteStore(legacy) as store:
+            store.put("ab", RunRecord(request=req(), plt=1.0, complete=True))
+        before = legacy.read_bytes()
+        argv = [str(legacy) if part == "LEGACY" else part for part in command]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        message = str(exit_.value.code)
+        assert message.startswith("error: ") and "\n" not in message
+        assert f"`repro store [--store DIR] sync {legacy}`" in message
+        assert capsys.readouterr().out == ""
+        assert legacy.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["old.sqlite"]
 
     @pytest.mark.parametrize("command", [
         ["compare", "--rate", "10", "--size-kb", "10", "--runs", "1",
          "--cache", "EXPORT"],
-        ["store", "--store", "EXPORT", "import", "EXPORT"],
+        ["store", "--store", "EXPORT", "sync", "EXPORT"],
     ], ids=lambda command: command[0])
     def test_a_write_to_a_non_sqlite_file_is_one_error_line(
-            self, tmp_path, command):
+            self, tmp_path, tmp_path_factory, command):
         from repro.cli import main
 
-        source = SqliteStore(":memory:")
+        source = ShardStore(tmp_path_factory.mktemp("src") / "s")
         source.put("ab", RunRecord(request=req(), plt=1.0, complete=True))
         export = tmp_path / "export.jsonl"
         source.export_jsonl(export)
@@ -1321,23 +1366,27 @@ class TestSyncAndParity:
         src = ShardStore(tmp_path / "src-shards")
         self.fill(src, n=3)
         # from a shard-directory path
-        dst1 = SqliteStore(tmp_path / "d1.sqlite")
+        dst1 = ShardStore(tmp_path / "d1-shards")
         assert merge_into(dst1, tmp_path / "src-shards") == (3, 0)
-        # from a sqlite-file path (sniffed by magic bytes, not suffix)
+        # from a legacy sqlite-file path (sniffed by magic bytes, not
+        # suffix)
+        legacy = SqliteStore(tmp_path / "legacy.sqlite")
+        self.fill(legacy, n=3)
+        legacy.close()
         odd_name = tmp_path / "peer.store"
-        shutil.copyfile(tmp_path / "d1.sqlite", odd_name)
+        shutil.copyfile(tmp_path / "legacy.sqlite", odd_name)
         dst2 = ShardStore(tmp_path / "d2-shards")
         assert merge_into(dst2, odd_name) == (3, 0)
         # from a JSONL export
         dump = tmp_path / "dump.jsonl"
         src.export_jsonl(dump)
-        dst3 = SqliteStore(tmp_path / "d3.sqlite")
+        dst3 = ShardStore(tmp_path / "d3-shards")
         assert merge_into(dst3, dump) == (3, 0)
         assert (_store_dump(dst1) == _store_dump(dst2)
                 == _store_dump(dst3) == _store_dump(src))
 
     def test_sync_missing_source_raises(self, tmp_path):
-        dst = SqliteStore(":memory:")
+        dst = ShardStore(tmp_path / "dst")
         with pytest.raises(FileNotFoundError):
             merge_into(dst, tmp_path / "nope")
 
@@ -1372,8 +1421,43 @@ class TestSyncAndParity:
         assert all(r.ok for r in records)
 
 
+class TestLegacyMigration:
+    """A sqlite store — the format the default ``--cache`` wrote before
+    shard directories became the only one — enters through ``repro store
+    sync`` with every cached run intact."""
+
+    SMOKE = Path(__file__).resolve().parent.parent / "examples/specs/smoke.json"
+
+    def test_smoke_runs_sync_into_a_shard_store_as_all_hits(
+            self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        legacy = RunCache(SqliteStore(tmp_path / ".repro-store.sqlite"))
+        run_experiment(ExperimentSpec.from_json(self.SMOKE.read_text()),
+                       store=legacy)
+        assert len(legacy.store) == 16
+        legacy.store.close()
+        # The default is a shard directory now: a read-only command
+        # finds none, and names the sync that migrates the old default.
+        assert main(["store", "ls"]) == 0
+        assert ("`repro store sync .repro-store.sqlite`"
+                in capsys.readouterr().out)
+        assert not (tmp_path / ".repro-store").exists()
+
+        shards = str(tmp_path / "shards")
+        assert main(["store", "--store", shards, "sync",
+                     ".repro-store.sqlite"]) == 0
+        assert "16 imported, 0 already present" in capsys.readouterr().out
+        assert main(["spec", "--file", str(self.SMOKE), "--cache",
+                     shards]) == 0
+        assert "cache: 16/16 hits (100%)" in capsys.readouterr().out
+        assert len(ShardStore(shards)) == 16
+
+
 # ----------------------------------------------------------------------
-# cache-aware execution (each test runs against both backends)
+# cache-aware execution (each test runs against shards and legacy sqlite)
 # ----------------------------------------------------------------------
 class TestCacheAwareExecution:
     def test_second_run_is_all_hits_and_bit_identical(self, make_store):
@@ -1479,15 +1563,15 @@ class TestCacheAwareExecution:
         assert {r.request.seed: r.cached for r in seen} == {0: True, 1: False}
 
     def test_store_accepts_a_bare_path(self, tmp_path):
-        path = tmp_path / "store.sqlite"
-        run_requests([req()], store=path)
-        assert len(open_store(path)) == 1
-        # and a directory-flavoured path lands in a shard store
         shard_path = tmp_path / "store-dir"
         run_requests([req()], store=shard_path)
         reopened = open_store(shard_path)
         assert reopened.kind == "shards"
         assert len(reopened) == 1
+        # ...while a sqlite-flavoured one is refused before anything runs
+        with pytest.raises(ValueError, match="sync"):
+            run_requests([req()], store=tmp_path / "store.sqlite")
+        assert os.listdir(tmp_path) == ["store-dir"]
 
     def test_code_change_invalidates_hits(self, make_store):
         store = make_store()

@@ -1,10 +1,16 @@
 """Behavioural tests for the TCP(+TLS, HTTP/2 framing) connection."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.executor import ProtocolSpec
+from repro.core.runner import run_page_load
 from repro.devices import MOTOG
+from repro.http import single_object_page
 from repro.netem import Simulator, emulated
 from repro.tcp import tcp_config
+from repro.tcp.connection import TcpConnection
 
 from .conftest import FAST, JITTERY, LOSSY, MEDIUM, make_tcp_pair, tcp_download
 
@@ -204,3 +210,71 @@ class TestAckBehaviour:
         # With loss, ack count rises above the delayed-ack baseline.
         assert client.stats.acks_sent > 0
         assert client.stats.dsacks_sent >= 0
+
+
+# ----------------------------------------------------------------------
+# tail-loss probes (TLP is off in tcp_config(); these runs turn it on)
+# ----------------------------------------------------------------------
+#: (rate Mbps, object KB, seed) at 1 % loss, seeds 0-39 searched: every
+#: run that never finished with TLP on while a probe's own DSACK ended
+#: its probe episode (the probe re-sent an already-SACKed tail, so the
+#: RTO that repairs snd_una never fired), and the two that were > 4x
+#: slower than with TLP off.
+TLP_LIVELOCKS = [(10.0, 1024, seed) for seed in (11, 19, 24, 27, 33)] + [
+    (50.0, 200, 32)]
+TLP_SLOW = [(10.0, 1024, 23), (50.0, 200, 4)]
+
+
+def _tlp_load(rate, size_kb, seed, tlp):
+    return run_page_load(
+        emulated(rate, loss_pct=1.0), single_object_page(size_kb * 1024),
+        ProtocolSpec("tcp", tcp_config(tlp_enabled=tlp)), seed=seed,
+        timeout=60.0)
+
+
+def _longest_probe_run(rate, size_kb, seed):
+    """Run one load with TLP on; return it and the most tail-loss probes
+    any endpoint sent with neither newly acknowledged data (snd_una or
+    the SACK scoreboard growing) nor an RTO in between."""
+    current, longest = {}, [0]
+    fire, on_ack = TcpConnection._retx_timer_fired, TcpConnection._on_ack_info
+
+    def counting_fire(self, kind):
+        armed = self.bytes_in_flight > 0 and not self.closed
+        fire(self, kind)
+        if armed:
+            run = current.get(id(self), 0) + 1 if kind == "tlp" else 0
+            current[id(self)] = run
+            longest[0] = max(longest[0], run)
+
+    def watching_ack(self, now, seg):
+        una, sacked = self._snd_una, self._sacked.total()
+        on_ack(self, now, seg)
+        if self._snd_una > una or self._sacked.total() > sacked:
+            current[id(self)] = 0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(TcpConnection, "_retx_timer_fired", counting_fire)
+        patch.setattr(TcpConnection, "_on_ack_info", watching_ack)
+        out = _tlp_load(rate, size_kb, seed, tlp=True)
+    return out, longest[0]
+
+
+class TestTailLossProbe:
+    @pytest.mark.parametrize("rate, size_kb, seed", TLP_LIVELOCKS + TLP_SLOW)
+    def test_finishes_within_twice_its_tlp_off_plt(self, rate, size_kb, seed):
+        probed = _tlp_load(rate, size_kb, seed, tlp=True)
+        plain = _tlp_load(rate, size_kb, seed, tlp=False)
+        assert probed.result.complete
+        assert probed.plt <= 2.0 * plain.plt
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(cell=st.sampled_from([(10.0, 1024), (50.0, 200), (50.0, 2048)]),
+           seed=st.integers(0, 39))
+    @example(cell=(10.0, 1024), seed=11)
+    @example(cell=(50.0, 200), seed=32)
+    def test_no_episode_sends_more_probes_than_allowed_before_an_rto(
+            self, cell, seed):
+        out, longest = _longest_probe_run(*cell, seed)
+        assert out.result.complete
+        assert longest <= tcp_config().max_tail_loss_probes

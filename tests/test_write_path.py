@@ -6,9 +6,9 @@ held here:
 
 * **the writer's view is a fresh reader's view** — after every write
   path in ``src/repro`` (``put``, ``put_many``, ``POST /records``,
-  ``import_jsonl``, ``merge_into``, a fabric worker's sync), and under
-  any interleaving of two instances with torn tails, deletes, ``gc`` and
-  auto-compaction: same rows in the same order, same torn-line counts,
+  ``merge_into`` of a store or a JSONL export, a fabric worker's sync),
+  and under any interleaving of two instances with torn tails, deletes,
+  ``gc`` and auto-compaction: same rows in the same order, same torn-line counts,
   and a compaction exactly when a fresh reader would compact;
 * **a sweep and its report scan no ledger line**, nor does a fabric
   worker's write-ahead-log sync loop, in either store;
@@ -207,7 +207,8 @@ class TestFoldEqualsParse:
         store = ShardStore(tmp_path / "s")
         _warm(store, _first_rows())
         scanned.lines = 0
-        assert store.import_jsonl(export) == len(_second_rows())
+        # a JSONL export comes in through sync: present keys are skipped
+        assert merge_into(store, export) == (2, 3)
         _assert_fresh_view(store, scanned)
 
     def test_merge_into(self, tmp_path, scanned):
