@@ -19,7 +19,7 @@ The pieces:
   Two plans built from the same seed fire the identical schedule.
 * :class:`FaultyStore` — a :class:`~repro.store.backend.StoreBackend`
   decorator that injects torn writes, transient ``OSError``\\ s and
-  latency into any local backend.
+  latency into a shard store.
 
 The other two surfaces live where the operations happen: the HTTP
 fault hook in :class:`repro.fabric.server.StoreServer` (``fault_plan=``
@@ -197,21 +197,20 @@ class FaultPlan:
 class FaultyStore(StoreBackend):
     """A store decorator that injects the plan's ``store`` faults.
 
-    Wraps any *local* backend.  ``latency`` sleeps then proceeds;
-    ``os_error`` raises a transient :class:`OSError` without touching
-    the inner store; ``torn_write`` (on ``put`` / ``put_many``) appends
-    a truncated line to the underlying shard file **and** raises
-    ``OSError`` — the on-disk state a crash mid-append leaves behind,
-    with the failure surfaced so idempotent retry re-uploads the row.
-    On non-shard backends a torn write degrades to ``os_error`` (there
-    is no ledger to tear).  ``upload_rows`` is
-    inherited on purpose: the default feeds every uploaded row through
-    the instrumented :meth:`put`, so ``op="put"`` counts see them all.
+    Wraps a :class:`~repro.store.shards.ShardStore`.  ``latency`` sleeps
+    then proceeds; ``os_error`` raises a transient :class:`OSError`
+    without touching the inner store; ``torn_write`` (on ``put`` /
+    ``put_many``) appends a truncated line to the underlying shard file
+    **and** raises ``OSError`` — the on-disk state a crash mid-append
+    leaves behind, with the failure surfaced so idempotent retry
+    re-uploads the row.  ``upload_rows`` is inherited on purpose: the
+    default feeds every uploaded row through the instrumented
+    :meth:`put`, so ``op="put"`` counts see them all.
     """
 
     kind = "faulty"
 
-    def __init__(self, inner: StoreBackend, plan: FaultPlan) -> None:
+    def __init__(self, inner: ShardStore, plan: FaultPlan) -> None:
         self.inner = inner
         self.plan = plan
         self.path = inner.path
@@ -232,8 +231,6 @@ class FaultyStore(StoreBackend):
     def _tear(self, key: str, record: RunRecord, fingerprint: str) -> None:
         """Leave half a line on disk, exactly like a crashed append."""
         inner = self.inner
-        if not isinstance(inner, ShardStore):
-            return  # transactional backend: a crash leaves nothing
         shard = inner.shard_of(key)
         full = encode_row(key, time.time(), fingerprint,
                           record_to_dict(record), check=True)

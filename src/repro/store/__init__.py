@@ -17,8 +17,9 @@ the layers:
   — the one way to open a store, shared by the CLI, :class:`RunCache`,
   the executor's ``store=`` argument and the fabric — and
   :func:`merge_into` cross-store sync, the one way rows from outside
-  (another store, a JSONL export, a legacy :class:`SqliteStore` file)
-  enter one;
+  (another store, a JSONL export, a legacy sqlite file) enter one;
+* :mod:`repro.store.legacy` — the sqlite file format of earlier
+  releases: a read-only source of ``repro store sync``, no store;
 * :mod:`repro.store.shards` — the sharded JSONL :class:`ShardStore`,
   the one store format (concurrent multi-process writers, no single
   writer lock);
@@ -48,7 +49,6 @@ from .backend import (
     BACKENDS,
     DEFAULT_STORE_PATH,
     STORE_ENV_VAR,
-    SqliteStore,
     StoreBackend,
     StoreNotFoundError,
     default_store_path,
@@ -71,6 +71,7 @@ from .keys import (
     row_check,
     run_key,
 )
+from .legacy import SqliteStore
 from .shards import ShardStore
 
 __all__ = [

@@ -11,11 +11,12 @@ to concurrently without contending on one writer lock.
 :func:`_kind_at`; ``http(s)://`` URLs open the fabric's
 :class:`~repro.fabric.client.RemoteStore`) and honours ``$REPRO_STORE``
 for the default location.  A sqlite file written by earlier releases
-(:class:`SqliteStore`) and a JSONL export are *sources*, not stores:
-:func:`merge_into` (``repro store sync``) reads them into a shard store.
-Everything above the backend — :class:`~repro.store.cache.RunCache`,
-the executor's ``store=`` argument, the ``repro store`` CLI group —
-works identically against all of them.
+(:mod:`repro.store.legacy`) and a JSONL export are *sources*, not
+stores: :func:`merge_into` (``repro store sync``) reads them into a
+shard store.  Everything above the backend —
+:class:`~repro.store.cache.RunCache`, the executor's ``store=``
+argument, the ``repro store`` CLI group — works identically against
+every backend.
 
 A store is deliberately dumb: it never computes keys, never decides
 what is cacheable, and never invalidates.  Key semantics live in
@@ -28,16 +29,14 @@ from __future__ import annotations
 
 import abc
 import itertools
-import json
 import os
-import sqlite3
-import time
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.executor import RunRecord
-from .keys import record_from_dict, record_to_dict, row_check
-from .rows import Row, RowError, encode_row, label_of, read_jsonl, validated
+from .keys import record_from_dict, record_to_dict
+from .legacy import legacy_rows
+from .rows import Row, encode_row, read_jsonl, validated
 
 #: Environment variable naming the default store location.
 STORE_ENV_VAR = "REPRO_STORE"
@@ -46,8 +45,8 @@ DEFAULT_STORE_PATH = ".repro-store"
 #: Where earlier releases put the default store (one sqlite file).
 LEGACY_STORE_PATH = ".repro-store.sqlite"
 #: The kinds a store location opens to, so a pool worker can reopen a
-#: store from its path (a wrapper such as ``FaultyStore``, or a
-#: ``SqliteStore`` object, has another kind and stays in-process).
+#: store from its path (a wrapper such as ``FaultyStore`` has another
+#: kind and stays in-process).
 BACKENDS = ("shards", "http")
 
 #: Rows per probe + upload round of :func:`merge_into`.
@@ -240,138 +239,6 @@ class StoreBackend(abc.ABC):
         self.close()
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS runs (
-    key         TEXT PRIMARY KEY,
-    created     REAL NOT NULL,
-    fingerprint TEXT NOT NULL,
-    label       TEXT NOT NULL,
-    record      TEXT NOT NULL,
-    checksum    TEXT NOT NULL DEFAULT ''
-);
-CREATE TABLE IF NOT EXISTS meta (
-    name  TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-"""
-
-
-class SqliteStore(StoreBackend):
-    """The store format of earlier releases: run rows in one sqlite file.
-
-    No location opens or creates one any more (:func:`open_store` refuses
-    a sqlite file); :func:`iter_source` reads one so ``repro store sync``
-    can migrate it into a shard store.
-    """
-
-    kind = "sqlite"
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = str(path)
-        Path(self.path).resolve().parent.mkdir(parents=True, exist_ok=True)
-        # A generous busy timeout: a second process reading the same
-        # file queues instead of erroring.
-        self._db = sqlite3.connect(self.path, timeout=30.0)
-        self._db.executescript(_SCHEMA)
-        try:  # stores created before the integrity column existed
-            self._db.execute(
-                "ALTER TABLE runs ADD COLUMN checksum TEXT NOT NULL "
-                "DEFAULT ''")
-        except sqlite3.OperationalError:
-            pass
-        self._db.commit()
-
-    # -- core map operations ----------------------------------------------
-    def get(self, key: str) -> Optional[RunRecord]:
-        row = self.row(key)
-        return None if row is None else record_from_dict(row[3])
-
-    def put(self, key: str, record: RunRecord, *, fingerprint: str = "",
-            created: Optional[float] = None) -> None:
-        self.upload_rows([(key, created, fingerprint, record_to_dict(record))])
-
-    def upload_rows(self, rows: Iterable[Row]) -> int:
-        """One ``executemany`` and one commit for the whole batch."""
-        stamp = time.time()
-        encoded = [
-            (key, stamp if created is None else created, fingerprint,
-             label_of(record), json.dumps(record), row_check(key, record))
-            for key, created, fingerprint, record in rows]
-        self._db.executemany(
-            "INSERT OR REPLACE INTO runs (key, created, fingerprint, label, "
-            "record, checksum) VALUES (?, ?, ?, ?, ?, ?)", encoded)
-        self._db.commit()
-        return len(encoded)
-
-    def __contains__(self, key: str) -> bool:
-        row = self._db.execute(
-            "SELECT 1 FROM runs WHERE key = ?", (key,)).fetchone()
-        return row is not None
-
-    def __len__(self) -> int:
-        return self._db.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
-
-    def keys(self) -> List[str]:
-        return [row[0] for row in self._db.execute(
-            "SELECT key FROM runs ORDER BY created, key")]
-
-    def rows(self) -> Iterator[Tuple[str, float, str, str]]:
-        yield from self._db.execute(
-            "SELECT key, created, fingerprint, label FROM runs "
-            "ORDER BY created, key")
-
-    def items(self) -> Iterator[Row]:
-        for key, created, fingerprint, record in self._db.execute(
-                "SELECT key, created, fingerprint, record FROM runs "
-                "ORDER BY created, key"):
-            yield key, created, fingerprint, json.loads(record)
-
-    def row(self, key: str) -> Optional[Row]:
-        raw = self._db.execute(
-            "SELECT key, created, fingerprint, record FROM runs "
-            "WHERE key = ?", (key,)).fetchone()
-        if raw is None:
-            return None
-        return raw[0], raw[1], raw[2], json.loads(raw[3])
-
-    def delete(self, key: str) -> bool:
-        cursor = self._db.execute("DELETE FROM runs WHERE key = ?", (key,))
-        self._db.commit()
-        return cursor.rowcount > 0
-
-    # -- maintenance -------------------------------------------------------
-    def gc(self, older_than_seconds: float, now: Optional[float] = None,
-           *, dry_run: bool = False) -> int:
-        horizon = (time.time() if now is None else now) - older_than_seconds
-        if dry_run:
-            return self._db.execute(
-                "SELECT COUNT(*) FROM runs WHERE created < ?",
-                (horizon,)).fetchone()[0]
-        cursor = self._db.execute(
-            "DELETE FROM runs WHERE created < ?", (horizon,))
-        self._db.commit()
-        return cursor.rowcount
-
-    def fingerprints(self) -> Dict[str, int]:
-        return dict(self._db.execute(
-            "SELECT fingerprint, COUNT(*) FROM runs GROUP BY fingerprint"))
-
-    # -- persistent counters ----------------------------------------------
-    def bump_counter(self, name: str, delta: int = 1) -> None:
-        self._db.execute(
-            "INSERT INTO meta (name, value) VALUES (?, ?) "
-            "ON CONFLICT(name) DO UPDATE SET value = CAST(value AS INTEGER) + ?",
-            (name, str(delta), delta))
-        self._db.commit()
-
-    def counters(self) -> Dict[str, int]:
-        return {name: int(value) for name, value in self._db.execute(
-            "SELECT name, value FROM meta")}
-
-    def close(self) -> None:
-        self._db.close()
-
-
 class StoreNotFoundError(FileNotFoundError):
     """:func:`open_store` with ``must_exist`` found nothing at the path."""
 
@@ -389,7 +256,9 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
     new path the sharded JSONL store.  A legacy sqlite file, or a new
     ``.sqlite``/``.db`` path, raises ``ValueError`` naming ``repro store
     sync``; any other file (an export, a log) raises ``ValueError`` and
-    is left untouched.
+    is left untouched.  Anything else — a number, a
+    :class:`~repro.store.legacy.SqliteStore` — raises ``TypeError``
+    naming its type, before any directory is made.
 
     ``must_exist`` raises :class:`StoreNotFoundError` rather than
     creating an empty store, and asks a URL's server for ``/healthz``
@@ -398,7 +267,11 @@ def open_store(store: Union[StoreBackend, str, Path, None] = None, *,
     """
     if isinstance(store, StoreBackend):
         return store
-    path = str(store) if store else default_store_path()
+    if not (store is None or isinstance(store, (str, os.PathLike))):
+        raise TypeError(
+            f"a results store is a StoreBackend, a path, a URL or None, not "
+            f"{type(store).__name__}")
+    path = os.fspath(store) if store else default_store_path()
     kind, exists = _kind_at(path)
     # A legacy file is refused outright; a new sqlite path only where a
     # store would be created (a read-only command finds nothing there).
@@ -440,7 +313,7 @@ def iter_source(source: Union[StoreBackend, str, Path]) -> Iterator[Row]:
     if not str(source):  # "" is no location, not the cwd
         exists = False
     if kind == "sqlite" and exists:
-        yield from _legacy_rows(str(source))
+        yield from legacy_rows(source)
     elif exists:
         with open_store(source) as src:
             yield from src.items()
@@ -448,26 +321,6 @@ def iter_source(source: Union[StoreBackend, str, Path]) -> Iterator[Row]:
         yield from read_jsonl(source)
     else:
         raise FileNotFoundError(f"no store or export at {str(source)!r}")
-
-
-def _legacy_rows(path: str) -> Iterator[Row]:
-    """The rows of a legacy sqlite store, each held to the checksum it
-    was written with: a sync re-checksums what it writes, so a row whose
-    bytes changed on disk must stop here, not come out clean."""
-    with SqliteStore(path) as legacy:
-        for key, created, fingerprint, text, check in legacy._db.execute(
-                "SELECT key, created, fingerprint, record, checksum FROM runs "
-                "ORDER BY created, key"):
-            try:
-                record = json.loads(text)
-            except ValueError:
-                record = None
-            if record is None or (check and check != row_check(key, record)):
-                raise RowError(
-                    f"{path}: the row of key {key!r} is not JSON or fails "
-                    f"its stored checksum (its bytes changed after they "
-                    f"were written); delete it from the file and sync again")
-            yield key, created, fingerprint, record
 
 
 def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]

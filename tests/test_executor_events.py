@@ -18,7 +18,7 @@ from repro.core.report import build_store_report
 from repro.fabric import StoreServer, iter_fabric_runs
 from repro.http import single_object_page
 from repro.netem import emulated
-from repro.store import RunCache, ShardStore, SqliteStore
+from repro.store import RunCache, ShardStore
 from repro.sweep import (
     EVENT_KINDS,
     EVENT_WIRE_BOUND,
@@ -302,18 +302,6 @@ class TestWorkerDirectWriteBack:
         rerun = list(iter_runs(requests, jobs=2, run_fn=_pid_run,
                                store=RunCache(path), force_pool=True))
         assert [e.kind for e in rerun] == ["hit"] * 12
-
-    def test_a_sqlite_store_object_pool_still_persists(self, tmp_path):
-        # A SqliteStore object (no location opens one) cannot be
-        # reopened by workers: its misses run in-process, and the parent
-        # writes them itself.
-        cache = RunCache(SqliteStore(tmp_path / "legacy.sqlite"))
-        events = list(iter_runs([req(seed=s) for s in range(8)], jobs=4,
-                                run_fn=_instant_run, store=cache,
-                                force_pool=True))
-        assert len(cache.store) == 8
-        assert all(e.record is None for e in events)
-        assert all(e.stored for e in events if e.terminal)
 
     def test_pool_and_serial_stores_are_identical(self, tmp_path):
         serial = RunCache(ShardStore(tmp_path / "serial"))

@@ -38,7 +38,6 @@ from repro.store import (
     SqliteStore,
     fingerprint_for,
     fsck,
-    merge_into,
     row_check,
     run_key,
 )
@@ -216,21 +215,6 @@ class TestFaultyStore:
             assert store.put_many(entries) == 3
             assert all(store.get(key) is not None for key, _r, _f in entries)
 
-    def test_torn_write_on_sqlite_degrades_to_plain_failure(self, tmp_path):
-        plan = FaultPlan([FaultSpec("store", "torn_write", op="put")])
-        inner = SqliteStore(tmp_path / "s.sqlite")
-        store = FaultyStore(inner, plan)
-        request, key = _keyed()
-        with pytest.raises(OSError):
-            store.put(key, _instant_run(request),
-                  fingerprint=fingerprint_for(request))
-        assert len(inner) == 0  # a transaction cannot half-land
-        store.put(key, _instant_run(request),
-                  fingerprint=fingerprint_for(request))
-        dst = ShardStore(tmp_path / "migrated")
-        assert merge_into(dst, inner.path) == (1, 0)  # checksum holds
-        assert fsck(dst).clean
-
 
 # ----------------------------------------------------------------------
 # torn-tail healing + torn-line accounting (ShardStore)
@@ -391,8 +375,10 @@ class TestLegacySync:
         from repro.cli import main
 
         store = _store_with_rows(SqliteStore(tmp_path / "s.sqlite"))
-        bad_key = store.keys()[-1]
-        record = dict(store.row(bad_key)[3])
+        bad_key, text = store._db.execute(
+            "SELECT key, record FROM runs ORDER BY created, key"
+        ).fetchall()[-1]
+        record = json.loads(text)
         record["plt"] = 424242.0
         text = json.dumps(record)
         if damage == "truncated":
@@ -407,9 +393,12 @@ class TestLegacySync:
                 f"its stored checksum")):
             main(["store", "--store", str(dst), "sync", store.path])
         assert bad_key not in ShardStore(dst)  # not laundered
-        store.delete(bad_key)  # the remedy the message names
+        store._db.execute("DELETE FROM runs WHERE key = ?",
+                          (bad_key,))  # the remedy the message names
+        store._db.commit()
         assert main(["store", "--store", str(dst), "sync", store.path]) == 0
-        assert len(ShardStore(dst)) == len(store)
+        assert len(ShardStore(dst)) == store._db.execute(
+            "SELECT COUNT(*) FROM runs").fetchone()[0]
         assert fsck(ShardStore(dst)).clean
 
 

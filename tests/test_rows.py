@@ -185,7 +185,7 @@ class TestOneVerdictPerLine:
         assert (build_store_report(fresh).replace(fresh.path, "STORE")
                 == build_store_report(control).replace(control.path, "STORE"))
 
-    @pytest.mark.parametrize("backend", ["shards", "sqlite"])
+    @pytest.mark.parametrize("backend", ["shards"])
     @pytest.mark.parametrize("case", CASES)
     def test_import_jsonl(self, case, backend, tmp_path):
         line, key, _shard, _fsck, verdict, _wire = TABLE[case]
@@ -194,8 +194,7 @@ class TestOneVerdictPerLine:
         dump.write_text(_json_line(key=good_key, created=1.0,
                                    fingerprint=good_fingerprint,
                                    record=good_record) + "\n" + line + "\n")
-        dst = (ShardStore(tmp_path / "dst") if backend == "shards"
-               else SqliteStore(tmp_path / "dst.sqlite"))
+        dst = ShardStore(tmp_path / "dst")
         if verdict == "rejected":
             with pytest.raises(ValueError):
                 merge_into(dst, dump)
@@ -207,13 +206,7 @@ class TestOneVerdictPerLine:
         assert (key in dst) == (verdict == "accepted")
         if case == "no-created":  # the writer stamps what the line lacks
             assert dst.row(key)[1] >= before
-        # whatever came in was re-checksummed
-        if backend == "shards":
-            assert fsck(dst).clean
-        else:
-            for row_key, record, check in dst._db.execute(
-                    "SELECT key, record, checksum FROM runs"):
-                assert check == row_check(row_key, json.loads(record))
+        assert fsck(dst).clean  # whatever came in was re-checksummed
 
     @pytest.mark.parametrize("verb", ["POST", "PUT"])
     @pytest.mark.parametrize("case", CASES)
@@ -628,7 +621,7 @@ class TestFrozenSurface:
 
         shipped = {sub for sub in concrete(StoreBackend)
                    if sub.__module__.startswith("repro.")}
-        assert {ShardStore, SqliteStore, RemoteStore, FaultyStore} <= shipped
+        assert shipped == {ShardStore, RemoteStore, FaultyStore}
         for backend in shipped | {_traced_store()}:
             assert backend.row is not StoreBackend.row, backend
 

@@ -5,16 +5,18 @@ same key (across object identities and across processes), while *any*
 change to the configuration, seed, or the code the run exercises maps
 to a different key — a cache hit can therefore never be stale.  Every
 backend-facing test runs through the ``make_store`` fixture against the
-shard store, the one format a location opens, and against the legacy
-``SqliteStore`` class, which still ships as the format ``repro store
-sync`` migrates from.
+shard store, the one format a location opens.  The legacy sqlite format
+is only a source ``repro store sync`` reads; ``SqliteStore`` writes the
+legacy files those tests sync.
 """
 
+import ast
 import hashlib
 import inspect
 import json
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 import warnings
@@ -57,6 +59,7 @@ from repro.store import (
     canonical_json,
     code_fingerprints,
     fingerprint_for,
+    fsck,
     merge_into,
     open_store,
     record_from_dict,
@@ -102,17 +105,13 @@ def fresh_req(seed=0):
                       protocol=ProtocolSpec.quic(), seed=seed)
 
 
-@pytest.fixture(params=["sqlite", "shards"])
+@pytest.fixture(params=["shards"])
 def make_store(request, tmp_path):
-    """A factory building fresh stores of one backend per parametrisation."""
-    param = request.param
+    """A factory building fresh stores of the one store format."""
 
     def _make(name="store"):
-        if param == "sqlite":
-            return SqliteStore(tmp_path / f"{name}.sqlite")
         return ShardStore(tmp_path / f"{name}-shards")
 
-    _make.backend = param
     return _make
 
 
@@ -737,7 +736,7 @@ class TestCodec:
 
 
 # ----------------------------------------------------------------------
-# the backends (each test runs against shards AND the legacy sqlite class)
+# the backend contract, on the shard store
 # ----------------------------------------------------------------------
 class TestStoreBackends:
     def record(self, seed=0, plt=1.0):
@@ -768,9 +767,8 @@ class TestStoreBackends:
         with make_store("reopen") as store:
             path = store.path
             store.put("k1", self.record(plt=2.5), fingerprint="f1")
-        reopen = open_store if make_store.backend == "shards" else SqliteStore
-        with reopen(path) as store:
-            assert store.kind == make_store.backend
+        with open_store(path) as store:
+            assert store.kind == "shards"
             assert store.get("k1").plt == 2.5
             assert store.fingerprints() == {"f1": 1}
 
@@ -1040,6 +1038,29 @@ class TestOpenStore:
     def test_instance_passthrough_and_mismatch(self, tmp_path):
         store = ShardStore(tmp_path / "s")
         assert open_store(store) is store
+
+    def test_anything_but_a_location_is_a_type_error(self, tmp_path,
+                                                     monkeypatch):
+        # A number or a SqliteStore object is neither a store nor a
+        # location: refused by its type before a run starts or a
+        # directory is made (3.5 used to become a directory "3.5").
+        from repro.fabric import StoreServer
+
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError, match="not float$"):
+            open_store(3.5)
+        ran = []
+        with SqliteStore(tmp_path / "p.sqlite") as legacy:
+            for use in (lambda: RunCache(legacy),
+                        lambda: list(iter_runs([req(seed=0)],
+                                               run_fn=ran.append,
+                                               store=legacy)),
+                        lambda: StoreServer(legacy, port=0)):
+                with pytest.raises(TypeError, match="not SqliteStore$"):
+                    use()
+        assert ran == []
+        assert os.listdir(tmp_path) == ["p.sqlite"]
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env-store"))
@@ -1340,26 +1361,13 @@ class TestSyncAndParity:
             store.put(run_key(record.request), record,
                       fingerprint="fp", created=1_000.0 + i)
 
-    def test_sqlite_shards_round_trip_parity(self, tmp_path):
-        # Byte-identical records both ways: sqlite -> shards -> sqlite.
-        sqlite_store = SqliteStore(tmp_path / "a.sqlite")
-        self.fill(sqlite_store)
-        shard_store = ShardStore(tmp_path / "b-shards")
-        assert merge_into(shard_store, sqlite_store) == (5, 0)
-        assert shard_store.keys() == sqlite_store.keys()
-        assert _store_dump(shard_store) == _store_dump(sqlite_store)
-
-        back = SqliteStore(tmp_path / "c.sqlite")
-        assert merge_into(back, shard_store) == (5, 0)
-        assert _store_dump(back) == _store_dump(sqlite_store)
-
     def test_sync_skips_present_keys(self, tmp_path):
         src = SqliteStore(tmp_path / "src.sqlite")
         self.fill(src, n=4)
         dst = ShardStore(tmp_path / "dst-shards")
-        assert merge_into(dst, src) == (4, 0)
+        assert merge_into(dst, src.path) == (4, 0)
         self.fill(src, n=6)  # two new rows beyond the four already synced
-        assert merge_into(dst, src) == (2, 4)
+        assert merge_into(dst, src.path) == (2, 4)
         assert len(dst) == 6
 
     def test_sync_from_paths_and_jsonl(self, tmp_path):
@@ -1390,36 +1398,6 @@ class TestSyncAndParity:
         with pytest.raises(FileNotFoundError):
             merge_into(dst, tmp_path / "nope")
 
-    def test_sweep_resumes_across_backends(self, tmp_path):
-        # Acceptance: a sweep cached under one backend resumes
-        # (only-missing-cells) under the other after `store sync`.
-        sqlite_cache = RunCache(SqliteStore(tmp_path / "a.sqlite"))
-
-        def spy_factory(log):
-            def spy(request):
-                log.append(request.seed)
-                return RunRecord(request=request, plt=float(request.seed),
-                                 complete=True,
-                                 metrics={"plt": float(request.seed)})
-            return spy
-
-        first = []
-        run_requests([req(seed=0), req(seed=2)], store=sqlite_cache,
-                     run_fn=spy_factory(first))
-        assert first == [0, 2]
-
-        shard_store = ShardStore(tmp_path / "b-shards")
-        assert merge_into(shard_store, sqlite_cache.store) == (2, 0)
-
-        second = []
-        shard_cache = RunCache(shard_store)
-        records = run_requests([req(seed=s) for s in range(4)],
-                               store=shard_cache,
-                               run_fn=spy_factory(second))
-        assert second == [1, 3]  # only the cells sqlite didn't have
-        assert [r.cached for r in records] == [True, False, True, False]
-        assert all(r.ok for r in records)
-
 
 class TestLegacyMigration:
     """A sqlite store — the format the default ``--cache`` wrote before
@@ -1434,11 +1412,17 @@ class TestLegacyMigration:
 
         monkeypatch.delenv("REPRO_STORE", raising=False)
         monkeypatch.chdir(tmp_path)
-        legacy = RunCache(SqliteStore(tmp_path / ".repro-store.sqlite"))
+        # The smoke spec's runs, copied row for row (created stamp and
+        # fingerprint kept) into a file of the old default's format.
+        filled = ShardStore(tmp_path / "filled")
         run_experiment(ExperimentSpec.from_json(self.SMOKE.read_text()),
-                       store=legacy)
-        assert len(legacy.store) == 16
-        legacy.store.close()
+                       store=filled)
+        with SqliteStore(tmp_path / ".repro-store.sqlite") as legacy:
+            for key, created, fingerprint, record in filled.items():
+                legacy.put(key, record_from_dict(record),
+                           fingerprint=fingerprint, created=created)
+            assert legacy._db.execute(
+                "SELECT COUNT(*) FROM runs").fetchone()[0] == 16
         # The default is a shard directory now: a read-only command
         # finds none, and names the sync that migrates the old default.
         assert main(["store", "ls"]) == 0
@@ -1455,9 +1439,74 @@ class TestLegacyMigration:
         assert "cache: 16/16 hits (100%)" in capsys.readouterr().out
         assert len(ShardStore(shards)) == 16
 
+    def test_sync_reads_a_pre_checksum_file_without_writing_it(
+            self, tmp_path, capsys):
+        # A file from before the checksum column: every row comes in,
+        # and the sync (a read of its source) changes no byte of it.
+        from repro.cli import main
+
+        legacy = tmp_path / "old.sqlite"
+        records = [RunRecord(request=req(seed=seed), plt=1.0 + seed,
+                             complete=True) for seed in range(3)]
+        db = sqlite3.connect(legacy)
+        db.execute("CREATE TABLE runs (key TEXT PRIMARY KEY, created REAL "
+                   "NOT NULL, fingerprint TEXT NOT NULL, label TEXT NOT "
+                   "NULL, record TEXT NOT NULL)")
+        db.executemany("INSERT INTO runs VALUES (?, ?, ?, ?, ?)", [
+            (run_key(record.request), 1_000.0 + index,
+             fingerprint_for(record.request), record.request.label,
+             json.dumps(record_to_dict(record)))
+            for index, record in enumerate(records)])
+        db.commit()
+        db.close()
+
+        def on_disk():
+            db = sqlite3.connect(f"file:{legacy}?mode=ro", uri=True)
+            schema = db.execute("PRAGMA table_info(runs)").fetchall()
+            db.close()
+            return hashlib.sha256(legacy.read_bytes()).hexdigest(), schema
+
+        before = on_disk()
+        assert "checksum" not in {column[1] for column in before[1]}
+        migrated = tmp_path / "migrated"
+        assert main(["store", "--store", str(migrated), "sync",
+                     str(legacy)]) == 0
+        assert "3 imported, 0 already present" in capsys.readouterr().out
+        assert on_disk() == before
+        store = ShardStore(migrated)
+        for record in records:
+            assert store.get(run_key(record.request)).plt == record.plt
+        assert fsck(store).clean
+
+
+class TestLegacyFormatIsContained:
+    """sqlite is one module's business: the legacy file format a sync
+    reads, and the writer of such files that is no store."""
+
+    def test_one_module_imports_sqlite3(self):
+        importers = []
+        for path in sorted((SRC_DIR / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "sqlite3" for name in names):
+                    importers.append(path.relative_to(SRC_DIR).as_posix())
+                    break
+        assert importers == ["repro/store/legacy.py"]
+
+    def test_sqlite_store_is_no_backend(self):
+        assert not issubclass(SqliteStore, StoreBackend)
+        public = {name for name in vars(SqliteStore)
+                  if not name.startswith("_")}
+        assert public == {"put", "get", "close"}
+
 
 # ----------------------------------------------------------------------
-# cache-aware execution (each test runs against shards and legacy sqlite)
+# cache-aware execution
 # ----------------------------------------------------------------------
 class TestCacheAwareExecution:
     def test_second_run_is_all_hits_and_bit_identical(self, make_store):

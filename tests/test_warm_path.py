@@ -42,7 +42,6 @@ from repro.netem import emulated
 from repro.store import (
     RunCache,
     ShardStore,
-    SqliteStore,
     record_from_dict,
     record_to_dict,
     run_key,
@@ -77,12 +76,10 @@ def _outcomes(request):
 # ----------------------------------------------------------------------
 # a hit is the stored outcome on the caller's request
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["shards", "sqlite", "remote", "faulty"])
+@pytest.fixture(params=["shards", "remote", "faulty"])
 def any_store(request, tmp_path):
     if request.param == "shards":
         yield ShardStore(tmp_path / "s")
-    elif request.param == "sqlite":
-        yield SqliteStore(tmp_path / "s.sqlite")
     elif request.param == "faulty":
         yield FaultyStore(ShardStore(tmp_path / "s"), FaultPlan([]))
     else:
@@ -350,11 +347,10 @@ def _fill(store, records):
 
 
 class TestFoldEqualsFullDecode:
-    @pytest.mark.parametrize("backend", ["shards", "sqlite"])
+    @pytest.mark.parametrize("backend", ["shards"])
     def test_report_is_byte_identical_to_the_record_fold(
             self, tmp_path, monkeypatch, backend):
-        store = (ShardStore(tmp_path / "s") if backend == "shards"
-                 else SqliteStore(tmp_path / "s.sqlite"))
+        store = ShardStore(tmp_path / "s")
         records = _mixed_records()
         _fill(store, records)
         folded = build_store_report(store)
