@@ -42,11 +42,12 @@ bench-smoke:
 	cat "$$dir/out"; \
 	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: an edit to the sweep engine re-executed cached runs" >&2; exit 1; }
 
-# Perf-regression gate: re-measure every kind of scripts/bench_diff.py's
-# gate table (manyflow, models, chaos) into a temp directory and gate it
-# against the committed BENCH_*.json; nothing in the tree is written.
+# The two contracts a script checks itself (exit 1 on a break; neither
+# writes a file): the thousand-flow fast path (batched = per-packet
+# outcomes, speedup >= 3x) and the seeded chaos sweep over ten seeds.
 perf-gate:
-	$(PYTHON) scripts/bench_diff.py gate
+	PYTHONPATH=src $(PYTHON) benchmarks/sim_manyflow.py
+	PYTHONPATH=src $(PYTHON) scripts/chaos_sweep.py --repeat 10
 
 # The end-to-end benchmark BENCHMARK.json declares (six workloads).
 bench-e2e:

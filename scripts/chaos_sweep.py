@@ -1,11 +1,11 @@
-"""The chaos gate: a seeded fault-injected sweep must change nothing.
+"""The chaos check: a seeded fault-injected sweep must change nothing.
 
 The fabric's crash-safety claims (write-ahead shards, idempotent
 uploads, respawn-and-replay) are exercised here under a *deterministic*
 :class:`repro.faults.FaultPlan`: an HTTP 5xx burst, torn shard writes
 on the server's backing store, one worker SIGKILL and one server stall,
-all scheduled from one seed.  Three contracts are verified and gated
-(``scripts/bench_diff.py`` kind ``chaos``):
+all scheduled from one seed.  Per seed, :func:`verdict` checks five
+contracts:
 
 * ``results_identical`` — after the faults, ``repro report
   --from-store`` over the served store is byte-identical to a
@@ -14,23 +14,21 @@ all scheduled from one seed.  Three contracts are verified and gated
   debris the injected faults left behind, and a second fsck pass finds
   zero residual corruption (and the repaired store still renders the
   identical report);
-* ``fsck_detect_rate`` / ``plan_deterministic`` — fsck detects 100% of
-  separately injected row corruptions, and the same seed builds the
-  identical fault schedule twice (the replayability contract).
-
-Writes ``benchmarks/results/chaos_sweep.txt`` and a machine-readable
-``BENCH_chaos.json`` at the repo root — or, with ``--out PATH``, the
-payload at PATH and the summary beside it (``.txt``).
+* corruptions detected — fsck finds every one of the (at least one)
+  row corruptions injected separately;
+* ``plan_deterministic`` — the same seed builds the identical fault
+  schedule twice (the replayability contract);
+* faults fired — every scheduled fault fired (and there was one).
 
 Usage::
 
     PYTHONPATH=src python scripts/chaos_sweep.py \\
-        [--cells 600] [--workers 3] [--seed 42] [--out BENCH_chaos.json]
+        [--cells 600] [--workers 3] [--seed 42] [--repeat N]
 
-``--repeat N`` is the multi-seed soak: it runs seeds ``SEED`` …
-``SEED+N-1``, prints one contract line per seed, writes no payload, and
-exits 1 naming every seed that failed a contract (a rare wedge or race
-shows up only across many seeds).
+It runs seeds ``SEED`` … ``SEED+N-1`` (``N`` defaults to 1), prints one
+contract line per seed, writes no file, and exits 1 naming every seed
+that failed a contract: a rare wedge or race shows up only across many
+seeds, so CI runs ``--repeat 10``.
 """
 
 from __future__ import annotations
@@ -44,9 +42,8 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict
+from typing import Any, Dict, List, Optional
 
-from repro.core.bench import write_payload, write_summary
 from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import build_store_report
 from repro.fabric import StoreServer, iter_fabric_runs
@@ -55,10 +52,6 @@ from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import ShardStore, fsck
 from repro.sweep import usable_cpu_count
-
-RESULTS = Path(__file__).parent.parent / "benchmarks" / "results" / \
-    "chaos_sweep.txt"
-DEFAULT_OUT = Path(__file__).parent.parent / "BENCH_chaos.json"
 
 SCN = emulated(10.0)
 PAGE = single_object_page(10_000)
@@ -164,17 +157,13 @@ def inject_corruptions(store_dir: Path, count: int, seed: int) -> int:
     return injected
 
 
-def run_seed(args: argparse.Namespace, seed: int,
-             say: Callable[[str], None] = print) -> Dict[str, Any]:
-    """One seeded chaos sweep against its fault-free baseline, and the
-    contracts checked on it; ``say`` receives the progress lines."""
+def run_seed(args: argparse.Namespace, seed: int) -> Dict[str, Any]:
+    """One seeded chaos sweep against its fault-free baseline: what
+    :func:`verdict` judges, plus the two sweeps' wall times."""
     requests = build_requests(args.cells)
     plan = build_plan(seed, args.cells)
     plan_deterministic = (
         plan.schedule() == build_plan(seed, args.cells).schedule())
-    say(f"{args.cells} cells, {args.workers} workers, fault plan "
-        f"seed={seed} ({len(plan.specs)} scheduled faults; "
-        f"host CPUs: {os.cpu_count()}, usable: {usable_cpu_count()})")
 
     workdir = Path(tempfile.mkdtemp(prefix="repro-chaos-"))
     try:
@@ -183,7 +172,6 @@ def run_seed(args: argparse.Namespace, seed: int,
                                sync_every=args.sync_every)
         with ShardStore(workdir / "baseline" / "central") as store:
             baseline_report = _report(store)
-        say(f"fault-free:  {baseline_s:6.2f} s")
 
         with warnings.catch_warnings():
             # torn-line warnings are the *point* here; keep output clean
@@ -191,12 +179,6 @@ def run_seed(args: argparse.Namespace, seed: int,
             chaos_s = run_sweep(requests, workdir / "chaos",
                                 workers=args.workers,
                                 sync_every=args.sync_every, plan=plan)
-            fired = plan.fired()
-            say(f"chaos:       {chaos_s:6.2f} s  ({len(fired)} fault(s) "
-                f"fired: "
-                + ", ".join(f"{f['surface']}/{f['kind']}" for f in fired)
-                + ")")
-
             central = workdir / "chaos" / "central"
             with ShardStore(central) as store:
                 chaos_report = _report(store)
@@ -205,8 +187,6 @@ def run_seed(args: argparse.Namespace, seed: int,
                 post_repair_report = _report(store)
         results_identical = (chaos_report == baseline_report
                              and post_repair_report == baseline_report)
-        say(f"fsck:        {repair.quarantined} row(s) quarantined, "
-            f"residual issues: {verify.issues}")
 
         # separate detection check: silent payload flips on the baseline
         injected = inject_corruptions(workdir / "baseline" / "central",
@@ -215,37 +195,57 @@ def run_seed(args: argparse.Namespace, seed: int,
             warnings.simplefilter("ignore", RuntimeWarning)
             with ShardStore(workdir / "baseline" / "central") as store:
                 detect = fsck(store)
-        detected = len(detect.checksum_failures)
-        fsck_detect_rate = detected / injected if injected else 1.0
-        say(f"detection:   {detected}/{injected} injected corruption(s) "
-            f"found ({100 * fsck_detect_rate:.0f}%)")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    result = {
-        "fired": fired, "faults_scheduled": len(plan.specs),
+    return {
+        "faults_scheduled": len(plan.specs),
+        "faults_fired": len(plan.fired()),
         "baseline_seconds": baseline_s, "chaos_seconds": chaos_s,
-        "quarantined": repair.quarantined, "residual_issues": verify.issues,
-        "corruptions_injected": injected, "corruptions_detected": detected,
-        "fsck_detect_rate": fsck_detect_rate,
+        "quarantined": repair.quarantined,
+        "corruptions_injected": injected,
+        "corruptions_detected": len(detect.checksum_failures),
         "results_identical": results_identical, "fsck_clean": verify.clean,
         "plan_deterministic": plan_deterministic,
     }
-    result["ok"] = (results_identical and verify.clean
-                    and fsck_detect_rate == 1.0 and plan_deterministic
-                    and len(fired) == len(plan.specs))
-    say(contract_line(result))
-    return result
+
+
+def verdict(result: Dict[str, Any]) -> List[str]:
+    """Every contract one seed's result breaks, as a line; empty = pass.
+
+    A count of zero proves nothing, so zero injected corruptions or zero
+    scheduled faults fail: "all of none" is not a pass.
+    """
+    broken = []
+    if not result["results_identical"]:
+        broken.append("the faulted sweep did not converge to the "
+                      "fault-free store")
+    if not result["fsck_clean"]:
+        broken.append("fsck found residual corruption after --repair")
+    injected = result["corruptions_injected"]
+    if not 0 < injected == result["corruptions_detected"]:
+        broken.append(f"fsck detected {result['corruptions_detected']} of "
+                      f"{injected} injected corruption(s)")
+    if not result["plan_deterministic"]:
+        broken.append("one seed built two fault schedules; runs are not "
+                      "replayable")
+    scheduled = result["faults_scheduled"]
+    if not 0 < scheduled == result["faults_fired"]:
+        broken.append(f"{result['faults_fired']} of {scheduled} scheduled "
+                      f"fault(s) fired")
+    return broken
 
 
 def contract_line(result: Dict[str, Any]) -> str:
     return (f"results identical: {result['results_identical']}, fsck clean: "
-            f"{result['fsck_clean']}, plan deterministic: "
-            f"{result['plan_deterministic']}, faults fired: "
-            f"{len(result['fired'])}/{result['faults_scheduled']}")
+            f"{result['fsck_clean']} ({result['quarantined']} quarantined), "
+            f"plan deterministic: {result['plan_deterministic']}, faults "
+            f"fired: {result['faults_fired']}/{result['faults_scheduled']}, "
+            f"corruptions detected: {result['corruptions_detected']}/"
+            f"{result['corruptions_injected']}")
 
 
-def main() -> int:
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cells", type=int, default=600,
                         help=f"sweep size (default 600, at least "
@@ -255,100 +255,50 @@ def main() -> int:
     parser.add_argument("--sync-every", type=int, default=32,
                         help="worker upload batch (default 32)")
     parser.add_argument("--seed", type=int, default=42,
-                        help="fault-plan seed (default 42)")
-    parser.add_argument("--repeat", type=int, default=None, metavar="N",
-                        help="soak: run seeds SEED..SEED+N-1, print one "
-                             "contract line per seed, write no payload, "
-                             "exit 1 naming every failing seed")
+                        help="first fault-plan seed (default 42)")
+    parser.add_argument("--repeat", type=int, default=1, metavar="N",
+                        help="run seeds SEED..SEED+N-1 (default 1)")
     parser.add_argument("--corruptions", type=int, default=8,
                         help="rows corrupted for the fsck detection check "
-                             "(default 8)")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT,
-                        help=f"payload path (default {DEFAULT_OUT}); the "
-                             "summary goes beside a non-default path")
-    args = parser.parse_args()
+                             "(default 8, at least 1)")
+    args = parser.parse_args(argv)
     if args.cells < MIN_CELLS:
         parser.error(
             f"--cells must be >= {MIN_CELLS}: a smaller sweep makes too "
             f"few HTTP requests to reach the fault plan's fixed offsets "
             f"(up to the 14th request), so a scheduled fault stays "
             f"unfired and the run fails although the fabric is fine")
-    if args.repeat is not None:
-        if args.repeat < 1:
-            parser.error("--repeat must be >= 1")
-        failing = []
-        for seed in range(args.seed, args.seed + args.repeat):
-            result = run_seed(args, seed, say=lambda line: None)
-            print(f"seed {seed}: {contract_line(result)}, corruptions "
-                  f"detected: {result['corruptions_detected']}/"
-                  f"{result['corruptions_injected']} -> "
-                  f"{'ok' if result['ok'] else 'FAIL'}", flush=True)
-            if not result["ok"]:
-                failing.append(seed)
-        if failing:
-            print(f"{len(failing)} of {args.repeat} seed(s) failed: "
-                  + ", ".join(map(str, failing)))
-            return 1
-        print(f"all {args.repeat} seed(s) clean")
-        return 0
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    if args.corruptions < 1:
+        parser.error("--corruptions must be >= 1: detecting none of none "
+                     "proves nothing")
+    return args
 
-    result = run_seed(args, args.seed)
-    fired = result["fired"]
-    faults_fired = len(fired)
-    lines = [
-        "Seeded chaos sweep: fault injection vs the fault-free baseline",
-        "==============================================================",
-        "",
-        f"sweep: {args.cells} cells, {args.workers} workers, "
-        f"sync_every={args.sync_every}, fault seed {args.seed}",
-        f"host CPU count: {os.cpu_count()} (usable: {usable_cpu_count()})",
-        "",
-        f"  fault-free sweep          {result['baseline_seconds']:8.2f} s",
-        f"  chaos sweep               {result['chaos_seconds']:8.2f} s "
-        f"({faults_fired}/{result['faults_scheduled']} scheduled faults "
-        f"fired)",
-        "",
-        f"  reports byte-identical    {result['results_identical']}",
-        f"  rows quarantined          {result['quarantined']:8d}",
-        f"  residual fsck issues      {result['residual_issues']:8d}",
-        f"  corruption detect rate    "
-        f"{100 * result['fsck_detect_rate']:7.0f}%"
-        f"  ({result['corruptions_detected']}/"
-        f"{result['corruptions_injected']})",
-        f"  plan deterministic        {result['plan_deterministic']}",
-        "",
-        "Faults fired (schedule order):",
-    ] + [f"  {f['sequence']:2d}. {f['surface']}/{f['kind']} on "
-         f"{f['op'] or 'any'} (after {f['after']})" for f in fired] + [
-        "",
-        "Torn writes 500 the request and leave debris; the idempotent",
-        "retry re-uploads, fsck --repair quarantines the debris, and the",
-        "store converges to the byte-identical fault-free state.",
-    ]
-    write_summary(lines, RESULTS if args.out == DEFAULT_OUT
-                  else args.out.with_suffix(".txt"))
-    write_payload({
-        "benchmark": "chaos",
-        "cells": args.cells,
-        "workers": args.workers,
-        "sync_every": args.sync_every,
-        "seed": args.seed,
-        "cpu_count": os.cpu_count(),
-        "usable_cpus": usable_cpu_count(),
-        "baseline_seconds": round(result["baseline_seconds"], 4),
-        "chaos_seconds": round(result["chaos_seconds"], 4),
-        "faults_scheduled": result["faults_scheduled"],
-        "faults_fired": faults_fired,
-        "quarantined": result["quarantined"],
-        "residual_issues": result["residual_issues"],
-        "corruptions_injected": result["corruptions_injected"],
-        "corruptions_detected": result["corruptions_detected"],
-        "fsck_detect_rate": round(result["fsck_detect_rate"], 6),
-        "results_identical": result["results_identical"],
-        "fsck_clean": result["fsck_clean"],
-        "plan_deterministic": result["plan_deterministic"],
-    }, args.out)
-    return 0 if result["ok"] else 1
+
+def main() -> int:
+    args = parse_args()
+    print(f"{args.cells} cells, {args.workers} workers, sync_every "
+          f"{args.sync_every}, {args.corruptions} corruptions; host CPUs: "
+          f"{os.cpu_count()}, usable: {usable_cpu_count()}", flush=True)
+    failing = []
+    for seed in range(args.seed, args.seed + args.repeat):
+        result = run_seed(args, seed)
+        broken = verdict(result)
+        print(f"seed {seed}: {contract_line(result)} -> "
+              f"{'FAIL' if broken else 'ok'} ({result['baseline_seconds']:.2f}"
+              f" s fault-free, {result['chaos_seconds']:.2f} s chaos)",
+              flush=True)
+        for line in broken:
+            print(f"  FAIL: {line}")
+        if broken:
+            failing.append(seed)
+    if failing:
+        print(f"{len(failing)} of {args.repeat} seed(s) failed: "
+              + ", ".join(map(str, failing)))
+        return 1
+    print(f"all {args.repeat} seed(s) clean")
+    return 0
 
 
 if __name__ == "__main__":

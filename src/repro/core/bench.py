@@ -1,4 +1,4 @@
-"""The simulation core's profiler and its benchmark payload helpers.
+"""The simulation core's profiler and the canonical cell it profiles.
 
 Speed is measured in one place, the end-to-end benchmark
 (``BENCHMARK.json``): its per-layer probes ``netem.sim.event_ns`` and
@@ -12,25 +12,16 @@ keeps what only it provides:
 * :func:`profile_plt` / :func:`profile_manyflow` — cProfile the pair or
   a manyflow engine: a per-package summary, the events-by-handler
   census, then the top-N rows.  ``repro bench`` is a thin wrapper.
-* :func:`run_manyflow_benchmark` — the ``BENCH_manyflow.json`` payload.
-* :func:`calibrate` — a tiny pure-Python spin loop measured on the same
-  host.  Benchmark JSONs carry this so a reader can tell how fast the
-  measuring host was.
 
 Determinism note: every workload here is a fixed-seed simulation, so
-the *simulated* outcome (PLT values, ``events_processed``, manyflow
-metrics) is bit-identical across runs and hosts — only the wall-clock
-numbers vary.
+the *simulated* outcome (PLT values, ``events_processed``) is
+bit-identical across runs and hosts — only the wall-clock numbers vary.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
-import time
-from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict
 
 from ..http.objects import page
 from ..netem.profiles import emulated
@@ -45,41 +36,6 @@ CANONICAL_PAGE = (10, 100 * 1024)
 CANONICAL_SEED = 0
 
 
-def _best_of(repeat: int, fn: Callable[[], Dict[str, Any]],
-             key: str) -> Dict[str, Any]:
-    """Run ``fn`` ``repeat`` times, keep the run with the best ``key``.
-
-    Wall-clock benchmarks are noisy downwards only (GC pauses, other
-    processes); the maximum rate / minimum time is the stable statistic.
-    """
-    best: Optional[Dict[str, Any]] = None
-    for _ in range(max(1, repeat)):
-        sample = fn()
-        if best is None or sample[key] > best[key]:
-            best = sample
-    assert best is not None
-    return best
-
-
-# ----------------------------------------------------------------------
-# calibration
-# ----------------------------------------------------------------------
-def calibrate(ops: int = 2_000_000) -> float:
-    """Host-speed reference: pure-Python ops/second of a trivial loop."""
-    deadline = time.perf_counter
-    acc = 0
-    start = deadline()
-    for i in range(ops):
-        acc += i & 7
-    elapsed = deadline() - start
-    if acc < 0:  # pragma: no cover - keeps the loop from being elided
-        raise AssertionError
-    return ops / elapsed if elapsed > 0 else float("inf")
-
-
-# ----------------------------------------------------------------------
-# canonical PLT run
-# ----------------------------------------------------------------------
 def bench_plt(seed: int = CANONICAL_SEED) -> Dict[str, Any]:
     """One canonical QUIC + TCP page-load pair: each PLT and event count."""
     from .runner import run_page_load  # runner sits above this module
@@ -92,83 +48,6 @@ def bench_plt(seed: int = CANONICAL_SEED) -> Dict[str, Any]:
         out[f"plt_{protocol}"] = output.result.plt
         out[f"events_{protocol}"] = output.sim.events_processed
     return out
-
-
-def bench_manyflow(flows: int = 1000, *, aqm: str = "droptail",
-                   seed: int = CANONICAL_SEED,
-                   duration: float = 300.0) -> Dict[str, Any]:
-    """The thousand-flow cell: batched vs per-packet scheduling.
-
-    Runs the same (config, seed) workload twice — once with the default
-    batch quantum and once with ``batch_quantum=0`` (one heap wakeup per
-    logical item, the pre-optimisation cost model) — and checks the two
-    produce identical simulated outcomes.  The speedup between them is
-    the number the fast path is judged by.
-    """
-    from .manyflow import ManyflowConfig, ManyflowEngine, manyflow_scenario
-
-    config = ManyflowConfig(flows=flows, aqm=aqm, duration=duration)
-    scenario = manyflow_scenario()
-
-    def timed(batch_quantum: float) -> Dict[str, Any]:
-        engine = ManyflowEngine(scenario, config, seed=seed,
-                                batch_quantum=batch_quantum)
-        start = time.perf_counter()
-        metrics = engine.run()
-        wall = time.perf_counter() - start
-        return {"wall": wall, "metrics": metrics}
-
-    from .manyflow import DEFAULT_BATCH_QUANTUM
-
-    batched = timed(DEFAULT_BATCH_QUANTUM)
-    per_packet = timed(0.0)
-
-    def outcome(sample: Dict[str, Any]) -> Dict[str, Any]:
-        # heap_events is the cost model, not an outcome: batching
-        # exists to change it.
-        return {k: v for k, v in sample["metrics"].items()
-                if k != "heap_events"}
-
-    identical = outcome(batched) == outcome(per_packet)
-    logical = batched["metrics"]["logical_events"]
-    return {
-        "flows": flows,
-        "batched_seconds": round(batched["wall"], 4),
-        "per_packet_seconds": round(per_packet["wall"], 4),
-        "speedup_vs_per_packet": round(
-            per_packet["wall"] / batched["wall"], 2),
-        "events_per_sec": round(logical / batched["wall"], 1),
-        "heap_events_batched": batched["metrics"]["heap_events"],
-        "heap_events_per_packet": per_packet["metrics"]["heap_events"],
-        "results_identical": identical,
-        "outcome": outcome(batched),
-    }
-
-
-def run_manyflow_benchmark(*, flows: int = 1000, repeat: int = 1,
-                           aqm: str = "droptail", seed: int = CANONICAL_SEED,
-                           duration: float = 300.0) -> Dict[str, Any]:
-    """Run the manyflow cell; return the ``BENCH_manyflow.json`` payload."""
-    cal = calibrate()
-    sample = _best_of(repeat,
-                      lambda: bench_manyflow(flows, aqm=aqm, seed=seed,
-                                             duration=duration),
-                      "speedup_vs_per_packet")
-    payload: Dict[str, Any] = {
-        "benchmark": "manyflow",
-        "python": platform.python_version(),
-        "calibration_ops_per_sec": round(cal, 1),
-        "workload": {
-            "flows": flows,
-            "aqm": aqm,
-            "cc": "reno",
-            "seed": seed,
-            "duration": duration,
-            "scenario": "manyflow_scenario()",
-        },
-    }
-    payload.update(sample)
-    return payload
 
 
 def _package_of(filename: str) -> str:
@@ -273,17 +152,3 @@ def profile_manyflow(top: int = 25, out: Any = None,
                                 seed=CANONICAL_SEED)
         print(f"== manyflow cc={cc} ({flows} flows) ==", file=out)
         profile_run(engine.run, top=top, out=out)
-
-
-def write_payload(payload: Dict[str, Any], path: Any) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(f"written to {path}")
-
-
-def write_summary(lines: Sequence[str], path: Any) -> None:
-    """A payload's human-readable twin (``benchmarks/results/*.txt``)."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
-    print(f"written to {path}")

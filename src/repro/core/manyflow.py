@@ -26,7 +26,8 @@ that regime as a first-class, store-addressable workload:
   order from a *single* heap wakeup per batch; ``batch_quantum=0``
   degenerates to one wakeup per item (the per-packet scheduling path)
   and produces bit-identical results, which is the fixed-seed identity
-  contract gated by ``scripts/bench_diff.py`` (kind ``manyflow``).
+  contract ``benchmarks/sim_manyflow.py`` checks (its exit code) and
+  ``tests/test_determinism.py::TestGoldenManyflowCell`` pins.
 * :func:`execute_manyflow` — the :class:`RunRecord`-producing runner
   the executor dispatches to; per-flow PLT percentiles and the Jain
   fairness index land in ``record.metrics`` and flow through

@@ -13,7 +13,7 @@ Three layers:
 * :mod:`repro.fabric.server` — :class:`StoreServer`, a stdlib
   ``ThreadingHTTPServer`` exposing any local :class:`~repro.store.
   backend.StoreBackend` over HTTP in the content-addressed key
-  protocol (``GET/PUT /records/<key>``, batched ``POST /missing``,
+  protocol (``GET /records/<key>``, batched ``POST /missing``,
   bulk ``POST /records``, ``GET /stats``, ``GET /healthz``).  The CLI
   front-end is ``repro serve``.
 * :mod:`repro.fabric.client` — :class:`RemoteStore`, the client-side

@@ -11,7 +11,6 @@ dependencies — speaking the content-addressed key protocol:
 ``GET  /counters``          the persistent counter map
 ``GET  /records``           every row, streamed as JSONL (bulk download)
 ``GET  /records/<key>``     one row, or 404
-``PUT  /records/<key>``     insert/replace one row
 ``POST /records``           bulk upload: JSONL body -> ``upload_rows``
 ``POST /missing``           ``{"keys": [...]}`` -> the subset the server
                             *lacks* (the one-round-trip miss-list probe)
@@ -65,7 +64,7 @@ from urllib.parse import urlsplit
 from ..store.backend import StoreBackend, open_store
 from ..store.fsck import fsck
 from ..store.keys import KEY_SCHEMA_VERSION
-from ..store.rows import decode_row, decode_rows, encode_row, validated
+from ..store.rows import decode_rows, encode_row, validated
 
 #: Version of the fabric wire protocol itself (paths + payload shapes).
 PROTOCOL_VERSION = 1
@@ -326,26 +325,6 @@ class StoreRequestHandler(BaseHTTPRequestHandler):
                 self._error(404, f"unknown path {self.path!r}")
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"malformed request body: {exc}")
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
-        except OSError as exc:
-            with contextlib.suppress(OSError):
-                self._error(500, f"store failure: {exc}")
-
-    def do_PUT(self) -> None:  # noqa: N802 - http.server contract
-        if self._fault_gate():
-            return
-        collection, key = self._route()
-        if collection != "records" or key is None:
-            self._error(404, f"unknown path {self.path!r}")
-            return
-        try:
-            rows = list(validated([decode_row(self._body(), key=key)[0]]))
-            with self.lock:
-                self.store.upload_rows(rows)
-            self._json(200, {"ok": True})
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            self._error(400, f"malformed record body: {exc}")
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
         except OSError as exc:

@@ -30,7 +30,7 @@ worker kills in :func:`repro.fabric.coordinator.iter_fabric_runs`
 Injected *write* faults always fail the operation loudly (the torn
 bytes land on disk **and** the caller gets ``OSError``), so the normal
 retry path re-uploads and the store converges to the fault-free state
-— which is exactly what the chaos gate (``scripts/chaos_sweep.py``)
+— which is exactly what the chaos check (``scripts/chaos_sweep.py``)
 asserts.
 """
 
@@ -129,7 +129,7 @@ class FaultPlan:
         the first ``horizon`` operations of the named surfaces.
 
         The schedule is a pure function of the arguments — the
-        replayability contract the chaos gate leans on.
+        replayability contract the chaos check leans on.
         """
         rng = random.Random(f"repro-fault-plan:{seed}")
         specs = []

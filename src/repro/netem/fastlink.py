@@ -18,7 +18,7 @@ its exact logical timestamp, all queueing/sojourn/RTT arithmetic uses
 those timestamps, and the processing order of items is the merged
 logical-time order — identical whether the engine wakes once per item
 ("per-packet mode", quantum 0) or once per batch.  The fixed-seed
-identity contract in ``BENCH_manyflow.json`` rests on this.
+identity contract ``benchmarks/sim_manyflow.py`` checks rests on this.
 
 Restrictions versus the classic link: no jitter and no reordering
 (both would break the delivery deque's monotonicity); loss is

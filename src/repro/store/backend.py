@@ -338,8 +338,13 @@ def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]
     one :meth:`~StoreBackend.upload_rows` each, so a sync into a remote
     destination costs O(rows / batch) round trips instead of two per
     row.  Every row is proven decodable once (:func:`~repro.store.rows.
-    validated`) and then written as the dict it arrived as.
+    validated`) and then written as the dict it arrived as.  A ``dst``
+    that is not a :class:`StoreBackend` raises ``TypeError`` naming its
+    type before a source row is read.
     """
+    if not isinstance(dst, StoreBackend):
+        raise TypeError(f"a results store is a StoreBackend, not "
+                        f"{type(dst).__name__}")
     imported = seen = 0
     rows = validated(iter_source(source))
     while True:

@@ -32,7 +32,7 @@ the way into a shard store.)  The
 persistent ``quarantined`` counter is bumped by the number of rows
 moved, reconciling the counter ledger with what actually happened.
 
-The chaos gate (``scripts/chaos_sweep.py``) runs :func:`fsck` after a
+The chaos check (``scripts/chaos_sweep.py``) runs :func:`fsck` after a
 fault-injected sweep and asserts :attr:`FsckReport.clean` — zero
 residual corruption is part of the fabric's correctness contract.
 """

@@ -70,13 +70,11 @@ def why_invalid(key: Any, created: Any, fingerprint: Any, record: Any,
     return None
 
 
-def decode_row(line: Union[str, bytes], *, ledger: bool = False,
-               key: Optional[str] = None) -> Tuple[Row, str]:
+def decode_row(line: Union[str, bytes], *,
+               ledger: bool = False) -> Tuple[Row, str]:
     """``(row, stored check or "")`` of one line, else :class:`RowError`.
 
-    ``ledger`` demands the ``created`` stamp every shard line has;
-    ``key`` names the row of a body that travels without one
-    (``PUT /records/<key>``).
+    ``ledger`` demands the ``created`` stamp every shard line has.
     """
     try:
         raw = json.loads(line)
@@ -84,8 +82,8 @@ def decode_row(line: Union[str, bytes], *, ledger: bool = False,
         raise RowError(f"not JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise RowError("not a JSON object")
-    row = (raw.get("key") if key is None else key, raw.get("created"),
-           raw.get("fingerprint", ""), raw.get("record"))
+    row = (raw.get("key"), raw.get("created"), raw.get("fingerprint", ""),
+           raw.get("record"))
     check = raw.get("check", "")
     reason = why_invalid(*row, check, ledger=ledger)
     if reason is not None:

@@ -41,6 +41,10 @@ The fixed cells cover the paths the optimisations touch:
   steps and TCP's RTO through the trace's outages.
 * ``characterize_scenario``'s probe stream — its self-rescheduling
   sender and the capture's reorder accounting.
+* The thousand-flow manyflow cell — the second engine's batched link
+  delivery, flow table and Reno kernel at scale.
+* The ``repro validate`` oracle grid — every CC kernel's steady-state
+  throughput next to its closed-form model.
 
 Exact ``==`` on floats is deliberate: bit-identity is the guarantee.
 """
@@ -49,6 +53,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, replace
+
+import pytest
 
 from repro.core.bench import bench_plt
 from repro.core.executor import ProtocolSpec
@@ -447,6 +453,86 @@ class TestGoldenCharacterize:
             "delivered_bytes": 49648200, "dropped_packets": 7047,
             "lost_packets": 348, "reordered_packets": 24590,
             "mean_reorder_depth": 3.9224074827165514}
+
+
+class TestGoldenManyflowCell:
+    """1000 mixed QUIC/TCP flows, droptail, Reno, seed 0, 300 s cap:
+    the cell ``benchmarks/sim_manyflow.py`` times.  ``heap_events`` is
+    left out: it is the batching cost model, which a fast-path change
+    exists to move."""
+
+    def test_exact_outcome(self):
+        from repro.core.manyflow import (ManyflowConfig, ManyflowEngine,
+                                         manyflow_scenario)
+
+        config = ManyflowConfig(flows=1000, aqm="droptail", duration=300.0)
+        metrics = ManyflowEngine(manyflow_scenario(), config, seed=0).run()
+        metrics.pop("heap_events")
+        assert metrics == {
+            "flows": 1000.0, "flows_completed": 1000.0,
+            "plt_p10": 0.07850197052050349, "plt_p50": 0.17250861035658804,
+            "plt_p90": 0.8428467341642429, "plt_p99": 2.5074160607904656,
+            "plt_quic_p50": 0.14479705312448732,
+            "plt_tcp_p50": 0.2076581959277708,
+            "jain_index": 0.4128240770166004,
+            "rate_p50": 394403.04986589693,
+            "quic_share": 0.5257466763163383,
+            "bytes_acked": 219749102.0, "packets_delivered": 163261.0,
+            "acks_processed": 163261.0, "tx_completions": 163261.0,
+            "logical_events": 489783.0, "queue_drops": 10925.0,
+            "loss_drops": 0.0, "codel_drops": 0.0, "sim_time": 300.0}
+
+
+class TestGoldenOracleFit:
+    """The default ``oracle_requests()`` grid — the one ``repro
+    validate`` runs — fitted against the closed-form models.  Each row:
+    the exact observed and predicted rates (bytes/s), then the ratio to
+    four places and the regime, as a reader compares them with the
+    ``repro validate`` table."""
+
+    #: (cc, proto, loss_rate): (observed, predicted, ratio, regime)
+    FIT = {
+        ("bbr", "quic", 0.01): (5076366.076443465, 6009442.446043165,
+                                0.8447, "capacity-limited"),
+        ("bbr", "tcp", 0.01): (4728184.577483466, 6009442.446043165,
+                               0.7868, "capacity-limited"),
+        ("cubic", "quic", 0.01): (901050.1248427839, 826702.7881893226,
+                                  1.0899, "loss-limited"),
+        ("cubic", "quic", 0.02): (530031.4094619123, 584567.147554496,
+                                  0.9067, "loss-limited"),
+        ("cubic", "tcp", 0.01): (458254.799784192, 413351.3940946613,
+                                 1.1086, "loss-limited"),
+        ("cubic", "tcp", 0.02): (245388.33288102783, 292283.57377724804,
+                                 0.8396, "loss-limited"),
+        ("reno", "quic", 0.01): (1121833.8539497557, 838106.1239485127,
+                                 1.3385, "loss-limited"),
+        ("reno", "quic", 0.02): (650912.9483683712, 592630.5235979665,
+                                 1.0983, "loss-limited"),
+        ("reno", "tcp", 0.01): (609499.5795841392, 568097.1527828668,
+                                1.0729, "loss-limited"),
+        ("reno", "tcp", 0.02): (389819.784018651, 401705.34910553525,
+                                0.9704, "loss-limited"),
+    }
+
+    @pytest.fixture(scope="class")
+    def cells(self):
+        from repro.core.models import fit_records, oracle_requests
+        from repro.sweep import run_requests
+
+        records = run_requests(oracle_requests())
+        assert all(record.complete for record in records)
+        return fit_records(records).cells()
+
+    def test_exact_fit(self, cells):
+        assert {(c.cc, c.proto, c.loss_rate):
+                (c.observed, c.predicted, round(c.ratio, 4), c.regime)
+                for c in cells} == self.FIT
+
+    def test_every_cell_within_tolerance(self, cells):
+        from repro.core.models import DEFAULT_TOLERANCE
+
+        assert len(cells) == 10
+        assert all(c.gated and c.within(DEFAULT_TOLERANCE) for c in cells)
 
 
 class TestCanonicalBenchCell:

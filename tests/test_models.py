@@ -148,13 +148,6 @@ def oracle_grid_records(ccs=("reno",), loss_rates=(0.02,), store=None):
 
 
 class TestFitAccumulator:
-    def test_oracle_cells_within_tolerance(self):
-        fit = fit_records(oracle_grid_records())
-        cells = fit.cells()
-        assert {(c.cc, c.proto) for c in cells} == \
-            {("reno", "quic"), ("reno", "tcp")}
-        assert all(c.gated and c.within(DEFAULT_TOLERANCE) for c in cells)
-
     def test_mixed_share_and_incomplete_skipped(self):
         records = oracle_grid_records()
         fit = ModelFitAccumulator()

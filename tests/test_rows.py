@@ -8,8 +8,9 @@ single definition (``repro.store.rows``) from the outside:
 
 * **one validity table** — six hand-written lines, each pushed through
   ``ShardStore``, ``fsck`` / ``fsck --repair``, ``store sync`` and the
-  server's ``POST /records`` / ``PUT /records/<key>``, one verdict per
-  line per reader, ending in convergence after ``--repair``;
+  server's ``POST /records``, one verdict per line per reader, ending in
+  convergence after ``--repair`` (a ``PUT /records/<key>``, a route no
+  client sends, is refused whatever its body);
 * **byte goldens** — the four line forms (shard, export, wire response,
   upload body) as literals captured on the commit *before* the codec
   was unified, and the shard line and checksum of a QUIC and a TCP
@@ -92,7 +93,7 @@ KEY, FINGERPRINT, RECORD = _genuine(7)
 #:   fsck   — "torn" / "checksum" / "legacy" / "blank";
 #:   import — "accepted" / "rejected" / "blank" to ``merge_into`` (the
 #:            ``repro store sync`` of a JSONL export);
-#:   wire   — the status of ``POST /records`` and ``PUT /records/<key>``.
+#:   wire   — the status of ``POST /records``.
 TABLE = {
     "record-not-object": (
         _json_line(key=KEY, created=1.0, fingerprint=FINGERPRINT, record=7,
@@ -212,24 +213,25 @@ class TestOneVerdictPerLine:
     @pytest.mark.parametrize("case", CASES)
     def test_wire_upload(self, case, verb, tmp_path):
         line, key, *_, status = TABLE[case]
-        if verb == "PUT" and case == "blank":
-            status = 400  # one row, not a batch: an empty body is no row
+        if verb == "PUT":
+            status = 501  # no such route: rows go up by POST /records only
         with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
             url = server.url + ("/records" if verb == "POST"
                                 else f"/records/{key}")
             request = urllib.request.Request(
                 url, data=(line + "\n").encode(), method=verb)
-            if status == 400:
+            if status >= 400:
                 with pytest.raises(urllib.error.HTTPError) as err:
                     urllib.request.urlopen(request)
-                assert err.value.code == 400
-                assert "malformed" in json.loads(err.value.read())["error"]
+                assert err.value.code == status
+                if status == 400:
+                    assert "malformed" in json.loads(
+                        err.value.read())["error"]
                 assert len(server.store) == 0
             else:
                 reply = json.loads(urllib.request.urlopen(request).read())
                 landed = 0 if case == "blank" else 1
-                assert reply == ({"imported": landed} if verb == "POST"
-                                 else {"ok": True})
+                assert reply == {"imported": landed}
                 assert len(server.store) == landed
                 assert fsck(server.store).clean
 

@@ -1398,6 +1398,19 @@ class TestSyncAndParity:
         with pytest.raises(FileNotFoundError):
             merge_into(dst, tmp_path / "nope")
 
+    def test_sync_into_a_non_store_is_a_type_error(self, tmp_path):
+        # Refused by the destination's type before a source row is read,
+        # whether the source has rows or none (which once returned (0, 0)).
+        empty = ShardStore(tmp_path / "empty")
+        full = ShardStore(tmp_path / "full")
+        self.fill(full, n=2)
+        with SqliteStore(tmp_path / "legacy.sqlite") as legacy:
+            for dst, name in ((3.5, "float"), (legacy, "SqliteStore")):
+                for source in (empty, full):
+                    with pytest.raises(TypeError, match=f"not {name}$"):
+                        merge_into(dst, source)
+        assert len(empty) == 0 and len(full) == 2
+
 
 class TestLegacyMigration:
     """A sqlite store — the format the default ``--cache`` wrote before
