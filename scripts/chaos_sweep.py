@@ -1,11 +1,11 @@
 """The chaos check: a seeded fault-injected sweep must change nothing.
 
-The fabric's crash-safety claims (write-ahead shards, idempotent
-uploads, respawn-and-replay) are exercised here under a *deterministic*
-:class:`repro.faults.FaultPlan`: an HTTP 5xx burst, torn shard writes
-on the server's backing store, one worker SIGKILL and one server stall,
-all scheduled from one seed.  Per seed, :func:`verdict` checks five
-contracts:
+The fabric's crash-safety claims (terminal events held until their
+rows are uploaded, idempotent uploads, respawn-and-rerun) are
+exercised here under a *deterministic* :class:`repro.faults.FaultPlan`:
+an HTTP 5xx burst, torn shard writes on the server's backing store, one
+worker SIGKILL and one server stall, all scheduled from one seed.  Per
+seed, :func:`verdict` checks five contracts:
 
 * ``results_identical`` — after the faults, ``repro report
   --from-store`` over the served store is byte-identical to a
@@ -124,7 +124,7 @@ def run_sweep(requests, workdir: Path, *, workers: int, sync_every: int,
         for _event in iter_fabric_runs(
                 requests, server.url, workers=workers,
                 sync_every=sync_every, run_fn=_synthetic_run,
-                workdir=str(workdir / "wd"), fault_plan=plan,
+                fault_plan=plan,
                 progress_timeout=60.0):
             pass
     return time.perf_counter() - start

@@ -446,7 +446,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
           f"{args.url} on {args.workers} worker process(es)", flush=True)
     summary = run_fabric_sweep(
         requests, args.url, workers=args.workers,
-        sync_every=args.sync_every, workdir=args.workdir)
+        sync_every=args.sync_every)
     print(f"done: {summary['hits']} already stored, "
           f"{summary['completed']} executed, {summary['failed']} failed")
     return 0
@@ -740,11 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "across (default 2)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sync-every", type=int, default=32,
-                   help="results a worker batches before uploading "
-                        "(default 32)")
-    p.add_argument("--workdir", default=None, metavar="DIR",
-                   help="keep the workers' local write-ahead stores here "
-                        "(default: a temporary directory)")
+                   help="results a worker holds before uploading them "
+                        "and reporting them done (default 32)")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(

@@ -83,26 +83,26 @@ class LossReport:
 
 
 #: Each stack's own loss counters, read from its sender connection:
-#: (losses declared, spurious losses, TLPs, final reordering threshold).
+#: (losses declared, spurious losses, final reordering threshold).
 _LOSS_COUNTERS = {
     "quic": lambda c: (c.loss_detector.losses_declared,
-                       c.loss_detector.false_losses, c.stats.tlp_probes,
+                       c.loss_detector.false_losses,
                        c.loss_detector.threshold),
-    "tcp": lambda c: (c.stats.retransmits, c.stats.spurious_retransmits, 0,
+    "tcp": lambda c: (c.stats.retransmits, c.stats.spurious_retransmits,
                       c.dupthresh),
 }
 
 
 def loss_report(connection: Any) -> LossReport:
     """Build a loss report from either transport's sender connection."""
-    declared, false_losses, tlps, threshold = (
+    declared, false_losses, threshold = (
         _LOSS_COUNTERS[connection.protocol](connection))
     return LossReport(
         protocol=connection.protocol,
         losses_declared=declared,
         false_losses=false_losses,
         rto_fires=connection.stats.rto_fires,
-        tlp_fires=tlps,
+        tlp_fires=connection.trace.count("tlp"),
         final_threshold=threshold,
     )
 

@@ -25,12 +25,13 @@ Three layers:
 * :mod:`repro.fabric.coordinator` — :func:`iter_fabric_runs`, the
   work-sharing coordinator: one batched ``/missing`` call computes the
   sweep's miss-list, the misses are sharded across N worker processes
-  (each executing through :func:`~repro.sweep.iter_runs` into
-  a private local shard store and bulk-uploading with retry/backoff),
-  and the merged, typed :class:`~repro.sweep.RunEvent` stream
-  reaches the parent.  A killed worker loses nothing: its keys are
-  still missing server-side, so the coordinator respawns it (or a
-  rerun resumes) and only the absent cells execute.  The CLI
+  (each keeping no store: it holds its finished runs in memory and
+  bulk-uploads them with retry/backoff before their terminal events
+  leave it), and the merged, typed :class:`~repro.sweep.RunEvent`
+  stream reaches the parent.  A killed worker loses nothing it
+  reported: its unreported keys are still missing server-side, so the
+  coordinator respawns it (or a rerun resumes) and only the absent
+  cells execute.  The CLI
   front-end is ``repro worker``.
 """
 

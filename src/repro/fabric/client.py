@@ -31,8 +31,8 @@ Failure handling is deliberately loud and actionable:
 
 * an unreachable server raises :class:`FabricConnectionError` naming
   the URL and how to start a server there — on the write path too: the
-  client keeps no rows back, a fabric worker's local shard store is
-  where rows whose upload failed wait for its next sync
+  client keeps no rows back; rows whose upload failed stay held in the
+  fabric worker that ran them until its next upload
   (:mod:`repro.fabric.coordinator`);
 * a server speaking a different ``KEY_SCHEMA_VERSION`` raises
   :class:`SchemaMismatchError` *before* any data moves — content

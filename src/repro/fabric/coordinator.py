@@ -9,26 +9,27 @@ distributed, resumable job queue over a fabric store server:
    miss-list — everything else is served as ``hit`` events, in sweep
    order, from bulk ``POST /fetch`` calls one ``BATCH_SIZE`` batch at a
    time (the coordinator never holds more than one batch of rows);
-3. the misses are sharded round-robin across N worker processes — the
-   sweep engine's own worker group, the one ``iter_runs(jobs=N)`` uses —
-   each executing through the ordinary
-   :func:`~repro.sweep.iter_runs` into a *private local shard
-   store* and bulk-uploading completed rows to the server every
-   ``sync_every`` results (with the client's retry/backoff underneath;
-   a down server just defers the batch to the next sync);
-4. the workers' typed :class:`~repro.sweep.RunEvent` streams are
-   re-indexed to sweep order, merged, and yielded to the caller —
-   exactly one terminal event per request, same contract as
-   ``iter_runs``.
+3. the misses, heaviest first, are sharded round-robin across N worker
+   processes — the sweep engine's own worker group, the one
+   ``iter_runs(jobs=N)`` uses.  A worker keeps no store: it runs each
+   request of its share, holds the finished run's row and terminal
+   event in memory, and every ``sync_every`` results makes one bulk
+   upload to the server (with the client's retry/backoff underneath; a
+   batch a down server refused stays held and goes with the next one);
+4. only once a batch's rows are on the server do its terminal events
+   leave the worker, so — as on the pool path — ``stored=True`` means
+   the row is in the sweep's store.  The workers' typed
+   :class:`~repro.sweep.RunEvent` streams are re-indexed to sweep
+   order, merged, and yielded to the caller — exactly one terminal
+   event per request, same contract as ``iter_runs``.
 
-Crash safety falls out of content addressing.  A worker's local shard
-store is its write-ahead log: a killed worker is respawned over the
-*same* local directory with its unfinished assignment, so anything it
-executed-but-had-not-uploaded replays as instant local hits and still
-reaches the server; anything it never ran simply runs.  Killing the
-whole coordinator loses nothing either — a rerun's ``/missing`` probe
-shrinks to the absent cells.  Nothing is ever lost, re-measured, or
-double-counted.
+Crash safety falls out of content addressing and fixed seeds.  A
+killed worker's runs whose rows were not uploaded have no terminal
+event yet, so its respawn runs them again — at most ``sync_every`` per
+kill, producing the identical rows.  Killing the whole coordinator
+loses at most one held batch per worker: a rerun's ``/missing`` probe
+shrinks to the absent cells and runs those.  Nothing is double-counted,
+and no run leaves anything on the worker's disk.
 
 ``repro worker`` is the CLI front-end::
 
@@ -37,11 +38,8 @@ double-counted.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
 from functools import partial
-from pathlib import Path
 from typing import (
     Any,
     Callable,
@@ -53,14 +51,25 @@ from typing import (
     Tuple,
 )
 
+from ..core import executor
 from ..core.executor import RunFn, RunRequest
-from ..store.keys import fingerprint_for, record_from_dict, run_key
+from ..store.cache import RunCache
+from ..store.keys import (
+    fingerprint_for,
+    record_from_dict,
+    record_to_dict,
+    run_key,
+)
+from ..store.rows import Row
 from ..sweep import (
     RunEvent,
+    _event,
+    _guarded_run,
+    _heaviest_first,
     _terminal_event,
+    _terminal_kind,
     _wall_budget,
     _worker_group,
-    iter_runs,
 )
 from .client import BATCH_SIZE, FabricConnectionError, RemoteStore
 
@@ -75,22 +84,22 @@ class FabricWorkerError(RuntimeError):
     """A fabric worker failed unrecoverably (or too many were lost)."""
 
 
-#: One sharded unit of work: ``(sweep index, request)``.
-_Assigned = Tuple[int, RunRequest]
+#: One unit of work, keyed once by the coordinator:
+#: ``(sweep index, request, key, fingerprint)``.
+_Assigned = Tuple[int, RunRequest, str, str]
 
 
-def _served_hits(remote: RemoteStore,
-                 tagged: Sequence[Tuple[int, RunRequest, str]]
+def _served_hits(remote: RemoteStore, tagged: Sequence[_Assigned]
                  ) -> Iterator[RunEvent]:
-    """A ``hit`` event per ``(index, request, key)``, in the order given,
-    from one ``POST /fetch`` per :data:`BATCH_SIZE` keys: at most one
-    batch of fetched rows is held at a time.  A key the server does not
-    hold is a lost result."""
+    """A ``hit`` event per item, in the order given, from one
+    ``POST /fetch`` per :data:`BATCH_SIZE` keys: at most one batch of
+    fetched rows is held at a time.  A key the server does not hold is
+    a lost result."""
     for start in range(0, len(tagged), BATCH_SIZE):
         batch = tagged[start:start + BATCH_SIZE]
         rows = {row[0]: row[3]
-                for row in remote.fetch([key for _, _, key in batch])}
-        for index, request, key in batch:
+                for row in remote.fetch([item[2] for item in batch])}
+        for index, request, key, _fingerprint in batch:
             if key not in rows:
                 raise FabricWorkerError(
                     f"no terminal event and no stored record for request "
@@ -102,60 +111,48 @@ def _served_hits(remote: RemoteStore,
                                   stored=True)
 
 
-def _sync_new_rows(local: Any, remote: RemoteStore,
-                   uploaded: set) -> int:
-    """Upload every local row the server hasn't been sent yet."""
-    rows = [row for row in local.items() if row[0] not in uploaded]
-    if not rows:
-        return 0
-    count = remote.upload_rows(rows)
-    uploaded.update(row[0] for row in rows)
-    return count
-
-
-def _worker_events(url: str, base: Path, sync_every: int,
+def _worker_events(url: str, sync_every: int,
                    wall_timeout: Optional[float], run_fn: Optional[RunFn],
                    worker_id: int, assignment: Sequence[_Assigned]
                    ) -> Iterator[RunEvent]:
-    """One fabric worker's body: execute a shard, sync, stream events.
+    """One fabric worker's body: run a share, upload, then release.
 
-    The local shard store doubles as the write-ahead log — rows land
-    there first (via the executor's ordinary store write-back) and are
-    bulk-uploaded in batches.  A sync that cannot reach the server is
-    simply deferred; only the *final* flush escalates to a failure,
-    because exiting with unsent rows would stall the sweep until a
-    respawn replays them.
+    Each finished run's row (when :meth:`RunCache.cacheable`) and its
+    terminal event are held in memory; every ``sync_every`` results one
+    upload sends the held rows, and only then do their terminal events
+    leave.  An upload that cannot reach the server keeps its batch held
+    for the next one; only the *final* flush escalates to a failure,
+    because exiting with rows off the server would stall the sweep
+    until a respawn re-ran them.
     """
-    from ..store.shards import ShardStore
-
+    run = run_fn if run_fn is not None else executor.execute_request
     remote = RemoteStore(url)
-    uploaded: set = set()
-    local = ShardStore(base / f"worker-{worker_id}")
-    try:
-        requests = [request for _, request in assignment]
-        indices = [index for index, _ in assignment]
-        since_sync = 0
-        for event in iter_runs(requests, jobs=1, wall_timeout=wall_timeout,
-                               run_fn=run_fn, store=local):
-            yield event._replace(index=indices[event.index])
-            if event.terminal:
-                since_sync += 1
-                if since_sync >= sync_every:
-                    since_sync = 0
-                    try:
-                        _sync_new_rows(local, remote, uploaded)
-                    except FabricConnectionError:
-                        pass  # deferred: rows stay local, next sync retries
-        for attempt in range(_FLUSH_ATTEMPTS):
+    rows: List[Row] = []
+    held: List[RunEvent] = []
+    for done, (index, request, key, fingerprint) in enumerate(assignment, 1):
+        yield _event("miss-start", index, request, key)
+        record = _guarded_run(run, request, wall_timeout)
+        stored = RunCache.cacheable(record)
+        if stored:
+            rows.append((key, None, fingerprint, record_to_dict(record)))
+        held.append(_terminal_event(_terminal_kind(record), index, request,
+                                    key, record, stored=stored))
+        if done % sync_every == 0:
             try:
-                _sync_new_rows(local, remote, uploaded)
-                break
+                remote.upload_rows(rows)
             except FabricConnectionError:
-                if attempt == _FLUSH_ATTEMPTS - 1:
-                    raise
-                time.sleep(0.5 * (2 ** attempt))
-    finally:
-        local.close()
+                continue  # held: the next upload takes this batch along
+            yield from held
+            rows, held = [], []
+    for attempt in range(_FLUSH_ATTEMPTS):
+        try:
+            remote.upload_rows(rows)
+            break
+        except FabricConnectionError:
+            if attempt == _FLUSH_ATTEMPTS - 1:
+                raise
+            time.sleep(0.5 * (2 ** attempt))
+    yield from held
 
 
 def iter_fabric_runs(
@@ -188,10 +185,10 @@ def iter_fabric_runs(
     workers:
         Worker processes to shard the miss-list across (round-robin).
     sync_every:
-        Completed results a worker batches before bulk-uploading.
-        Smaller = less loss-window after a crash (a respawn replays
-        unsynced rows from the worker's local store anyway); larger =
-        fewer round trips.
+        Completed results a worker holds before bulk-uploading them and
+        releasing their terminal events.  Smaller = fewer runs a killed
+        worker's respawn re-runs (at most ``sync_every``) and earlier
+        terminal events; larger = fewer round trips.
     wall_timeout:
         Per-run wall-clock budget, as :func:`~repro.sweep.iter_runs`
         takes it (``None`` / ``0`` / ``inf``: no deadline; negative or
@@ -201,10 +198,9 @@ def iter_fabric_runs(
         Per-request run function (default: the real simulator).  Must
         be importable in a child process.
     workdir:
-        Directory for the workers' local shard stores
-        (``workdir/worker-<i>``).  Defaults to a temporary directory
-        cleaned up on success.  Pass an explicit one to keep the local
-        write-ahead stores around (or to resume into them).
+        Accepted and ignored: a worker keeps no store, so there is no
+        directory to put one in.  ``benchmarks/e2e/child.py`` still
+        passes it; it goes with ROADMAP item 3(g).
     max_restarts:
         Respawn budget for killed workers (default ``2 * workers``);
         exceeding it raises :class:`FabricWorkerError`.
@@ -222,8 +218,9 @@ def iter_fabric_runs(
         Optional :class:`repro.faults.FaultPlan` supplying the
         ``worker`` fault surface: every event from worker *N* counts
         one ``take("worker", str(N))`` operation, and a scheduled
-        ``kill`` SIGKILLs that worker mid-sweep (the respawn/replay
-        machinery then has to earn its keep — chaos testing).
+        ``kill`` SIGKILLs that worker mid-sweep (the respawn, which
+        re-runs whatever was not uploaded, then has to earn its keep —
+        chaos testing).
     """
     requests = list(requests)
     wall_timeout = _wall_budget(wall_timeout)
@@ -233,33 +230,26 @@ def iter_fabric_runs(
         raise ValueError("workers must be >= 1")
     remote = RemoteStore(url)
     remote.healthz()  # fail fast if unreachable
-    tagged: List[Tuple[int, RunRequest, str]] = []
+    tagged: List[_Assigned] = []
     for index, request in enumerate(requests):
         fingerprint = fingerprint_for(request)
         tagged.append((index, request,
-                       run_key(request, fingerprint=fingerprint)))
-    missing = set(remote.missing([key for _, _, key in tagged]))
-    hits = [(index, request, key) for index, request, key in tagged
-            if key not in missing]
-    misses = [(index, request, key) for index, request, key in tagged
-              if key in missing]
-    yield from _served_hits(remote, hits)
+                       run_key(request, fingerprint=fingerprint),
+                       fingerprint))
+    missing = set(remote.missing([item[2] for item in tagged]))
+    yield from _served_hits(remote, [item for item in tagged
+                                     if item[2] not in missing])
+    misses = [item for item in tagged if item[2] in missing]
     if not misses:
         return
 
-    own_workdir = workdir is None
-    base = Path(tempfile.mkdtemp(prefix="repro-fabric-")
-                if own_workdir else workdir)
-    base.mkdir(parents=True, exist_ok=True)
+    _heaviest_first(misses)
     workers = min(workers, len(misses))
-    assignments: List[List[_Assigned]] = [
-        [(index, request) for index, request, _key in misses[worker::workers]]
-        for worker in range(workers)]
     terminal_seen: set = set()
     for event in _worker_group(
-            partial(_worker_events, url, base, sync_every, wall_timeout,
-                    run_fn),
-            assignments, name="fabric worker", error=FabricWorkerError,
+            partial(_worker_events, url, sync_every, wall_timeout, run_fn),
+            [misses[worker::workers] for worker in range(workers)],
+            name="fabric worker", error=FabricWorkerError,
             max_restarts=2 * workers if max_restarts is None
             else max_restarts,
             on_worker_start=on_worker_start,
@@ -271,11 +261,8 @@ def iter_fabric_runs(
     # Every worker reported done, yet a request may have no terminal
     # event.  Its row may still have been uploaded — serve it as a hit;
     # anything truly absent is a real loss.
-    yield from _served_hits(remote, [
-        (index, request, key) for index, request, key in misses
-        if index not in terminal_seen])
-    if own_workdir:
-        shutil.rmtree(base, ignore_errors=True)
+    yield from _served_hits(remote, [item for item in misses
+                                     if item[0] not in terminal_seen])
 
 
 def run_fabric_sweep(

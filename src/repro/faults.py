@@ -1,10 +1,11 @@
 """Deterministic fault injection for the sweep fabric (`repro.faults`).
 
-The fabric's crash-safety story (write-ahead shards, idempotent
-uploads, worker respawn) is only as trustworthy as the faults it has
-survived.  This module makes fault injection *seeded and replayable*,
-so "it survived chaos run 42" is a reproducible claim, not an anecdote
-— the same way run keys made cache hits definitionally fresh.
+The fabric's crash-safety story (terminal events held until their
+rows are uploaded, idempotent uploads, worker respawn) is only as
+trustworthy as the faults it has survived.  This module makes fault
+injection *seeded and replayable*, so "it survived chaos run 42" is a
+reproducible claim, not an anecdote — the same way run keys made cache
+hits definitionally fresh.
 
 The pieces:
 

@@ -285,6 +285,18 @@ def _stream_one(run: RunFn, tagged: TaggedRequest, cache: Optional[Any],
                           attach=record if keep_records else None)
 
 
+def _heaviest_first(tagged: List[Any]) -> None:
+    """Sort ``(index, request, ...)`` misses heaviest first, in place.
+
+    Object count, then bytes, is the expected-cost proxy, so a long run
+    never lands last on an otherwise-drained worker group.  The sort is
+    stable and events carry their request index, so callers see no
+    difference.  The pool and the fabric coordinator both schedule by it.
+    """
+    tagged.sort(key=lambda item: (item[1].page.object_count,
+                                  item[1].page.total_bytes), reverse=True)
+
+
 # ----------------------------------------------------------------------
 # the worker group
 # ----------------------------------------------------------------------
@@ -620,13 +632,7 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
         cache.flush()
     if not misses:
         return
-    # Cache-aware scheduling: execute the heaviest misses first (object
-    # count, then bytes, as the expected-cost proxy) so a long run never
-    # lands last on an otherwise-drained pool.  The sort is stable and
-    # events carry their request index, so callers see no difference.
-    misses.sort(key=lambda tagged: (tagged[1].page.object_count,
-                                    tagged[1].page.total_bytes),
-                reverse=True)
+    _heaviest_first(misses)
     if not force_pool:
         n_jobs = min(n_jobs, usable_cpu_count())
     n_jobs = min(n_jobs, len(misses))

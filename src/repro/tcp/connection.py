@@ -460,6 +460,7 @@ class TcpConnection(TransportEndpoint):
         now = self.sim.now
         if kind == "tlp":
             self._tlp_count += 1
+            self.trace.log(now, "tlp")
             self.cc.on_tail_loss_probe(now)
             newest = max(self._sent, default=None)
             if newest is not None:

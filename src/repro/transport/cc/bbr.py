@@ -77,6 +77,8 @@ class BBR(CongestionController):
         if self.in_recovery:
             self.in_recovery = False
             self._set_state(now, kernel.mode)
+        if cwnd_limited:
+            kernel.app_limited = False
         prev_mode = kernel.mode
         kernel.on_ack(acked_bytes, now, self.rtt.smoothed_rtt,
                       self.rtt.min_rtt())
@@ -109,7 +111,6 @@ class BBR(CongestionController):
         self.on_recovery_exit(now)
 
     def on_application_limited(self, now: float) -> None:
-        # BBR ignores app-limited periods for state purposes; bandwidth
-        # samples taken while app-limited are simply not max-filtered
-        # higher, which the windowed max already handles.
-        pass
+        # Until a cwnd-limited ACK, the delivery-rate samples measure the
+        # application, not the bottleneck: they must not end Startup.
+        self.kernel.app_limited = True

@@ -255,7 +255,7 @@ class BBRKernel:
         "pacing_gain", "cwnd_gain", "bw_samples", "full_bw",
         "full_bw_rounds", "cycle_index", "cycle_start",
         "probe_rtt_done_at", "min_rtt_stamp", "last_ack_time",
-        "drain_entered_at",
+        "drain_entered_at", "app_limited",
     )
 
     def __init__(self, *, mss: float, initial_cwnd: Optional[float] = None,
@@ -282,6 +282,9 @@ class BBRKernel:
         self.min_rtt_stamp = 0.0
         self.last_ack_time: Optional[float] = None
         self.drain_entered_at = 0.0
+        #: Set while the sender is application-limited (by the adapter):
+        #: such bandwidth samples cannot show a full pipe.
+        self.app_limited = False
 
     # ------------------------------------------------------------------
     def bandwidth(self) -> float:
@@ -366,6 +369,10 @@ class BBRKernel:
                                 BBR_STARTUP_GAIN)
 
     def _check_full_pipe(self) -> None:
+        # As Linux BBR v1's bbr_check_full_bw_reached: an app-limited
+        # sample says nothing about the bottleneck.
+        if self.app_limited:
+            return
         bw = self.bandwidth()
         if bw > self.full_bw * 1.25:
             self.full_bw = bw

@@ -112,18 +112,29 @@ class TestTracing:
         assert BBRState.PROBE_BW.value in seq
 
 
+def _bulk_plt(rate_mbps, use_bbr):
+    out = run_page_load(
+        Scenario(name="s", rate_mbps=rate_mbps, rtt=0.036),
+        page(1, 10 * 1024 * 1024),
+        ProtocolSpec.quic(replace(quic_config(34), use_bbr=use_bbr)),
+        seed=1)
+    return out.result.plt
+
+
 class TestKnownDeviations:
-    @pytest.mark.xfail(strict=True, reason=(
-        "QUIC-BBR on the classic stack does not converge below ~50 Mbps: "
-        "a 10 MB load at 36 ms RTT takes 210.7 s at 5 Mbps and 55.4 s at "
-        "10 Mbps (serialisation 16.8 / 8.4 s; Cubic 17.8 / 8.9 s), 7.1 s "
-        "at 20 Mbps, and only matches Cubic at 50 Mbps (1.89 vs 1.85 s). "
-        "On record in EXPERIMENTS.md 'Known deviations'; fixing it moves "
-        "pinned outcomes, so it is its own change."))
+    """The oracle of the retired known deviation 7 (EXPERIMENTS.md).
+
+    A 10 MB load at 36 ms RTT once took QUIC-BBR 210.7 s at 5 Mbps and
+    55.4 s at 10 Mbps: the receiver's ACKs of its own control packets
+    "filled the pipe" in Startup.  Samples taken while app-limited no
+    longer count towards a full pipe, and BBR is within 1.3x of Cubic.
+    """
+
     def test_bulk_load_within_2x_of_serialisation_at_10mbps(self):
-        size = 10 * 1024 * 1024
-        out = run_page_load(
-            Scenario(name="s", rate_mbps=10.0, rtt=0.036), page(1, size),
-            ProtocolSpec.quic(replace(quic_config(34), use_bbr=True)),
-            seed=1)
-        assert out.result.plt <= 2 * (size * 8 / 10e6)
+        assert _bulk_plt(10.0, use_bbr=True) <= 2 * (10 * 1024 * 1024
+                                                     * 8 / 10e6)
+
+    @pytest.mark.parametrize("rate_mbps", [5.0, 10.0, 20.0, 50.0, 100.0])
+    def test_bulk_load_within_1_3x_of_cubic(self, rate_mbps):
+        assert (_bulk_plt(rate_mbps, use_bbr=True)
+                <= 1.3 * _bulk_plt(rate_mbps, use_bbr=False))

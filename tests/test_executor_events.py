@@ -135,8 +135,7 @@ class TestRunEventShape:
             store=RunCache(ShardStore(tmp_path / "pooled"))))
         with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
             fabric = terminal(iter_fabric_runs(
-                requests, server.url, workers=2, run_fn=_mixed_run,
-                workdir=str(tmp_path / "work")))
+                requests, server.url, workers=2, run_fn=_mixed_run))
         assert [e.kind for e in serial] == ["complete", "complete",
                                             "complete", "error"] * 2
         assert pooled == serial

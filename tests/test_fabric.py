@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -417,8 +418,7 @@ class TestCoordinator:
         requests = self._grid()
         expected = self._control_report(tmp_path, requests)
         events = list(iter_fabric_runs(requests, server.url, workers=2,
-                                       sync_every=4, run_fn=_instant_run,
-                                       workdir=str(tmp_path / "wd")))
+                                       sync_every=4, run_fn=_instant_run))
         terminal = [e for e in events if e.terminal]
         assert sorted(e.index for e in terminal) == list(
             range(len(requests)))
@@ -454,7 +454,6 @@ class TestCoordinator:
         killed = False
         stream = iter_fabric_runs(requests, server.url, workers=2,
                                   sync_every=4, run_fn=_slow_run,
-                                  workdir=str(tmp_path / "wd"),
                                   on_worker_start=on_start,
                                   progress_timeout=_WEDGED_WORKER_TIMEOUT)
         seen = []
@@ -494,6 +493,95 @@ class TestCoordinator:
                                    progress_timeout=_WEDGED_WORKER_TIMEOUT)
         assert summary["hits"] >= 1  # the pre-kill uploads were kept
         assert summary["requests"] == len(requests)
+        fabric = build_store_report(server.store).replace(
+            str(server.store.path), "STORE")
+        assert fabric == expected
+
+    def test_closed_or_failed_sweep_leaves_no_directory(
+            self, tmp_path, server, monkeypatch):
+        # A worker keeps no store, so neither a stream closed half-way
+        # nor a sweep whose worker raised leaves a directory behind.
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        stream = iter_fabric_runs(self._grid(20), server.url, workers=2,
+                                  sync_every=2, run_fn=_slow_run,
+                                  progress_timeout=_WEDGED_WORKER_TIMEOUT)
+        next(event for event in stream if event.terminal)
+        stream.close()
+        assert list(scratch.iterdir()) == []
+
+        def _boom(request):  # fork start method: closures are fine
+            raise SystemExit(3)
+
+        with pytest.raises(FabricWorkerError):
+            list(iter_fabric_runs([req(seed=s) for s in range(40, 44)],
+                                  server.url, workers=2, run_fn=_boom,
+                                  max_restarts=0))
+        assert list(scratch.iterdir()) == []
+
+    def test_stored_terminal_event_is_already_on_the_server(self, server):
+        # stored=True means "the row is in the sweep's store" on the
+        # fabric path too: the consumer never sees it before the upload.
+        # A failed run is never stored, and its key stays missing.
+        def _fail_odd(request):  # fork start method: closures are fine
+            if request.seed % 2:
+                raise RuntimeError("odd seed")
+            return _slow_run(request)
+
+        remote = RemoteStore(server.url)
+        ended = []
+        for event in iter_fabric_runs(self._grid(24), server.url,
+                                      workers=2, sync_every=3,
+                                      run_fn=_fail_odd,
+                                      progress_timeout=_WEDGED_WORKER_TIMEOUT):
+            if event.terminal:
+                on_server = remote.missing([event.key]) == []
+                assert on_server == event.stored == (event.kind == "complete")
+                ended.append(event.index)
+        assert sorted(ended) == list(range(24))
+
+    def test_killed_worker_reruns_at_most_sync_every(self, tmp_path,
+                                                     server):
+        # A killed worker's runs whose rows were not uploaded have no
+        # terminal event yet: the respawn re-runs them — at most
+        # sync_every per kill — and the fixed seeds make the rows equal.
+        sync_every = 4
+        requests = self._grid(48)
+        expected = self._control_report(tmp_path, requests)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def _counted_run(request):  # fork start method: closures are fine
+            (markers / f"{request.protocol.name}-{request.seed}-"
+                       f"{os.getpid()}-{time.monotonic_ns()}").touch()
+            return _slow_run(request)
+
+        pids = {}
+        spawns = []
+
+        def on_start(worker_id, pid):
+            pids[worker_id] = pid
+            spawns.append(worker_id)
+
+        remote = RemoteStore(server.url)
+        seen = []
+        for event in iter_fabric_runs(requests, server.url, workers=2,
+                                      sync_every=sync_every,
+                                      run_fn=_counted_run,
+                                      on_worker_start=on_start,
+                                      progress_timeout=_WEDGED_WORKER_TIMEOUT):
+            if not event.terminal:
+                continue
+            assert remote.missing([event.key]) == []
+            seen.append(event.index)
+            if len(seen) == len(requests) // 2:
+                os.kill(pids[0], signal.SIGKILL)
+        kills = len(spawns) - 2
+        assert kills >= 1
+        assert sorted(seen) == list(range(len(requests)))
+        reruns = len(list(markers.iterdir())) - len(requests)
+        assert 0 <= reruns <= sync_every * kills
         fabric = build_store_report(server.store).replace(
             str(server.store.path), "STORE")
         assert fabric == expected

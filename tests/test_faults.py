@@ -713,7 +713,7 @@ class TestCircuitBreaker:
             remote.upload_rows([("k", None, "", {"x": 1})])
 
     def test_the_breaker_settings_are_gone(self):
-        # Failed uploads wait in a fabric worker's local shard store,
+        # Failed uploads are held in the fabric worker that ran them,
         # not in a client-side spill; the client takes no such setting.
         for setting in ("spill_path", "breaker_threshold",
                         "breaker_cooldown", "check_schema"):
@@ -751,8 +751,7 @@ class TestCoordinatorDegradation:
         with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
             events = list(iter_fabric_runs(
                 requests, server.url, workers=1, sync_every=1,
-                run_fn=_hang_once, workdir=str(tmp_path / "wd"),
-                progress_timeout=1.0))
+                run_fn=_hang_once, progress_timeout=1.0))
             terminal = [e for e in events if e.terminal]
             assert sorted(e.index for e in terminal) == list(
                 range(len(requests)))
@@ -768,8 +767,7 @@ class TestCoordinatorDegradation:
         with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
             events = list(iter_fabric_runs(
                 requests, server.url, workers=2, sync_every=2,
-                run_fn=_instant_run, workdir=str(tmp_path / "wd"),
-                fault_plan=plan))
+                run_fn=_instant_run, fault_plan=plan))
             terminal = [e for e in events if e.terminal]
             assert sorted(e.index for e in terminal) == list(
                 range(len(requests)))

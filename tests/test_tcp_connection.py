@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.executor import ProtocolSpec
+from repro.core.rootcause import loss_report
 from repro.core.runner import run_page_load
 from repro.devices import MOTOG
 from repro.http import single_object_page
@@ -267,6 +268,14 @@ class TestTailLossProbe:
         plain = _tlp_load(rate, size_kb, seed, tlp=False)
         assert probed.result.complete
         assert probed.plt <= 2.0 * plain.plt
+
+    def test_loss_report_counts_the_probes(self):
+        # The sender fires two TLPs on this seed; the report once read a
+        # hard-coded 0 for TCP.
+        out = _tlp_load(50.0, 200, 4, tlp=True)
+        report = loss_report(out.server)
+        assert report.tlp_fires == 2
+        assert "2 TLPs" in report.describe()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(cell=st.sampled_from([(10.0, 1024), (50.0, 200), (50.0, 2048)]),

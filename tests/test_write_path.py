@@ -6,12 +6,13 @@ held here:
 
 * **the writer's view is a fresh reader's view** — after every write
   path in ``src/repro`` (``put``, ``put_many``, ``POST /records``,
-  ``merge_into`` of a store or a JSONL export, a fabric worker's sync),
+  ``merge_into`` of a store or a JSONL export, a fabric worker's
+  upload),
   and under any interleaving of two instances with torn tails, deletes,
   ``gc`` and auto-compaction: same rows in the same order, same torn-line counts,
   and a compaction exactly when a fresh reader would compact;
 * **a sweep and its report scan no ledger line**, nor does a fabric
-  worker's write-ahead-log sync loop, in either store;
+  sweep's served store, which its workers upload to;
 * **the cache signature is the file, not its size and mtime** — a
   same-size rewrite with the old mtime restored is still seen;
 * **a put is lock, append, unlock** through descriptors held open until
@@ -46,8 +47,7 @@ from hypothesis.stateful import (
 
 from repro.core.executor import ProtocolSpec, RunRecord, RunRequest
 from repro.core.report import build_store_report
-from repro.fabric import RemoteStore, StoreServer
-from repro.fabric.coordinator import _sync_new_rows
+from repro.fabric import RemoteStore, StoreServer, iter_fabric_runs
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import (
@@ -223,18 +223,15 @@ class TestFoldEqualsParse:
         _assert_fresh_view(store, scanned)
 
     def test_fabric_worker_sync(self, tmp_path, scanned):
+        # A fabric worker's batches arrive as RemoteStore.upload_rows.
         served = ShardStore(tmp_path / "served")
-        local = ShardStore(tmp_path / "local")
         _warm(served, _first_rows())
         scanned.lines = 0
         with StoreServer(served, port=0) as server:
-            remote, uploaded = RemoteStore(server.url), set()
-            local.upload_rows(_second_rows())
-            assert _sync_new_rows(local, remote, uploaded) == 5
-            local.upload_rows([_row("a7", 8.0, 2.0)])
-            assert _sync_new_rows(local, remote, uploaded) == 1
+            remote = RemoteStore(server.url)
+            assert remote.upload_rows(_second_rows()) == 5
+            assert remote.upload_rows([_row("a7", 8.0, 2.0)]) == 1
             _assert_fresh_view(served, scanned)
-            _assert_fresh_view(local, scanned)
 
     def test_a_row_no_reader_accepts_is_not_folded(self, tmp_path):
         store = ShardStore(tmp_path / "s")
@@ -289,23 +286,21 @@ class TestLineCensus:
     def test_worker_sync_loop_scans_no_line(self, tmp_path, scanned):
         requests = _requests(seeds=30)
         served = ShardStore(tmp_path / "served")
-        local = ShardStore(tmp_path / "local")
         with StoreServer(served, port=0) as server:
-            remote, uploaded, since_sync = RemoteStore(server.url), set(), 0
-            for event in iter_runs(requests, run_fn=_near_free, store=local):
-                since_sync += event.terminal
-                if since_sync == 64:
-                    since_sync = 0
-                    _sync_new_rows(local, remote, uploaded)
-            _sync_new_rows(local, remote, uploaded)
-            assert uploaded == {run_key(request) for request in requests}
+            remote = RemoteStore(server.url)
+            kinds = [event.kind for event in iter_fabric_runs(
+                requests, server.url, workers=2, sync_every=64,
+                run_fn=_near_free) if event.terminal]
+            assert kinds == ["complete"] * len(requests)
+            assert remote.missing([run_key(request)
+                                   for request in requests]) == []
             text = build_store_report(remote)
             assert f"{len(requests)} cached run(s)" in text
-        # Neither store parsed a line — where dropping the cache after
-        # each append re-parsed the local write-ahead log on every sync
-        # and the served store for the report.
+        # The served store parsed no line — where dropping the cache
+        # after each append re-parsed it for the last /missing probe
+        # and for the report.
         assert scanned.lines == 0
-        assert len(served) == len(local) == len(requests)
+        assert len(served) == len(requests)
 
 
 # ----------------------------------------------------------------------
