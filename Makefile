@@ -26,9 +26,13 @@ bench-report:
 # fresh store in a temp directory.  The pool workers reopen that store by
 # its path, so the rerun must be all hits.  A third pass runs a copy of
 # src/ whose sweep engine (repro/sweep.py) has one more line: the engine
-# is outside the run key, so that pass must be all hits too.
+# is outside the run key, so that pass must be all hits too.  Last, the
+# two entry points share one served store: `repro worker` fills a
+# `repro serve` on a second temp store, then `repro spec --cache URL`
+# must be all hits and the served store's counters must show 16 writes.
 bench-smoke:
-	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; set -e; \
+	@dir="$$(mktemp -d)"; server=; \
+	trap 'test -z "$$server" || kill "$$server"; rm -rf "$$dir"' EXIT; set -e; \
 	for pass in 1 2; do \
 		PYTHONPATH=src $(PYTHON) -m repro spec --file examples/specs/smoke.json \
 			--jobs 2 --cache "$$dir/store" > "$$dir/out"; \
@@ -40,7 +44,22 @@ bench-smoke:
 	PYTHONPATH="$$dir/src" $(PYTHON) -m repro spec --file examples/specs/smoke.json \
 		--jobs 2 --cache "$$dir/store" > "$$dir/out"; \
 	cat "$$dir/out"; \
-	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: an edit to the sweep engine re-executed cached runs" >&2; exit 1; }
+	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: an edit to the sweep engine re-executed cached runs" >&2; exit 1; }; \
+	PYTHONPATH=src $(PYTHON) -m repro serve --store "$$dir/served" --port 0 > "$$dir/serve.log" & server=$$!; \
+	for try in $$(seq 100); do \
+		url="$$(sed -n 's/^serving .* at \(http[^ ]*\) .*/\1/p' "$$dir/serve.log")"; \
+		test -n "$$url" && break; sleep 0.1; \
+	done; \
+	test -n "$$url" || { echo "bench-smoke: repro serve printed no URL" >&2; exit 1; }; \
+	PYTHONPATH=src $(PYTHON) -m repro worker --file examples/specs/smoke.json \
+		--url "$$url" --workers 2; \
+	PYTHONPATH=src $(PYTHON) -m repro spec --file examples/specs/smoke.json \
+		--cache "$$url" --jobs 2 > "$$dir/out"; \
+	cat "$$dir/out"; \
+	grep -q "16/16 hits" "$$dir/out" || { echo "bench-smoke: a spec over the store repro worker filled was not all hits" >&2; exit 1; }; \
+	PYTHONPATH=src $(PYTHON) -m repro store --store "$$url" stats > "$$dir/out"; \
+	cat "$$dir/out"; \
+	grep -Eq "^writes: +16$$" "$$dir/out" || { echo "bench-smoke: the served store's counters missed the fabric sweep's writes" >&2; exit 1; }
 
 # The two contracts a script checks itself (exit 1 on a break; neither
 # writes a file): the thousand-flow fast path (batched = per-packet

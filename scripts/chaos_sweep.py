@@ -115,7 +115,7 @@ def run_sweep(requests, workdir: Path, *, workers: int, sync_every: int,
 
     With a plan, all three fault surfaces are armed: the backing store
     is wrapped in :class:`FaultyStore`, the server takes the HTTP hook,
-    and the coordinator takes the worker-kill hook.
+    and the sweep engine's worker group takes the worker-kill hook.
     """
     central = ShardStore(workdir / "central")
     backing = central if plan is None else FaultyStore(central, plan)

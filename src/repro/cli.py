@@ -586,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def jobs_arg(p):
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent runs "
-                            "(0 = all cores, default 1 = serial)")
+                       help="worker processes for independent runs; the "
+                            "default 1 is the serial path, every run in "
+                            "this process (0 = all usable cores)")
 
     def cache_arg(p):
         p.add_argument("--cache", nargs="?", const="", default=None,

@@ -12,10 +12,14 @@ spelling::
     store = open_store("http://lab-server:8737")
     run_experiment(spec, jobs=4, store=store)
 
-Two of the contract's batched calls, and one more, carry the fabric:
+The contract's batched calls carry the fabric, one round trip per
+:data:`~repro.store.backend.BATCH_SIZE` keys or rows:
 
-* :meth:`RemoteStore.missing` — one ``POST /missing`` round-trip maps a
-  whole sweep's key list to the subset the server lacks;
+* :meth:`RemoteStore.prefetch` — a sweep's lookup window in one ``POST
+  /fetch``, so the window's :meth:`~RemoteStore.row` lookups make no
+  round trip of their own;
+* :meth:`RemoteStore.missing` — ``POST /missing`` maps a key list to
+  the subset the server lacks (``merge_into``'s probe);
 * :meth:`RemoteStore.upload_rows` / :meth:`RemoteStore.fetch` — bulk
   JSONL transfer in the store-sync dialect (:mod:`repro.store.rows`),
   preserving per-row ``created`` stamps (a plain ``put_many``
@@ -31,9 +35,9 @@ Failure handling is deliberately loud and actionable:
 
 * an unreachable server raises :class:`FabricConnectionError` naming
   the URL and how to start a server there — on the write path too: the
-  client keeps no rows back; rows whose upload failed stay held in the
-  fabric worker that ran them until its next upload
-  (:mod:`repro.fabric.coordinator`);
+  client keeps no rows back.  It is the store's
+  :class:`~repro.store.backend.TransientStoreError`, so the sweep that
+  ran the rows holds them until its next write (:mod:`repro.sweep`);
 * a server speaking a different ``KEY_SCHEMA_VERSION`` raises
   :class:`SchemaMismatchError` *before* any data moves — content
   addresses from different schema generations must never mix.
@@ -42,9 +46,11 @@ Transient transport errors on idempotent calls are retried with
 exponential backoff (uploads are content-addressed, so a replay is
 harmless) and deterministic-seeded jitter (N workers recovering from
 the same server blip must not thunder-herd on the same schedule);
-counter bumps are not idempotent and are never retried.  Server-side
-5xx replies and truncated/garbled bodies count as transient too — a
-faulting server is indistinguishable from a flaky network.  A streamed
+counter bumps are not idempotent and are never retried (a failed one
+raises :class:`FabricConnectionError` and stays pending in the
+``RunCache`` for its next flush).  Server-side 5xx replies and
+truncated/garbled bodies count as transient too — a faulting server is
+indistinguishable from a flaky network.  A streamed
 download is retried only while none of its rows has been handed on:
 one cut after that raises :class:`FabricConnectionError` — the caller
 already holds part of the listing, and a silently shorter one would be
@@ -72,7 +78,7 @@ from typing import (
 )
 
 from ..core.executor import RunRecord
-from ..store.backend import StoreBackend
+from ..store.backend import BATCH_SIZE, StoreBackend, TransientStoreError
 from ..store.keys import (
     KEY_SCHEMA_VERSION,
     record_from_dict,
@@ -80,8 +86,6 @@ from ..store.keys import (
 )
 from ..store.rows import Row, decode_row, decode_rows, encode_row, labelled
 
-#: Rows per bulk request (uploads and fetches are chunked to this).
-BATCH_SIZE = 500
 #: Most bytes one read of a streamed reply takes off the socket.
 _READ_SIZE = 64 * 1024
 
@@ -90,7 +94,7 @@ class FabricError(RuntimeError):
     """Base class for fabric transport failures."""
 
 
-class FabricConnectionError(FabricError):
+class FabricConnectionError(FabricError, TransientStoreError):
     """The fabric server could not be reached (or dropped mid-call)."""
 
 
@@ -146,6 +150,9 @@ class RemoteStore(StoreBackend):
         self.retries = retries
         self.backoff = backoff
         self._schema_checked = False
+        #: The rows of the last :meth:`prefetch` window by key (None: the
+        #: server lacked it), each answered once by :meth:`row`.
+        self._window: Dict[str, Optional[Row]] = {}
         # Deterministic-seeded jitter: stable within one process (runs
         # replay), decorrelated across workers (no thundering herd).
         self._jitter = random.Random(f"repro-fabric:{os.getpid()}:{self.path}")
@@ -187,9 +194,9 @@ class RemoteStore(StoreBackend):
                         yield piece
                 return
             except urllib.error.HTTPError as exc:
-                if exc.code >= 500 and retry:
-                    last = exc  # server-side fault: transient on
-                    continue    # idempotent calls, same as a lost packet
+                if exc.code >= 500:
+                    last = exc  # server-side fault: transient, same as
+                    continue    # a lost packet (retried if idempotent)
                 # The server answered: not a transport failure.  4xx
                 # surface to the caller, which maps 404s to None/False.
                 raise
@@ -246,12 +253,8 @@ class RemoteStore(StoreBackend):
         return self._json("GET", "/healthz")
 
     def missing(self, keys: Iterable[str]) -> List[str]:
-        """The subset of ``keys`` the *server* lacks, in one batched call.
-
-        This is the coordinator's one-round-trip miss-list probe: post
-        the sweep's whole key list, get back exactly what still needs
-        executing.  Chunked at :data:`BATCH_SIZE` keys per request.
-        """
+        """The subset of ``keys`` the *server* lacks, in one batched call
+        per :data:`BATCH_SIZE` keys (``merge_into``'s probe)."""
         self._ensure_schema()
         out: List[str] = []
         for chunk in _chunked(list(keys), BATCH_SIZE):
@@ -268,6 +271,15 @@ class RemoteStore(StoreBackend):
         self._ensure_schema()
         return self._json("POST", "/fsck", {"repair": repair},
                           retry=not repair)
+
+    def prefetch(self, keys: Iterable[str]) -> None:
+        """One ``POST /fetch`` for a sweep's lookup window: :meth:`row`
+        then answers each of ``keys`` once from the reply, with no round
+        trip of its own.  An empty window just forgets the last one."""
+        window: Dict[str, Optional[Row]] = dict.fromkeys(keys)
+        if window:
+            window.update((row[0], row) for row in self.fetch(window))
+        self._window = window
 
     def fetch(self, keys: Iterable[str]) -> List[Row]:
         """Bulk download: full rows for the present subset of ``keys``,
@@ -327,7 +339,10 @@ class RemoteStore(StoreBackend):
         yield from decode_rows(self._exchange("GET", "/records", None, _lines))
 
     def row(self, key: str) -> Optional[Row]:
-        """One ``GET /records/<key>`` (404 → None), never a store scan."""
+        """The answer the last :meth:`prefetch` holds for ``key``, else
+        one ``GET /records/<key>`` (404 → None), never a store scan."""
+        if key in self._window:
+            return self._window.pop(key)
         self._ensure_schema()
         try:
             body = self._request("GET", f"/records/{key}")

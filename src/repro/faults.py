@@ -25,8 +25,9 @@ The pieces:
 The other two surfaces live where the operations happen: the HTTP
 fault hook in :class:`repro.fabric.server.StoreServer` (``fault_plan=``
 — scheduled 5xx, stalled/truncated bodies, dropped connections) and
-worker kills in :func:`repro.fabric.coordinator.iter_fabric_runs`
-(``fault_plan=`` — SIGKILL worker N after its Mth event).
+worker kills in the sweep engine's worker group, armed by
+:func:`repro.fabric.iter_fabric_runs` (``fault_plan=`` — SIGKILL worker
+N after its Mth event).
 
 Injected *write* faults always fail the operation loudly (the torn
 bytes land on disk **and** the caller gets ``OSError``), so the normal

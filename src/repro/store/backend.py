@@ -49,8 +49,10 @@ LEGACY_STORE_PATH = ".repro-store.sqlite"
 #: kind and stays in-process).
 BACKENDS = ("shards", "http")
 
-#: Rows per probe + upload round of :func:`merge_into`.
-_SYNC_BATCH = 500
+#: Keys or rows per batched store round: a sweep's lookup window
+#: (:meth:`StoreBackend.prefetch`), a probe + upload round of
+#: :func:`merge_into`, and one bulk request of the fabric client.
+BATCH_SIZE = 500
 
 #: First bytes of every sqlite database file (format sniffing).
 _SQLITE_MAGIC = b"SQLite format 3\x00"
@@ -93,6 +95,12 @@ def _kind_at(path: Union[str, Path]) -> Tuple[str, bool]:
             legacy = handle.read(len(_SQLITE_MAGIC)) == _SQLITE_MAGIC
         return ("sqlite", True) if legacy else ("file", False)
     return ("sqlite" if target.suffix in (".sqlite", ".db") else "shards"), False
+
+
+class TransientStoreError(RuntimeError):
+    """A store call failed for now and may succeed later: a served store
+    that is down, or dropped the call.  A sweep keeps the rows such a
+    write refused and takes them along with its next write."""
 
 
 class StoreBackend(abc.ABC):
@@ -155,6 +163,12 @@ class StoreBackend(abc.ABC):
                      created=created)
             count += 1
         return count
+
+    def prefetch(self, keys: Iterable[str]) -> None:
+        """A hint that :meth:`row` is about to be asked for each of
+        ``keys``, as a sweep looks up one window of requests at a time.
+        A store that pays a round trip per call fetches them in one;
+        the default does nothing."""
 
     def missing(self, keys: Iterable[str]) -> List[str]:
         """The subset of ``keys`` this store lacks, in the order given."""
@@ -348,7 +362,7 @@ def merge_into(dst: StoreBackend, source: Union[StoreBackend, str, Path]
     imported = seen = 0
     rows = validated(iter_source(source))
     while True:
-        batch = list(itertools.islice(rows, _SYNC_BATCH))
+        batch = list(itertools.islice(rows, BATCH_SIZE))
         if not batch:
             return imported, seen - imported
         absent = set(dst.missing(row[0] for row in batch))

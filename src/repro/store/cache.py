@@ -27,8 +27,9 @@ ones are coalesced: bumps accumulate in memory and land as one
 and — via :meth:`RunCache.end_sweep`, which the executor calls in a
 ``finally`` — when a sweep completes or its event stream is closed.
 :meth:`RunCache.lookup` and :meth:`RunCache.describe_session` flush
-themselves.  A killed process can therefore lose a few unflushed
-*statistics*, never a record.
+themselves.  A killed process, or a served store that is down when a
+sweep ends, can therefore lose a few unflushed *statistics*, never a
+record.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..core.executor import RunRecord, RunRequest
-from .backend import StoreBackend, open_store
+from .backend import StoreBackend, TransientStoreError, open_store
 from .keys import fingerprint_for, record_from_dict, run_key
 
 #: What the executor's ``store=`` argument accepts.
@@ -63,11 +64,11 @@ class RunCache:
         self.writes = 0
         #: Counter deltas not yet landed in the store (see :meth:`flush`).
         self._unflushed: Dict[str, int] = {}
-        #: ``id(request) -> (request, key, fingerprint)`` of every miss
-        #: :meth:`lookup_with_key` reported and nobody offered yet, so
-        #: the write-back of that very request object need not hash it
-        #: again.  The strong reference keeps the id from being reused.
-        self._missed: Dict[int, Tuple[RunRequest, str, str]] = {}
+        #: ``id(request) -> (request, key, fingerprint)`` of every request
+        #: keyed here and not yet served or offered, so neither its lookup
+        #: nor the write-back of that very object hashes it again.  The
+        #: strong reference keeps the id from being reused.
+        self._keyed: Dict[int, Tuple[RunRequest, str, str]] = {}
 
     @classmethod
     def of(cls, store: Optional[StoreLike]) -> Optional["RunCache"]:
@@ -83,25 +84,43 @@ class RunCache:
             return self.fingerprint
         return fingerprint_for(request)
 
+    def prefetch(self, requests: Iterable[RunRequest]) -> None:
+        """Key a window of requests once and hand their keys to the
+        store's :meth:`~repro.store.backend.StoreBackend.prefetch`, so
+        the :meth:`lookup_with_key` of each hashes nothing — and, over a
+        served store, makes no round trip of its own."""
+        keys = []
+        for request in requests:
+            fingerprint = self.fingerprint_of(request)
+            key = run_key(request, fingerprint=fingerprint)
+            self._keyed[id(request)] = (request, key, fingerprint)
+            keys.append(key)
+        self.store.prefetch(keys)
+
     def lookup_with_key(self, request: RunRequest
                         ) -> Tuple[str, str, Optional[RunRecord]]:
         """``(key, fingerprint, hit-or-None)`` for one store probe.
 
-        The streaming executor uses this form: a miss keeps its
-        precomputed key and fingerprint, so the write-back of that very
-        request object through this cache recomputes neither.  A hit is
-        the stored outcome on the caller's own ``request`` object — the
-        key is its content address, so the stored request dict is not
-        rebuilt — exactly as a miss's record carries it.
+        The streaming executor uses this form: a miss keeps its key and
+        fingerprint (computed here or by :meth:`prefetch`), so the
+        write-back of that very request object recomputes neither.  A
+        hit is the stored outcome on the caller's own ``request`` object
+        — the key is its content address, so the stored request dict is
+        not rebuilt — exactly as a miss's record carries it.
         """
-        fingerprint = self.fingerprint_of(request)
-        key = run_key(request, fingerprint=fingerprint)
+        keyed = self._keyed.get(id(request))
+        if keyed is None:
+            fingerprint = self.fingerprint_of(request)
+            keyed = self._keyed[id(request)] = (
+                request, run_key(request, fingerprint=fingerprint),
+                fingerprint)
+        _, key, fingerprint = keyed
         row = self.store.row(key)
         if row is None:
             self.misses += 1
-            self._missed[id(request)] = (request, key, fingerprint)
             self._bump("misses")
             return key, fingerprint, None
+        del self._keyed[id(request)]
         record = record_from_dict(row[3], request=request)
         self.hits += 1
         self._bump("hits")
@@ -115,7 +134,7 @@ class RunCache:
         it returns and no key is held for a later :meth:`offer`.
         """
         hit = self.lookup_with_key(request)[2]
-        self._missed.pop(id(request), None)
+        self._keyed.pop(id(request), None)
         self.flush()
         return hit
 
@@ -127,37 +146,31 @@ class RunCache:
 
     def offer(self, record: RunRecord) -> bool:
         """Write a freshly computed record back, if the policy allows."""
-        if not self.cacheable(record):
-            return False
-        key, fingerprint = self._address(record.request)
-        self.store.put(key, record, fingerprint=fingerprint)
-        self.writes += 1
-        self._bump("writes")
-        return True
+        return self.offer_many((record,)) == 1
 
     def offer_many(self, records: Iterable[RunRecord]) -> int:
-        """Batch :meth:`offer`: one backend write for a whole batch."""
+        """Write back every record the policy allows, in one backend
+        write; returns how many were written."""
         batch = []
         for record in records:
             if self.cacheable(record):
                 key, fingerprint = self._address(record.request)
                 batch.append((key, record, fingerprint))
-        if not batch:
-            return 0
-        self.store.put_many(batch)
-        self.writes += len(batch)
-        self._bump("writes", len(batch))
-        return len(batch)
+        count = len(batch)
+        if count:
+            self.store.put_many(batch)
+            self.writes += count
+            self._bump("writes", count)
+        return count
 
     def _address(self, request: RunRequest) -> Tuple[str, str]:
-        """``(key, fingerprint)`` for a write-back: the pair the lookup
-        of this very object computed, else hashed afresh (a record whose
-        ``request`` is a copy, or one that was never looked up)."""
-        missed = self._missed.pop(id(request), None)
-        if missed is not None:
-            return missed[1], missed[2]
-        fingerprint = self.fingerprint_of(request)
-        return run_key(request, fingerprint=fingerprint), fingerprint
+        """``(key, fingerprint)`` for a write-back, which ends the hold
+        (a record whose ``request`` is a copy is hashed afresh)."""
+        keyed = self._keyed.pop(id(request), None)
+        if keyed is None:
+            fingerprint = self.fingerprint_of(request)
+            return run_key(request, fingerprint=fingerprint), fingerprint
+        return keyed[1], keyed[2]
 
     # ------------------------------------------------------------------
     def _bump(self, name: str, delta: int = 1) -> None:
@@ -167,16 +180,23 @@ class RunCache:
 
     def flush(self) -> None:
         """Land the pending counter deltas: one store bump per counter
-        (a delta whose bump raised stays pending for the next flush)."""
+        (a delta whose bump raised stays pending for the next flush).  A
+        :class:`~repro.store.backend.TransientStoreError` is not raised:
+        a sweep that holds its rows through an outage must not die of
+        its statistics."""
         for name in list(self._unflushed):
-            self.store.bump_counter(name, self._unflushed[name])
+            try:
+                self.store.bump_counter(name, self._unflushed[name])
+            except TransientStoreError:
+                return
             del self._unflushed[name]
 
     def end_sweep(self) -> None:
         """A sweep over this cache finished or was abandoned: flush the
-        counters and drop the keys of misses nobody offered (pool
+        counters and drop the keys and prefetched rows nobody used (pool
         workers write theirs through caches of their own)."""
-        self._missed.clear()
+        self._keyed.clear()
+        self.store.prefetch(())
         self.flush()
 
     # ------------------------------------------------------------------

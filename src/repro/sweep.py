@@ -9,14 +9,17 @@ reusable.
 
 :func:`iter_runs` streams typed :class:`RunEvent`\\ s (``hit`` /
 ``miss-start`` / ``complete`` / ``timeout`` / ``error``) from one
-per-miss path with a per-run wall-clock deadline, run in-process or by
-``jobs`` forked workers (the worker group the fabric shares).  A run is
-attempted once: a fixed-seed run that raised would raise again.  With a
-results store attached, each worker writes its records straight into
-the store before the payload-free event crosses the pipe, so a
-10⁵-cell sweep costs the parent O(cells) small events, not pickled
-records.  :func:`collect` is the one fold over that stream, which every
-batch driver (``measure_plts``, the heatmap, ``run_experiment``,
+engine: lookups one window of requests at a time (one store round per
+window), then one per-miss body with a per-run wall-clock deadline, run
+in-process or by ``jobs`` forked workers.
+:func:`repro.fabric.iter_fabric_runs` is a thin call of the same engine
+that differs only in write batch and loss policy.  A run is attempted
+once: a fixed-seed run that raised would raise again.  With a results
+store attached, each worker writes its records straight into the store
+before the payload-free event crosses the pipe, so a 10⁵-cell sweep
+costs the parent O(cells) small events, not pickled records.
+:func:`collect` is the one fold over that stream, which every batch
+entry point (``measure_plts``, the heatmap, ``run_experiment``,
 :func:`run_requests`) builds requests for; each run re-seeds from its
 request alone, so a pooled sweep is bit-identical to a serial one.
 """
@@ -266,23 +269,82 @@ def _guarded_run(run_fn: RunFn, request: RunRequest,
     return record
 
 
-#: A parent-precomputed unit of work: ``(index, request, key, fingerprint)``.
-#: ``key``/``fingerprint`` are ``None`` when no store is attached.
-TaggedRequest = Tuple[int, RunRequest, Optional[str], Optional[str]]
+#: A parent-precomputed unit of work: ``(index, request, key)``; ``key`` is
+#: ``None`` when no store is attached.
+TaggedRequest = Tuple[int, RunRequest, Optional[str]]
 
 
-def _stream_one(run: RunFn, tagged: TaggedRequest, cache: Optional[Any],
-                wall_timeout: Optional[float],
-                keep_records: bool) -> Iterator[RunEvent]:
-    """Execute one miss — in-process or in a worker — and offer its
-    record to the store before its terminal event leaves."""
-    index, request, key, _fingerprint = tagged
-    yield _event("miss-start", index, request, key)
-    record = _guarded_run(run, request, wall_timeout)
-    stored = cache.offer(record) if cache is not None else False
-    yield _terminal_event(_terminal_kind(record), index, request, key, record,
-                          stored=stored,
-                          attach=record if keep_records else None)
+#: Attempts a body makes at its final write before the store's transient
+#: error escalates (each attempt carries the store's own retries).
+_FLUSH_ATTEMPTS = 4
+
+
+def _write_held(cache: Optional[Any], records: List[RunRecord], *,
+                final: bool) -> bool:
+    """Write the held ``records`` with one ``offer_many``; whether they
+    are in the store now.  A :class:`~repro.store.backend.TransientStoreError`
+    keeps them held (False) — except on the ``final`` write, which backs
+    off and tries :data:`_FLUSH_ATTEMPTS` times before it raises."""
+    attempt = 0
+    while True:
+        try:
+            if cache is not None:
+                cache.offer_many(records)
+            return True
+        except Exception as exc:  # noqa: BLE001 - narrowed just below
+            # lazy, as below: only a failed write pays for the import
+            from .store.backend import TransientStoreError
+
+            attempt += 1
+            if (not isinstance(exc, TransientStoreError)
+                    or attempt == _FLUSH_ATTEMPTS):
+                raise
+            if not final:
+                return False
+            time.sleep(0.5 * (2 ** (attempt - 1)))
+
+
+def _run_share(run: RunFn, store: Optional[Any],
+               wall_timeout: Optional[float], keep_records: bool,
+               sync_every: int, _worker_id: int,
+               share: List[TaggedRequest]) -> Iterator[RunEvent]:
+    """The one body every miss runs through, in-process or in a worker.
+
+    ``store`` is the sweep's :class:`~repro.store.RunCache` in-process,
+    the ``(path, pinned fingerprint)`` a worker reopens it by, or None.
+    Each miss runs; its record and terminal event are held, and every
+    ``sync_every`` results one ``offer_many`` writes the held records —
+    only then do their events leave, so ``stored=True`` means the row is
+    in the sweep's store.  A write the store refuses for now keeps its
+    batch held for the next one; only the final write escalates, since
+    a share that ends with rows off the store would have them re-run.
+    """
+    cache = store
+    if isinstance(store, tuple):
+        from .store.cache import RunCache  # lazy: a storeless sweep skips it
+
+        cache = RunCache(store[0], fingerprint=store[1])
+    records: List[RunRecord] = []
+    held: List[RunEvent] = []  # the records' terminal events
+    try:
+        for done, (index, request, key) in enumerate(share, 1):
+            yield _event("miss-start", index, request, key)
+            record = _guarded_run(run, request, wall_timeout)
+            stored = cache is not None and cache.cacheable(record)
+            records.append(record)
+            held.append(_terminal_event(
+                _terminal_kind(record), index, request, key, record,
+                stored=stored, attach=record if keep_records else None))
+            if done % sync_every == 0 and _write_held(cache, records,
+                                                      final=False):
+                yield from held
+                records, held = [], []
+        _write_held(cache, records, final=True)
+        yield from held
+    finally:
+        if cache is not store:
+            cache.end_sweep()
+            cache.store.close()
 
 
 def _heaviest_first(tagged: List[Any]) -> None:
@@ -291,7 +353,7 @@ def _heaviest_first(tagged: List[Any]) -> None:
     Object count, then bytes, is the expected-cost proxy, so a long run
     never lands last on an otherwise-drained worker group.  The sort is
     stable and events carry their request index, so callers see no
-    difference.  The pool and the fabric coordinator both schedule by it.
+    difference.
     """
     tagged.sort(key=lambda item: (item[1].page.object_count,
                                   item[1].page.total_bytes), reverse=True)
@@ -324,16 +386,17 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
                   fault_plan: Optional[Any] = None) -> Iterator[RunEvent]:
     """Run ``body`` over each share in a process of its own; merge events.
 
-    The one worker fan-out, shared by :func:`iter_runs`' pool and the
-    fabric coordinator.  Every item of a share is a tuple whose first
-    field is its request index; exactly one terminal event per index is
-    passed on.  A worker whose pipe ends before it reported ``done`` —
-    killed, OOM'd — is respawned with the items of its share that have
-    no terminal event yet, ``max_restarts`` times in all; past that, or
-    when a worker reports an exception, ``error`` is raised naming the
-    ``name``d worker.  ``progress_timeout`` is the hung-worker watchdog:
-    a worker silent for that long is SIGKILLed and respawned the same
-    way.  With a ``fault_plan`` every event from worker *N* is one
+    The engine's one worker fan-out, behind :func:`iter_runs`' pool and
+    :func:`~repro.fabric.iter_fabric_runs` alike.  Every item of a share
+    is a tuple whose first field is its request index; exactly one
+    terminal event per index is passed on.  A worker whose pipe ends
+    before it reported ``done`` — killed, OOM'd — is respawned with the
+    items of its share that have no terminal event yet,
+    ``max_restarts`` times in all; past that, or when a worker reports
+    an exception, ``error`` is raised naming the ``name``d worker.
+    ``progress_timeout`` is the hung-worker watchdog: a worker silent
+    for that long is SIGKILLed and respawned the same way.  With a
+    ``fault_plan`` every event from worker *N* is one
     ``take("worker", str(N))`` and a scheduled ``kill`` SIGKILLs it.
     ``on_worker_start(worker_id, pid)`` sees every (re)spawn.
     """
@@ -436,30 +499,6 @@ class _PoolLost(RuntimeError):
     """The pool lost a worker beyond its restart budget, or one raised."""
 
 
-def _pool_worker(run: RunFn,
-                 store_spec: Optional[Tuple[str, Optional[str]]],
-                 wall_timeout: Optional[float],
-                 keep_records: bool, _worker_id: int,
-                 share: List[TaggedRequest]) -> Iterator[RunEvent]:
-    """A pool worker's body: the serial path over its share of the misses,
-    writing through a :class:`~repro.store.RunCache` on the sweep's store
-    (``(path, pinned fingerprint)``), reopened once by its path."""
-    cache = None
-    if store_spec is not None:
-        from .store.cache import RunCache  # lazy: a storeless sweep skips it
-
-        path, fingerprint = store_spec
-        cache = RunCache(path, fingerprint=fingerprint)
-    try:
-        for tagged in share:
-            yield from _stream_one(run, tagged, cache, wall_timeout,
-                                   keep_records)
-    finally:
-        if cache is not None:
-            cache.end_sweep()
-            cache.store.close()
-
-
 # ----------------------------------------------------------------------
 # the engine
 # ----------------------------------------------------------------------
@@ -548,9 +587,11 @@ def iter_runs(
         A results store — a :class:`repro.store.RunCache`, any
         :class:`repro.store.StoreBackend` (a sharded JSONL directory),
         or a path or fabric URL to one, opened by
-        :func:`repro.store.open_store`.  Requests whose content
-        address is already stored are served as ``hit`` events (no
-        execution); misses execute and are written back *as they
+        :func:`repro.store.open_store`.  Requests are looked up one
+        window of :data:`~repro.store.backend.BATCH_SIZE` at a time (a
+        served store fetches the window in one round trip); those whose
+        content address is already stored are served as ``hit`` events
+        (no execution); misses execute and are written back *as they
         complete* — each row before its terminal event leaves — so an
         interrupted sweep is resumable: the rerun only executes the
         missing requests.  Pool workers reopen the store and write
@@ -589,8 +630,10 @@ def iter_runs(
 def _iter_runs(requests: List[RunRequest], n_jobs: int,
                wall_timeout: Optional[float], run_fn: Optional[RunFn],
                store: Optional[Any], keep_records: bool,
-               force_pool: bool) -> Iterator[RunEvent]:
-    """The generator behind :func:`iter_runs` (knobs validated there)."""
+               force_pool: bool, **engine: Any) -> Iterator[RunEvent]:
+    """The generator behind :func:`iter_runs` and
+    :func:`~repro.fabric.iter_fabric_runs` (knobs validated there;
+    ``engine`` is :func:`_stream_runs`' private settings)."""
     # Looked up per call, so a patched repro.core.executor.execute_request
     # is the default run function everywhere.
     run = run_fn if run_fn is not None else executor.execute_request
@@ -603,7 +646,7 @@ def _iter_runs(requests: List[RunRequest], n_jobs: int,
         cache = RunCache.of(store)
     try:
         yield from _stream_runs(run, requests, n_jobs, wall_timeout, cache,
-                                keep_records, force_pool)
+                                keep_records, force_pool, **engine)
     finally:
         # Completed, failed or closed half-way: the store's persistent
         # counters catch up with the session's either way.
@@ -613,22 +656,42 @@ def _iter_runs(requests: List[RunRequest], n_jobs: int,
 
 def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
                  wall_timeout: Optional[float], cache: Optional[Any],
-                 keep_records: bool, force_pool: bool) -> Iterator[RunEvent]:
-    """Lookup phase, then the misses — in worker processes, then
-    in-process for whatever the workers did not finish."""
+                 keep_records: bool, force_pool: bool, *,
+                 sync_every: int = 1, error: Optional[type] = None,
+                 max_restarts: Optional[int] = None,
+                 **group: Any) -> Iterator[RunEvent]:
+    """The engine: lookups one prefetched window of
+    :data:`~repro.store.backend.BATCH_SIZE` requests at a time, then the
+    misses — in worker processes, then in-process for whatever they did
+    not finish.
+
+    The private settings are how the two entry points differ.
+    ``sync_every`` is the results a body holds per write (1 writes
+    through).  ``error`` is the loss policy: with None (:func:`iter_runs`)
+    workers start only where they can win and a lost group's leftovers
+    run here; with a named error (the fabric's) the workers always start
+    — they hold its watchdog and fault plan — and a lost group raises
+    it.  ``max_restarts`` (default ``2 × workers``) and ``group`` go to
+    :func:`_worker_group`.
+    """
     misses: List[TaggedRequest] = []
-    for index, request in enumerate(requests):
-        if cache is None:
-            misses.append((index, request, None, None))
-            continue
-        key, fingerprint, hit = cache.lookup_with_key(request)
-        if hit is None:
-            misses.append((index, request, key, fingerprint))
-        else:
-            yield _terminal_event("hit", index, request, key, hit,
-                                  stored=True,
-                                  attach=hit if keep_records else None)
-    if cache is not None:
+    if cache is None:
+        misses = [(index, request, None)
+                  for index, request in enumerate(requests)]
+    else:
+        from .store.backend import BACKENDS, BATCH_SIZE  # lazy, as above
+
+        for start in range(0, len(requests), BATCH_SIZE):
+            window = requests[start:start + BATCH_SIZE]
+            cache.prefetch(window)
+            for index, request in enumerate(window, start):
+                key, _fingerprint, hit = cache.lookup_with_key(request)
+                if hit is None:
+                    misses.append((index, request, key))
+                else:
+                    yield _terminal_event(
+                        "hit", index, request, key, hit, stored=True,
+                        attach=hit if keep_records else None)
         cache.flush()
     if not misses:
         return
@@ -636,23 +699,23 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
     if not force_pool:
         n_jobs = min(n_jobs, usable_cpu_count())
     n_jobs = min(n_jobs, len(misses))
-    store_spec = None
+    reopened = None  # what a worker opens the sweep's store by
     if cache is not None:
-        from .store.backend import BACKENDS  # lazy, as above
-
         if cache.store.kind not in BACKENDS:
             n_jobs = 1  # workers could not reopen it: write it from here
-        store_spec = (cache.store.path, cache.fingerprint)
+        reopened = (cache.store.path, cache.fingerprint)
     done: set = set()
-    if (n_jobs > 1 and not _force_serial()
-            and (force_pool or len(misses) >= MIN_PARALLEL)):
-        body = partial(_pool_worker, run, store_spec, wall_timeout,
-                       keep_records)
+    if error is not None or (n_jobs > 1 and not _force_serial() and (
+            force_pool or len(misses) >= MIN_PARALLEL)):
+        body = partial(_run_share, run, reopened, wall_timeout,
+                       keep_records, sync_every)
         try:
             for event in _worker_group(
                     body, [misses[worker::n_jobs] for worker in range(n_jobs)],
-                    name="pool worker", error=_PoolLost,
-                    max_restarts=2 * n_jobs):
+                    name="pool worker" if error is None else "fabric worker",
+                    error=error or _PoolLost,
+                    max_restarts=(2 * n_jobs if max_restarts is None
+                                  else max_restarts), **group):
                 if event.terminal:
                     done.add(event.index)
                     if cache is not None and event.stored:
@@ -663,10 +726,9 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
     # In-process: every miss, or what the workers left behind.  A miss a
     # worker started but never finished gets a second miss-start —
     # announcing the rerun — but still exactly one terminal event.
-    for tagged in misses:
-        if tagged[0] not in done:
-            yield from _stream_one(run, tagged, cache, wall_timeout,
-                                   keep_records)
+    yield from _run_share(run, cache, wall_timeout, keep_records, sync_every,
+                          0, [tagged for tagged in misses
+                              if tagged[0] not in done])
 
 
 def collect(

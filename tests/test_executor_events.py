@@ -19,6 +19,7 @@ from repro.fabric import StoreServer, iter_fabric_runs
 from repro.http import single_object_page
 from repro.netem import emulated
 from repro.store import RunCache, ShardStore
+from repro.store.backend import TransientStoreError
 from repro.sweep import (
     EVENT_KINDS,
     EVENT_WIRE_BOUND,
@@ -118,7 +119,8 @@ class TestRunEventShape:
 
     def test_serial_pool_and_fabric_end_alike(self, tmp_path):
         """The same 8 requests end in equal terminal events, ``wall_time``
-        excepted, run serially, by a 2-worker pool, and by the fabric."""
+        excepted, run serially, by a 2-worker pool over a local and over
+        a served store, and by the fabric."""
         requests = [req(seed=s) for s in range(8)]
 
         def terminal(events):
@@ -133,12 +135,17 @@ class TestRunEventShape:
         pooled = terminal(iter_runs(
             requests, jobs=2, run_fn=_mixed_run, force_pool=True,
             store=RunCache(ShardStore(tmp_path / "pooled"))))
+        with StoreServer(ShardStore(tmp_path / "served"), port=0) as server:
+            served = terminal(iter_runs(
+                requests, jobs=2, run_fn=_mixed_run, force_pool=True,
+                store=server.url))
         with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
             fabric = terminal(iter_fabric_runs(
                 requests, server.url, workers=2, run_fn=_mixed_run))
         assert [e.kind for e in serial] == ["complete", "complete",
                                             "complete", "error"] * 2
         assert pooled == serial
+        assert served == serial
         assert fabric == serial
 
 
@@ -317,6 +324,48 @@ class TestWorkerDirectWriteBack:
             assert set(cache.store.keys()) == set(serial.store.keys())
             assert (store_aggregator(cache.store).render()
                     == store_aggregator(serial.store).render())
+
+
+class _RefusingShards(ShardStore):
+    """A shard store whose first ``refusals`` writes fail the way a
+    served store that is down for now fails them."""
+
+    refusals = 0
+
+    def put_many(self, entries, *, created=None):
+        if self.refusals:
+            self.refusals -= 1
+            raise TransientStoreError("down for now")
+        return super().put_many(entries, created=created)
+
+
+class TestHeldWrites:
+    def test_a_refused_write_holds_its_event_for_the_next(self, tmp_path):
+        store = _RefusingShards(tmp_path / "s")
+        store.refusals = 1
+        events = list(iter_runs([req(seed=s) for s in range(3)],
+                                run_fn=_instant_run, store=store))
+        # Run 0's write was refused: its terminal event waits for the
+        # write that takes it along with run 1's.
+        assert [(e.kind, e.index) for e in events] == [
+            ("miss-start", 0), ("miss-start", 1), ("complete", 0),
+            ("complete", 1), ("miss-start", 2), ("complete", 2)]
+        assert all(e.stored for e in events if e.terminal)
+        assert len(store) == 3
+
+    def test_only_the_final_write_escalates(self, tmp_path, monkeypatch):
+        store = _RefusingShards(tmp_path / "s")
+        store.refusals = 10
+        sleeps = []
+        monkeypatch.setattr(sweep_module.time, "sleep", sleeps.append)
+        events = []
+        with pytest.raises(TransientStoreError):
+            for event in iter_runs([req(seed=s) for s in range(2)],
+                                   run_fn=_instant_run, store=store):
+                events.append(event)
+        assert [e.kind for e in events] == ["miss-start", "miss-start"]
+        assert sleeps == [0.5, 1.0, 2.0]  # backed off, then raised
+        assert len(store) == 0
 
 
 class TestMidSweepReportParity:

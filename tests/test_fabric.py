@@ -279,12 +279,12 @@ class TestStreamedDownloads:
 
     def test_warm_sweep_fetches_one_batch_at_a_time(self, server,
                                                     monkeypatch):
-        import repro.fabric.coordinator as coordinator
+        import repro.store.backend as backend
 
         requests = [req(seed=s) for s in range(11)]
         list(iter_runs(requests, run_fn=_instant_run,
                        store=RunCache(RemoteStore(server.url))))
-        monkeypatch.setattr(coordinator, "BATCH_SIZE", 4)
+        monkeypatch.setattr(backend, "BATCH_SIZE", 4)
         yielded = []
         fetches = []
         real_fetch = RemoteStore.fetch
@@ -295,14 +295,19 @@ class TestStreamedDownloads:
             return real_fetch(self, keys)
 
         monkeypatch.setattr(RemoteStore, "fetch", fetch)
-        for event in iter_fabric_runs(requests, server.url, workers=2,
-                                      run_fn=_instant_run):
-            yielded.append((event.kind, event.index))
-        # Sweep order, every one a hit; each batch fetched only once the
-        # one before it was handed on.
-        assert yielded == [("hit", index) for index in range(11)]
-        assert fetches == [(4, 0), (4, 4), (3, 8)]
-
+        for stream in (
+                lambda: iter_runs(requests, jobs=2, run_fn=_instant_run,
+                                  store=server.url, force_pool=True),
+                lambda: iter_fabric_runs(requests, server.url, workers=2,
+                                         run_fn=_instant_run)):
+            yielded.clear()
+            fetches.clear()
+            for event in stream():
+                yielded.append((event.kind, event.index))
+            # Sweep order, every one a hit; each batch fetched only once
+            # the one before it was handed on.
+            assert yielded == [("hit", index) for index in range(11)]
+            assert fetches == [(4, 0), (4, 4), (3, 8)]
 
     def test_stalled_listing_reader_blocks_no_other_client(self, tmp_path):
         # An 8 MiB listing outgrows both socket buffers, so the server's
@@ -393,6 +398,42 @@ class TestExecutorOverRemote:
         assert all(e.record is None for e in events)
         assert len(remote) == 12
 
+    @pytest.mark.parametrize("entry", ["iter_runs", "iter_fabric_runs"])
+    def test_round_trips_are_per_window_not_per_lookup(self, server,
+                                                       monkeypatch, entry):
+        # The sweeping process makes one POST /fetch per lookup window
+        # and a counter flush per COUNTER_FLUSH_EVERY bumps, cold or
+        # warm: never one round trip per request.  (Worker processes'
+        # uploads are theirs, not counted here.)
+        from repro.store.backend import BATCH_SIZE
+        from repro.store.cache import COUNTER_FLUSH_EVERY
+
+        parent = os.getpid()
+        calls = []
+        real_exchange = RemoteStore._exchange
+
+        def exchange(self, method, path, *args, **kwargs):
+            if os.getpid() == parent:
+                calls.append((method, path))
+            return real_exchange(self, method, path, *args, **kwargs)
+
+        monkeypatch.setattr(RemoteStore, "_exchange", exchange)
+        n = 1200
+        requests = [req(seed=s) for s in range(n)]
+        budget = (-(-n // BATCH_SIZE) + -(-n // COUNTER_FLUSH_EVERY)
+                  + 2)  # + the handshake and one spare flush
+        for expected in ("complete", "hit"):
+            calls.clear()
+            if entry == "iter_runs":
+                stream = iter_runs(requests, jobs=2, run_fn=_instant_run,
+                                   store=server.url, force_pool=True)
+            else:
+                stream = iter_fabric_runs(requests, server.url, workers=2,
+                                          run_fn=_instant_run)
+            kinds = {e.kind for e in stream if e.terminal}
+            assert kinds == {expected}
+            assert len(calls) <= budget, (expected, len(calls), calls[:8])
+
 
 # ----------------------------------------------------------------------
 # the coordinator
@@ -429,6 +470,21 @@ class TestCoordinator:
         fabric = build_store_report(server.store).replace(
             str(server.store.path), "STORE")
         assert fabric == expected
+
+    def test_sweep_bumps_the_served_store_counters(self, server):
+        # Lookups and writes go through the sweep's RunCache, so the
+        # served store's lifetime counters see a fabric sweep.
+        requests = self._grid(24)
+        run_fabric_sweep(requests, server.url, workers=2,
+                         run_fn=_instant_run)
+        counters = RemoteStore(server.url).counters()
+        assert counters.get("hits", 0) == 0
+        assert counters["misses"] == counters["writes"] == len(requests)
+        run_fabric_sweep(requests, server.url, workers=2,
+                         run_fn=_instant_run)
+        assert RemoteStore(server.url).counters() == {
+            "hits": len(requests), "misses": len(requests),
+            "writes": len(requests)}
 
     def test_rerun_is_all_hits(self, tmp_path, server):
         requests = self._grid(12)

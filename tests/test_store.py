@@ -1687,7 +1687,7 @@ class TestCacheAccounting:
         events = list(iter_runs(requests, run_fn=_instant, store=cache))
         assert len(hashed) == 12  # lookup only; offer reuses the key
         assert cache.session_stats == (0, 12, 12)
-        assert cache._missed == {}
+        assert cache._keyed == {}
         # Each record sits under the address its event announced.
         for event in events:
             if event.terminal:
@@ -1705,7 +1705,7 @@ class TestCacheAccounting:
         assert len(hashed) == 10  # the fallback: lookup + offer
         assert sorted(cache.store.keys()) == sorted(
             run_key(request, fingerprint="pinned") for request in requests)
-        assert cache._missed == {}  # unconsumed entries go with the sweep
+        assert cache._keyed == {}  # unconsumed entries go with the sweep
 
     def test_offer_without_lookup_still_hashes(self, make_store):
         cache = RunCache(make_store(), fingerprint="pinned")
@@ -1741,13 +1741,13 @@ class TestCacheAccounting:
         assert (hits, misses, writes) == (3, 10, 6)
         assert cache.store.counters() == {"hits": hits, "misses": misses,
                                           "writes": writes}
-        assert cache._missed == {}
+        assert cache._keyed == {}
 
     def test_one_shot_lookup_and_describe_flush_themselves(self, make_store):
         cache = RunCache(make_store())
         assert cache.lookup(req()) is None
         assert cache.store.counters() == {"misses": 1}
-        assert cache._missed == {}
+        assert cache._keyed == {}
         cache.offer(_instant(req()))
         assert "1 new results stored" in cache.describe_session()
         assert cache.store.counters() == {"misses": 1, "writes": 1}
