@@ -125,7 +125,7 @@ def run_sweep(requests, workdir: Path, *, workers: int, sync_every: int,
                 requests, server.url, workers=workers,
                 sync_every=sync_every, run_fn=_synthetic_run,
                 fault_plan=plan,
-                progress_timeout=60.0):
+                wall_timeout=60.0):
             pass
     return time.perf_counter() - start
 

@@ -51,6 +51,21 @@ def _ints(text: str) -> List[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+def _at_least(minimum: int):
+    """An argparse ``type``: an int of at least ``minimum`` (a bad count
+    exits 2 at parse time with one error line)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _scenario(args: argparse.Namespace):
     return emulated(
         args.rate,
@@ -585,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     where = f"${STORE_ENV_VAR} or {DEFAULT_STORE_PATH}"
 
     def jobs_arg(p):
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=_at_least(0), default=1,
                        help="worker processes for independent runs; the "
                             "default 1 is the serial path, every run in "
                             "this process (0 = all usable cores)")
@@ -613,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-kb", type=int, default=200)
     p.add_argument("--objects", type=int, default=None,
                    help="object count (size-kb becomes per-object size)")
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=_at_least(2), default=10)
     p.add_argument("--device", choices=sorted(DEVICE_PROFILES),
                    default="desktop")
     jobs_arg(p)
@@ -627,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated object sizes (KB)")
     p.add_argument("--loss", type=float, default=0.0)
     p.add_argument("--delay-ms", type=float, default=0.0)
-    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--runs", type=_at_least(2), default=5)
     p.add_argument("--device", choices=sorted(DEVICE_PROFILES),
                    default="desktop")
     jobs_arg(p)
@@ -736,11 +751,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="JSON ExperimentSpec")
     p.add_argument("--url", required=True,
                    help="the fabric server, e.g. http://lab-server:8737")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=_at_least(1), default=2,
                    help="local worker processes to shard the misses "
                         "across (default 2)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sync-every", type=int, default=32,
+    p.add_argument("--sync-every", type=_at_least(1), default=32,
                    help="results a worker holds before uploading them "
                         "and reporting them done (default 32)")
     p.set_defaults(func=cmd_worker)

@@ -8,6 +8,9 @@ two entry points differ only in write batch and loss policy: a fabric
 worker holds ``sync_every`` results and uploads them in one request
 before their terminal events leave it; the workers always start; and a
 worker lost past the restart budget raises :class:`FabricWorkerError`.
+A ``wall_timeout`` is enforced the same way on both: the worker group
+kills a worker silent that long and ends its run in flight as a
+``timeout``.
 
 Crash safety falls out of content addressing and fixed seeds.  A
 killed worker's runs whose rows were not uploaded have no terminal
@@ -48,7 +51,6 @@ def iter_fabric_runs(
     workdir: Optional[str] = None,
     max_restarts: Optional[int] = None,
     on_worker_start: Optional[Callable[[int, int], None]] = None,
-    progress_timeout: Optional[float] = None,
     fault_plan: Optional[Any] = None,
 ) -> Iterator[RunEvent]:
     """Execute a sweep against a fabric server, streaming merged events.
@@ -69,15 +71,17 @@ def iter_fabric_runs(
     workers:
         Worker processes to shard the miss-list across (round-robin).
     sync_every:
-        Completed results a worker holds before bulk-uploading them and
-        releasing their terminal events.  Smaller = fewer runs a killed
-        worker's respawn re-runs (at most ``sync_every``) and earlier
-        terminal events; larger = fewer round trips.
+        Completed results a worker holds (at least 1) before
+        bulk-uploading them and releasing their terminal events.
+        Smaller = fewer runs a killed worker's respawn re-runs (at most
+        ``sync_every``) and earlier terminal events; larger = fewer
+        round trips.
     wall_timeout:
         Per-run wall-clock budget, as :func:`~repro.sweep.iter_runs`
-        takes it (``None`` / ``0`` / ``inf``: no deadline; negative or
-        above ``MAX_WALL_TIMEOUT``: ``ValueError`` before any work
-        starts).
+        takes it: a worker silent this long is SIGKILLed, its run in
+        flight ends as one ``timeout`` (never re-run, no restart spent),
+        and one with no run in flight is a lost worker.  The budget
+        covers a run and the upload of its batch.
     run_fn:
         Per-request run function (default: the real simulator).  Must
         be importable in a child process.
@@ -91,13 +95,6 @@ def iter_fabric_runs(
     on_worker_start:
         ``callback(worker_id, pid)`` after every (re)spawn — the hook
         the kill/resume tests use to aim their signals.
-    progress_timeout:
-        Hung-worker watchdog: a live worker that has produced no event
-        for this many seconds is SIGKILLed and respawned (within the
-        same ``max_restarts`` budget) — a stuck run function or a
-        deadlocked child no longer stalls the whole sweep.  None (the
-        default) disables the watchdog; per-*run* timeouts are
-        ``wall_timeout``'s job, this deadline is per *worker process*.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` supplying the
         ``worker`` fault surface: every event from worker *N* counts
@@ -109,12 +106,13 @@ def iter_fabric_runs(
     wall_timeout = _wall_budget(wall_timeout)
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if sync_every < 1:
+        raise ValueError("sync_every must be >= 1")
     return _iter_runs(
         list(requests), workers, wall_timeout, run_fn, RemoteStore(url),
         keep_records=False, force_pool=True, sync_every=sync_every,
         error=FabricWorkerError, max_restarts=max_restarts,
-        on_worker_start=on_worker_start, progress_timeout=progress_timeout,
-        fault_plan=fault_plan)
+        on_worker_start=on_worker_start, fault_plan=fault_plan)
 
 
 def run_fabric_sweep(

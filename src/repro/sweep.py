@@ -10,11 +10,13 @@ reusable.
 :func:`iter_runs` streams typed :class:`RunEvent`\\ s (``hit`` /
 ``miss-start`` / ``complete`` / ``timeout`` / ``error``) from one
 engine: lookups one window of requests at a time (one store round per
-window), then one per-miss body with a per-run wall-clock deadline, run
-in-process or by ``jobs`` forked workers.
+window), then one per-miss body, run in-process or by ``jobs`` forked
+workers.  A per-run wall-clock budget has one guard, the worker group's
+watchdog: it kills a worker silent that long and ends its run in flight
+as a ``timeout``.
 :func:`repro.fabric.iter_fabric_runs` is a thin call of the same engine
 that differs only in write batch and loss policy.  A run is attempted
-once: a fixed-seed run that raised would raise again.  With a results
+once: a fixed-seed run that raised (or hung) would do so again.  With a results
 store attached, each worker writes its records straight into the store
 before the payload-free event crosses the pipe, so a 10⁵-cell sweep
 costs the parent O(cells) small events, not pickled records.
@@ -26,12 +28,9 @@ request alone, so a pooled sweep is bit-identical to a serial one.
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
-import signal
 import sys
-import threading
 import time
 import traceback
 from functools import partial
@@ -183,85 +182,27 @@ def _terminal_event(kind: str, index: int, request: RunRequest,
                     failure_message, record.cached, stored, attach)
 
 
-# ----------------------------------------------------------------------
-# wall-clock timeout enforcement
-# ----------------------------------------------------------------------
-class WallClockTimeout(Exception):
-    """Raised inside a run when its wall-clock budget expires."""
-
-
-#: The largest wall-clock budget :func:`_wall_clock_deadline` arms, in
-#: seconds (~68 years: what a 32-bit ``time_t`` holds).  ``setitimer``
-#: overflows somewhere above it, depending on the platform.
-MAX_WALL_TIMEOUT = 2**31 - 1
-
-
 def _wall_budget(wall_timeout: Optional[float]) -> Optional[float]:
     """Normalise a ``wall_timeout`` argument: ``None``, ``0`` and ``inf``
-    mean no deadline; a negative (or NaN) budget, or a finite one above
-    :data:`MAX_WALL_TIMEOUT`, is refused by name."""
+    mean no deadline; a negative (or NaN) budget is refused by name."""
     if wall_timeout in (None, 0, float("inf")):
         return None
     if not wall_timeout > 0:
         raise ValueError(
             f"wall_timeout={wall_timeout!r}: a wall-clock budget is a "
             f"positive number of seconds, or 0 / None / inf for no deadline")
-    if wall_timeout > MAX_WALL_TIMEOUT:
-        raise ValueError(
-            f"wall_timeout={wall_timeout!r}: SIGALRM cannot arm a budget "
-            f"over {MAX_WALL_TIMEOUT} s; pass inf or None for no deadline")
     return wall_timeout
 
 
-@contextlib.contextmanager
-def _wall_clock_deadline(seconds: float) -> Iterator[None]:
-    """Raise :class:`WallClockTimeout` in the current frame after ``seconds``.
-
-    Uses ``SIGALRM``, which :func:`iter_runs` checks this thread can arm
-    (:func:`_alarm_usable`) before any run starts.  It is the one guard
-    against a run that hangs in wall-clock time at a fixed simulated
-    time, which the request's simulated-time cap cannot see.
-    """
-
-    def _on_alarm(signum: int, frame: Any) -> None:
-        raise WallClockTimeout()
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _alarm_usable() -> bool:
-    """Whether this thread can arm ``SIGALRM``: only a POSIX process's
-    main thread can."""
-    return (hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread())
-
-
-def _guarded_run(run_fn: RunFn, request: RunRequest,
-                 wall_timeout: Optional[float]) -> RunRecord:
-    """The one attempt at a run: exceptions and timeouts become failure
-    records.  ``wall_timeout`` is normalised (:func:`_wall_budget`): with
-    ``None`` the run pays for no deadline context at all."""
+def _guarded_run(run_fn: RunFn, request: RunRequest) -> RunRecord:
+    """The one attempt at a run: an exception becomes a failure record."""
     start = time.perf_counter()
     try:
-        if wall_timeout is None:
-            record = run_fn(request)
-        else:
-            with _wall_clock_deadline(wall_timeout):
-                record = run_fn(request)
+        record = run_fn(request)
         if not isinstance(record, RunRecord):
             raise TypeError(
                 f"run function returned {type(record).__name__}, "
                 f"expected RunRecord")
-    except WallClockTimeout:
-        record = RunRecord(request=request, failure=RunFailure(
-            "timeout",
-            f"run exceeded its {wall_timeout:g}s wall-clock budget"))
     except Exception as exc:  # noqa: BLE001 - converted to structured failure
         record = RunRecord(request=request, failure=RunFailure(
             "error", f"{type(exc).__name__}: {exc}"))
@@ -272,6 +213,17 @@ def _guarded_run(run_fn: RunFn, request: RunRequest,
 #: A parent-precomputed unit of work: ``(index, request, key)``; ``key`` is
 #: ``None`` when no store is attached.
 TaggedRequest = Tuple[int, RunRequest, Optional[str]]
+
+
+def _timed_out(wall_timeout: float, keep_records: bool,
+               tagged: TaggedRequest) -> RunEvent:
+    """The terminal event of a run whose silent worker the parent killed."""
+    record = RunRecord(request=tagged[1], wall_time=wall_timeout,
+                       failure=RunFailure(
+                           "timeout", f"run exceeded its {wall_timeout:g}s "
+                                      f"wall-clock budget"))
+    return _terminal_event("timeout", *tagged, record,
+                           attach=record if keep_records else None)
 
 
 #: Attempts a body makes at its final write before the store's transient
@@ -304,8 +256,7 @@ def _write_held(cache: Optional[Any], records: List[RunRecord], *,
             time.sleep(0.5 * (2 ** (attempt - 1)))
 
 
-def _run_share(run: RunFn, store: Optional[Any],
-               wall_timeout: Optional[float], keep_records: bool,
+def _run_share(run: RunFn, store: Optional[Any], keep_records: bool,
                sync_every: int, _worker_id: int,
                share: List[TaggedRequest]) -> Iterator[RunEvent]:
     """The one body every miss runs through, in-process or in a worker.
@@ -329,7 +280,7 @@ def _run_share(run: RunFn, store: Optional[Any],
     try:
         for done, (index, request, key) in enumerate(share, 1):
             yield _event("miss-start", index, request, key)
-            record = _guarded_run(run, request, wall_timeout)
+            record = _guarded_run(run, request)
             stored = cache is not None and cache.cacheable(record)
             records.append(record)
             held.append(_terminal_event(
@@ -382,7 +333,8 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
                   shares: List[List[Any]], *, name: str, error: type,
                   max_restarts: int,
                   on_worker_start: Optional[Callable[[int, int], None]] = None,
-                  progress_timeout: Optional[float] = None,
+                  wall_timeout: Optional[float] = None,
+                  timed_out: Optional[Callable[[Any], RunEvent]] = None,
                   fault_plan: Optional[Any] = None) -> Iterator[RunEvent]:
     """Run ``body`` over each share in a process of its own; merge events.
 
@@ -394,9 +346,13 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
     items of its share that have no terminal event yet,
     ``max_restarts`` times in all; past that, or when a worker reports
     an exception, ``error`` is raised naming the ``name``d worker.
-    ``progress_timeout`` is the hung-worker watchdog: a worker silent
-    for that long is SIGKILLed and respawned the same way.  With a
-    ``fault_plan`` every event from worker *N* is one
+
+    ``wall_timeout`` is the one hang guard: a worker silent that long
+    is SIGKILLed.  If its last event was a ``miss-start``, that run is
+    in flight: ``timed_out(item)`` is passed on as its terminal event,
+    and the worker is respawned without spending a restart, so the run
+    is never run again.  A worker killed with no run in flight is lost,
+    as above.  With a ``fault_plan`` every event from worker *N* is one
     ``take("worker", str(N))`` and a scheduled ``kill`` SIGKILLs it.
     ``on_worker_start(worker_id, pid)`` sees every (re)spawn.
     """
@@ -412,7 +368,11 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
     # respawn) for good.  A killed worker can only tear its own pipe,
     # which then reads as end-of-file — which is how its death is seen.
     readers: Dict[Any, int] = {}
+    # The watchdog's state, kept only under a budget: when each worker
+    # was last heard, and the index of the run it has in flight.
     heard: Dict[int, float] = {}
+    in_flight: Dict[int, Optional[int]] = {}
+    hung: set = set()  # killed with a run in flight: respawned for free
     restarts = 0
 
     def spawn(worker_id: int) -> None:
@@ -429,6 +389,7 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
         processes[worker_id] = process
         readers[reader] = worker_id
         heard[worker_id] = time.monotonic()
+        in_flight[worker_id] = None
         if on_worker_start is not None:
             on_worker_start(worker_id, process.pid)
 
@@ -436,11 +397,13 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
         for worker_id in range(len(shares)):
             spawn(worker_id)
         while readers:
-            silent = [heard[worker_id] for worker_id in processes
-                      if worker_id not in finished]
-            timeout = (None if progress_timeout is None or not silent else
-                       max(0.0, min(silent) + progress_timeout
-                           - time.monotonic()))
+            silent = wall_timeout is not None and [
+                heard[worker_id] for worker_id in readers.values()
+                if worker_id not in finished]
+            # waking daily keeps a budget of any size: poll(2) overflows
+            timeout = (min(86400.0, max(0.0, min(silent) + wall_timeout
+                                        - time.monotonic()))
+                       if silent else None)
             for reader in mp_connection.wait(list(readers), timeout):
                 worker_id = readers[reader]
                 try:
@@ -453,20 +416,24 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
                     processes.pop(worker_id).join()
                     if worker_id in finished:
                         continue
-                    restarts += 1
+                    restarts += worker_id not in hung  # a hang's is free
+                    hung.discard(worker_id)
                     if restarts > max_restarts:
                         raise error(f"{name} {worker_id} died and the "
                                     f"restart budget ({max_restarts}) is "
                                     f"spent")
                     spawn(worker_id)
                     continue
-                heard[worker_id] = time.monotonic()
                 if message[0] == "done":
                     finished.add(worker_id)
                     continue
                 if message[0] == "failed":
                     raise error(f"{name} {worker_id} failed:\n{message[1]}")
                 event = message[1]
+                if wall_timeout is not None:
+                    heard[worker_id] = time.monotonic()
+                    in_flight[worker_id] = (None if event.terminal
+                                            else event.index)
                 if fault_plan is not None:
                     fault = fault_plan.take("worker", str(worker_id))
                     if fault is not None and fault.spec.kind == "kill":
@@ -476,16 +443,24 @@ def _worker_group(body: Callable[[int, List[Any]], Iterator[RunEvent]],
                         continue  # a respawn replayed it
                     ended.add(event.index)
                 yield event
-            if progress_timeout is None:
+            if wall_timeout is None:
                 continue
             now = time.monotonic()
-            for worker_id, process in processes.items():
-                if (worker_id not in finished
-                        and now - heard[worker_id] >= progress_timeout):
-                    # Alive but mute past the deadline: kill it, and its
-                    # pipe's end-of-file respawns it.
-                    process.kill()
-                    heard[worker_id] = now
+            for reader, worker_id in list(readers.items()):
+                if (worker_id in finished
+                        or now - heard[worker_id] < wall_timeout
+                        or reader.poll()):
+                    continue
+                # Mute past the budget with nothing left unread: kill it,
+                # and its pipe's end-of-file respawns it.
+                processes[worker_id].kill()
+                heard[worker_id] = now
+                index = in_flight[worker_id]
+                if index is not None and index not in ended:
+                    hung.add(worker_id)
+                    ended.add(index)
+                    yield timed_out(next(item for item in shares[worker_id]
+                                         if item[0] == index))
     finally:
         for process in processes.values():
             process.terminate()
@@ -567,15 +542,15 @@ def iter_runs(
         its share that has no terminal event yet, and whatever the
         workers leave unfinished runs in-process.
     wall_timeout:
-        Per-run wall-clock budget in seconds; an overrun yields a
-        ``"timeout"`` :class:`RunFailure` instead of hanging the pool.
-        ``None`` (the default), ``0`` and ``inf`` mean no deadline; a
-        negative budget, or a finite one above :data:`MAX_WALL_TIMEOUT`,
-        raises ``ValueError`` before any run starts.
-        It is enforced with ``SIGALRM``, which only the main thread can
-        arm, so a budget asked for from any other thread (or where
-        ``SIGALRM`` does not exist) raises ``ValueError`` before any run
-        starts.
+        Per-run wall-clock budget in seconds: a worker silent that long
+        is SIGKILLed, and its run in flight ends as one ``"timeout"``
+        event, never run again.  ``None`` (the default), ``0`` and
+        ``inf`` mean no deadline; a negative (or NaN) budget raises
+        ``ValueError``.  A budget always runs the misses in workers, and
+        a group lost past its restart budget then raises; where no
+        worker can run them (Windows, ``REPRO_EXECUTOR_SERIAL``, a store
+        workers cannot reopen) it raises ``ValueError``.  Both before
+        any run starts.
     retries:
         Only ``0`` is accepted; anything else raises ``ValueError``.
         Run retries are removed: a fixed-seed run that raised raises
@@ -616,12 +591,6 @@ def iter_runs(
             f"attempted once, since a fixed-seed run that raised raises "
             f"again; drop the argument")
     wall_timeout = _wall_budget(wall_timeout)
-    if wall_timeout is not None and not _alarm_usable():
-        raise ValueError(
-            f"wall_timeout={wall_timeout!r} cannot be enforced here: its "
-            f"SIGALRM deadline can be armed only on the main thread of a "
-            f"POSIX process; call iter_runs from the main thread, or pass "
-            f"wall_timeout=None")
     n_jobs = resolve_jobs(jobs)
     return _iter_runs(list(requests), n_jobs, wall_timeout, run_fn, store,
                       keep_records, force_pool)
@@ -670,17 +639,32 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
     through).  ``error`` is the loss policy: with None (:func:`iter_runs`)
     workers start only where they can win and a lost group's leftovers
     run here; with a named error (the fabric's) the workers always start
-    — they hold its watchdog and fault plan — and a lost group raises
-    it.  ``max_restarts`` (default ``2 × workers``) and ``group`` go to
-    :func:`_worker_group`.
+    — they hold its fault plan — and a lost group raises it.  A
+    ``wall_timeout`` also always starts the workers, since the group's
+    watchdog enforces it by killing them, and a lost group then raises:
+    no run in this process could be stopped.  ``max_restarts`` (default
+    ``2 × workers``) and ``group`` go to :func:`_worker_group`.
     """
+    in_process = error is None and _force_serial()
+    reopened = None  # what a worker opens the sweep's store by
+    if cache is not None:
+        from .store.backend import BACKENDS, BATCH_SIZE  # lazy, as above
+
+        if cache.store.kind in BACKENDS:
+            reopened = (cache.store.path, cache.fingerprint)
+        else:
+            in_process = True  # workers could not reopen it: write it here
+    if in_process and wall_timeout is not None:
+        raise ValueError(
+            f"wall_timeout={wall_timeout!r} cannot be enforced here: only "
+            f"a worker process can be stopped, and Windows, "
+            f"{SERIAL_ENV_VAR} or a store workers cannot reopen keeps "
+            f"every run in this one; pass wall_timeout=None")
     misses: List[TaggedRequest] = []
     if cache is None:
         misses = [(index, request, None)
                   for index, request in enumerate(requests)]
     else:
-        from .store.backend import BACKENDS, BATCH_SIZE  # lazy, as above
-
         for start in range(0, len(requests), BATCH_SIZE):
             window = requests[start:start + BATCH_SIZE]
             cache.prefetch(window)
@@ -699,36 +683,35 @@ def _stream_runs(run: RunFn, requests: List[RunRequest], n_jobs: int,
     if not force_pool:
         n_jobs = min(n_jobs, usable_cpu_count())
     n_jobs = min(n_jobs, len(misses))
-    reopened = None  # what a worker opens the sweep's store by
-    if cache is not None:
-        if cache.store.kind not in BACKENDS:
-            n_jobs = 1  # workers could not reopen it: write it from here
-        reopened = (cache.store.path, cache.fingerprint)
     done: set = set()
-    if error is not None or (n_jobs > 1 and not _force_serial() and (
-            force_pool or len(misses) >= MIN_PARALLEL)):
-        body = partial(_run_share, run, reopened, wall_timeout,
-                       keep_records, sync_every)
+    if not in_process and (error is not None or wall_timeout is not None or (
+            n_jobs > 1 and (force_pool or len(misses) >= MIN_PARALLEL))):
+        body = partial(_run_share, run, reopened, keep_records, sync_every)
         try:
             for event in _worker_group(
                     body, [misses[worker::n_jobs] for worker in range(n_jobs)],
                     name="pool worker" if error is None else "fabric worker",
                     error=error or _PoolLost,
                     max_restarts=(2 * n_jobs if max_restarts is None
-                                  else max_restarts), **group):
+                                  else max_restarts),
+                    wall_timeout=wall_timeout,
+                    timed_out=partial(_timed_out, wall_timeout, keep_records),
+                    **group):
                 if event.terminal:
                     done.add(event.index)
                     if cache is not None and event.stored:
                         cache.writes += 1  # a worker wrote it: count it here
                 yield event
         except (_PoolLost, OSError):
-            pass  # the rest completes in-process below
+            if wall_timeout is not None:
+                raise  # no run in this process could be stopped
+            # the rest completes in-process below
     # In-process: every miss, or what the workers left behind.  A miss a
     # worker started but never finished gets a second miss-start —
     # announcing the rerun — but still exactly one terminal event.
-    yield from _run_share(run, cache, wall_timeout, keep_records, sync_every,
-                          0, [tagged for tagged in misses
-                              if tagged[0] not in done])
+    yield from _run_share(run, cache, keep_records, sync_every, 0,
+                          [tagged for tagged in misses
+                           if tagged[0] not in done])
 
 
 def collect(

@@ -36,6 +36,45 @@ class TestParser:
             ["spec", "--file", "x.json", "--jobs", "2"]).jobs == 2
 
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--runs", "1"],
+        ["heatmap", "--runs", "0"],
+        ["compare", "--jobs", "-1"],
+        ["heatmap", "--jobs", "-1"],
+        ["spec", "--file", "x.json", "--jobs", "-2"],
+        ["manyflow", "--jobs", "-1"],
+        ["validate", "--jobs", "-1"],
+        ["worker", "--file", "x.json", "--url", "u", "--workers", "0"],
+        ["worker", "--file", "x.json", "--url", "u", "--sync-every", "0"],
+    ], ids=" ".join)
+    def test_a_bad_count_exits_2_with_one_error_line(self, capsys, argv):
+        # Refused at parse time: nothing runs, nothing is printed to
+        # stdout, and no traceback.
+        flag, value = argv[-2:]
+        floor = {"--runs": 2, "--jobs": 0, "--workers": 1,
+                 "--sync-every": 1}[flag]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert errors == [f"repro {argv[0]}: error: argument {flag}: must "
+                          f"be >= {floor}, got {value}"]
+        assert "Traceback" not in captured.err
+
+    def test_count_flags_keep_their_floor_values(self):
+        parser = build_parser()
+        assert parser.parse_args(["compare", "--runs", "2"]).runs == 2
+        assert parser.parse_args(["heatmap", "--runs", "2"]).runs == 2
+        args = parser.parse_args(["worker", "--file", "x", "--url", "u",
+                                  "--workers", "1", "--sync-every", "1"])
+        assert (args.workers, args.sync_every) == (1, 1)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["compare", "--runs", "two"])
+
+
 class TestCommands:
     def test_versions(self, capsys):
         assert main(["versions"]) == 0

@@ -68,6 +68,13 @@ def _sleepy_run(request):
     return RunRecord(request=request, plt=1.0, complete=True)
 
 
+def _alarm_dodging_run(request):
+    # a hang no in-run signal can end: SIGALRM is ignored, then it sleeps
+    signal.signal(signal.SIGALRM, signal.SIG_IGN)
+    time.sleep(2.0)
+    return RunRecord(request=request, plt=1.0, complete=True)
+
+
 def _flaky_marker_run(request):
     marker = os.environ["REPRO_TEST_FLAKY_MARKER"] + f".{request.seed}"
     if not os.path.exists(marker):
@@ -328,29 +335,71 @@ class TestTimeout:
                                run_fn=_sleepy_run)
         assert records[0].attempts == 1
 
-    def test_wall_timeout_off_the_main_thread_is_refused(self):
-        # SIGALRM can be armed on the main thread only: off it, a budget
-        # would be silently ignored, so asking for one is refused before
-        # any run starts.  Without a budget a thread may sweep.
+    def test_a_run_that_ignores_sigalrm_still_times_out(self):
+        # The parent enforces the budget by killing the silent worker, so
+        # nothing the run does to its own signals can dodge it.
+        start = time.perf_counter()
+        records = run_requests([req()], wall_timeout=0.3,
+                               run_fn=_alarm_dodging_run)
+        assert time.perf_counter() - start < 2.0
+        assert records[0].failure.kind == "timeout"
+        assert records[0].failure.message == (
+            "run exceeded its 0.3s wall-clock budget")
+        assert records[0].attempts == 1
+
+    def test_wall_timeout_off_the_main_thread_is_enforced(self):
         outcome = {}
 
         def sweep():
-            try:
-                iter_runs([req()], jobs=1, wall_timeout=0.2,
-                          run_fn=_sleepy_run)
-            except ValueError as exc:
-                outcome["refused"] = str(exc)
-            outcome["unbudgeted"] = [
-                event.kind for event in iter_runs([req()],
-                                                  run_fn=_instant_run)]
+            outcome["records"] = run_requests([req()], wall_timeout=0.3,
+                                              run_fn=_sleepy_run)
 
         start = time.perf_counter()
         thread = threading.Thread(target=sweep)
         thread.start()
         thread.join(timeout=30.0)
-        assert time.perf_counter() - start < 5.0  # nothing slept
-        assert "main thread" in outcome["refused"]
-        assert outcome["unbudgeted"] == ["miss-start", "complete"]
+        assert not thread.is_alive()
+        assert time.perf_counter() - start < 8.0  # nowhere near 10 s
+        assert outcome["records"][0].failure.kind == "timeout"
+
+    def test_a_slow_consumer_is_not_taken_for_a_hung_worker(self):
+        # Events sent while the caller was busy wait in the worker's pipe:
+        # that worker was not silent, so nothing is killed or timed out.
+        kinds = []
+        for event in iter_runs([req(seed=s) for s in range(4)], jobs=2,
+                               force_pool=True, wall_timeout=0.2,
+                               run_fn=_instant_run):
+            kinds.append(event.kind)
+            time.sleep(0.4)
+        assert sorted(kinds) == ["complete"] * 4 + ["miss-start"] * 4
+
+    @pytest.mark.parametrize("where", ["serial-env", "windows", "wrapper"])
+    def test_a_budget_no_worker_can_enforce_is_refused_before_any_run(
+            self, where, tmp_path, monkeypatch):
+        # Only a worker process can be stopped: where the misses would
+        # run in this process, a budget is refused before any run.
+        ran = []
+
+        def run(request):
+            ran.append(request.seed)
+            return _instant_run(request)
+
+        store = None
+        if where == "serial-env":
+            monkeypatch.setenv("REPRO_EXECUTOR_SERIAL", "1")
+        elif where == "windows":
+            monkeypatch.setattr("sys.platform", "win32")
+        else:  # a store workers cannot reopen by its path
+            store = FaultyStore(ShardStore(tmp_path / "s"), FaultPlan([]))
+        requests = [req(seed=s) for s in range(8)]
+        with pytest.raises(ValueError, match="wall_timeout=5"):
+            list(iter_runs(requests, jobs=2, wall_timeout=5, run_fn=run,
+                           store=store))
+        assert ran == []
+        # without a budget the same sweep runs in-process
+        events = list(iter_runs(requests, jobs=2, run_fn=run, store=store))
+        assert sorted(ran) == list(range(8))
+        assert all(e.ok for e in events if e.terminal)
 
 
 class TestRetry:

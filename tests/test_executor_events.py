@@ -494,40 +494,36 @@ class TestValidation:
                                       wall_timeout=budget))
         assert ran == []
 
-    def test_unarmable_wall_timeout_is_refused_before_any_run(self):
-        ran = []
-
-        def run(request):
-            ran.append(request.seed)
-            return _instant_run(request)
-
-        for budget in (1e10, 1e12, sweep_module.MAX_WALL_TIMEOUT + 1):
-            with pytest.raises(ValueError, match=f"wall_timeout={budget!r}"):
-                iter_runs([req()], wall_timeout=budget, run_fn=run)
-            with pytest.raises(ValueError, match=f"wall_timeout={budget!r}"):
-                list(iter_fabric_runs([req()], "http://127.0.0.1:9",
-                                      wall_timeout=budget))
-        assert ran == []
+    def test_huge_wall_timeout_is_a_valid_budget(self):
+        # No alarm timer has to hold it: a budget of any size is kept by
+        # the parent's watchdog, so one past 2**31 - 1 s is not refused.
+        for budget in (1e10, 1e12, 2.0 ** 31):
+            events = list(iter_runs([req()], wall_timeout=budget,
+                                    run_fn=_instant_run))
+            assert [e.kind for e in events] == ["miss-start", "complete"]
+            assert events[-1].ok
 
     def test_no_budget_enters_no_deadline(self, monkeypatch):
-        entered = []
-        deadline = sweep_module._wall_clock_deadline
+        # Without a budget a one-request sweep starts no worker group (and
+        # so no watchdog); with one, the group holds the budget.
+        watched = []
+        group = sweep_module._worker_group
 
-        def spy(seconds):
-            entered.append(seconds)
-            return deadline(seconds)
+        def spy(*args, **kwargs):
+            watched.append(kwargs["wall_timeout"])
+            return group(*args, **kwargs)
 
-        monkeypatch.setattr(sweep_module, "_wall_clock_deadline", spy)
+        monkeypatch.setattr(sweep_module, "_worker_group", spy)
         for budget in (None, 0, 0.0, float("inf")):
             events = list(iter_runs([req()], wall_timeout=budget,
                                     run_fn=_instant_run))
             assert [e.kind for e in events] == ["miss-start", "complete"]
-        assert entered == []
-        for budget in (5, sweep_module.MAX_WALL_TIMEOUT):
+        assert watched == []
+        for budget in (5, 2**31 - 1):
             events = list(iter_runs([req()], wall_timeout=budget,
                                     run_fn=_instant_run))
             assert events[-1].ok
-        assert entered == [5, sweep_module.MAX_WALL_TIMEOUT]
+        assert watched == [5, 2**31 - 1]
 
     def test_empty_request_list(self):
         assert list(iter_runs([])) == []

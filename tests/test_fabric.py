@@ -438,9 +438,10 @@ class TestExecutorOverRemote:
 # ----------------------------------------------------------------------
 # the coordinator
 # ----------------------------------------------------------------------
-#: Watchdog for the kill/resume tests: a forked worker can inherit a lock
+#: Budget for the kill/resume tests: a forked worker can inherit a lock
 #: the StoreServer thread held at fork time and wedge before its first
-#: event; the coordinator then respawns it instead of hanging the suite.
+#: event; the worker group's watchdog then respawns it instead of hanging
+#: the suite.
 _WEDGED_WORKER_TIMEOUT = 10.0
 
 
@@ -495,6 +496,50 @@ class TestCoordinator:
         assert summary == {"requests": 12, "hits": 12, "completed": 0,
                            "failed": 0}
 
+    def test_hung_run_ends_as_one_timeout_and_is_never_rerun(self, tmp_path,
+                                                             server):
+        # Seed 0 always hangs, out of reach of any in-run alarm.  The
+        # watchdog kills its worker and ends it as one timeout, without
+        # spending a restart (max_restarts=0) or running it again, and
+        # every other cell completes.
+        markers = tmp_path / "markers"
+        markers.mkdir()
+
+        def _seed0_hangs(request):  # fork start method: closures are fine
+            (markers / f"{request.seed}-{os.getpid()}-"
+                       f"{time.monotonic_ns()}").touch()
+            if request.seed == 0:
+                signal.signal(signal.SIGALRM, signal.SIG_IGN)
+                time.sleep(30)
+            return _instant_run(request)
+
+        requests = [req(seed=s) for s in range(4)]
+        start = time.perf_counter()
+        events = list(iter_fabric_runs(requests, server.url, workers=2,
+                                       sync_every=1, max_restarts=0,
+                                       wall_timeout=1.0,
+                                       run_fn=_seed0_hangs))
+        assert time.perf_counter() - start < 20.0
+        terminal = [e for e in events if e.terminal]
+        assert sorted(e.seed for e in terminal) == [0, 1, 2, 3]
+        by_seed = {e.seed: e for e in terminal}
+        hung = by_seed.pop(0)
+        assert (hung.kind, hung.failure_kind, hung.stored) == (
+            "timeout", "timeout", False)
+        assert hung.failure_message == "run exceeded its 1s wall-clock budget"
+        assert all(e.kind == "complete" and e.ok and e.stored
+                   for e in by_seed.values())
+        assert sorted(int(path.name.split("-")[0])
+                      for path in markers.iterdir()) == [0, 1, 2, 3]
+        assert RemoteStore(server.url).missing([hung.key]) == [hung.key]
+
+    def test_sync_every_below_one_is_refused_before_any_work(self):
+        # refused before the (unreachable) server is contacted
+        for sync_every in (0, -1):
+            with pytest.raises(ValueError, match="sync_every"):
+                iter_fabric_runs([req()], "http://127.0.0.1:9",
+                                 sync_every=sync_every)
+
     def test_killed_worker_resumes_byte_identical(self, tmp_path, server):
         requests = self._grid(60)
         expected = self._control_report(tmp_path, requests)
@@ -511,7 +556,7 @@ class TestCoordinator:
         stream = iter_fabric_runs(requests, server.url, workers=2,
                                   sync_every=4, run_fn=_slow_run,
                                   on_worker_start=on_start,
-                                  progress_timeout=_WEDGED_WORKER_TIMEOUT)
+                                  wall_timeout=_WEDGED_WORKER_TIMEOUT)
         seen = []
         for event in stream:
             if event.terminal:
@@ -536,7 +581,7 @@ class TestCoordinator:
         expected = self._control_report(tmp_path, requests)
         stream = iter_fabric_runs(requests, server.url, workers=2,
                                   sync_every=2, run_fn=_slow_run,
-                                  progress_timeout=_WEDGED_WORKER_TIMEOUT)
+                                  wall_timeout=_WEDGED_WORKER_TIMEOUT)
         landed = 0
         for event in stream:
             if event.terminal:
@@ -546,7 +591,7 @@ class TestCoordinator:
         stream.close()
         summary = run_fabric_sweep(requests, server.url, workers=2,
                                    run_fn=_instant_run,
-                                   progress_timeout=_WEDGED_WORKER_TIMEOUT)
+                                   wall_timeout=_WEDGED_WORKER_TIMEOUT)
         assert summary["hits"] >= 1  # the pre-kill uploads were kept
         assert summary["requests"] == len(requests)
         fabric = build_store_report(server.store).replace(
@@ -562,7 +607,7 @@ class TestCoordinator:
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         stream = iter_fabric_runs(self._grid(20), server.url, workers=2,
                                   sync_every=2, run_fn=_slow_run,
-                                  progress_timeout=_WEDGED_WORKER_TIMEOUT)
+                                  wall_timeout=_WEDGED_WORKER_TIMEOUT)
         next(event for event in stream if event.terminal)
         stream.close()
         assert list(scratch.iterdir()) == []
@@ -590,7 +635,7 @@ class TestCoordinator:
         for event in iter_fabric_runs(self._grid(24), server.url,
                                       workers=2, sync_every=3,
                                       run_fn=_fail_odd,
-                                      progress_timeout=_WEDGED_WORKER_TIMEOUT):
+                                      wall_timeout=_WEDGED_WORKER_TIMEOUT):
             if event.terminal:
                 on_server = remote.missing([event.key]) == []
                 assert on_server == event.stored == (event.kind == "complete")
@@ -626,7 +671,7 @@ class TestCoordinator:
                                       sync_every=sync_every,
                                       run_fn=_counted_run,
                                       on_worker_start=on_start,
-                                      progress_timeout=_WEDGED_WORKER_TIMEOUT):
+                                      wall_timeout=_WEDGED_WORKER_TIMEOUT):
             if not event.terminal:
                 continue
             assert remote.missing([event.key]) == []

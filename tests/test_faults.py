@@ -739,6 +739,8 @@ class TestCoordinatorDegradation:
                                                    "STORE")
 
     def test_hung_worker_is_killed_and_respawned(self, tmp_path):
+        # The hung run ends as one timeout and is not run again; the
+        # respawned worker runs the rest of its share.
         flag = tmp_path / "hung-once"
 
         def _hang_once(request):
@@ -748,17 +750,23 @@ class TestCoordinatorDegradation:
             return _instant_run(request)
 
         requests = self._grid(6)
+        spawns = []
         with StoreServer(ShardStore(tmp_path / "central"), port=0) as server:
             events = list(iter_fabric_runs(
                 requests, server.url, workers=1, sync_every=1,
-                run_fn=_hang_once, progress_timeout=1.0))
+                run_fn=_hang_once, wall_timeout=1.0, max_restarts=0,
+                on_worker_start=lambda worker, pid: spawns.append(pid)))
             terminal = [e for e in events if e.terminal]
             assert sorted(e.index for e in terminal) == list(
                 range(len(requests)))
             fabric = build_store_report(server.store).replace(
                 str(server.store.path), "STORE")
         assert flag.exists()  # the first spawn genuinely hung
-        assert fabric == self._control_report(tmp_path, requests)
+        assert len(spawns) == 2
+        (hung,) = [e for e in terminal if e.kind != "complete"]
+        assert hung.kind == "timeout"
+        assert fabric == self._control_report(
+            tmp_path, [r for i, r in enumerate(requests) if i != hung.index])
 
     def test_plan_scheduled_kill_still_byte_identical(self, tmp_path):
         plan = FaultPlan([FaultSpec("worker", "kill", op="0", after=3)])

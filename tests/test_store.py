@@ -1275,7 +1275,7 @@ class TestReadOnlyCommandsLeaveNonStoresAlone:
         assert sorted(os.listdir(tmp_path)) == ["old.sqlite"]
 
     @pytest.mark.parametrize("command", [
-        ["compare", "--rate", "10", "--size-kb", "10", "--runs", "1",
+        ["compare", "--rate", "10", "--size-kb", "10", "--runs", "2",
          "--cache", "EXPORT"],
         ["store", "--store", "EXPORT", "sync", "EXPORT"],
     ], ids=lambda command: command[0])
